@@ -7,8 +7,9 @@ parallel-slab configurations. Reduced units (hbar = c = kB = 1) everywhere
 unless a UnitContext says otherwise.
 """
 
-from magfriction._kernels import IMPL as kernel_impl
-
 __version__ = "0.1.0"
+
+# the one kernel implementation: numpy, in magfriction._kernels
+kernel_impl = "pure"
 
 __all__ = ["kernel_impl", "__version__"]

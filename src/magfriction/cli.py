@@ -16,6 +16,7 @@ two-column text (m, density) in reduced units regardless of --units.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -34,10 +35,10 @@ _NUMERIC_ERRORS = (
     numerics.McSamplingError,
     numerics.SeriesError,
     numerics.FitError,
-    matsubara.TruncationError,
     materials_spectral.ExtractionError,
     AssertionError,
     FloatingPointError,
+    OverflowError,
 )
 
 # long-flag name and parser for everything settable from a config file
@@ -205,13 +206,15 @@ def _resolve(args):
     """Merge CLI > config file > defaults into a RunConfig."""
     file_values = _load_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
-    for flag, _ in _PARAMS + _SETTINGS:
+    for flag, typ in _PARAMS + _SETTINGS:
         attr = _attr(flag)
         value = getattr(args, attr, None)
         if value is None:
             value = file_values.get(flag)
         if value is None:
             value = _DEFAULTS.get(attr)
+        elif typ is float:
+            _finite("--" + flag, value)
         setattr(cfg, attr, value)
     cfg.out = args.out
     cfg.json_out = args.json_out
@@ -224,6 +227,12 @@ def _resolve(args):
     if cfg.workers < 1:
         raise CliError(EXIT_CONFIG, "--workers must be at least 1")
     return cfg
+
+
+def _finite(name, value):
+    # float() takes 'nan' and 'inf'; no input, from flag, file or axis, may be either
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def _parse_axis(spec):
@@ -241,6 +250,8 @@ def _parse_axis(spec):
         steps = int(parts[3])
     except ValueError:
         raise CliError(EXIT_CONFIG, "axis %r has non-numeric fields" % spec)
+    _finite("axis %r bounds" % spec, lo)
+    _finite("axis %r bounds" % spec, hi)
     if steps < 1:
         raise CliError(EXIT_CONFIG, "axis %r needs at least one step" % spec)
     if steps == 1:
@@ -348,15 +359,6 @@ def _linear_slope(spec, side):
     )
 
 
-def _auto_grid(alpha, beta, tail_tol=1e-9):
-    # choose n_max so the curvature bound on the dropped tail clears tail_tol
-    n_bound = 0.0
-    if alpha != 0.0:
-        n_bound = (8.0 * alpha**2 * beta**3 / ((2.0 * np.pi) ** 4 * tail_tol)) ** (1.0 / 3.0)
-    n_max = int(max(1000.0, np.ceil(beta / (2.0 * np.pi)) + 8.0, np.ceil(1.5 * n_bound)))
-    return matsubara.MatsubaraGrid(beta, min(n_max, 20_000_000), tail_tol)
-
-
 def _finalize_report(rep, ctx):
     if ctx is None:
         return rep
@@ -391,10 +393,9 @@ def _run_free_energy(cfg):
     _need(cfg, "alpha")
     ctx = _units_ctx(cfg)
     beta = _resolve_beta(cfg, ctx)
-    grid = _auto_grid(cfg.alpha, beta)
-    f = matsubara.induced_free_energy(cfg.alpha, grid)
-    cols = ["alpha", "beta", "n_max", "free_energy"]
-    vals = [cfg.alpha, beta, grid.n_max, f]
+    f = matsubara.free_energy(cfg.alpha, beta)
+    cols = ["alpha", "beta", "free_energy"]
+    vals = [cfg.alpha, beta, f]
     if ctx is not None:
         cols += ["free_energy_erg", "temperature_kelvin"]
         vals += [f * ctx.energy_scale, ctx.kelvin_from_beta(beta)]
@@ -591,6 +592,9 @@ def _command_name(cfg):
     return cfg.command
 
 
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
 def _emit(cfg, rows):
     columns = rows[0].columns
     for row in rows[1:]:
@@ -606,6 +610,12 @@ def _emit(cfg, rows):
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row.values))
     text = "\n".join(lines) + "\n"
+    # no NaN or inf goes out with exit 0; two substring scans keep the
+    # per-cell test off the path of finite output
+    if ("nan" in text or "inf" in text) and not _NON_FINITE.isdisjoint(
+        text.replace("\n", ",").split(",")
+    ):
+        raise FloatingPointError("a computed value is not finite")
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:

@@ -335,6 +335,17 @@ def check_free_energy_limits():
     return ok1 and ok2, "cold rel=%.3g hot=%.3g" % (abs(f_cold - 0.005) / 0.005, f_hot)
 
 
+def check_free_energy_closed_form():
+    # production closed form against the certified mode sum plus tail
+    alpha = 0.3
+    worst = 0.0
+    for beta in np.logspace(-3.0, 3.0, 7):
+        grid = matsubara.MatsubaraGrid(beta, 200_000, tail_tol=1e-10)
+        summed = matsubara.induced_free_energy(alpha, grid)
+        worst = max(worst, abs(matsubara.free_energy(alpha, beta) - summed))
+    return _ok(worst, 1e-9, "diff")
+
+
 def check_mode_integral():
     r = numerics.quad_semi_infinite(lambda u: u * u / (u * u + 1.0) ** 2, 0.0, tol=1e-11)
     return _ok(abs(2.0 * r.value - np.pi / 2.0), 1e-10)
@@ -893,6 +904,7 @@ SUITES = {
         Check("mode free energy vs Gaussian moments", check_mode_free_energy_moments),
         Check("free energy vs brute force", check_free_energy_brute_force),
         Check("free energy limits", check_free_energy_limits),
+        Check("free energy closed form vs mode sum", check_free_energy_closed_form),
         Check("mode integral pi/2", check_mode_integral),
     ],
     "response": [

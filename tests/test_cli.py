@@ -44,7 +44,7 @@ EXIT_CASES = [
       "--temperature-kelvin", 300], 3),                    # two temperatures
     (["free-energy", "--alpha", 1,
       "--temperature-kelvin", 300], 3),                    # kelvin needs gaussian
-    (["free-energy", "--alpha", 1, "--beta", 1e6], 2),     # tail not certifiable
+    (["free-energy", "--alpha", 1, "--beta", 1e6], 0),     # cold limit, closed form
     (["fields", "--d", 1, "--units", "gaussian"], 3),
     (SLABS_ZERO_UNIT[:-1] + [-0.01], 1),                   # negative speed
     (SLABS_ZERO_UNIT + ["--beta", 1], 3),                  # zero-T takes no beta
@@ -56,6 +56,14 @@ EXIT_CASES = [
     (["sweep", "--target", "eigen",
       "--axis", "alpha:0:1:not-a-count"], 3),
     (["eigen", "--alpha", 1, "--config", "/no/such/file"], 3),
+    (["free-energy", "--alpha", 1, "--beta", 1e-300], 0),  # hot limit stays finite
+    (["free-energy", "--alpha", 1e200, "--beta", 1], 2),   # result overflows
+    (SLABS_UNIT[:4] + ["--beta", 1e-200] + SLABS_UNIT[6:], 2),  # overflow
+    (["friction", "pair", "--beta", 1e300, "--d", 1, "--v", 1e-3,
+      "--D1", 1, "--D2", 1], 2),                           # overflow
+    (SLABS_ZERO_UNIT[:-1] + ["nan"], 1),                   # non-finite input
+    (["sweep", "--target", "eigen",
+      "--axis", "alpha:0:inf:3"], 1),                      # non-finite axis bound
 ]
 
 
@@ -68,6 +76,12 @@ def test_exit_codes(cli, args, code):
 def test_unknown_flag_is_config_error(cli):
     got, _ = cli("eigen", "--alpha", 1, "--bogus", 2)
     assert got == 3
+
+
+def test_non_finite_config_value_is_validation_error(cli, tmp_path):
+    path = _write(tmp_path / "run.cfg", "alpha = inf\n")
+    code, out = cli("eigen", "--config", path)
+    assert (code, out) == (1, "")
 
 
 def test_help_exits_zero(cli):
@@ -146,8 +160,8 @@ def test_free_energy_golden(cli):
     code, out = cli("free-energy", "--alpha", 0.1, "--beta", 10)
     assert code == 0
     header, row = _data_rows(out)
-    assert header == "alpha,beta,n_max,free_energy"
-    assert row == "0.1,10.0,1000,0.004995913631759335"
+    assert header == "alpha,beta,free_energy"
+    assert row == "0.1,10.0,0.004995913614675051"
 
 
 def test_slabs_finite_golden(cli):

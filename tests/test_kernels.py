@@ -1,21 +1,10 @@
-"""Compiled versus pure kernel lanes."""
-
-import os
-import subprocess
-import sys
+"""Numpy kernels against plain loops written out here."""
 
 import numpy as np
 import pytest
 
 import magfriction
-from magfriction._kernels import _pure
-
-try:
-    from magfriction._kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="compiled lane unavailable")
+from magfriction import _kernels
 
 
 def _rk4_inputs(B, seed=0):
@@ -26,39 +15,50 @@ def _rk4_inputs(B, seed=0):
     return alpha, init, dt
 
 
+def _rk4_stage_loop(alpha, init, dt, n_steps, stride):
+    # classical four-stage RK4 on one column, step by step
+    def rhs(s):
+        x, y, vx, vy = s
+        return np.array([vx, vy, -x + 2.0 * alpha * vy, -y - 2.0 * alpha * vx])
+
+    s = np.array(init, dtype=np.float64)
+    out = [s]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * dt * k1)
+        k3 = rhs(s + 0.5 * dt * k2)
+        k4 = rhs(s + dt * k3)
+        s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0:
+            out.append(s)
+    return np.array(out)
+
+
 def test_active_lane_reported():
-    assert magfriction.kernel_impl in ("compiled", "pure")
+    assert magfriction.kernel_impl == "pure"
 
 
-@needs_core
-@pytest.mark.parametrize("B", [1, 2, 8])
-def test_rk4_lanes_bit_identical(B):
-    alpha, init, dt = _rk4_inputs(B, seed=B)
-    a = _pure.rk4_batch(alpha, init, dt, 4000, 10)
-    b = _core.rk4_batch(alpha, init, dt, 4000, 10)
-    assert np.array_equal(a, b)
+def test_rk4_matches_stage_loop():
+    alpha, init, dt = _rk4_inputs(3, seed=4)
+    assert len(set(alpha)) == 3 and len(set(dt)) == 3
+    n_steps, stride = 12_000, 10
+    out = _kernels.rk4_batch(alpha, init, dt, n_steps, stride)
+    for b in range(3):
+        ref = _rk4_stage_loop(alpha[b], init[:, b], dt[b], n_steps, stride)
+        assert np.max(np.abs(out[:, :, b] - ref)) <= 1e-10
 
 
 def test_rk4_records_initial_state_and_shape():
     alpha, init, dt = _rk4_inputs(3)
-    out = _pure.rk4_batch(alpha, init, dt, 200, 20)
+    out = _kernels.rk4_batch(alpha, init, dt, 200, 20)
     assert out.shape == (11, 4, 3)
     assert np.array_equal(out[0], init)
 
 
 def test_rk4_stride_must_divide():
     alpha, init, dt = _rk4_inputs(2)
-    for lane in filter(None, (_pure, _core)):
-        with pytest.raises(ValueError):
-            lane.rk4_batch(alpha, init, dt, 101, 10)
-
-
-@needs_core
-def test_mode_sum_lanes_agree():
-    for n_max in (1000, 100_000):
-        a = _pure.mode_sum(0.3, 7.7, n_max)
-        b = _core.mode_sum(0.3, 7.7, n_max)
-        assert abs(a - b) <= 1e-13 * max(abs(a), 1.0)
+    with pytest.raises(ValueError):
+        _kernels.rk4_batch(alpha, init, dt, 101, 10)
 
 
 def test_mode_sum_against_direct_loop():
@@ -67,41 +67,16 @@ def test_mode_sum_against_direct_loop():
     for n in range(1, n_max + 1):
         u2 = (2.0 * np.pi * n / beta) ** 2
         direct += 2.0 * (2.0 * alpha**2 / beta) * u2 / (u2 + 1.0) ** 2
-    assert abs(_pure.mode_sum(alpha, beta, n_max) - direct) <= 1e-14
-    assert _pure.mode_sum(alpha, beta, 0) == 0.0
-
-
-@needs_core
-def test_halfspace_chunk_lanes_agree():
-    rng = np.random.default_rng(17)
-    u = rng.random((3, 100_000))
-    # summation order differs between lanes (pairwise vs sequential), so
-    # the heavy-tailed mode-1 weights leave a few ulp times n of roundoff
-    for mode in (0, 1):
-        a = _pure.halfspace_chunk(1.5, u, mode)
-        b = _core.halfspace_chunk(1.5, u, mode)
-        assert abs(a[0] - b[0]) <= 1e-10 * abs(a[0])
-        assert abs(a[1] - b[1]) <= 1e-10 * abs(a[1])
+    assert abs(_kernels.mode_sum(alpha, beta, n_max) - direct) <= 1e-14
+    assert _kernels.mode_sum(alpha, beta, 0) == 0.0
 
 
 def test_halfspace_chunk_mode0_constant_weight():
     # r^-6 under the half-space sampler has identically constant weight
     rng = np.random.default_rng(3)
     u = rng.random((3, 1000))
-    s, s2 = _pure.halfspace_chunk(1.0, u, 0)
+    s, s2 = _kernels.halfspace_chunk(1.0, u, 0)
     mean = s / 1000.0
     var = s2 / 1000.0 - mean * mean
     assert abs(mean - np.pi / 6.0) <= 1e-12
     assert abs(var) <= 1e-15
-
-
-def test_pure_lane_forced_by_env():
-    code = (
-        "import magfriction; print(magfriction.kernel_impl)"
-    )
-    env = dict(os.environ, MAGFRICTION_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure"

@@ -9,6 +9,7 @@ from magfriction import verification
 from magfriction.matsubara import (
     MatsubaraGrid,
     TruncationError,
+    free_energy,
     induced_free_energy,
     matsubara_frequency,
     mode_free_energy,
@@ -93,6 +94,39 @@ def test_free_energy_cold_bound():
         grid = MatsubaraGrid(beta=beta, n_max=40_000, tail_tol=1e-8)
         dev = abs(induced_free_energy(alpha, grid) - alpha**2 / 2.0)
         assert dev <= 1e-3 / beta
+
+
+def test_closed_form_continuous_at_series_switch():
+    # the series takes over below x = beta/2 = 1e-2
+    for alpha in (0.3, 1.0):
+        lo = free_energy(alpha, 2e-2 * (1.0 - 1e-12))
+        hi = free_energy(alpha, 2e-2 * (1.0 + 1e-12))
+        assert abs(lo - hi) <= 1e-11 * abs(hi)
+
+
+def test_closed_form_limits():
+    for alpha in (0.05, 0.3, 1.0):
+        assert free_energy(alpha, 1e6) == pytest.approx(alpha**2 / 2.0, rel=1e-15)
+        for beta in (1e-6, 1e-9):
+            assert free_energy(alpha, beta) == pytest.approx(alpha**2 * beta / 6.0, rel=1e-12)
+    tiny = free_energy(1.0, 1e-300)
+    assert np.isfinite(tiny) and tiny > 0.0
+
+
+def test_closed_form_hbar_matches_mode_sum():
+    # hbar enters the modes as u = 2 pi n/(beta hbar); the closed form must follow
+    for hbar in (0.5, 2.0):
+        grid = MatsubaraGrid(beta=3.0, n_max=200_000, tail_tol=1e-10)
+        assert abs(free_energy(0.4, 3.0, hbar) - induced_free_energy(0.4, grid, hbar)) <= 1e-9
+
+
+def test_closed_form_against_mode_sum():
+    assert_check(verification.check_free_energy_closed_form)
+
+
+def test_closed_form_beta_validation():
+    with pytest.raises(ValueError):
+        free_energy(0.3, 0.0)
 
 
 def test_mode_integral_pi_over_2():
