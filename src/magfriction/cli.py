@@ -38,7 +38,6 @@ _NUMERIC_ERRORS = (
     materials_spectral.ExtractionError,
     AssertionError,
     FloatingPointError,
-    OverflowError,
 )
 
 # long-flag name and parser for everything settable from a config file
@@ -541,23 +540,15 @@ def _run_sweep(cfg):
     runner = _TARGET_RUNNERS[cfg.target]
     points = _sweep_points(cfg)
     names = [ax.name for ax in cfg.axes]
-
-    def build(point):
+    # axis echo gets its own columns; runners echo inputs under bare names
+    axis_cols = tuple("sweep_" + _attr(name) for name in names)
+    rows = []
+    for point in points:
         sub = replace(base)
         for name, value in zip(names, point):
             setattr(sub, _attr(name), value)
         row = runner(sub)
-        # axis echo gets its own columns; runners echo inputs under bare names
-        axis_cols = tuple("sweep_" + _attr(name) for name in names)
-        return ResultRow(axis_cols + row.columns, tuple(point) + row.values)
-
-    if cfg.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(build, points))
-    else:
-        rows = [build(p) for p in points]
+        rows.append(ResultRow(axis_cols + row.columns, tuple(point) + row.values))
     return rows
 
 
@@ -681,6 +672,13 @@ def main(argv=None):
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
+    except OverflowError:
+        # Python-float arithmetic says only "(34, 'Numerical result out of range')"
+        sys.stderr.write(
+            "numerical failure: %s: a computed value overflows the float range\n"
+            % _command_name(args)
+        )
+        return EXIT_NUMERIC
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write("numerical failure: %s\n" % exc)
         return EXIT_NUMERIC

@@ -10,7 +10,6 @@ Reduced units hbar = 1 unless a factor is passed explicitly.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -230,29 +229,14 @@ def thermal_H(omega1, omega2, alpha1, alpha2, beta, hbar=1.0):
     return hbar**2 * omega1 * omega2 * alpha1 * alpha2 / (4.0 * np.sinh(x1) * np.sinh(x2))
 
 
-@lru_cache(maxsize=1)
 def universal_I():
     r"""The quartic thermal integral: x^4 e^-x/(1-e^-x)^2 over x > 0.
 
-    Equals 24*zeta(4) = 4 pi^4/15 ~ 25.9757576. The closed form is
-    self-checked against quadrature on every first call; disagreement
-    beyond 1e-10 relative raises.
+    Equals 24*zeta(4) = 4 pi^4/15 ~ 25.9757576. The oracle battery checks
+    this value against quadrature ("semi-infinite quartic thermal") and
+    against the zeta(4) series ("universal integral routes").
     """
-    closed = 4.0 * np.pi**4 / 15.0
-
-    def integrand(x):
-        if x == 0.0:
-            return 0.0
-        em = np.exp(-x)
-        return x**4 * em / (1.0 - em) ** 2
-
-    q = numerics.quad_semi_infinite(integrand, 0.0, tol=1e-12)
-    if abs(q.value - closed) / closed > 1e-10:
-        raise RuntimeError(
-            "quartic integral self-check failed: quadrature %.15g vs closed %.15g"
-            % (q.value, closed)
-        )
-    return closed
+    return 4.0 * np.pi**4 / 15.0
 
 
 def smoothed_H0(spec1, spec2, beta, hbar=1.0):

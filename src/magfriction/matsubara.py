@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from magfriction import _kernels
 
@@ -103,6 +102,8 @@ def induced_free_energy(alpha, grid, hbar=1.0):
         Bound above tail_tol, or the truncation is too early for the
         envelope bound to apply (first dropped mode below the knee u=1).
     """
+    from scipy.special import polygamma
+
     a2 = alpha * alpha
     if a2 == 0.0:
         return 0.0

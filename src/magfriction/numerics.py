@@ -4,13 +4,13 @@ Adaptive quadrature on finite and semi-infinite intervals, deterministic
 seeded Monte-Carlo integration, series summation with certified tails,
 central finite differences, and multi-sinusoid spectral fitting. Everything
 here is generic plumbing; the physics modules supply the integrands.
+scipy is imported inside the functions that call it, so callers that
+only take closed forms never load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 
 class QuadratureError(RuntimeError):
@@ -75,6 +75,8 @@ def quad_finite(f, a, b, tol=1e-10):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    import scipy.integrate
+
     out = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=True)
     value, err, info = out[0], out[1], out[2]
     if len(out) > 3:
@@ -392,6 +394,8 @@ def sinusoid_fit(t, x, k):
         M = _design(t, w)
         amp, *_ = np.linalg.lstsq(M, x, rcond=None)
         return M @ amp - x
+
+    import scipy.optimize
 
     sol = scipy.optimize.least_squares(resid, freqs, xtol=1e-15, ftol=1e-15, gtol=1e-15)
     freqs = np.abs(sol.x)

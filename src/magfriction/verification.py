@@ -8,9 +8,6 @@ these.
 """
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.special import jn_zeros, j0
 
 from magfriction import (
     dipole_fields,
@@ -273,6 +270,9 @@ def check_legendre_round_trip():
 
 def check_mode_average_lattice():
     # periodic imaginary-time lattice, N slices; quadratic-form solve
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     beta, N = 2.0 * np.pi, 10_000
     eps = beta / N
     main = np.full(N, 2.0 / eps + eps)
@@ -695,6 +695,8 @@ def check_G_hat_double_integral():
 
 def check_psi_hat_transform():
     # Hankel-type radial transform summed between Bessel zeros
+    from scipy.special import j0, jn_zeros
+
     q, z0 = 1.0, 0.7
     closed = geometry_coupling.psi_hat(z0, q)
     zeros = np.concatenate([[0.0], jn_zeros(0, 300)]) / q

@@ -64,6 +64,7 @@ EXIT_CASES = [
     (SLABS_ZERO_UNIT[:-1] + ["nan"], 1),                   # non-finite input
     (["sweep", "--target", "eigen",
       "--axis", "alpha:0:inf:3"], 1),                      # non-finite axis bound
+    (["eigen", "--alpha", 1, "--workers", 0], 3),          # workers below one
 ]
 
 
@@ -71,6 +72,14 @@ EXIT_CASES = [
 def test_exit_codes(cli, args, code):
     got, _ = cli(*args)
     assert got == code
+
+
+def test_overflow_names_command(cli, capsys):
+    code, out = cli(*SLABS_UNIT[:4], "--beta", 1e-200, *SLABS_UNIT[6:])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "numerical failure: friction slabs: a computed value overflows the float range\n"
+    )
 
 
 def test_unknown_flag_is_config_error(cli):
@@ -322,6 +331,69 @@ def test_console_script_smoke(cli):
     assert out.stdout.startswith(b"# magfriction"), stderr
     _, in_process = cli("eigen", "--alpha", 0.75)
     assert out.stdout == in_process.encode()
+
+
+def _run_child(*args):
+    """Run the interpreter on args against the source tree this test imported."""
+    src_root = str(Path(magfriction.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_python_m_package(cli):
+    out = _run_child("-m", "magfriction", "eigen", "--alpha", "0.75")
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    _, in_process = cli("eigen", "--alpha", 0.75)
+    assert out.stdout == in_process.encode()
+
+
+# runs CLI commands in a fresh interpreter; prints exit codes and loaded scipy modules
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+from magfriction import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps([codes, scipy]))
+"""
+
+
+def _modules_after(commands):
+    argv = json.dumps([[str(a) for a in c] for c in commands])
+    out = _run_child("-c", _MODULES_AFTER, argv)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    return json.loads(out.stdout)
+
+
+def test_closed_form_commands_load_no_scipy():
+    codes, scipy = _modules_after([
+        ["eigen", "--alpha", 0.75],
+        ["free-energy", "--alpha", 0.1, "--beta", 10],
+        ["fields", "--d", 1.0],
+        ["friction", "pair", "--d", 2, "--beta", 1, "--v", 1e-3, "--D1", 1, "--D2", 1],
+        ["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2, "--v", 1e-3,
+         "--D1", 1, "--D2", 1],
+        SLABS_UNIT,
+        SLABS_ZERO_UNIT,
+    ])
+    assert codes == [0] * 7
+    assert scipy == []
+
+
+def test_tabulated_pair_loads_quadrature(tmp_path):
+    grid = np.linspace(0.0, 40.0, 400)
+    path = _write(tmp_path / "s.txt", "".join("%.17g %.17g\n" % (w, 0.25 * w) for w in grid))
+    codes, scipy = _modules_after([
+        ["friction", "pair", "--d", 2, "--beta", 1, "--v", 1e-3, "--D2", 1,
+         "--spectrum-file-1", path],
+    ])
+    assert codes == [0]
+    assert "scipy.integrate" in scipy
 
 
 def test_console_script_registered():
