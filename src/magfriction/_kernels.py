@@ -9,26 +9,26 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def rk4_batch(alpha, init, dt, n_steps, stride):
-    r"""Fixed-step RK4 for the coupled pair, batched over columns.
+def rk4_batch(A, init, dt, n_steps, stride):
+    r"""Fixed-step RK4 for a linear system s' = A s, batched over columns.
 
-    Integrates x' = vx, y' = vy, vx' = -x + 2*alpha*vy, vy' = -y - 2*alpha*vx
-    (unit masses and frequencies) for ``n_steps`` steps of per-column size
-    ``dt``, recording every ``stride``-th state.
+    Integrates each column's 4-component state for ``n_steps`` steps of
+    per-column size ``dt`` under its own constant matrix, recording every
+    ``stride``-th state.
 
-    The system is linear, s' = A s, so one classical RK4 step is exactly
-    s <- R(dt*A) s with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4
-    stability polynomial. Each column's ``stride`` steps are folded into
-    the single 4x4 matrix R^stride, and the recorded samples are its
-    successive images; the result is the stage-by-stage RK4 trajectory up
-    to rounding.
+    One classical RK4 step of a linear system is exactly s <- R(dt*A) s
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 stability
+    polynomial. Each column's ``stride`` steps are folded into the single
+    4x4 matrix R^stride, and the recorded samples are its successive
+    images; the result is the stage-by-stage RK4 trajectory up to
+    rounding.
 
     Parameters
     ----------
-    alpha : array_like, shape (B,)
-        Coupling per column.
+    A : array_like, shape (B, 4, 4)
+        System matrix per column.
     init : array_like, shape (4, B)
-        Initial (x, y, vx, vy) per column.
+        Initial state per column.
     dt : array_like, shape (B,)
         Step size per column.
     n_steps : int
@@ -42,17 +42,13 @@ def rk4_batch(alpha, init, dt, n_steps, stride):
     ndarray, shape (n_steps//stride + 1, 4, B)
         Sampled states, sample k taken at step k*stride.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64)
     init = np.asarray(init, dtype=np.float64)
     dt = np.asarray(dt, dtype=np.float64)
     if n_steps % stride != 0:
         raise ValueError("n_steps must be a multiple of stride")
     B = init.shape[1]
-    Z = np.zeros((B, 4, 4))
-    Z[:, 0, 2] = Z[:, 1, 3] = dt
-    Z[:, 2, 0] = Z[:, 3, 1] = -dt
-    Z[:, 2, 3] = 2.0 * alpha * dt
-    Z[:, 3, 2] = -2.0 * alpha * dt
+    Z = dt[:, None, None] * A
     eye = np.eye(4)
     R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
     P = np.linalg.matrix_power(R, stride)

@@ -15,6 +15,7 @@ two-column text (m, density) in reduced units regardless of --units.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -52,15 +53,6 @@ _SETTINGS = (
     ("units", str), ("seed", int), ("workers", int), ("max-points", int),
 )
 _DEFAULTS = {"units": "reduced", "seed": 0, "workers": 1, "max_points": 10000}
-
-# reduced-unit dimension exponents (energy, length, time) of each input
-_PARAM_DIM = {
-    "d": (0, 1, 0), "z0": (0, 1, 0),
-    "rho1": (0, -3, 0), "rho2": (0, -3, 0),
-    "D1": (-1, 3, 0), "D2": (-1, 3, 0),
-    "v": (0, 1, -1),
-    "omega_p": (0, 0, -1), "nu": (0, 0, -1),
-}
 
 _SWEEP_AXES = {
     "eigen": ("alpha",),
@@ -277,8 +269,7 @@ def _to_reduced(cfg, name, ctx):
     value = getattr(cfg, name)
     if value is None or ctx is None:
         return value
-    dim = _PARAM_DIM.get(name)
-    return value if dim is None else value / ctx.factor(dim)
+    return value / ctx.factor(friction_forces.INPUT_DIM[name])
 
 
 def _resolve_beta(cfg, ctx, required=True):
@@ -315,25 +306,17 @@ def _need(cfg, *names):
         )
 
 
-def _load_spectrum_file(path):
-    try:
-        arr = np.loadtxt(path, comments="#", ndmin=2)
-    except Exception as exc:
-        raise CliError(EXIT_CONFIG, "cannot parse spectrum file %s: %s" % (path, exc))
-    if arr.shape[1] != 2:
-        raise CliError(EXIT_CONFIG, "spectrum file %s needs two columns" % path)
-    # content validation (ordering, passivity) raises ValueError -> exit 1
-    return materials_spectral.TabulatedSpectralDensity(arr[:, 0], arr[:, 1])
-
-
 def _spectrum(cfg, side, ctx, drude_rho=None):
     """Spectral density for side 1 or 2: file > slope > Drude parameters."""
     path = getattr(cfg, "spectrum_file_%d" % side)
     if path is not None:
-        return _load_spectrum_file(path)
+        try:
+            return materials_spectral.TabulatedSpectralDensity.from_text(path)
+        except materials_spectral.SpectrumFileError as exc:
+            raise CliError(EXIT_CONFIG, str(exc))
     slope = _to_reduced(cfg, "D%d" % side, ctx)
     if slope is not None:
-        return materials_spectral.SpectralAmplitude(slope)
+        return materials_spectral.LinearSpectralDensity(slope)
     if cfg.omega_p is not None and drude_rho is not None:
         params = materials_spectral.DrudeParams(
             _to_reduced(cfg, "omega_p", ctx),
@@ -349,7 +332,7 @@ def _spectrum(cfg, side, ctx, drude_rho=None):
 
 
 def _linear_slope(spec, side):
-    if hasattr(spec, "D"):
+    if spec.is_linear:
         return spec.D
     raise CliError(
         EXIT_CONFIG,
@@ -359,10 +342,7 @@ def _linear_slope(spec, side):
 
 
 def _finalize_report(rep, ctx):
-    if ctx is None:
-        return rep
-    rep = friction_forces._echo_physical(rep, ctx)
-    return friction_forces.to_physical_units(rep, ctx)
+    return rep if ctx is None else friction_forces.to_physical_units(rep, ctx)
 
 
 def _report_row(rep):
@@ -513,25 +493,14 @@ def _sweep_points(cfg):
                 EXIT_CONFIG,
                 "temperature axis conflicts with a fixed temperature parameter",
             )
-    total = 1
-    for ax in axes:
-        total *= len(ax.values)
+    total = math.prod(len(ax.values) for ax in axes)
     if total > cfg.max_points:
         raise CliError(
             EXIT_CONFIG,
             "sweep of %d points exceeds --max-points %d" % (total, cfg.max_points),
         )
-    grids = [ax.values for ax in axes]
-    points = []
-    idx = [0] * len(axes)
     # axis-major: first --axis is the outermost loop
-    for flat in range(total):
-        rem = flat
-        for k in range(len(axes) - 1, -1, -1):
-            idx[k] = rem % len(grids[k])
-            rem //= len(grids[k])
-        points.append(tuple(grids[k][idx[k]] for k in range(len(axes))))
-    return points
+    return list(itertools.product(*(ax.values for ax in axes)))
 
 
 def _run_sweep(cfg):

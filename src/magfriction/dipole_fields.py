@@ -8,29 +8,12 @@ alpha = 1/(2 c r^2). Internal c = 1; unit restoration lives in
 friction_forces.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 def vec3(x, y, z):
     """Build a 3-vector as a float (or complex) array."""
     return np.asarray([x, y, z])
-
-
-@dataclass(frozen=True)
-class DipoleSource:
-    """A point dipole: kind 'electric' or 'magnetic', moment, its time
-    derivative, and position."""
-
-    kind: str
-    moment: object
-    moment_rate: object
-    position: object
-
-    def __post_init__(self):
-        if self.kind not in ("electric", "magnetic"):
-            raise ValueError("kind must be 'electric' or 'magnetic'")
 
 
 def _split(r):

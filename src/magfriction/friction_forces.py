@@ -7,6 +7,7 @@ result can be recomputed by hand, and converts whole reports between
 reduced and Gaussian CGS units through dimension-exponent bookkeeping.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +50,17 @@ _G_FACTOR_DIM = {
     "plane": (0, -8, 2),
     "slabs-finite-T": (0, -10, 2),
     "slabs-zero-T": (0, -14, 2),
+}
+
+# (energy, length, time) exponents of each input, shared with the CLI
+INPUT_DIM = {
+    "d": (0, 1, 0), "z0": (0, 1, 0),
+    "r_x": (0, 1, 0), "r_y": (0, 1, 0), "r_z": (0, 1, 0),
+    "rho": (0, -3, 0), "rho1": (0, -3, 0), "rho2": (0, -3, 0),
+    "D1": (-1, 3, 0), "D2": (-1, 3, 0),
+    "beta": (-1, 0, 0),
+    "v": (0, 1, -1), "v_x": (0, 1, -1), "v_y": (0, 1, -1), "v_z": (0, 1, -1),
+    "omega1": (0, 0, -1), "omega2": (0, 0, -1), "omega_p": (0, 0, -1), "nu": (0, 0, -1),
 }
 
 CGS_HBAR = 1.0545718e-27  # erg s
@@ -174,10 +186,22 @@ def _convert_report(report, units, direction):
 
 
 def to_physical_units(report, units):
-    """Convert a reduced-unit report to Gaussian physical units."""
+    """Convert a reduced-unit report to Gaussian physical units.
+
+    The input echo keeps its reduced values and gains ``<name>_cgs`` for
+    every input in INPUT_DIM, plus ``temperature_kelvin`` when it has a
+    beta.
+    """
     if report.units == "gaussian":
         return report
-    return _convert_report(report, units, +1)
+    inputs = dict(report.inputs)
+    for name, value in report.inputs.items():
+        dim = INPUT_DIM.get(name)
+        if dim is not None:
+            inputs[name + "_cgs"] = value * units.factor(dim)
+    if "beta" in report.inputs:
+        inputs["temperature_kelvin"] = units.kelvin_from_beta(report.inputs["beta"])
+    return _convert_report(replace(report, inputs=inputs), units, +1)
 
 
 def to_reduced_units(report, units):
@@ -265,12 +289,20 @@ def plane_force(g, v, spec1, spec2, beta, hbar=1.0):
 
 
 def _slope(D):
-    return D.D if hasattr(D, "D") else float(D)
+    # the slab closed forms hold only for s(m) = D*m without cutoff
+    if isinstance(D, materials_spectral.LinearSpectralDensity):
+        if D.is_linear:
+            return D.D
+    elif isinstance(D, numbers.Real):
+        return float(D)
+    raise ValueError("slab forces need a slope D or a linear density without cutoff, "
+                     "got %r" % (D,))
 
 
-def finite_T_slab_force(g, v, D1, D2, beta, units=None, hbar=1.0):
+def finite_T_slab_force(g, v, D1, D2, beta, hbar=1.0):
     r"""Finite-temperature friction per unit area between two slabs with
-    linear spectral densities.
+    linear spectral densities (each a slope D or an untruncated
+    LinearSpectralDensity).
 
     Computed as suppression * reference with suppression = (d/(beta c
     hbar))^2 and reference the same expression with that factor removed:
@@ -288,7 +320,8 @@ def finite_T_slab_force(g, v, D1, D2, beta, units=None, hbar=1.0):
     force = suppression * reference
     G = geometry_coupling.G_slabs_realspace(g)
     H0 = materials_spectral.smoothed_H0(
-        materials_spectral.SpectralAmplitude(d1), materials_spectral.SpectralAmplitude(d2),
+        materials_spectral.LinearSpectralDensity(d1),
+        materials_spectral.LinearSpectralDensity(d2),
         beta, hbar,
     )
     assembled = -G * v * H0
@@ -305,13 +338,10 @@ def finite_T_slab_force(g, v, D1, D2, beta, units=None, hbar=1.0):
     }
     inputs = {"d": g.d, "rho1": g.rho1, "rho2": g.rho2, "D1": d1, "D2": d2,
               "beta": beta, "v": v}
-    report = FrictionReport("slabs-finite-T", float(force), inter, inputs)
-    if units is not None:
-        report = _echo_physical(report, units)
-    return report
+    return FrictionReport("slabs-finite-T", float(force), inter, inputs)
 
 
-def zero_T_slab_force(g, v, D1, D2, units=None, hbar=1.0):
+def zero_T_slab_force(g, v, D1, D2, hbar=1.0):
     r"""Zero-temperature friction per unit area between two slabs.
 
     Computed as suppression * reference with suppression = (v/c)^2:
@@ -349,30 +379,4 @@ def zero_T_slab_force(g, v, D1, D2, units=None, hbar=1.0):
         "reference_force": reference,
     }
     inputs = {"d": g.d, "rho1": g.rho1, "rho2": g.rho2, "D1": d1, "D2": d2, "v": v}
-    report = FrictionReport("slabs-zero-T", float(force), inter, inputs)
-    if units is not None:
-        report = _echo_physical(report, units)
-    return report
-
-
-_INPUT_DIM = {
-    "d": (0, 1, 0), "z0": (0, 1, 0),
-    "r_x": (0, 1, 0), "r_y": (0, 1, 0), "r_z": (0, 1, 0),
-    "rho": (0, -3, 0), "rho1": (0, -3, 0), "rho2": (0, -3, 0),
-    "D1": (-1, 3, 0), "D2": (-1, 3, 0),
-    "beta": (-1, 0, 0),
-    "v": (0, 1, -1), "v_x": (0, 1, -1), "v_y": (0, 1, -1), "v_z": (0, 1, -1),
-    "omega1": (0, 0, -1), "omega2": (0, 0, -1),
-}
-
-
-def _echo_physical(report, units):
-    """Extend the input echo with Gaussian-unit values."""
-    inputs = dict(report.inputs)
-    for name, value in list(inputs.items()):
-        dim = _INPUT_DIM.get(name)
-        if dim is not None:
-            inputs[name + "_cgs"] = value * units.factor(dim)
-    if "beta" in report.inputs:
-        inputs["temperature_kelvin"] = units.kelvin_from_beta(report.inputs["beta"])
-    return replace(report, inputs=inputs)
+    return FrictionReport("slabs-zero-T", float(force), inter, inputs)

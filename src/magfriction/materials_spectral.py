@@ -9,7 +9,8 @@ pair), H0 (thermally smoothed pair), and the universal quartic integral I.
 Reduced units hbar = 1 unless a factor is passed explicitly.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,36 +21,28 @@ class ExtractionError(RuntimeError):
     """Spectral extraction from a response function failed."""
 
 
+class SpectrumFileError(ValueError):
+    """A spectrum file is unreadable, unparseable or not two columns."""
+
+
 @dataclass(frozen=True)
-class SpectralAmplitude:
-    """Slope D >= 0 of a linear spectral density s(m) = D*m."""
-
-    D: float
-
-    def __post_init__(self):
-        if self.D < 0.0 or not np.isfinite(self.D):
-            raise ValueError("D must be finite and >= 0")
-
-    is_linear = True
-
-    def density(self, m):
-        return self.D * np.asarray(m, dtype=np.float64)
-
-
 class LinearSpectralDensity:
-    """Linear density s(m) = D*m, optionally truncated at m_max.
+    """Linear density s(m) = D*m with D finite and >= 0, optionally
+    truncated at m_max.
 
-    The response integral h needs the truncation; the thermally damped
-    factors (H0, J) converge without one.
+    Only the untruncated density is linear (``is_linear``) and takes the
+    closed forms for H0, J and the slab forces; the response integral h
+    needs the truncation.
     """
 
-    def __init__(self, D, m_max=None):
-        if D < 0.0:
-            raise ValueError("D must be >= 0")
-        if m_max is not None and m_max <= 0.0:
+    D: float
+    m_max: float = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.D < math.inf:
+            raise ValueError("D must be finite and >= 0")
+        if self.m_max is not None and self.m_max <= 0.0:
             raise ValueError("m_max must be positive")
-        self.D = float(D)
-        self.m_max = m_max
 
     @property
     def is_linear(self):
@@ -93,10 +86,18 @@ class TabulatedSpectralDensity:
 
     @classmethod
     def from_text(cls, path):
-        """Load from two-column whitespace-separated text; '#' comments."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        """Load from two-column whitespace-separated text; '#' comments.
+
+        Raises SpectrumFileError if the file cannot be read or parsed or
+        has other than two columns; bad content (grid order, negative
+        density) raises plain ValueError.
+        """
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except Exception as exc:
+            raise SpectrumFileError("cannot parse spectrum file %s: %s" % (path, exc))
         if data.shape[1] != 2:
-            raise ValueError("expected two columns (m, density), got %d" % data.shape[1])
+            raise SpectrumFileError("spectrum file %s needs two columns" % path)
         return cls(data[:, 0], data[:, 1])
 
     def density(self, m):
@@ -105,26 +106,6 @@ class TabulatedSpectralDensity:
     def h(self, K2):
         # trapezoid of 2 m s(m)/(K^2 + m^2) on the tabulated grid
         return float(np.trapezoid(2.0 * self.m * self.s / (K2 + self.m**2), self.m))
-
-
-class AnalyticSpectralDensity:
-    """Density defined through a callable response h(K^2); the density
-    itself comes from boundary-value extraction."""
-
-    def __init__(self, h_callable):
-        self._h = h_callable
-
-    is_linear = False
-
-    def h(self, K2):
-        return self._h(K2)
-
-    def density(self, m):
-        if np.ndim(m) == 0:
-            return spectrum_from_h(self._h, float(m))
-        return np.asarray([spectrum_from_h(self._h, float(mi)) for mi in np.ravel(m)]).reshape(
-            np.shape(m)
-        )
 
 
 @dataclass(frozen=True)
@@ -144,15 +125,13 @@ def h_from_spectrum(spec, K2, m_max=None):
     r"""Imaginary-frequency response h(K^2) of a spectral density.
 
     h(K^2) is the integral of alpha(m^2) m^2/(K^2 + m^2) over m^2:
-    closed form for linear densities (cutoff required), trapezoid on the
-    grid for tabulated ones, direct call for analytic ones.
+    closed form for linear densities (a cutoff, on the density or as
+    m_max, is required) and trapezoid on the grid for tabulated ones.
     """
     if K2 < 0.0:
         raise ValueError("K2 must be >= 0")
-    if isinstance(spec, SpectralAmplitude):
-        spec = LinearSpectralDensity(spec.D, m_max)
-    elif m_max is not None and isinstance(spec, LinearSpectralDensity) and spec.m_max is None:
-        spec = LinearSpectralDensity(spec.D, m_max)
+    if m_max is not None and spec.is_linear:
+        spec = replace(spec, m_max=m_max)
     return spec.h(K2)
 
 
@@ -213,7 +192,7 @@ def drude_h_of_K2(p, K2):
 def drude_D(p, hbar=1.0):
     """Low-frequency spectral slope of a Drude half-space:
     D = hbar*nu/(rho*(pi*hbar*omega_p)^2)."""
-    return SpectralAmplitude(hbar * p.nu / (p.rho * (np.pi * hbar * p.omega_p) ** 2))
+    return LinearSpectralDensity(hbar * p.nu / (p.rho * (np.pi * hbar * p.omega_p) ** 2))
 
 
 def thermal_H(omega1, omega2, alpha1, alpha2, beta, hbar=1.0):
@@ -242,7 +221,7 @@ def universal_I():
 def smoothed_H0(spec1, spec2, beta, hbar=1.0):
     r"""Thermally smoothed pair factor for two spectral densities.
 
-    For linear densities (slopes D1, D2):
+    For linear densities without cutoff (slopes D1, D2):
 
         H0 = (2 pi/(beta^4 hbar)) D1 D2 (4 pi^4/15)
 
@@ -251,15 +230,8 @@ def smoothed_H0(spec1, spec2, beta, hbar=1.0):
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    d1 = getattr(spec1, "D", None)
-    d2 = getattr(spec2, "D", None)
-    if (
-        d1 is not None
-        and d2 is not None
-        and getattr(spec1, "is_linear", False)
-        and getattr(spec2, "is_linear", False)
-    ):
-        return (2.0 * np.pi / (beta**4 * hbar)) * d1 * d2 * universal_I()
+    if spec1.is_linear and spec2.is_linear:
+        return (2.0 * np.pi / (beta**4 * hbar)) * spec1.D * spec2.D * universal_I()
 
     def integrand(m):
         if m == 0.0:

@@ -190,7 +190,8 @@ def c_plus_minus(osc1, osc2, beta, H, hbar=1.0):
 def dissipation_J(omega_v, tau, spec1, spec2, hbar=1.0):
     r"""Zero-temperature dissipation integral for a driven pair of spectra.
 
-    For linear spectral densities (slopes D1, D2) the closed form is
+    For linear spectral densities without cutoff (slopes D1, D2) the
+    closed form is
     J = 2 tau omega_v^6 (pi/120) hbar^3 D1 D2. General spectra are handled
     by quadrature of
 
@@ -205,16 +206,8 @@ def dissipation_J(omega_v, tau, spec1, spec2, hbar=1.0):
     W = abs(omega_v)
     if W == 0.0:
         return 0.0
-    d1 = getattr(spec1, "D", None)
-    d2 = getattr(spec2, "D", None)
-    linear = (
-        d1 is not None
-        and d2 is not None
-        and getattr(spec1, "is_linear", True)
-        and getattr(spec2, "is_linear", True)
-    )
-    if linear:
-        return 2.0 * tau * W**6 * (np.pi / 120.0) * hbar**3 * d1 * d2
+    if spec1.is_linear and spec2.is_linear:
+        return 2.0 * tau * W**6 * (np.pi / 120.0) * hbar**3 * spec1.D * spec2.D
 
     def integrand(w):
         return ((2.0 * w - W) / 2.0) ** 2 * spec1.density(hbar * w) * spec2.density(

@@ -488,8 +488,8 @@ def check_c_plus_zero_T():
 
 
 def check_dissipation_quadrature():
-    s1 = materials_spectral.SpectralAmplitude(0.8)
-    s2 = materials_spectral.SpectralAmplitude(1.7)
+    s1 = materials_spectral.LinearSpectralDensity(0.8)
+    s2 = materials_spectral.LinearSpectralDensity(1.7)
     wv, tau = 1.3, 0.5
     closed = response_kinetics.dissipation_J(wv, tau, s1, s2)
 
@@ -560,8 +560,8 @@ def check_universal_I_routes():
 
 
 def check_H0_quadrature():
-    s1 = materials_spectral.SpectralAmplitude(1.0)
-    s2 = materials_spectral.SpectralAmplitude(1.0)
+    s1 = materials_spectral.LinearSpectralDensity(1.0)
+    s2 = materials_spectral.LinearSpectralDensity(1.0)
     beta = 1.0
     closed = materials_spectral.smoothed_H0(s1, s2, beta)
     general = materials_spectral.smoothed_H0(
@@ -766,7 +766,7 @@ def check_finite_T_assembly():
     Gq = geometry_coupling.G_slabs_fourier(g)
     H0q = materials_spectral.smoothed_H0(
         materials_spectral.LinearSpectralDensity(1.0, m_max=400.0),
-        materials_spectral.SpectralAmplitude(1.0), 1.0,
+        materials_spectral.LinearSpectralDensity(1.0), 1.0,
     )
     rel_q = abs(-Gq * 1e-3 * H0q - rep.force) / abs(rep.force)
     return rel <= 1e-12 and rel_q <= 1e-9, "closed rel=%.3g quad rel=%.3g" % (rel, rel_q)
@@ -807,8 +807,8 @@ def check_force_signs(draws=200):
         pg = PlaneGeometry(d, float(rho1))
         r3 = ff.plane_force(
             pg, v,
-            materials_spectral.SpectralAmplitude(float(D1)),
-            materials_spectral.SpectralAmplitude(float(D2)), beta,
+            materials_spectral.LinearSpectralDensity(float(D1)),
+            materials_spectral.LinearSpectralDensity(float(D2)), beta,
         )
         if np.sign(r3.force) != -np.sign(v):
             return False, "plane sign failed at v=%g" % v
@@ -839,8 +839,8 @@ def check_pair_sharp_consistency():
 def check_plane_product():
     ff = _forces()
     g = PlaneGeometry(1.2, 0.8)
-    s1 = materials_spectral.SpectralAmplitude(0.7)
-    s2 = materials_spectral.SpectralAmplitude(1.1)
+    s1 = materials_spectral.LinearSpectralDensity(0.7)
+    s2 = materials_spectral.LinearSpectralDensity(1.1)
     rep = ff.plane_force(g, 0.3, s1, s2, 2.0)
     direct = -geometry_coupling.G_halfspace(g) * 0.3 * materials_spectral.smoothed_H0(
         s1, s2, 2.0

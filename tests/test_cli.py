@@ -139,7 +139,7 @@ def test_spectrum_file_linear_accepted(cli, tmp_path):
                     "--v", 1e-3, "--D1", 0.25, "--D2", 1)
     assert code == 0
     (force_direct,) = _column(out, "force")
-    assert float(force_file) == pytest.approx(float(force_direct), rel=1e-9)
+    assert abs(float(force_file) - float(force_direct)) <= 1e-12 * abs(float(force_direct))
 
 
 # --- golden output rows -------------------------------------------------
@@ -195,6 +195,28 @@ def test_slabs_zero_golden(cli):
     assert float(force) == pytest.approx(
         -5.0 * np.pi**2 / 512.0 * 0.01**5, rel=1e-12
     )
+
+
+def test_pair_gaussian_golden(cli):
+    code, out = cli("friction", "pair", "--units", "gaussian", "--d", 2e-7,
+                    "--temperature-kelvin", 300, "--v", 1, "--D1", 1e-30, "--D2", 3e-30)
+    assert code == 0
+    header, row = _data_rows(out)
+    assert header == ("regime,units,force,G_factor,H0,beta,beta_cgs,d,d_cgs,"
+                      "temperature_kelvin,v,v_cgs")
+    assert row == ("pair-smoothed,gaussian,-4.751382105592664e-65,3.4770314251675582e+19,"
+                   "1.3665053675388325e-84,0.0007632948274313611,24143235053466.4,"
+                   "2e-07,2e-07,300.0,3.33564095198152e-11,1.0")
+
+
+def test_plane_drude_golden(cli):
+    code, out = cli("friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2,
+                    "--v", 1e-3, "--omega-p", 9, "--nu", 0.1, "--D1", 1)
+    assert code == 0
+    header, row = _data_rows(out)
+    assert header == "regime,units,force,G_h,H0,beta,rho,v,z0"
+    assert row == ("plane,reduced,-2.0043022846502556e-06,1.5707963267948966,"
+                   "0.001275978464209869,2.0,1.0,0.001,1.0")
 
 
 def test_metadata_has_no_timestamp(cli):

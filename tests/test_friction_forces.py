@@ -23,7 +23,11 @@ from magfriction.geometry_coupling import (
     PlaneGeometry,
     SlabGeometry,
 )
-from magfriction.materials_spectral import SpectralAmplitude, smoothed_H0
+from magfriction.materials_spectral import (
+    LinearSpectralDensity,
+    TabulatedSpectralDensity,
+    smoothed_H0,
+)
 from magfriction.response_kinetics import OscState
 
 SLAB = SlabGeometry(d=1.0, rho1=1.0, rho2=1.0)
@@ -64,7 +68,7 @@ def test_smoothed_linear_in_v():
 def test_smoothed_slabs_equals_assembly():
     beta, v = 1.4, 1e-3
     G = G_slabs_realspace(SLAB)
-    H0 = smoothed_H0(SpectralAmplitude(1.0), SpectralAmplitude(1.0), beta)
+    H0 = smoothed_H0(LinearSpectralDensity(1.0), LinearSpectralDensity(1.0), beta)
     generic = smoothed_forces(G, v, H0, "slabs-finite-T").force
     direct = finite_T_slab_force(SLAB, v, 1.0, 1.0, beta).force
     assert abs(generic - direct) <= 1e-12 * abs(direct)
@@ -76,14 +80,14 @@ def test_smoothed_rejects_unknown_regime():
 
 
 def test_plane_cubic_distance_law():
-    s = SpectralAmplitude(1.0)
+    s = LinearSpectralDensity(1.0)
     near = plane_force(PlaneGeometry(z0=1.0, rho=1.0), 1e-3, s, s, 2.0).force
     far = plane_force(PlaneGeometry(z0=2.0, rho=1.0), 1e-3, s, s, 2.0).force
     assert abs(near / far - 8.0) <= 1e-12
 
 
 def test_plane_sign_opposes_velocity():
-    s = SpectralAmplitude(1.0)
+    s = LinearSpectralDensity(1.0)
     g = PlaneGeometry(z0=1.0, rho=1.0)
     assert plane_force(g, 1e-3, s, s, 2.0).force < 0.0
     assert plane_force(g, -1e-3, s, s, 2.0).force > 0.0
@@ -125,6 +129,26 @@ def test_suppression_factor_exposed():
     assert inter["suppression"] == (0.5 / 2.0) ** 2
     assert rep.force == inter["suppression"] * inter["reference_force"]
     assert_check(verification.check_suppression_factors)
+
+
+def test_slab_forces_take_linear_densities():
+    s1, s2 = LinearSpectralDensity(0.7), LinearSpectralDensity(0.4)
+    assert finite_T_slab_force(SLAB, 1e-3, s1, s2, 2.0) == finite_T_slab_force(
+        SLAB, 1e-3, 0.7, 0.4, 2.0
+    )
+    assert zero_T_slab_force(SLAB, 1e-2, s1, s2) == zero_T_slab_force(SLAB, 1e-2, 0.7, 0.4)
+
+
+@pytest.mark.parametrize("spec", [
+    LinearSpectralDensity(1.0, m_max=0.01),
+    TabulatedSpectralDensity([0.0, 1.0], [0.0, 1.0]),
+])
+def test_slab_forces_reject_nonlinear_densities(spec):
+    # the closed forms hold for s(m) = D*m only; a cutoff must not be dropped
+    with pytest.raises(ValueError):
+        finite_T_slab_force(SLAB, 1e-3, spec, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        zero_T_slab_force(SLAB, 1e-2, 1.0, spec)
 
 
 def test_zero_T_trivials():

@@ -7,19 +7,28 @@ import magfriction
 from magfriction import _kernels
 
 
+def _pair_matrix(alpha):
+    # unit pair: x'' = -x + 2*alpha*y', y'' = -y - 2*alpha*x'
+    return np.array([
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0, 2.0 * alpha],
+        [0.0, -1.0, -2.0 * alpha, 0.0],
+    ])
+
+
 def _rk4_inputs(B, seed=0):
     rng = np.random.default_rng(seed)
-    alpha = rng.uniform(0.0, 3.0, B)
+    A = np.stack([_pair_matrix(a) for a in rng.uniform(0.0, 3.0, B)])
     init = rng.standard_normal((4, B))
     dt = rng.uniform(0.005, 0.02, B)
-    return alpha, init, dt
+    return A, init, dt
 
 
-def _rk4_stage_loop(alpha, init, dt, n_steps, stride):
+def _rk4_stage_loop(A, init, dt, n_steps, stride):
     # classical four-stage RK4 on one column, step by step
     def rhs(s):
-        x, y, vx, vy = s
-        return np.array([vx, vy, -x + 2.0 * alpha * vy, -y - 2.0 * alpha * vx])
+        return A @ s
 
     s = np.array(init, dtype=np.float64)
     out = [s]
@@ -39,26 +48,26 @@ def test_active_lane_reported():
 
 
 def test_rk4_matches_stage_loop():
-    alpha, init, dt = _rk4_inputs(3, seed=4)
-    assert len(set(alpha)) == 3 and len(set(dt)) == 3
+    A, init, dt = _rk4_inputs(3, seed=4)
+    assert len(set(A[:, 2, 3])) == 3 and len(set(dt)) == 3
     n_steps, stride = 12_000, 10
-    out = _kernels.rk4_batch(alpha, init, dt, n_steps, stride)
+    out = _kernels.rk4_batch(A, init, dt, n_steps, stride)
     for b in range(3):
-        ref = _rk4_stage_loop(alpha[b], init[:, b], dt[b], n_steps, stride)
+        ref = _rk4_stage_loop(A[b], init[:, b], dt[b], n_steps, stride)
         assert np.max(np.abs(out[:, :, b] - ref)) <= 1e-10
 
 
 def test_rk4_records_initial_state_and_shape():
-    alpha, init, dt = _rk4_inputs(3)
-    out = _kernels.rk4_batch(alpha, init, dt, 200, 20)
+    A, init, dt = _rk4_inputs(3)
+    out = _kernels.rk4_batch(A, init, dt, 200, 20)
     assert out.shape == (11, 4, 3)
     assert np.array_equal(out[0], init)
 
 
 def test_rk4_stride_must_divide():
-    alpha, init, dt = _rk4_inputs(2)
+    A, init, dt = _rk4_inputs(2)
     with pytest.raises(ValueError):
-        _kernels.rk4_batch(alpha, init, dt, 101, 10)
+        _kernels.rk4_batch(A, init, dt, 101, 10)
 
 
 def test_mode_sum_against_direct_loop():

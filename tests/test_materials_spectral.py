@@ -8,7 +8,7 @@ from magfriction import verification
 from magfriction.materials_spectral import (
     DrudeParams,
     LinearSpectralDensity,
-    SpectralAmplitude,
+    SpectrumFileError,
     TabulatedSpectralDensity,
     drude_D,
     drude_epsilon,
@@ -37,7 +37,7 @@ def test_h_linear_truncated_closed_form():
 
 def test_h_linear_requires_cutoff():
     with pytest.raises(ValueError):
-        h_from_spectrum(SpectralAmplitude(1.0), 1.0)
+        h_from_spectrum(LinearSpectralDensity(1.0), 1.0)
 
 
 def test_h_sum_rule():
@@ -114,10 +114,10 @@ def test_universal_I_partial_sums_monotone():
 
 
 def test_smoothed_H0_closed_form():
-    val = smoothed_H0(SpectralAmplitude(1.0), SpectralAmplitude(1.0), 1.0)
+    val = smoothed_H0(LinearSpectralDensity(1.0), LinearSpectralDensity(1.0), 1.0)
     assert abs(val - 8.0 * np.pi**5 / 15.0) <= 1e-13 * val
     # quartic beta scaling
-    half = smoothed_H0(SpectralAmplitude(1.0), SpectralAmplitude(1.0), 2.0)
+    half = smoothed_H0(LinearSpectralDensity(1.0), LinearSpectralDensity(1.0), 2.0)
     assert half == val / 16.0
 
 
@@ -126,7 +126,7 @@ def test_smoothed_H0_quadrature_route():
 
 
 def test_smoothed_H0_positive_and_decaying():
-    s = SpectralAmplitude(0.3)
+    s = LinearSpectralDensity(0.3)
     vals = [smoothed_H0(s, s, b) for b in (0.5, 1.0, 4.0, 16.0)]
     assert all(v > 0.0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -148,6 +148,27 @@ def test_tabulated_validation(tmp_path):
     nonmono.write_text("1.0 0.5\n0.5 0.2\n")
     with pytest.raises(ValueError):
         TabulatedSpectralDensity.from_text(nonmono)
+
+
+@pytest.mark.parametrize("body", [None, "not numbers\n", "1.0\n2.0\n", "1 2 3\n4 5 6\n"])
+def test_tabulated_file_errors(tmp_path, body):
+    # unreadable, unparseable or not two columns: SpectrumFileError
+    path = tmp_path / "spec.txt"
+    if body is not None:
+        path.write_text(body)
+    with pytest.raises(SpectrumFileError, match="spectrum file"):
+        TabulatedSpectralDensity.from_text(path)
+
+
+def test_linear_density_validation():
+    assert LinearSpectralDensity(0.5).is_linear
+    assert not LinearSpectralDensity(0.5, m_max=2.0).is_linear
+    assert not TabulatedSpectralDensity([0.0, 1.0], [0.0, 1.0]).is_linear
+    for D in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LinearSpectralDensity(D)
+    with pytest.raises(ValueError):
+        LinearSpectralDensity(1.0, m_max=0.0)
 
 
 def test_materials_suite_green():

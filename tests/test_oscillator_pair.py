@@ -121,6 +121,24 @@ def test_integrate_energy_drift_bound():
     assert np.max(np.abs(e - e[0])) / e[0] <= 1e-8
 
 
+def test_integrate_general_pair_matches_stage_loop():
+    # unequal masses and frequencies against a stage-by-stage RK4 through eom_rhs
+    cfg = OscPairConfig(0.8, omega_x=1.3, omega_y=0.7, mass_x=2.0, mass_y=0.5)
+    init, dt, n_steps, stride = np.array([1.0, 0.3, -0.2, 0.4]), 1e-2, 5000, 10
+    tr = integrate_eom(cfg, init, n_steps * dt, dt, stride=stride)
+    s, ref = init, [init]
+    for step in range(1, n_steps + 1):
+        k1 = eom_rhs(cfg, s)
+        k2 = eom_rhs(cfg, s + 0.5 * dt * k1)
+        k3 = eom_rhs(cfg, s + 0.5 * dt * k2)
+        k4 = eom_rhs(cfg, s + dt * k3)
+        s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0:
+            ref.append(s)
+    assert tr.states.shape == (n_steps // stride + 1, 4)
+    assert np.max(np.abs(tr.states - np.array(ref))) <= 1e-10
+
+
 def test_integrate_rejects_excessive_drift():
     with pytest.raises(RuntimeError):
         integrate_eom(UNIT, (1.0, 0.3, 0.0, 0.0), t_end=50.0, dt=0.8)

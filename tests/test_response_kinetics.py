@@ -19,7 +19,7 @@ from magfriction.response_kinetics import (
     response_phi,
     sharp_friction_amplitude,
 )
-from magfriction.materials_spectral import SpectralAmplitude
+from magfriction.materials_spectral import LinearSpectralDensity
 
 
 def osc(omega, n_mean, mass=1.0):
@@ -178,7 +178,7 @@ def test_c_plus_zero_temperature_limit():
 
 
 def test_dissipation_J_values():
-    s1, s2 = SpectralAmplitude(1.0), SpectralAmplitude(2.0)
+    s1, s2 = LinearSpectralDensity(1.0), LinearSpectralDensity(2.0)
     assert dissipation_J(0.0, 1.0, s1, s2) == 0.0
     W = 1.5
     closed = 2.0 * 1.0 * W**6 * (np.pi / 120.0) * 1.0 * 2.0
