@@ -15,6 +15,7 @@ two-column text (m, density) in reduced units regardless of --units.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -272,9 +273,9 @@ def _to_reduced(cfg, name, ctx):
     return value / ctx.factor(friction_forces.INPUT_DIM[name])
 
 
-def _resolve_beta(cfg, ctx, required=True):
-    has_beta = cfg.beta is not None
-    has_kelvin = cfg.temperature_kelvin is not None
+def _temperature_input(has_beta, has_kelvin, ctx):
+    """Which input sets the temperature, "beta" or "kelvin"; CliError if
+    both, neither, or kelvin without Gaussian units."""
     if has_beta and has_kelvin:
         raise CliError(
             EXIT_CONFIG, "give either --beta or --temperature-kelvin, not both"
@@ -284,20 +285,27 @@ def _resolve_beta(cfg, ctx, required=True):
             raise CliError(
                 EXIT_CONFIG, "--temperature-kelvin requires --units gaussian"
             )
-        return ctx.beta_from_kelvin(cfg.temperature_kelvin)
+        return "kelvin"
     if has_beta:
-        if cfg.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        return cfg.beta
-    if required:
-        raise CliError(
-            EXIT_CONFIG, "a temperature is required: --beta or --temperature-kelvin"
-        )
-    return None
+        return "beta"
+    raise CliError(
+        EXIT_CONFIG, "a temperature is required: --beta or --temperature-kelvin"
+    )
 
 
-def _need(cfg, *names):
-    missing = [n for n in names if getattr(cfg, n) is None]
+def _resolve_beta(cfg, ctx):
+    source = _temperature_input(
+        cfg.beta is not None, cfg.temperature_kelvin is not None, ctx
+    )
+    if source == "kelvin":
+        return ctx.beta_from_kelvin(cfg.temperature_kelvin)
+    if cfg.beta <= 0.0:
+        raise ValueError("beta must be positive")
+    return cfg.beta
+
+
+def _need(values, *names):
+    missing = [n for n in names if values.get(n) is None]
     if missing:
         raise CliError(
             EXIT_CONFIG,
@@ -306,29 +314,42 @@ def _need(cfg, *names):
         )
 
 
+def _load_spectrum(path):
+    try:
+        return materials_spectral.TabulatedSpectralDensity.from_text(path)
+    except materials_spectral.SpectrumFileError as exc:
+        raise CliError(EXIT_CONFIG, str(exc))
+
+
+def _drude_density(cfg, ctx):
+    """Density of a Drude half-space as a function of its number density
+    rho, from --omega-p and --nu."""
+    omega_p = _to_reduced(cfg, "omega_p", ctx)
+    nu = _to_reduced(cfg, "nu", ctx) if cfg.nu is not None else 0.0
+    return lambda rho: materials_spectral.drude_D(
+        materials_spectral.DrudeParams(omega_p, nu, rho)
+    )
+
+
+def _no_spectrum(side, drude):
+    return CliError(
+        EXIT_CONFIG,
+        "no spectrum for side %d: give --spectrum-file-%d, --D%d%s"
+        % (side, side, side, ", or --omega-p/--nu" if drude else ""),
+    )
+
+
 def _spectrum(cfg, side, ctx, drude_rho=None):
     """Spectral density for side 1 or 2: file > slope > Drude parameters."""
     path = getattr(cfg, "spectrum_file_%d" % side)
     if path is not None:
-        try:
-            return materials_spectral.TabulatedSpectralDensity.from_text(path)
-        except materials_spectral.SpectrumFileError as exc:
-            raise CliError(EXIT_CONFIG, str(exc))
+        return _load_spectrum(path)
     slope = _to_reduced(cfg, "D%d" % side, ctx)
     if slope is not None:
         return materials_spectral.LinearSpectralDensity(slope)
     if cfg.omega_p is not None and drude_rho is not None:
-        params = materials_spectral.DrudeParams(
-            _to_reduced(cfg, "omega_p", ctx),
-            _to_reduced(cfg, "nu", ctx) if cfg.nu is not None else 0.0,
-            drude_rho,
-        )
-        return materials_spectral.drude_D(params)
-    raise CliError(
-        EXIT_CONFIG,
-        "no spectrum for side %d: give --spectrum-file-%d, --D%d%s"
-        % (side, side, side, "" if drude_rho is None else ", or --omega-p/--nu"),
-    )
+        return _drude_density(cfg, ctx)(drude_rho)
+    raise _no_spectrum(side, drude_rho is not None)
 
 
 def _linear_slope(spec, side):
@@ -358,7 +379,7 @@ def _report_row(rep):
 
 
 def _run_eigen(cfg):
-    _need(cfg, "alpha")
+    _need(vars(cfg), "alpha")
     if cfg.alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     wp, wm = oscillator_pair.eigenfrequencies(cfg.alpha)
@@ -369,7 +390,7 @@ def _run_eigen(cfg):
 
 
 def _run_free_energy(cfg):
-    _need(cfg, "alpha")
+    _need(vars(cfg), "alpha")
     ctx = _units_ctx(cfg)
     beta = _resolve_beta(cfg, ctx)
     f = matsubara.free_energy(cfg.alpha, beta)
@@ -382,7 +403,7 @@ def _run_free_energy(cfg):
 
 
 def _run_fields(cfg):
-    _need(cfg, "d")
+    _need(vars(cfg), "d")
     if _units_ctx(cfg) is not None:
         raise CliError(EXIT_CONFIG, "fields reports reduced units only")
     d = cfg.d
@@ -404,7 +425,7 @@ def _run_fields(cfg):
 
 
 def _run_friction_pair(cfg):
-    _need(cfg, "d", "v")
+    _need(vars(cfg), "d", "v")
     ctx = _units_ctx(cfg)
     beta = _resolve_beta(cfg, ctx)
     d = _to_reduced(cfg, "d", ctx)
@@ -421,7 +442,7 @@ def _run_friction_pair(cfg):
 
 
 def _run_friction_plane(cfg):
-    _need(cfg, "z0", "rho1", "v")
+    _need(vars(cfg), "z0", "rho1", "v")
     ctx = _units_ctx(cfg)
     beta = _resolve_beta(cfg, ctx)
     geom = geometry_coupling.PlaneGeometry(
@@ -434,7 +455,7 @@ def _run_friction_plane(cfg):
 
 
 def _run_friction_slabs(cfg):
-    _need(cfg, "d", "rho1", "rho2", "v")
+    _need(vars(cfg), "d", "rho1", "rho2", "v")
     ctx = _units_ctx(cfg)
     geom = geometry_coupling.SlabGeometry(
         _to_reduced(cfg, "d", ctx),
@@ -465,17 +486,332 @@ _RUNNERS = {
     ("friction", "slabs"): _run_friction_slabs,
 }
 
+# --- whole-grid sweeps ---------------------------------------------------
+#
+# A sweep evaluates its target once over flat parameter columns, one
+# element per point. Array arithmetic keeps to the correctly rounded
+# operations (+ - * / sqrt); every power goes through Python's float **,
+# and every other scalar function through the function itself, once per
+# distinct argument. So each row is bit for bit what the one-shot command
+# prints at that point. The one-shot checks are repeated as masks over the
+# points, in the one-shot order, and a failing sweep reports the failure
+# of its first failing point.
+
+
+class _Grid:
+    """Parameter columns of a sweep and the first failure among its points.
+
+    A point fails at the first check it reaches in the one-shot order, so
+    the grid keeps the earliest failing point and, at that point, the check
+    that was registered first.
+    """
+
+    def __init__(self, cfg, size, axis_columns):
+        self.cfg = cfg
+        self.ctx = _units_ctx(cfg)
+        self.size = size
+        self.columns = {}
+        for flag, typ in _PARAMS:
+            value = getattr(cfg, _attr(flag))
+            if typ is float and value is not None:
+                self.columns[_attr(flag)] = np.full(size, value)
+        # a later axis over the same parameter wins, as in the one-shot order
+        for ax, col in zip(cfg.axes, axis_columns):
+            self.columns[_attr(ax.name)] = col
+        self._first = size
+        self._error = None
+
+    def reduced(self, name):
+        """A parameter column in reduced units, or None if unset."""
+        col = self.columns.get(name)
+        if col is None or self.ctx is None:
+            return col
+        return col / self.ctx.factor(friction_forces.INPUT_DIM[name])
+
+    def fail(self, where, error):
+        """The points of mask ``where`` fail with ``error``: an exception, or
+        a function of the point index that builds one."""
+        if where.any():
+            i = int(where.argmax())
+            if i < self._first:
+                self._first, self._error = i, error
+
+    def raise_first(self):
+        error = self._error
+        if error is not None:
+            raise error(self._first) if callable(error) else error
+
+    def fail_everywhere(self, error):
+        """A failure that does not depend on the point: the first point has it."""
+        if self._first > 0:
+            self._first, self._error = 0, error
+        self.raise_first()
+
+    @contextlib.contextmanager
+    def every_point(self):
+        """Checks in the block do not depend on the point."""
+        try:
+            yield
+        except (CliError, ValueError) as exc:
+            self.fail_everywhere(exc)
+
+    def pow(self, x, n):
+        """x ** n through Python's float power (numpy's vector power differs
+        from it in the last bit for some x); OverflowError fails the point."""
+        values = x.tolist()
+        try:
+            return np.array([t**n for t in values])
+        except OverflowError as exc:
+            out = np.full(len(values), math.inf)
+            bad = np.ones(len(values), dtype=bool)
+            for i, t in enumerate(values):
+                with contextlib.suppress(OverflowError):
+                    out[i] = t**n
+                    bad[i] = False
+            self.fail(bad, exc)
+            return out
+
+    def div(self, a, b):
+        """a / b; a zero divisor fails the point, as for Python floats."""
+        self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
+        return a / b
+
+    def map(self, fn, *cols):
+        """fn(*args) once per distinct argument tuple (compared bit for bit),
+        spread back over the points; an exception fails the points it came from."""
+        keys = np.stack([c.view(np.int64) for c in cols], axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        out = np.empty(len(first))
+        for k, i in enumerate(first.tolist()):
+            try:
+                out[k] = fn(*(c[i].item() for c in cols))
+            except Exception as exc:  # raised again if its points fail first
+                out[k] = math.nan
+                self.fail(inverse == k, exc)
+        return out[inverse]
+
+
+def _grid_need(grid, *names):
+    with grid.every_point():
+        _need(grid.columns, *names)
+
+
+def _grid_beta(grid):
+    """Reduced inverse temperature column, checked as _resolve_beta does."""
+    beta, kelvin = grid.columns.get("beta"), grid.columns.get("temperature_kelvin")
+    with grid.every_point():
+        source = _temperature_input(beta is not None, kelvin is not None, grid.ctx)
+    if source == "kelvin":
+        # UnitContext.beta_from_kelvin
+        grid.fail(kelvin <= 0.0, ValueError("temperature must be positive"))
+        return grid.div(grid.ctx.energy_scale, grid.ctx.k_B * kelvin)
+    grid.fail(beta <= 0.0, ValueError("beta must be positive"))
+    return beta
+
+
+def _grid_spectrum(grid, side, drude_rho=None):
+    """One side's spectrum: a tabulated density, loaded once, or a column
+    of linear slopes D (from --D or the Drude parameters)."""
+    cfg = grid.cfg
+    path = getattr(cfg, "spectrum_file_%d" % side)
+    if path is not None:
+        with grid.every_point():
+            return _load_spectrum(path)
+    slope = grid.reduced("D%d" % side)
+    if slope is not None:
+        return grid.map(lambda D: materials_spectral.LinearSpectralDensity(D).D, slope)
+    if cfg.omega_p is None or drude_rho is None:
+        grid.fail_everywhere(_no_spectrum(side, drude_rho is not None))
+    density = _drude_density(cfg, grid.ctx)
+    return grid.map(lambda rho: density(rho).D, drude_rho)
+
+
+def _grid_H0(grid, s1, s2, beta):
+    """materials_spectral.smoothed_H0: the closed form for two slope
+    columns, else once per distinct (beta, slopes)."""
+    slopes = [s for s in (s1, s2) if isinstance(s, np.ndarray)]
+    if len(slopes) == 2:
+        return grid.div(2.0 * np.pi, grid.pow(beta, 4)) * s1 * s2 * materials_spectral.universal_I()
+
+    def h0(b, *ds):
+        ds = iter(ds)
+        specs = [
+            materials_spectral.LinearSpectralDensity(next(ds)) if isinstance(s, np.ndarray) else s
+            for s in (s1, s2)
+        ]
+        return materials_spectral.smoothed_H0(*specs, b)
+
+    return grid.map(h0, beta, *slopes)
+
+
+def _grid_report(grid, regime, force, intermediates, inputs):
+    """Report columns as _report_row orders them, in the grid's units
+    (friction_forces.to_physical_units for Gaussian runs)."""
+    ctx = grid.ctx
+    if ctx is not None:
+        for name, col in list(inputs.items()):
+            dim = friction_forces.INPUT_DIM.get(name)
+            if dim is not None:
+                inputs[name + "_cgs"] = col * ctx.factor(dim)
+        if "beta" in inputs:
+            inputs["temperature_kelvin"] = grid.div(ctx.energy_scale, ctx.k_B * inputs["beta"])
+        force = force * ctx.factor(friction_forces.FORCE_DIM[regime])
+        intermediates = {
+            name: col * ctx.factor(friction_forces.intermediate_dim(name, regime))
+            for name, col in intermediates.items()
+        }
+    units = "reduced" if ctx is None else "gaussian"
+    return (
+        [("regime", regime), ("units", units), ("force", force)]
+        + sorted(intermediates.items())
+        + sorted(inputs.items())
+    )
+
+
+def _grid_eigen(grid):
+    _grid_need(grid, "alpha")
+    alpha = grid.columns["alpha"]
+    grid.fail(alpha < 0.0, ValueError("alpha must be >= 0"))
+    # oscillator_pair.eigenfrequencies and ground_state_energy
+    root = np.sqrt(1.0 + alpha * alpha)
+    return [("alpha", alpha), ("omega_plus", alpha + root),
+            ("omega_minus", -alpha + root), ("e0", root)]
+
+
+def _grid_free_energy(grid):
+    _grid_need(grid, "alpha")
+    alpha = grid.columns["alpha"]
+    beta = _grid_beta(grid)
+    # matsubara.free_energy at hbar = 1
+    f = 0.5 * alpha * alpha * grid.map(matsubara.free_energy_bracket, 0.5 * beta)
+    cols = [("alpha", alpha), ("beta", beta), ("free_energy", f)]
+    ctx = grid.ctx
+    if ctx is not None:
+        cols += [("free_energy_erg", f * ctx.energy_scale),
+                 ("temperature_kelvin", grid.div(ctx.energy_scale, ctx.k_B * beta))]
+    return cols
+
+
+def _grid_friction_pair(grid):
+    _grid_need(grid, "d", "v")
+    beta = _grid_beta(grid)
+    d, v = grid.reduced("d"), grid.reduced("v")
+    s1 = _grid_spectrum(grid, 1)
+    s2 = _grid_spectrum(grid, 2)
+    grid.fail(d <= 0.0, ValueError("d must be positive"))
+    g_xx = grid.map(lambda x: float(geometry_coupling.G_tensor([0.0, 0.0, x])[0, 0]), d)
+    h0 = _grid_H0(grid, s1, s2, beta)
+    return _grid_report(grid, "pair-smoothed", -g_xx * v * h0,
+                        {"G_factor": g_xx, "H0": h0}, {"v": v, "d": d, "beta": beta})
+
+
+def _grid_friction_plane(grid):
+    _grid_need(grid, "z0", "rho1", "v")
+    beta = _grid_beta(grid)
+    z0, rho = grid.reduced("z0"), grid.reduced("rho1")
+    grid.fail((z0 <= 0.0) | (rho <= 0.0), ValueError("z0 and rho must be positive"))
+    s1 = _grid_spectrum(grid, 1)
+    s2 = _grid_spectrum(grid, 2, drude_rho=rho)
+    v = grid.reduced("v")
+    # geometry_coupling.G_halfspace
+    g_h = grid.div(np.pi * rho, 2.0 * grid.pow(z0, 3))
+    h0 = _grid_H0(grid, s1, s2, beta)
+    return _grid_report(grid, "plane", -g_h * v * h0, {"G_h": g_h, "H0": h0},
+                        {"z0": z0, "rho": rho, "v": v, "beta": beta})
+
+
+def _grid_slabs(grid):
+    """Geometry, linear slopes and speed of a slab sweep, checked as
+    _run_friction_slabs does before it branches on the temperature."""
+    _grid_need(grid, "d", "rho1", "rho2", "v")
+    d, rho1, rho2 = grid.reduced("d"), grid.reduced("rho1"), grid.reduced("rho2")
+    grid.fail((d <= 0.0) | (rho1 <= 0.0) | (rho2 <= 0.0),
+              ValueError("d, rho1, rho2 must be positive"))
+    slopes = []
+    for side, rho in ((1, rho1), (2, rho2)):
+        spec = _grid_spectrum(grid, side, drude_rho=rho)
+        if not isinstance(spec, np.ndarray):
+            with grid.every_point():
+                _linear_slope(spec, side)
+        slopes.append(spec)
+    return d, rho1, rho2, slopes[0], slopes[1], grid.reduced("v")
+
+
+def _grid_slabs_finite(grid):
+    d, rho1, rho2, D1, D2, v = _grid_slabs(grid)
+    beta = _grid_beta(grid)
+    # friction_forces.finite_T_slab_force at hbar = 1, with its assembly check
+    suppression = grid.pow(d / beta, 2)
+    reference = grid.div(
+        -(2.0 * np.pi**6 / 15.0) * rho1 * rho2 * D1 * D2 * v,
+        grid.pow(beta, 2) * grid.pow(d, 4),
+    )
+    force = suppression * reference
+    G = grid.div(np.pi * rho1 * rho2, 4.0 * grid.pow(d, 2))
+    H0 = _grid_H0(grid, D1, D2, beta)
+    assembled = -G * v * H0
+    grid.fail(
+        (force != 0.0) & (np.abs(assembled - force) > 1e-12 * np.abs(force)),
+        lambda i: AssertionError(
+            "slab assembly mismatch: %.17g vs %.17g" % (assembled[i], force[i])
+        ),
+    )
+    inter = {"G": G, "H0": H0, "I": np.full(grid.size, materials_spectral.universal_I()),
+             "suppression": suppression, "reference_force": reference}
+    inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "beta": beta, "v": v}
+    return _grid_report(grid, "slabs-finite-T", force, inter, inputs)
+
+
+def _grid_slabs_zero(grid):
+    d, rho1, rho2, D1, D2, v = _grid_slabs(grid)
+    if "beta" in grid.columns or "temperature_kelvin" in grid.columns:
+        grid.fail_everywhere(
+            CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
+        )
+    grid.fail(v < 0.0, ValueError("v must be >= 0 in this regime"))
+    # friction_forces.zero_T_slab_force at hbar = c = 1, with its tau and
+    # assembly checks; G_P divides by the same 64 d^6 that has passed here
+    suppression = v * v
+    d6 = grid.pow(d, 6)
+    reference = -grid.div(5.0 * np.pi**2, 512.0 * d6) * rho1 * rho2 * D1 * D2 * grid.pow(v, 3)
+    force = suppression * reference
+    H_P = (np.pi / 120.0) * D1 * D2
+    G_P = 75.0 * np.pi * rho1 * rho2 / (64.0 * d6)
+    v6 = grid.pow(v, 6)
+    routes = [
+        np.where(v > 0.0, -(2.0 * tau * H_P * v6 * G_P) / (2.0 * tau * v), 0.0)
+        for tau in (1.0, 2.0)
+    ]
+    grid.fail(
+        routes[0] != routes[1],
+        lambda i: AssertionError(
+            "tau failed to cancel: %r vs %r" % (routes[0][i].item(), routes[1][i].item())
+        ),
+    )
+    grid.fail(
+        (force != 0.0) & (np.abs(routes[0] - force) > 1e-12 * np.abs(force)),
+        lambda i: AssertionError(
+            "zero-T assembly mismatch: %.17g vs %.17g" % (routes[0][i], force[i])
+        ),
+    )
+    inter = {"G_P": G_P, "H_P": H_P, "suppression": suppression, "reference_force": reference}
+    inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "v": v}
+    return _grid_report(grid, "slabs-zero-T", force, inter, inputs)
+
+
 _TARGET_RUNNERS = {
-    "eigen": _run_eigen,
-    "free-energy": _run_free_energy,
-    "friction-pair": _run_friction_pair,
-    "friction-plane": _run_friction_plane,
-    "friction-slabs-finite": _run_friction_slabs,
-    "friction-slabs-zero": _run_friction_slabs,
+    "eigen": _grid_eigen,
+    "free-energy": _grid_free_energy,
+    "friction-pair": _grid_friction_pair,
+    "friction-plane": _grid_friction_plane,
+    "friction-slabs-finite": _grid_slabs_finite,
+    "friction-slabs-zero": _grid_slabs_zero,
 }
 
 
-def _sweep_points(cfg):
+def _sweep_axes(cfg):
+    """Number of grid points; the axes are checked before any point is built."""
     axes = cfg.axes
     if not axes:
         raise CliError(EXIT_CONFIG, "sweep needs at least one --axis")
@@ -499,26 +835,25 @@ def _sweep_points(cfg):
             EXIT_CONFIG,
             "sweep of %d points exceeds --max-points %d" % (total, cfg.max_points),
         )
-    # axis-major: first --axis is the outermost loop
-    return list(itertools.product(*(ax.values for ax in axes)))
+    return total
 
 
 def _run_sweep(cfg):
-    base = replace(cfg)
-    base.temperature_mode = "zero" if cfg.target == "friction-slabs-zero" else "finite"
-    runner = _TARGET_RUNNERS[cfg.target]
-    points = _sweep_points(cfg)
-    names = [ax.name for ax in cfg.axes]
+    size = _sweep_axes(cfg)
+    # one flat column per axis in itertools.product order: first axis outermost
+    columns = []
+    outer = 1
+    for ax in cfg.axes:
+        n = len(ax.values)
+        inner = size // (outer * n)
+        columns.append(np.tile(np.repeat(np.array(ax.values), inner), outer))
+        outer *= n
+    grid = _Grid(cfg, size, columns)
+    cells = _TARGET_RUNNERS[cfg.target](grid)
+    grid.raise_first()
     # axis echo gets its own columns; runners echo inputs under bare names
-    axis_cols = tuple("sweep_" + _attr(name) for name in names)
-    rows = []
-    for point in points:
-        sub = replace(base)
-        for name, value in zip(names, point):
-            setattr(sub, _attr(name), value)
-        row = runner(sub)
-        rows.append(ResultRow(axis_cols + row.columns, tuple(point) + row.values))
-    return rows
+    sweep = [("sweep_" + _attr(ax.name), col) for ax, col in zip(cfg.axes, columns)]
+    return _Table(sweep + cells, size)
 
 
 def _config_echo(cfg):
@@ -552,56 +887,103 @@ def _command_name(cfg):
     return cfg.command
 
 
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+class _Table:
+    """Output columns: (name, cells) pairs, the cells a string shared by
+    every row or a float array with one value per row."""
+
+    def __init__(self, columns, rows):
+        self.columns = columns
+        self.rows = rows
+
+    @classmethod
+    def of_row(cls, row):
+        cells = (v if isinstance(v, str) else np.array([float(v)]) for v in row.values)
+        return cls(list(zip(row.columns, cells)), 1)
+
+    def __len__(self):
+        return self.rows
 
 
-def _emit(cfg, rows):
-    columns = rows[0].columns
-    for row in rows[1:]:
-        if row.columns != columns:
-            raise AssertionError("inconsistent sweep columns")
+def _float_text(col):
+    """repr of every value, computed once per distinct bit pattern (so -0.0
+    and 0.0 stay apart); a list of one string per row."""
+    _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
+    text = [repr(x) for x in col[first].tolist()]
+    return [text[k] for k in inverse.reshape(-1).tolist()]
+
+
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, head, rows, sep, tail):
+    """head, the rows joined by sep, then tail, a chunk of rows per write."""
+    fh.write(head)
+    chunk = list(itertools.islice(rows, _CHUNK_ROWS))
+    while chunk:
+        fh.write(sep.join(chunk))
+        chunk = list(itertools.islice(rows, _CHUNK_ROWS))
+        if chunk:
+            fh.write(sep)
+    fh.write(tail)
+
+
+@contextlib.contextmanager
+def _output_file(path):
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (path, exc))
+
+
+def _emit(cfg, table):
+    # no NaN or inf goes out with exit 0; checked before any text exists
+    for _, cells in table.columns:
+        if not isinstance(cells, str) and not np.isfinite(cells).all():
+            raise FloatingPointError("a computed value is not finite")
+    names = [name for name, _ in table.columns]
     meta = [
         "# magfriction %s" % __version__,
         "# command: %s" % _command_name(cfg),
         "# units: %s" % cfg.units,
         "# config: %s" % _config_echo(cfg),
+        ",".join(names),
     ]
-    lines = meta + [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.values))
-    text = "\n".join(lines) + "\n"
-    # no NaN or inf goes out with exit 0; two substring scans keep the
-    # per-cell test off the path of finite output
-    if ("nan" in text or "inf" in text) and not _NON_FINITE.isdisjoint(
-        text.replace("\n", ",").split(",")
-    ):
-        raise FloatingPointError("a computed value is not finite")
+    head = "\n".join(meta) + "\n"
+    n = len(table)
+    text = [
+        cells if isinstance(cells, str) else _float_text(cells)
+        for _, cells in table.columns
+    ]
+    csv_rows = map(",".join, zip(*(
+        itertools.repeat(t, n) if isinstance(t, str) else t for t in text
+    )))
     if cfg.out:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (cfg.out, exc))
+        with _output_file(cfg.out) as fh:
+            _write_rows(fh, head, csv_rows, "\n", "\n")
     else:
-        sys.stdout.write(text)
+        _write_rows(sys.stdout, head, csv_rows, "\n", "\n")
     if cfg.json_out:
+        # the text of json.dump(doc, sort_keys=True, indent=2), its rows
+        # streamed: JSON numbers are float.__repr__, as the CSV cells
         doc = {
             "version": __version__,
             "command": _command_name(cfg),
             "units": cfg.units,
             "config": _config_echo(cfg),
-            "columns": list(columns),
-            "rows": [
-                [v if isinstance(v, str) else float(v) for v in row.values]
-                for row in rows
-            ],
+            "columns": names,
+            "rows": "\0",
         }
-        try:
-            with open(cfg.json_out, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (cfg.json_out, exc))
+        head, tail = json.dumps(doc, sort_keys=True, indent=2).rsplit('"\\u0000"', 1)
+        json_rows = (
+            "    [\n      %s\n    ]" % ",\n      ".join(cells)
+            for cells in zip(*(
+                itertools.repeat(json.dumps(t), n) if isinstance(t, str) else t
+                for t in text
+            ))
+        )
+        with _output_file(cfg.json_out) as fh:
+            _write_rows(fh, head + "[\n", json_rows, ",\n", "\n  ]" + tail + "\n")
 
 
 def _run_verify(cfg):
@@ -613,11 +995,8 @@ def _run_verify(cfg):
 
     ok = verification.run_suite(cfg.suite, out=sink)
     if cfg.out:
-        try:
-            with open(cfg.out, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (cfg.out, exc))
+        with _output_file(cfg.out) as fh:
+            fh.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -631,12 +1010,14 @@ def main(argv=None):
         cfg = _resolve(args)
         if cfg.command == "verify":
             return _run_verify(cfg)
-        if cfg.command == "sweep":
-            rows = _run_sweep(cfg)
-        else:
-            key = (cfg.command, cfg.geometry) if cfg.command == "friction" else cfg.command
-            rows = [_RUNNERS[key](cfg)]
-        _emit(cfg, rows)
+        # numpy warnings stay off stderr: _emit refuses a value that is not finite
+        with np.errstate(all="ignore"):
+            if cfg.command == "sweep":
+                table = _run_sweep(cfg)
+            else:
+                key = (cfg.command, cfg.geometry) if cfg.command == "friction" else cfg.command
+                table = _Table.of_row(_RUNNERS[key](cfg))
+        _emit(cfg, table)
         return EXIT_OK
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -646,6 +1027,12 @@ def main(argv=None):
         sys.stderr.write(
             "numerical failure: %s: a computed value overflows the float range\n"
             % _command_name(args)
+        )
+        return EXIT_NUMERIC
+    except ZeroDivisionError:
+        # a Python-float power underflowed to zero and then divided
+        sys.stderr.write(
+            "numerical failure: %s: a divisor underflows to zero\n" % _command_name(args)
         )
         return EXIT_NUMERIC
     except _NUMERIC_ERRORS as exc:

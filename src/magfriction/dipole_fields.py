@@ -8,6 +8,8 @@ alpha = 1/(2 c r^2). Internal c = 1; unit restoration lives in
 friction_forces.
 """
 
+import math
+
 import numpy as np
 
 
@@ -18,7 +20,8 @@ def vec3(x, y, z):
 
 def _split(r):
     r = np.asarray(r, dtype=np.float64)
-    rn = float(np.linalg.norm(r))
+    # math.hypot: a tiny separation does not underflow to zero as sqrt(r.r) does
+    rn = np.float64(math.hypot(*r))
     if rn == 0.0:
         raise ValueError("zero separation")
     return r / rn, rn

@@ -18,7 +18,7 @@ from magfriction.response_kinetics import DeltaCoefficient, OscState
 REGIMES = ("pair-sharp", "pair-smoothed", "plane", "plane-sharp", "slabs-finite-T", "slabs-zero-T")
 
 # (energy, length, time) exponents for each report entry
-_FORCE_DIM = {
+FORCE_DIM = {
     "pair-sharp": (1, -1, -1),
     "plane-sharp": (1, -1, -1),
     "pair-smoothed": (1, -1, 0),
@@ -148,7 +148,8 @@ class FrictionReport:
             raise ValueError("units must be 'reduced' or 'gaussian'")
 
 
-def _intermediate_dim(name, regime):
+def intermediate_dim(name, regime):
+    """(energy, length, time) exponents of a report intermediate."""
     dim = _INTERMEDIATE_DIM.get(name)
     if dim is None and name == "G_factor":
         dim = _G_FACTOR_DIM[regime]
@@ -162,7 +163,7 @@ def _convert_report(report, units, direction):
         f = units.factor(dim)
         return value * f if direction > 0 else value / f
 
-    fdim = _FORCE_DIM[report.regime]
+    fdim = FORCE_DIM[report.regime]
     force = report.force
     if isinstance(force, DeltaCoefficient):
         force = DeltaCoefficient(conv(force.amplitude, fdim), conv(force.at_frequency, (0, 0, -1)))
@@ -174,7 +175,7 @@ def _convert_report(report, units, direction):
     else:
         force = conv(force, fdim)
     inter = {
-        name: conv(value, _intermediate_dim(name, report.regime))
+        name: conv(value, intermediate_dim(name, report.regime))
         for name, value in report.intermediates.items()
     }
     return replace(

@@ -8,6 +8,7 @@ duplicates used as consistency oracles, and the zero-temperature
 sixth-moment factor. Internal c = 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ class PairGeometry:
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)
-        if r.shape != (3,) or np.linalg.norm(r) == 0.0:
+        if r.shape != (3,) or math.hypot(*r) == 0.0:
             raise ValueError("r must be a nonzero 3-vector")
         object.__setattr__(self, "r", r)
 
@@ -58,13 +59,21 @@ class SlabGeometry:
             raise ValueError("d, rho1, rho2 must be positive")
 
 
+def _norm(r):
+    # math.hypot scales its arguments, so a tiny separation does not
+    # underflow to zero as sqrt(r.r) does; a numpy float, so that a power
+    # of it leaves the float range as inf, not as OverflowError
+    rn = math.hypot(*r)
+    if rn == 0.0:
+        raise ValueError("zero separation")
+    return np.float64(rn)
+
+
 def coupling_psi(r):
     """Coupling kernel psi_ij = x_k eps_kij/r^3, antisymmetric and
     traceless; equal to -grad_p(1/r) eps_pij."""
     r = np.asarray(r, dtype=np.float64)
-    rn = np.linalg.norm(r)
-    if rn == 0.0:
-        raise ValueError("zero separation")
+    rn = _norm(r)
     return np.einsum("k,kij->ij", r, _EPS) / rn**3
 
 
@@ -72,9 +81,7 @@ def coupling_gradient_T(r):
     """Gradient of the coupling kernel:
     T_lij = (delta_lk/r^3 - 3 x_l x_k/r^5) eps_kij; scales as 1/r^3."""
     r = np.asarray(r, dtype=np.float64)
-    rn = np.linalg.norm(r)
-    if rn == 0.0:
-        raise ValueError("zero separation")
+    rn = _norm(r)
     m = np.eye(3) / rn**3 - 3.0 * np.outer(r, r) / rn**5
     return np.einsum("lk,kij->lij", m, _EPS)
 
@@ -83,9 +90,7 @@ def G_tensor(r):
     """Contraction G_lq = T_lij T_qij = 2(delta_lq/r^6 + 3 x_l x_q/r^8),
     symmetric positive definite."""
     r = np.asarray(r, dtype=np.float64)
-    rn = np.linalg.norm(r)
-    if rn == 0.0:
-        raise ValueError("zero separation")
+    rn = _norm(r)
     return 2.0 * (np.eye(3) / rn**6 + 3.0 * np.outer(r, r) / rn**8)
 
 

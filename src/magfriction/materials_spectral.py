@@ -10,6 +10,7 @@ Reduced units hbar = 1 unless a factor is passed explicitly.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,7 +94,10 @@ class TabulatedSpectralDensity:
         density) raises plain ValueError.
         """
         try:
-            data = np.loadtxt(path, comments="#", ndmin=2)
+            # a file without data rows is reported below as not two columns
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, comments="#", ndmin=2)
         except Exception as exc:
             raise SpectrumFileError("cannot parse spectrum file %s: %s" % (path, exc))
         if data.shape[1] != 2:

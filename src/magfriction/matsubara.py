@@ -72,14 +72,17 @@ def free_energy(alpha, beta, hbar=1.0):
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    x = 0.5 * beta * hbar
+    return 0.5 * hbar * alpha * alpha * free_energy_bracket(0.5 * beta * hbar)
+
+
+def free_energy_bracket(x):
+    """coth x - x/sinh^2 x for x > 0, the temperature factor of
+    ``free_energy``."""
     if x < 1e-2:
-        g = 2.0 * x / 3.0 - 4.0 * x**3 / 45.0 + 4.0 * x**5 / 315.0
-    else:
-        e = math.exp(-2.0 * x)
-        em1 = math.expm1(-2.0 * x)
-        g = (1.0 + e) / -em1 - 4.0 * x * e / (em1 * em1)
-    return 0.5 * hbar * alpha * alpha * g
+        return 2.0 * x / 3.0 - 4.0 * x**3 / 45.0 + 4.0 * x**5 / 315.0
+    e = math.exp(-2.0 * x)
+    em1 = math.expm1(-2.0 * x)
+    return (1.0 + e) / -em1 - 4.0 * x * e / (em1 * em1)
 
 
 def induced_free_energy(alpha, grid, hbar=1.0):

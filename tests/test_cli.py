@@ -65,6 +65,19 @@ EXIT_CASES = [
     (["sweep", "--target", "eigen",
       "--axis", "alpha:0:inf:3"], 1),                      # non-finite axis bound
     (["eigen", "--alpha", 1, "--workers", 0], 3),          # workers below one
+    # a Python-float power underflows to zero and then divides
+    (["friction", "plane", "--z0", 1e-120, "--rho1", 1, "--beta", 1, "--v", 1,
+      "--D1", 1, "--D2", 1], 2),
+    (["friction", "slabs", "--temperature", "zero", "--d", 1e-60, "--rho1", 1,
+      "--rho2", 1, "--D1", 1, "--D2", 1, "--v", 1], 2),
+    (["friction", "pair", "--d", 1, "--beta", 1e-300, "--v", 1, "--D1", 1, "--D2", 1], 2),
+    (["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 1, "--v", 1e-3,
+      "--omega-p", 1e-200, "--D1", 1], 2),
+    (["sweep", "--target", "friction-slabs-zero", "--rho1", 1, "--rho2", 1,
+      "--D1", 1, "--D2", 1, "--axis", "v:1:1:1", "--axis", "d:1e-60:1:2"], 2),
+    # positive d whose square underflows: 1/d^6 is not a float
+    (["friction", "pair", "--d", 1e-200, "--beta", 1, "--v", 1, "--D1", 1, "--D2", 1], 2),
+    (["fields", "--d", 1e-200], 2),
 ]
 
 
@@ -80,6 +93,22 @@ def test_overflow_names_command(cli, capsys):
     assert capsys.readouterr().err == (
         "numerical failure: friction slabs: a computed value overflows the float range\n"
     )
+
+
+def test_underflow_into_divisor_names_command(cli, capsys):
+    code, out = cli(*SLABS_ZERO_UNIT[:4], "--d", 1e-60, *SLABS_ZERO_UNIT[6:])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "numerical failure: friction slabs: a divisor underflows to zero\n"
+    )
+
+
+def test_tiny_separation_is_one_line_without_numpy_warnings():
+    # a fresh interpreter, so that no earlier warning at the same place hides one
+    out = _run_child("-m", "magfriction.cli", "friction", "pair", "--d", "1e-200",
+                     "--beta", "1", "--v", "1", "--D1", "1", "--D2", "1")
+    assert (out.returncode, out.stdout) == (2, b"")
+    assert out.stderr == b"numerical failure: a computed value is not finite\n"
 
 
 def test_unknown_flag_is_config_error(cli):
@@ -111,6 +140,14 @@ def test_spectrum_file_garbage(cli, tmp_path):
     code, _ = cli("friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2,
                   "--v", 1e-3, "--D2", 1, "--spectrum-file-1", path)
     assert code == 3
+
+
+def test_spectrum_file_without_data_is_one_line(tmp_path):
+    path = _write(tmp_path / "s.txt", "# comments only\n")
+    out = _run_child("-m", "magfriction.cli", "friction", "pair", "--d", "1", "--beta", "1",
+                     "--v", "1", "--D2", "1", "--spectrum-file-1", path)
+    assert (out.returncode, out.stdout) == (3, b"")
+    assert out.stderr.decode() == "error: spectrum file %s needs two columns\n" % path
 
 
 @pytest.mark.parametrize("body", [

@@ -174,6 +174,16 @@ def test_geometry_validation():
         SlabGeometry(d=1.0, rho1=0.0, rho2=1.0)
 
 
+def test_tiny_separation_is_not_zero():
+    # r.r underflows below 1e-154; the norm must not
+    PairGeometry([0.0, 0.0, 1e-200])
+    assert coupling_psi([0.0, 0.0, 1e-100])[0, 1] == 1e200
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(G_tensor([0.0, 0.0, 1e-200])[0, 0])
+    with pytest.raises(ValueError, match="zero separation"):
+        G_tensor(np.zeros(3))
+
+
 def test_geometry_suite_green():
     failures = [c.name for c in verification.SUITES["geometry"] if not c.run()[0]]
     assert failures == []

@@ -1,0 +1,161 @@
+"""Whole-grid sweeps: recorded goldens and the pin to the one-shot commands.
+
+The goldens in tests/golden were recorded with the per-point sweep that
+ran one command per grid point; the grid pass must reproduce them byte for
+byte. The d axis of the finite-temperature slab golden holds 0.7, where
+numpy's vector d**4 and Python's float ** differ by one ulp.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from magfriction import materials_spectral
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SLAB = ["--rho1", "1", "--rho2", "1.5", "--D1", "0.7", "--D2", "1.2"]
+
+# golden name -> sweep arguments; {dir} holds the spectrum files
+SWEEPS = {
+    "eigen": ["--target", "eigen", "--axis", "alpha:0:3:9"],
+    "free_energy": ["--target", "free-energy", "--axis", "alpha:0.1:1:3",
+                    "--axis", "beta:0.001:100:7:log"],
+    "free_energy_kelvin": ["--target", "free-energy", "--units", "gaussian",
+                           "--axis", "alpha:0.1:0.9:3",
+                           "--axis", "temperature-kelvin:0.001:1000:3:log"],
+    "pair_tabulated": ["--target", "friction-pair", "--axis", "d:0.5:2:3",
+                       "--axis", "beta:2:3:3", "--v", "1e-3",
+                       "--spectrum-file-1", "{dir}/ramp.txt",
+                       "--spectrum-file-2", "{dir}/steep.txt"],
+    "pair_kelvin": ["--target", "friction-pair", "--units", "gaussian",
+                    "--axis", "d:1e-7:1e-5:3:log", "--axis", "temperature-kelvin:50:500:3",
+                    "--v", "1", "--D1", "1e-30", "--D2", "3e-30"],
+    "plane_drude": ["--target", "friction-plane", "--axis", "rho1:0.5:3:3",
+                    "--axis", "z0:0.5:2:3", "--beta", "2", "--v", "1e-3",
+                    "--omega-p", "9", "--nu", "0.1", "--D1", "1"],
+    "slabs_finite": ["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3",
+                     "--axis", "beta:0.5:50:3:log", *SLAB, "--v", "1e-3"],
+    "slabs_zero_gaussian": ["--target", "friction-slabs-zero", "--units", "gaussian",
+                            "--axis", "d:1e-7:1e-5:3:log", "--axis", "v:1:1000:3:log",
+                            "--rho1", "1e22", "--rho2", "1e22",
+                            "--D1", "1e-30", "--D2", "1e-30"],
+}
+
+ONE_SHOT = {
+    "eigen": ["eigen"],
+    "free-energy": ["free-energy"],
+    "friction-pair": ["friction", "pair"],
+    "friction-plane": ["friction", "plane"],
+    "friction-slabs-finite": ["friction", "slabs", "--temperature", "finite"],
+    "friction-slabs-zero": ["friction", "slabs", "--temperature", "zero"],
+}
+
+
+def _sweep_args(name, directory):
+    _write_spectra(directory)
+    return [a.replace("{dir}", str(directory)) for a in SWEEPS[name]]
+
+
+def _write_spectra(directory):
+    m = np.linspace(0.0, 40.0, 400)
+    (directory / "ramp.txt").write_text("".join("%.17g %.17g\n" % (w, 0.25 * w) for w in m))
+    m = np.linspace(0.0, 60.0, 301)
+    (directory / "steep.txt").write_text("".join("%.17g %.17g\n" % (w, 1.3 * w) for w in m))
+
+
+def _data_rows(text):
+    return [ln.split(",") for ln in text.splitlines() if ln and not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_golden(cli, tmp_path, name):
+    code, out = cli("sweep", *_sweep_args(name, tmp_path))
+    assert code == 0
+    golden = (GOLDEN / ("sweep_%s.csv" % name)).read_text()
+    assert out.replace(str(tmp_path), "{dir}") == golden
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_rows_match_one_shot_commands(cli, tmp_path, name):
+    args = _sweep_args(name, tmp_path)
+    code, out = cli("sweep", *args)
+    assert code == 0
+    fixed, axes, target = [], [], None
+    flags = iter(args)
+    for flag in flags:
+        value = next(flags)
+        if flag == "--target":
+            target = value
+        elif flag == "--axis":
+            axes.append(value.split(":")[0])
+        else:
+            fixed += [flag, value]
+    header, *rows = _data_rows(out)
+    assert len(rows) >= 9
+    for row in rows:
+        point = row[:len(axes)]
+        argv = ONE_SHOT[target] + fixed
+        for axis, value in zip(axes, point):
+            argv += ["--" + axis, value]
+        code, single = cli(*argv)
+        assert code == 0
+        assert _data_rows(single) == [header[len(axes):], row[len(axes):]]
+
+
+def test_json_mirror_is_the_json_dump_of_its_rows(cli, tmp_path):
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    # D1 = 0 gives forces of both signed zeros, which must stay apart
+    code, _ = cli("sweep", "--target", "friction-pair", "--axis", "v:-1:1:3",
+                  "--axis", "D1:0:1:2", "--d", 1, "--beta", 2, "--D2", 1,
+                  "--out", csv_path, "--json", json_path)
+    assert code == 0
+    text = json_path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    header, *rows = _data_rows(csv_path.read_text())
+    assert doc["columns"] == header
+    assert [[c if isinstance(c, str) else repr(c) for c in r] for r in doc["rows"]] == rows
+    force = [row[header.index("force")] for row in rows]
+    assert {"0.0", "-0.0"} <= set(force)
+
+
+def test_tabulated_sweep_loads_each_spectrum_file_once(cli, tmp_path, monkeypatch):
+    args = _sweep_args("pair_tabulated", tmp_path)
+    loaded = []
+    load = materials_spectral.TabulatedSpectralDensity.from_text
+
+    def counting(cls, path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(materials_spectral.TabulatedSpectralDensity, "from_text",
+                        classmethod(counting))
+    code, out = cli("sweep", *args)
+    assert code == 0 and len(_data_rows(out)) == 1 + 9
+    assert loaded == [str(tmp_path / "ramp.txt"), str(tmp_path / "steep.txt")]
+
+
+def test_sweep_bytes_independent_of_workers(cli, tmp_path):
+    outputs = []
+    for workers in (1, 4):
+        csv_path, json_path = tmp_path / ("%d.csv" % workers), tmp_path / ("%d.json" % workers)
+        code, _ = cli("sweep", *SWEEPS["plane_drude"], "--workers", workers,
+                      "--out", csv_path, "--json", json_path)
+        assert code == 0
+        outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("axes,message", [
+    # d fails at the first point, where the earlier slope check still passes
+    (["--axis", "d:-1:1:3", "--axis", "D1:1:-1:2"], "invalid input: d must be positive\n"),
+    (["--axis", "D1:-1:1:3", "--axis", "d:-1:1:3"], "invalid input: D must be finite and >= 0\n"),
+])
+def test_failing_sweep_reports_its_first_failing_point(cli, capsys, axes, message):
+    code, out = cli("sweep", "--target", "friction-pair", *axes,
+                    "--D2", 1, "--v", 1, "--beta", 1)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == message
