@@ -20,12 +20,12 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from magfriction import __version__, dipole_fields, geometry_coupling, materials_spectral, matsubara
-from magfriction import friction_forces, numerics, oscillator_pair, verification
+from magfriction import friction_forces, numerics, verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -111,14 +111,6 @@ class RunConfig:
     v: float = None
     spectrum_file_1: str = None
     spectrum_file_2: str = None
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One output record: parallel column-name and value tuples."""
-
-    columns: tuple
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -265,14 +257,6 @@ def _units_ctx(cfg):
     return None
 
 
-def _to_reduced(cfg, name, ctx):
-    """One input parameter in reduced units, or None if unset."""
-    value = getattr(cfg, name)
-    if value is None or ctx is None:
-        return value
-    return value / ctx.factor(friction_forces.INPUT_DIM[name])
-
-
 def _temperature_input(has_beta, has_kelvin, ctx):
     """Which input sets the temperature, "beta" or "kelvin"; CliError if
     both, neither, or kelvin without Gaussian units."""
@@ -293,17 +277,6 @@ def _temperature_input(has_beta, has_kelvin, ctx):
     )
 
 
-def _resolve_beta(cfg, ctx):
-    source = _temperature_input(
-        cfg.beta is not None, cfg.temperature_kelvin is not None, ctx
-    )
-    if source == "kelvin":
-        return ctx.beta_from_kelvin(cfg.temperature_kelvin)
-    if cfg.beta <= 0.0:
-        raise ValueError("beta must be positive")
-    return cfg.beta
-
-
 def _need(values, *names):
     missing = [n for n in names if values.get(n) is None]
     if missing:
@@ -321,35 +294,12 @@ def _load_spectrum(path):
         raise CliError(EXIT_CONFIG, str(exc))
 
 
-def _drude_density(cfg, ctx):
-    """Density of a Drude half-space as a function of its number density
-    rho, from --omega-p and --nu."""
-    omega_p = _to_reduced(cfg, "omega_p", ctx)
-    nu = _to_reduced(cfg, "nu", ctx) if cfg.nu is not None else 0.0
-    return lambda rho: materials_spectral.drude_D(
-        materials_spectral.DrudeParams(omega_p, nu, rho)
-    )
-
-
 def _no_spectrum(side, drude):
     return CliError(
         EXIT_CONFIG,
         "no spectrum for side %d: give --spectrum-file-%d, --D%d%s"
         % (side, side, side, ", or --omega-p/--nu" if drude else ""),
     )
-
-
-def _spectrum(cfg, side, ctx, drude_rho=None):
-    """Spectral density for side 1 or 2: file > slope > Drude parameters."""
-    path = getattr(cfg, "spectrum_file_%d" % side)
-    if path is not None:
-        return _load_spectrum(path)
-    slope = _to_reduced(cfg, "D%d" % side, ctx)
-    if slope is not None:
-        return materials_spectral.LinearSpectralDensity(slope)
-    if cfg.omega_p is not None and drude_rho is not None:
-        return _drude_density(cfg, ctx)(drude_rho)
-    raise _no_spectrum(side, drude_rho is not None)
 
 
 def _linear_slope(spec, side):
@@ -362,46 +312,6 @@ def _linear_slope(spec, side):
     )
 
 
-def _finalize_report(rep, ctx):
-    return rep if ctx is None else friction_forces.to_physical_units(rep, ctx)
-
-
-def _report_row(rep):
-    cols = ["regime", "units", "force"]
-    vals = [rep.regime, rep.units, rep.force]
-    for name in sorted(rep.intermediates):
-        cols.append(name)
-        vals.append(rep.intermediates[name])
-    for name in sorted(rep.inputs):
-        cols.append(name)
-        vals.append(rep.inputs[name])
-    return ResultRow(tuple(cols), tuple(vals))
-
-
-def _run_eigen(cfg):
-    _need(vars(cfg), "alpha")
-    if cfg.alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    wp, wm = oscillator_pair.eigenfrequencies(cfg.alpha)
-    e0 = oscillator_pair.ground_state_energy(cfg.alpha)
-    return ResultRow(
-        ("alpha", "omega_plus", "omega_minus", "e0"), (cfg.alpha, wp, wm, e0)
-    )
-
-
-def _run_free_energy(cfg):
-    _need(vars(cfg), "alpha")
-    ctx = _units_ctx(cfg)
-    beta = _resolve_beta(cfg, ctx)
-    f = matsubara.free_energy(cfg.alpha, beta)
-    cols = ["alpha", "beta", "free_energy"]
-    vals = [cfg.alpha, beta, f]
-    if ctx is not None:
-        cols += ["free_energy_erg", "temperature_kelvin"]
-        vals += [f * ctx.energy_scale, ctx.kelvin_from_beta(beta)]
-    return ResultRow(tuple(cols), tuple(vals))
-
-
 def _run_fields(cfg):
     _need(vars(cfg), "d")
     if _units_ctx(cfg) is not None:
@@ -412,98 +322,35 @@ def _run_fields(cfg):
     G = geometry_coupling.G_tensor(rvec)
     b = dipole_fields.magnetic_field_quasistatic([1.0, 0.0, 0.0], rvec)
     e = dipole_fields.electric_field_quasistatic([0.0, 1.0, 0.0], rvec)
-    cols = ["d", "coupling_alpha", "psi_xy", "g_xx", "g_zz", "b_y_unit_pdot",
-            "e_x_unit_mdot"]
-    vals = [d, dipole_fields.coupling_alpha(rvec), float(psi[0, 1]),
-            float(G[0, 0]), float(G[2, 2]), float(b[1]), float(e[0])]
+    cells = [("d", d), ("coupling_alpha", dipole_fields.coupling_alpha(rvec)),
+             ("psi_xy", psi[0, 1]), ("g_xx", G[0, 0]), ("g_zz", G[2, 2]),
+             ("b_y_unit_pdot", b[1]), ("e_x_unit_mdot", e[0])]
     if cfg.z0 is not None:
         rho = cfg.rho1 if cfg.rho1 is not None else 1.0
-        cols += ["z0", "rho1", "g_halfspace"]
-        vals += [cfg.z0, rho,
-                 geometry_coupling.G_halfspace(geometry_coupling.PlaneGeometry(cfg.z0, rho))]
-    return ResultRow(tuple(cols), tuple(vals))
+        g_h = geometry_coupling.G_halfspace(geometry_coupling.PlaneGeometry(cfg.z0, rho))
+        cells += [("z0", cfg.z0), ("rho1", rho), ("g_halfspace", g_h)]
+    return _Table([(name, np.array([float(value)])) for name, value in cells], 1)
 
 
-def _run_friction_pair(cfg):
-    _need(vars(cfg), "d", "v")
-    ctx = _units_ctx(cfg)
-    beta = _resolve_beta(cfg, ctx)
-    d = _to_reduced(cfg, "d", ctx)
-    v = _to_reduced(cfg, "v", ctx)
-    s1 = _spectrum(cfg, 1, ctx)
-    s2 = _spectrum(cfg, 2, ctx)
-    if d is None or d <= 0.0:
-        raise ValueError("d must be positive")
-    g_xx = float(geometry_coupling.G_tensor([0.0, 0.0, d])[0, 0])
-    h0 = materials_spectral.smoothed_H0(s1, s2, beta)
-    rep = friction_forces.smoothed_forces(g_xx, v, h0, "pair-smoothed")
-    rep = replace(rep, inputs={**rep.inputs, "d": d, "beta": beta})
-    return _report_row(_finalize_report(rep, ctx))
-
-
-def _run_friction_plane(cfg):
-    _need(vars(cfg), "z0", "rho1", "v")
-    ctx = _units_ctx(cfg)
-    beta = _resolve_beta(cfg, ctx)
-    geom = geometry_coupling.PlaneGeometry(
-        _to_reduced(cfg, "z0", ctx), _to_reduced(cfg, "rho1", ctx)
-    )
-    s1 = _spectrum(cfg, 1, ctx)
-    s2 = _spectrum(cfg, 2, ctx, drude_rho=geom.rho)
-    rep = friction_forces.plane_force(geom, _to_reduced(cfg, "v", ctx), s1, s2, beta)
-    return _report_row(_finalize_report(rep, ctx))
-
-
-def _run_friction_slabs(cfg):
-    _need(vars(cfg), "d", "rho1", "rho2", "v")
-    ctx = _units_ctx(cfg)
-    geom = geometry_coupling.SlabGeometry(
-        _to_reduced(cfg, "d", ctx),
-        _to_reduced(cfg, "rho1", ctx),
-        _to_reduced(cfg, "rho2", ctx),
-    )
-    d1 = _linear_slope(_spectrum(cfg, 1, ctx, drude_rho=geom.rho1), 1)
-    d2 = _linear_slope(_spectrum(cfg, 2, ctx, drude_rho=geom.rho2), 2)
-    v = _to_reduced(cfg, "v", ctx)
-    if cfg.temperature_mode == "finite":
-        beta = _resolve_beta(cfg, ctx)
-        rep = friction_forces.finite_T_slab_force(geom, v, d1, d2, beta)
-    else:
-        if cfg.beta is not None or cfg.temperature_kelvin is not None:
-            raise CliError(
-                EXIT_CONFIG, "zero-temperature slabs take no temperature input"
-            )
-        rep = friction_forces.zero_T_slab_force(geom, v, d1, d2)
-    return _report_row(_finalize_report(rep, ctx))
-
-
-_RUNNERS = {
-    "eigen": _run_eigen,
-    "free-energy": _run_free_energy,
-    "fields": _run_fields,
-    ("friction", "pair"): _run_friction_pair,
-    ("friction", "plane"): _run_friction_plane,
-    ("friction", "slabs"): _run_friction_slabs,
-}
-
-# --- whole-grid sweeps ---------------------------------------------------
+# --- whole-grid evaluation ------------------------------------------------
 #
-# A sweep evaluates its target once over flat parameter columns, one
-# element per point. Array arithmetic keeps to the correctly rounded
-# operations (+ - * / sqrt); every power goes through Python's float **,
-# and every other scalar function through the function itself, once per
-# distinct argument. So each row is bit for bit what the one-shot command
-# prints at that point. The one-shot checks are repeated as masks over the
-# points, in the one-shot order, and a failing sweep reports the failure
-# of its first failing point.
+# A target is evaluated once over flat parameter columns, one element per
+# point: a sweep's grid, or a single point for a one-shot command. Array
+# arithmetic keeps to the correctly rounded operations (+ - * / sqrt);
+# every power goes through Python's float **, and every other scalar
+# function through the function itself, once per distinct argument. So
+# each value is bit for bit the library's scalar closed form at that
+# point (friction_forces, oscillator_pair, matsubara), which the tests
+# check. Checks are masks over the points, and a failing grid reports the
+# failure of its first failing point.
 
 
 class _Grid:
-    """Parameter columns of a sweep and the first failure among its points.
+    """Parameter columns of a grid and the first failure among its points.
 
-    A point fails at the first check it reaches in the one-shot order, so
-    the grid keeps the earliest failing point and, at that point, the check
-    that was registered first.
+    A point fails at the first check it reaches, so the grid keeps the
+    earliest failing point and, at that point, the check that was
+    registered first.
     """
 
     def __init__(self, cfg, size, axis_columns):
@@ -515,7 +362,7 @@ class _Grid:
             value = getattr(cfg, _attr(flag))
             if typ is float and value is not None:
                 self.columns[_attr(flag)] = np.full(size, value)
-        # a later axis over the same parameter wins, as in the one-shot order
+        # an axis replaces the fixed value of its parameter; a later axis wins
         for ax, col in zip(cfg.axes, axis_columns):
             self.columns[_attr(ax.name)] = col
         self._first = size
@@ -598,7 +445,8 @@ def _grid_need(grid, *names):
 
 
 def _grid_beta(grid):
-    """Reduced inverse temperature column, checked as _resolve_beta does."""
+    """Reduced inverse temperature column: exactly one temperature input,
+    kelvin only in Gaussian runs, and each temperature positive."""
     beta, kelvin = grid.columns.get("beta"), grid.columns.get("temperature_kelvin")
     with grid.every_point():
         source = _temperature_input(beta is not None, kelvin is not None, grid.ctx)
@@ -621,10 +469,16 @@ def _grid_spectrum(grid, side, drude_rho=None):
     slope = grid.reduced("D%d" % side)
     if slope is not None:
         return grid.map(lambda D: materials_spectral.LinearSpectralDensity(D).D, slope)
-    if cfg.omega_p is None or drude_rho is None:
+    omega_p = grid.reduced("omega_p")
+    if omega_p is None or drude_rho is None:
         grid.fail_everywhere(_no_spectrum(side, drude_rho is not None))
-    density = _drude_density(cfg, grid.ctx)
-    return grid.map(lambda rho: density(rho).D, drude_rho)
+    nu = grid.reduced("nu")
+    if nu is None:
+        nu = np.zeros(grid.size)
+    return grid.map(
+        lambda w, n, rho: materials_spectral.drude_D(materials_spectral.DrudeParams(w, n, rho)).D,
+        omega_p, nu, drude_rho,
+    )
 
 
 def _grid_H0(grid, s1, s2, beta):
@@ -646,8 +500,9 @@ def _grid_H0(grid, s1, s2, beta):
 
 
 def _grid_report(grid, regime, force, intermediates, inputs):
-    """Report columns as _report_row orders them, in the grid's units
-    (friction_forces.to_physical_units for Gaussian runs)."""
+    """Report columns: regime, units and force, then the intermediates and
+    the inputs, each sorted by name; Gaussian runs convert as
+    friction_forces.to_physical_units does."""
     ctx = grid.ctx
     if ctx is not None:
         for name, col in list(inputs.items()):
@@ -722,8 +577,8 @@ def _grid_friction_plane(grid):
 
 
 def _grid_slabs(grid):
-    """Geometry, linear slopes and speed of a slab sweep, checked as
-    _run_friction_slabs does before it branches on the temperature."""
+    """Geometry, linear slopes and speed of both slab targets; a bad
+    geometry or slope is reported before any temperature check."""
     _grid_need(grid, "d", "rho1", "rho2", "v")
     d, rho1, rho2 = grid.reduced("d"), grid.reduced("rho1"), grid.reduced("rho2")
     grid.fail((d <= 0.0) | (rho1 <= 0.0) | (rho2 <= 0.0),
@@ -807,6 +662,29 @@ _TARGET_RUNNERS = {
     "friction-plane": _grid_friction_plane,
     "friction-slabs-finite": _grid_slabs_finite,
     "friction-slabs-zero": _grid_slabs_zero,
+}
+
+
+def _run_point(cfg):
+    """A one-shot command with a sweep target: that target on a one-point grid."""
+    target = cfg.command
+    if cfg.command == "friction":
+        target = "friction-" + cfg.geometry
+        if cfg.geometry == "slabs":
+            target += "-" + cfg.temperature_mode
+    grid = _Grid(cfg, 1, [])
+    cells = _TARGET_RUNNERS[target](grid)
+    grid.raise_first()
+    return _Table(cells, 1)
+
+
+_RUNNERS = {
+    "eigen": _run_point,
+    "free-energy": _run_point,
+    "fields": _run_fields,
+    ("friction", "pair"): _run_point,
+    ("friction", "plane"): _run_point,
+    ("friction", "slabs"): _run_point,
 }
 
 
@@ -894,11 +772,6 @@ class _Table:
     def __init__(self, columns, rows):
         self.columns = columns
         self.rows = rows
-
-    @classmethod
-    def of_row(cls, row):
-        cells = (v if isinstance(v, str) else np.array([float(v)]) for v in row.values)
-        return cls(list(zip(row.columns, cells)), 1)
 
     def __len__(self):
         return self.rows
@@ -1016,7 +889,7 @@ def main(argv=None):
                 table = _run_sweep(cfg)
             else:
                 key = (cfg.command, cfg.geometry) if cfg.command == "friction" else cfg.command
-                table = _Table.of_row(_RUNNERS[key](cfg))
+                table = _RUNNERS[key](cfg)
         _emit(cfg, table)
         return EXIT_OK
     except CliError as exc:

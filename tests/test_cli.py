@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, output format, reproducibility."""
 
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import magfriction
+from magfriction import cli as cli_module
 
 SLABS_UNIT = [
     "friction", "slabs", "--temperature", "finite",
@@ -103,6 +108,47 @@ def test_underflow_into_divisor_names_command(cli, capsys):
     )
 
 
+SLAB_PARAMS = ["--d", 1, "--rho1", 1, "--rho2", 1, "--D1", 1, "--D2", 1]
+
+# one failing one-shot command per check: exit code and its stderr line;
+# {file} is a valid linear spectrum file
+ONE_SHOT_FAILURES = [
+    (["eigen", "--alpha", -1], 1, "invalid input: alpha must be >= 0"),
+    (["free-energy", "--alpha", 1, "--beta", -2], 1, "invalid input: beta must be positive"),
+    (["free-energy", "--alpha", 1, "--units", "gaussian", "--temperature-kelvin", -5], 1,
+     "invalid input: temperature must be positive"),
+    (["friction", "pair", "--d", -1, "--beta", 1, "--v", 1, "--D1", 1, "--D2", 1], 1,
+     "invalid input: d must be positive"),
+    (["friction", "plane", "--z0", -1, "--rho1", 1, "--beta", 1, "--v", 1,
+      "--D1", 1, "--D2", 1], 1, "invalid input: z0 and rho must be positive"),
+    (["friction", "slabs", "--temperature", "finite", "--beta", 1, "--v", 1,
+      "--d", 1, "--rho1", 1, "--rho2", -1, "--D1", 1, "--D2", 1], 1,
+     "invalid input: d, rho1, rho2 must be positive"),
+    (["friction", "slabs", "--temperature", "zero", "--v", -0.01, *SLAB_PARAMS], 1,
+     "invalid input: v must be >= 0 in this regime"),
+    (["friction", "pair", "--d", 1, "--beta", 1, "--v", 1, "--D1", -1, "--D2", 1], 1,
+     "invalid input: D must be finite and >= 0"),
+    (["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 1, "--v", 1, "--D1", 1], 3,
+     "error: no spectrum for side 2: give --spectrum-file-2, --D2, or --omega-p/--nu"),
+    (["friction", "slabs", "--temperature", "finite", "--beta", 1, "--v", 1,
+      "--spectrum-file-1", "{file}", *SLAB_PARAMS], 3,
+     "error: slab commands need linear spectral slopes on side 1 "
+     "(use --D1 or Drude parameters, not a spectrum file)"),
+    (["friction", "slabs", "--temperature", "zero", "--v", 1, "--beta", 1, *SLAB_PARAMS], 3,
+     "error: zero-temperature slabs take no temperature input"),
+    (["friction", "pair", "--d", 1, "--beta", 1, "--temperature-kelvin", 300, "--v", 1,
+      "--D1", 1, "--D2", 1], 3, "error: give either --beta or --temperature-kelvin, not both"),
+]
+
+
+@pytest.mark.parametrize("args,code,message", ONE_SHOT_FAILURES)
+def test_one_shot_failure_message(cli, capsys, tmp_path, args, code, message):
+    path = _write(tmp_path / "s.txt", "0 0\n1 1\n2 2\n")
+    got, out = cli(*(path if a == "{file}" else a for a in args))
+    assert (got, out) == (code, "")
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_tiny_separation_is_one_line_without_numpy_warnings():
     # a fresh interpreter, so that no earlier warning at the same place hides one
     out = _run_child("-m", "magfriction.cli", "friction", "pair", "--d", "1e-200",
@@ -126,6 +172,119 @@ def test_help_exits_zero(cli):
     code, out = cli("--help")
     assert code == 0
     assert out.startswith("usage: magfriction")
+
+
+# --- the exit-code contract over the whole input domain ------------------
+
+# log-uniform over ~1e-320 to 1e300 with both signs, and the edge values
+SIGNED = st.builds(lambda sign, exponent: repr(sign * 10.0**exponent),
+                   st.sampled_from([1.0, -1.0]), st.floats(-320.0, 300.0))
+MAGNITUDE = st.one_of(st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"]), SIGNED)
+# a valid value: moderate, or positive anywhere in the float range
+POSITIVE = st.builds(lambda exponent: repr(10.0**exponent),
+                     st.one_of(st.floats(-3.0, 3.0), st.floats(-320.0, 300.0)))
+FLOAT_PARAMS = [flag for flag, typ in cli_module._PARAMS if typ is float]
+TEMPERATURES = {"beta", "temperature-kelvin"}
+
+# target: one-shot command, required parameters, takes a temperature, and
+# for each side that takes a spectrum whether a Drude metal can stand there
+TARGETS = {
+    "eigen": (["eigen"], ("alpha",), False, ()),
+    "free-energy": (["free-energy"], ("alpha",), True, ()),
+    "friction-pair": (["friction", "pair"], ("d", "v"), True, (False, False)),
+    "friction-plane": (["friction", "plane"], ("z0", "rho1", "v"), True, (False, True)),
+    "friction-slabs-finite": (["friction", "slabs", "--temperature", "finite"],
+                              ("d", "rho1", "rho2", "v"), True, (True, True)),
+    "friction-slabs-zero": (["friction", "slabs", "--temperature", "zero"],
+                            ("d", "rho1", "rho2", "v"), False, (True, True)),
+}
+ONE_SHOT = [entry for _, entry in sorted(TARGETS.items())]
+ONE_SHOT.append((["fields"], ("d", "z0", "rho1"), False, ()))
+
+
+def _draw_params(draw, names, temperature, spectra, axes=()):
+    """Valid values for a command's parameters, then up to three parameters
+    of any command anywhere in the domain or left out."""
+    units = draw(st.sampled_from(["reduced", "gaussian"]))
+    names = list(names)
+    if temperature and not TEMPERATURES & set(axes):
+        kelvin = units == "gaussian" and draw(st.booleans())
+        names.append("temperature-kelvin" if kelvin else "beta")
+    argv = ["--units", units]
+    for side, drude in enumerate(spectra, 1):
+        sources = ["D", "D", "D", "{linear}", "{empty}", "{garbage}"]
+        source = draw(st.sampled_from(sources + ["drude"] * 2 * drude))
+        if source == "D":
+            names.append("D%d" % side)
+        elif source == "drude":
+            names += ["omega-p", "nu"]
+        else:
+            argv += ["--spectrum-file-%d" % side, source]
+    values = {name: draw(POSITIVE) for name in names}
+    for name in draw(st.lists(st.sampled_from(FLOAT_PARAMS), max_size=3)):
+        values[name] = draw(st.one_of(st.none(), MAGNITUDE))
+    # --name=value, so that argparse takes a value like -1e-05 for a value
+    return argv + ["--%s=%s" % item for item in values.items() if item[1] is not None]
+
+
+@st.composite
+def one_shot_argv(draw):
+    head, names, temperature, spectra = draw(st.sampled_from(ONE_SHOT))
+    return head + _draw_params(draw, names, temperature, spectra)
+
+
+@st.composite
+def sweep_argv(draw):
+    target = draw(st.sampled_from(sorted(TARGETS)))
+    _, names, temperature, spectra = TARGETS[target]
+    argv, axes = ["sweep", "--target", target], []
+    bound = st.one_of(POSITIVE, SIGNED)
+    for _ in range(draw(st.integers(1, 2))):
+        axes.append(draw(st.sampled_from(cli_module._SWEEP_AXES[target])))
+        lo, steps = draw(bound), draw(st.integers(1, 4))
+        hi = lo if steps == 1 else draw(bound)
+        log = draw(st.sampled_from(["", ":log"]))
+        argv += ["--axis", "%s:%s:%s:%d%s" % (axes[-1], lo, hi, steps, log)]
+    return argv + _draw_params(draw, names, temperature, spectra, axes)
+
+
+@pytest.fixture(scope="module")
+def spectrum_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("spectra")
+    grid = np.linspace(0.0, 40.0, 81)
+    bodies = {
+        "linear": "".join("%.17g %.17g\n" % (w, 0.25 * w) for w in grid),
+        "empty": "# comments only\n",
+        "garbage": "not numbers at all\n",
+    }
+    return {"{%s}" % name: _write(directory / (name + ".txt"), body)
+            for name, body in bodies.items()}
+
+
+def _check_exit_contract(argv, files):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_module.main([files.get(a, a) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+    if code == 0:
+        for row in _data_rows(out.getvalue())[1:]:
+            for cell in row.split(","):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell)), row
+
+
+@settings(max_examples=400)
+@given(argv=one_shot_argv())
+def test_one_shot_exit_contract(spectrum_files, argv):
+    _check_exit_contract(argv, spectrum_files)
+
+
+@settings(max_examples=300)
+@given(argv=sweep_argv())
+def test_sweep_exit_contract(spectrum_files, argv):
+    _check_exit_contract(argv, spectrum_files)
 
 
 # --- spectrum files -----------------------------------------------------
