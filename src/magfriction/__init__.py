@@ -3,8 +3,8 @@
 Quasistatic dipole coupling, the coupled electric/magnetic oscillator pair,
 imaginary-frequency free energies, sharp and thermally smoothed friction
 kernels, and the geometric reduction factors for particle, half-space, and
-parallel-slab configurations. Reduced units (hbar = c = kB = 1) everywhere
-unless a UnitContext says otherwise.
+parallel-slab configurations. Reduced units (hbar = c = kB = 1) everywhere;
+friction_forces.UnitContext converts results to Gaussian CGS.
 """
 
 __version__ = "0.1.0"

@@ -60,11 +60,11 @@ def rk4_batch(A, init, dt, n_steps, stride):
     return np.ascontiguousarray(s[:, :, :, 0].transpose(0, 2, 1))
 
 
-def mode_sum(alpha, beta, n_max, hbar=1.0):
+def mode_sum(alpha, beta, n_max):
     r"""Brute-force symmetric sum of per-mode free energies.
 
     Sum of (2*alpha^2/beta) * u^2/(u^2+1)^2 over modes n = -n_max..n_max with
-    u = 2*pi*n/(beta*hbar); the n = 0 term vanishes.
+    u = 2*pi*n/beta; the n = 0 term vanishes.
 
     Returns
     -------
@@ -73,7 +73,7 @@ def mode_sum(alpha, beta, n_max, hbar=1.0):
     if n_max <= 0:
         return 0.0
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    u2 = (TWO_PI * n / (beta * hbar)) ** 2
+    u2 = (TWO_PI * n / beta) ** 2
     terms = u2 / (u2 + 1.0) ** 2
     return float(2.0 * (2.0 * alpha ** 2 / beta) * np.sum(terms))
 

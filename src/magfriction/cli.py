@@ -162,6 +162,21 @@ def _build_parser():
     return parser
 
 
+def _attach_float_values(argv):
+    """argv with each float flag joined to its value as --flag=value; argparse
+    reads a separate value such as -1e-05 or -inf as a flag of its own."""
+    floats = {"--" + flag for flag, typ in _PARAMS if typ is float}
+    out = []
+    for arg in argv:
+        if out and out[-1] in floats:
+            with contextlib.suppress(ValueError):
+                float(arg)
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def _load_config_file(path):
     known = {flag: typ for flag, typ in _PARAMS + _SETTINGS}
     out = {}
@@ -253,7 +268,7 @@ def _parse_axis(spec):
 
 def _units_ctx(cfg):
     if cfg.units == "gaussian":
-        return friction_forces.UnitContext.gaussian_cgs(length_scale=1.0)
+        return friction_forces.UnitContext(1.0)
     return None
 
 
@@ -538,7 +553,7 @@ def _grid_free_energy(grid):
     _grid_need(grid, "alpha")
     alpha = grid.columns["alpha"]
     beta = _grid_beta(grid)
-    # matsubara.free_energy at hbar = 1
+    # matsubara.free_energy
     f = 0.5 * alpha * alpha * grid.map(matsubara.free_energy_bracket, 0.5 * beta)
     cols = [("alpha", alpha), ("beta", beta), ("free_energy", f)]
     ctx = grid.ctx
@@ -596,7 +611,7 @@ def _grid_slabs(grid):
 def _grid_slabs_finite(grid):
     d, rho1, rho2, D1, D2, v = _grid_slabs(grid)
     beta = _grid_beta(grid)
-    # friction_forces.finite_T_slab_force at hbar = 1, with its assembly check
+    # friction_forces.finite_T_slab_force, with its assembly check
     suppression = grid.pow(d / beta, 2)
     reference = grid.div(
         -(2.0 * np.pi**6 / 15.0) * rho1 * rho2 * D1 * D2 * v,
@@ -625,8 +640,8 @@ def _grid_slabs_zero(grid):
             CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
         )
     grid.fail(v < 0.0, ValueError("v must be >= 0 in this regime"))
-    # friction_forces.zero_T_slab_force at hbar = c = 1, with its tau and
-    # assembly checks; G_P divides by the same 64 d^6 that has passed here
+    # friction_forces.zero_T_slab_force, with its tau and assembly checks;
+    # G_P divides by the same 64 d^6 that has passed here
     suppression = v * v
     d6 = grid.pow(d, 6)
     reference = -grid.div(5.0 * np.pi**2, 512.0 * d6) * rho1 * rho2 * D1 * D2 * grid.pow(v, 3)
@@ -877,7 +892,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         cfg = _resolve(args)

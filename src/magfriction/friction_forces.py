@@ -70,35 +70,17 @@ CGS_KB = 1.380649e-16  # erg/K
 
 @dataclass(frozen=True)
 class UnitContext:
-    """Anchors tying reduced quantities to Gaussian CGS values.
+    """Gaussian CGS values of reduced quantities (hbar = c = k_B = 1), one
+    reduced length unit being length_scale cm."""
 
-    hbar, c, k_B are the numerical constants of the physical system;
-    length_scale is the centimeter value of one reduced length unit, and
-    frequency_scale must equal c/length_scale (one reduced time unit is
-    length_scale/c).
-    """
-
-    hbar: float = 1.0
-    c: float = 1.0
-    k_B: float = 1.0
-    length_scale: float = 1.0
-    frequency_scale: float = 1.0
+    length_scale: float
+    hbar = CGS_HBAR
+    c = CGS_C
+    k_B = CGS_KB
 
     def __post_init__(self):
-        for name in ("hbar", "c", "k_B", "length_scale", "frequency_scale"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError("%s must be positive" % name)
-        if abs(self.frequency_scale * self.length_scale / self.c - 1.0) > 1e-12:
-            raise ValueError("frequency_scale must equal c/length_scale")
-
-    @classmethod
-    def reduced(cls):
-        return cls()
-
-    @classmethod
-    def gaussian_cgs(cls, length_scale):
-        """CGS context with one reduced length unit = length_scale cm."""
-        return cls(CGS_HBAR, CGS_C, CGS_KB, length_scale, CGS_C / length_scale)
+        if self.length_scale <= 0.0:
+            raise ValueError("length_scale must be positive")
 
     @property
     def energy_scale(self):
@@ -212,7 +194,7 @@ def to_reduced_units(report, units):
     return _convert_report(report, units, -1)
 
 
-def pair_force_sharp(geom, v, osc1, osc2, beta, hbar=1.0):
+def pair_force_sharp(geom, v, osc1, osc2, beta):
     r"""Sharp-oscillator pair force as componentwise delta amplitudes.
 
     Component l carries amplitude -G_lq v_q H (pi beta w1^2/2) against
@@ -228,7 +210,7 @@ def pair_force_sharp(geom, v, osc1, osc2, beta, hbar=1.0):
     v = np.asarray(v, dtype=np.float64)
     a1 = 1.0 / (osc1.mass * osc1.omega**2)
     a2 = 1.0 / (osc2.mass * osc2.omega**2)
-    H = materials_spectral.thermal_H(osc1.omega, osc2.omega, a1, a2, beta, hbar)
+    H = materials_spectral.thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
     pref = np.pi * beta * osc1.omega**2 / 2.0
     gv = G @ v
     force = tuple(DeltaCoefficient(float(-gv[l] * H * pref), osc1.omega) for l in range(3))
@@ -261,7 +243,7 @@ def smoothed_forces(G_factor, v, H0, regime):
     )
 
 
-def plane_force(g, v, spec1, spec2, beta, hbar=1.0):
+def plane_force(g, v, spec1, spec2, beta):
     r"""Force on a particle moving parallel to a half-space surface.
 
     Smoothed spectra give F_h = -G_h v H0. A pair of sharp oscillator
@@ -273,7 +255,7 @@ def plane_force(g, v, spec1, spec2, beta, hbar=1.0):
     if isinstance(spec1, OscState) and isinstance(spec2, OscState):
         a1 = 1.0 / (spec1.mass * spec1.omega**2)
         a2 = 1.0 / (spec2.mass * spec2.omega**2)
-        H = materials_spectral.thermal_H(spec1.omega, spec2.omega, a1, a2, beta, hbar)
+        H = materials_spectral.thermal_H(spec1.omega, spec2.omega, a1, a2, beta)
         pref = np.pi * beta * spec1.omega**2 / 2.0
         amp = -G_h * v * H * pref
         inputs.update({"omega1": spec1.omega, "omega2": spec2.omega})
@@ -283,7 +265,7 @@ def plane_force(g, v, spec1, spec2, beta, hbar=1.0):
             {"G_h": G_h, "H": H, "delta_prefactor": pref},
             inputs,
         )
-    H0 = materials_spectral.smoothed_H0(spec1, spec2, beta, hbar)
+    H0 = materials_spectral.smoothed_H0(spec1, spec2, beta)
     return FrictionReport(
         "plane", float(-G_h * v * H0), {"G_h": G_h, "H0": H0}, inputs
     )
@@ -300,22 +282,22 @@ def _slope(D):
                      "got %r" % (D,))
 
 
-def finite_T_slab_force(g, v, D1, D2, beta, hbar=1.0):
+def finite_T_slab_force(g, v, D1, D2, beta):
     r"""Finite-temperature friction per unit area between two slabs with
     linear spectral densities (each a slope D or an untruncated
     LinearSpectralDensity).
 
-    Computed as suppression * reference with suppression = (d/(beta c
-    hbar))^2 and reference the same expression with that factor removed:
+    Computed as suppression * reference with suppression = (d/(beta c))^2
+    and reference the same expression with that factor removed:
 
-        F = -(2 pi^6/15) (d/(beta c hbar))^2 rho1 rho2 D1 D2 hbar v/(beta^2 d^4)
+        F = -(2 pi^6/15) (d/(beta c))^2 rho1 rho2 D1 D2 v/(beta^2 d^4)
 
     The product is checked internally against the assembly -G v H0 from
     the slab factor and the smoothed thermal factor.
     """
     d1, d2 = _slope(D1), _slope(D2)
-    suppression = (g.d / (beta * hbar)) ** 2  # c = 1 internally
-    reference = -(2.0 * np.pi**6 / 15.0) * g.rho1 * g.rho2 * d1 * d2 * hbar * v / (
+    suppression = (g.d / beta) ** 2  # c = 1 internally
+    reference = -(2.0 * np.pi**6 / 15.0) * g.rho1 * g.rho2 * d1 * d2 * v / (
         beta**2 * g.d**4
     )
     force = suppression * reference
@@ -323,7 +305,7 @@ def finite_T_slab_force(g, v, D1, D2, beta, hbar=1.0):
     H0 = materials_spectral.smoothed_H0(
         materials_spectral.LinearSpectralDensity(d1),
         materials_spectral.LinearSpectralDensity(d2),
-        beta, hbar,
+        beta,
     )
     assembled = -G * v * H0
     if force != 0.0 and abs(assembled - force) > 1e-12 * abs(force):
@@ -342,12 +324,12 @@ def finite_T_slab_force(g, v, D1, D2, beta, hbar=1.0):
     return FrictionReport("slabs-finite-T", float(force), inter, inputs)
 
 
-def zero_T_slab_force(g, v, D1, D2, hbar=1.0):
+def zero_T_slab_force(g, v, D1, D2):
     r"""Zero-temperature friction per unit area between two slabs.
 
     Computed as suppression * reference with suppression = (v/c)^2:
 
-        F_P = -(5 pi^2/(512 d^6)) (v/c)^2 rho1 rho2 D1 D2 (hbar v)^3
+        F_P = -(5 pi^2/(512 d^6)) (v/c)^2 rho1 rho2 D1 D2 v^3
 
     Internally cross-checked against the dissipated-energy route
     -Delta E_P/(2 tau v) with Delta E_P = 2 tau H_P v^6 G_P, which must
@@ -357,11 +339,9 @@ def zero_T_slab_force(g, v, D1, D2, hbar=1.0):
         raise ValueError("v must be >= 0 in this regime")
     d1, d2 = _slope(D1), _slope(D2)
     suppression = v * v  # (v/c)^2 at c = 1
-    reference = -(5.0 * np.pi**2 / (512.0 * g.d**6)) * g.rho1 * g.rho2 * d1 * d2 * (
-        hbar * v
-    ) ** 3
+    reference = -(5.0 * np.pi**2 / (512.0 * g.d**6)) * g.rho1 * g.rho2 * d1 * d2 * v**3
     force = suppression * reference
-    H_P = (np.pi / 120.0) * hbar**3 * d1 * d2
+    H_P = (np.pi / 120.0) * d1 * d2
     G_P = geometry_coupling.G_P_slabs(g)
     routes = []
     for tau in (1.0, 2.0):

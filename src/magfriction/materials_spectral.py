@@ -6,7 +6,6 @@ small-m density s(m) = D*m with D fixed by the plasma frequency, damping,
 and number density. This module converts between the imaginary-frequency
 response h(K^2) and the density, and builds the thermal factors H (sharp
 pair), H0 (thermally smoothed pair), and the universal quartic integral I.
-Reduced units hbar = 1 unless a factor is passed explicitly.
 """
 
 import math
@@ -67,7 +66,7 @@ class LinearSpectralDensity:
 
 class TabulatedSpectralDensity:
     """Density sampled on a strictly increasing m grid; linear interpolation,
-    zero outside the support."""
+    zero outside the support, which ends at m_max."""
 
     def __init__(self, m, s):
         m = np.asarray(m, dtype=np.float64)
@@ -82,6 +81,7 @@ class TabulatedSpectralDensity:
             raise ValueError("density must be nonnegative (passivity)")
         self.m = m
         self.s = s
+        self.m_max = float(m[-1])
 
     is_linear = False
 
@@ -193,23 +193,23 @@ def drude_h_of_K2(p, K2):
     return val.real if val.imag == 0.0 else val
 
 
-def drude_D(p, hbar=1.0):
+def drude_D(p):
     """Low-frequency spectral slope of a Drude half-space:
-    D = hbar*nu/(rho*(pi*hbar*omega_p)^2)."""
-    return LinearSpectralDensity(hbar * p.nu / (p.rho * (np.pi * hbar * p.omega_p) ** 2))
+    D = nu/(rho*(pi*omega_p)^2)."""
+    return LinearSpectralDensity(p.nu / (p.rho * (np.pi * p.omega_p) ** 2))
 
 
-def thermal_H(omega1, omega2, alpha1, alpha2, beta, hbar=1.0):
+def thermal_H(omega1, omega2, alpha1, alpha2, beta):
     r"""Sharp-pair thermal factor.
 
-    H = hbar^2 w1 w2 a1 a2 / (4 sinh(b h w1/2) sinh(b h w2/2)); symmetric
+    H = w1 w2 a1 a2 / (4 sinh(b w1/2) sinh(b w2/2)); symmetric
     under exchange, dies exponentially at low temperature.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    x1 = beta * hbar * omega1 / 2.0
-    x2 = beta * hbar * omega2 / 2.0
-    return hbar**2 * omega1 * omega2 * alpha1 * alpha2 / (4.0 * np.sinh(x1) * np.sinh(x2))
+    x1 = beta * omega1 / 2.0
+    x2 = beta * omega2 / 2.0
+    return omega1 * omega2 * alpha1 * alpha2 / (4.0 * np.sinh(x1) * np.sinh(x2))
 
 
 def universal_I():
@@ -222,20 +222,23 @@ def universal_I():
     return 4.0 * np.pi**4 / 15.0
 
 
-def smoothed_H0(spec1, spec2, beta, hbar=1.0):
+def smoothed_H0(spec1, spec2, beta):
     r"""Thermally smoothed pair factor for two spectral densities.
 
     For linear densities without cutoff (slopes D1, D2):
 
-        H0 = (2 pi/(beta^4 hbar)) D1 D2 (4 pi^4/15)
+        H0 = (2 pi/beta^4) D1 D2 (4 pi^4/15)
 
     General densities integrate (pi beta/2) m^2 s1(m) s2(m)/sinh^2(beta m/2)
-    over m > 0, which the linear case reduces to exactly.
+    over m > 0, which the linear case reduces to exactly. The first
+    quadrature panel ends at 1/beta, or sooner where the product's support
+    ends. A non-finite integrand is float overflow or underflow and raises
+    FloatingPointError.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if spec1.is_linear and spec2.is_linear:
-        return (2.0 * np.pi / (beta**4 * hbar)) * spec1.D * spec2.D * universal_I()
+        return (2.0 * np.pi / beta**4) * spec1.D * spec2.D * universal_I()
 
     def integrand(m):
         if m == 0.0:
@@ -243,8 +246,9 @@ def smoothed_H0(spec1, spec2, beta, hbar=1.0):
         sh = np.sinh(beta * m / 2.0)
         val = m * m * float(spec1.density(m)) * float(spec2.density(m)) / (sh * sh)
         if not np.isfinite(val):
-            raise ValueError("non-integrable spectral product at m=%g" % m)
+            raise FloatingPointError("H0 integrand is not a finite float at m=%g" % m)
         return val
 
-    q = numerics.quad_semi_infinite(integrand, 0.0, tol=1e-12, panel_scale=1.0 / beta)
-    return (np.pi * beta / (2.0 * hbar)) * q.value
+    panel = min([1.0 / beta] + [s.m_max for s in (spec1, spec2) if s.m_max is not None])
+    q = numerics.quad_semi_infinite(integrand, 0.0, tol=1e-12, panel_scale=panel)
+    return (np.pi * beta / 2.0) * q.value

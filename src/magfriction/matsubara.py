@@ -57,11 +57,11 @@ def mode_free_energy(alpha, u, beta):
     return (2.0 * alpha * alpha / beta) * u * u / (u * u + 1.0) ** 2
 
 
-def free_energy(alpha, beta, hbar=1.0):
+def free_energy(alpha, beta):
     r"""Total induced free energy in closed form.
 
     The mode sum collapses through sum_n 1/(n^2 + a^2) = (pi/a) coth(pi a)
-    to F = (hbar*alpha^2/2) * (coth x - x/sinh^2 x) with x = beta*hbar/2.
+    to F = (alpha^2/2) * (coth x - x/sinh^2 x) with x = beta/2.
     Below x = 1e-2 the bracket is its series 2x/3 - 4x^3/45 + 4x^5/315
     (the direct form cancels there); above, it is written through
     e^{-2x} so that no term overflows as x grows.
@@ -72,7 +72,7 @@ def free_energy(alpha, beta, hbar=1.0):
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return 0.5 * hbar * alpha * alpha * free_energy_bracket(0.5 * beta * hbar)
+    return 0.5 * alpha * alpha * free_energy_bracket(0.5 * beta)
 
 
 def free_energy_bracket(x):
@@ -85,7 +85,7 @@ def free_energy_bracket(x):
     return (1.0 + e) / -em1 - 4.0 * x * e / (em1 * em1)
 
 
-def induced_free_energy(alpha, grid, hbar=1.0):
+def induced_free_energy(alpha, grid):
     r"""Total induced free energy: mode sum plus analytic tail.
 
     Modes n in [-n_max, n_max] are summed exactly (even in n, n=0 gives
@@ -110,8 +110,8 @@ def induced_free_energy(alpha, grid, hbar=1.0):
     a2 = alpha * alpha
     if a2 == 0.0:
         return 0.0
-    partial = _kernels.mode_sum(alpha, grid.beta, grid.n_max, hbar)
-    scale = grid.beta * hbar / (2.0 * np.pi)
+    partial = _kernels.mode_sum(alpha, grid.beta, grid.n_max)
+    scale = grid.beta / (2.0 * np.pi)
     pref = 2.0 * (2.0 * a2 / grid.beta)
     tail = pref * scale**2 * float(polygamma(1, grid.n_max + 1))
     bound = pref * scale**4 * 3.0 * float(polygamma(3, grid.n_max + 1)) / 6.0
@@ -120,6 +120,6 @@ def induced_free_energy(alpha, grid, hbar=1.0):
             "tail bound %.3e exceeds tail_tol %.3e; raise n_max" % (bound, grid.tail_tol)
         )
     # envelope bound needs the first dropped mode past the knee
-    if matsubara_frequency(grid.beta, grid.n_max + 1) / hbar < 1.0:
+    if matsubara_frequency(grid.beta, grid.n_max + 1) < 1.0:
         raise TruncationError("n_max truncates below u = 1; bound not certified")
     return partial + tail

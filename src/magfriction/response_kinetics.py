@@ -35,14 +35,14 @@ class OscState:
             raise ValueError("mass must be positive")
 
     @classmethod
-    def thermal(cls, omega, beta, mass=1.0, hbar=1.0):
-        """Equilibrium occupation 1/(exp(beta*hbar*omega) - 1)."""
-        n = 1.0 / np.expm1(beta * hbar * omega)
+    def thermal(cls, omega, beta, mass=1.0):
+        """Equilibrium occupation 1/(exp(beta*omega) - 1)."""
+        n = 1.0 / np.expm1(beta * omega)
         return cls(omega, float(n), mass)
 
     @property
     def occupation_factor(self):
-        """2<n> + 1, equal to coth(beta*hbar*omega/2) at equilibrium."""
+        """2<n> + 1, equal to coth(beta*omega/2) at equilibrium."""
         return 2.0 * self.n_mean + 1.0
 
 
@@ -95,19 +95,19 @@ def M_reduced(osc1, osc2, t):
     return 1j * w1 * w2 * (B - A) * np.sin((w1 - w2) * t)
 
 
-def coupling_D(osc1, osc2, hbar=1.0):
-    """The response prefactor hbar/(2 m1 m2 w1 w2)."""
-    return hbar / (2.0 * osc1.mass * osc2.mass * osc1.omega * osc2.omega)
+def coupling_D(osc1, osc2):
+    """The response prefactor 1/(2 m1 m2 w1 w2)."""
+    return 1.0 / (2.0 * osc1.mass * osc2.mass * osc1.omega * osc2.omega)
 
 
-def response_phi(osc1, osc2, t, D=None, hbar=1.0):
-    r"""Response function phi(t) = (1/(i hbar)) (hbar D/2) M_full(t).
+def response_phi(osc1, osc2, t, D=None):
+    r"""Response function phi(t) = (1/i) (D/2) M_full(t).
 
-    D defaults to hbar/(2 m1 m2 w1 w2) from the oscillator records. The
+    D defaults to 1/(2 m1 m2 w1 w2) from the oscillator records. The
     kernel is purely imaginary, so phi is real.
     """
     if D is None:
-        D = coupling_D(osc1, osc2, hbar)
+        D = coupling_D(osc1, osc2)
     val = (D / 2.0) * np.imag(M_full(osc1, osc2, t))
     return float(val) if np.isscalar(t) else val
 
@@ -132,25 +132,25 @@ def nascent_delta_cos_sin(omega1, omega2, eta):
     return 0.5 * (nascent_delta_g(omega1 + omega2, eta) - nascent_delta_g(omega1 - omega2, eta))
 
 
-def coth_difference_limit(beta, omega1, omega2, hbar=1.0):
-    r"""Occupation difference coth(b h w1/2) - coth(b h w2/2).
+def coth_difference_limit(beta, omega1, omega2):
+    r"""Occupation difference coth(b w1/2) - coth(b w2/2).
 
-    Near coincidence this tends to -(beta*hbar*(w1-w2)/2)/sinh^2(beta*hbar*w1/2):
+    Near coincidence this tends to -(beta*(w1-w2)/2)/sinh^2(beta*w1/2):
     negative for w2 < w1 since coth falls with frequency.
     """
     if beta <= 0.0 or omega1 <= 0.0 or omega2 <= 0.0:
         raise ValueError("beta and frequencies must be positive")
-    x1 = beta * hbar * omega1 / 2.0
-    x2 = beta * hbar * omega2 / 2.0
+    x1 = beta * omega1 / 2.0
+    x2 = beta * omega2 / 2.0
     return 1.0 / np.tanh(x1) - 1.0 / np.tanh(x2)
 
 
-def sharp_friction_amplitude(osc1, osc2, beta, G, hbar=1.0):
+def sharp_friction_amplitude(osc1, osc2, beta, G):
     r"""Friction amplitude for two sharp oscillators at matched frequency.
 
     The frequency-matching delta carries the finite prefactor
 
-        -pi * beta * hbar^2 * G / (8 m1 m2 sinh^2(beta hbar w1 / 2))
+        -pi * beta * G / (8 m1 m2 sinh^2(beta w1 / 2))
 
     with G the geometric gradient-squared factor contracted with velocity.
     Negative for G > 0: a braking force.
@@ -161,16 +161,16 @@ def sharp_friction_amplitude(osc1, osc2, beta, G, hbar=1.0):
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    x1 = beta * hbar * osc1.omega / 2.0
-    amp = -np.pi * beta * hbar * hbar * G / (8.0 * osc1.mass * osc2.mass * np.sinh(x1) ** 2)
+    x1 = beta * osc1.omega / 2.0
+    amp = -np.pi * beta * G / (8.0 * osc1.mass * osc2.mass * np.sinh(x1) ** 2)
     return DeltaCoefficient(float(amp), osc1.omega)
 
 
-def c_plus_minus(osc1, osc2, beta, H, hbar=1.0):
+def c_plus_minus(osc1, osc2, beta, H):
     r"""Two-sinusoid decomposition of the response function.
 
     phi(t) = C_minus sin(w_minus t) + C_plus sin(w_plus t) with
-    w_pm = |w1 +- w2| and C_pm = (w_mp/2)^2 (H/hbar) sinh(beta hbar w_pm/2),
+    w_pm = |w1 +- w2| and C_pm = (w_mp/2)^2 H sinh(beta w_pm/2),
     H the thermal pair factor. Exact for thermal occupations.
 
     Returns
@@ -182,20 +182,20 @@ def c_plus_minus(osc1, osc2, beta, H, hbar=1.0):
     w1, w2 = osc1.omega, osc2.omega
     w_plus = abs(w1 + w2)
     w_minus = abs(w1 - w2)
-    c_minus = (w_plus / 2.0) ** 2 * (H / hbar) * np.sinh(beta * hbar * w_minus / 2.0)
-    c_plus = (w_minus / 2.0) ** 2 * (H / hbar) * np.sinh(beta * hbar * w_plus / 2.0)
+    c_minus = (w_plus / 2.0) ** 2 * H * np.sinh(beta * w_minus / 2.0)
+    c_plus = (w_minus / 2.0) ** 2 * H * np.sinh(beta * w_plus / 2.0)
     return (float(c_minus), float(c_plus), w_minus, w_plus)
 
 
-def dissipation_J(omega_v, tau, spec1, spec2, hbar=1.0):
+def dissipation_J(omega_v, tau, spec1, spec2):
     r"""Zero-temperature dissipation integral for a driven pair of spectra.
 
     For linear spectral densities without cutoff (slopes D1, D2) the
     closed form is
-    J = 2 tau omega_v^6 (pi/120) hbar^3 D1 D2. General spectra are handled
+    J = 2 tau omega_v^6 (pi/120) D1 D2. General spectra are handled
     by quadrature of
 
-        2 pi tau |w_v| hbar * Int_0^W ((2w - W)/2)^2 s1(h w) s2(h(W-w)) dw
+        2 pi tau |w_v| * Int_0^W ((2w - W)/2)^2 s1(w) s2(W-w) dw
 
     over w in [0, W], W = |omega_v|, which the linear case reduces to
     exactly. tau is half the dissipation time and cancels in any exported
@@ -207,12 +207,10 @@ def dissipation_J(omega_v, tau, spec1, spec2, hbar=1.0):
     if W == 0.0:
         return 0.0
     if spec1.is_linear and spec2.is_linear:
-        return 2.0 * tau * W**6 * (np.pi / 120.0) * hbar**3 * spec1.D * spec2.D
+        return 2.0 * tau * W**6 * (np.pi / 120.0) * spec1.D * spec2.D
 
     def integrand(w):
-        return ((2.0 * w - W) / 2.0) ** 2 * spec1.density(hbar * w) * spec2.density(
-            hbar * (W - w)
-        )
+        return ((2.0 * w - W) / 2.0) ** 2 * spec1.density(w) * spec2.density(W - w)
 
     res = numerics.quad_finite(integrand, 0.0, W, tol=1e-12)
-    return 2.0 * np.pi * tau * W * hbar * res.value
+    return 2.0 * np.pi * tau * W * res.value

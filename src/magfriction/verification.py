@@ -425,15 +425,15 @@ def check_coth_limit():
     return _ok(abs(diff / limit - 1.0), 1e-4, "ratio-1")
 
 
-def sharp_amplitude_via_pipeline(osc1, osc2, beta, G, hbar=1.0):
+def sharp_amplitude_via_pipeline(osc1, osc2, beta, G):
     """Assemble the sharp friction amplitude from the finite-eta kernels
     and extrapolate eta -> 0; independent of the closed form."""
     w1 = osc1.omega
 
     def amplitude_at(eta):
         def integrand(w2):
-            o2 = response_kinetics.OscState.thermal(w2, beta, mass=osc2.mass, hbar=hbar)
-            d = response_kinetics.coupling_D(osc1, o2, hbar)
+            o2 = response_kinetics.OscState.thermal(w2, beta, mass=osc2.mass)
+            d = response_kinetics.coupling_D(osc1, o2)
             ba = o2.occupation_factor - osc1.occupation_factor
             return (
                 -G
@@ -862,7 +862,7 @@ def check_suppression_factors():
 
 def check_unit_round_trip():
     ff = _forces()
-    units = ff.UnitContext.gaussian_cgs(length_scale=1e-7)
+    units = ff.UnitContext(1e-7)
     g = SlabGeometry(1.0, 1.0, 1.0)
     rep = ff.finite_T_slab_force(g, 1e-3, 1.0, 1.0, 1.0)
     phys = ff.to_physical_units(rep, units)

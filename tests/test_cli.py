@@ -138,6 +138,12 @@ ONE_SHOT_FAILURES = [
      "error: zero-temperature slabs take no temperature input"),
     (["friction", "pair", "--d", 1, "--beta", 1, "--temperature-kelvin", 300, "--v", 1,
       "--D1", 1, "--D2", 1], 3, "error: give either --beta or --temperature-kelvin, not both"),
+    (["friction", "pair", "--d", 1, "--beta", 1, "--D1", 1, "--D2", 1, "--v", "-inf"], 1,
+     "invalid input: --v must be finite, got -inf"),
+    # the squared sinh underflows at this temperature: a float failure, not bad input
+    (["friction", "pair", "--d", 1, "--beta", 1e-200, "--v", 1, "--D2", 1,
+      "--spectrum-file-1", "{file}"], 2,
+     "numerical failure: H0 integrand is not a finite float at m=1"),
 ]
 
 
@@ -155,6 +161,24 @@ def test_tiny_separation_is_one_line_without_numpy_warnings():
                      "--beta", "1", "--v", "1", "--D1", "1", "--D2", "1")
     assert (out.returncode, out.stdout) == (2, b"")
     assert out.stderr == b"numerical failure: a computed value is not finite\n"
+
+
+def test_negative_exponent_value_as_separate_argument(cli):
+    head = ["friction", "pair", "--d", 1, "--beta", 1, "--D1", 1, "--D2", 1]
+    joined = cli(*head, "--v=-1e-05")
+    assert joined[0] == 0
+    assert cli(*head, "--v", "-1e-05") == joined
+
+
+def test_hot_tabulated_pair_is_not_zero(cli, tmp_path):
+    # 1/beta lies far past the support [0, 8] of the ramp
+    m = np.linspace(0.0, 8.0, 41)
+    path = _write(tmp_path / "ramp.txt", "".join("%.17g %.17g\n" % (x, 0.5 * x) for x in m))
+    code, out = cli("friction", "pair", "--units", "gaussian", "--d", 1,
+                    "--temperature-kelvin", 2500, "--v", 1e-3, "--D2", 1,
+                    "--spectrum-file-1", path)
+    assert code == 0
+    assert float(_column(out, "force")[0]) < 0.0
 
 
 def test_unknown_flag_is_config_error(cli):
@@ -223,8 +247,10 @@ def _draw_params(draw, names, temperature, spectra, axes=()):
     values = {name: draw(POSITIVE) for name in names}
     for name in draw(st.lists(st.sampled_from(FLOAT_PARAMS), max_size=3)):
         values[name] = draw(st.one_of(st.none(), MAGNITUDE))
-    # --name=value, so that argparse takes a value like -1e-05 for a value
-    return argv + ["--%s=%s" % item for item in values.items() if item[1] is not None]
+    for name, value in values.items():
+        if value is not None:
+            argv += draw(st.sampled_from([["--%s=%s" % (name, value)], ["--" + name, value]]))
+    return argv
 
 
 @st.composite

@@ -8,6 +8,9 @@ import pytest
 from conftest import assert_check
 from magfriction import verification
 from magfriction.friction_forces import (
+    CGS_C,
+    CGS_HBAR,
+    CGS_KB,
     UnitContext,
     finite_T_slab_force,
     pair_force_sharp,
@@ -178,16 +181,9 @@ def test_force_signs_randomized():
     assert_check(verification.check_force_signs, draws=200)
 
 
-def test_identity_context_is_identity():
-    rep = finite_T_slab_force(SLAB, 1e-3, 1.0, 1.0, 1.0)
-    out = to_physical_units(rep, UnitContext.reduced())
-    assert out.force == rep.force
-    assert out.intermediates == rep.intermediates
-
-
 def test_unit_round_trip():
     assert_check(verification.check_unit_round_trip)
-    units = UnitContext.gaussian_cgs(length_scale=2.5e-7)
+    units = UnitContext(2.5e-7)
     rep = zero_T_slab_force(SLAB, 1e-3, 0.5, 0.5)
     back = to_reduced_units(to_physical_units(rep, units), units)
     assert abs(back.force - rep.force) <= 1e-14 * abs(rep.force)
@@ -197,13 +193,31 @@ def test_slab_force_density_scaling():
     # a force per unit area carries (energy, length^-3): halving the length
     # anchor scales the conversion by 2^4 (energy anchor hbar*c/L rises too)
     rep = finite_T_slab_force(SLAB, 1e-3, 1.0, 1.0, 1.0)
-    a = to_physical_units(rep, UnitContext.gaussian_cgs(length_scale=1.0e-6)).force
-    b = to_physical_units(rep, UnitContext.gaussian_cgs(length_scale=0.5e-6)).force
+    a = to_physical_units(rep, UnitContext(1.0e-6)).force
+    b = to_physical_units(rep, UnitContext(0.5e-6)).force
     assert abs(a / b - 2.0**-4) <= 1e-12
 
 
+@pytest.mark.parametrize("L", [1.0, 2.5e-7])
+def test_unit_context_is_gaussian_cgs(L):
+    # the one setting is the length scale; hbar, c and k_B are the CGS values
+    units = UnitContext(L)
+    energy, time = CGS_HBAR * CGS_C / L, L / CGS_C
+    assert units.energy_scale == energy
+    assert units.time_scale == time
+    assert units.factor((1, -3, 0)) == energy * L**-3
+    assert units.factor((0, -8, 2)) == L**-8 * time**2
+    assert units.beta_from_kelvin(300.0) == energy / (CGS_KB * 300.0)
+
+
+def test_unit_context_needs_positive_length():
+    for L in (0.0, -1e-7):
+        with pytest.raises(ValueError, match="length_scale must be positive"):
+            UnitContext(L)
+
+
 def test_beta_kelvin_round_trip():
-    units = UnitContext.gaussian_cgs(length_scale=1.0)
+    units = UnitContext(1.0)
     beta = units.beta_from_kelvin(300.0)
     assert abs(units.kelvin_from_beta(beta) - 300.0) <= 1e-10
 

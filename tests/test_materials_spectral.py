@@ -125,6 +125,23 @@ def test_smoothed_H0_quadrature_route():
     assert_check(verification.check_H0_quadrature)
 
 
+@pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6])
+def test_smoothed_H0_hot_tabulated_matches_split_quad(beta):
+    # at these temperatures 1/beta lies far past the support [0, 8]; the
+    # reference integrates the support alone, split at the grid points
+    from scipy.integrate import quad
+
+    m = np.linspace(0.0, 8.0, 41)
+    s1, s2 = TabulatedSpectralDensity(m, 0.5 * m), LinearSpectralDensity(1.0)
+
+    def integrand(x):
+        return x * x * float(s1.density(x)) * float(s2.density(x)) / np.sinh(beta * x / 2.0) ** 2
+
+    ref, _ = quad(integrand, 0.0, 8.0, points=m[1:-1], epsabs=0.0, epsrel=1e-13, limit=200)
+    ref *= np.pi * beta / 2.0
+    assert abs(smoothed_H0(s1, s2, beta) - ref) <= 1e-12 * ref
+
+
 def test_smoothed_H0_positive_and_decaying():
     s = LinearSpectralDensity(0.3)
     vals = [smoothed_H0(s, s, b) for b in (0.5, 1.0, 4.0, 16.0)]

@@ -113,13 +113,6 @@ def test_closed_form_limits():
     assert np.isfinite(tiny) and tiny > 0.0
 
 
-def test_closed_form_hbar_matches_mode_sum():
-    # hbar enters the modes as u = 2 pi n/(beta hbar); the closed form must follow
-    for hbar in (0.5, 2.0):
-        grid = MatsubaraGrid(beta=3.0, n_max=200_000, tail_tol=1e-10)
-        assert abs(free_energy(0.4, 3.0, hbar) - induced_free_energy(0.4, grid, hbar)) <= 1e-9
-
-
 def test_closed_form_against_mode_sum():
     assert_check(verification.check_free_energy_closed_form)
 

@@ -93,7 +93,7 @@ def _reference_row(target, p):
     Gaussian units."""
     ctx = None
     if p.get("units") == "gaussian":
-        ctx = friction_forces.UnitContext.gaussian_cgs(length_scale=1.0)
+        ctx = friction_forces.UnitContext(1.0)
     if "temperature-kelvin" in p:
         beta = ctx.beta_from_kelvin(float(p["temperature-kelvin"]))
     elif "beta" in p:
