@@ -16,6 +16,7 @@ two-column text (m, density) in reduced units regardless of --units.
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -137,7 +138,10 @@ def _add_common(parser):
     parser.add_argument("--config", type=str, default=None)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it as
+    it was (argparse copies the --axis append default before appending)."""
     parser = _Parser(prog="magfriction")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("eigen", "free-energy", "fields"):
@@ -162,13 +166,39 @@ def _build_parser():
     return parser
 
 
+# the long flags of a command: _add_common's, and those of the commands
+# that take more, keyed by command word
+_COMMON_FLAGS = tuple("--" + flag for flag, _ in _PARAMS) + (
+    "--units", "--seed", "--workers", "--out", "--json", "--config", "--help",
+)
+_EXTRA_FLAGS = {
+    "slabs": ("--temperature",),
+    "sweep": ("--target", "--axis", "--max-points"),
+    "verify": ("--suite",),
+}
+
+
 def _attach_float_values(argv):
     """argv with each float flag joined to its value as --flag=value; argparse
-    reads a separate value such as -1e-05 or -inf as a flag of its own."""
+    reads a separate value such as -1e-05 or -inf as a flag of its own.
+
+    A flag counts by its full name or, as argparse's allow_abbrev reads it,
+    by a prefix of no other flag of the command; an ambiguous prefix is
+    left for argparse to refuse.
+    """
+    words = itertools.takewhile(lambda arg: not arg.startswith("-"), argv)
+    flags = _COMMON_FLAGS + tuple(itertools.chain(*(_EXTRA_FLAGS.get(w, ()) for w in words)))
     floats = {"--" + flag for flag, typ in _PARAMS if typ is float}
+
+    def is_float_flag(arg):
+        if not arg.startswith("--") or arg in flags:
+            return arg in floats
+        named = [flag for flag in flags if flag.startswith(arg)]
+        return len(named) == 1 and named[0] in floats
+
     out = []
     for arg in argv:
-        if out and out[-1] in floats:
+        if out and is_float_flag(out[-1]):
             with contextlib.suppress(ValueError):
                 float(arg)
                 out[-1] += "=" + arg

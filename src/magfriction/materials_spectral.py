@@ -8,6 +8,7 @@ response h(K^2) and the density, and builds the thermal factors H (sharp
 pair), H0 (thermally smoothed pair), and the universal quartic integral I.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -222,6 +223,24 @@ def universal_I():
     return 4.0 * np.pi**4 / 15.0
 
 
+# the H0 integrand's support is cut at beta*m = 700: 1/sinh^2(beta m/2) is
+# 4e-304 there and underflows soon after
+_H0_CUTOFF = 700.0
+# bound on the segments' summed |Q8 - Q16|, relative to the 16-point sum
+_H0_RTOL = 1e-10
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only;
+    numpy.polynomial loads on first use, not with this module."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def smoothed_H0(spec1, spec2, beta):
     r"""Thermally smoothed pair factor for two spectral densities.
 
@@ -230,25 +249,55 @@ def smoothed_H0(spec1, spec2, beta):
         H0 = (2 pi/beta^4) D1 D2 (4 pi^4/15)
 
     General densities integrate (pi beta/2) m^2 s1(m) s2(m)/sinh^2(beta m/2)
-    over m > 0, which the linear case reduces to exactly. The first
-    quadrature panel ends at 1/beta, or sooner where the product's support
-    ends. A non-finite integrand is float overflow or underflow and raises
+    over m > 0, which the linear case reduces to exactly. The product's
+    support ends at the smaller m_max and is cut at beta*m = 700. It is
+    split at 0, both tabulated grids and the support end, where the
+    interpolated densities have kinks, and every segment longer than
+    1/beta is split evenly, so the poles of 1/sinh^2, 2 pi/beta off the
+    real axis, lie at least 2 pi segment lengths away. Each segment takes
+    8- and 16-point Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23,
+    221 (1969)): H0 is the 16-point sum, and QuadratureError is raised
+    when the segments' |Q8 - Q16| add up to more than 1e-10 of it. A
+    non-finite integrand is float overflow or underflow and raises
     FloatingPointError.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if spec1.is_linear and spec2.is_linear:
         return (2.0 * np.pi / beta**4) * spec1.D * spec2.D * universal_I()
-
-    def integrand(m):
-        if m == 0.0:
-            return 0.0
+    specs = (spec1, spec2)
+    end = min([_H0_CUTOFF / beta] + [s.m_max for s in specs if s.m_max is not None])
+    knots = [[0.0, end]]
+    for s in specs:
+        if isinstance(s, TabulatedSpectralDensity):
+            knots.append(s.m)
+        elif s.m_max is not None:
+            knots.append([s.m_max])
+    knots = np.unique(np.concatenate(knots))
+    knots = knots[knots <= end]
+    widths = np.diff(knots)
+    pieces = np.maximum(np.ceil(widths * beta), 1.0).astype(np.int64)
+    # segment i becomes pieces[i] segments of width step; k counts them from 0
+    segment = np.repeat(np.arange(len(widths)), pieces)
+    k = np.arange(len(segment)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = (widths / pieces)[segment]
+    half = step / 2.0
+    mid = knots[segment] + (k + 0.5) * step
+    (x8, w8), (x16, w16) = _gauss_legendre(8), _gauss_legendre(16)
+    m = np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x8, x16)])
+    with np.errstate(all="ignore"):
         sh = np.sinh(beta * m / 2.0)
-        val = m * m * float(spec1.density(m)) * float(spec2.density(m)) / (sh * sh)
-        if not np.isfinite(val):
-            raise FloatingPointError("H0 integrand is not a finite float at m=%g" % m)
-        return val
-
-    panel = min([1.0 / beta] + [s.m_max for s in (spec1, spec2) if s.m_max is not None])
-    q = numerics.quad_semi_infinite(integrand, 0.0, tol=1e-12, panel_scale=panel)
-    return (np.pi * beta / 2.0) * q.value
+        f = m * m * spec1.density(m) * spec2.density(m) / (sh * sh)
+    bad = ~np.isfinite(f)
+    if bad.any():
+        raise FloatingPointError("H0 integrand is not a finite float at m=%g" % m[bad.argmax()])
+    n8 = 8 * len(mid)
+    q8 = half * (f[:n8].reshape(-1, 8) @ w8)
+    q16 = half * (f[n8:].reshape(-1, 16) @ w16)
+    total = float(np.sum(q16))
+    err = float(np.sum(np.abs(q8 - q16)))
+    if err > _H0_RTOL * abs(total):
+        raise numerics.QuadratureError(
+            "H0 rule did not converge: |Q8 - Q16| = %g against %g" % (err, total)
+        )
+    return (np.pi * beta / 2.0) * total

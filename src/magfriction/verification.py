@@ -7,6 +7,8 @@ stated tolerance. The CLI `verify` subcommand and the test suite both run
 these.
 """
 
+import math
+
 import numpy as np
 
 from magfriction import (
@@ -589,6 +591,52 @@ def check_tabulated_sharp_line():
     return _ok(worst, 1e-6, "rel")
 
 
+def _H0_by_segments(spec1, spec2, beta):
+    """H0 by adaptive quadrature between consecutive grid points of both
+    densities, up to the end of their product's support. On each segment
+    a density is linear: the line through its values at the thirds."""
+    end = min(s.m_max for s in (spec1, spec2) if s.m_max is not None)
+    grid = {float(x) for s in (spec1, spec2) for x in getattr(s, "m", ()) if x < end}
+    knots = sorted(grid | {0.0, end})
+    total = 0.0
+    for a, b in zip(knots, knots[1:]):
+        t1, t2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+        lines = []
+        for s in (spec1, spec2):
+            y1, y2 = (float(y) for y in s.density(np.array([t1, t2])))
+            slope = (y2 - y1) / (t2 - t1)
+            lines.append((y1 - slope * t1, slope))
+        (c1, k1), (c2, k2) = lines
+
+        def integrand(m):
+            sh = math.sinh(beta * m / 2.0)
+            return m * m * (c1 + k1 * m) * (c2 + k2 * m) / (sh * sh)
+
+        total += numerics.quad_finite(integrand, a, b, tol=1e-13).value
+    return np.pi * beta / 2.0 * total
+
+
+def check_tabulated_H0_rule():
+    T = materials_spectral.TabulatedSpectralDensity
+    m = np.linspace(0.0, 8.0, 41)
+    ramp = T(m, 0.5 * m)
+    bump = T(m, m * np.exp(-((m - 2.0) ** 2) / 4.0))
+    # a second grid, offset from the first, whose density jumps at its first point
+    m2 = np.linspace(0.5, 6.5, 25)
+    shifted = T(m2, np.exp(-m2 / 3.0))
+    cases = [
+        (ramp, materials_spectral.LinearSpectralDensity(1.0), 2.0),
+        (bump, materials_spectral.LinearSpectralDensity(2.0), 1.0),
+        (ramp, shifted, 1.5),
+        (ramp, materials_spectral.LinearSpectralDensity(1.0), 1e-4),
+    ]
+    worst = 0.0
+    for s1, s2, beta in cases:
+        ref = _H0_by_segments(s1, s2, beta)
+        worst = max(worst, abs(materials_spectral.smoothed_H0(s1, s2, beta) - ref) / ref)
+    return _ok(worst, 1e-12, "rel")
+
+
 # ---------------------------------------------------------------- geometry
 
 
@@ -929,6 +977,7 @@ SUITES = {
         Check("universal integral routes", check_universal_I_routes),
         Check("smoothed H0 quadrature", check_H0_quadrature),
         Check("tabulated sharp line", check_tabulated_sharp_line),
+        Check("tabulated H0 fixed rule", check_tabulated_H0_rule),
     ],
     "geometry": [
         Check("psi dual form", check_psi_dual_form),

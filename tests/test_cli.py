@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output format, reproducibility."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magfriction
-from magfriction import cli as cli_module
+from magfriction import cli as cli_module, friction_forces
 
 SLABS_UNIT = [
     "friction", "slabs", "--temperature", "finite",
@@ -83,6 +84,10 @@ EXIT_CASES = [
     # positive d whose square underflows: 1/d^6 is not a float
     (["friction", "pair", "--d", 1e-200, "--beta", 1, "--v", 1, "--D1", 1, "--D2", 1], 2),
     (["fields", "--d", 1e-200], 2),
+    # an abbreviated float flag takes a separate value; an ambiguous one does not
+    (["eigen", "--alph", "-1e-05"], 1),
+    (["friction", "pair", "--d", 1, "--beta", 1, "--v", 1, "--D1", 1, "--D", "-1e-05"], 3),
+    (SLABS_UNIT[:6] + ["--rho", "-1e-05"] + SLABS_UNIT[8:], 3),
 ]
 
 
@@ -143,7 +148,7 @@ ONE_SHOT_FAILURES = [
     # the squared sinh underflows at this temperature: a float failure, not bad input
     (["friction", "pair", "--d", 1, "--beta", 1e-200, "--v", 1, "--D2", 1,
       "--spectrum-file-1", "{file}"], 2,
-     "numerical failure: H0 integrand is not a finite float at m=1"),
+     "numerical failure: H0 integrand is not a finite float at m=0.0198551"),
 ]
 
 
@@ -179,6 +184,78 @@ def test_hot_tabulated_pair_is_not_zero(cli, tmp_path):
                     "--spectrum-file-1", path)
     assert code == 0
     assert float(_column(out, "force")[0]) < 0.0
+
+
+def _split_quad_H0(m, s, D2, beta):
+    """H0 of a tabulated side 1 (grid m, density s) and a slope D2 on side 2,
+    by adaptive quadrature split at the grid points."""
+    from scipy.integrate import quad
+
+    def integrand(x):
+        return x * x * np.interp(x, m, s) * D2 * x / np.sinh(beta * x / 2.0) ** 2
+
+    value, _ = quad(integrand, 0.0, m[-1], points=m[1:-1], epsabs=0.0, epsrel=1e-13, limit=200)
+    return np.pi * beta / 2.0 * value
+
+
+def test_tabulated_bump_pair_converges(cli, tmp_path):
+    # the interpolant's kinks at the grid points once stopped the adaptive
+    # route at beta = 1 ("panel [3, 7] did not converge")
+    m = np.linspace(0.0, 8.0, 41)
+    s = m * np.exp(-((m - 2.0) ** 2) / 4.0)
+    path = _write(tmp_path / "bump.txt", "".join("%.17g %.17g\n" % p for p in zip(m, s)))
+    code, out = cli("friction", "pair", "--d", 1, "--beta", 1, "--v", 1e-3, "--D2", 2,
+                    "--spectrum-file-1", path)
+    assert code == 0
+    ref = _split_quad_H0(m, s, 2.0, 1.0)
+    assert abs(float(_column(out, "H0")[0]) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_small_tabulated_H0_is_relatively_accurate(cli, tmp_path, beta):
+    # --D2 1 in Gaussian units is a reduced slope of ~3e-17, so H0 is far
+    # below 1; an absolute tolerance once left it off by 75%
+    m = np.linspace(0.0, 8.0, 41)
+    path = _write(tmp_path / "ramp.txt", "".join("%.17g %.17g\n" % (x, 0.5 * x) for x in m))
+    code, out = cli("friction", "pair", "--units", "gaussian", "--d", 1, "--beta", beta,
+                    "--v", 1e-3, "--D2", 1, "--spectrum-file-1", path)
+    assert code == 0
+    ctx = friction_forces.UnitContext(1.0)
+    D2 = 1.0 / ctx.factor(friction_forces.INPUT_DIM["D2"])
+    ref = _split_quad_H0(m, 0.5 * m, D2, beta)
+    ref *= ctx.factor(friction_forces.intermediate_dim("H0", "pair-smoothed"))
+    assert abs(float(_column(out, "H0")[0]) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("head", [["eigen"], ["friction", "pair"], ["sweep", "--target", "eigen"]])
+def test_abbreviated_float_flag_takes_separate_value(cli, capsys, head):
+    # every prefix of every float flag: a separate value reads as the joined
+    # one, and an ambiguous prefix is refused either way
+    for flag in FLOAT_PARAMS:
+        for end in range(1, len(flag) + 1):
+            prefix = "--" + flag[:end]
+            joined = cli(*head, prefix + "=-1e-05"), capsys.readouterr().err
+            separate = cli(*head, prefix, "-1e-05"), capsys.readouterr().err
+            assert separate[0] == joined[0], prefix
+            if "ambiguous option" not in joined[1]:
+                assert separate[1] == joined[1], prefix
+
+
+def test_flag_table_matches_parser():
+    # _attach_float_values resolves abbreviations against this table
+    def commands(parser, path=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+            return
+        for name, sub in subs[0].choices.items():
+            yield from commands(sub, path + (name,))
+
+    for path, parser in commands(cli_module._build_parser()):
+        flags = {f for a in parser._actions for f in a.option_strings if f.startswith("--")}
+        table = set(cli_module._COMMON_FLAGS)
+        table.update(f for word in path for f in cli_module._EXTRA_FLAGS.get(word, ()))
+        assert flags == table, path
 
 
 def test_unknown_flag_is_config_error(cli):
@@ -629,15 +706,58 @@ def test_closed_form_commands_load_no_scipy():
     assert scipy == []
 
 
-def test_tabulated_pair_loads_quadrature(tmp_path):
+def test_tabulated_commands_load_no_scipy(tmp_path):
+    # a tabulated H0 takes a fixed Gauss-Legendre rule, not scipy's adaptive quadrature
     grid = np.linspace(0.0, 40.0, 400)
     path = _write(tmp_path / "s.txt", "".join("%.17g %.17g\n" % (w, 0.25 * w) for w in grid))
     codes, scipy = _modules_after([
         ["friction", "pair", "--d", 2, "--beta", 1, "--v", 1e-3, "--D2", 1,
          "--spectrum-file-1", path],
+        ["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2, "--v", 1e-3,
+         "--D1", 1, "--spectrum-file-2", path],
     ])
-    assert codes == [0]
-    assert "scipy.integrate" in scipy
+    assert codes == [0, 0]
+    assert scipy == []
+
+
+# runs several commands through one process's main; prints each exit code,
+# stdout, stderr and --out file, and how often the parser was built
+_ONE_PROCESS = """
+import contextlib, io, json, sys
+from magfriction import cli
+runs = []
+for argv, out in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    runs.append([code, stdout.getvalue(), stderr.getvalue(), open(out).read() if out else None])
+print(json.dumps([runs, cli._build_parser.cache_info().misses]))
+"""
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path):
+    ramp = _write(tmp_path / "ramp.txt", "".join("%.17g %.17g\n" % (w, 0.25 * w)
+                                                 for w in np.linspace(0.0, 40.0, 81)))
+    out = str(tmp_path / "sweep.csv")
+    commands = [
+        (["sweep", "--target", "friction-pair", "--axis", "d:1:2:3", "--axis", "v:1e-3:1e-2:2:log",
+          "--beta", "2", "--D1", "1", "--D2", "1"], None),
+        (["sweep", "--target", "friction-pair", "--axis", "beta:1:3:2", "--d", "1", "--v", "1e-3",
+          "--D2", "1", "--spectrum-file-1", ramp, "--out", out], out),
+        (["eigen", "--alpha", "0.75"], None),
+        (["friction", "slabs", "--temperature", "zero", "--d", "1", "--rho1", "1", "--rho2", "1",
+          "--D1", "1", "--D2", "1", "--v", "0.01"], None),
+        (["eigen", "--alpha", "-1"], None),
+        (["eigen", "--bogus", "1"], None),
+        (["free-energy", "--alpha", "0.1", "--beta", "10"], None),
+    ]
+    runs, builds = json.loads(_run_child("-c", _ONE_PROCESS, json.dumps(commands)).stdout)
+    assert builds == 1
+    for (argv, path), run in zip(commands, runs):
+        fresh = _run_child("-m", "magfriction.cli", *argv)
+        expected = [fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode(),
+                    Path(path).read_text() if path else None]
+        assert run == expected, argv
 
 
 def test_console_script_registered():
