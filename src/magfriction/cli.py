@@ -823,11 +823,14 @@ class _Table:
 
 
 def _float_text(col):
-    """repr of every value, computed once per distinct bit pattern (so -0.0
-    and 0.0 stay apart); a list of one string per row."""
+    """repr of every value, a list of one string per row. A column with
+    repeated values formats each distinct bit pattern once (so -0.0 and 0.0
+    stay apart) and spreads the texts over the rows in one take."""
     _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
-    text = [repr(x) for x in col[first].tolist()]
-    return [text[k] for k in inverse.reshape(-1).tolist()]
+    if len(first) == len(col):
+        return list(map(repr, col.tolist()))
+    text = np.array(list(map(repr, col[first].tolist())), dtype=object)
+    return text[inverse.reshape(-1)].tolist()
 
 
 _CHUNK_ROWS = 4096
@@ -869,10 +872,17 @@ def _emit(cfg, table):
     ]
     head = "\n".join(meta) + "\n"
     n = len(table)
-    text = [
-        cells if isinstance(cells, str) else _float_text(cells)
-        for _, cells in table.columns
-    ]
+    # one text list per column object: an axis column and an input that
+    # echoes it unchanged are one array, and every array outlives this
+    # call, so no id is reused
+    texts = {}
+    text = []
+    for _, cells in table.columns:
+        if not isinstance(cells, str):
+            if id(cells) not in texts:
+                texts[id(cells)] = _float_text(cells)
+            cells = texts[id(cells)]
+        text.append(cells)
     csv_rows = map(",".join, zip(*(
         itertools.repeat(t, n) if isinstance(t, str) else t for t in text
     )))
@@ -893,13 +903,10 @@ def _emit(cfg, table):
             "rows": "\0",
         }
         head, tail = json.dumps(doc, sort_keys=True, indent=2).rsplit('"\\u0000"', 1)
-        json_rows = (
-            "    [\n      %s\n    ]" % ",\n      ".join(cells)
-            for cells in zip(*(
-                itertools.repeat(json.dumps(t), n) if isinstance(t, str) else t
-                for t in text
-            ))
-        )
+        json_rows = map("    [\n      {}\n    ]".format, map(",\n      ".join, zip(*(
+            itertools.repeat(json.dumps(t), n) if isinstance(t, str) else t
+            for t in text
+        ))))
         with _output_file(cfg.json_out) as fh:
             _write_rows(fh, head + "[\n", json_rows, ",\n", "\n  ]" + tail + "\n")
 

@@ -277,12 +277,12 @@ def check_mode_average_lattice():
 
     beta, N = 2.0 * np.pi, 10_000
     eps = beta / N
-    main = np.full(N, 2.0 / eps + eps)
-    off = np.full(N - 1, -1.0 / eps)
-    A = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    A[0, N - 1] = -1.0 / eps
-    A[N - 1, 0] = -1.0 / eps
-    A = A.tocsc()
+    # tridiagonal, and the periodic corners as the diagonals +-(N - 1)
+    off = -1.0 / eps
+    A = scipy.sparse.diags(
+        [[off], off, 2.0 / eps + eps, off, [off]], [1 - N, -1, 0, 1, N - 1],
+        shape=(N, N), format="csc",
+    )
     worst = 0.0
     for n in (1, 3):
         K = matsubara.matsubara_frequency(beta, n)

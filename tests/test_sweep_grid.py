@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magfriction import friction_forces, geometry_coupling, materials_spectral
-from magfriction import matsubara, oscillator_pair
+from magfriction import cli as cli_module, friction_forces, geometry_coupling
+from magfriction import materials_spectral, matsubara, oscillator_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,3 +213,39 @@ def test_failing_sweep_reports_its_first_failing_point(cli, capsys, axes, messag
                     "--D2", 1, "--v", 1, "--beta", 1)
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == message
+
+
+def test_sweep_past_one_output_chunk(cli, tmp_path):
+    # rows are written _CHUNK_ROWS at a time; 5000 rows take two chunks
+    args = ["sweep", "--target", "eigen", "--axis", "alpha:0:3:5000"]
+    assert 5000 > cli_module._CHUNK_ROWS
+    code, out = cli(*args)
+    assert code == 0
+    csv_path, json_path = tmp_path / "e.csv", tmp_path / "e.json"
+    code, _ = cli(*args, "--out", csv_path, "--json", json_path)
+    assert code == 0
+    assert csv_path.read_bytes() == out.encode()
+    text = json_path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    header, *rows = _data_rows(out)
+    assert len(rows) == len(doc["rows"]) == 5000
+    axis, alpha = header.index("sweep_alpha"), header.index("alpha")
+    assert [row[axis] for row in rows] == [row[alpha] for row in rows]
+
+
+_RNG = np.random.default_rng(7)
+_SIGNED_ZEROS = np.where(_RNG.permutation(50) < 25, -0.0, 0.0)
+FLOAT_COLUMNS = {
+    "all-distinct": _RNG.standard_normal(1000) * 10.0 ** _RNG.integers(-300, 300, 1000),
+    "100-distinct-tiled": np.tile(_RNG.uniform(-1.0, 1.0, 100), 100),
+    "signed-zeros": np.concatenate([_SIGNED_ZEROS, _RNG.choice([1.5, -2.0], 50)]),
+    "subnormals": _RNG.choice([5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e-310, 0.0], 200),
+    "one-row": np.array([0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_COLUMNS))
+def test_float_text_is_repr_of_every_value(name):
+    col = FLOAT_COLUMNS[name]
+    assert cli_module._float_text(col) == [repr(x) for x in col.tolist()]
