@@ -40,6 +40,11 @@ SWEEPS = {
                     "--omega-p", "9", "--nu", "0.1", "--D1", "1"],
     "slabs_finite": ["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3",
                      "--axis", "beta:0.5:50:3:log", *SLAB, "--v", "1e-3"],
+    # four axes over three parameters: the later d axis replaces the earlier
+    # one and the v axis replaces the fixed --v
+    "slabs_finite_3d": ["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3",
+                        "--axis", "beta:0.5:50:3:log", "--axis", "v:-2e-3:2e-3:3",
+                        "--axis", "d:1:2:2", *SLAB, "--v", "5e-4"],
     "slabs_zero_gaussian": ["--target", "friction-slabs-zero", "--units", "gaussian",
                             "--axis", "d:1e-7:1e-5:3:log", "--axis", "v:1:1000:3:log",
                             "--rho1", "1e22", "--rho2", "1e22",
