@@ -290,9 +290,9 @@ def _parse_axis(spec):
     elif len(parts) == 5:
         if lo <= 0.0 or hi <= 0.0:
             raise CliError(EXIT_CONFIG, "log axis %r needs positive bounds" % spec)
-        values = tuple(float(x) for x in np.geomspace(lo, hi, steps))
+        values = tuple(np.geomspace(lo, hi, steps).tolist())
     else:
-        values = tuple(float(x) for x in np.linspace(lo, hi, steps))
+        values = tuple(np.linspace(lo, hi, steps).tolist())
     return SweepAxis(name, values, spec)
 
 
@@ -374,20 +374,24 @@ def _run_fields(cfg):
         rho = cfg.rho1 if cfg.rho1 is not None else 1.0
         g_h = geometry_coupling.G_halfspace(geometry_coupling.PlaneGeometry(cfg.z0, rho))
         cells += [("z0", cfg.z0), ("rho1", rho), ("g_halfspace", g_h)]
-    return _Table([(name, np.array([float(value)])) for name, value in cells], 1)
+    return _Table([(name, np.array([float(value)])) for name, value in cells], (1,))
 
 
 # --- whole-grid evaluation ------------------------------------------------
 #
-# A target is evaluated once over flat parameter columns, one element per
-# point: a sweep's grid, or a single point for a one-shot command. Array
-# arithmetic keeps to the correctly rounded operations (+ - * / sqrt);
-# every power goes through Python's float **, and every other scalar
-# function through the function itself, once per distinct argument. So
-# each value is bit for bit the library's scalar closed form at that
-# point (friction_forces, oscillator_pair, matsubara), which the tests
-# check. Checks are masks over the points, and a failing grid reports the
-# failure of its first failing point.
+# A target is evaluated once over an open grid, the np.ix_ layout: sweep
+# axis j has the shape (1, ..., n_j, ..., 1), the first axis outermost, so
+# the grid's C order is itertools.product order; a fixed parameter has the
+# shape (1, ..., 1), and a one-shot command is the grid of shape (1,).
+# Each quantity is computed by broadcasting at the shape of the axes it
+# depends on, never tiled to the whole grid. Array arithmetic keeps to
+# the correctly rounded operations (+ - * / sqrt); every power goes
+# through Python's float **, and every other scalar function through the
+# function itself, once per distinct argument. So each value is bit for
+# bit the library's scalar closed form at that point (friction_forces,
+# oscillator_pair, matsubara), which the tests check. Checks are masks
+# that broadcast over the grid, and a failing grid reports the failure of
+# its first failing point.
 
 
 class _Grid:
@@ -398,20 +402,24 @@ class _Grid:
     registered first.
     """
 
-    def __init__(self, cfg, size, axis_columns):
+    def __init__(self, cfg, shape, axis_columns):
         self.cfg = cfg
         self.ctx = _units_ctx(cfg)
-        self.size = size
+        self.shape = shape
         self.columns = {}
         for flag, typ in _PARAMS:
             value = getattr(cfg, _attr(flag))
             if typ is float and value is not None:
-                self.columns[_attr(flag)] = np.full(size, value)
+                self.columns[_attr(flag)] = self.constant(value)
         # an axis replaces the fixed value of its parameter; a later axis wins
         for ax, col in zip(cfg.axes, axis_columns):
             self.columns[_attr(ax.name)] = col
-        self._first = size
+        self._first = math.prod(shape)
         self._error = None
+
+    def constant(self, value):
+        """A column with ``value`` at every point."""
+        return np.full((1,) * len(self.shape), value)
 
     def reduced(self, name):
         """A parameter column in reduced units, or None if unset."""
@@ -422,11 +430,15 @@ class _Grid:
 
     def fail(self, where, error):
         """The points of mask ``where`` fail with ``error``: an exception, or
-        a function of the point index that builds one."""
+        a function of the point index (see ``at``) that builds one."""
         if where.any():
-            i = int(where.argmax())
+            i = int(np.broadcast_to(where, self.shape).argmax())
             if i < self._first:
                 self._first, self._error = i, error
+
+    def at(self, col, i):
+        """The value of column ``col`` at point ``i``, in itertools.product order."""
+        return np.broadcast_to(col, self.shape).flat[i]
 
     def raise_first(self):
         error = self._error
@@ -450,9 +462,9 @@ class _Grid:
     def pow(self, x, n):
         """x ** n through Python's float power (numpy's vector power differs
         from it in the last bit for some x); OverflowError fails the point."""
-        values = x.tolist()
+        values = x.ravel().tolist()
         try:
-            return np.array([t**n for t in values])
+            return np.array([t**n for t in values]).reshape(x.shape)
         except OverflowError as exc:
             out = np.full(len(values), math.inf)
             bad = np.ones(len(values), dtype=bool)
@@ -460,8 +472,8 @@ class _Grid:
                 with contextlib.suppress(OverflowError):
                     out[i] = t**n
                     bad[i] = False
-            self.fail(bad, exc)
-            return out
+            self.fail(bad.reshape(x.shape), exc)
+            return out.reshape(x.shape)
 
     def div(self, a, b):
         """a / b; a zero divisor fails the point, as for Python floats."""
@@ -470,14 +482,17 @@ class _Grid:
 
     def map(self, fn, *cols):
         """fn(*args) once per distinct argument tuple (compared bit for bit),
-        spread back over the points; an exception fails the points it came from."""
-        keys = np.stack([c.view(np.int64) for c in cols], axis=1)
+        at the shape the columns broadcast to; an exception fails the points
+        it came from."""
+        cols = np.broadcast_arrays(*cols)
+        flat = [c.ravel() for c in cols]
+        keys = np.stack([c.view(np.int64) for c in flat], axis=1)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        inverse = inverse.reshape(cols[0].shape)
         out = np.empty(len(first))
         for k, i in enumerate(first.tolist()):
             try:
-                out[k] = fn(*(c[i].item() for c in cols))
+                out[k] = fn(*(c[i].item() for c in flat))
             except Exception as exc:  # raised again if its points fail first
                 out[k] = math.nan
                 self.fail(inverse == k, exc)
@@ -519,7 +534,7 @@ def _grid_spectrum(grid, side, drude_rho=None):
         grid.fail_everywhere(_no_spectrum(side, drude_rho is not None))
     nu = grid.reduced("nu")
     if nu is None:
-        nu = np.zeros(grid.size)
+        nu = grid.constant(0.0)
     return grid.map(
         lambda w, n, rho: materials_spectral.drude_D(materials_spectral.DrudeParams(w, n, rho)).D,
         omega_p, nu, drude_rho,
@@ -654,10 +669,11 @@ def _grid_slabs_finite(grid):
     grid.fail(
         (force != 0.0) & (np.abs(assembled - force) > 1e-12 * np.abs(force)),
         lambda i: AssertionError(
-            "slab assembly mismatch: %.17g vs %.17g" % (assembled[i], force[i])
+            "slab assembly mismatch: %.17g vs %.17g"
+            % (grid.at(assembled, i), grid.at(force, i))
         ),
     )
-    inter = {"G": G, "H0": H0, "I": np.full(grid.size, materials_spectral.universal_I()),
+    inter = {"G": G, "H0": H0, "I": grid.constant(materials_spectral.universal_I()),
              "suppression": suppression, "reference_force": reference}
     inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "beta": beta, "v": v}
     return _grid_report(grid, "slabs-finite-T", force, inter, inputs)
@@ -670,7 +686,7 @@ def _grid_slabs_zero(grid):
             CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
         )
     grid.fail(v < 0.0, ValueError("v must be >= 0 in this regime"))
-    # friction_forces.zero_T_slab_force, with its tau and assembly checks;
+    # friction_forces.zero_T_slab_force, with its assembly check;
     # G_P divides by the same 64 d^6 that has passed here
     suppression = v * v
     d6 = grid.pow(d, 6)
@@ -679,20 +695,11 @@ def _grid_slabs_zero(grid):
     H_P = (np.pi / 120.0) * D1 * D2
     G_P = 75.0 * np.pi * rho1 * rho2 / (64.0 * d6)
     v6 = grid.pow(v, 6)
-    routes = [
-        np.where(v > 0.0, -(2.0 * tau * H_P * v6 * G_P) / (2.0 * tau * v), 0.0)
-        for tau in (1.0, 2.0)
-    ]
+    route = np.where(v > 0.0, -(2.0 * H_P * v6 * G_P) / (2.0 * v), 0.0)
     grid.fail(
-        routes[0] != routes[1],
+        (force != 0.0) & (np.abs(route - force) > 1e-12 * np.abs(force)),
         lambda i: AssertionError(
-            "tau failed to cancel: %r vs %r" % (routes[0][i].item(), routes[1][i].item())
-        ),
-    )
-    grid.fail(
-        (force != 0.0) & (np.abs(routes[0] - force) > 1e-12 * np.abs(force)),
-        lambda i: AssertionError(
-            "zero-T assembly mismatch: %.17g vs %.17g" % (routes[0][i], force[i])
+            "zero-T assembly mismatch: %.17g vs %.17g" % (grid.at(route, i), grid.at(force, i))
         ),
     )
     inter = {"G_P": G_P, "H_P": H_P, "suppression": suppression, "reference_force": reference}
@@ -717,10 +724,10 @@ def _run_point(cfg):
         target = "friction-" + cfg.geometry
         if cfg.geometry == "slabs":
             target += "-" + cfg.temperature_mode
-    grid = _Grid(cfg, 1, [])
+    grid = _Grid(cfg, (1,), [])
     cells = _TARGET_RUNNERS[target](grid)
     grid.raise_first()
-    return _Table(cells, 1)
+    return _Table(cells, grid.shape)
 
 
 _RUNNERS = {
@@ -734,7 +741,7 @@ _RUNNERS = {
 
 
 def _sweep_axes(cfg):
-    """Number of grid points; the axes are checked before any point is built."""
+    """Shape of the grid; the axes are checked before any point is built."""
     axes = cfg.axes
     if not axes:
         raise CliError(EXIT_CONFIG, "sweep needs at least one --axis")
@@ -752,31 +759,25 @@ def _sweep_axes(cfg):
                 EXIT_CONFIG,
                 "temperature axis conflicts with a fixed temperature parameter",
             )
-    total = math.prod(len(ax.values) for ax in axes)
+    shape = tuple(len(ax.values) for ax in axes)
+    total = math.prod(shape)
     if total > cfg.max_points:
         raise CliError(
             EXIT_CONFIG,
             "sweep of %d points exceeds --max-points %d" % (total, cfg.max_points),
         )
-    return total
+    return shape
 
 
 def _run_sweep(cfg):
-    size = _sweep_axes(cfg)
-    # one flat column per axis in itertools.product order: first axis outermost
-    columns = []
-    outer = 1
-    for ax in cfg.axes:
-        n = len(ax.values)
-        inner = size // (outer * n)
-        columns.append(np.tile(np.repeat(np.array(ax.values), inner), outer))
-        outer *= n
-    grid = _Grid(cfg, size, columns)
+    shape = _sweep_axes(cfg)
+    columns = np.ix_(*(ax.values for ax in cfg.axes))
+    grid = _Grid(cfg, shape, columns)
     cells = _TARGET_RUNNERS[cfg.target](grid)
     grid.raise_first()
     # axis echo gets its own columns; runners echo inputs under bare names
     sweep = [("sweep_" + _attr(ax.name), col) for ax, col in zip(cfg.axes, columns)]
-    return _Table(sweep + cells, size)
+    return _Table(sweep + cells, shape)
 
 
 def _config_echo(cfg):
@@ -811,26 +812,42 @@ def _command_name(cfg):
 
 
 class _Table:
-    """Output columns: (name, cells) pairs, the cells a string shared by
-    every row or a float array with one value per row."""
+    """Output columns over a grid of the given shape, one row per point in
+    C order: (name, cells) pairs, the cells a string shared by every row or
+    a float array of a shape that broadcasts to the grid's."""
 
-    def __init__(self, columns, rows):
+    def __init__(self, columns, shape):
         self.columns = columns
-        self.rows = rows
+        self.shape = shape
 
     def __len__(self):
-        return self.rows
+        return math.prod(self.shape)
 
 
 def _float_text(col):
-    """repr of every value, a list of one string per row. A column with
-    repeated values formats each distinct bit pattern once (so -0.0 and 0.0
-    stay apart) and spreads the texts over the rows in one take."""
-    _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
-    if len(first) == len(col):
-        return list(map(repr, col.tolist()))
-    text = np.array(list(map(repr, col[first].tolist())), dtype=object)
-    return text[inverse.reshape(-1)].tolist()
+    """repr of every value, an object array of the column's shape."""
+    return np.array(list(map(repr, col.ravel().tolist())), dtype=object).reshape(col.shape)
+
+
+def _row_cells(texts, shape, sep, string_cell):
+    """The cells of the rows of a grid of ``shape``, in column order, each a
+    list over the rows. ``texts`` holds a column's string, put through
+    ``string_cell``, or its float texts (``_float_text``).
+
+    Adjacent cells that together vary over fewer than all the points (a
+    string varies over none) are joined by ``sep`` at their own shape,
+    before the texts are broadcast to the grid.
+    """
+    n = math.prod(shape)
+    cells = []
+    for text in texts:
+        if isinstance(text, str):
+            text = np.full((1,) * len(shape), string_cell(text), dtype=object)
+        if cells and math.prod(np.broadcast_shapes(cells[-1].shape, text.shape)) < n:
+            cells[-1] = cells[-1] + sep + text
+        else:
+            cells.append(text)
+    return [np.broadcast_to(text, shape).ravel().tolist() for text in cells]
 
 
 _CHUNK_ROWS = 4096
@@ -871,21 +888,18 @@ def _emit(cfg, table):
         ",".join(names),
     ]
     head = "\n".join(meta) + "\n"
-    n = len(table)
-    # one text list per column object: an axis column and an input that
+    # one text array per column object: an axis column and an input that
     # echoes it unchanged are one array, and every array outlives this
     # call, so no id is reused
-    texts = {}
-    text = []
+    by_id = {}
+    texts = []
     for _, cells in table.columns:
         if not isinstance(cells, str):
-            if id(cells) not in texts:
-                texts[id(cells)] = _float_text(cells)
-            cells = texts[id(cells)]
-        text.append(cells)
-    csv_rows = map(",".join, zip(*(
-        itertools.repeat(t, n) if isinstance(t, str) else t for t in text
-    )))
+            if id(cells) not in by_id:
+                by_id[id(cells)] = _float_text(cells)
+            cells = by_id[id(cells)]
+        texts.append(cells)
+    csv_rows = map(",".join, zip(*_row_cells(texts, table.shape, ",", str)))
     if cfg.out:
         with _output_file(cfg.out) as fh:
             _write_rows(fh, head, csv_rows, "\n", "\n")
@@ -903,12 +917,12 @@ def _emit(cfg, table):
             "rows": "\0",
         }
         head, tail = json.dumps(doc, sort_keys=True, indent=2).rsplit('"\\u0000"', 1)
-        json_rows = map("    [\n      {}\n    ]".format, map(",\n      ".join, zip(*(
-            itertools.repeat(json.dumps(t), n) if isinstance(t, str) else t
-            for t in text
-        ))))
+        sep = ",\n      "
+        json_rows = map(sep.join, zip(*_row_cells(texts, table.shape, sep, json.dumps)))
         with _output_file(cfg.json_out) as fh:
-            _write_rows(fh, head + "[\n", json_rows, ",\n", "\n  ]" + tail + "\n")
+            # each row is "    [\n      <cells>\n    ]", the rows joined by ",\n"
+            _write_rows(fh, head + "[\n    [\n      ", json_rows, "\n    ],\n    [\n      ",
+                        "\n    ]\n  ]" + tail + "\n")
 
 
 def _run_verify(cfg):

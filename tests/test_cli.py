@@ -113,6 +113,21 @@ def test_underflow_into_divisor_names_command(cli, capsys):
     )
 
 
+def test_zero_T_force_near_the_float_limit(cli, capsys):
+    # the force is finite; only a doubled copy of the energy route overflows
+    args = ["friction", "slabs", "--temperature", "zero", "--d", 1, "--rho1", 1, "--rho2", 1,
+            "--D1", 10, "--D2", 10, "--v"]
+    code, out = cli(*args, 1.38e51)
+    assert code == 0
+    header, row = (ln.split(",") for ln in out.splitlines() if not ln.startswith("#"))
+    assert row[header.index("force")] == "-4.823865839228791e+256"
+    code, out = cli(*args, 1e52)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "numerical failure: friction slabs: a computed value overflows the float range\n"
+    )
+
+
 SLAB_PARAMS = ["--d", 1, "--rho1", 1, "--rho2", 1, "--D1", 1, "--D2", 1]
 
 # one failing one-shot command per check: exit code and its stderr line;

@@ -173,6 +173,12 @@ def test_zero_T_velocity_power():
     assert abs(double / base - 32.0) <= 1e-12
 
 
+def test_zero_T_force_near_the_float_limit():
+    # v^6 times twice the energy prefactor overflows; the force does not
+    rep = zero_T_slab_force(SLAB, 1.38e51, 10.0, 10.0)
+    assert rep.force == -4.823865839228791e256
+
+
 def test_zero_T_assembly_oracle():
     assert_check(verification.check_zero_T_assembly)
 

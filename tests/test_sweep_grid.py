@@ -212,12 +212,27 @@ def test_sweep_bytes_independent_of_workers(cli, tmp_path):
     # d fails at the first point, where the earlier slope check still passes
     (["--axis", "d:-1:1:3", "--axis", "D1:1:-1:2"], "invalid input: d must be positive\n"),
     (["--axis", "D1:-1:1:3", "--axis", "d:-1:1:3"], "invalid input: D must be finite and >= 0\n"),
+    # only the innermost of three axes fails, first at the third point
+    (["--axis", "d:1:2:2", "--axis", "v:1:2:2", "--axis", "D1:1:-1:3"],
+     "invalid input: D must be finite and >= 0\n"),
 ])
 def test_failing_sweep_reports_its_first_failing_point(cli, capsys, axes, message):
     code, out = cli("sweep", "--target", "friction-pair", *axes,
                     "--D2", 1, "--v", 1, "--beta", 1)
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == message
+
+
+def test_grid_failure_is_the_first_failing_point_in_product_order():
+    grid = cli_module._Grid(cli_module.RunConfig("sweep"), (2, 3, 4), [])
+    a, b, c = np.ix_([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+    # first at point (0, 1, 0), index 4; then (0, 0, 3), index 3, which wins;
+    # the error reads a column of another shape at that point
+    grid.fail(b == 1.0, ValueError("b"))
+    grid.fail(c == 3.0, lambda i: ValueError(grid.at(10.0 * a + c, i)))
+    grid.fail(a + c == 3.0, ValueError("same point, registered later"))
+    with pytest.raises(ValueError, match=r"^3\.0$"):
+        grid.raise_first()
 
 
 def test_sweep_past_one_output_chunk(cli, tmp_path):
@@ -253,4 +268,10 @@ FLOAT_COLUMNS = {
 @pytest.mark.parametrize("name", sorted(FLOAT_COLUMNS))
 def test_float_text_is_repr_of_every_value(name):
     col = FLOAT_COLUMNS[name]
-    assert cli_module._float_text(col) == [repr(x) for x in col.tolist()]
+    assert cli_module._float_text(col).tolist() == [repr(x) for x in col.tolist()]
+    # the same column on the middle axis of a 3-axis grid: every row gets
+    # the text of its own point
+    col = col.reshape(1, -1, 1)
+    shape = (3, col.size, 2)
+    (cells,) = cli_module._row_cells([cli_module._float_text(col)], shape, ",", str)
+    assert cells == [repr(x) for x in np.broadcast_to(col, shape).ravel().tolist()]
