@@ -843,11 +843,15 @@ def _row_cells(texts, shape, sep, string_cell):
     for text in texts:
         if isinstance(text, str):
             text = np.full((1,) * len(shape), string_cell(text), dtype=object)
-        if cells and math.prod(np.broadcast_shapes(cells[-1].shape, text.shape)) < n:
+        # on an open grid each axis of a shape is 1 or the grid's
+        if cells and math.prod(map(max, cells[-1].shape, text.shape)) < n:
             cells[-1] = cells[-1] + sep + text
         else:
             cells.append(text)
-    return [np.broadcast_to(text, shape).ravel().tolist() for text in cells]
+    return [
+        (text if text.size == n else np.broadcast_to(text, shape)).ravel().tolist()
+        for text in cells
+    ]
 
 
 _CHUNK_ROWS = 4096
