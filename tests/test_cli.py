@@ -114,7 +114,7 @@ def test_underflow_into_divisor_names_command(cli, capsys):
 
 
 def test_zero_T_force_near_the_float_limit(cli, capsys):
-    # the force is finite; only a doubled copy of the energy route overflows
+    # the force is finite, although 2 tau H_P v^6 G_P overflows for tau = 2
     args = ["friction", "slabs", "--temperature", "zero", "--d", 1, "--rho1", 1, "--rho2", 1,
             "--D1", 10, "--D2", 10, "--v"]
     code, out = cli(*args, 1.38e51)

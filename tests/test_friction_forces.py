@@ -174,7 +174,7 @@ def test_zero_T_velocity_power():
 
 
 def test_zero_T_force_near_the_float_limit():
-    # v^6 times twice the energy prefactor overflows; the force does not
+    # the force is finite, although 2 tau H_P v^6 G_P overflows for tau = 2
     rep = zero_T_slab_force(SLAB, 1.38e51, 10.0, 10.0)
     assert rep.force == -4.823865839228791e256
 
