@@ -128,6 +128,67 @@ def test_zero_T_force_near_the_float_limit(cli, capsys):
     )
 
 
+_NOT_FINITE = "numerical failure: a computed value is not finite\n"
+_PAIR_UNIT = ["--beta", 1, "--v", 1, "--D1", 1, "--D2", 1]
+_CGS_SLABS = ["friction", "slabs", "--temperature", "finite", "--units", "gaussian",
+              "--d", 1e-7, "--rho1", 1e22, "--rho2", 1e22, "--D1", 1e-30, "--D2", 1e-30]
+
+# commands at the edges of the float range: exit code, data lines of stdout, stderr
+RANGE_EDGES = [
+    (["fields", "--d", 1e-60], 2, [], _NOT_FINITE),
+    (["fields", "--d", 1e-200], 2, [], _NOT_FINITE),
+    (["fields", "--d", -1e-45], 2, [], _NOT_FINITE),
+    (["fields", "--d", 1e80], 0,
+     ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot",
+      "1e+80,5e-161,1e-160,0.0,0.0,-1e-160,1e-160"], ""),
+    # r^8 overflows, r^6 does not
+    (["fields", "--d", 1e40], 0,
+     ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot",
+      "1e+40,5e-81,1e-80,1.9999999999999997e-240,1.9999999999999997e-240,-1e-80,1e-80"], ""),
+    (["fields", "--d", -2.5, "--z0", 3, "--rho1", 2], 0,
+     ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot,z0,rho1,g_halfspace",
+      "-2.5,0.08,-0.16,0.008192,0.032768,0.16,-0.16,3.0,2.0,0.11635528346628864"], ""),
+    (["friction", "pair", "--d", 1e60] + _PAIR_UNIT, 0,
+     ["regime,units,force,G_factor,H0,beta,d,v",
+      "pair-smoothed,reduced,-0.0,0.0,163.21049855215009,1.0,1e+60,1.0"], ""),
+    # r^8 underflows to zero: G_xx = 2 (1/r^6 + 0/r^8) is nan
+    (["friction", "pair", "--d", 1e-41] + _PAIR_UNIT, 2, [], _NOT_FINITE),
+    (["friction", "pair", "--d", 1e-40] + _PAIR_UNIT, 0,
+     ["regime,units,force,G_factor,H0,beta,d,v",
+      "pair-smoothed,reduced,-3.264209971043003e+242,2.0000000000000008e+240,"
+      "163.21049855215009,1.0,1e-40,1.0"], ""),
+    (["eigen", "--alpha", 1e200], 2, [], _NOT_FINITE),
+    (["eigen", "--alpha", 1e154], 0,
+     ["alpha,omega_plus,omega_minus,e0", "1e+154,2e+154,0.0,1e+154"], ""),
+    (["free-energy", "--alpha", 1e200, "--beta", 1], 2, [], _NOT_FINITE),
+    (["free-energy", "--alpha", 1e150, "--units", "gaussian", "--temperature-kelvin", 1e-300], 0,
+     ["alpha,beta,free_energy,free_energy_erg,temperature_kelvin",
+      "1e+150,2.2898844710390102e+299,4.9999999999999995e+299,1.5807633602974219e+283,"
+      "1.0000000049151272e-300"], ""),
+    (_CGS_SLABS + ["--v", 1, "--temperature-kelvin", 1e-300], 2, [],
+     "numerical failure: friction slabs: a computed value overflows the float range\n"),
+    (_CGS_SLABS + ["--v", 1, "--temperature-kelvin", 1e300], 2, [],
+     "numerical failure: friction slabs: a computed value overflows the float range\n"),
+    (_CGS_SLABS + ["--v", 1e4, "--temperature-kelvin", 1e-3], 0,
+     ["regime,units,force,G,H0,I,reference_force,suppression,D1,D1_cgs,D2,D2_cgs,beta,"
+      "beta_cgs,d,d_cgs,rho1,rho1_cgs,rho2,rho2_cgs,temperature_kelvin,v,v_cgs",
+      "slabs-finite-T,gaussian,-4.914208104470094e-66,8.738733105285797e+36,"
+      "5.623478878760625e-107,25.975757609067312,-2.576799882077495e-47,"
+      "1.9070973026078025e-19,3.1615267205948446e-47,1e-30,3.1615267205948446e-47,1e-30,"
+      "228.98844822940836,7.242970516039921e+18,1e-07,1e-07,1e+22,1e+22,1e+22,1e+22,"
+      "0.001,3.33564095198152e-07,10000.0"], ""),
+    (["friction", "pair", "--units", "gaussian", "--temperature-kelvin", 1e200, "--d", 1e-7,
+      "--v", 1, "--D1", 1e-30, "--D2", 1e-30], 2, [],
+     "numerical failure: friction pair: a divisor underflows to zero\n"),
+]
+
+
+@pytest.mark.parametrize("args,code,rows,err", RANGE_EDGES)
+def test_range_edge_outcomes(cli, capsys, args, code, rows, err):
+    got, out = cli(*args)
+    assert (got, _data_rows(out), capsys.readouterr().err) == (code, rows, err)
+
+
 SLAB_PARAMS = ["--d", 1, "--rho1", 1, "--rho2", 1, "--D1", 1, "--D2", 1]
 
 # one failing one-shot command per check: exit code and its stderr line;
