@@ -4,9 +4,13 @@ Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
 """
 
-import numpy as np
+import math
 
-TWO_PI = 2.0 * np.pi
+from magfriction import lazy_import
+
+np = lazy_import("numpy")
+
+TWO_PI = 2.0 * math.pi
 
 
 def rk4_batch(A, init, dt, n_steps, stride):

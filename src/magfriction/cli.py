@@ -23,10 +23,21 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+from magfriction import __version__, lazy_import, materials_spectral, numerics
 
-from magfriction import __version__, dipole_fields, geometry_coupling, materials_spectral, matsubara
-from magfriction import friction_forces, numerics, verification
+# every library module is bound here and executed on first use, so that a
+# command loads only what it computes with (numerics and materials_spectral
+# at once, for the exception types below); the oracle battery loads only
+# for verify, and numpy only for sweeps and spectrum files
+np = lazy_import("numpy")
+_kernels = lazy_import("magfriction._kernels")
+dipole_fields = lazy_import("magfriction.dipole_fields")
+friction_forces = lazy_import("magfriction.friction_forces")
+geometry_coupling = lazy_import("magfriction.geometry_coupling")
+matsubara = lazy_import("magfriction.matsubara")
+oscillator_pair = lazy_import("magfriction.oscillator_pair")
+response_kinetics = lazy_import("magfriction.response_kinetics")
+verification = lazy_import("magfriction.verification")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -66,6 +77,10 @@ _SWEEP_AXES = {
     ),
     "friction-slabs-zero": ("d", "rho1", "rho2", "v", "D1", "D2"),
 }
+# sorted(verification.SUITES) and "all", named here so that building the
+# parser does not load the battery
+_SUITES = ("fields", "forces", "geometry", "materials", "matsubara", "numerics",
+           "oscillator", "response", "all")
 
 
 class CliError(Exception):
@@ -160,9 +175,7 @@ def _build_parser():
     sw.add_argument("--max-points", type=int, default=None)
     vf = sub.add_parser("verify")
     _add_common(vf)
-    vf.add_argument(
-        "--suite", choices=sorted(verification.SUITES) + ["all"], default="all"
-    )
+    vf.add_argument("--suite", choices=_SUITES, default="all")
     return parser
 
 
@@ -347,10 +360,8 @@ def _no_spectrum(side, drude):
     )
 
 
-def _linear_slope(spec, side):
-    if spec.is_linear:
-        return spec.D
-    raise CliError(
+def _tabulated_slab(side):
+    return CliError(
         EXIT_CONFIG,
         "slab commands need linear spectral slopes on side %d "
         "(use --D%d or Drude parameters, not a spectrum file)" % (side, side),
@@ -358,40 +369,44 @@ def _linear_slope(spec, side):
 
 
 def _run_fields(cfg):
+    """The fields and couplings on the axis r = (0, 0, d), in Python floats."""
     _need(vars(cfg), "d")
     if _units_ctx(cfg) is not None:
         raise CliError(EXIT_CONFIG, "fields reports reduced units only")
     d = cfg.d
-    rvec = [0.0, 0.0, d]
-    psi = geometry_coupling.coupling_psi(rvec)
-    G = geometry_coupling.G_tensor(rvec)
-    b = dipole_fields.magnetic_field_quasistatic([1.0, 0.0, 0.0], rvec)
-    e = dipole_fields.electric_field_quasistatic([0.0, 1.0, 0.0], rvec)
-    cells = [("d", d), ("coupling_alpha", dipole_fields.coupling_alpha(rvec)),
-             ("psi_xy", psi[0, 1]), ("g_xx", G[0, 0]), ("g_zz", G[2, 2]),
-             ("b_y_unit_pdot", b[1]), ("e_x_unit_mdot", e[0])]
+    alpha, b_y, e_x = dipole_fields.axial_fields(d)
+    psi_xy, g_xx, g_zz = geometry_coupling.axial_coupling(d)
+    cells = [("d", d), ("coupling_alpha", alpha), ("psi_xy", psi_xy), ("g_xx", g_xx),
+             ("g_zz", g_zz), ("b_y_unit_pdot", b_y), ("e_x_unit_mdot", e_x)]
     if cfg.z0 is not None:
         rho = cfg.rho1 if cfg.rho1 is not None else 1.0
         g_h = geometry_coupling.G_halfspace(geometry_coupling.PlaneGeometry(cfg.z0, rho))
         cells += [("z0", cfg.z0), ("rho1", rho), ("g_halfspace", g_h)]
-    return _Table([(name, np.array([float(value)])) for name, value in cells], (1,))
+    return _Table(cells, ())
 
 
 # --- whole-grid evaluation ------------------------------------------------
 #
-# A target is evaluated once over an open grid, the np.ix_ layout: sweep
-# axis j has the shape (1, ..., n_j, ..., 1), the first axis outermost, so
-# the grid's C order is itertools.product order; a fixed parameter has the
-# shape (1, ..., 1), and a one-shot command is the grid of shape (1,).
-# Each quantity is computed by broadcasting at the shape of the axes it
-# depends on, never tiled to the whole grid. Array arithmetic keeps to
-# the correctly rounded operations (+ - * / sqrt); every power goes
-# through Python's float **, and every other scalar function through the
-# function itself, once per distinct argument. So each value is bit for
-# bit the library's scalar closed form at that point (friction_forces,
-# oscillator_pair, matsubara), which the tests check. Checks are masks
-# that broadcast over the grid, and a failing grid reports the failure of
-# its first failing point.
+# A sweep target is evaluated once over an open grid, the np.ix_ layout:
+# sweep axis j has the shape (1, ..., n_j, ..., 1), the first axis
+# outermost, so the grid's C order is itertools.product order, and a fixed
+# parameter has the shape (1, ..., 1). Each quantity is computed by
+# broadcasting at the shape of the axes it depends on, never tiled to the
+# whole grid. Array arithmetic keeps to the correctly rounded operations
+# (+ - * / sqrt); every power goes through Python's float **, and every
+# other scalar function through the function itself, once per distinct
+# argument. So each value is bit for bit the library's scalar closed form
+# at that point (friction_forces, oscillator_pair, matsubara), which the
+# tests check. Checks are masks that broadcast over the grid, and a
+# failing grid reports the failure of its first failing point.
+#
+# A one-shot command runs the same evaluators on a _Point: its columns are
+# Python floats, on which the same operations give the same bits, a check
+# that fails raises at once, and no numpy is loaded. Python floats part
+# from numpy only at the edges of the float range, where Python raises
+# and numpy gives inf or nan; so every power goes through pow, and every
+# divisor that earlier checks do not keep nonzero through div, which fail
+# the point with the same exception on both.
 
 
 class _Grid:
@@ -429,21 +444,15 @@ class _Grid:
         return col / self.ctx.factor(friction_forces.INPUT_DIM[name])
 
     def fail(self, where, error):
-        """The points of mask ``where`` fail with ``error``: an exception, or
-        a function of the point index (see ``at``) that builds one."""
+        """The points of mask ``where`` fail with the exception ``error``."""
         if where.any():
             i = int(np.broadcast_to(where, self.shape).argmax())
             if i < self._first:
                 self._first, self._error = i, error
 
-    def at(self, col, i):
-        """The value of column ``col`` at point ``i``, in itertools.product order."""
-        return np.broadcast_to(col, self.shape).flat[i]
-
     def raise_first(self):
-        error = self._error
-        if error is not None:
-            raise error(self._first) if callable(error) else error
+        if self._error is not None:
+            raise self._error
 
     def fail_everywhere(self, error):
         """A failure that does not depend on the point: the first point has it."""
@@ -458,6 +467,9 @@ class _Grid:
             yield
         except (CliError, ValueError) as exc:
             self.fail_everywhere(exc)
+
+    def sqrt(self, x):
+        return np.sqrt(x)
 
     def pow(self, x, n):
         """x ** n through Python's float power (numpy's vector power differs
@@ -497,6 +509,33 @@ class _Grid:
                 out[k] = math.nan
                 self.fail(inverse == k, exc)
         return out[inverse]
+
+
+class _Point(_Grid):
+    """The grid of a one-shot command, shape (): its columns are Python
+    floats, and the point fails at the first check it reaches."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg, (), [])
+
+    def constant(self, value):
+        return value
+
+    def fail(self, where, error):
+        if where:
+            raise error
+
+    def sqrt(self, x):
+        return math.sqrt(x)
+
+    def pow(self, x, n):
+        return x**n  # OverflowError fails the point, as on the grid
+
+    def div(self, a, b):
+        return a / b  # and so does ZeroDivisionError
+
+    def map(self, fn, *args):
+        return fn(*args)
 
 
 def _grid_need(grid, *names):
@@ -541,19 +580,22 @@ def _grid_spectrum(grid, side, drude_rho=None):
     )
 
 
+def _tabulated(spec):
+    return isinstance(spec, materials_spectral.TabulatedSpectralDensity)
+
+
 def _grid_H0(grid, s1, s2, beta):
     """materials_spectral.smoothed_H0: the closed form for two slope
     columns, else once per distinct (beta, slopes)."""
-    slopes = [s for s in (s1, s2) if isinstance(s, np.ndarray)]
+    slopes = [s for s in (s1, s2) if not _tabulated(s)]
     if len(slopes) == 2:
-        return grid.div(2.0 * np.pi, grid.pow(beta, 4)) * s1 * s2 * materials_spectral.universal_I()
+        h0 = grid.div(2.0 * math.pi, grid.pow(beta, 4))
+        return h0 * s1 * s2 * materials_spectral.universal_I()
 
     def h0(b, *ds):
         ds = iter(ds)
-        specs = [
-            materials_spectral.LinearSpectralDensity(next(ds)) if isinstance(s, np.ndarray) else s
-            for s in (s1, s2)
-        ]
+        specs = [s if _tabulated(s) else materials_spectral.LinearSpectralDensity(next(ds))
+                 for s in (s1, s2)]
         return materials_spectral.smoothed_H0(*specs, b)
 
     return grid.map(h0, beta, *slopes)
@@ -589,7 +631,7 @@ def _grid_eigen(grid):
     alpha = grid.columns["alpha"]
     grid.fail(alpha < 0.0, ValueError("alpha must be >= 0"))
     # oscillator_pair.eigenfrequencies and ground_state_energy
-    root = np.sqrt(1.0 + alpha * alpha)
+    root = grid.sqrt(1.0 + alpha * alpha)
     return [("alpha", alpha), ("omega_plus", alpha + root),
             ("omega_minus", -alpha + root), ("e0", root)]
 
@@ -615,7 +657,7 @@ def _grid_friction_pair(grid):
     s1 = _grid_spectrum(grid, 1)
     s2 = _grid_spectrum(grid, 2)
     grid.fail(d <= 0.0, ValueError("d must be positive"))
-    g_xx = grid.map(lambda x: float(geometry_coupling.G_tensor([0.0, 0.0, x])[0, 0]), d)
+    g_xx = grid.map(lambda x: geometry_coupling.axial_coupling(x)[1], d)
     h0 = _grid_H0(grid, s1, s2, beta)
     return _grid_report(grid, "pair-smoothed", -g_xx * v * h0,
                         {"G_factor": g_xx, "H0": h0}, {"v": v, "d": d, "beta": beta})
@@ -630,7 +672,7 @@ def _grid_friction_plane(grid):
     s2 = _grid_spectrum(grid, 2, drude_rho=rho)
     v = grid.reduced("v")
     # geometry_coupling.G_halfspace
-    g_h = grid.div(np.pi * rho, 2.0 * grid.pow(z0, 3))
+    g_h = grid.div(math.pi * rho, 2.0 * grid.pow(z0, 3))
     h0 = _grid_H0(grid, s1, s2, beta)
     return _grid_report(grid, "plane", -g_h * v * h0, {"G_h": g_h, "H0": h0},
                         {"z0": z0, "rho": rho, "v": v, "beta": beta})
@@ -646,9 +688,8 @@ def _grid_slabs(grid):
     slopes = []
     for side, rho in ((1, rho1), (2, rho2)):
         spec = _grid_spectrum(grid, side, drude_rho=rho)
-        if not isinstance(spec, np.ndarray):
-            with grid.every_point():
-                _linear_slope(spec, side)
+        if _tabulated(spec):
+            grid.fail_everywhere(_tabulated_slab(side))
         slopes.append(spec)
     return d, rho1, rho2, slopes[0], slopes[1], grid.reduced("v")
 
@@ -656,23 +697,15 @@ def _grid_slabs(grid):
 def _grid_slabs_finite(grid):
     d, rho1, rho2, D1, D2, v = _grid_slabs(grid)
     beta = _grid_beta(grid)
-    # friction_forces.finite_T_slab_force, with its assembly check
+    # friction_forces.finite_T_slab_force
     suppression = grid.pow(d / beta, 2)
     reference = grid.div(
-        -(2.0 * np.pi**6 / 15.0) * rho1 * rho2 * D1 * D2 * v,
+        -(2.0 * math.pi**6 / 15.0) * rho1 * rho2 * D1 * D2 * v,
         grid.pow(beta, 2) * grid.pow(d, 4),
     )
     force = suppression * reference
-    G = grid.div(np.pi * rho1 * rho2, 4.0 * grid.pow(d, 2))
+    G = grid.div(math.pi * rho1 * rho2, 4.0 * grid.pow(d, 2))
     H0 = _grid_H0(grid, D1, D2, beta)
-    assembled = -G * v * H0
-    grid.fail(
-        (force != 0.0) & (np.abs(assembled - force) > 1e-12 * np.abs(force)),
-        lambda i: AssertionError(
-            "slab assembly mismatch: %.17g vs %.17g"
-            % (grid.at(assembled, i), grid.at(force, i))
-        ),
-    )
     inter = {"G": G, "H0": H0, "I": grid.constant(materials_spectral.universal_I()),
              "suppression": suppression, "reference_force": reference}
     inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "beta": beta, "v": v}
@@ -686,22 +719,14 @@ def _grid_slabs_zero(grid):
             CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
         )
     grid.fail(v < 0.0, ValueError("v must be >= 0 in this regime"))
-    # friction_forces.zero_T_slab_force, with its assembly check;
-    # G_P divides by the same 64 d^6 that has passed here
+    # friction_forces.zero_T_slab_force; G_P divides by the same 64 d^6
+    # that has passed here
     suppression = v * v
     d6 = grid.pow(d, 6)
-    reference = -grid.div(5.0 * np.pi**2, 512.0 * d6) * rho1 * rho2 * D1 * D2 * grid.pow(v, 3)
+    reference = -grid.div(5.0 * math.pi**2, 512.0 * d6) * rho1 * rho2 * D1 * D2 * grid.pow(v, 3)
     force = suppression * reference
-    H_P = (np.pi / 120.0) * D1 * D2
-    G_P = 75.0 * np.pi * rho1 * rho2 / (64.0 * d6)
-    v6 = grid.pow(v, 6)
-    route = np.where(v > 0.0, -(2.0 * H_P * v6 * G_P) / (2.0 * v), 0.0)
-    grid.fail(
-        (force != 0.0) & (np.abs(route - force) > 1e-12 * np.abs(force)),
-        lambda i: AssertionError(
-            "zero-T assembly mismatch: %.17g vs %.17g" % (grid.at(route, i), grid.at(force, i))
-        ),
-    )
+    H_P = (math.pi / 120.0) * D1 * D2
+    G_P = 75.0 * math.pi * rho1 * rho2 / (64.0 * d6)
     inter = {"G_P": G_P, "H_P": H_P, "suppression": suppression, "reference_force": reference}
     inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "v": v}
     return _grid_report(grid, "slabs-zero-T", force, inter, inputs)
@@ -718,16 +743,13 @@ _TARGET_RUNNERS = {
 
 
 def _run_point(cfg):
-    """A one-shot command with a sweep target: that target on a one-point grid."""
+    """A one-shot command with a sweep target: that target on a _Point."""
     target = cfg.command
     if cfg.command == "friction":
         target = "friction-" + cfg.geometry
         if cfg.geometry == "slabs":
             target += "-" + cfg.temperature_mode
-    grid = _Grid(cfg, (1,), [])
-    cells = _TARGET_RUNNERS[target](grid)
-    grid.raise_first()
-    return _Table(cells, grid.shape)
+    return _Table(_TARGET_RUNNERS[target](_Point(cfg)), ())
 
 
 _RUNNERS = {
@@ -800,8 +822,8 @@ def _config_echo(cfg):
 def _fmt(value):
     if isinstance(value, (bool, str)):
         return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return repr(float(value))
 
 
@@ -814,7 +836,8 @@ def _command_name(cfg):
 class _Table:
     """Output columns over a grid of the given shape, one row per point in
     C order: (name, cells) pairs, the cells a string shared by every row or
-    a float array of a shape that broadcasts to the grid's."""
+    a float array of a shape that broadcasts to the grid's. A table of
+    shape () is one row, its cells strings and Python floats."""
 
     def __init__(self, columns, shape):
         self.columns = columns
@@ -878,11 +901,36 @@ def _output_file(path):
         raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (path, exc))
 
 
-def _emit(cfg, table):
+def _text_rows(table):
+    """A function of (sep, string_cell) giving the table's rows, each row's
+    cells joined by sep, a string cell put through string_cell and a float
+    cell as its repr; FloatingPointError if a float is not finite."""
+    values = [cells for _, cells in table.columns]
+    point = not table.shape
     # no NaN or inf goes out with exit 0; checked before any text exists
-    for _, cells in table.columns:
-        if not isinstance(cells, str) and not np.isfinite(cells).all():
-            raise FloatingPointError("a computed value is not finite")
+    if not all(isinstance(x, str) or (math.isfinite(x) if point else np.isfinite(x).all())
+               for x in values):
+        raise FloatingPointError("a computed value is not finite")
+    if point:
+        return lambda sep, string_cell: iter([sep.join(
+            string_cell(x) if isinstance(x, str) else repr(float(x)) for x in values)])
+    # one text array per column object: an axis column and an input that
+    # echoes it unchanged are one array, and every array outlives this
+    # call, so no id is reused
+    by_id = {}
+    texts = []
+    for cells in values:
+        if not isinstance(cells, str):
+            if id(cells) not in by_id:
+                by_id[id(cells)] = _float_text(cells)
+            cells = by_id[id(cells)]
+        texts.append(cells)
+    return lambda sep, string_cell: map(
+        sep.join, zip(*_row_cells(texts, table.shape, sep, string_cell)))
+
+
+def _emit(cfg, table):
+    rows = _text_rows(table)
     names = [name for name, _ in table.columns]
     meta = [
         "# magfriction %s" % __version__,
@@ -892,18 +940,7 @@ def _emit(cfg, table):
         ",".join(names),
     ]
     head = "\n".join(meta) + "\n"
-    # one text array per column object: an axis column and an input that
-    # echoes it unchanged are one array, and every array outlives this
-    # call, so no id is reused
-    by_id = {}
-    texts = []
-    for _, cells in table.columns:
-        if not isinstance(cells, str):
-            if id(cells) not in by_id:
-                by_id[id(cells)] = _float_text(cells)
-            cells = by_id[id(cells)]
-        texts.append(cells)
-    csv_rows = map(",".join, zip(*_row_cells(texts, table.shape, ",", str)))
+    csv_rows = rows(",", str)
     if cfg.out:
         with _output_file(cfg.out) as fh:
             _write_rows(fh, head, csv_rows, "\n", "\n")
@@ -922,7 +959,7 @@ def _emit(cfg, table):
         }
         head, tail = json.dumps(doc, sort_keys=True, indent=2).rsplit('"\\u0000"', 1)
         sep = ",\n      "
-        json_rows = map(sep.join, zip(*_row_cells(texts, table.shape, sep, json.dumps)))
+        json_rows = rows(sep, json.dumps)
         with _output_file(cfg.json_out) as fh:
             # each row is "    [\n      <cells>\n    ]", the rows joined by ",\n"
             _write_rows(fh, head + "[\n    [\n      ", json_rows, "\n    ],\n    [\n      ",
@@ -953,8 +990,11 @@ def main(argv=None):
         cfg = _resolve(args)
         if cfg.command == "verify":
             return _run_verify(cfg)
-        # numpy warnings stay off stderr: _emit refuses a value that is not finite
-        with np.errstate(all="ignore"):
+        # numpy warnings stay off stderr (_emit refuses a value that is not
+        # finite); a one-shot command without a spectrum file computes on
+        # Python floats and loads no numpy
+        arrays = cfg.command == "sweep" or cfg.spectrum_file_1 or cfg.spectrum_file_2
+        with np.errstate(all="ignore") if arrays else contextlib.nullcontext():
             if cfg.command == "sweep":
                 table = _run_sweep(cfg)
             else:

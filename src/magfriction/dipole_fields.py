@@ -10,7 +10,9 @@ friction_forces.
 
 import math
 
-import numpy as np
+from magfriction import lazy_import, numerics
+
+np = lazy_import("numpy")
 
 
 def vec3(x, y, z):
@@ -72,6 +74,23 @@ def coupling_alpha(r):
     """The interaction coefficient 1/(2 r^2) for separation vector r."""
     _, rn = _split(r)
     return 1.0 / (2.0 * rn**2)
+
+
+def axial_fields(d):
+    r"""On the axis r = (0, 0, d), in Python floats: coupling_alpha, the
+    y-component of the field of a unit P_dot along x, and the x-component
+    of the field of a unit M_dot along y; that is 1/(2 r^2), -s/r^2 and
+    s/r^2 with r = |d| and s the sign of d.
+
+    Each is the value the vector functions give there, at the edges of
+    the float range too: a power past it is inf and a zero divisor gives
+    inf.
+    """
+    if d == 0.0:
+        raise ValueError("zero separation")
+    r2 = numerics.ieee_pow(abs(d), 2)
+    s = math.copysign(1.0, d)
+    return numerics.ieee_div(1.0, 2.0 * r2), numerics.ieee_div(-s, r2), numerics.ieee_div(s, r2)
 
 
 def interaction_energies(P, P_dot, M, M_dot, r):

@@ -7,13 +7,13 @@ result can be recomputed by hand, and converts whole reports between
 reduced and Gaussian CGS units through dimension-exponent bookkeeping.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
-import numpy as np
+from magfriction import geometry_coupling, lazy_import, materials_spectral, response_kinetics
 
-from magfriction import geometry_coupling, materials_spectral
-from magfriction.response_kinetics import DeltaCoefficient, OscState
+np = lazy_import("numpy")
 
 REGIMES = ("pair-sharp", "pair-smoothed", "plane", "plane-sharp", "slabs-finite-T", "slabs-zero-T")
 
@@ -147,12 +147,12 @@ def _convert_report(report, units, direction):
 
     fdim = FORCE_DIM[report.regime]
     force = report.force
-    if isinstance(force, DeltaCoefficient):
-        force = DeltaCoefficient(conv(force.amplitude, fdim), conv(force.at_frequency, (0, 0, -1)))
+    delta = response_kinetics.DeltaCoefficient
+    if isinstance(force, delta):
+        force = delta(conv(force.amplitude, fdim), conv(force.at_frequency, (0, 0, -1)))
     elif isinstance(force, tuple):
         force = tuple(
-            DeltaCoefficient(conv(c.amplitude, fdim), conv(c.at_frequency, (0, 0, -1)))
-            for c in force
+            delta(conv(c.amplitude, fdim), conv(c.at_frequency, (0, 0, -1))) for c in force
         )
     else:
         force = conv(force, fdim)
@@ -211,9 +211,11 @@ def pair_force_sharp(geom, v, osc1, osc2, beta):
     a1 = 1.0 / (osc1.mass * osc1.omega**2)
     a2 = 1.0 / (osc2.mass * osc2.omega**2)
     H = materials_spectral.thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
-    pref = np.pi * beta * osc1.omega**2 / 2.0
+    pref = math.pi * beta * osc1.omega**2 / 2.0
     gv = G @ v
-    force = tuple(DeltaCoefficient(float(-gv[l] * H * pref), osc1.omega) for l in range(3))
+    force = tuple(
+        response_kinetics.DeltaCoefficient(float(-gv[l] * H * pref), osc1.omega) for l in range(3)
+    )
     inter = {"H": H, "delta_prefactor": pref}
     for (i, j), name in zip(
         ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
@@ -252,16 +254,17 @@ def plane_force(g, v, spec1, spec2, beta):
     """
     G_h = geometry_coupling.G_halfspace(g)
     inputs = {"z0": g.z0, "rho": g.rho, "v": v, "beta": beta}
-    if isinstance(spec1, OscState) and isinstance(spec2, OscState):
+    osc = response_kinetics.OscState
+    if isinstance(spec1, osc) and isinstance(spec2, osc):
         a1 = 1.0 / (spec1.mass * spec1.omega**2)
         a2 = 1.0 / (spec2.mass * spec2.omega**2)
         H = materials_spectral.thermal_H(spec1.omega, spec2.omega, a1, a2, beta)
-        pref = np.pi * beta * spec1.omega**2 / 2.0
+        pref = math.pi * beta * spec1.omega**2 / 2.0
         amp = -G_h * v * H * pref
         inputs.update({"omega1": spec1.omega, "omega2": spec2.omega})
         return FrictionReport(
             "plane-sharp",
-            DeltaCoefficient(float(amp), spec1.omega),
+            response_kinetics.DeltaCoefficient(float(amp), spec1.omega),
             {"G_h": G_h, "H": H, "delta_prefactor": pref},
             inputs,
         )
@@ -292,12 +295,12 @@ def finite_T_slab_force(g, v, D1, D2, beta):
 
         F = -(2 pi^6/15) (d/(beta c))^2 rho1 rho2 D1 D2 v/(beta^2 d^4)
 
-    The product is checked internally against the assembly -G v H0 from
-    the slab factor and the smoothed thermal factor.
+    The slab factor G and the smoothed thermal factor H0 are reported
+    with it; the oracle battery checks the assembly -G v H0 against it.
     """
     d1, d2 = _slope(D1), _slope(D2)
     suppression = (g.d / beta) ** 2  # c = 1 internally
-    reference = -(2.0 * np.pi**6 / 15.0) * g.rho1 * g.rho2 * d1 * d2 * v / (
+    reference = -(2.0 * math.pi**6 / 15.0) * g.rho1 * g.rho2 * d1 * d2 * v / (
         beta**2 * g.d**4
     )
     force = suppression * reference
@@ -307,11 +310,6 @@ def finite_T_slab_force(g, v, D1, D2, beta):
         materials_spectral.LinearSpectralDensity(d2),
         beta,
     )
-    assembled = -G * v * H0
-    if force != 0.0 and abs(assembled - force) > 1e-12 * abs(force):
-        raise AssertionError(
-            "slab assembly mismatch: %.17g vs %.17g" % (assembled, force)
-        )
     inter = {
         "G": G,
         "H0": H0,
@@ -331,24 +329,18 @@ def zero_T_slab_force(g, v, D1, D2):
 
         F_P = -(5 pi^2/(512 d^6)) (v/c)^2 rho1 rho2 D1 D2 v^3
 
-    Internally cross-checked against the dissipated-energy route
-    -Delta E_P/(2 tau v) with Delta E_P = 2 tau H_P v^6 G_P, taken at
-    tau = 1: any other power of two scales numerator and denominator
-    exactly, so it could differ only by overflowing first.
+    H_P and G_P are reported with it; the oracle battery checks the
+    dissipated-energy route -Delta E_P/(2 tau v), with
+    Delta E_P = 2 tau H_P v^6 G_P, against it.
     """
     if v < 0.0:
         raise ValueError("v must be >= 0 in this regime")
     d1, d2 = _slope(D1), _slope(D2)
     suppression = v * v  # (v/c)^2 at c = 1
-    reference = -(5.0 * np.pi**2 / (512.0 * g.d**6)) * g.rho1 * g.rho2 * d1 * d2 * v**3
+    reference = -(5.0 * math.pi**2 / (512.0 * g.d**6)) * g.rho1 * g.rho2 * d1 * d2 * v**3
     force = suppression * reference
-    H_P = (np.pi / 120.0) * d1 * d2
+    H_P = (math.pi / 120.0) * d1 * d2
     G_P = geometry_coupling.G_P_slabs(g)
-    route = -(2.0 * H_P * v**6 * G_P) / (2.0 * v) if v > 0.0 else 0.0
-    if force != 0.0 and abs(route - force) > 1e-12 * abs(force):
-        raise AssertionError(
-            "zero-T assembly mismatch: %.17g vs %.17g" % (route, force)
-        )
     inter = {
         "G_P": G_P,
         "H_P": H_P,

@@ -8,17 +8,24 @@ duplicates used as consistency oracles, and the zero-temperature
 sixth-moment factor. Internal c = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from magfriction import _kernels, lazy_import, numerics
 
-from magfriction import _kernels, numerics
+np = lazy_import("numpy")
 
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_i, _k, _j] = -1.0
+
+@functools.cache
+def _levi_civita():
+    # eps_ijk, built on first use so that importing the module runs no numpy
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k] = 1.0
+        eps[i, k, j] = -1.0
+    eps.flags.writeable = False
+    return eps
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ def coupling_psi(r):
     traceless; equal to -grad_p(1/r) eps_pij."""
     r = np.asarray(r, dtype=np.float64)
     rn = _norm(r)
-    return np.einsum("k,kij->ij", r, _EPS) / rn**3
+    return np.einsum("k,kij->ij", r, _levi_civita()) / rn**3
 
 
 def coupling_gradient_T(r):
@@ -83,7 +90,7 @@ def coupling_gradient_T(r):
     r = np.asarray(r, dtype=np.float64)
     rn = _norm(r)
     m = np.eye(3) / rn**3 - 3.0 * np.outer(r, r) / rn**5
-    return np.einsum("lk,kij->lij", m, _EPS)
+    return np.einsum("lk,kij->lij", m, _levi_civita())
 
 
 def G_tensor(r):
@@ -94,16 +101,34 @@ def G_tensor(r):
     return 2.0 * (np.eye(3) / rn**6 + 3.0 * np.outer(r, r) / rn**8)
 
 
+def axial_coupling(d):
+    """(psi_xy, G_xx, G_zz) at r = (0, 0, d), in Python floats:
+    d/r^3, 2/r^6 and 2(1/r^6 + 3 d^2/r^8) with r = |d|.
+
+    Each is the value coupling_psi and G_tensor give there, at the edges
+    of the float range too: a power past it is inf and a zero divisor
+    gives inf, or nan for 0/0 (G_xx once r^8 underflows).
+    """
+    if d == 0.0:
+        raise ValueError("zero separation")
+    rn = abs(d)
+    inv6 = numerics.ieee_div(1.0, numerics.ieee_pow(rn, 6))
+    r8 = numerics.ieee_pow(rn, 8)
+    psi_xy = numerics.ieee_div(d, numerics.ieee_pow(rn, 3))
+    return (psi_xy, 2.0 * (inv6 + numerics.ieee_div(0.0, r8)),
+            2.0 * (inv6 + numerics.ieee_div(3.0 * (d * d), r8)))
+
+
 def G_halfspace(g):
     """Half-space reduction of G_xx: pi rho/(2 z0^3), the volume integral
     of G_xx weighted by the density over z > z0."""
-    return np.pi * g.rho / (2.0 * g.z0**3)
+    return math.pi * g.rho / (2.0 * g.z0**3)
 
 
 def G_slabs_realspace(g):
     """Slab pair factor pi rho1 rho2/(4 d^2): the half-space factor
     integrated once more across the gap."""
-    return np.pi * g.rho1 * g.rho2 / (4.0 * g.d**2)
+    return math.pi * g.rho1 * g.rho2 / (4.0 * g.d**2)
 
 
 def psi_hat(z0, q):
@@ -111,7 +136,7 @@ def psi_hat(z0, q):
     2 pi exp(-q|z0|)/q."""
     if q <= 0.0:
         raise ValueError("q must be positive")
-    return 2.0 * np.pi * np.exp(-q * abs(z0)) / q
+    return 2.0 * math.pi * np.exp(-q * abs(z0)) / q
 
 
 def G_hat_q(d, q):
@@ -119,7 +144,7 @@ def G_hat_q(d, q):
     z-integral of 4 q^2 psi_hat^2 across a gap of width d."""
     if d <= 0.0 or q <= 0.0:
         raise ValueError("d and q must be positive")
-    return (2.0 * np.pi) ** 2 * np.exp(-2.0 * q * d) / q**2
+    return (2.0 * math.pi) ** 2 * np.exp(-2.0 * q * d) / q**2
 
 
 def G_slabs_fourier(g):
@@ -130,23 +155,23 @@ def G_slabs_fourier(g):
     route, pi rho1 rho2/(4 d^2), exactly.
     """
     q = numerics.quad_semi_infinite(
-        lambda k: 0.5 * k**2 * G_hat_q(g.d, k) * 2.0 * np.pi * k,
+        lambda k: 0.5 * k**2 * G_hat_q(g.d, k) * 2.0 * math.pi * k,
         0.0,
         tol=1e-12,
         panel_scale=1.0 / g.d,
     )
-    return g.rho1 * g.rho2 / (2.0 * np.pi) ** 2 * q.value
+    return g.rho1 * g.rho2 / (2.0 * math.pi) ** 2 * q.value
 
 
 def angular_moment6():
     """Sixth angular moment: integral of cos^6 over a full turn, 5 pi/8."""
-    return 5.0 * np.pi / 8.0
+    return 5.0 * math.pi / 8.0
 
 
 def G_P_slabs(g):
     """Zero-temperature slab factor 75 pi rho1 rho2/(64 d^6): the
     sixth-moment weighted Fourier integral in closed form."""
-    return 75.0 * np.pi * g.rho1 * g.rho2 / (64.0 * g.d**6)
+    return 75.0 * math.pi * g.rho1 * g.rho2 / (64.0 * g.d**6)
 
 
 def mc_halfspace_Gxx(z0, n, seed, chunk_size=1 << 20):

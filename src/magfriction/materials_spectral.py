@@ -13,9 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
+from magfriction import lazy_import, numerics
 
-from magfriction import numerics
+np = lazy_import("numpy")
 
 
 class ExtractionError(RuntimeError):
@@ -163,7 +163,7 @@ def spectrum_from_h(h, m, gamma=None):
             v = h(-m * m + 1j * g)
         except Exception as exc:
             raise ExtractionError("response not evaluable off the real axis: %s" % exc)
-        v = -np.imag(v) / np.pi
+        v = -np.imag(v) / math.pi
         if not np.isfinite(v):
             raise ExtractionError("non-finite response at gamma=%g" % g)
         vals.append(float(v))
@@ -182,7 +182,7 @@ def drude_polarizability_h(p, zeta):
     """Half-space response per unit density: (1/(2 pi rho)) (eps-1)/(eps+1),
     equal to (1/(2 pi rho)) omega_p^2/(2 zeta^2 + 2 nu zeta + omega_p^2)."""
     e = drude_epsilon(p, zeta)
-    return (e - 1.0) / (e + 1.0) / (2.0 * np.pi * p.rho)
+    return (e - 1.0) / (e + 1.0) / (2.0 * math.pi * p.rho)
 
 
 def drude_h_of_K2(p, K2):
@@ -190,14 +190,14 @@ def drude_h_of_K2(p, K2):
     continued off the axis with the principal square root."""
     zeta = np.sqrt(complex(K2))
     w2 = p.omega_p**2
-    val = w2 / (2.0 * complex(K2) + 2.0 * p.nu * zeta + w2) / (2.0 * np.pi * p.rho)
+    val = w2 / (2.0 * complex(K2) + 2.0 * p.nu * zeta + w2) / (2.0 * math.pi * p.rho)
     return val.real if val.imag == 0.0 else val
 
 
 def drude_D(p):
     """Low-frequency spectral slope of a Drude half-space:
     D = nu/(rho*(pi*omega_p)^2)."""
-    return LinearSpectralDensity(p.nu / (p.rho * (np.pi * p.omega_p) ** 2))
+    return LinearSpectralDensity(p.nu / (p.rho * (math.pi * p.omega_p) ** 2))
 
 
 def thermal_H(omega1, omega2, alpha1, alpha2, beta):
@@ -220,7 +220,7 @@ def universal_I():
     this value against quadrature ("semi-infinite quartic thermal") and
     against the zeta(4) series ("universal integral routes").
     """
-    return 4.0 * np.pi**4 / 15.0
+    return 4.0 * math.pi**4 / 15.0
 
 
 # the H0 integrand's support is cut at beta*m = 700: 1/sinh^2(beta m/2) is
@@ -264,7 +264,7 @@ def smoothed_H0(spec1, spec2, beta):
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if spec1.is_linear and spec2.is_linear:
-        return (2.0 * np.pi / beta**4) * spec1.D * spec2.D * universal_I()
+        return (2.0 * math.pi / beta**4) * spec1.D * spec2.D * universal_I()
     specs = (spec1, spec2)
     end = min([_H0_CUTOFF / beta] + [s.m_max for s in specs if s.m_max is not None])
     knots = [[0.0, end]]
@@ -300,4 +300,4 @@ def smoothed_H0(spec1, spec2, beta):
         raise numerics.QuadratureError(
             "H0 rule did not converge: |Q8 - Q16| = %g against %g" % (err, total)
         )
-    return (np.pi * beta / 2.0) * total
+    return (math.pi * beta / 2.0) * total

@@ -11,8 +11,6 @@ alpha^2/2 ground-state shift, high temperature kills the effect.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from magfriction import _kernels
 
 
@@ -41,7 +39,7 @@ def matsubara_frequency(beta, n):
     """Thermal frequency K = 2*pi*n/beta; odd in n."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return 2.0 * np.pi * n / beta
+    return 2.0 * math.pi * n / beta
 
 
 def reference_mode_average(u):
@@ -111,7 +109,7 @@ def induced_free_energy(alpha, grid):
     if a2 == 0.0:
         return 0.0
     partial = _kernels.mode_sum(alpha, grid.beta, grid.n_max)
-    scale = grid.beta / (2.0 * np.pi)
+    scale = grid.beta / (2.0 * math.pi)
     pref = 2.0 * (2.0 * a2 / grid.beta)
     tail = pref * scale**2 * float(polygamma(1, grid.n_max + 1))
     bound = pref * scale**4 * 3.0 * float(polygamma(3, grid.n_max + 1)) / 6.0

@@ -8,9 +8,12 @@ scipy is imported inside the functions that call it, so callers that
 only take closed forms never load it.
 """
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+from magfriction import lazy_import
+
+np = lazy_import("numpy")
 
 
 class QuadratureError(RuntimeError):
@@ -50,6 +53,26 @@ class McResult:
     std_error: float
     samples: int
     seed: int
+
+
+def ieee_pow(x, n):
+    """x ** n for a float x and a positive integer n, with the IEEE range
+    of numpy's float64: a result past the float range is a signed inf,
+    not OverflowError."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
+def ieee_div(a, b):
+    """a / b for floats, with the IEEE range of numpy's float64: a zero
+    divisor gives a signed inf, or nan for 0/0, not ZeroDivisionError."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def quad_finite(f, a, b, tol=1e-10):
@@ -197,11 +220,11 @@ class HalfspaceSampler:
     def map(self, u):
         z = self.z0 * (1.0 - u[0]) ** (-1.0 / 3.0)
         s = z * np.sqrt((1.0 - u[1]) ** (-0.5) - 1.0)
-        phi = 2.0 * np.pi * u[2]
+        phi = 2.0 * math.pi * u[2]
         pts = np.vstack([s * np.cos(phi), s * np.sin(phi), z])
         r2 = s * s + z * z
         # p(z) * p(s|z)/(2*pi*s), the s cancelled analytically
-        pdf = (3.0 * self.z0 ** 3 / z ** 4) * (4.0 * z ** 4 / (2.0 * np.pi * r2 ** 3))
+        pdf = (3.0 * self.z0 ** 3 / z ** 4) * (4.0 * z ** 4 / (2.0 * math.pi * r2 ** 3))
         return pts, pdf
 
 

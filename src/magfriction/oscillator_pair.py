@@ -8,9 +8,9 @@ pair, and a fixed-step integrator used as the trajectory oracle.
 
 from dataclasses import dataclass
 
-import numpy as np
+from magfriction import _kernels, lazy_import
 
-from magfriction import _kernels
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ DeltaCoefficient records carrying the finite prefactor of the frequency-
 matching delta.
 """
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+from magfriction import lazy_import, numerics
 
-from magfriction import numerics
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def sharp_friction_amplitude(osc1, osc2, beta, G):
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     x1 = beta * osc1.omega / 2.0
-    amp = -np.pi * beta * G / (8.0 * osc1.mass * osc2.mass * np.sinh(x1) ** 2)
+    amp = -math.pi * beta * G / (8.0 * osc1.mass * osc2.mass * np.sinh(x1) ** 2)
     return DeltaCoefficient(float(amp), osc1.omega)
 
 
@@ -207,10 +208,10 @@ def dissipation_J(omega_v, tau, spec1, spec2):
     if W == 0.0:
         return 0.0
     if spec1.is_linear and spec2.is_linear:
-        return 2.0 * tau * W**6 * (np.pi / 120.0) * spec1.D * spec2.D
+        return 2.0 * tau * W**6 * (math.pi / 120.0) * spec1.D * spec2.D
 
     def integrand(w):
         return ((2.0 * w - W) / 2.0) ** 2 * spec1.density(w) * spec2.density(W - w)
 
     res = numerics.quad_finite(integrand, 0.0, W, tol=1e-12)
-    return 2.0 * np.pi * tau * W * res.value
+    return 2.0 * math.pi * tau * W * res.value

@@ -649,7 +649,7 @@ def check_psi_dual_form():
             continue
         psi = geometry_coupling.coupling_psi(r)
         grad = numerics.gradient_central(lambda x: 1.0 / np.linalg.norm(x), r, 1e-6)
-        dual = -np.einsum("p,pij->ij", grad, geometry_coupling._EPS)
+        dual = -np.einsum("p,pij->ij", grad, geometry_coupling._levi_civita())
         worst = max(worst, np.max(np.abs(psi - dual)))
         worst = max(worst, np.max(np.abs(psi + psi.T)), abs(np.trace(psi)))
     return _ok(worst, 1e-7)
@@ -823,16 +823,22 @@ def check_finite_T_assembly():
 def check_zero_T_assembly():
     ff = _forces()
     g = SlabGeometry(1.0, 1.0, 1.0)
-    rep = ff.zero_T_slab_force(g, 0.01, 1.0, 1.0)
-    closed = -(5.0 * np.pi**2 / 512.0) * 0.01**5
+    v = 0.01
+    rep = ff.zero_T_slab_force(g, v, 1.0, 1.0)
+    closed = -(5.0 * np.pi**2 / 512.0) * v**5
     rel = abs(rep.force - closed) / abs(closed)
+    # the dissipated-energy assembly -Delta E_P/(2 tau v), Delta E_P = 2 tau H_P v^6 G_P
+    inter = rep.intermediates
+    route = -(2.0 * inter["H_P"] * v**6 * inter["G_P"]) / (2.0 * v)
+    rel_route = abs(route - rep.force) / abs(rep.force)
     # quadrature H_P route per the dissipation integral; a truncated
     # density forces the general path since support stops at the total
     wv = 0.37
     s = materials_spectral.LinearSpectralDensity(1.0, m_max=wv)
     HPq = response_kinetics.dissipation_J(wv, 1.0, s, s) / (2.0 * wv**6)
     rel_hp = abs(HPq - np.pi / 120.0) / (np.pi / 120.0)
-    return rel <= 1e-12 and rel_hp <= 1e-10, "closed rel=%.3g H_P rel=%.3g" % (rel, rel_hp)
+    return rel <= 1e-12 and rel_route <= 1e-12 and rel_hp <= 1e-10, (
+        "closed rel=%.3g route rel=%.3g H_P rel=%.3g" % (rel, rel_route, rel_hp))
 
 
 def check_force_signs(draws=200):

@@ -113,22 +113,44 @@ def test_underflow_into_divisor_names_command(cli, capsys):
     )
 
 
+_NOT_FINITE = "numerical failure: a computed value is not finite\n"
+
+
 def test_zero_T_force_near_the_float_limit(cli, capsys):
-    # the force is finite, although 2 tau H_P v^6 G_P overflows for tau = 2
+    # the force is finite, although the dissipated-energy route 2 tau H_P v^6 G_P
+    # overflows; that route is the battery's, not the command's
     args = ["friction", "slabs", "--temperature", "zero", "--d", 1, "--rho1", 1, "--rho2", 1,
             "--D1", 10, "--D2", 10, "--v"]
     code, out = cli(*args, 1.38e51)
     assert code == 0
-    header, row = (ln.split(",") for ln in out.splitlines() if not ln.startswith("#"))
-    assert row[header.index("force")] == "-4.823865839228791e+256"
+    assert _column(out, "force") == ["-4.823865839228791e+256"]
     code, out = cli(*args, 1e52)
+    assert code == 0
+    assert _column(out, "force") == ["-9.638285547938828e+260"]
+    code, out = cli(*args, 1e62)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == _NOT_FINITE
+    code, out = cli(*args, 1e103)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         "numerical failure: friction slabs: a computed value overflows the float range\n"
     )
 
 
-_NOT_FINITE = "numerical failure: a computed value is not finite\n"
+@pytest.mark.parametrize("args,force", [
+    # -G v overflows, although the force -G v H0 is finite
+    (["friction", "slabs", "--temperature", "finite", "--beta", 1, "--d", 1, "--rho1", 1e150,
+      "--rho2", 1e150, "--D1", 1e-150, "--D2", 1e-150, "--v", 1e10], "-1281852258100.4058"),
+    # 2 H_P v^6 G_P overflows, although the force is finite
+    (["friction", "slabs", "--temperature", "zero", "--d", 1, "--rho1", 1, "--rho2", 1,
+      "--D1", 100, "--D2", 100, "--v", 1e51], "-9.638285547938826e+257"),
+])
+def test_finite_slab_force_is_not_refused_by_an_assembly_route(cli, capsys, args, force):
+    code, out = cli(*args)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert _column(out, "force") == [force]
+
+
 _PAIR_UNIT = ["--beta", 1, "--v", 1, "--D1", 1, "--D2", 1]
 _CGS_SLABS = ["friction", "slabs", "--temperature", "finite", "--units", "gaussian",
               "--d", 1e-7, "--rho1", 1e22, "--rho2", 1e22, "--D1", 1e-30, "--D2", 1e-30]
@@ -749,14 +771,17 @@ def test_python_m_package(cli):
     assert out.stdout == in_process.encode()
 
 
-# runs CLI commands in a fresh interpreter; prints exit codes and loaded scipy modules
+# runs CLI commands in a fresh interpreter; prints exit codes and the loaded
+# scipy modules and numpy submodules (numpy itself is bound, not executed,
+# until a route uses it)
 _MODULES_AFTER = """
 import contextlib, io, json, sys
 from magfriction import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps([codes, scipy]))
+numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
+print(json.dumps([codes, scipy, numpy]))
 """
 
 
@@ -768,25 +793,36 @@ def _modules_after(commands):
 
 
 def test_closed_form_commands_load_no_scipy():
-    codes, scipy = _modules_after([
+    # also no numpy: the oracle battery imports numpy, so it never ran either
+    gaussian = ["--units", "gaussian", "--temperature-kelvin", 300]
+    cgs = ["--d", 1e-6, "--v", 100, "--D1", 1e-30, "--D2", 1e-30]
+    commands = [
         ["eigen", "--alpha", 0.75],
         ["free-energy", "--alpha", 0.1, "--beta", 10],
+        ["free-energy", "--alpha", 0.1, *gaussian],
         ["fields", "--d", 1.0],
+        ["fields", "--d", 2.5, "--z0", 1.5, "--rho1", 2],
         ["friction", "pair", "--d", 2, "--beta", 1, "--v", 1e-3, "--D1", 1, "--D2", 1],
+        ["friction", "pair", *cgs, *gaussian],
         ["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2, "--v", 1e-3,
          "--D1", 1, "--D2", 1],
+        ["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2, "--v", 1e-3,
+         "--D1", 1, "--omega-p", 9, "--nu", 0.1],
         SLABS_UNIT,
+        ["friction", "slabs", "--temperature", "finite", *cgs, "--rho1", 1e22, "--rho2", 1e22,
+         *gaussian],
         SLABS_ZERO_UNIT,
-    ])
-    assert codes == [0] * 7
-    assert scipy == []
+    ]
+    codes, scipy, numpy = _modules_after(commands)
+    assert codes == [0] * len(commands)
+    assert (scipy, numpy) == ([], [])
 
 
 def test_tabulated_commands_load_no_scipy(tmp_path):
     # a tabulated H0 takes a fixed Gauss-Legendre rule, not scipy's adaptive quadrature
     grid = np.linspace(0.0, 40.0, 400)
     path = _write(tmp_path / "s.txt", "".join("%.17g %.17g\n" % (w, 0.25 * w) for w in grid))
-    codes, scipy = _modules_after([
+    codes, scipy, _ = _modules_after([
         ["friction", "pair", "--d", 2, "--beta", 1, "--v", 1e-3, "--D2", 1,
          "--spectrum-file-1", path],
         ["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 2, "--v", 1e-3,
@@ -794,6 +830,40 @@ def test_tabulated_commands_load_no_scipy(tmp_path):
     ])
     assert codes == [0, 0]
     assert scipy == []
+
+
+def test_importing_the_cli_binds_every_library_module():
+    # each module is in sys.modules, numpy and the oracle battery bound but not run
+    script = (
+        "import json, pkgutil, sys\n"
+        "import magfriction, magfriction.cli\n"
+        "names = [m.name for m in pkgutil.iter_modules(magfriction.__path__)]\n"
+        "print(json.dumps([sorted(n for n in names if 'magfriction.' + n not in sys.modules),\n"
+        "                  sorted(m for m in sys.modules if m.startswith('numpy.')),\n"
+        "                  'numpy' in sys.modules]))\n"
+    )
+    out = _run_child("-c", script)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert json.loads(out.stdout) == [["__main__"], [], True]
+
+
+def test_suite_choices_are_the_battery_suites():
+    from magfriction import verification
+
+    assert list(cli_module._SUITES) == sorted(verification.SUITES) + ["all"]
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--target", "friction-pair", "--axis", "d:1:2:3", "--axis", "v:1e-3:1e-2:2:log",
+     "--beta", 2, "--D1", 1, "--D2", 1],
+    ["verify", "--suite", "forces"],
+])
+def test_lazily_loaded_routes_match_in_process(cli, args):
+    # a fresh interpreter loads numpy and the battery on first use
+    fresh = _run_child("-m", "magfriction.cli", *map(str, args))
+    code, in_process = cli(*args)
+    assert (fresh.returncode, fresh.stderr) == (code, b"") == (0, b"")
+    assert fresh.stdout == in_process.encode()
 
 
 # runs several commands through one process's main; prints each exit code,

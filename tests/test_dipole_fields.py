@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_check
+from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
 from magfriction.dipole_fields import (
+    axial_fields,
     coupling_alpha,
     electric_field_quasistatic,
     interaction_energies,
@@ -130,3 +131,16 @@ def test_zero_separation_rejected(call):
 def test_fields_suite_green():
     failures = [c.name for c in verification.SUITES["fields"] if not c.run()[0]]
     assert failures == []
+
+
+def test_axial_fields_are_the_vector_forms_on_the_axis():
+    with np.errstate(all="ignore"):
+        for d in AXIAL_D:
+            r = [0.0, 0.0, d]
+            want = [coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[1],
+                    electric_field_quasistatic([0.0, 1.0, 0.0], r)[0]]
+            got = axial_fields(d)
+            assert all(type(x) is float for x in got)
+            assert list(map(float_bits, got)) == list(map(float_bits, map(float, want))), d
+    with pytest.raises(ValueError, match="zero separation"):
+        axial_fields(-0.0)

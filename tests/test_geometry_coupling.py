@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_check
+from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
 from magfriction.geometry_coupling import (
     PairGeometry,
@@ -17,6 +17,7 @@ from magfriction.geometry_coupling import (
     G_slabs_realspace,
     G_tensor,
     angular_moment6,
+    axial_coupling,
     coupling_gradient_T,
     coupling_psi,
     mc_halfspace_Gxx,
@@ -182,6 +183,20 @@ def test_tiny_separation_is_not_zero():
         assert not np.isfinite(G_tensor([0.0, 0.0, 1e-200])[0, 0])
     with pytest.raises(ValueError, match="zero separation"):
         G_tensor(np.zeros(3))
+
+
+def test_axial_coupling_is_the_tensors_on_the_axis():
+    # bit for bit, signed zeros, inf and nan included
+    with np.errstate(all="ignore"):
+        for d in AXIAL_D:
+            r = [0.0, 0.0, d]
+            psi, G = coupling_psi(r), G_tensor(r)
+            want = [psi[0, 1], G[0, 0], G[2, 2]]
+            got = axial_coupling(d)
+            assert all(type(x) is float for x in got)
+            assert list(map(float_bits, got)) == list(map(float_bits, map(float, want))), d
+    with pytest.raises(ValueError, match="zero separation"):
+        axial_coupling(0.0)
 
 
 def test_geometry_suite_green():

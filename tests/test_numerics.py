@@ -1,5 +1,7 @@
 """Quadrature, Monte-Carlo, series, and fitting engine battery."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -166,3 +168,17 @@ def test_quad_matches_cubic_antiderivative(coeffs, a, width):
 def test_numerics_suite_green():
     failures = [c.name for c in verification.SUITES["numerics"] if not c.run()[0]]
     assert failures == []
+
+
+def test_ieee_pow_and_div_keep_the_float_range():
+    assert numerics.ieee_pow(2.0, 3) == 8.0
+    assert numerics.ieee_pow(1e200, 2) == math.inf
+    assert numerics.ieee_pow(-1e200, 3) == -math.inf
+    assert numerics.ieee_pow(-1e200, 4) == math.inf
+    assert numerics.ieee_pow(1e-200, 2) == 0.0
+    assert numerics.ieee_div(1.0, 4.0) == 0.25
+    assert numerics.ieee_div(3.0, 0.0) == math.inf
+    assert numerics.ieee_div(-3.0, 0.0) == -math.inf
+    assert numerics.ieee_div(3.0, -0.0) == -math.inf
+    assert math.isnan(numerics.ieee_div(0.0, 0.0))
+    assert numerics.ieee_div(1.0, math.inf) == 0.0
