@@ -4,7 +4,7 @@ Quasistatic dipole coupling, the coupled electric/magnetic oscillator pair,
 imaginary-frequency free energies, sharp and thermally smoothed friction
 kernels, and the geometric reduction factors for particle, half-space, and
 parallel-slab configurations. Reduced units (hbar = c = kB = 1) everywhere;
-friction_forces.UnitContext converts results to Gaussian CGS.
+units.UnitContext converts results to Gaussian CGS.
 """
 
 import importlib.util

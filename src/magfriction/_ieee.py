@@ -1,0 +1,52 @@
+"""Float arithmetic with the IEEE range of numpy's float64, and the
+numerical failure types.
+
+The closed forms and the CLI reach these without executing
+``magfriction.numerics``, which re-exports every name here.
+"""
+
+import math
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature failed to converge; .best holds the last estimate."""
+
+    def __init__(self, message, best=None):
+        super().__init__(message)
+        self.best = best
+
+
+class McSamplingError(RuntimeError):
+    """A sampler produced a zero or invalid density."""
+
+
+class SeriesError(RuntimeError):
+    """A supplied tail bound was violated or the term budget ran out."""
+
+
+class FitError(RuntimeError):
+    """Spectral fit is ill-conditioned; .condition holds the diagnostic."""
+
+    def __init__(self, message, condition=None):
+        super().__init__(message)
+        self.condition = condition
+
+
+def ieee_pow(x, n):
+    """x ** n for a float x and a positive integer n, with the IEEE range
+    of numpy's float64: a result past the float range is a signed inf,
+    not OverflowError."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
+def ieee_div(a, b):
+    """a / b for floats, with the IEEE range of numpy's float64: a zero
+    divisor gives a signed inf, or nan for 0/0, not ZeroDivisionError."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)

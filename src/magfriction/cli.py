@@ -18,25 +18,29 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from magfriction import __version__, lazy_import, materials_spectral, numerics
+from magfriction import __version__, lazy_import
 
 # every library module is bound here and executed on first use, so that a
-# command loads only what it computes with (numerics and materials_spectral
-# at once, for the exception types below); the oracle battery loads only
-# for verify, and numpy only for sweeps and spectrum files
+# command loads only what it computes with (eigen runs none of them); json
+# loads only for --json, the oracle battery only for verify, and numpy only
+# for sweeps and spectrum files
+json = lazy_import("json")
 np = lazy_import("numpy")
+_ieee = lazy_import("magfriction._ieee")
+numerics = lazy_import("magfriction.numerics")
 _kernels = lazy_import("magfriction._kernels")
 dipole_fields = lazy_import("magfriction.dipole_fields")
 friction_forces = lazy_import("magfriction.friction_forces")
 geometry_coupling = lazy_import("magfriction.geometry_coupling")
+materials_spectral = lazy_import("magfriction.materials_spectral")
 matsubara = lazy_import("magfriction.matsubara")
 oscillator_pair = lazy_import("magfriction.oscillator_pair")
 response_kinetics = lazy_import("magfriction.response_kinetics")
+units = lazy_import("magfriction.units")
 verification = lazy_import("magfriction.verification")
 
 EXIT_OK = 0
@@ -44,15 +48,20 @@ EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 EXIT_CONFIG = 3
 
-_NUMERIC_ERRORS = (
-    numerics.QuadratureError,
-    numerics.McSamplingError,
-    numerics.SeriesError,
-    numerics.FitError,
-    materials_spectral.ExtractionError,
-    AssertionError,
-    FloatingPointError,
-)
+
+def _numeric_errors():
+    # the failures that exit 2; main looks them up only when an exception
+    # reaches them, so that no command loads a module for them
+    return (
+        _ieee.QuadratureError,
+        _ieee.McSamplingError,
+        _ieee.SeriesError,
+        _ieee.FitError,
+        materials_spectral.ExtractionError,
+        AssertionError,
+        FloatingPointError,
+    )
+
 
 # long-flag name and parser for everything settable from a config file
 _PARAMS = (
@@ -92,54 +101,82 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", "parsers", _Subcommands)
+
     # argparse wants to exit(2) on bad flags; route that to exit code 3
     def error(self, message):
         raise CliError(EXIT_CONFIG, message)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved invocation: the command and every parameter."""
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when argparse first dispatches
+    to them, so that a call builds the parser of its own command only; the
+    names are choices from the start, for help, usage and errors."""
 
-    command: str
-    geometry: str = None
-    temperature_mode: str = None
-    suite: str = None
-    target: str = None
-    axes: tuple = ()
-    units: str = "reduced"
-    seed: int = 0
-    workers: int = 1
-    max_points: int = 10000
-    out: str = None
-    json_out: str = None
-    alpha: float = None
-    beta: float = None
-    temperature_kelvin: float = None
-    d: float = None
-    z0: float = None
-    rho1: float = None
-    rho2: float = None
-    omega_p: float = None
-    nu: float = None
-    D1: float = None
-    D2: float = None
-    v: float = None
-    spectrum_file_1: str = None
-    spectrum_file_2: str = None
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = {}
 
+    def add_parser(self, name, fill):
+        """Subcommand ``name``; ``fill(parser)`` adds its arguments."""
+        self.choices[name] = None
+        self._fill[name] = fill
 
-@dataclass(frozen=True)
-class SweepAxis:
-    """One sweep dimension: parameter flag name and its grid."""
+    def fill(self, name):
+        """The parser of subcommand ``name``, built on the first call."""
+        if name in self._fill:
+            # as add_parser builds it, which would refuse the name as taken
+            parser = _Parser(prog="%s %s" % (self._prog_prefix, name))
+            self._fill.pop(name)(parser)
+            self.choices[name] = parser
+        return self.choices[name]
 
-    name: str
-    values: tuple
-    spec: str
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.fill(values[0])  # argparse has refused an unknown name
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _attr(flag):
     return flag.replace("-", "_")
+
+
+class RunConfig:
+    """Fully resolved invocation: the command and every parameter."""
+
+    __slots__ = ("command", "geometry", "temperature_mode", "suite", "target", "axes", "units",
+                 "seed", "workers", "max_points", "out", "json_out",
+                 *(_attr(flag) for flag, _ in _PARAMS))
+
+    def __init__(self, command, geometry=None, temperature_mode=None, suite=None, target=None,
+                 axes=(), units="reduced", seed=0, workers=1, max_points=10000, out=None,
+                 json_out=None, alpha=None, beta=None, temperature_kelvin=None, d=None, z0=None,
+                 rho1=None, rho2=None, omega_p=None, nu=None, D1=None, D2=None, v=None,
+                 spectrum_file_1=None, spectrum_file_2=None):
+        values = locals()
+        for name in self.__slots__:
+            setattr(self, name, values[name])
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return "RunConfig(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+
+
+class SweepAxis(namedtuple("SweepAxis", "name values spec")):
+    """One sweep dimension: parameter flag name and its grid."""
+
+    __slots__ = ()
 
 
 def _add_common(parser):
@@ -153,29 +190,43 @@ def _add_common(parser):
     parser.add_argument("--config", type=str, default=None)
 
 
-@functools.cache
-def _build_parser():
-    """The argument parser, built once per process: parse_args leaves it as
-    it was (argparse copies the --axis append default before appending)."""
-    parser = _Parser(prog="magfriction")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eigen", "free-energy", "fields"):
-        _add_common(sub.add_parser(name))
-    fr = sub.add_parser("friction")
+def _add_geometries(fr):
     geo = fr.add_subparsers(dest="geometry", required=True)
-    _add_common(geo.add_parser("pair"))
-    _add_common(geo.add_parser("plane"))
-    slabs = geo.add_parser("slabs")
+    geo.add_parser("pair", _add_common)
+    geo.add_parser("plane", _add_common)
+    geo.add_parser("slabs", _add_slabs)
+
+
+def _add_slabs(slabs):
     _add_common(slabs)
     slabs.add_argument("--temperature", choices=["finite", "zero"], required=True)
-    sw = sub.add_parser("sweep")
+
+
+def _add_sweep(sw):
     _add_common(sw)
     sw.add_argument("--target", choices=sorted(_SWEEP_AXES), required=True)
     sw.add_argument("--axis", action="append", default=[], required=True)
     sw.add_argument("--max-points", type=int, default=None)
-    vf = sub.add_parser("verify")
+
+
+def _add_verify(vf):
     _add_common(vf)
     vf.add_argument("--suite", choices=_SUITES, default="all")
+
+
+@functools.cache
+def _build_parser():
+    """The argument parser, built once per process; _Subcommands builds a
+    subcommand's parser when a call first reaches it. Otherwise parse_args
+    leaves the parser as it was (argparse copies the --axis append default
+    before appending)."""
+    parser = _Parser(prog="magfriction")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("eigen", "free-energy", "fields"):
+        sub.add_parser(name, _add_common)
+    sub.add_parser("friction", _add_geometries)
+    sub.add_parser("sweep", _add_sweep)
+    sub.add_parser("verify", _add_verify)
     return parser
 
 
@@ -311,7 +362,7 @@ def _parse_axis(spec):
 
 def _units_ctx(cfg):
     if cfg.units == "gaussian":
-        return friction_forces.UnitContext(1.0)
+        return units.UnitContext(1.0)
     return None
 
 
@@ -370,7 +421,7 @@ def _tabulated_slab(side):
 
 def _run_fields(cfg):
     """The fields and couplings on the axis r = (0, 0, d), in Python floats."""
-    _need(vars(cfg), "d")
+    _need({"d": cfg.d}, "d")
     if _units_ctx(cfg) is not None:
         raise CliError(EXIT_CONFIG, "fields reports reduced units only")
     d = cfg.d
@@ -441,7 +492,7 @@ class _Grid:
         col = self.columns.get(name)
         if col is None or self.ctx is None:
             return col
-        return col / self.ctx.factor(friction_forces.INPUT_DIM[name])
+        return col / self.ctx.factor(units.INPUT_DIM[name])
 
     def fail(self, where, error):
         """The points of mask ``where`` fail with the exception ``error``."""
@@ -608,19 +659,19 @@ def _grid_report(grid, regime, force, intermediates, inputs):
     ctx = grid.ctx
     if ctx is not None:
         for name, col in list(inputs.items()):
-            dim = friction_forces.INPUT_DIM.get(name)
+            dim = units.INPUT_DIM.get(name)
             if dim is not None:
                 inputs[name + "_cgs"] = col * ctx.factor(dim)
         if "beta" in inputs:
             inputs["temperature_kelvin"] = grid.div(ctx.energy_scale, ctx.k_B * inputs["beta"])
-        force = force * ctx.factor(friction_forces.FORCE_DIM[regime])
+        force = force * ctx.factor(units.FORCE_DIM[regime])
         intermediates = {
-            name: col * ctx.factor(friction_forces.intermediate_dim(name, regime))
+            name: col * ctx.factor(units.intermediate_dim(name, regime))
             for name, col in intermediates.items()
         }
-    units = "reduced" if ctx is None else "gaussian"
+    system = "reduced" if ctx is None else "gaussian"
     return (
-        [("regime", regime), ("units", units), ("force", force)]
+        [("regime", regime), ("units", system), ("force", force)]
         + sorted(intermediates.items())
         + sorted(inputs.items())
     )
@@ -967,6 +1018,8 @@ def _emit(cfg, table):
 
 
 def _run_verify(cfg):
+    if cfg.json_out:
+        raise CliError(EXIT_CONFIG, "verify has no --json mirror; --out FILE writes its lines")
     lines = []
 
     def sink(line):
@@ -1018,12 +1071,12 @@ def main(argv=None):
             "numerical failure: %s: a divisor underflows to zero\n" % _command_name(args)
         )
         return EXIT_NUMERIC
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write("numerical failure: %s\n" % exc)
-        return EXIT_NUMERIC
     except ValueError as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return EXIT_VALIDATION
+    except _numeric_errors() as exc:  # none of them a ValueError
+        sys.stderr.write("numerical failure: %s\n" % exc)
+        return EXIT_NUMERIC
 
 
 def entry():

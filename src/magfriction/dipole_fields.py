@@ -10,7 +10,7 @@ friction_forces.
 
 import math
 
-from magfriction import lazy_import, numerics
+from magfriction import _ieee, lazy_import
 
 np = lazy_import("numpy")
 
@@ -88,9 +88,9 @@ def axial_fields(d):
     """
     if d == 0.0:
         raise ValueError("zero separation")
-    r2 = numerics.ieee_pow(abs(d), 2)
+    r2 = _ieee.ieee_pow(abs(d), 2)
     s = math.copysign(1.0, d)
-    return numerics.ieee_div(1.0, 2.0 * r2), numerics.ieee_div(-s, r2), numerics.ieee_div(s, r2)
+    return _ieee.ieee_div(1.0, 2.0 * r2), _ieee.ieee_div(-s, r2), _ieee.ieee_div(s, r2)
 
 
 def interaction_energies(P, P_dot, M, M_dot, r):

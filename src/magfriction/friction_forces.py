@@ -1,10 +1,11 @@
-"""Assembled friction forces and the reduced/Gaussian unit boundary.
+"""Assembled friction forces and their reports in reduced or Gaussian units.
 
 Everything upstream works in reduced units (hbar = c = kB = 1, lengths in
 a chosen scale). This module assembles the exported forces for each
 geometry regime, carries every intermediate factor in the report so the
 result can be recomputed by hand, and converts whole reports between
-reduced and Gaussian CGS units through dimension-exponent bookkeeping.
+reduced and Gaussian CGS units through the dimension exponents of
+magfriction.units, whose names it re-exports.
 """
 
 import math
@@ -12,102 +13,20 @@ import numbers
 from dataclasses import dataclass, replace
 
 from magfriction import geometry_coupling, lazy_import, materials_spectral, response_kinetics
+from magfriction.units import (  # noqa: F401 (re-exported)
+    CGS_C,
+    CGS_HBAR,
+    CGS_KB,
+    FORCE_DIM,
+    G_FACTOR_DIM,
+    INPUT_DIM,
+    UnitContext,
+    intermediate_dim,
+)
 
 np = lazy_import("numpy")
 
 REGIMES = ("pair-sharp", "pair-smoothed", "plane", "plane-sharp", "slabs-finite-T", "slabs-zero-T")
-
-# (energy, length, time) exponents for each report entry
-FORCE_DIM = {
-    "pair-sharp": (1, -1, -1),
-    "plane-sharp": (1, -1, -1),
-    "pair-smoothed": (1, -1, 0),
-    "plane": (1, -1, 0),
-    "slabs-finite-T": (1, -3, 0),
-    "slabs-zero-T": (1, -3, 0),
-}
-_INTERMEDIATE_DIM = {
-    "G": (0, -10, 2),
-    "G_h": (0, -8, 2),
-    "G_P": (0, -14, 2),
-    "G_xx": (0, -8, 2),
-    "G_xy": (0, -8, 2),
-    "G_xz": (0, -8, 2),
-    "G_yy": (0, -8, 2),
-    "G_yz": (0, -8, 2),
-    "G_zz": (0, -8, 2),
-    "G_factor": None,  # dimension follows the regime, set on use
-    "H": (2, 6, 0),
-    "H0": (1, 6, -1),
-    "H_P": (1, 6, 3),
-    "I": (0, 0, 0),
-    "suppression": (0, 0, 0),
-    "reference_force": (1, -3, 0),
-    "delta_prefactor": (-1, 0, -2),
-}
-_G_FACTOR_DIM = {
-    "pair-smoothed": (0, -8, 2),
-    "plane": (0, -8, 2),
-    "slabs-finite-T": (0, -10, 2),
-    "slabs-zero-T": (0, -14, 2),
-}
-
-# (energy, length, time) exponents of each input, shared with the CLI
-INPUT_DIM = {
-    "d": (0, 1, 0), "z0": (0, 1, 0),
-    "r_x": (0, 1, 0), "r_y": (0, 1, 0), "r_z": (0, 1, 0),
-    "rho": (0, -3, 0), "rho1": (0, -3, 0), "rho2": (0, -3, 0),
-    "D1": (-1, 3, 0), "D2": (-1, 3, 0),
-    "beta": (-1, 0, 0),
-    "v": (0, 1, -1), "v_x": (0, 1, -1), "v_y": (0, 1, -1), "v_z": (0, 1, -1),
-    "omega1": (0, 0, -1), "omega2": (0, 0, -1), "omega_p": (0, 0, -1), "nu": (0, 0, -1),
-}
-
-CGS_HBAR = 1.0545718e-27  # erg s
-CGS_C = 2.99792458e10  # cm/s
-CGS_KB = 1.380649e-16  # erg/K
-
-
-@dataclass(frozen=True)
-class UnitContext:
-    """Gaussian CGS values of reduced quantities (hbar = c = k_B = 1), one
-    reduced length unit being length_scale cm."""
-
-    length_scale: float
-    hbar = CGS_HBAR
-    c = CGS_C
-    k_B = CGS_KB
-
-    def __post_init__(self):
-        if self.length_scale <= 0.0:
-            raise ValueError("length_scale must be positive")
-
-    @property
-    def energy_scale(self):
-        """erg per reduced energy unit: hbar*c/length_scale."""
-        return self.hbar * self.c / self.length_scale
-
-    @property
-    def time_scale(self):
-        """seconds per reduced time unit: length_scale/c."""
-        return self.length_scale / self.c
-
-    def factor(self, dim):
-        """Physical value per reduced value for (energy, length, time)
-        exponents dim."""
-        e, l, t = dim
-        return self.energy_scale**e * self.length_scale**l * self.time_scale**t
-
-    def beta_from_kelvin(self, T_kelvin):
-        """Reduced inverse temperature for a physical temperature."""
-        if T_kelvin <= 0.0:
-            raise ValueError("temperature must be positive")
-        return self.energy_scale / (self.k_B * T_kelvin)
-
-    def kelvin_from_beta(self, beta):
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        return self.energy_scale / (self.k_B * beta)
 
 
 @dataclass(frozen=True)
@@ -128,16 +47,6 @@ class FrictionReport:
             raise ValueError("unknown regime %r" % self.regime)
         if self.units not in ("reduced", "gaussian"):
             raise ValueError("units must be 'reduced' or 'gaussian'")
-
-
-def intermediate_dim(name, regime):
-    """(energy, length, time) exponents of a report intermediate."""
-    dim = _INTERMEDIATE_DIM.get(name)
-    if dim is None and name == "G_factor":
-        dim = _G_FACTOR_DIM[regime]
-    if dim is None:
-        raise KeyError("no dimension registered for intermediate %r" % name)
-    return dim
 
 
 def _convert_report(report, units, direction):
@@ -234,7 +143,7 @@ def pair_force_sharp(geom, v, osc1, osc2, beta):
 def smoothed_forces(G_factor, v, H0, regime):
     """Generic smoothed force -G_factor*v*H0 for a precomputed geometric
     factor and thermal factor."""
-    if regime not in _G_FACTOR_DIM:
+    if regime not in G_FACTOR_DIM:
         raise ValueError("regime %r is not a smoothed regime" % regime)
     force = -G_factor * v * H0
     return FrictionReport(

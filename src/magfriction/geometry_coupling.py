@@ -10,11 +10,12 @@ sixth-moment factor. Internal c = 1.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from magfriction import _kernels, lazy_import, numerics
+from magfriction import _ieee, _kernels, lazy_import
 
 np = lazy_import("numpy")
+numerics = lazy_import("magfriction.numerics")
 
 
 @functools.cache
@@ -28,42 +29,38 @@ def _levi_civita():
     return eps
 
 
-@dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(namedtuple("PairGeometry", "r")):
     """Two point particles separated by r."""
 
-    r: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
+    def __new__(cls, r):
+        r = np.asarray(r, dtype=np.float64)
         if r.shape != (3,) or math.hypot(*r) == 0.0:
             raise ValueError("r must be a nonzero 3-vector")
-        object.__setattr__(self, "r", r)
+        return super().__new__(cls, r)
 
 
-@dataclass(frozen=True)
-class PlaneGeometry:
+class PlaneGeometry(namedtuple("PlaneGeometry", "z0 rho")):
     """Particle at height z0 above a half-space of density rho."""
 
-    z0: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.z0 <= 0.0 or self.rho <= 0.0:
+    def __new__(cls, z0, rho):
+        if z0 <= 0.0 or rho <= 0.0:
             raise ValueError("z0 and rho must be positive")
+        return super().__new__(cls, z0, rho)
 
 
-@dataclass(frozen=True)
-class SlabGeometry:
+class SlabGeometry(namedtuple("SlabGeometry", "d rho1 rho2")):
     """Two half-spaces with gap d and densities rho1, rho2."""
 
-    d: float
-    rho1: float
-    rho2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d <= 0.0 or self.rho1 <= 0.0 or self.rho2 <= 0.0:
+    def __new__(cls, d, rho1, rho2):
+        if d <= 0.0 or rho1 <= 0.0 or rho2 <= 0.0:
             raise ValueError("d, rho1, rho2 must be positive")
+        return super().__new__(cls, d, rho1, rho2)
 
 
 def _norm(r):
@@ -112,11 +109,11 @@ def axial_coupling(d):
     if d == 0.0:
         raise ValueError("zero separation")
     rn = abs(d)
-    inv6 = numerics.ieee_div(1.0, numerics.ieee_pow(rn, 6))
-    r8 = numerics.ieee_pow(rn, 8)
-    psi_xy = numerics.ieee_div(d, numerics.ieee_pow(rn, 3))
-    return (psi_xy, 2.0 * (inv6 + numerics.ieee_div(0.0, r8)),
-            2.0 * (inv6 + numerics.ieee_div(3.0 * (d * d), r8)))
+    inv6 = _ieee.ieee_div(1.0, _ieee.ieee_pow(rn, 6))
+    r8 = _ieee.ieee_pow(rn, 8)
+    psi_xy = _ieee.ieee_div(d, _ieee.ieee_pow(rn, 3))
+    return (psi_xy, 2.0 * (inv6 + _ieee.ieee_div(0.0, r8)),
+            2.0 * (inv6 + _ieee.ieee_div(3.0 * (d * d), r8)))
 
 
 def G_halfspace(g):

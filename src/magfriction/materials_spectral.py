@@ -11,11 +11,12 @@ pair), H0 (thermally smoothed pair), and the universal quartic integral I.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
-from magfriction import lazy_import, numerics
+from magfriction import _ieee, lazy_import
 
 np = lazy_import("numpy")
+numerics = lazy_import("magfriction.numerics")
 
 
 class ExtractionError(RuntimeError):
@@ -26,8 +27,7 @@ class SpectrumFileError(ValueError):
     """A spectrum file is unreadable, unparseable or not two columns."""
 
 
-@dataclass(frozen=True)
-class LinearSpectralDensity:
+class LinearSpectralDensity(namedtuple("LinearSpectralDensity", "D m_max")):
     """Linear density s(m) = D*m with D finite and >= 0, optionally
     truncated at m_max.
 
@@ -36,14 +36,14 @@ class LinearSpectralDensity:
     needs the truncation.
     """
 
-    D: float
-    m_max: float = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.D < math.inf:
+    def __new__(cls, D, m_max=None):
+        if not 0.0 <= D < math.inf:
             raise ValueError("D must be finite and >= 0")
-        if self.m_max is not None and self.m_max <= 0.0:
+        if m_max is not None and m_max <= 0.0:
             raise ValueError("m_max must be positive")
+        return super().__new__(cls, D, m_max)
 
     @property
     def is_linear(self):
@@ -113,17 +113,15 @@ class TabulatedSpectralDensity:
         return float(np.trapezoid(2.0 * self.m * self.s / (K2 + self.m**2), self.m))
 
 
-@dataclass(frozen=True)
-class DrudeParams:
+class DrudeParams(namedtuple("DrudeParams", "omega_p nu rho")):
     """Drude metal: plasma frequency, damping rate, number density."""
 
-    omega_p: float
-    nu: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega_p <= 0.0 or self.nu < 0.0 or self.rho <= 0.0:
+    def __new__(cls, omega_p, nu, rho):
+        if omega_p <= 0.0 or nu < 0.0 or rho <= 0.0:
             raise ValueError("omega_p, rho must be positive and nu >= 0")
+        return super().__new__(cls, omega_p, nu, rho)
 
 
 def h_from_spectrum(spec, K2, m_max=None):
@@ -136,7 +134,7 @@ def h_from_spectrum(spec, K2, m_max=None):
     if K2 < 0.0:
         raise ValueError("K2 must be >= 0")
     if m_max is not None and spec.is_linear:
-        spec = replace(spec, m_max=m_max)
+        spec = LinearSpectralDensity(spec.D, m_max)
     return spec.h(K2)
 
 
@@ -297,7 +295,7 @@ def smoothed_H0(spec1, spec2, beta):
     total = float(np.sum(q16))
     err = float(np.sum(np.abs(q8 - q16)))
     if err > _H0_RTOL * abs(total):
-        raise numerics.QuadratureError(
+        raise _ieee.QuadratureError(
             "H0 rule did not converge: |Q8 - Q16| = %g against %g" % (err, total)
         )
     return (math.pi * beta / 2.0) * total

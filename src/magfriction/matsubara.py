@@ -9,7 +9,7 @@ alpha^2/2 ground-state shift, high temperature kills the effect.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from magfriction import _kernels
 
@@ -18,21 +18,19 @@ class TruncationError(RuntimeError):
     """Certified tail bound exceeds the grid's tail_tol."""
 
 
-@dataclass(frozen=True)
-class MatsubaraGrid:
+class MatsubaraGrid(namedtuple("MatsubaraGrid", "beta n_max tail_tol")):
     """Inverse temperature, mode truncation, and tail tolerance."""
 
-    beta: float
-    n_max: int
-    tail_tol: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.beta <= 0.0:
+    def __new__(cls, beta, n_max, tail_tol=1e-9):
+        if beta <= 0.0:
             raise ValueError("beta must be positive")
-        if self.n_max < 0:
+        if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.tail_tol <= 0.0:
+        if tail_tol <= 0.0:
             raise ValueError("tail_tol must be positive")
+        return super().__new__(cls, beta, n_max, tail_tol)
 
 
 def matsubara_frequency(beta, n):

@@ -5,39 +5,24 @@ seeded Monte-Carlo integration, series summation with certified tails,
 central finite differences, and multi-sinusoid spectral fitting. Everything
 here is generic plumbing; the physics modules supply the integrands.
 scipy is imported inside the functions that call it, so callers that
-only take closed forms never load it.
+only take closed forms never load it. The failure types and
+ieee_pow/ieee_div are magfriction._ieee's, re-exported here.
 """
 
 import math
 from dataclasses import dataclass
 
 from magfriction import lazy_import
+from magfriction._ieee import (  # noqa: F401 (re-exported)
+    FitError,
+    McSamplingError,
+    QuadratureError,
+    SeriesError,
+    ieee_div,
+    ieee_pow,
+)
 
 np = lazy_import("numpy")
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; .best holds the last estimate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
-class McSamplingError(RuntimeError):
-    """A sampler produced a zero or invalid density."""
-
-
-class SeriesError(RuntimeError):
-    """A supplied tail bound was violated or the term budget ran out."""
-
-
-class FitError(RuntimeError):
-    """Spectral fit is ill-conditioned; .condition holds the diagnostic."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
 
 
 @dataclass(frozen=True)
@@ -53,26 +38,6 @@ class McResult:
     std_error: float
     samples: int
     seed: int
-
-
-def ieee_pow(x, n):
-    """x ** n for a float x and a positive integer n, with the IEEE range
-    of numpy's float64: a result past the float range is a signed inf,
-    not OverflowError."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.copysign(math.inf, x) if n % 2 else math.inf
-
-
-def ieee_div(a, b):
-    """a / b for floats, with the IEEE range of numpy's float64: a zero
-    divisor gives a signed inf, or nan for 0/0, not ZeroDivisionError."""
-    if b != 0.0:
-        return a / b
-    if a == 0.0 or a != a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def quad_finite(f, a, b, tol=1e-10):

@@ -88,6 +88,7 @@ EXIT_CASES = [
     (["eigen", "--alph", "-1e-05"], 1),
     (["friction", "pair", "--d", 1, "--beta", 1, "--v", 1, "--D1", 1, "--D", "-1e-05"], 3),
     (SLABS_UNIT[:6] + ["--rho", "-1e-05"] + SLABS_UNIT[8:], 3),
+    (["verify", "--suite", "fields", "--json", "verify.json"], 3),  # no JSON mirror
 ]
 
 
@@ -346,8 +347,8 @@ def test_flag_table_matches_parser():
         if not subs:
             yield path, parser
             return
-        for name, sub in subs[0].choices.items():
-            yield from commands(sub, path + (name,))
+        for name in subs[0].choices:  # each subcommand's arguments added
+            yield from commands(subs[0].fill(name), path + (name,))
 
     for path, parser in commands(cli_module._build_parser()):
         flags = {f for a in parser._actions for f in a.option_strings if f.startswith("--")}
@@ -830,6 +831,51 @@ def test_tabulated_commands_load_no_scipy(tmp_path):
     ])
     assert codes == [0, 0]
     assert scipy == []
+
+
+# runs each command line given (one argument each) through the CLI in a
+# fresh interpreter, and prints its exit code and which of the watched
+# modules it executed; imports nothing that it watches
+_EXECUTED_BY = """
+import contextlib, io, sys, types
+WATCH = ("dataclasses", "inspect", "json", "magfriction.numerics",
+         "magfriction.friction_forces")
+
+def executed():
+    # a module bound by lazy_import and not yet run is not a plain module
+    return {name for name in WATCH if type(sys.modules.get(name)) is types.ModuleType}
+
+before = executed()
+from magfriction import cli
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(line.split())
+    print(code, *sorted(executed() - before))
+"""
+
+
+def test_one_shot_commands_execute_only_their_route():
+    # the seven kinds of one-shot command, in the reduced and the Gaussian
+    # (kelvin) forms, compute without dataclasses, inspect, json, the
+    # numeric engines or the report assembly
+    kelvin = "--units gaussian --temperature-kelvin 300"
+    cgs = "--d 1e-6 --v 100 --D1 1e-30 --D2 1e-30"
+    commands = [
+        "eigen --alpha 0.75",
+        "free-energy --alpha 0.1 --beta 10",
+        "free-energy --alpha 0.1 " + kelvin,
+        "fields --d 2.5 --z0 1.5 --rho1 2",
+        "friction pair --d 2 --beta 1 --v 1e-3 --D1 1 --D2 1",
+        "friction pair %s %s" % (cgs, kelvin),
+        "friction plane --z0 1 --rho1 1 --beta 2 --v 1e-3 --D1 1 --D2 1",
+        "friction plane --z0 1 --rho1 1 --beta 2 --v 1e-3 --D1 1 --omega-p 9 --nu 0.1",
+        " ".join(map(str, SLABS_UNIT)),
+        "friction slabs --temperature finite %s --rho1 1e22 --rho2 1e22 %s" % (cgs, kelvin),
+        " ".join(map(str, SLABS_ZERO_UNIT)),
+    ]
+    out = _run_child("-c", _EXECUTED_BY, *commands)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert out.stdout.decode().splitlines() == ["0"] * len(commands)
 
 
 def test_importing_the_cli_binds_every_library_module():

@@ -27,10 +27,12 @@ from magfriction.geometry_coupling import (
     SlabGeometry,
 )
 from magfriction.materials_spectral import (
+    DrudeParams,
     LinearSpectralDensity,
     TabulatedSpectralDensity,
     smoothed_H0,
 )
+from magfriction.matsubara import MatsubaraGrid
 from magfriction.response_kinetics import OscState
 
 SLAB = SlabGeometry(d=1.0, rho1=1.0, rho2=1.0)
@@ -232,6 +234,22 @@ def test_report_immutable():
     rep = finite_T_slab_force(SLAB, 1e-3, 1.0, 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.force = 0.0
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: UnitContext(2.5e-7), "length_scale"),
+    (lambda: PlaneGeometry(1.0, 2.0), "z0"),
+    (lambda: SlabGeometry(1.0, 2.0, 3.0), "rho2"),
+    (lambda: LinearSpectralDensity(0.5, m_max=3.0), "m_max"),
+    (lambda: DrudeParams(9.0, 0.1, 1.0), "nu"),
+    (lambda: MatsubaraGrid(2.0, 10), "tail_tol"),
+])
+def test_inputs_are_immutable_values(make, field):
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, 4.0)
+    assert a == b
 
 
 def test_forces_suite_green():
