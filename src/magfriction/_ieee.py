@@ -1,8 +1,10 @@
-"""Float arithmetic with the IEEE range of numpy's float64, and the
-numerical failure types.
+"""Float arithmetic: the column operations on Python floats, powers and
+quotients with the IEEE range of numpy's float64, and the numerical
+failure types.
 
 The closed forms and the CLI reach these without executing
-``magfriction.numerics``, which re-exports every name here.
+``magfriction.numerics``, which re-exports the failure types and
+``ieee_pow``/``ieee_div``.
 """
 
 import math
@@ -50,3 +52,36 @@ def ieee_div(a, b):
     if a == 0.0 or a != a:
         return math.nan
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+class FloatOps:
+    """The arithmetic of the column closed forms on Python floats, one
+    point: a check that fails raises its exception at once, and a power
+    or quotient past the float range raises OverflowError or
+    ZeroDivisionError. The CLI's numpy grid has the same six operations.
+    """
+
+    @staticmethod
+    def constant(value):
+        return value
+
+    @staticmethod
+    def fail(where, error):
+        if where:
+            raise error
+
+    @staticmethod
+    def sqrt(x):
+        return math.sqrt(x)
+
+    @staticmethod
+    def pow(x, n):
+        return x**n
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+    @staticmethod
+    def map(fn, *args):
+        return fn(*args)

@@ -75,6 +75,8 @@ _SETTINGS = (
     ("units", str), ("seed", int), ("workers", int), ("max-points", int),
 )
 _DEFAULTS = {"units": "reduced", "seed": 0, "workers": 1, "max_points": 10000}
+# inputs that verify refuses: its checks fix their own parameters and seeds
+_NOT_FOR_VERIFY = {flag for flag, _ in _PARAMS} | {"units", "seed"}
 
 _SWEEP_AXES = {
     "eigen": ("alpha",),
@@ -302,8 +304,12 @@ def _resolve(args):
     for flag, typ in _PARAMS + _SETTINGS:
         attr = _attr(flag)
         value = getattr(args, attr, None)
+        source = "--" + flag
         if value is None:
             value = file_values.get(flag)
+            source = "config key %r" % flag
+        if value is not None and args.command == "verify" and flag in _NOT_FOR_VERIFY:
+            raise CliError(EXIT_CONFIG, "verify takes no %s" % source)
         if value is None:
             value = _DEFAULTS.get(attr)
         elif typ is float:
@@ -430,9 +436,9 @@ def _run_fields(cfg):
     cells = [("d", d), ("coupling_alpha", alpha), ("psi_xy", psi_xy), ("g_xx", g_xx),
              ("g_zz", g_zz), ("b_y_unit_pdot", b_y), ("e_x_unit_mdot", e_x)]
     if cfg.z0 is not None:
-        rho = cfg.rho1 if cfg.rho1 is not None else 1.0
-        g_h = geometry_coupling.G_halfspace(geometry_coupling.PlaneGeometry(cfg.z0, rho))
-        cells += [("z0", cfg.z0), ("rho1", rho), ("g_halfspace", g_h)]
+        g = geometry_coupling.PlaneGeometry(cfg.z0, cfg.rho1 if cfg.rho1 is not None else 1.0)
+        g_h = geometry_coupling.G_halfspace(g.z0, g.rho, _ieee.FloatOps)
+        cells += [("z0", g.z0), ("rho1", g.rho), ("g_halfspace", g_h)]
     return _Table(cells, ())
 
 
@@ -441,23 +447,25 @@ def _run_fields(cfg):
 # A sweep target is evaluated once over an open grid, the np.ix_ layout:
 # sweep axis j has the shape (1, ..., n_j, ..., 1), the first axis
 # outermost, so the grid's C order is itertools.product order, and a fixed
-# parameter has the shape (1, ..., 1). Each quantity is computed by
-# broadcasting at the shape of the axes it depends on, never tiled to the
-# whole grid. Array arithmetic keeps to the correctly rounded operations
-# (+ - * / sqrt); every power goes through Python's float **, and every
-# other scalar function through the function itself, once per distinct
-# argument. So each value is bit for bit the library's scalar closed form
-# at that point (friction_forces, oscillator_pair, matsubara), which the
-# tests check. Checks are masks that broadcast over the grid, and a
-# failing grid reports the failure of its first failing point.
+# parameter has the shape (1, ..., 1). The closed forms are the library's
+# column functions (friction_forces, geometry_coupling, materials_spectral,
+# matsubara, units), each called once per grid with the grid as their
+# ``ops``; broadcasting keeps each quantity at the shape of the axes it
+# depends on, never tiled to the whole grid. Array arithmetic keeps to the
+# correctly rounded operations (+ - * / sqrt); every power goes through
+# Python's float **, and every other scalar function through the function
+# itself, once per distinct argument. Checks are masks that broadcast
+# over the grid, and a failing grid reports the failure of its first
+# failing point.
 #
-# A one-shot command runs the same evaluators on a _Point: its columns are
-# Python floats, on which the same operations give the same bits, a check
-# that fails raises at once, and no numpy is loaded. Python floats part
-# from numpy only at the edges of the float range, where Python raises
-# and numpy gives inf or nan; so every power goes through pow, and every
-# divisor that earlier checks do not keep nonzero through div, which fail
-# the point with the same exception on both.
+# A one-shot command runs the same evaluators on a _Point, whose ops are
+# _ieee.FloatOps: its columns are Python floats, on which the same
+# operations give the same bits, a check that fails raises at once, and
+# no numpy is loaded. Python floats part from numpy only at the edges of
+# the float range, where Python raises and numpy gives inf or nan; so
+# every power goes through pow, and every divisor that earlier checks do
+# not keep nonzero through div, which fail the point with the same
+# exception on both.
 
 
 class _Grid:
@@ -562,31 +570,12 @@ class _Grid:
         return out[inverse]
 
 
-class _Point(_Grid):
+class _Point(_ieee.FloatOps, _Grid):
     """The grid of a one-shot command, shape (): its columns are Python
     floats, and the point fails at the first check it reaches."""
 
     def __init__(self, cfg):
         super().__init__(cfg, (), [])
-
-    def constant(self, value):
-        return value
-
-    def fail(self, where, error):
-        if where:
-            raise error
-
-    def sqrt(self, x):
-        return math.sqrt(x)
-
-    def pow(self, x, n):
-        return x**n  # OverflowError fails the point, as on the grid
-
-    def div(self, a, b):
-        return a / b  # and so does ZeroDivisionError
-
-    def map(self, fn, *args):
-        return fn(*args)
 
 
 def _grid_need(grid, *names):
@@ -631,45 +620,14 @@ def _grid_spectrum(grid, side, drude_rho=None):
     )
 
 
-def _tabulated(spec):
-    return isinstance(spec, materials_spectral.TabulatedSpectralDensity)
-
-
-def _grid_H0(grid, s1, s2, beta):
-    """materials_spectral.smoothed_H0: the closed form for two slope
-    columns, else once per distinct (beta, slopes)."""
-    slopes = [s for s in (s1, s2) if not _tabulated(s)]
-    if len(slopes) == 2:
-        h0 = grid.div(2.0 * math.pi, grid.pow(beta, 4))
-        return h0 * s1 * s2 * materials_spectral.universal_I()
-
-    def h0(b, *ds):
-        ds = iter(ds)
-        specs = [s if _tabulated(s) else materials_spectral.LinearSpectralDensity(next(ds))
-                 for s in (s1, s2)]
-        return materials_spectral.smoothed_H0(*specs, b)
-
-    return grid.map(h0, beta, *slopes)
-
-
 def _grid_report(grid, regime, force, intermediates, inputs):
     """Report columns: regime, units and force, then the intermediates and
-    the inputs, each sorted by name; Gaussian runs convert as
-    friction_forces.to_physical_units does."""
-    ctx = grid.ctx
-    if ctx is not None:
-        for name, col in list(inputs.items()):
-            dim = units.INPUT_DIM.get(name)
-            if dim is not None:
-                inputs[name + "_cgs"] = col * ctx.factor(dim)
-        if "beta" in inputs:
-            inputs["temperature_kelvin"] = grid.div(ctx.energy_scale, ctx.k_B * inputs["beta"])
-        force = force * ctx.factor(units.FORCE_DIM[regime])
-        intermediates = {
-            name: col * ctx.factor(units.intermediate_dim(name, regime))
-            for name, col in intermediates.items()
-        }
-    system = "reduced" if ctx is None else "gaussian"
+    the inputs, each sorted by name; Gaussian runs convert through
+    units.gaussian_report."""
+    if grid.ctx is not None:
+        force, intermediates, inputs = units.gaussian_report(
+            grid.ctx, regime, force, intermediates, inputs, grid)
+    system = "reduced" if grid.ctx is None else "gaussian"
     return (
         [("regime", regime), ("units", system), ("force", force)]
         + sorted(intermediates.items())
@@ -691,8 +649,7 @@ def _grid_free_energy(grid):
     _grid_need(grid, "alpha")
     alpha = grid.columns["alpha"]
     beta = _grid_beta(grid)
-    # matsubara.free_energy
-    f = 0.5 * alpha * alpha * grid.map(matsubara.free_energy_bracket, 0.5 * beta)
+    f = matsubara.free_energy(alpha, beta, grid)
     cols = [("alpha", alpha), ("beta", beta), ("free_energy", f)]
     ctx = grid.ctx
     if ctx is not None:
@@ -708,10 +665,8 @@ def _grid_friction_pair(grid):
     s1 = _grid_spectrum(grid, 1)
     s2 = _grid_spectrum(grid, 2)
     grid.fail(d <= 0.0, ValueError("d must be positive"))
-    g_xx = grid.map(lambda x: geometry_coupling.axial_coupling(x)[1], d)
-    h0 = _grid_H0(grid, s1, s2, beta)
-    return _grid_report(grid, "pair-smoothed", -g_xx * v * h0,
-                        {"G_factor": g_xx, "H0": h0}, {"v": v, "d": d, "beta": beta})
+    force, inter = friction_forces.pair_force(d, v, s1, s2, beta, grid)
+    return _grid_report(grid, "pair-smoothed", force, inter, {"v": v, "d": d, "beta": beta})
 
 
 def _grid_friction_plane(grid):
@@ -722,11 +677,8 @@ def _grid_friction_plane(grid):
     s1 = _grid_spectrum(grid, 1)
     s2 = _grid_spectrum(grid, 2, drude_rho=rho)
     v = grid.reduced("v")
-    # geometry_coupling.G_halfspace
-    g_h = grid.div(math.pi * rho, 2.0 * grid.pow(z0, 3))
-    h0 = _grid_H0(grid, s1, s2, beta)
-    return _grid_report(grid, "plane", -g_h * v * h0, {"G_h": g_h, "H0": h0},
-                        {"z0": z0, "rho": rho, "v": v, "beta": beta})
+    force, inter = friction_forces.plane_force(z0, rho, v, s1, s2, beta, grid)
+    return _grid_report(grid, "plane", force, inter, {"z0": z0, "rho": rho, "v": v, "beta": beta})
 
 
 def _grid_slabs(grid):
@@ -739,47 +691,27 @@ def _grid_slabs(grid):
     slopes = []
     for side, rho in ((1, rho1), (2, rho2)):
         spec = _grid_spectrum(grid, side, drude_rho=rho)
-        if _tabulated(spec):
+        if isinstance(spec, materials_spectral.TabulatedSpectralDensity):
             grid.fail_everywhere(_tabulated_slab(side))
         slopes.append(spec)
-    return d, rho1, rho2, slopes[0], slopes[1], grid.reduced("v")
+    return {"d": d, "rho1": rho1, "rho2": rho2, "D1": slopes[0], "D2": slopes[1],
+            "v": grid.reduced("v")}
 
 
 def _grid_slabs_finite(grid):
-    d, rho1, rho2, D1, D2, v = _grid_slabs(grid)
-    beta = _grid_beta(grid)
-    # friction_forces.finite_T_slab_force
-    suppression = grid.pow(d / beta, 2)
-    reference = grid.div(
-        -(2.0 * math.pi**6 / 15.0) * rho1 * rho2 * D1 * D2 * v,
-        grid.pow(beta, 2) * grid.pow(d, 4),
-    )
-    force = suppression * reference
-    G = grid.div(math.pi * rho1 * rho2, 4.0 * grid.pow(d, 2))
-    H0 = _grid_H0(grid, D1, D2, beta)
-    inter = {"G": G, "H0": H0, "I": grid.constant(materials_spectral.universal_I()),
-             "suppression": suppression, "reference_force": reference}
-    inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "beta": beta, "v": v}
+    inputs = _grid_slabs(grid)
+    inputs["beta"] = _grid_beta(grid)
+    force, inter = friction_forces.slabs_finite_force(**inputs, ops=grid)
     return _grid_report(grid, "slabs-finite-T", force, inter, inputs)
 
 
 def _grid_slabs_zero(grid):
-    d, rho1, rho2, D1, D2, v = _grid_slabs(grid)
+    inputs = _grid_slabs(grid)
     if "beta" in grid.columns or "temperature_kelvin" in grid.columns:
         grid.fail_everywhere(
             CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
         )
-    grid.fail(v < 0.0, ValueError("v must be >= 0 in this regime"))
-    # friction_forces.zero_T_slab_force; G_P divides by the same 64 d^6
-    # that has passed here
-    suppression = v * v
-    d6 = grid.pow(d, 6)
-    reference = -grid.div(5.0 * math.pi**2, 512.0 * d6) * rho1 * rho2 * D1 * D2 * grid.pow(v, 3)
-    force = suppression * reference
-    H_P = (math.pi / 120.0) * D1 * D2
-    G_P = 75.0 * math.pi * rho1 * rho2 / (64.0 * d6)
-    inter = {"G_P": G_P, "H_P": H_P, "suppression": suppression, "reference_force": reference}
-    inputs = {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "D2": D2, "v": v}
+    force, inter = friction_forces.slabs_zero_force(**inputs, ops=grid)
     return _grid_report(grid, "slabs-zero-T", force, inter, inputs)
 
 

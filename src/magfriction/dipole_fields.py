@@ -4,8 +4,8 @@ An oscillating electric dipole sources a magnetic field; an oscillating
 magnetic dipole sources an electric field. At separations small against the
 wavelength both reduce to Biot-Savart-like forms, and the pair of
 interaction energies couples the two moments through a single coefficient
-alpha = 1/(2 c r^2). Internal c = 1; unit restoration lives in
-friction_forces.
+alpha = 1/(2 c r^2). Internal c = 1; Gaussian units are restored only
+at the output, by magfriction.units.
 """
 
 import math

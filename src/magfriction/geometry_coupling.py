@@ -116,16 +116,17 @@ def axial_coupling(d):
             2.0 * (inv6 + _ieee.ieee_div(3.0 * (d * d), r8)))
 
 
-def G_halfspace(g):
+def G_halfspace(z0, rho, ops):
     """Half-space reduction of G_xx: pi rho/(2 z0^3), the volume integral
-    of G_xx weighted by the density over z > z0."""
-    return math.pi * g.rho / (2.0 * g.z0**3)
+    of G_xx weighted by the density over z > z0; columns and ``ops`` as
+    in friction_forces."""
+    return ops.div(math.pi * rho, 2.0 * ops.pow(z0, 3))
 
 
-def G_slabs_realspace(g):
+def G_slabs_realspace(d, rho1, rho2, ops):
     """Slab pair factor pi rho1 rho2/(4 d^2): the half-space factor
     integrated once more across the gap."""
-    return math.pi * g.rho1 * g.rho2 / (4.0 * g.d**2)
+    return ops.div(math.pi * rho1 * rho2, 4.0 * ops.pow(d, 2))
 
 
 def psi_hat(z0, q):
@@ -165,10 +166,10 @@ def angular_moment6():
     return 5.0 * math.pi / 8.0
 
 
-def G_P_slabs(g):
+def G_P_slabs(d, rho1, rho2, ops):
     """Zero-temperature slab factor 75 pi rho1 rho2/(64 d^6): the
     sixth-moment weighted Fourier integral in closed form."""
-    return 75.0 * math.pi * g.rho1 * g.rho2 / (64.0 * g.d**6)
+    return ops.div(75.0 * math.pi * rho1 * rho2, 64.0 * ops.pow(d, 6))
 
 
 def mc_halfspace_Gxx(z0, n, seed, chunk_size=1 << 20):

@@ -221,6 +221,30 @@ def universal_I():
     return 4.0 * math.pi**4 / 15.0
 
 
+def H0_linear(D1, D2, beta, ops):
+    """H0 = (2 pi/beta^4) D1 D2 (4 pi^4/15) for linear densities without
+    cutoff, over columns of slopes and inverse temperatures; ``ops`` as
+    in friction_forces."""
+    return ops.div(2.0 * math.pi, ops.pow(beta, 4)) * D1 * D2 * universal_I()
+
+
+def H0_columns(side1, side2, beta, ops):
+    """H0 over columns, each side a TabulatedSpectralDensity or a column
+    of linear slopes D: H0_linear for two slope columns, else
+    ``smoothed_H0`` once per distinct (beta, slopes)."""
+    slopes = [s for s in (side1, side2) if not isinstance(s, TabulatedSpectralDensity)]
+    if len(slopes) == 2:
+        return H0_linear(side1, side2, beta, ops)
+
+    def h0(b, *ds):
+        ds = iter(ds)
+        specs = [s if isinstance(s, TabulatedSpectralDensity) else LinearSpectralDensity(next(ds))
+                 for s in (side1, side2)]
+        return smoothed_H0(*specs, b)
+
+    return ops.map(h0, beta, *slopes)
+
+
 # the H0 integrand's support is cut at beta*m = 700: 1/sinh^2(beta m/2) is
 # 4e-304 there and underflows soon after
 _H0_CUTOFF = 700.0
@@ -262,7 +286,7 @@ def smoothed_H0(spec1, spec2, beta):
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if spec1.is_linear and spec2.is_linear:
-        return (2.0 * math.pi / beta**4) * spec1.D * spec2.D * universal_I()
+        return H0_linear(spec1.D, spec2.D, beta, _ieee.FloatOps)
     specs = (spec1, spec2)
     end = min([_H0_CUTOFF / beta] + [s.m_max for s in specs if s.m_max is not None])
     knots = [[0.0, end]]

@@ -53,22 +53,18 @@ def mode_free_energy(alpha, u, beta):
     return (2.0 * alpha * alpha / beta) * u * u / (u * u + 1.0) ** 2
 
 
-def free_energy(alpha, beta):
-    r"""Total induced free energy in closed form.
+def free_energy(alpha, beta, ops):
+    r"""Total induced free energy in closed form, over columns of alpha and
+    beta; ``ops`` as in friction_forces.
 
     The mode sum collapses through sum_n 1/(n^2 + a^2) = (pi/a) coth(pi a)
     to F = (alpha^2/2) * (coth x - x/sinh^2 x) with x = beta/2.
     Below x = 1e-2 the bracket is its series 2x/3 - 4x^3/45 + 4x^5/315
     (the direct form cancels there); above, it is written through
     e^{-2x} so that no term overflows as x grows.
-
-    Returns
-    -------
-    float
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    return 0.5 * alpha * alpha * free_energy_bracket(0.5 * beta)
+    ops.fail(beta <= 0.0, ValueError("beta must be positive"))
+    return 0.5 * alpha * alpha * ops.map(free_energy_bracket, 0.5 * beta)
 
 
 def free_energy_bracket(x):

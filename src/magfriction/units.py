@@ -3,55 +3,40 @@
 Reduced units set hbar = c = k_B = 1 with lengths in a chosen scale;
 UnitContext gives the Gaussian CGS value of a reduced quantity from its
 (energy, length, time) dimension exponents, listed here for every input,
-force and report intermediate. friction_forces re-exports every name.
+force and report intermediate that the CLI prints, and
+``gaussian_report`` converts a force report's columns.
 """
 
 from collections import namedtuple
 
-# (energy, length, time) exponents for each report entry
+# (energy, length, time) exponents of each regime's force
 FORCE_DIM = {
-    "pair-sharp": (1, -1, -1),
-    "plane-sharp": (1, -1, -1),
     "pair-smoothed": (1, -1, 0),
     "plane": (1, -1, 0),
     "slabs-finite-T": (1, -3, 0),
     "slabs-zero-T": (1, -3, 0),
 }
-_INTERMEDIATE_DIM = {
+# and of each report intermediate
+INTERMEDIATE_DIM = {
     "G": (0, -10, 2),
     "G_h": (0, -8, 2),
     "G_P": (0, -14, 2),
-    "G_xx": (0, -8, 2),
-    "G_xy": (0, -8, 2),
-    "G_xz": (0, -8, 2),
-    "G_yy": (0, -8, 2),
-    "G_yz": (0, -8, 2),
-    "G_zz": (0, -8, 2),
-    "G_factor": None,  # dimension follows the regime, set on use
-    "H": (2, 6, 0),
+    "G_factor": (0, -8, 2),
     "H0": (1, 6, -1),
     "H_P": (1, 6, 3),
     "I": (0, 0, 0),
     "suppression": (0, 0, 0),
     "reference_force": (1, -3, 0),
-    "delta_prefactor": (-1, 0, -2),
-}
-G_FACTOR_DIM = {
-    "pair-smoothed": (0, -8, 2),
-    "plane": (0, -8, 2),
-    "slabs-finite-T": (0, -10, 2),
-    "slabs-zero-T": (0, -14, 2),
 }
 
 # (energy, length, time) exponents of each input, shared with the CLI
 INPUT_DIM = {
     "d": (0, 1, 0), "z0": (0, 1, 0),
-    "r_x": (0, 1, 0), "r_y": (0, 1, 0), "r_z": (0, 1, 0),
     "rho": (0, -3, 0), "rho1": (0, -3, 0), "rho2": (0, -3, 0),
     "D1": (-1, 3, 0), "D2": (-1, 3, 0),
     "beta": (-1, 0, 0),
-    "v": (0, 1, -1), "v_x": (0, 1, -1), "v_y": (0, 1, -1), "v_z": (0, 1, -1),
-    "omega1": (0, 0, -1), "omega2": (0, 0, -1), "omega_p": (0, 0, -1), "nu": (0, 0, -1),
+    "v": (0, 1, -1),
+    "omega_p": (0, 0, -1), "nu": (0, 0, -1),
 }
 
 CGS_HBAR = 1.0545718e-27  # erg s
@@ -101,11 +86,19 @@ class UnitContext(namedtuple("UnitContext", "length_scale")):
         return self.energy_scale / (self.k_B * beta)
 
 
-def intermediate_dim(name, regime):
-    """(energy, length, time) exponents of a report intermediate."""
-    dim = _INTERMEDIATE_DIM.get(name)
-    if dim is None and name == "G_factor":
-        dim = G_FACTOR_DIM[regime]
-    if dim is None:
-        raise KeyError("no dimension registered for intermediate %r" % name)
-    return dim
+def gaussian_report(ctx, regime, force, intermediates, inputs, ops):
+    """A reduced force report in Gaussian CGS: (force, intermediates,
+    inputs), over columns; ``ops`` as in friction_forces. The inputs keep
+    their reduced values and gain ``<name>_cgs`` for every input in
+    INPUT_DIM, and ``temperature_kelvin`` when they hold a beta."""
+    inputs = dict(inputs)
+    for name, col in list(inputs.items()):
+        dim = INPUT_DIM.get(name)
+        if dim is not None:
+            inputs[name + "_cgs"] = col * ctx.factor(dim)
+    if "beta" in inputs:
+        inputs["temperature_kelvin"] = ops.div(ctx.energy_scale, ctx.k_B * inputs["beta"])
+    force = force * ctx.factor(FORCE_DIM[regime])
+    intermediates = {name: col * ctx.factor(INTERMEDIATE_DIM[name])
+                     for name, col in intermediates.items()}
+    return force, intermediates, inputs

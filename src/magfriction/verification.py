@@ -3,8 +3,9 @@
 Each check recomputes a result by an independent route (quadrature,
 lattice discretization, Monte-Carlo, spectral fitting, series summation,
 finite differences) and compares against the production closed form at a
-stated tolerance. The CLI `verify` subcommand and the test suite both run
-these.
+stated tolerance; a closed form the CLI prints is checked through the
+very function the CLI calls, on Python floats (``_ieee.FloatOps``). The
+CLI `verify` subcommand and the test suite both run these.
 """
 
 import math
@@ -13,14 +14,17 @@ import numpy as np
 
 from magfriction import (
     dipole_fields,
+    friction_forces,
     geometry_coupling,
     materials_spectral,
     matsubara,
     numerics,
     oscillator_pair,
     response_kinetics,
+    units,
 )
-from magfriction.geometry_coupling import PairGeometry, PlaneGeometry, SlabGeometry
+from magfriction._ieee import FloatOps
+from magfriction.geometry_coupling import SlabGeometry
 
 
 class Check:
@@ -344,7 +348,7 @@ def check_free_energy_closed_form():
     for beta in np.logspace(-3.0, 3.0, 7):
         grid = matsubara.MatsubaraGrid(beta, 200_000, tail_tol=1e-10)
         summed = matsubara.induced_free_energy(alpha, grid)
-        worst = max(worst, abs(matsubara.free_energy(alpha, beta) - summed))
+        worst = max(worst, abs(matsubara.free_energy(alpha, beta, FloatOps) - summed))
     return _ok(worst, 1e-9, "diff")
 
 
@@ -565,10 +569,8 @@ def check_H0_quadrature():
     s1 = materials_spectral.LinearSpectralDensity(1.0)
     s2 = materials_spectral.LinearSpectralDensity(1.0)
     beta = 1.0
-    closed = materials_spectral.smoothed_H0(s1, s2, beta)
-    general = materials_spectral.smoothed_H0(
-        materials_spectral.LinearSpectralDensity(1.0, m_max=400.0), s2, beta
-    )
+    closed = materials_spectral.H0_linear(1.0, 1.0, beta, FloatOps)
+    general = _H0_by_rule(1.0, 1.0, beta)
     rel = abs(general - closed) / closed
     ratio = materials_spectral.smoothed_H0(s1, s2, 2.0 * beta) / closed
     return rel <= 1e-9 and abs(ratio - 1.0 / 16.0) <= 1e-12, "rel=%.3g ratio=%.6g" % (
@@ -589,6 +591,15 @@ def check_tabulated_sharp_line():
         target = weight * 2.0 * m0 / (K2 + m0**2)
         worst = max(worst, abs(spec.h(K2) - target) / target)
     return _ok(worst, 1e-6, "rel")
+
+
+def _H0_by_rule(D1, D2, beta):
+    """H0 of two linear densities by smoothed_H0's fixed quadrature rule:
+    a cutoff far past the thermal window takes the general route."""
+    return materials_spectral.smoothed_H0(
+        materials_spectral.LinearSpectralDensity(D1, m_max=800.0 / beta),
+        materials_spectral.LinearSpectralDensity(D2), beta,
+    )
 
 
 def _H0_by_segments(spec1, spec2, beta):
@@ -690,7 +701,7 @@ def check_G_contraction():
 def check_halfspace_mc(n=1_000_000, seed=123):
     z0 = 1.0
     res = geometry_coupling.mc_halfspace_Gxx(z0, n, seed)
-    target = np.pi / (2.0 * z0**3)
+    target = geometry_coupling.G_halfspace(z0, 1.0, FloatOps)
     err = abs(res.value - target)
     ok = err <= 3.0 * res.std_error and err / target <= 1e-2
     return ok, "err=%.3g 3se=%.3g rel=%.3g" % (err, 3.0 * res.std_error, err / target)
@@ -705,15 +716,31 @@ def check_halfspace_r6_mc():
     return _ok(abs(r.value - np.pi / 6.0), max(3.0 * r.std_error, 1e-12))
 
 
+def _G_halfspace_by_quadrature(z0, rho):
+    """G_h by quadrature of G_xx = 2(1/r^6 + 3x^2/r^8) over z > z0. At
+    height z, s = z t makes the in-plane integral of its azimuthal mean
+    z^-4 times 2 pi Int t (2/(1+t^2)^3 + 3 t^2/(1+t^2)^4) dt, and z^-4
+    integrates over z > z0 to 1/(3 z0^3)."""
+    r = numerics.quad_semi_infinite(
+        lambda t: t * (2.0 / (1.0 + t * t) ** 3 + 3.0 * t * t / (1.0 + t * t) ** 4), 0.0,
+        tol=1e-13,
+    )
+    return rho * 2.0 * np.pi * r.value / (3.0 * z0**3)
+
+
 def check_halfspace_quadrature():
-    # z0-integral of the half-space factor reproduces the slab factor
+    # the half-space factor against its volume integral, and its
+    # z0-integral against the slab factor
+    gh = geometry_coupling.G_halfspace(1.5, 0.8, FloatOps)
+    rel_volume = abs(_G_halfspace_by_quadrature(1.5, 0.8) - gh) / gh
     g = SlabGeometry(1.5, 1.0, 1.0)
     r = numerics.quad_semi_infinite(
-        lambda u: geometry_coupling.G_halfspace(PlaneGeometry(g.d + u, 1.0)), 0.0,
-        tol=1e-12,
+        lambda u: geometry_coupling.G_halfspace(g.d + u, 1.0, FloatOps), 0.0, tol=1e-12,
     )
-    target = geometry_coupling.G_slabs_realspace(g)
-    return _ok(abs(g.rho2 * r.value - target), 1e-10)
+    target = geometry_coupling.G_slabs_realspace(g.d, g.rho1, g.rho2, FloatOps)
+    err_slab = abs(g.rho2 * r.value - target)
+    return rel_volume <= 1e-10 and err_slab <= 1e-10, "volume rel=%.3g slab err=%.3g" % (
+        rel_volume, err_slab)
 
 
 def check_slab_route_equivalence():
@@ -721,7 +748,7 @@ def check_slab_route_equivalence():
     for d in (0.5, 1.0, 2.0, 4.0, 8.0):
         for rho in (1.0, 2.5):
             g = SlabGeometry(d, rho, 0.7)
-            a = geometry_coupling.G_slabs_realspace(g)
+            a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, FloatOps)
             b = geometry_coupling.G_slabs_fourier(g)
             worst = max(worst, abs(a - b) / a)
     return _ok(worst, 1e-10, "rel")
@@ -772,25 +799,29 @@ def check_angular_moment():
     return _ok(max(abs(r.value - closed), abs(wallis - closed)), 1e-12)
 
 
+def _G_P_by_quadrature(d, rho1, rho2):
+    """G_P as the Fourier integral of the slab kernel weighted by the
+    sixth angular moment, (5/16) q^6."""
+    r = numerics.quad_semi_infinite(
+        lambda q: (5.0 / 16.0) * q**6 * geometry_coupling.G_hat_q(d, q) * 2.0 * np.pi * q,
+        0.0, tol=1e-12, panel_scale=1.0 / d,
+    )
+    return rho1 * rho2 / (2.0 * np.pi) ** 2 * r.value
+
+
 def check_G_P_quadrature():
     worst = 0.0
     for d in (0.7, 1.0, 1.9):
-        g = SlabGeometry(d, 1.3, 0.8)
-        closed = geometry_coupling.G_P_slabs(g)
-        r = numerics.quad_semi_infinite(
-            lambda q: (5.0 / 16.0) * q**6 * geometry_coupling.G_hat_q(d, q) * 2.0 * np.pi * q,
-            0.0, tol=1e-12, panel_scale=1.0 / d,
-        )
-        route = g.rho1 * g.rho2 / (2.0 * np.pi) ** 2 * r.value
-        worst = max(worst, abs(route - closed) / closed)
+        closed = geometry_coupling.G_P_slabs(d, 1.3, 0.8, FloatOps)
+        worst = max(worst, abs(_G_P_by_quadrature(d, 1.3, 0.8) - closed) / closed)
     return _ok(worst, 1e-10, "rel")
 
 
 def check_geometry_scalings():
-    gh1 = geometry_coupling.G_halfspace(PlaneGeometry(1.3, 2.0))
-    gh2 = geometry_coupling.G_halfspace(PlaneGeometry(2.6, 2.0))
-    gp1 = geometry_coupling.G_P_slabs(SlabGeometry(1.1, 1.0, 1.0))
-    gp2 = geometry_coupling.G_P_slabs(SlabGeometry(2.2, 1.0, 1.0))
+    gh1 = geometry_coupling.G_halfspace(1.3, 2.0, FloatOps)
+    gh2 = geometry_coupling.G_halfspace(2.6, 2.0, FloatOps)
+    gp1 = geometry_coupling.G_P_slabs(1.1, 1.0, 1.0, FloatOps)
+    gp2 = geometry_coupling.G_P_slabs(2.2, 1.0, 1.0, FloatOps)
     err = abs(gh1 / gh2 - 8.0) + abs(gp1 / gp2 - 64.0)
     return _ok(err, 1e-12)
 
@@ -798,134 +829,159 @@ def check_geometry_scalings():
 # ---------------------------------------------------------------- forces
 
 
-def _forces():
-    from magfriction import friction_forces
+def pair_force_sharp(r, v, osc1, osc2, beta):
+    r"""Sharp-oscillator pair force at separation r and velocity v, as
+    three DeltaCoefficient records, one per component.
 
-    return friction_forces
+    Component l carries amplitude -G_lq v_q H (pi beta w1^2/2) against
+    delta(w1 - w2), with H the thermal pair factor at polarizabilities
+    1/(m_i w_i^2).
+    """
+    gv = geometry_coupling.G_tensor(r) @ np.asarray(v, dtype=np.float64)
+    a1 = 1.0 / (osc1.mass * osc1.omega**2)
+    a2 = 1.0 / (osc2.mass * osc2.omega**2)
+    H = materials_spectral.thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
+    pref = math.pi * beta * osc1.omega**2 / 2.0
+    return tuple(
+        response_kinetics.DeltaCoefficient(float(-gv[l] * H * pref), osc1.omega) for l in range(3)
+    )
 
 
 def check_finite_T_assembly():
-    ff = _forces()
-    g = SlabGeometry(1.0, 1.0, 1.0)
-    rep = ff.finite_T_slab_force(g, 1e-3, 1.0, 1.0, 1.0)
-    closed = -(2.0 * np.pi**6 / 15.0) * 1e-3
-    rel = abs(rep.force - closed) / abs(closed)
-    # independent quadrature-derived factors
-    Gq = geometry_coupling.G_slabs_fourier(g)
-    H0q = materials_spectral.smoothed_H0(
-        materials_spectral.LinearSpectralDensity(1.0, m_max=400.0),
-        materials_spectral.LinearSpectralDensity(1.0), 1.0,
-    )
-    rel_q = abs(-Gq * 1e-3 * H0q - rep.force) / abs(rep.force)
+    v = 1e-3
+    force, inter = friction_forces.slabs_finite_force(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, v, FloatOps)
+    closed = -(2.0 * np.pi**6 / 15.0) * v
+    rel = abs(force - closed) / abs(closed)
+    # G by the Fourier route and H0 by the quadrature rule, each checked too
+    Gq = geometry_coupling.G_slabs_fourier(SlabGeometry(1.0, 1.0, 1.0))
+    H0q = _H0_by_rule(1.0, 1.0, 1.0)
+    rel_q = max(abs(-Gq * v * H0q - force) / abs(force), abs(inter["G"] - Gq) / Gq,
+                abs(inter["H0"] - H0q) / H0q)
     return rel <= 1e-12 and rel_q <= 1e-9, "closed rel=%.3g quad rel=%.3g" % (rel, rel_q)
 
 
 def check_zero_T_assembly():
-    ff = _forces()
-    g = SlabGeometry(1.0, 1.0, 1.0)
     v = 0.01
-    rep = ff.zero_T_slab_force(g, v, 1.0, 1.0)
+    force, inter = friction_forces.slabs_zero_force(1.0, 1.0, 1.0, 1.0, 1.0, v, FloatOps)
     closed = -(5.0 * np.pi**2 / 512.0) * v**5
-    rel = abs(rep.force - closed) / abs(closed)
-    # the dissipated-energy assembly -Delta E_P/(2 tau v), Delta E_P = 2 tau H_P v^6 G_P
-    inter = rep.intermediates
-    route = -(2.0 * inter["H_P"] * v**6 * inter["G_P"]) / (2.0 * v)
-    rel_route = abs(route - rep.force) / abs(rep.force)
-    # quadrature H_P route per the dissipation integral; a truncated
-    # density forces the general path since support stops at the total
-    wv = 0.37
+    rel = abs(force - closed) / abs(closed)
+    # the dissipated-energy route -Delta E_P/(2 tau v), Delta E_P = 2 tau H_P v^6 G_P,
+    # with H_P from the dissipation integral by quadrature (a density cut at
+    # the total frequency takes the general route) and G_P by the Fourier route
+    wv, tau = 0.37, 1.0
     s = materials_spectral.LinearSpectralDensity(1.0, m_max=wv)
-    HPq = response_kinetics.dissipation_J(wv, 1.0, s, s) / (2.0 * wv**6)
-    rel_hp = abs(HPq - np.pi / 120.0) / (np.pi / 120.0)
-    return rel <= 1e-12 and rel_route <= 1e-12 and rel_hp <= 1e-10, (
-        "closed rel=%.3g route rel=%.3g H_P rel=%.3g" % (rel, rel_route, rel_hp))
+    HPq = response_kinetics.dissipation_J(wv, tau, s, s) / (2.0 * tau * wv**6)
+    GPq = _G_P_by_quadrature(1.0, 1.0, 1.0)
+    route = -(2.0 * tau * HPq * v**6 * GPq) / (2.0 * tau * v)
+    rel_route = max(abs(route - force) / abs(force), abs(inter["H_P"] - HPq) / HPq,
+                    abs(inter["G_P"] - GPq) / GPq)
+    return rel <= 1e-12 and rel_route <= 1e-10, (
+        "closed rel=%.3g route rel=%.3g" % (rel, rel_route))
+
+
+def check_pair_assembly():
+    # G_xx from the general-r tensor and H0 by the quadrature rule
+    d, v, beta = 1.7, 0.3, 2.0
+    force, _ = friction_forces.pair_force(d, v, 0.7, 1.1, beta, FloatOps)
+    Gxx = geometry_coupling.G_tensor([0.0, 0.0, d])[0, 0]
+    route = -Gxx * v * _H0_by_rule(0.7, 1.1, beta)
+    return _ok(abs(route - force) / abs(force), 1e-9, "rel")
+
+
+def check_plane_assembly():
+    # G_h by its volume integral and H0 by the quadrature rule
+    z0, rho, v, beta = 1.2, 0.8, 0.3, 2.0
+    force, _ = friction_forces.plane_force(z0, rho, v, 0.7, 1.1, beta, FloatOps)
+    route = -_G_halfspace_by_quadrature(z0, rho) * v * _H0_by_rule(0.7, 1.1, beta)
+    return _ok(abs(route - force) / abs(force), 1e-9, "rel")
 
 
 def check_force_signs(draws=200):
-    ff = _forces()
     rng = np.random.Generator(np.random.Philox(key=31))
+    ops = FloatOps
     for _ in range(draws):
         v = float(rng.uniform(1e-4, 1.0)) * float(rng.choice([-1.0, 1.0]))
         beta = float(rng.uniform(0.2, 5.0))
         d = float(rng.uniform(0.5, 3.0))
-        rho1, rho2 = rng.uniform(0.2, 3.0, size=2)
-        D1, D2 = rng.uniform(0.1, 2.0, size=2)
-        g = SlabGeometry(d, float(rho1), float(rho2))
-        r1 = ff.finite_T_slab_force(g, v, float(D1), float(D2), beta)
-        if np.sign(r1.force) != -np.sign(v):
-            return False, "finite-T sign failed at v=%g" % v
+        rho1, rho2 = rng.uniform(0.2, 3.0, size=2).tolist()
+        D1, D2 = rng.uniform(0.1, 2.0, size=2).tolist()
+        forces = {
+            "finite-T": friction_forces.slabs_finite_force(d, rho1, rho2, D1, D2, beta, v, ops),
+            "plane": friction_forces.plane_force(d, rho1, v, D1, D2, beta, ops),
+            "pair": friction_forces.pair_force(d, v, D1, D2, beta, ops),
+        }
         if v > 0.0:
-            r2 = ff.zero_T_slab_force(g, v, float(D1), float(D2))
-            if np.sign(r2.force) != -np.sign(v):
-                return False, "zero-T sign failed at v=%g" % v
-        pg = PlaneGeometry(d, float(rho1))
-        r3 = ff.plane_force(
-            pg, v,
-            materials_spectral.LinearSpectralDensity(float(D1)),
-            materials_spectral.LinearSpectralDensity(float(D2)), beta,
-        )
-        if np.sign(r3.force) != -np.sign(v):
-            return False, "plane sign failed at v=%g" % v
+            forces["zero-T"] = friction_forces.slabs_zero_force(d, rho1, rho2, D1, D2, v, ops)
+        for name, (force, _) in forces.items():
+            if np.sign(force) != -np.sign(v):
+                return False, "%s sign failed at v=%g" % (name, v)
         o1 = response_kinetics.OscState.thermal(float(rng.uniform(0.5, 2.0)), beta)
         o2 = response_kinetics.OscState.thermal(o1.omega, beta)
-        rep = ff.pair_force_sharp(
-            geometry_coupling.PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta
-        )
-        if np.sign(rep.force[0].amplitude) != -np.sign(v):
-            return False, "pair sign failed at v=%g" % v
+        sharp = pair_force_sharp([0.0, 0.0, d], [v, 0.0, 0.0], o1, o2, beta)
+        if np.sign(sharp[0].amplitude) != -np.sign(v):
+            return False, "sharp pair sign failed at v=%g" % v
     return True, "%d draws opposed v" % draws
 
 
 def check_pair_sharp_consistency():
-    ff = _forces()
     beta, d, v = 1.3, 1.7, 0.2
     o1 = response_kinetics.OscState.thermal(1.0, beta, mass=0.9)
     o2 = response_kinetics.OscState.thermal(1.0, beta, mass=1.8)
-    rep = ff.pair_force_sharp(
-        geometry_coupling.PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta
-    )
+    force = pair_force_sharp([0.0, 0.0, d], [v, 0.0, 0.0], o1, o2, beta)
     Gxx = geometry_coupling.G_tensor([0.0, 0.0, d])[0, 0]
     closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, Gxx * v)
-    rel = abs(rep.force[0].amplitude - closed.amplitude) / abs(closed.amplitude)
+    rel = abs(force[0].amplitude - closed.amplitude) / abs(closed.amplitude)
     return _ok(rel, 1e-12, "rel")
 
 
-def check_plane_product():
-    ff = _forces()
-    g = PlaneGeometry(1.2, 0.8)
-    s1 = materials_spectral.LinearSpectralDensity(0.7)
-    s2 = materials_spectral.LinearSpectralDensity(1.1)
-    rep = ff.plane_force(g, 0.3, s1, s2, 2.0)
-    direct = -geometry_coupling.G_halfspace(g) * 0.3 * materials_spectral.smoothed_H0(
-        s1, s2, 2.0
-    )
-    return _ok(abs(rep.force - direct), 1e-12 * abs(direct) + 1e-300)
-
-
 def check_suppression_factors():
-    ff = _forces()
-    g = SlabGeometry(0.8, 1.1, 0.9)
-    rep = ff.finite_T_slab_force(g, 1e-3, 0.5, 0.7, 2.5)
-    s = rep.intermediates["suppression"]
-    ok1 = s == (0.8 / 2.5) ** 2 and rep.force == s * rep.intermediates["reference_force"]
-    rep2 = ff.zero_T_slab_force(g, 0.02, 0.5, 0.7)
-    s2 = rep2.intermediates["suppression"]
-    ok2 = s2 == 0.02**2 and rep2.force == s2 * rep2.intermediates["reference_force"]
+    force, inter = friction_forces.slabs_finite_force(0.8, 1.1, 0.9, 0.5, 0.7, 2.5, 1e-3, FloatOps)
+    s = inter["suppression"]
+    ok1 = s == (0.8 / 2.5) ** 2 and force == s * inter["reference_force"]
+    force, inter = friction_forces.slabs_zero_force(0.8, 1.1, 0.9, 0.5, 0.7, 0.02, FloatOps)
+    s2 = inter["suppression"]
+    ok2 = s2 == 0.02**2 and force == s2 * inter["reference_force"]
     return ok1 and ok2, "finite=%r zero=%r" % (ok1, ok2)
 
 
-def check_unit_round_trip():
-    ff = _forces()
-    units = ff.UnitContext(1e-7)
-    g = SlabGeometry(1.0, 1.0, 1.0)
-    rep = ff.finite_T_slab_force(g, 1e-3, 1.0, 1.0, 1.0)
-    phys = ff.to_physical_units(rep, units)
-    back = ff.to_reduced_units(phys, units)
-    worst = abs(back.force - rep.force) / abs(rep.force)
-    for k in rep.intermediates:
-        ref = rep.intermediates[k]
-        if ref != 0.0:
-            worst = max(worst, abs(back.intermediates[k] - ref) / abs(ref))
+def check_gaussian_units():
+    # every regime's report in Gaussian units against CGS values written
+    # out from hbar, c and the length scale L: energy hbar c/L, time L/c
+    L = 2.5e-7
+    hbar, c = units.CGS_HBAR, units.CGS_C
+    energy = hbar * c / L
+    ctx = units.UnitContext(L)
+    d, rho1, rho2, D1, D2, beta, v = 1.3, 0.8, 1.1, 0.7, 0.4, 2.0, 1e-2
+    reports = [
+        ("pair-smoothed", friction_forces.pair_force(d, v, D1, D2, beta, FloatOps),
+         energy / L, {"d": d, "v": v, "beta": beta}),
+        ("plane", friction_forces.plane_force(d, rho1, v, D1, D2, beta, FloatOps),
+         energy / L, {"z0": d, "rho": rho1, "v": v, "beta": beta}),
+        ("slabs-finite-T",
+         friction_forces.slabs_finite_force(d, rho1, rho2, D1, D2, beta, v, FloatOps),
+         energy / L**3, {"d": d, "rho1": rho1, "rho2": rho2, "D1": D1, "beta": beta}),
+        ("slabs-zero-T", friction_forces.slabs_zero_force(d, rho1, rho2, D1, D2, v, FloatOps),
+         energy / L**3, {"D2": D2, "v": v}),
+    ]
+    per = {
+        "G_factor": 1.0 / (L**6 * c**2), "G_h": 1.0 / (L**6 * c**2),
+        "G": 1.0 / (L**8 * c**2), "G_P": 1.0 / (L**12 * c**2),
+        "H0": hbar * c**2 * L**4, "H_P": hbar * L**8 / c**2,
+        "I": 1.0, "suppression": 1.0, "reference_force": energy / L**3,
+        "d": L, "z0": L, "rho": L**-3, "rho1": L**-3, "rho2": L**-3,
+        "D1": L**3 / energy, "D2": L**3 / energy, "beta": 1.0 / energy, "v": c,
+    }
+    worst = 0.0
+    for regime, (force, inter), force_per, inputs in reports:
+        cgs_force, cgs_inter, cgs_inputs = units.gaussian_report(
+            ctx, regime, force, inter, inputs, FloatOps)
+        pairs = [(cgs_force, force * force_per)]
+        pairs += [(cgs_inter[k], x * per[k]) for k, x in inter.items()]
+        pairs += [(cgs_inputs[k + "_cgs"], x * per[k]) for k, x in inputs.items()]
+        if "beta" in inputs:
+            pairs.append((cgs_inputs["temperature_kelvin"], energy / (units.CGS_KB * beta)))
+        for got, want in pairs:
+            worst = max(worst, abs(got - want) / abs(want))
     return _ok(worst, 1e-14, "rel")
 
 
@@ -1002,11 +1058,12 @@ SUITES = {
     "forces": [
         Check("finite-T slab assembly", check_finite_T_assembly),
         Check("zero-T slab assembly", check_zero_T_assembly),
+        Check("pair assembly", check_pair_assembly),
+        Check("plane assembly", check_plane_assembly),
         Check("braking sign draws", check_force_signs),
         Check("pair sharp consistency", check_pair_sharp_consistency),
-        Check("plane product identity", check_plane_product),
         Check("suppression factors", check_suppression_factors),
-        Check("unit round trip", check_unit_round_trip),
+        Check("Gaussian units written out", check_gaussian_units),
     ],
 }
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magfriction
-from magfriction import cli as cli_module, friction_forces
+from magfriction import cli as cli_module, units
 
 SLABS_UNIT = [
     "friction", "slabs", "--temperature", "finite",
@@ -319,10 +319,10 @@ def test_small_tabulated_H0_is_relatively_accurate(cli, tmp_path, beta):
     code, out = cli("friction", "pair", "--units", "gaussian", "--d", 1, "--beta", beta,
                     "--v", 1e-3, "--D2", 1, "--spectrum-file-1", path)
     assert code == 0
-    ctx = friction_forces.UnitContext(1.0)
-    D2 = 1.0 / ctx.factor(friction_forces.INPUT_DIM["D2"])
+    ctx = units.UnitContext(1.0)
+    D2 = 1.0 / ctx.factor(units.INPUT_DIM["D2"])
     ref = _split_quad_H0(m, 0.5 * m, D2, beta)
-    ref *= ctx.factor(friction_forces.intermediate_dim("H0", "pair-smoothed"))
+    ref *= ctx.factor(units.INTERMEDIATE_DIM["H0"])
     assert abs(float(_column(out, "H0")[0]) - ref) <= 1e-12 * ref
 
 
@@ -734,6 +734,37 @@ def test_verify_suite_passes(cli):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("args,named", [
+    (["--d", -5], "--d"),                                   # a physical flag
+    (["--spectrum-file-1", "/nonexistent"], "--spectrum-file-1"),
+    (["--units", "gaussian"], "--units"),
+    (["--seed", 7], "--seed"),
+    # several: the first in the order of the flag table
+    (["--seed", 7, "--spectrum-file-1", "/nonexistent", "--units", "gaussian", "--d", -5],
+     "--d"),
+])
+def test_verify_refuses_inputs_it_would_ignore(cli, capsys, args, named):
+    code, out = cli("verify", "--suite", "fields", *args)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: verify takes no %s\n" % named
+
+
+def test_verify_refuses_config_keys_it_would_ignore(cli, capsys, tmp_path):
+    config = _write(tmp_path / "run.cfg", "workers=1\nbeta=2\nunits=reduced\n")
+    code, out = cli("verify", "--suite", "fields", "--config", config)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: verify takes no config key 'beta'\n"
+
+
+def test_verify_keeps_its_own_settings(cli, tmp_path):
+    config = _write(tmp_path / "run.cfg", "workers=2\nmax-points=5\n")
+    path = tmp_path / "verify.txt"
+    code, out = cli("verify", "--suite", "fields", "--config", config, "--workers", 1,
+                    "--out", path)
+    assert code == 0
+    assert path.read_text() == out and out.count("PASS") == 5
+
+
 def test_console_script_smoke(cli):
     # Run the module the console script points at, as a separate process,
     # against the same source tree this test imported.
@@ -835,11 +866,12 @@ def test_tabulated_commands_load_no_scipy(tmp_path):
 
 # runs each command line given (one argument each) through the CLI in a
 # fresh interpreter, and prints its exit code and which of the watched
-# modules it executed; imports nothing that it watches
+# modules had executed by then; imports nothing that it watches
 _EXECUTED_BY = """
 import contextlib, io, sys, types
 WATCH = ("dataclasses", "inspect", "json", "magfriction.numerics",
-         "magfriction.friction_forces")
+         "magfriction.friction_forces", "magfriction.response_kinetics",
+         "magfriction.oscillator_pair")
 
 def executed():
     # a module bound by lazy_import and not yet run is not a plain module
@@ -857,7 +889,9 @@ for line in sys.argv[1:]:
 def test_one_shot_commands_execute_only_their_route():
     # the seven kinds of one-shot command, in the reduced and the Gaussian
     # (kelvin) forms, compute without dataclasses, inspect, json, the
-    # numeric engines or the report assembly
+    # numeric engines or the sharp-oscillator models; the friction
+    # commands, which run after the others, execute the force library,
+    # their route
     kelvin = "--units gaussian --temperature-kelvin 300"
     cgs = "--d 1e-6 --v 100 --D1 1e-30 --D2 1e-30"
     commands = [
@@ -875,7 +909,7 @@ def test_one_shot_commands_execute_only_their_route():
     ]
     out = _run_child("-c", _EXECUTED_BY, *commands)
     assert out.returncode == 0, out.stderr.decode(errors="replace")
-    assert out.stdout.decode().splitlines() == ["0"] * len(commands)
+    assert out.stdout.decode().splitlines() == ["0"] * 4 + ["0 magfriction.friction_forces"] * 7
 
 
 def test_importing_the_cli_binds_every_library_module():

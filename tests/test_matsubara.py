@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import assert_check
 from magfriction import verification
+from magfriction._ieee import FloatOps
 from magfriction.matsubara import (
     MatsubaraGrid,
     TruncationError,
@@ -99,17 +100,18 @@ def test_free_energy_cold_bound():
 def test_closed_form_continuous_at_series_switch():
     # the series takes over below x = beta/2 = 1e-2
     for alpha in (0.3, 1.0):
-        lo = free_energy(alpha, 2e-2 * (1.0 - 1e-12))
-        hi = free_energy(alpha, 2e-2 * (1.0 + 1e-12))
+        lo = free_energy(alpha, 2e-2 * (1.0 - 1e-12), FloatOps)
+        hi = free_energy(alpha, 2e-2 * (1.0 + 1e-12), FloatOps)
         assert abs(lo - hi) <= 1e-11 * abs(hi)
 
 
 def test_closed_form_limits():
     for alpha in (0.05, 0.3, 1.0):
-        assert free_energy(alpha, 1e6) == pytest.approx(alpha**2 / 2.0, rel=1e-15)
+        assert free_energy(alpha, 1e6, FloatOps) == pytest.approx(alpha**2 / 2.0, rel=1e-15)
         for beta in (1e-6, 1e-9):
-            assert free_energy(alpha, beta) == pytest.approx(alpha**2 * beta / 6.0, rel=1e-12)
-    tiny = free_energy(1.0, 1e-300)
+            assert free_energy(alpha, beta, FloatOps) == pytest.approx(alpha**2 * beta / 6.0,
+                                                                       rel=1e-12)
+    tiny = free_energy(1.0, 1e-300, FloatOps)
     assert np.isfinite(tiny) and tiny > 0.0
 
 
@@ -119,7 +121,7 @@ def test_closed_form_against_mode_sum():
 
 def test_closed_form_beta_validation():
     with pytest.raises(ValueError):
-        free_energy(0.3, 0.0)
+        free_energy(0.3, 0.0, FloatOps)
 
 
 def test_mode_integral_pi_over_2():

@@ -1,4 +1,4 @@
-"""Whole-grid sweeps: recorded goldens and the pin to the library's closed forms.
+"""Whole-grid sweeps: recorded goldens and the pin to the one-shot commands.
 
 The goldens in tests/golden were recorded with the per-point sweep that
 ran one command per grid point; the grid pass must reproduce them byte for
@@ -6,15 +6,13 @@ byte. The d axis of the finite-temperature slab golden holds 0.7, where
 numpy's vector d**4 and Python's float ** differ by one ulp.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magfriction import cli as cli_module, friction_forces, geometry_coupling
-from magfriction import materials_spectral, matsubara, oscillator_pair
+from magfriction import cli as cli_module, materials_spectral
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,73 +73,22 @@ def test_sweep_golden(cli, tmp_path, name):
     assert out.replace(str(tmp_path), "{dir}") == golden
 
 
-def _spectrum(p, side, ctx, drude_rho=None):
-    """Side 1 or 2: a spectrum file, else the slope --D, else the Drude metal."""
-    path = p.get("spectrum-file-%d" % side)
-    if path is not None:
-        return materials_spectral.TabulatedSpectralDensity.from_text(path)
-    if "D%d" % side in p:
-        return materials_spectral.LinearSpectralDensity(_reduced(p, "D%d" % side, ctx))
-    nu = _reduced(p, "nu", ctx) if "nu" in p else 0.0
-    drude = materials_spectral.DrudeParams(_reduced(p, "omega_p", ctx), nu, drude_rho)
-    return materials_spectral.drude_D(drude)
-
-
-def _reduced(p, name, ctx):
-    value = float(p[name.replace("_", "-")])
-    return value if ctx is None else value / ctx.factor(friction_forces.INPUT_DIM[name])
-
-
-def _reference_row(target, p):
-    """One output row from the library's scalar closed forms, composed as
-    the command documents them: reduced inputs, the force report, then
-    Gaussian units."""
-    ctx = None
-    if p.get("units") == "gaussian":
-        ctx = friction_forces.UnitContext(1.0)
-    if "temperature-kelvin" in p:
-        beta = ctx.beta_from_kelvin(float(p["temperature-kelvin"]))
-    elif "beta" in p:
-        beta = float(p["beta"])
-    if target == "eigen":
-        alpha = float(p["alpha"])
-        return [alpha, *oscillator_pair.eigenfrequencies(alpha),
-                oscillator_pair.ground_state_energy(alpha)]
-    if target == "free-energy":
-        f = matsubara.free_energy(float(p["alpha"]), beta)
-        row = [float(p["alpha"]), beta, f]
-        if ctx is not None:
-            row += [f * ctx.energy_scale, ctx.kelvin_from_beta(beta)]
-        return row
-    r = {name: _reduced(p, name, ctx) for name in ("d", "z0", "rho1", "rho2", "v") if name in p}
-    if target == "friction-pair":
-        g_xx = float(geometry_coupling.G_tensor([0.0, 0.0, r["d"]])[0, 0])
-        h0 = materials_spectral.smoothed_H0(_spectrum(p, 1, ctx), _spectrum(p, 2, ctx), beta)
-        rep = friction_forces.smoothed_forces(g_xx, r["v"], h0, "pair-smoothed")
-        rep = dataclasses.replace(rep, inputs={**rep.inputs, "d": r["d"], "beta": beta})
-    elif target == "friction-plane":
-        geom = geometry_coupling.PlaneGeometry(r["z0"], r["rho1"])
-        spectra = _spectrum(p, 1, ctx), _spectrum(p, 2, ctx, drude_rho=geom.rho)
-        rep = friction_forces.plane_force(geom, r["v"], *spectra, beta)
-    else:
-        geom = geometry_coupling.SlabGeometry(r["d"], r["rho1"], r["rho2"])
-        D1 = _spectrum(p, 1, ctx, drude_rho=geom.rho1)
-        D2 = _spectrum(p, 2, ctx, drude_rho=geom.rho2)
-        if target == "friction-slabs-finite":
-            rep = friction_forces.finite_T_slab_force(geom, r["v"], D1, D2, beta)
-        else:
-            rep = friction_forces.zero_T_slab_force(geom, r["v"], D1, D2)
-    if ctx is not None:
-        rep = friction_forces.to_physical_units(rep, ctx)
-    return [rep.regime, rep.units, rep.force,
-            *(rep.intermediates[k] for k in sorted(rep.intermediates)),
-            *(rep.inputs[k] for k in sorted(rep.inputs))]
+# sweep target -> the one-shot command words that compute it
+ONE_SHOT = {
+    "eigen": ["eigen"],
+    "free-energy": ["free-energy"],
+    "friction-pair": ["friction", "pair"],
+    "friction-plane": ["friction", "plane"],
+    "friction-slabs-finite": ["friction", "slabs", "--temperature", "finite"],
+    "friction-slabs-zero": ["friction", "slabs", "--temperature", "zero"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_rows_match_one_shot_commands(cli, tmp_path, name):
-    """Every cell of every row is the library's scalar closed form at that
-    point, as a one-shot command documents it, to the last bit."""
+    """Every cell of every row is, to the last bit, what the one-shot
+    command prints at that point: the numpy grid and the Python-float
+    point give the same bytes."""
     args = _sweep_args(name, tmp_path)
     code, out = cli("sweep", *args)
     assert code == 0
@@ -154,14 +101,15 @@ def test_sweep_rows_match_one_shot_commands(cli, tmp_path, name):
         elif flag == "--axis":
             axes.append(value.split(":")[0])
         else:
-            fixed[flag[2:]] = value
+            fixed[flag] = value
     header, *rows = _data_rows(out)
     assert len(rows) >= 9
     for row in rows:
-        point = {**fixed, **dict(zip(axes, row[:len(axes)]))}
-        expected = [c if isinstance(c, str) else repr(float(c))
-                    for c in _reference_row(target, point)]
-        assert row[len(axes):] == expected
+        # a later axis replaces an earlier one and a fixed value of its parameter
+        point = {**fixed, **{"--" + axis: value for axis, value in zip(axes, row)}}
+        code, one_shot = cli(*ONE_SHOT[target], *(x for pair in point.items() for x in pair))
+        assert code == 0
+        assert _data_rows(one_shot) == [header[len(axes):], row[len(axes):]]
 
 
 def test_json_mirror_is_the_json_dump_of_its_rows(cli, tmp_path):
