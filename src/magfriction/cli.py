@@ -75,7 +75,6 @@ _SETTINGS = (
     ("units", str), ("seed", int), ("workers", int), ("max-points", int),
 )
 _DEFAULTS = {"units": "reduced", "seed": 0, "workers": 1, "max_points": 10000}
-# inputs that verify refuses: its checks fix their own parameters and seeds
 _NOT_FOR_VERIFY = {flag for flag, _ in _PARAMS} | {"units", "seed"}
 
 _SWEEP_AXES = {
@@ -301,15 +300,13 @@ def _resolve(args):
     """Merge CLI > config file > defaults into a RunConfig."""
     file_values = _load_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
+    if args.command == "verify":
+        _refuse_verify_inputs(args, file_values)
     for flag, typ in _PARAMS + _SETTINGS:
         attr = _attr(flag)
         value = getattr(args, attr, None)
-        source = "--" + flag
         if value is None:
             value = file_values.get(flag)
-            source = "config key %r" % flag
-        if value is not None and args.command == "verify" and flag in _NOT_FOR_VERIFY:
-            raise CliError(EXIT_CONFIG, "verify takes no %s" % source)
         if value is None:
             value = _DEFAULTS.get(attr)
         elif typ is float:
@@ -326,6 +323,18 @@ def _resolve(args):
     if cfg.workers < 1:
         raise CliError(EXIT_CONFIG, "--workers must be at least 1")
     return cfg
+
+
+def _refuse_verify_inputs(args, file_values):
+    """CliError naming the first input, flag or config key, that verify
+    would ignore: its checks fix their own parameters and seeds."""
+    for flag, _ in _PARAMS + _SETTINGS:
+        if flag not in _NOT_FOR_VERIFY:
+            continue
+        if getattr(args, _attr(flag)) is not None:
+            raise CliError(EXIT_CONFIG, "verify takes no --%s" % flag)
+        if flag in file_values:
+            raise CliError(EXIT_CONFIG, "verify takes no config key %r" % flag)
 
 
 def _finite(name, value):

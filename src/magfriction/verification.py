@@ -24,7 +24,7 @@ from magfriction import (
     units,
 )
 from magfriction._ieee import FloatOps
-from magfriction.geometry_coupling import SlabGeometry
+from magfriction.geometry_coupling import PairGeometry, SlabGeometry
 
 
 class Check:
@@ -829,15 +829,15 @@ def check_geometry_scalings():
 # ---------------------------------------------------------------- forces
 
 
-def pair_force_sharp(r, v, osc1, osc2, beta):
-    r"""Sharp-oscillator pair force at separation r and velocity v, as
-    three DeltaCoefficient records, one per component.
+def pair_force_sharp(geom, v, osc1, osc2, beta):
+    r"""Sharp-oscillator pair force as three DeltaCoefficient records, one
+    per component.
 
     Component l carries amplitude -G_lq v_q H (pi beta w1^2/2) against
     delta(w1 - w2), with H the thermal pair factor at polarizabilities
     1/(m_i w_i^2).
     """
-    gv = geometry_coupling.G_tensor(r) @ np.asarray(v, dtype=np.float64)
+    gv = geometry_coupling.G_tensor(geom.r) @ np.asarray(v, dtype=np.float64)
     a1 = 1.0 / (osc1.mass * osc1.omega**2)
     a2 = 1.0 / (osc2.mass * osc2.omega**2)
     H = materials_spectral.thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
@@ -917,7 +917,7 @@ def check_force_signs(draws=200):
                 return False, "%s sign failed at v=%g" % (name, v)
         o1 = response_kinetics.OscState.thermal(float(rng.uniform(0.5, 2.0)), beta)
         o2 = response_kinetics.OscState.thermal(o1.omega, beta)
-        sharp = pair_force_sharp([0.0, 0.0, d], [v, 0.0, 0.0], o1, o2, beta)
+        sharp = pair_force_sharp(PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta)
         if np.sign(sharp[0].amplitude) != -np.sign(v):
             return False, "sharp pair sign failed at v=%g" % v
     return True, "%d draws opposed v" % draws
@@ -927,7 +927,7 @@ def check_pair_sharp_consistency():
     beta, d, v = 1.3, 1.7, 0.2
     o1 = response_kinetics.OscState.thermal(1.0, beta, mass=0.9)
     o2 = response_kinetics.OscState.thermal(1.0, beta, mass=1.8)
-    force = pair_force_sharp([0.0, 0.0, d], [v, 0.0, 0.0], o1, o2, beta)
+    force = pair_force_sharp(PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta)
     Gxx = geometry_coupling.G_tensor([0.0, 0.0, d])[0, 0]
     closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, Gxx * v)
     rel = abs(force[0].amplitude - closed.amplitude) / abs(closed.amplitude)

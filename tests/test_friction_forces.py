@@ -20,7 +20,7 @@ from magfriction.friction_forces import (
     slabs_finite_force,
     slabs_zero_force,
 )
-from magfriction.geometry_coupling import PlaneGeometry, SlabGeometry
+from magfriction.geometry_coupling import PairGeometry, PlaneGeometry, SlabGeometry
 from magfriction.materials_spectral import (
     DrudeParams,
     LinearSpectralDensity,
@@ -42,19 +42,21 @@ def zero_T(v, d=1.0, rho1=1.0, rho2=1.0, D1=1.0, D2=1.0):
 
 
 def test_pair_sharp_zero_velocity():
+    geom = PairGeometry(np.array([0.0, 0.0, 1.0]))
     o = OscState.thermal(1.0, 2.0)
-    force = verification.pair_force_sharp([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], o, o, 2.0)
+    force = verification.pair_force_sharp(geom, [0.0, 0.0, 0.0], o, o, 2.0)
     assert all(c.amplitude == 0.0 for c in force)
 
 
 def test_pair_sharp_opposes_velocity():
     # diagonal G for separation along z: the x component opposes v = x hat
+    geom = PairGeometry(np.array([0.0, 0.0, 1.0]))
     o = OscState.thermal(1.3, 1.5)
-    force = verification.pair_force_sharp([0.0, 0.0, 1.0], [0.7, 0.0, 0.0], o, o, 1.5)
+    force = verification.pair_force_sharp(geom, [0.7, 0.0, 0.0], o, o, 1.5)
     assert force[0].amplitude < 0.0
     assert force[1].amplitude == 0.0
     assert force[2].amplitude == 0.0
-    assert geometry_coupling.G_tensor([0.0, 0.0, 1.0])[0, 0] == 2.0
+    assert geometry_coupling.G_tensor(geom.r)[0, 0] == 2.0
 
 
 def test_pair_sharp_matches_amplitude_route():
