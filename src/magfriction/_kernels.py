@@ -2,6 +2,15 @@
 
 Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
+
+The trajectory and Monte Carlo kernels work in fixed blocks, so that
+their temporaries stay in cache and their Python-level calls are few:
+``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul, and
+``halfspace_chunk`` evaluates and sums ``MC_BLOCK`` samples at a time.
+A block size changes only the order of floating-point operations (the
+summation order of a Monte Carlo sum, the grouping of a matrix product),
+never the random draws: a Monte Carlo estimate stays deterministic per
+(seed, n, chunk partition).
 """
 
 import math
@@ -11,6 +20,12 @@ from magfriction import lazy_import
 np = lazy_import("numpy")
 
 TWO_PI = 2.0 * math.pi
+
+# records advanced from one state by one batched matmul of matrix powers
+RK4_BLOCK = 64
+# Monte Carlo samples evaluated and summed at a time: a block's few float64
+# temporaries (64 KiB each) stay in cache
+MC_BLOCK = 8192
 
 
 def rk4_batch(A, init, dt, n_steps, stride):
@@ -23,9 +38,12 @@ def rk4_batch(A, init, dt, n_steps, stride):
     One classical RK4 step of a linear system is exactly s <- R(dt*A) s
     with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 stability
     polynomial. Each column's ``stride`` steps are folded into the single
-    4x4 matrix R^stride, and the recorded samples are its successive
+    4x4 matrix P = R^stride, and the recorded samples are its successive
     images; the result is the stage-by-stage RK4 trajectory up to
-    rounding.
+    rounding. The powers P^1..P^K (K = ``RK4_BLOCK``) are formed once, and
+    each block of K records is one batched product s[k+i] = P^i s[k] from
+    the block's first state; this regroups the products of the plain
+    recurrence s[k+1] = P s[k] and agrees with it to rounding.
 
     Parameters
     ----------
@@ -56,11 +74,17 @@ def rk4_batch(A, init, dt, n_steps, stride):
     eye = np.eye(4)
     R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
     P = np.linalg.matrix_power(R, stride)
-    # samples held as (k, column, component, 1): each record is one batched matmul
-    s = np.empty((n_steps // stride + 1, B, 4, 1))
+    # samples held as (k, column, component, 1), powers as (i-1, column, 4, 4)
+    n_rec = n_steps // stride
+    s = np.empty((n_rec + 1, B, 4, 1))
     s[0, :, :, 0] = init.T
-    for k in range(1, s.shape[0]):
-        np.matmul(P, s[k - 1], out=s[k])
+    powers = np.empty((min(RK4_BLOCK, n_rec), B, 4, 4))
+    powers[:1] = P
+    for i in range(1, powers.shape[0]):
+        np.matmul(P, powers[i - 1], out=powers[i])
+    for k in range(0, n_rec, RK4_BLOCK):
+        n = min(RK4_BLOCK, n_rec - k)
+        np.matmul(powers[:n], s[k], out=s[k + 1 : k + 1 + n])
     return np.ascontiguousarray(s[:, :, :, 0].transpose(0, 2, 1))
 
 
@@ -102,18 +126,28 @@ def halfspace_chunk(z0, u, mode):
     Returns
     -------
     (float, float)
-        Sum of weights and sum of squared weights over the chunk.
+        Sum of weights and sum of squared weights over the chunk, summed
+        in blocks of ``MC_BLOCK`` samples; the weights do not depend on the
+        block size, only the order of their summation does.
     """
-    z = z0 * (1.0 - u[0]) ** (-1.0 / 3.0)
-    s2 = z * z * ((1.0 - u[1]) ** (-0.5) - 1.0)
-    r2 = s2 + z * z
-    # p(s|z)/(2*pi*s) with the s cancelled analytically; no 0/0 at s = 0
-    pdf = (3.0 * z0 ** 3 / z ** 4) * (4.0 * z ** 4 / (TWO_PI * r2 ** 3))
-    r6 = r2 ** 3
-    if mode == 0:
-        f = 1.0 / r6
-    else:
-        x2 = s2 * np.cos(TWO_PI * u[2]) ** 2
-        f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
-    w = f / pdf
-    return float(np.sum(w)), float(np.sum(w * w))
+    m = u.shape[1]
+    sw = 0.0
+    sw2 = 0.0
+    for a in range(0, m, MC_BLOCK):
+        b = min(a + MC_BLOCK, m)
+        z = z0 * (1.0 - u[0, a:b]) ** (-1.0 / 3.0)
+        s2 = z * z * ((1.0 - u[1, a:b]) ** (-0.5) - 1.0)
+        r2 = s2 + z * z
+        z4 = z**4
+        r6 = r2**3
+        # p(s|z)/(2*pi*s) with the s cancelled analytically; no 0/0 at s = 0
+        pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (TWO_PI * r6))
+        if mode == 0:
+            f = 1.0 / r6
+        else:
+            x2 = s2 * np.cos(TWO_PI * u[2, a:b]) ** 2
+            f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
+        w = f / pdf
+        sw += float(np.sum(w))
+        sw2 += float(np.sum(w * w))
+    return sw, sw2

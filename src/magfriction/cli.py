@@ -647,11 +647,9 @@ def _grid_report(grid, regime, force, intermediates, inputs):
 def _grid_eigen(grid):
     _grid_need(grid, "alpha")
     alpha = grid.columns["alpha"]
-    grid.fail(alpha < 0.0, ValueError("alpha must be >= 0"))
-    # oscillator_pair.eigenfrequencies and ground_state_energy
-    root = grid.sqrt(1.0 + alpha * alpha)
-    return [("alpha", alpha), ("omega_plus", alpha + root),
-            ("omega_minus", -alpha + root), ("e0", root)]
+    omega_plus, omega_minus, e0 = oscillator_pair.normal_modes(alpha, grid)
+    return [("alpha", alpha), ("omega_plus", omega_plus),
+            ("omega_minus", omega_minus), ("e0", e0)]
 
 
 def _grid_free_energy(grid):
@@ -662,8 +660,8 @@ def _grid_free_energy(grid):
     cols = [("alpha", alpha), ("beta", beta), ("free_energy", f)]
     ctx = grid.ctx
     if ctx is not None:
-        cols += [("free_energy_erg", f * ctx.energy_scale),
-                 ("temperature_kelvin", grid.div(ctx.energy_scale, ctx.k_B * beta))]
+        erg, kelvin = units.gaussian_free_energy(ctx, f, beta, grid)
+        cols += [("free_energy_erg", erg), ("temperature_kelvin", kelvin)]
     return cols
 
 

@@ -6,39 +6,34 @@ motion, the exact eigenfrequencies and ground-state energy of the unit
 pair, and a fixed-step integrator used as the trajectory oracle.
 """
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 from magfriction import _kernels, lazy_import
+from magfriction._ieee import FloatOps
 
 np = lazy_import("numpy")
 
 
-@dataclass(frozen=True)
-class OscPairConfig:
+class OscPairConfig(namedtuple("OscPairConfig", "alpha omega_x omega_y mass_x mass_y")):
     """Coupling alpha >= 0 plus per-oscillator frequency and mass."""
 
-    alpha: float
-    omega_x: float = 1.0
-    omega_y: float = 1.0
-    mass_x: float = 1.0
-    mass_y: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0.0:
+    def __new__(cls, alpha, omega_x=1.0, omega_y=1.0, mass_x=1.0, mass_y=1.0):
+        if not math.isfinite(alpha) or alpha < 0.0:
             raise ValueError("alpha must be finite and >= 0")
-        for name in ("omega_x", "omega_y", "mass_x", "mass_y"):
-            if getattr(self, name) <= 0.0:
+        for name, value in (("omega_x", omega_x), ("omega_y", omega_y),
+                            ("mass_x", mass_x), ("mass_y", mass_y)):
+            if value <= 0.0:
                 raise ValueError("%s must be positive" % name)
+        return super().__new__(cls, alpha, omega_x, omega_y, mass_x, mass_y)
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(namedtuple("PhaseState", "x y p_x p_y")):
     """Canonical coordinates and generalized momenta."""
 
-    x: float
-    y: float
-    p_x: float
-    p_y: float
+    __slots__ = ()
 
 
 def generalized_momenta(cfg, x_dot, y_dot, x, y):
@@ -79,30 +74,33 @@ def eom_rhs(cfg, state):
     )
 
 
+def normal_modes(alpha, ops):
+    """Normal modes of the unit pair over a column of alpha, ``ops`` as in
+    friction_forces: (omega_plus, omega_minus, e0) with omega_pm =
+    +-alpha + sqrt(1+alpha^2) and the zero-point energy e0 =
+    (omega_plus + omega_minus)/2 = sqrt(1+alpha^2)."""
+    ops.fail(alpha < 0.0, ValueError("alpha must be >= 0"))
+    root = ops.sqrt(1.0 + alpha * alpha)
+    return alpha + root, -alpha + root, root
+
+
 def eigenfrequencies(alpha):
     """Normal-mode frequencies of the unit pair: +-alpha + sqrt(1+alpha^2).
 
     Their product is exactly 1 for every coupling.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    root = np.sqrt(1.0 + alpha * alpha)
-    return (alpha + root, -alpha + root)
+    return normal_modes(alpha, FloatOps)[:2]
 
 
 def ground_state_energy(alpha):
     """Zero-point energy (omega_plus + omega_minus)/2 = sqrt(1 + alpha^2)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    return float(np.sqrt(1.0 + alpha * alpha))
+    return normal_modes(alpha, FloatOps)[2]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "t states")):
     """Sampled states: t (n,), states (n, 4) columns x, y, xdot, ydot."""
 
-    t: object
-    states: object
+    __slots__ = ()
 
 
 def integrate_eom(cfg, init, t_end, dt, drift_tol=1e-8, stride=1):

@@ -3,8 +3,9 @@
 Reduced units set hbar = c = k_B = 1 with lengths in a chosen scale;
 UnitContext gives the Gaussian CGS value of a reduced quantity from its
 (energy, length, time) dimension exponents, listed here for every input,
-force and report intermediate that the CLI prints, and
-``gaussian_report`` converts a force report's columns.
+force and report intermediate that the CLI prints; ``gaussian_report``
+converts a force report's columns and ``gaussian_free_energy`` the free
+energy's.
 """
 
 from collections import namedtuple
@@ -97,8 +98,19 @@ def gaussian_report(ctx, regime, force, intermediates, inputs, ops):
         if dim is not None:
             inputs[name + "_cgs"] = col * ctx.factor(dim)
     if "beta" in inputs:
-        inputs["temperature_kelvin"] = ops.div(ctx.energy_scale, ctx.k_B * inputs["beta"])
+        inputs["temperature_kelvin"] = _kelvin(ctx, inputs["beta"], ops)
     force = force * ctx.factor(FORCE_DIM[regime])
     intermediates = {name: col * ctx.factor(INTERMEDIATE_DIM[name])
                      for name, col in intermediates.items()}
     return force, intermediates, inputs
+
+
+def gaussian_free_energy(ctx, f, beta, ops):
+    """A reduced free energy f at inverse temperature beta in Gaussian CGS,
+    over columns; ``ops`` as in friction_forces: (free_energy_erg,
+    temperature_kelvin)."""
+    return f * ctx.energy_scale, _kelvin(ctx, beta, ops)
+
+
+def _kelvin(ctx, beta, ops):
+    return ops.div(ctx.energy_scale, ctx.k_B * beta)

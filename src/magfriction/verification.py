@@ -945,8 +945,9 @@ def check_suppression_factors():
 
 
 def check_gaussian_units():
-    # every regime's report in Gaussian units against CGS values written
-    # out from hbar, c and the length scale L: energy hbar c/L, time L/c
+    # every regime's report, and the free energy, in Gaussian units against
+    # CGS values written out from hbar, c and the length scale L: energy
+    # hbar c/L, time L/c
     L = 2.5e-7
     hbar, c = units.CGS_HBAR, units.CGS_C
     energy = hbar * c / L
@@ -982,6 +983,10 @@ def check_gaussian_units():
             pairs.append((cgs_inputs["temperature_kelvin"], energy / (units.CGS_KB * beta)))
         for got, want in pairs:
             worst = max(worst, abs(got - want) / abs(want))
+    f = matsubara.free_energy(0.3, beta, FloatOps)
+    erg, kelvin = units.gaussian_free_energy(ctx, f, beta, FloatOps)
+    for got, want in ((erg, f * energy), (kelvin, energy / (units.CGS_KB * beta))):
+        worst = max(worst, abs(got - want) / abs(want))
     return _ok(worst, 1e-14, "rel")
 
 

@@ -734,6 +734,13 @@ def test_verify_suite_passes(cli):
     assert "FAIL" not in out
 
 
+def test_verify_all_prints_the_same_text_twice(cli):
+    # every Monte Carlo check fixes its seed, and no check keeps state
+    first = cli("verify", "--suite", "all")
+    assert first[0] == 0
+    assert cli("verify", "--suite", "all") == first
+
+
 @pytest.mark.parametrize("args,named", [
     (["--d", -5], "--d"),                                   # a physical flag
     (["--spectrum-file-1", "/nonexistent"], "--spectrum-file-1"),
@@ -890,12 +897,11 @@ def test_one_shot_commands_execute_only_their_route():
     # the seven kinds of one-shot command, in the reduced and the Gaussian
     # (kelvin) forms, compute without dataclasses, inspect, json, the
     # numeric engines or the sharp-oscillator models; the friction
-    # commands, which run after the others, execute the force library,
-    # their route
+    # commands, which run after the first three, execute the force
+    # library, and eigen, which runs last, the oscillator pair: their routes
     kelvin = "--units gaussian --temperature-kelvin 300"
     cgs = "--d 1e-6 --v 100 --D1 1e-30 --D2 1e-30"
     commands = [
-        "eigen --alpha 0.75",
         "free-energy --alpha 0.1 --beta 10",
         "free-energy --alpha 0.1 " + kelvin,
         "fields --d 2.5 --z0 1.5 --rho1 2",
@@ -906,10 +912,12 @@ def test_one_shot_commands_execute_only_their_route():
         " ".join(map(str, SLABS_UNIT)),
         "friction slabs --temperature finite %s --rho1 1e22 --rho2 1e22 %s" % (cgs, kelvin),
         " ".join(map(str, SLABS_ZERO_UNIT)),
+        "eigen --alpha 0.75",
     ]
     out = _run_child("-c", _EXECUTED_BY, *commands)
     assert out.returncode == 0, out.stderr.decode(errors="replace")
-    assert out.stdout.decode().splitlines() == ["0"] * 4 + ["0 magfriction.friction_forces"] * 7
+    assert out.stdout.decode().splitlines() == ["0"] * 3 + ["0 magfriction.friction_forces"] * 7 + [
+        "0 magfriction.friction_forces magfriction.oscillator_pair"]
 
 
 def test_importing_the_cli_binds_every_library_module():

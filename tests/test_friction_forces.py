@@ -10,6 +10,7 @@ from magfriction import (
     geometry_coupling,
     materials_spectral,
     matsubara,
+    oscillator_pair,
     units,
     verification,
 )
@@ -280,11 +281,15 @@ COLUMN_FUNCTIONS = {
     "H0_columns": (lambda D, beta, ops: materials_spectral.H0_columns(_TABULATED, D, beta, ops),
                    [_positive(-2, 1), _positive(-0.5, 0.5)]),
     "free_energy": (matsubara.free_energy, [_positive(-2, 1), _positive(-4, 3)]),
+    "normal_modes": (oscillator_pair.normal_modes, [_positive(-2, 1)]),
     "gaussian_report": (
         lambda F, G, H0, beta, v, ops: units.gaussian_report(
             _CTX, "plane", F, {"G_h": G, "H0": H0}, {"beta": beta, "v": v}, ops),
         [_RNG.uniform(-1, 1, _N), _positive(-2, 2), _positive(-2, 2), _positive(-1, 1),
          _RNG.uniform(-1, 1, _N)]),
+    "gaussian_free_energy": (
+        lambda f, beta, ops: units.gaussian_free_energy(_CTX, f, beta, ops),
+        [_RNG.uniform(-1, 1, _N), _positive(-1, 1)]),
 }
 
 
@@ -333,6 +338,10 @@ MUTATIONS = {
         "materials :: smoothed H0 quadrature", "forces :: finite-T slab assembly",
         "forces :: pair assembly", "forces :: plane assembly"],
     ("matsubara", "free_energy"): ["matsubara :: free energy closed form vs mode sum"],
+    ("oscillator_pair", "normal_modes"): [
+        "oscillator :: eigenfrequencies vs linear system", "oscillator :: frequency product unity",
+        "oscillator :: trajectory spectral fit"],
+    ("units", "gaussian_free_energy"): ["forces :: Gaussian units written out"],
 }
 
 
@@ -342,7 +351,7 @@ def test_battery_fails_when_a_printed_closed_form_is_one_percent_off(monkeypatch
     # or the factor; the CLI prints it through this very function
     module = {"friction_forces": friction_forces, "units": units,
               "geometry_coupling": geometry_coupling, "materials_spectral": materials_spectral,
-              "matsubara": matsubara}[module]
+              "matsubara": matsubara, "oscillator_pair": oscillator_pair}[module]
     original = getattr(module, name)
 
     def one_percent_off(*args, **kwargs):

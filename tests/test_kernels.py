@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magfriction
-from magfriction import _kernels
+from magfriction import _kernels, geometry_coupling
 
 
 def _pair_matrix(alpha):
@@ -57,6 +57,39 @@ def test_rk4_matches_stage_loop():
         assert np.max(np.abs(out[:, :, b] - ref)) <= 1e-10
 
 
+def _power_recurrence(A, init, dt, n_steps, stride):
+    # s_k = P s_{k-1} one record at a time, P = R(dt*A)^stride per column
+    eye = np.eye(4)
+    out = np.empty((n_steps // stride + 1,) + init.shape)
+    out[0] = init
+    for b in range(init.shape[1]):
+        Z = dt[b] * A[b]
+        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+        P = np.linalg.matrix_power(R, stride)
+        for k in range(1, out.shape[0]):
+            out[k, :, b] = P @ out[k - 1, :, b]
+    return out
+
+
+K = _kernels.RK4_BLOCK
+
+
+@pytest.mark.parametrize("records", [1, 2, K, K + 1, 2 * K + 1])
+def test_rk4_blocks_match_the_stage_loop_and_the_power_recurrence(records):
+    A, init, dt = _rk4_inputs(3, seed=records)
+    assert len(set(dt)) == 3
+    stride = 3
+    n_steps = (records - 1) * stride
+    out = _kernels.rk4_batch(A, init, dt, n_steps, stride)
+    assert out.shape == (records, 4, 3)
+    assert np.array_equal(out[0], init)
+    recurrence = _power_recurrence(A, init, dt, n_steps, stride)
+    assert np.max(np.abs(out - recurrence)) <= 1e-13 * np.max(np.abs(recurrence))
+    for b in range(3):
+        ref = _rk4_stage_loop(A[b], init[:, b], dt[b], n_steps, stride)
+        assert np.max(np.abs(out[:, :, b] - ref)) <= 1e-10
+
+
 def test_rk4_records_initial_state_and_shape():
     A, init, dt = _rk4_inputs(3)
     out = _kernels.rk4_batch(A, init, dt, 200, 20)
@@ -80,12 +113,50 @@ def test_mode_sum_against_direct_loop():
     assert _kernels.mode_sum(alpha, beta, 0) == 0.0
 
 
-def test_halfspace_chunk_mode0_constant_weight():
+def _halfspace_weights(z0, u, mode):
+    # every weight of a chunk at once, as one whole-array pass
+    z = z0 * (1.0 - u[0]) ** (-1.0 / 3.0)
+    s2 = z * z * ((1.0 - u[1]) ** (-0.5) - 1.0)
+    r2 = s2 + z * z
+    pdf = (3.0 * z0**3 / z**4) * (4.0 * z**4 / (2.0 * np.pi * r2**3))
+    if mode == 0:
+        return (1.0 / r2**3) / pdf
+    x2 = s2 * np.cos(2.0 * np.pi * u[2]) ** 2
+    return 2.0 * (1.0 / r2**3 + 3.0 * x2 / (r2**3 * r2)) / pdf
+
+
+B = _kernels.MC_BLOCK
+
+
+@pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_halfspace_chunk_blocks_match_the_whole_array(m):
+    u = np.random.default_rng(m).random((3, m))
+    w = _halfspace_weights(1.3, u, 1)
+    s, s2 = _kernels.halfspace_chunk(1.3, u, 1)
+    assert abs(s - np.sum(w)) <= 1e-12 * np.sum(w)
+    assert abs(s2 - np.sum(w * w)) <= 1e-12 * np.sum(w * w)
+
+
+def test_halfspace_mc_over_several_chunks_matches_the_whole_array():
+    n, chunk, seed = 2 * (2 * B + 3) + B + 5, 2 * B + 3, 17
+    w = np.concatenate([
+        _halfspace_weights(1.5, np.random.Generator(np.random.Philox(key=seed).jumped(j))
+                           .random((3, min(chunk, n - a))), 1)
+        for j, a in enumerate(range(0, n, chunk))])
+    res = geometry_coupling.mc_halfspace_Gxx(1.5, n, seed, chunk_size=chunk)
+    mean = np.sum(w) / n
+    std_error = np.sqrt((np.sum(w * w) / n - mean * mean) * n / (n - 1.0) / n)
+    assert abs(res.value - mean) <= 1e-12 * mean
+    assert abs(res.std_error - std_error) <= 1e-12 * std_error
+
+
+@pytest.mark.parametrize("m", [1000, 3 * B + 7])
+def test_halfspace_chunk_mode0_constant_weight(m):
     # r^-6 under the half-space sampler has identically constant weight
     rng = np.random.default_rng(3)
-    u = rng.random((3, 1000))
+    u = rng.random((3, m))
     s, s2 = _kernels.halfspace_chunk(1.0, u, 0)
-    mean = s / 1000.0
-    var = s2 / 1000.0 - mean * mean
+    mean = s / m
+    var = s2 / m - mean * mean
     assert abs(mean - np.pi / 6.0) <= 1e-12
     assert abs(var) <= 1e-15

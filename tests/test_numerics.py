@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_check
-from magfriction import numerics, verification
+from magfriction import _kernels, numerics, verification
 from magfriction.numerics import (
     HalfspaceSampler,
     QuadratureError,
@@ -101,6 +101,49 @@ def test_mc_deterministic_bit_identical():
     assert a.std_error == b.std_error
     c = mc_integrate(f, sampler, n=200_000, seed=43)
     assert c.value != a.value
+
+
+def _r8(pts):
+    # r^-8 leaves genuine per-sample variance under the half-space sampler
+    return 1.0 / np.sum(pts * pts, axis=0) ** 4
+
+
+B = _kernels.MC_BLOCK
+
+
+@pytest.mark.parametrize("n,chunk", [
+    (1, 1 << 20), (B - 1, 1 << 20), (B, 1 << 20), (B + 1, 1 << 20),
+    (2 * (2 * B + 3) + B + 5, 2 * B + 3),  # three chunks, the last one short
+])
+def test_mc_blocks_match_the_whole_array(n, chunk):
+    sampler = HalfspaceSampler(z0=1.0)
+    w = []
+    for j, a in enumerate(range(0, n, chunk)):
+        u = np.random.Generator(np.random.Philox(key=8).jumped(j)).random((3, min(chunk, n - a)))
+        pts, pdf = sampler.map(u)
+        w.append(_r8(pts) / pdf)
+    w = np.concatenate(w)
+    mean = np.sum(w) / n
+    var = max(np.sum(w * w) / n - mean * mean, 0.0) * (n / (n - 1.0) if n > 1 else 1.0)
+    res = mc_integrate(_r8, sampler, n, seed=8, chunk_size=chunk)
+    assert abs(res.value - mean) <= 1e-12 * mean
+    assert abs(res.std_error - np.sqrt(var / n)) <= 1e-12 * np.sqrt(var / n)
+
+
+def test_mc_sampling_error_names_the_sample_within_its_chunk():
+    # the density fails at one sample of the second chunk, in its third block
+    chunk, bad_at = 3 * B, 2 * B + 5
+    u = np.random.Generator(np.random.Philox(key=5).jumped(1)).random((1, chunk))
+    target = u[0, bad_at]
+    assert np.count_nonzero(u[0] == target) == 1
+
+    class Sampler(numerics.BoxSampler):
+        def map(self, u):
+            pts, pdf = super().map(u)
+            return pts, np.where(u[0] == target, np.nan, pdf)
+
+    with pytest.raises(numerics.McSamplingError, match=r"chunk 1 sample %d \(" % bad_at):
+        mc_integrate(lambda p: p[0], Sampler([0.0], [1.0]), 2 * chunk, seed=5, chunk_size=chunk)
 
 
 def test_mc_halfspace_r6():
