@@ -599,9 +599,7 @@ def _grid_beta(grid):
     with grid.every_point():
         source = _temperature_input(beta is not None, kelvin is not None, grid.ctx)
     if source == "kelvin":
-        # UnitContext.beta_from_kelvin
-        grid.fail(kelvin <= 0.0, ValueError("temperature must be positive"))
-        return grid.div(grid.ctx.energy_scale, grid.ctx.k_B * kelvin)
+        return units.kelvin_to_beta(grid.ctx, kelvin, grid)
     grid.fail(beta <= 0.0, ValueError("beta must be positive"))
     return beta
 

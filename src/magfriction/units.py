@@ -4,11 +4,13 @@ Reduced units set hbar = c = k_B = 1 with lengths in a chosen scale;
 UnitContext gives the Gaussian CGS value of a reduced quantity from its
 (energy, length, time) dimension exponents, listed here for every input,
 force and report intermediate that the CLI prints; ``gaussian_report``
-converts a force report's columns and ``gaussian_free_energy`` the free
-energy's.
+converts a force report's columns, ``gaussian_free_energy`` the free
+energy's, and ``kelvin_to_beta`` a column of temperatures in kelvin.
 """
 
 from collections import namedtuple
+
+from magfriction._ieee import FloatOps
 
 # (energy, length, time) exponents of each regime's force
 FORCE_DIM = {
@@ -77,14 +79,12 @@ class UnitContext(namedtuple("UnitContext", "length_scale")):
 
     def beta_from_kelvin(self, T_kelvin):
         """Reduced inverse temperature for a physical temperature."""
-        if T_kelvin <= 0.0:
-            raise ValueError("temperature must be positive")
-        return self.energy_scale / (self.k_B * T_kelvin)
+        return kelvin_to_beta(self, T_kelvin, FloatOps)
 
     def kelvin_from_beta(self, beta):
         if beta <= 0.0:
             raise ValueError("beta must be positive")
-        return self.energy_scale / (self.k_B * beta)
+        return _reciprocal_temperature(self, beta, FloatOps)
 
 
 def gaussian_report(ctx, regime, force, intermediates, inputs, ops):
@@ -98,7 +98,7 @@ def gaussian_report(ctx, regime, force, intermediates, inputs, ops):
         if dim is not None:
             inputs[name + "_cgs"] = col * ctx.factor(dim)
     if "beta" in inputs:
-        inputs["temperature_kelvin"] = _kelvin(ctx, inputs["beta"], ops)
+        inputs["temperature_kelvin"] = _reciprocal_temperature(ctx, inputs["beta"], ops)
     force = force * ctx.factor(FORCE_DIM[regime])
     intermediates = {name: col * ctx.factor(INTERMEDIATE_DIM[name])
                      for name, col in intermediates.items()}
@@ -109,8 +109,16 @@ def gaussian_free_energy(ctx, f, beta, ops):
     """A reduced free energy f at inverse temperature beta in Gaussian CGS,
     over columns; ``ops`` as in friction_forces: (free_energy_erg,
     temperature_kelvin)."""
-    return f * ctx.energy_scale, _kelvin(ctx, beta, ops)
+    return f * ctx.energy_scale, _reciprocal_temperature(ctx, beta, ops)
 
 
-def _kelvin(ctx, beta, ops):
-    return ops.div(ctx.energy_scale, ctx.k_B * beta)
+def kelvin_to_beta(ctx, kelvin, ops):
+    """Reduced inverse temperature over a column of temperatures in kelvin;
+    ``ops`` as in friction_forces."""
+    ops.fail(kelvin <= 0.0, ValueError("temperature must be positive"))
+    return _reciprocal_temperature(ctx, kelvin, ops)
+
+
+def _reciprocal_temperature(ctx, x, ops):
+    # hbar c/(L k_B x): kelvin from a reduced beta, and a reduced beta from kelvin
+    return ops.div(ctx.energy_scale, ctx.k_B * x)

@@ -945,9 +945,9 @@ def check_suppression_factors():
 
 
 def check_gaussian_units():
-    # every regime's report, and the free energy, in Gaussian units against
-    # CGS values written out from hbar, c and the length scale L: energy
-    # hbar c/L, time L/c
+    # every regime's report, the free energy and a kelvin input in Gaussian
+    # units against CGS values written out from hbar, c and the length
+    # scale L: energy hbar c/L, time L/c
     L = 2.5e-7
     hbar, c = units.CGS_HBAR, units.CGS_C
     energy = hbar * c / L
@@ -985,7 +985,9 @@ def check_gaussian_units():
             worst = max(worst, abs(got - want) / abs(want))
     f = matsubara.free_energy(0.3, beta, FloatOps)
     erg, kelvin = units.gaussian_free_energy(ctx, f, beta, FloatOps)
-    for got, want in ((erg, f * energy), (kelvin, energy / (units.CGS_KB * beta))):
+    pairs = [(erg, f * energy), (kelvin, energy / (units.CGS_KB * beta)),
+             (units.kelvin_to_beta(ctx, 300.0, FloatOps), energy / (units.CGS_KB * 300.0))]
+    for got, want in pairs:
         worst = max(worst, abs(got - want) / abs(want))
     return _ok(worst, 1e-14, "rel")
 

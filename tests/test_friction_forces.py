@@ -290,6 +290,7 @@ COLUMN_FUNCTIONS = {
     "gaussian_free_energy": (
         lambda f, beta, ops: units.gaussian_free_energy(_CTX, f, beta, ops),
         [_RNG.uniform(-1, 1, _N), _positive(-1, 1)]),
+    "kelvin_to_beta": (lambda T, ops: units.kelvin_to_beta(_CTX, T, ops), [_positive(0, 4)]),
 }
 
 
@@ -342,6 +343,7 @@ MUTATIONS = {
         "oscillator :: eigenfrequencies vs linear system", "oscillator :: frequency product unity",
         "oscillator :: trajectory spectral fit"],
     ("units", "gaussian_free_energy"): ["forces :: Gaussian units written out"],
+    ("units", "kelvin_to_beta"): ["forces :: Gaussian units written out"],
 }
 
 
