@@ -10,8 +10,6 @@ energy's, and ``kelvin_to_beta`` a column of temperatures in kelvin.
 
 from collections import namedtuple
 
-from magfriction._ieee import FloatOps
-
 # (energy, length, time) exponents of each regime's force
 FORCE_DIM = {
     "pair-smoothed": (1, -1, 0),
@@ -76,15 +74,6 @@ class UnitContext(namedtuple("UnitContext", "length_scale")):
         exponents dim."""
         e, l, t = dim
         return self.energy_scale**e * self.length_scale**l * self.time_scale**t
-
-    def beta_from_kelvin(self, T_kelvin):
-        """Reduced inverse temperature for a physical temperature."""
-        return kelvin_to_beta(self, T_kelvin, FloatOps)
-
-    def kelvin_from_beta(self, beta):
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        return _reciprocal_temperature(self, beta, FloatOps)
 
 
 def gaussian_report(ctx, regime, force, intermediates, inputs, ops):

@@ -896,9 +896,9 @@ for line in sys.argv[1:]:
 def test_one_shot_commands_execute_only_their_route():
     # the seven kinds of one-shot command, in the reduced and the Gaussian
     # (kelvin) forms, compute without dataclasses, inspect, json, the
-    # numeric engines or the sharp-oscillator models; the friction
-    # commands, which run after the first three, execute the force
-    # library, and eigen, which runs last, the oscillator pair: their routes
+    # numeric engines or the sharp-oscillator models; eigen executes the
+    # oscillator pair and nothing else watched, and the friction commands,
+    # which run after the others, the force library: their routes
     kelvin = "--units gaussian --temperature-kelvin 300"
     cgs = "--d 1e-6 --v 100 --D1 1e-30 --D2 1e-30"
     commands = [
@@ -912,12 +912,13 @@ def test_one_shot_commands_execute_only_their_route():
         " ".join(map(str, SLABS_UNIT)),
         "friction slabs --temperature finite %s --rho1 1e22 --rho2 1e22 %s" % (cgs, kelvin),
         " ".join(map(str, SLABS_ZERO_UNIT)),
-        "eigen --alpha 0.75",
     ]
+    out = _run_child("-c", _EXECUTED_BY, "eigen --alpha 0.75")
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert out.stdout.decode().splitlines() == ["0 magfriction.oscillator_pair"]
     out = _run_child("-c", _EXECUTED_BY, *commands)
     assert out.returncode == 0, out.stderr.decode(errors="replace")
-    assert out.stdout.decode().splitlines() == ["0"] * 3 + ["0 magfriction.friction_forces"] * 7 + [
-        "0 magfriction.friction_forces magfriction.oscillator_pair"]
+    assert out.stdout.decode().splitlines() == ["0"] * 3 + ["0 magfriction.friction_forces"] * 7
 
 
 def test_importing_the_cli_binds_every_library_module():

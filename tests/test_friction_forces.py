@@ -207,7 +207,7 @@ def test_unit_context_is_gaussian_cgs(L):
     assert ctx.time_scale == time
     assert ctx.factor((1, -3, 0)) == energy * L**-3
     assert ctx.factor((0, -8, 2)) == L**-8 * time**2
-    assert ctx.beta_from_kelvin(300.0) == energy / (CGS_KB * 300.0)
+    assert units.kelvin_to_beta(ctx, 300.0, OPS) == energy / (CGS_KB * 300.0)
 
 
 def test_unit_context_needs_positive_length():
@@ -218,8 +218,8 @@ def test_unit_context_needs_positive_length():
 
 def test_beta_kelvin_round_trip():
     ctx = UnitContext(1.0)
-    beta = ctx.beta_from_kelvin(300.0)
-    assert abs(ctx.kelvin_from_beta(beta) - 300.0) <= 1e-10
+    beta = units.kelvin_to_beta(ctx, 300.0, OPS)
+    assert abs(units.gaussian_free_energy(ctx, 0.0, beta, OPS)[1] - 300.0) <= 1e-10
 
 
 @pytest.mark.parametrize("make,field", [
