@@ -448,7 +448,7 @@ def _run_fields(cfg):
         g = geometry_coupling.PlaneGeometry(cfg.z0, cfg.rho1 if cfg.rho1 is not None else 1.0)
         g_h = geometry_coupling.G_halfspace(g.z0, g.rho, _ieee.FloatOps)
         cells += [("z0", g.z0), ("rho1", g.rho), ("g_halfspace", g_h)]
-    return _Table(cells, ())
+    return _Table(cells, (), (cfg.d, cfg.z0, cfg.rho1))
 
 
 # --- whole-grid evaluation ------------------------------------------------
@@ -737,7 +737,8 @@ def _run_point(cfg):
         target = "friction-" + cfg.geometry
         if cfg.geometry == "slabs":
             target += "-" + cfg.temperature_mode
-    return _Table(_TARGET_RUNNERS[target](_Point(cfg)), ())
+    grid = _Point(cfg)
+    return _Table(_TARGET_RUNNERS[target](grid), (), grid.columns.values())
 
 
 _RUNNERS = {
@@ -787,7 +788,7 @@ def _run_sweep(cfg):
     grid.raise_first()
     # axis echo gets its own columns; runners echo inputs under bare names
     sweep = [("sweep_" + _attr(ax.name), col) for ax, col in zip(cfg.axes, columns)]
-    return _Table(sweep + cells, shape)
+    return _Table(sweep + cells, shape, grid.columns.values())
 
 
 def _config_echo(cfg):
@@ -825,11 +826,13 @@ class _Table:
     """Output columns over a grid of the given shape, one row per point in
     C order: (name, cells) pairs, the cells a string shared by every row or
     a float array of a shape that broadcasts to the grid's. A table of
-    shape () is one row, its cells strings and Python floats."""
+    shape () is one row, its cells strings and Python floats. ``given``
+    holds the input columns, the objects a cell echoes unchanged."""
 
-    def __init__(self, columns, shape):
+    def __init__(self, columns, shape, given=()):
         self.columns = columns
         self.shape = shape
+        self.given = tuple(given)
 
     def __len__(self):
         return math.prod(self.shape)
@@ -889,16 +892,41 @@ def _output_file(path):
         raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (path, exc))
 
 
+def _check_printable(x, computed, point):
+    """FloatingPointError unless every value of the float column x (a
+    Python float if ``point``) is finite and, for a computed column,
+    normal or zero: a subnormal has lost precision."""
+    if not (math.isfinite(x) if point else np.isfinite(x).all()):
+        raise FloatingPointError("a computed value is not finite")
+    if computed and (0.0 < abs(x) < sys.float_info.min if point
+                     else ((x != 0.0) & (np.abs(x) < sys.float_info.min)).any()):
+        raise FloatingPointError(
+            "a computed value is subnormal (0 < |x| < %r) and has lost precision"
+            % sys.float_info.min
+        )
+
+
 def _text_rows(table):
     """A function of (sep, string_cell) giving the table's rows, each row's
     cells joined by sep, a string cell put through string_cell and a float
-    cell as its repr; FloatingPointError if a float is not finite."""
+    cell as its repr; FloatingPointError if a float is not finite, or if
+    a computed one is subnormal: an input echoed as given may be."""
     values = [cells for _, cells in table.columns]
     point = not table.shape
-    # no NaN or inf goes out with exit 0; checked before any text exists
-    if not all(isinstance(x, str) or (math.isfinite(x) if point else np.isfinite(x).all())
-               for x in values):
-        raise FloatingPointError("a computed value is not finite")
+    # no NaN, inf or computed subnormal goes out with exit 0; checked
+    # before any text exists. One vectorised pass over every float cell
+    # clears the common table, whose magnitudes are all normal; a zero or
+    # a failing value takes the exact test, column by column
+    floats = [x for x in values if not isinstance(x, str)]
+    if point:
+        normal = all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in floats)
+    else:
+        mags = np.abs(np.concatenate([x.ravel() for x in floats]))
+        normal = mags.min() >= sys.float_info.min and mags.max() <= sys.float_info.max
+    if not normal:
+        given = {id(x) for x in table.given}
+        for x in floats:
+            _check_printable(x, id(x) not in given, point)
     if point:
         return lambda sep, string_cell: iter([sep.join(
             string_cell(x) if isinstance(x, str) else repr(float(x)) for x in values)])

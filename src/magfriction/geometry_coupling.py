@@ -139,8 +139,9 @@ def psi_hat(z0, q):
 
 def G_hat_q(d, q):
     """Fourier-space slab kernel (2 pi)^2 exp(-2 q d)/q^2: the double
-    z-integral of 4 q^2 psi_hat^2 across a gap of width d."""
-    if d <= 0.0 or q <= 0.0:
+    z-integral of 4 q^2 psi_hat^2 across a gap of width d; q may be an
+    array."""
+    if d <= 0.0 or np.min(q) <= 0.0:
         raise ValueError("d and q must be positive")
     return (2.0 * math.pi) ** 2 * np.exp(-2.0 * q * d) / q**2
 

@@ -176,13 +176,6 @@ def drude_epsilon(p, zeta):
     return 1.0 + p.omega_p**2 / (zeta * (zeta + p.nu))
 
 
-def drude_polarizability_h(p, zeta):
-    """Half-space response per unit density: (1/(2 pi rho)) (eps-1)/(eps+1),
-    equal to (1/(2 pi rho)) omega_p^2/(2 zeta^2 + 2 nu zeta + omega_p^2)."""
-    e = drude_epsilon(p, zeta)
-    return (e - 1.0) / (e + 1.0) / (2.0 * math.pi * p.rho)
-
-
 def drude_h_of_K2(p, K2):
     """Drude response as a function of squared imaginary frequency,
     continued off the axis with the principal square root."""

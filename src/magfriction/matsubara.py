@@ -11,7 +11,9 @@ alpha^2/2 ground-state shift, high temperature kills the effect.
 import math
 from collections import namedtuple
 
-from magfriction import _kernels
+from magfriction import _kernels, lazy_import
+
+numerics = lazy_import("magfriction.numerics")
 
 
 class TruncationError(RuntimeError):
@@ -97,16 +99,14 @@ def induced_free_energy(alpha, grid):
         Bound above tail_tol, or the truncation is too early for the
         envelope bound to apply (first dropped mode below the knee u=1).
     """
-    from scipy.special import polygamma
-
     a2 = alpha * alpha
     if a2 == 0.0:
         return 0.0
     partial = _kernels.mode_sum(alpha, grid.beta, grid.n_max)
     scale = grid.beta / (2.0 * math.pi)
     pref = 2.0 * (2.0 * a2 / grid.beta)
-    tail = pref * scale**2 * float(polygamma(1, grid.n_max + 1))
-    bound = pref * scale**4 * 3.0 * float(polygamma(3, grid.n_max + 1)) / 6.0
+    tail = pref * scale**2 * numerics.polygamma(1, grid.n_max + 1.0)
+    bound = pref * scale**4 * 3.0 * numerics.polygamma(3, grid.n_max + 1.0) / 6.0
     if bound > grid.tail_tol:
         raise TruncationError(
             "tail bound %.3e exceeds tail_tol %.3e; raise n_max" % (bound, grid.tail_tol)

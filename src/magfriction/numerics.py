@@ -1,15 +1,19 @@
 """Shared verified numerical engines.
 
-Adaptive quadrature on finite and semi-infinite intervals, deterministic
-seeded Monte-Carlo integration, series summation with certified tails,
-central finite differences, and multi-sinusoid spectral fitting. Everything
-here is generic plumbing; the physics modules supply the integrands.
-scipy is imported inside the functions that call it, so callers that
-only take closed forms never load it. The failure types and
-ieee_pow/ieee_div are magfriction._ieee's, re-exported here.
+Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
+deterministic seeded Monte-Carlo integration, series summation with
+certified tails, central finite differences, multi-sinusoid spectral
+fitting, a circulant solve and the special functions the oracles need
+(polygamma, the Bessel functions J0 and J1 and the zeros of J0). Everything
+here is generic plumbing on numpy and the math module; the physics
+modules supply the integrands. The failure types and ieee_pow/ieee_div
+are magfriction._ieee's, re-exported here.
 """
 
+import functools
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from magfriction import _kernels, lazy_import
@@ -40,13 +44,87 @@ class McResult:
     seed: int
 
 
+# G10K21 on [-1, 1], QUADPACK's qk21 (Piessens et al., Springer 1983):
+# the positive Kronrod nodes from the outside in, and their weights with
+# the centre's last; every second node is a 10-point Gauss node, with _WG
+# its weight
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525397346, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_QUAD_PANELS = 200
+
+
+@functools.cache
+def _gauss_kronrod21():
+    """G10K21 on [-1, 1]: the nodes, ascending; the Kronrod and Gauss
+    weights of the node pairs +-x_j and of the centre, last (a 2 x 11
+    matrix; a Gauss weight is 0 at a Kronrod-only node); and the Kronrod
+    weights of the nodes. All read-only."""
+    x = np.array(_XGK)
+    wk = np.array(_WGK[:10])
+    wg = np.zeros(11)
+    wg[1:10:2] = _WG
+    nodes = np.concatenate([-x, [0.0], x[::-1]])
+    pair_weights = np.stack([_WGK, wg])
+    kronrod = np.concatenate([wk, [_WGK[10]], wk[::-1]])
+    out = nodes, pair_weights, kronrod
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _gk21_panel(f, a, b):
+    """G10K21 value and QUADPACK error estimate of f on one panel [a, b].
+    As in qk21, the rules sum f(c - h x_j) + f(c + h x_j) pair by pair."""
+    nodes, pair_weights, wk = _gauss_kronrod21()
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = np.asarray(f(centre + half * nodes), dtype=np.float64)
+    if fx.shape != nodes.shape:
+        fx = np.broadcast_to(fx, nodes.shape)
+    pairs = fx[:11].copy()
+    pairs[:10] += fx[:10:-1]
+    resk, resg = (pair_weights @ pairs).tolist()
+    err = abs((resk - resg) * half)
+    resabs = float(wk @ np.abs(fx)) * abs(half)
+    resasc = float(wk @ np.abs(fx - 0.5 * resk)) * abs(half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > sys.float_info.min / (50.0 * sys.float_info.epsilon):
+        err = max(50.0 * sys.float_info.epsilon * resabs, err)
+    return resk * half, err
+
+
 def quad_finite(f, a, b, tol=1e-10):
-    r"""Adaptive Gauss-Kronrod quadrature of f on [a, b].
+    r"""Adaptive Gauss-Kronrod quadrature of f on [a, b] (QUADPACK QAG).
+
+    Each panel takes the G10K21 rule and QUADPACK's error estimate: the
+    |K21 - G10| difference, scaled as resasc*min(1, (200|K - G|/resasc)^1.5)
+    and floored at 50 eps resabs. The panel with the largest estimate is
+    bisected until the summed estimate is at most tol*max(1, |value|), or
+    200 panels exist.
 
     Parameters
     ----------
     f : callable
-        Scalar integrand.
+        Integrand, called once per panel with the float64 array of its 21
+        nodes; a scalar result broadcasts over them.
     a, b : float
         Interval endpoints, a <= b.
     tol : float
@@ -63,16 +141,29 @@ def quad_finite(f, a, b, tol=1e-10):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    import scipy.integrate
-
-    out = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=True)
-    value, err, info = out[0], out[1], out[2]
-    if len(out) > 3:
-        raise QuadratureError(
-            "finite quadrature did not converge: %s" % out[3],
-            best=QuadratureResult(value, err, int(info["neval"])),
-        )
-    return QuadratureResult(float(value), float(err), int(info["neval"]))
+    value, err = _gk21_panel(f, a, b)
+    panels = [(-err, a, b, value)]
+    evals = 21
+    while err > tol * max(1.0, abs(value)):
+        if len(panels) == _QUAD_PANELS:
+            raise QuadratureError(
+                "finite quadrature did not converge in %d panels" % _QUAD_PANELS,
+                best=QuadratureResult(value, err, evals),
+            )
+        neg_err, lo, hi, part = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        for x0, x1 in ((lo, mid), (mid, hi)):
+            v, e = _gk21_panel(f, x0, x1)
+            heapq.heappush(panels, (-e, x0, x1, v))
+            value += v
+            err += e
+        value -= part
+        err += neg_err
+        evals += 42
+    if len(panels) > 1:
+        value = math.fsum(p[3] for p in panels)
+        err = math.fsum(-p[0] for p in panels)
+    return QuadratureResult(value, err, evals)
 
 
 def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64):
@@ -87,7 +178,7 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64):
     Parameters
     ----------
     f : callable
-        Scalar integrand, must decay integrably.
+        Integrand as in `quad_finite`, must decay integrably.
     a : float
         Lower endpoint.
     tol : float
@@ -315,6 +406,141 @@ def linear_extrapolate_zero(xs, ys):
     return (y1 * x2 - y2 * x1) / (x2 - x1)
 
 
+def circulant_solve(c, b):
+    """Solve C x = b for the circulant matrix C with first column c.
+
+    The discrete Fourier basis diagonalises C, with eigenvalues fft(c), so
+    the solve is one FFT pair, O(N log N). Returns a complex array.
+    """
+    return np.fft.ifft(np.fft.fft(b) / np.fft.fft(c))
+
+
+# Bernoulli numbers B_2, B_4, ..., B_24 for the polygamma asymptotic series
+_BERNOULLI = (
+    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0,
+    7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0, -174611.0 / 330.0,
+    854513.0 / 138.0, -236364091.0 / 2730.0,
+)
+
+
+def polygamma(n, x):
+    r"""The polygamma function psi^(n)(x) for an order n >= 1 and x > 0.
+
+    The recurrence psi^(n)(x) = psi^(n)(x + 1) + (-1)^(n+1) n!/x^(n+1)
+    carries x up to 10, where the asymptotic series (Abramowitz & Stegun
+    6.4.11) through B_24 leaves a remainder below 1e-16 relative for
+    n <= 3. The terms are summed exactly (math.fsum).
+    """
+    if n < 1 or not x > 0.0:
+        raise ValueError("need order n >= 1 and x > 0")
+    n_fact = math.factorial(n)
+    terms = []
+    while x < 10.0:
+        terms.append(n_fact / x ** (n + 1))
+        x += 1.0
+    z = 1.0 / x
+    terms += [math.factorial(n - 1) * z**n, 0.5 * n_fact * z ** (n + 1)]
+    terms += [
+        b * math.factorial(2 * k + n - 1) / math.factorial(2 * k) * z ** (2 * k + n)
+        for k, b in enumerate(_BERNOULLI, start=1)
+    ]
+    return (-1.0) ** (n + 1) * math.fsum(terms)
+
+
+# J_nu(x) takes the trapezoid rule below _BESSEL_SWITCH and the Hankel
+# series above it; at the switch each truncates below 1e-18
+_BESSEL_SWITCH = 25.0
+_BESSEL_NODES = 32
+_HANKEL_TERMS = 24
+
+
+@functools.cache
+def _bessel_tables(nu):
+    """sin t at the trapezoid nodes t_j = j pi/32, and the coefficients of
+    P and Q in powers of 1/x: (-1)^(k/2) a_k(nu) at the even powers k and
+    (-1)^((k-1)/2) a_k(nu) at the odd ones, a_k(nu) = prod_{i<=k}
+    (4 nu^2 - (2i - 1)^2)/(8i)."""
+    mu = 4.0 * nu * nu
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS):
+        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    signed = [ak if k % 4 in (0, 1) else -ak for k, ak in enumerate(a)]
+    p = [c if k % 2 == 0 else 0.0 for k, c in enumerate(signed)]
+    q = [c if k % 2 == 1 else 0.0 for k, c in enumerate(signed)]
+    out = (
+        np.sin(np.arange(_BESSEL_NODES) * (math.pi / _BESSEL_NODES)),
+        np.array(p),
+        np.array(q),
+        np.arange(_HANKEL_TERMS, dtype=np.float64),
+    )
+    for t in out:
+        t.flags.writeable = False
+    return out
+
+
+def _bessel_trapezoid(nu, x):
+    sin_t = _bessel_tables(nu)[0]
+    arg = np.multiply.outer(x, sin_t)
+    f = np.cos(arg) if nu == 0 else np.sin(arg) * sin_t
+    return f @ np.full(_BESSEL_NODES, 1.0 / _BESSEL_NODES)
+
+
+def _bessel_hankel(nu, x):
+    _, cp, cq, powers = _bessel_tables(nu)
+    z = np.power.outer(1.0 / x, powers)
+    p, q = z @ cp, z @ cq
+    c, s = np.cos(x), np.sin(x)
+    if nu == 0:
+        # cos(x - pi/4) = (c + s)/sqrt 2, sin(x - pi/4) = (s - c)/sqrt 2
+        return (p * (c + s) - q * (s - c)) / np.sqrt(math.pi * x)
+    # cos(x - 3 pi/4) = (s - c)/sqrt 2, sin(x - 3 pi/4) = -(s + c)/sqrt 2
+    return (p * (s - c) + q * (s + c)) / np.sqrt(math.pi * x)
+
+
+def bessel_j(nu, x):
+    r"""Bessel function J_nu(x) of order 0 or 1, elementwise over x.
+
+    Below |x| = 25 by the trapezoid rule on the period-pi integrands of
+    J0(x) = (1/pi) Int_0^pi cos(x sin t) dt and
+    J1(x) = (1/pi) Int_0^pi sin(x sin t) sin t dt, which converges
+    geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); 32
+    nodes leave an aliasing error of order J_64(25) ~ 1e-20. Above, by the
+    Hankel asymptotic series P and Q (Abramowitz & Stegun 9.2.5), cut
+    after 24 terms, whose first omitted term is ~1e-19 at x = 25. The
+    phase x - (2 nu + 1) pi/4 is expanded into cos x and sin x, so no
+    rounding of it grows with x.
+    """
+    if nu not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    small = ax < _BESSEL_SWITCH
+    if small.all():
+        out = _bessel_trapezoid(nu, ax)
+    elif not small.any():
+        out = _bessel_hankel(nu, ax)
+    else:
+        out = np.empty_like(ax)
+        out[small] = _bessel_trapezoid(nu, ax[small])
+        out[~small] = _bessel_hankel(nu, ax[~small])
+    return np.where(x < 0.0, -out, out) if nu == 1 else out
+
+
+def bessel_j0_zeros(count):
+    r"""The first ``count`` positive zeros of J0, ascending.
+
+    McMahon's expansion in b = (m - 1/4) pi (Abramowitz & Stegun 9.5.12)
+    starts each zero within 2e-3; four Newton steps x += J0(x)/J1(x) take it
+    to round-off.
+    """
+    b = (np.arange(1, count + 1) - 0.25) * math.pi
+    e = 1.0 / (8.0 * b)
+    x = b + e - (124.0 / 3.0) * e**3 + (120928.0 / 15.0) * e**5
+    for _ in range(4):
+        x = x + bessel_j(0, x) / bessel_j(1, x)
+    return x
+
+
 class SinusoidModes(list):
     """Fit result: list of (frequency, amplitude, phase), frequency
     descending, with .residual and .condition diagnostics attached."""
@@ -331,6 +557,56 @@ def _design(t, freqs):
         cols.append(np.cos(w * t))
         cols.append(np.sin(w * t))
     return np.stack(cols, axis=1)
+
+
+def _projection(t, x, w):
+    """Variable-projection residual r(w) = M a - x, a = M^+ x, at the
+    frequencies w, and its Jacobian in w (Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413 (1973)): column j is P_perp dM_j a - (M^+)^T dM_j^T r,
+    with M = QR and P_perp = 1 - Q Q^T."""
+    M = _design(t, w)
+    Q, R = np.linalg.qr(M)
+    a = np.linalg.solve(R, Q.T @ x)
+    r = M @ a - x
+    J = np.empty((t.size, w.size))
+    for j, wj in enumerate(w):
+        c, s = np.cos(wj * t), np.sin(wj * t)
+        # only columns 2j, 2j + 1 of M, cos(w_j t) and sin(w_j t), move with w_j
+        dMa = t * (c * a[2 * j + 1] - s * a[2 * j])
+        g = np.zeros(M.shape[1])
+        g[2 * j : 2 * j + 2] = (-(t * s) @ r, (t * c) @ r)
+        J[:, j] = dMa - Q @ (Q.T @ dMa) - Q @ np.linalg.solve(R.T, g)
+    return r, J
+
+
+def _refine_frequencies(t, x, w):
+    """Gauss-Newton on the variable-projection residual from the seed w; a
+    step that does not lower |r|^2 is halved, down to 2^-30. Stops when a
+    step or the relative fall of |r|^2 is at most 1e-15, when no halving
+    lowers |r|^2, or after 100 steps."""
+    try:
+        r, J = _projection(t, x, w)
+        cost = float(r @ r)
+        for _ in range(100):
+            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+            lam = 1.0
+            while lam >= 2.0**-30:
+                w_new = w + lam * step
+                r_new, J_new = _projection(t, x, w_new)
+                cost_new = float(r_new @ r_new)
+                if cost_new <= cost:
+                    break
+                lam /= 2.0
+            else:
+                return w
+            small_step = np.max(np.abs(w_new - w)) <= 1e-15 * np.max(np.abs(w))
+            small_fall = cost - cost_new <= 1e-15 * cost
+            w, r, J, cost = w_new, r_new, J_new, cost_new
+            if small_step or small_fall:
+                break
+    except np.linalg.LinAlgError as exc:
+        raise FitError("mode design matrix singular: %s" % exc)
+    return w
 
 
 def sinusoid_fit(t, x, k):
@@ -384,15 +660,7 @@ def sinusoid_fit(t, x, k):
         raise FitError("found %d distinct modes, need %d" % (len(freqs), k), condition=cond)
     freqs = np.asarray(freqs[-k:] if len(freqs) > k else freqs)
 
-    def resid(w):
-        M = _design(t, w)
-        amp, *_ = np.linalg.lstsq(M, x, rcond=None)
-        return M @ amp - x
-
-    import scipy.optimize
-
-    sol = scipy.optimize.least_squares(resid, freqs, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    freqs = np.abs(sol.x)
+    freqs = np.abs(_refine_frequencies(t, x, freqs))
     M = _design(t, freqs)
     sv = np.linalg.svd(M, compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf

@@ -59,17 +59,6 @@ class DeltaCoefficient:
     at_frequency: float
 
 
-def L_kernels(n, omega, t):
-    """Thermal correlation kernels of one oscillator.
-
-    L_plus = (2n+1)cos(w t) + i sin(w t); L_minus = cos(w t) + i(2n+1)sin(w t).
-    Both reduce to exp(i w t) in the ground state.
-    """
-    a = 2.0 * n + 1.0
-    c, s = np.cos(omega * t), np.sin(omega * t)
-    return (a * c + 1j * s, c + 1j * a * s)
-
-
 def M_full(osc1, osc2, t):
     r"""Two-oscillator commutator kernel.
 

@@ -65,8 +65,7 @@ def check_semi_lorentz_like():
 
 def check_semi_quartic_thermal():
     def f(x):
-        if x == 0.0:
-            return 0.0
+        # the Kronrod nodes are interior, so x = 0 is never sampled
         em = np.exp(-x)
         return x**4 * em / (1.0 - em) ** 2
 
@@ -275,23 +274,19 @@ def check_legendre_round_trip():
 
 
 def check_mode_average_lattice():
-    # periodic imaginary-time lattice, N slices; quadratic-form solve
-    import scipy.sparse
-    import scipy.sparse.linalg
-
+    # periodic imaginary-time lattice, N slices; quadratic-form solve. The
+    # periodic tridiagonal matrix is circulant: its first column holds the
+    # diagonal and the two neighbours, one of them in the corner
     beta, N = 2.0 * np.pi, 10_000
     eps = beta / N
-    # tridiagonal, and the periodic corners as the diagonals +-(N - 1)
-    off = -1.0 / eps
-    A = scipy.sparse.diags(
-        [[off], off, 2.0 / eps + eps, off, [off]], [1 - N, -1, 0, 1, N - 1],
-        shape=(N, N), format="csc",
-    )
+    col = np.zeros(N)
+    col[0] = 2.0 / eps + eps
+    col[1] = col[-1] = -1.0 / eps
     worst = 0.0
     for n in (1, 3):
         K = matsubara.matsubara_frequency(beta, n)
         f = np.exp(1j * K * eps * np.arange(N))
-        v = scipy.sparse.linalg.spsolve(A, f)
+        v = numerics.circulant_solve(col, f)
         lattice = beta * (eps / beta) ** 2 * np.real(np.vdot(f, v))
         target = matsubara.reference_mode_average(K)
         worst = max(worst, abs(lattice - target) / target)
@@ -437,7 +432,7 @@ def sharp_amplitude_via_pipeline(osc1, osc2, beta, G):
     w1 = osc1.omega
 
     def amplitude_at(eta):
-        def integrand(w2):
+        def one(w2):
             o2 = response_kinetics.OscState.thermal(w2, beta, mass=osc2.mass)
             d = response_kinetics.coupling_D(osc1, o2)
             ba = o2.occupation_factor - osc1.occupation_factor
@@ -449,6 +444,9 @@ def sharp_amplitude_via_pipeline(osc1, osc2, beta, G):
                 * ba
                 * response_kinetics.nascent_delta_g(w1 - w2, eta)
             )
+
+        def integrand(w2s):
+            return [one(w2) for w2 in w2s.tolist()]
 
         half = 0.6 * w1
         r = numerics.quad_finite(integrand, w1 - half, w1 + half, tol=1e-12)
@@ -620,7 +618,7 @@ def _H0_by_segments(spec1, spec2, beta):
         (c1, k1), (c2, k2) = lines
 
         def integrand(m):
-            sh = math.sinh(beta * m / 2.0)
+            sh = np.sinh(beta * m / 2.0)
             return m * m * (c1 + k1 * m) * (c2 + k2 * m) / (sh * sh)
 
         total += numerics.quad_finite(integrand, a, b, tol=1e-13).value
@@ -735,7 +733,8 @@ def check_halfspace_quadrature():
     rel_volume = abs(_G_halfspace_by_quadrature(1.5, 0.8) - gh) / gh
     g = SlabGeometry(1.5, 1.0, 1.0)
     r = numerics.quad_semi_infinite(
-        lambda u: geometry_coupling.G_halfspace(g.d + u, 1.0, FloatOps), 0.0, tol=1e-12,
+        lambda us: [geometry_coupling.G_halfspace(g.d + u, 1.0, FloatOps) for u in us.tolist()],
+        0.0, tol=1e-12,
     )
     target = geometry_coupling.G_slabs_realspace(g.d, g.rho1, g.rho2, FloatOps)
     err_slab = abs(g.rho2 * r.value - target)
@@ -758,26 +757,26 @@ def check_G_hat_double_integral():
     d, q = 0.8, 1.7
     closed = geometry_coupling.G_hat_q(d, q)
     # two exponential layer integrals across the gap
-    outer = numerics.quad_semi_infinite(
-        lambda z1: numerics.quad_semi_infinite(
+    def inner(z1):
+        return numerics.quad_semi_infinite(
             lambda z2: 4.0 * q**2 * geometry_coupling.psi_hat(d + z1 + z2, q) ** 2,
             0.0, tol=1e-12, panel_scale=1.0 / q,
-        ).value,
-        0.0, tol=1e-11, panel_scale=1.0 / q,
+        ).value
+
+    outer = numerics.quad_semi_infinite(
+        lambda z1s: [inner(z1) for z1 in z1s.tolist()], 0.0, tol=1e-11, panel_scale=1.0 / q,
     )
     return _ok(abs(outer.value - closed) / closed, 1e-9, "rel")
 
 
 def check_psi_hat_transform():
     # Hankel-type radial transform summed between Bessel zeros
-    from scipy.special import j0, jn_zeros
-
     q, z0 = 1.0, 0.7
     closed = geometry_coupling.psi_hat(z0, q)
-    zeros = np.concatenate([[0.0], jn_zeros(0, 300)]) / q
+    zeros = np.concatenate([[0.0], numerics.bessel_j0_zeros(300)]) / q
 
     def f(s):
-        return j0(q * s) * (s / np.hypot(s, z0) - 1.0)
+        return numerics.bessel_j(0, q * s) * (s / np.hypot(s, z0) - 1.0)
 
     partial = []
     acc = 0.0

@@ -115,6 +115,10 @@ def test_underflow_into_divisor_names_command(cli, capsys):
 
 
 _NOT_FINITE = "numerical failure: a computed value is not finite\n"
+_SUBNORMAL = (
+    "numerical failure: a computed value is subnormal (0 < |x| < 2.2250738585072014e-308)"
+    " and has lost precision\n"
+)
 
 
 def test_zero_T_force_near_the_float_limit(cli, capsys):
@@ -138,6 +142,23 @@ def test_zero_T_force_near_the_float_limit(cli, capsys):
     )
 
 
+def test_sweep_refuses_a_computed_subnormal_point(cli, capsys):
+    args = ["sweep", "--target", "friction-slabs-finite", "--beta", 1, "--d", 1,
+            "--rho2", 1e-160, "--D1", 1, "--D2", 1, "--v", 1]
+    # rho1 = 1e-100, 1e-50, 1: every G is normal
+    code, out = cli(*args, "--axis", "rho1:1e-100:1:3:log")
+    assert code == 0
+    assert len(_column(out, "G")) == 3
+    # rho1 = 1e-160, 1e-80, 1: the first point's G is 7.9e-321
+    capsys.readouterr()
+    assert cli(*args, "--axis", "rho1:1e-160:1:3:log") == (2, "")
+    assert capsys.readouterr().err == _SUBNORMAL
+    # a subnormal axis value is an input, echoed as given
+    code, out = cli("sweep", "--target", "eigen", "--axis", "alpha:1e-310:1:3:log")
+    assert code == 0
+    assert _column(out, "sweep_alpha")[0] == _column(out, "alpha")[0] == "1e-310"
+
+
 @pytest.mark.parametrize("args,force", [
     # -G v overflows, although the force -G v H0 is finite
     (["friction", "slabs", "--temperature", "finite", "--beta", 1, "--d", 1, "--rho1", 1e150,
@@ -153,6 +174,7 @@ def test_finite_slab_force_is_not_refused_by_an_assembly_route(cli, capsys, args
 
 
 _PAIR_UNIT = ["--beta", 1, "--v", 1, "--D1", 1, "--D2", 1]
+_TINY_SLABS = ["--d", 1, "--rho1", 1e-160, "--rho2", 1e-160, "--D1", 1, "--D2", 1, "--v", 1]
 _CGS_SLABS = ["friction", "slabs", "--temperature", "finite", "--units", "gaussian",
               "--d", 1e-7, "--rho1", 1e22, "--rho2", 1e22, "--D1", 1e-30, "--D2", 1e-30]
 
@@ -203,6 +225,14 @@ RANGE_EDGES = [
     (["friction", "pair", "--units", "gaussian", "--temperature-kelvin", 1e200, "--d", 1e-7,
       "--v", 1, "--D1", 1e-30, "--D2", 1e-30], 2, [],
      "numerical failure: friction pair: a divisor underflows to zero\n"),
+    # G and the force pass through the subnormal range: G 7.9e-321, force
+    # -1.3e-318 at finite T; G_P 3.7e-320, force -9.6e-322 at zero T
+    (["friction", "slabs", "--temperature", "finite", "--beta", 1, *_TINY_SLABS], 2, [],
+     _SUBNORMAL),
+    (["friction", "slabs", "--temperature", "zero", *_TINY_SLABS], 2, [], _SUBNORMAL),
+    # an input echoed as given may be subnormal
+    (["eigen", "--alpha", 1e-310], 0,
+     ["alpha,omega_plus,omega_minus,e0", "1e-310,1.0,1.0,1.0"], ""),
 ]
 
 
@@ -288,6 +318,7 @@ def test_hot_tabulated_pair_is_not_zero(cli, tmp_path):
 def _split_quad_H0(m, s, D2, beta):
     """H0 of a tabulated side 1 (grid m, density s) and a slope D2 on side 2,
     by adaptive quadrature split at the grid points."""
+    pytest.importorskip("scipy")
     from scipy.integrate import quad
 
     def integrand(x):
@@ -868,6 +899,13 @@ def test_tabulated_commands_load_no_scipy(tmp_path):
          "--D1", 1, "--spectrum-file-2", path],
     ])
     assert codes == [0, 0]
+    assert scipy == []
+
+
+def test_verify_loads_no_scipy():
+    # the battery's quadrature, fits, lattice solve and special functions are numpy
+    codes, scipy, _ = _modules_after([["verify", "--suite", "all"]])
+    assert codes == [0]
     assert scipy == []
 
 

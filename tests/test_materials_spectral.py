@@ -12,7 +12,6 @@ from magfriction.materials_spectral import (
     TabulatedSpectralDensity,
     drude_D,
     drude_epsilon,
-    drude_polarizability_h,
     h_from_spectrum,
     smoothed_H0,
     spectrum_from_h,
@@ -67,17 +66,6 @@ def test_drude_epsilon_monotone():
     assert all(b < a for a, b in zip(eps, eps[1:]))
 
 
-def test_drude_polarizability_limits():
-    p = DrudeParams(omega_p=2.0, nu=0.5, rho=3.0)
-    metal = 1.0 / (2.0 * np.pi * 3.0)
-    assert abs(drude_polarizability_h(p, 1e-10) - metal) <= 1e-10
-    assert abs(drude_polarizability_h(p, 1e8)) <= 1e-12
-    # mid-range composition
-    z = 0.8
-    eps = drude_epsilon(p, z)
-    assert drude_polarizability_h(p, z) == (eps - 1.0) / (eps + 1.0) / (2.0 * np.pi * 3.0)
-
-
 def test_drude_D_values():
     assert drude_D(DrudeParams(omega_p=9.0, nu=0.0, rho=1.0)).D == 0.0
     d = drude_D(DrudeParams(omega_p=9.0, nu=0.1, rho=1.0)).D
@@ -129,6 +117,7 @@ def test_smoothed_H0_quadrature_route():
 def test_smoothed_H0_hot_tabulated_matches_split_quad(beta):
     # at these temperatures 1/beta lies far past the support [0, 8]; the
     # reference integrates the support alone, split at the grid points
+    pytest.importorskip("scipy")
     from scipy.integrate import quad
 
     m = np.linspace(0.0, 8.0, 41)

@@ -48,7 +48,8 @@ def test_semi_infinite_rational():
 
 def test_semi_infinite_quartic_thermal():
     def f(x):
-        return x**4 * np.exp(-x) / (1.0 - np.exp(-x)) ** 2 if x > 0 else 0.0
+        # called with arrays of interior nodes, so x > 0
+        return x**4 * np.exp(-x) / (1.0 - np.exp(-x)) ** 2
 
     res = quad_semi_infinite(f, 0.0)
     assert abs(res.value - 4.0 * np.pi**4 / 15.0) <= 1e-10
@@ -219,3 +220,202 @@ def test_ieee_pow_and_div_keep_the_float_range():
     assert numerics.ieee_div(3.0, -0.0) == -math.inf
     assert math.isnan(numerics.ieee_div(0.0, 0.0))
     assert numerics.ieee_div(1.0, math.inf) == 0.0
+
+
+# ------------------------------------------------ numpy kernels of the oracles
+
+
+def test_gauss_kronrod21_is_exact_to_degree_31():
+    nodes, pair_weights, kronrod = numerics._gauss_kronrod21()
+
+    def by_node(w):
+        # pair weights (outermost pair first, centre last) spread over the nodes
+        return np.concatenate([w[:10], w[10:], w[9::-1]])
+
+    assert np.array_equal(by_node(pair_weights[0]), kronrod)
+    gauss = by_node(pair_weights[1])
+    for deg in range(32):
+        exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+        assert abs(kronrod @ nodes**deg - exact) <= 1e-15
+        if deg < 20:
+            assert abs(gauss @ nodes**deg - exact) <= 1e-15
+    # one degree past each rule is no longer integrated exactly
+    assert abs(kronrod @ nodes**32 - 2.0 / 33.0) > 1e-13
+    assert abs(gauss @ nodes**20 - 2.0 / 21.0) > 1e-13
+
+
+def test_quad_single_panel_on_a_degree_19_polynomial():
+    # G10 and K21 agree on it, so one panel of 21 nodes suffices
+    res = quad_finite(lambda x: 20.0 * x**19, 0.0, 1.0)
+    assert res.evaluations == 21
+    assert abs(res.value - 1.0) <= 1e-15
+
+
+def test_quad_integrand_sees_one_array_per_panel():
+    calls = []
+
+    def f(x):
+        calls.append((type(x), x.dtype, x.shape))
+        return np.sqrt(x)
+
+    res = quad_finite(f, 0.0, 1.0, tol=1e-12)
+    assert calls == [(np.ndarray, np.float64, (21,))] * (res.evaluations // 21)
+    assert abs(res.value - 2.0 / 3.0) <= 1e-12
+
+
+def test_quad_non_convergence_carries_the_best_estimate():
+    # a jump the bisection can only chase: 200 panels do not reach 1e-15
+    with pytest.raises(QuadratureError) as info:
+        quad_finite(lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0), 0.0, 1.0, tol=1e-15)
+    best = info.value.best
+    assert abs(best.value - 1.0 / 3.0) <= 1e-6
+    assert best.evaluations == 21 + 42 * 199
+
+
+def _battery_integrands():
+    return [
+        ("cos^6", lambda x: np.cos(x) ** 6, 0.0, 2.0 * np.pi, 1e-13),
+        ("ramp", lambda x: x, 0.0, 1.0, 1e-10),
+        ("rational", lambda u: u * u / (u * u + 1.0) ** 2, 0.0, 3.0, 1e-12),
+        ("quartic thermal", lambda x: x**4 * np.exp(-x) / (1.0 - np.exp(-x)) ** 2, 0.0, 1.0,
+         1e-12),
+        ("damped cos*sin", lambda t: t * np.exp(-0.05 * t) * np.cos(t) * np.sin(1.3 * t),
+         20.0, 60.0, 1e-12),
+        ("total derivative", lambda t: 1.1 * np.sin(1.1 * t) * np.sin(0.9 * t), 0.3, 2.1, 1e-12),
+        ("dissipation", lambda w: ((2.0 * w - 1.3) / 2.0) ** 2 * 0.8 * w * 1.7 * (1.3 - w),
+         0.0, 1.3, 1e-13),
+        ("H0 segment", lambda m: m * m * 0.5 * m * m / np.sinh(m / 2.0) ** 2, 0.2, 0.4, 1e-13),
+        ("J0 lobe", lambda r: numerics.bessel_j(0, r) * (r / np.hypot(r, 0.7) - 1.0),
+         2.404825557695773, 5.520078110286311, 1e-12),
+    ]
+
+
+@pytest.mark.parametrize("case", _battery_integrands(), ids=lambda c: c[0])
+def test_quad_agrees_with_scipy_on_the_battery_integrands(case):
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
+    name, f, a, b, tol = case
+    ref_f = f
+    if name == "J0 lobe":
+        def ref_f(r):
+            return special.j0(r) * (r / np.hypot(r, 0.7) - 1.0)
+    value, _, info = integrate.quad(ref_f, a, b, epsabs=tol, epsrel=tol, limit=200,
+                                    full_output=True)[:3]
+    res = quad_finite(f, a, b, tol=tol)
+    assert abs(res.value - value) <= 2.0 * tol * max(1.0, abs(value))
+    if info["neval"] == 21:
+        assert res.evaluations == 21
+
+
+def test_circulant_solve_matches_a_dense_solve():
+    rng = np.random.Generator(np.random.Philox(key=4))
+    n = 7
+    c = rng.normal(size=n) + np.eye(1, n, 0)[0] * 5.0
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    C = np.array([[c[(i - j) % n] for j in range(n)] for i in range(n)])
+    assert np.max(np.abs(numerics.circulant_solve(c, b) - np.linalg.solve(C, b))) <= 1e-14
+
+
+def test_polygamma_exact_values_and_recurrence():
+    assert abs(numerics.polygamma(1, 1.0) - np.pi**2 / 6.0) <= 2e-16 * np.pi**2 / 6.0
+    assert abs(numerics.polygamma(3, 1.0) - np.pi**4 / 15.0) <= 2e-16 * np.pi**4 / 15.0
+    for x in (1.5, 9.5, 10.0, 37.0):
+        assert abs(numerics.polygamma(1, x) - numerics.polygamma(1, x + 1.0) - x**-2) <= 1e-15
+        assert abs(numerics.polygamma(3, x) - numerics.polygamma(3, x + 1.0) - 6.0 * x**-4) <= (
+            1e-15 * 6.0 * x**-4 + 1e-17)
+    with pytest.raises(ValueError):
+        numerics.polygamma(0, 1.0)
+    with pytest.raises(ValueError):
+        numerics.polygamma(1, 0.0)
+
+
+def test_polygamma_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    xs = np.unique(np.concatenate([np.arange(2.0, 41.0), np.geomspace(41.0, 1e6, 60).round()]))
+    for n in (1, 3):
+        for x in xs.tolist():
+            ref = float(special.polygamma(n, x))
+            assert abs(numerics.polygamma(n, x) - ref) <= 1e-15 * ref
+
+
+def test_bessel_exact_properties():
+    assert numerics.bessel_j(0, 0.0) == 1.0
+    assert numerics.bessel_j(1, 0.0) == 0.0
+    x = np.linspace(0.1, 60.0, 301)
+    assert np.array_equal(numerics.bessel_j(0, -x), numerics.bessel_j(0, x))
+    assert np.array_equal(numerics.bessel_j(1, -x), -numerics.bessel_j(1, x))
+    # Wronskian-type identity J0' = -J1, by central differences
+    h = 1e-5
+    fd = (numerics.bessel_j(0, x + h) - numerics.bessel_j(0, x - h)) / (2.0 * h)
+    assert np.max(np.abs(fd + numerics.bessel_j(1, x))) <= 1e-9
+    zeros = numerics.bessel_j0_zeros(300)
+    # a zero rounded to a float leaves |J0| up to |J1| ulp/2 ~ 1.5e-15 near 940
+    assert np.max(np.abs(numerics.bessel_j(0, zeros))) <= 3e-15
+    gaps = np.diff(zeros)
+    assert np.all(gaps > 0.0) and abs(gaps[-1] - np.pi) <= 1e-5
+
+
+def test_bessel_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(0.0, 60.0, 6001), np.linspace(60.0, 1000.0, 9401)])
+    assert np.max(np.abs(numerics.bessel_j(0, x) - special.j0(x))) <= 1e-14
+    assert np.max(np.abs(numerics.bessel_j(1, x) - special.j1(x))) <= 1e-14
+    ref = special.jn_zeros(0, 300)
+    # 1e-14 absolute is below the float spacing near the 300th zero (~1.1e-13):
+    # two ulps is the closest two float routes can be asked to agree
+    assert np.all(np.abs(numerics.bessel_j0_zeros(300) - ref) <= 2.0 * np.spacing(ref))
+
+
+def test_bessel_zeros_within_an_ulp_of_the_exact_zeros():
+    mpmath = pytest.importorskip("mpmath")
+    zeros = numerics.bessel_j0_zeros(300)
+    for m in (1, 2, 50, 168, 300):
+        exact = float(mpmath.besseljzero(0, m))
+        assert abs(zeros[m - 1] - exact) <= np.spacing(exact)
+
+
+# frequencies, amplitudes and phases of the fits the battery makes, from
+# the scipy least-squares refinement this module used before
+_FIT_REFERENCE = {
+    0.75: [(1.9999999995931348, 0.2088061300896471, -0.29145679447950185),
+           (0.49999999999960043, 0.8352245207129454, 0.2914567944781525)],
+    0.3: [(1.3440306506176436, 0.3720153252880172, -0.2914567944806691),
+          (0.744030650876803, 0.672015325437724, 0.2914567944827568)],
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_FIT_REFERENCE))
+def test_sinusoid_fit_reproduces_the_trajectory_fits(alpha):
+    from magfriction import oscillator_pair
+
+    cfg = oscillator_pair.OscPairConfig(alpha)
+    wp, _ = oscillator_pair.eigenfrequencies(alpha)
+    dt = 0.0125 / wp
+    traj = oscillator_pair.integrate_eom(cfg, [1.0, 0.3, 0.0, 0.0], 32000 * dt, dt, stride=16)
+    modes = sinusoid_fit(traj.t, traj.states[:, 0], 2)
+    for got, want in zip(modes, _FIT_REFERENCE[alpha]):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_sinusoid_fit_reaches_the_least_squares_minimum():
+    optimize = pytest.importorskip("scipy.optimize")
+    t = np.linspace(0.0, 120.0, 6000)
+    x = 0.8 * np.cos(2.0 * t + 0.2) + 0.5 * np.cos(0.5 * t - 0.4) + 1e-3 * np.sin(3.1 * t)
+
+    def resid(w):
+        M = numerics._design(t, w)
+        amp, *_ = np.linalg.lstsq(M, x, rcond=None)
+        return M @ amp - x
+
+    modes = sinusoid_fit(t, x, 2)
+    seed = np.array([m[0] for m in modes]) * (1.0 + 1e-6)
+    ref = optimize.least_squares(resid, seed, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert np.allclose(sorted(m[0] for m in modes), sorted(ref.x), rtol=1e-10, atol=0.0)
+
+
+def test_sinusoid_fit_keeps_its_conditioning_refusal():
+    # two modes asked of one sinusoid: the prediction stage is singular
+    t = np.arange(400) * 0.05
+    with pytest.raises(numerics.FitError, match="ill-conditioned") as info:
+        sinusoid_fit(t, np.cos(t), 2)
+    assert info.value.condition > 1e14

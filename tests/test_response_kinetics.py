@@ -8,7 +8,6 @@ from conftest import assert_check
 from magfriction import numerics, verification
 from magfriction.response_kinetics import (
     OscState,
-    L_kernels,
     M_full,
     M_reduced,
     c_plus_minus,
@@ -24,28 +23,6 @@ from magfriction.materials_spectral import LinearSpectralDensity
 
 def osc(omega, n_mean, mass=1.0):
     return OscState(omega=omega, n_mean=n_mean, mass=mass)
-
-
-def test_L_kernels_at_zero_time():
-    lp, lm = L_kernels(0.7, 1.3, 0.0)
-    assert lp == 2.0 * 0.7 + 1.0
-    assert lm == 1.0
-
-
-def test_L_kernels_ground_state():
-    for t in (0.0, 0.4, 2.0):
-        lp, lm = L_kernels(0.0, 1.1, t)
-        assert abs(lp - np.exp(1j * 1.1 * t)) <= 1e-15
-        assert abs(lm - np.exp(1j * 1.1 * t)) <= 1e-15
-
-
-def test_L_kernels_periodicity():
-    omega = 0.9
-    for t in (0.3, 1.7):
-        a = L_kernels(0.4, omega, t)
-        b = L_kernels(0.4, omega, t + 2.0 * np.pi / omega)
-        assert abs(a[0] - b[0]) <= 1e-12
-        assert abs(a[1] - b[1]) <= 1e-12
 
 
 def test_M_at_zero_time():
