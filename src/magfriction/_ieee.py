@@ -1,10 +1,10 @@
 """Float arithmetic: the column operations on Python floats, powers and
-quotients with the IEEE range of numpy's float64, and the numerical
-failure types.
+quotients with the IEEE range of numpy's float64, and the one numerical
+failure a CLI route raises besides FloatingPointError.
 
 The closed forms and the CLI reach these without executing
-``magfriction.numerics``, which re-exports the failure types and
-``ieee_pow``/``ieee_div``.
+``magfriction.numerics``; the failure types that only the oracle
+engines raise are defined there.
 """
 
 import math
@@ -16,22 +16,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-class McSamplingError(RuntimeError):
-    """A sampler produced a zero or invalid density."""
-
-
-class SeriesError(RuntimeError):
-    """A supplied tail bound was violated or the term budget ran out."""
-
-
-class FitError(RuntimeError):
-    """Spectral fit is ill-conditioned; .condition holds the diagnostic."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
 
 
 def ieee_pow(x, n):

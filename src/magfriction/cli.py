@@ -50,17 +50,10 @@ EXIT_CONFIG = 3
 
 
 def _numeric_errors():
-    # the failures that exit 2; main looks them up only when an exception
-    # reaches them, so that no command loads a module for them
-    return (
-        _ieee.QuadratureError,
-        _ieee.McSamplingError,
-        _ieee.SeriesError,
-        _ieee.FitError,
-        materials_spectral.ExtractionError,
-        AssertionError,
-        FloatingPointError,
-    )
+    # the failures that exit 2: smoothed_H0's rule that did not converge
+    # and a value that is not finite; main looks them up only when an
+    # exception reaches them, so that no command loads a module for them
+    return (_ieee.QuadratureError, FloatingPointError)
 
 
 # long-flag name and parser for everything settable from a config file

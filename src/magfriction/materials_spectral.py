@@ -1,11 +1,13 @@
-"""Polarizability spectra, the Drude metal, and the thermal pair factors.
+"""Polarizability spectra, the Drude metal, and the smoothed thermal factor.
 
 A material's low-frequency response enters through the spectral density
 s(m) = m^2 alpha(m^2); metals described by the Drude model have a linear
 small-m density s(m) = D*m with D fixed by the plasma frequency, damping,
-and number density. This module converts between the imaginary-frequency
-response h(K^2) and the density, and builds the thermal factors H (sharp
-pair), H0 (thermally smoothed pair), and the universal quartic integral I.
+and number density. This module holds the densities the CLI reads and
+builds from them the thermal factor H0 (thermally smoothed pair) and the
+universal quartic integral I. The imaginary-frequency response h(K^2),
+its inversion back to a density and the sharp-pair factor H live in the
+oracle battery (magfriction.verification).
 """
 
 import functools
@@ -16,11 +18,6 @@ from collections import namedtuple
 from magfriction import _ieee, lazy_import
 
 np = lazy_import("numpy")
-numerics = lazy_import("magfriction.numerics")
-
-
-class ExtractionError(RuntimeError):
-    """Spectral extraction from a response function failed."""
 
 
 class SpectrumFileError(ValueError):
@@ -32,8 +29,8 @@ class LinearSpectralDensity(namedtuple("LinearSpectralDensity", "D m_max")):
     truncated at m_max.
 
     Only the untruncated density is linear (``is_linear``) and takes the
-    closed forms for H0, J and the slab forces; the response integral h
-    needs the truncation.
+    closed forms for H0, J and the slab forces; a truncated one takes the
+    general H0 rule.
     """
 
     __slots__ = ()
@@ -55,14 +52,6 @@ class LinearSpectralDensity(namedtuple("LinearSpectralDensity", "D m_max")):
         if self.m_max is not None:
             s = np.where(m > self.m_max, 0.0, s)
         return s
-
-    def h(self, K2):
-        if self.m_max is None:
-            raise ValueError("response integral diverges; requires explicit m_max")
-        K = np.sqrt(K2)
-        if K == 0.0:
-            return 2.0 * self.D * self.m_max
-        return 2.0 * self.D * (self.m_max - K * np.arctan(self.m_max / K))
 
 
 class TabulatedSpectralDensity:
@@ -108,10 +97,6 @@ class TabulatedSpectralDensity:
     def density(self, m):
         return np.interp(m, self.m, self.s, left=0.0, right=0.0)
 
-    def h(self, K2):
-        # trapezoid of 2 m s(m)/(K^2 + m^2) on the tabulated grid
-        return float(np.trapezoid(2.0 * self.m * self.s / (K2 + self.m**2), self.m))
-
 
 class DrudeParams(namedtuple("DrudeParams", "omega_p nu rho")):
     """Drude metal: plasma frequency, damping rate, number density."""
@@ -124,84 +109,10 @@ class DrudeParams(namedtuple("DrudeParams", "omega_p nu rho")):
         return super().__new__(cls, omega_p, nu, rho)
 
 
-def h_from_spectrum(spec, K2, m_max=None):
-    r"""Imaginary-frequency response h(K^2) of a spectral density.
-
-    h(K^2) is the integral of alpha(m^2) m^2/(K^2 + m^2) over m^2:
-    closed form for linear densities (a cutoff, on the density or as
-    m_max, is required) and trapezoid on the grid for tabulated ones.
-    """
-    if K2 < 0.0:
-        raise ValueError("K2 must be >= 0")
-    if m_max is not None and spec.is_linear:
-        spec = LinearSpectralDensity(spec.D, m_max)
-    return spec.h(K2)
-
-
-def spectrum_from_h(h, m, gamma=None):
-    r"""Recover the spectral density at m from a response callable.
-
-    Evaluates -(1/pi) Im h(-m^2 + i*gamma) on a gamma ladder
-    (1e-2, 1e-3, 1e-4)*m by default and extrapolates linearly to
-    gamma -> 0+.
-
-    Raises
-    ------
-    ExtractionError
-        If the callable fails off the real axis or returns non-finite
-        values.
-    """
-    if m <= 0.0:
-        raise ValueError("m must be positive")
-    base = 1e-2 * m if gamma is None else float(gamma)
-    rungs = np.asarray([base, base / 10.0, base / 100.0])
-    vals = []
-    for g in rungs:
-        try:
-            v = h(-m * m + 1j * g)
-        except Exception as exc:
-            raise ExtractionError("response not evaluable off the real axis: %s" % exc)
-        v = -np.imag(v) / math.pi
-        if not np.isfinite(v):
-            raise ExtractionError("non-finite response at gamma=%g" % g)
-        vals.append(float(v))
-    return numerics.linear_extrapolate_zero(rungs, np.asarray(vals))
-
-
-def drude_epsilon(p, zeta):
-    """Drude permittivity on the imaginary-frequency axis:
-    1 + omega_p^2/(zeta(zeta + nu))."""
-    if np.real(zeta) <= 0.0:
-        raise ValueError("zeta must have positive real part")
-    return 1.0 + p.omega_p**2 / (zeta * (zeta + p.nu))
-
-
-def drude_h_of_K2(p, K2):
-    """Drude response as a function of squared imaginary frequency,
-    continued off the axis with the principal square root."""
-    zeta = np.sqrt(complex(K2))
-    w2 = p.omega_p**2
-    val = w2 / (2.0 * complex(K2) + 2.0 * p.nu * zeta + w2) / (2.0 * math.pi * p.rho)
-    return val.real if val.imag == 0.0 else val
-
-
 def drude_D(p):
     """Low-frequency spectral slope of a Drude half-space:
     D = nu/(rho*(pi*omega_p)^2)."""
     return LinearSpectralDensity(p.nu / (p.rho * (math.pi * p.omega_p) ** 2))
-
-
-def thermal_H(omega1, omega2, alpha1, alpha2, beta):
-    r"""Sharp-pair thermal factor.
-
-    H = w1 w2 a1 a2 / (4 sinh(b w1/2) sinh(b w2/2)); symmetric
-    under exchange, dies exponentially at low temperature.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    x1 = beta * omega1 / 2.0
-    x2 = beta * omega2 / 2.0
-    return omega1 * omega2 * alpha1 * alpha2 / (4.0 * np.sinh(x1) * np.sinh(x2))
 
 
 def universal_I():

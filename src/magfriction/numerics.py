@@ -6,8 +6,8 @@ certified tails, central finite differences, multi-sinusoid spectral
 fitting, a circulant solve and the special functions the oracles need
 (polygamma, the Bessel functions J0 and J1 and the zeros of J0). Everything
 here is generic plumbing on numpy and the math module; the physics
-modules supply the integrands. The failure types and ieee_pow/ieee_div
-are magfriction._ieee's, re-exported here.
+modules supply the integrands. Only the oracle battery and
+response_kinetics call these engines; the CLI routes do not.
 """
 
 import functools
@@ -17,16 +17,25 @@ import sys
 from dataclasses import dataclass
 
 from magfriction import _kernels, lazy_import
-from magfriction._ieee import (  # noqa: F401 (re-exported)
-    FitError,
-    McSamplingError,
-    QuadratureError,
-    SeriesError,
-    ieee_div,
-    ieee_pow,
-)
+from magfriction._ieee import QuadratureError
 
 np = lazy_import("numpy")
+
+
+class McSamplingError(RuntimeError):
+    """A sampler produced a zero or invalid density."""
+
+
+class SeriesError(RuntimeError):
+    """A supplied tail bound was violated or the term budget ran out."""
+
+
+class FitError(RuntimeError):
+    """Spectral fit is ill-conditioned; .condition holds the diagnostic."""
+
+    def __init__(self, message, condition=None):
+        super().__init__(message)
+        self.condition = condition
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,24 @@ finite differences) and compares against the production closed form at a
 stated tolerance; a closed form the CLI prints is checked through the
 very function the CLI calls, on Python floats (``_ieee.FloatOps``). The
 CLI `verify` subcommand and the test suite both run these.
+
+The independent routes live here too, beside the checks that run them,
+so that the route modules hold only what a CLI command executes: the
+dipole fields in vector form and the retarded field, the oscillator
+pair's Hamiltonian and RK4 trajectories, the certified Matsubara mode
+sum, the imaginary-frequency response h(K^2) and its inversion, the
+sharp-pair thermal factor, and the general-r coupling tensors, their
+Fourier kernels and the half-space Monte-Carlo integral.
 """
 
+import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from magfriction import (
-    dipole_fields,
+    _kernels,
     friction_forces,
     geometry_coupling,
     materials_spectral,
@@ -24,7 +34,6 @@ from magfriction import (
     units,
 )
 from magfriction._ieee import FloatOps
-from magfriction.geometry_coupling import PairGeometry, SlabGeometry
 
 
 class Check:
@@ -100,7 +109,7 @@ def check_sinusoid_fit():
     modes = numerics.sinusoid_fit(t, np.cos(t), 1)
     if abs(modes[0][0] - 1.0) > 1e-8:
         return False, "single-mode frequency off by %.3g" % abs(modes[0][0] - 1.0)
-    wp, wm = oscillator_pair.eigenfrequencies(0.75)
+    wp, wm = oscillator_pair.normal_modes(0.75, FloatOps)[:2]
     x = 0.8 * np.cos(wp * t + 0.3) + 0.5 * np.cos(wm * t - 1.1)
     modes = numerics.sinusoid_fit(t, x, 2)
     err = max(abs(modes[0][0] - wp), abs(modes[1][0] - wm))
@@ -111,14 +120,101 @@ def check_sinusoid_fit():
 # ---------------------------------------------------------------- fields
 
 
+def _separation(r):
+    """r as a float64 array and its length, refusing zero. math.hypot
+    scales its arguments, so a tiny separation does not underflow to zero
+    as sqrt(r.r) does; the length is a numpy float, so that a power of it
+    leaves the float range as inf, not as OverflowError."""
+    r = np.asarray(r, dtype=np.float64)
+    rn = np.float64(math.hypot(*r))
+    if rn == 0.0:
+        raise ValueError("zero separation")
+    return r, rn
+
+
+def magnetic_field_full(P, zeta, r):
+    r"""Magnetic field of an oscillating electric dipole, retardation kept.
+
+    Parameters
+    ----------
+    P : array_like
+        Electric dipole moment (complex amplitude allowed).
+    zeta : complex
+        Imaginary wavenumber i*omega/c of the oscillation.
+    r : array_like
+        Separation vector from the dipole to the field point, |r| > 0.
+
+    Returns
+    -------
+    ndarray
+        Complex field -zeta*(1 + zeta*r)*exp(-zeta*r)*(rhat x P)/r^2.
+    """
+    r, rn = _separation(r)
+    zr = zeta * rn
+    return -zeta * (1.0 + zr) * np.exp(-zr) * np.cross(r / rn, np.asarray(P)) / rn**2
+
+
+def magnetic_field_quasistatic(P_dot, r):
+    r"""Biot-Savart field of a changing electric dipole moment.
+
+    Returns (P_dot x rhat)/r^2, the zeta*r -> 0 limit of the full field.
+    """
+    r, rn = _separation(r)
+    return np.cross(np.asarray(P_dot), r / rn) / rn**2
+
+
+def electric_field_quasistatic(M_dot, r):
+    r"""Electric field of a changing magnetic dipole moment.
+
+    Mirror image of the Biot-Savart form: (M_dot x rhat)/r^2, with rhat
+    directed from the electric toward the magnetic dipole.
+    """
+    r, rn = _separation(r)
+    return np.cross(np.asarray(M_dot), r / rn) / rn**2
+
+
+def coupling_alpha(r):
+    """The interaction coefficient 1/(2 r^2) for separation vector r."""
+    _, rn = _separation(r)
+    return 1.0 / (2.0 * rn**2)
+
+
+def interaction_energies(P, P_dot, M, M_dot, r):
+    r"""Mutual energies of an electric and a magnetic dipole pair.
+
+    Parameters
+    ----------
+    P, P_dot : array_like
+        Electric moment and its rate.
+    M, M_dot : array_like
+        Magnetic moment and its rate.
+    r : array_like
+        Separation vector, electric to magnetic, |r| > 0.
+
+    Returns
+    -------
+    (float, float)
+        (-2*alpha*(P_dot x rhat).M, -2*alpha*(M_dot x rhat).P) with
+        alpha = 1/(2 r^2); the two Lagrangian pieces with sign flipped to
+        energies. For P along x, M along y, rhat = z these reduce to
+        (2*alpha*xdot*y, -2*alpha*x*ydot).
+    """
+    r, rn = _separation(r)
+    rhat = r / rn
+    a = 1.0 / (2.0 * rn**2)
+    e_h = -2.0 * a * float(np.dot(np.cross(np.asarray(P_dot), rhat), np.asarray(M)))
+    e_e = -2.0 * a * float(np.dot(np.cross(np.asarray(M_dot), rhat), np.asarray(P)))
+    return e_h, e_e
+
+
 def check_field_limit_sweep():
     P = np.asarray([1.0, 0.0, 0.0])
     r = np.asarray([0.0, 0.0, 1.0])
     worst = 0.0
     for zr in (1e-2, 1e-3, 1e-4):
         zeta = 1j * zr
-        full = dipole_fields.magnetic_field_full(P, zeta, r)
-        quasi = dipole_fields.magnetic_field_quasistatic(zeta * P, r)
+        full = magnetic_field_full(P, zeta, r)
+        quasi = magnetic_field_quasistatic(zeta * P, r)
         rel = np.max(np.abs(full - quasi)) / np.max(np.abs(quasi))
         worst = max(worst, rel / zr)
     # the deviation is quadratic in zeta*r, so C = 0.01 holds with margin
@@ -126,8 +222,8 @@ def check_field_limit_sweep():
 
 
 def check_field_hand_values():
-    h = dipole_fields.magnetic_field_quasistatic([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-    e = dipole_fields.electric_field_quasistatic([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    h = magnetic_field_quasistatic([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    e = electric_field_quasistatic([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     err = np.max(np.abs(h - [0.0, -1.0, 0.0])) + np.max(np.abs(e - [1.0, 0.0, 0.0]))
     return _ok(err, 1e-15)
 
@@ -140,7 +236,7 @@ def check_field_orthogonality():
         r = rng.normal(size=3)
         if np.linalg.norm(r) < 1e-3:
             continue
-        h = dipole_fields.magnetic_field_quasistatic(pd, r)
+        h = magnetic_field_quasistatic(pd, r)
         worst = max(
             worst,
             abs(np.dot(h, r)) / (np.linalg.norm(h) * np.linalg.norm(r) + 1e-30),
@@ -154,7 +250,7 @@ def check_interaction_canonical():
     x, xd, y, yd = 0.7, -0.4, 0.25, 1.1
     rvec = [0.0, 0.0, 1.3]
     a = 1.0 / (2.0 * 1.3**2)
-    e_h, e_e = dipole_fields.interaction_energies(
+    e_h, e_e = interaction_energies(
         [x, 0, 0], [xd, 0, 0], [0, y, 0], [0, yd, 0], rvec
     )
     err = abs(e_h - 2.0 * a * xd * y) + abs(e_e - (-2.0 * a * x * yd))
@@ -188,6 +284,134 @@ def check_interaction_total_derivative():
 # ---------------------------------------------------------------- oscillator
 
 
+class OscPairConfig(namedtuple("OscPairConfig", "alpha omega_x omega_y mass_x mass_y")):
+    """Coupling alpha >= 0 plus per-oscillator frequency and mass."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, omega_x=1.0, omega_y=1.0, mass_x=1.0, mass_y=1.0):
+        if not math.isfinite(alpha) or alpha < 0.0:
+            raise ValueError("alpha must be finite and >= 0")
+        for name, value in (("omega_x", omega_x), ("omega_y", omega_y),
+                            ("mass_x", mass_x), ("mass_y", mass_y)):
+            if value <= 0.0:
+                raise ValueError("%s must be positive" % name)
+        return super().__new__(cls, alpha, omega_x, omega_y, mass_x, mass_y)
+
+
+class PhaseState(namedtuple("PhaseState", "x y p_x p_y")):
+    """Canonical coordinates and generalized momenta."""
+
+    __slots__ = ()
+
+
+def generalized_momenta(cfg, x_dot, y_dot, x, y):
+    """Velocities to momenta: p_x = m_x*xdot - alpha*y, p_y = m_y*ydot + alpha*x."""
+    return (cfg.mass_x * x_dot - cfg.alpha * y, cfg.mass_y * y_dot + cfg.alpha * x)
+
+
+def hamiltonian(cfg, s):
+    r"""Energy of a phase-space state.
+
+    H = (p_x + alpha*y)^2/(2 m_x) + (p_y - alpha*x)^2/(2 m_y)
+        + m_x w_x^2 x^2/2 + m_y w_y^2 y^2/2
+    which for the unit pair is (1/2)[(p_x+alpha*y)^2 + (p_y-alpha*x)^2
+    + x^2 + y^2]. Numerically equal to the plain oscillator energy in
+    velocity variables; the coupling shifts momenta, not the energy.
+    """
+    a = cfg.alpha
+    kx = (s.p_x + a * s.y) ** 2 / (2.0 * cfg.mass_x)
+    ky = (s.p_y - a * s.x) ** 2 / (2.0 * cfg.mass_y)
+    vx = 0.5 * cfg.mass_x * cfg.omega_x**2 * s.x**2
+    vy = 0.5 * cfg.mass_y * cfg.omega_y**2 * s.y**2
+    return kx + ky + vx + vy
+
+
+def eom_rhs(cfg, state):
+    """Right side of the first-order system on (x, y, xdot, ydot).
+
+    xddot = -w_x^2 x + 2 alpha ydot/m_x, yddot = -w_y^2 y - 2 alpha xdot/m_y.
+    """
+    x, y, xd, yd = state
+    return np.asarray(
+        [
+            xd,
+            yd,
+            -cfg.omega_x**2 * x + 2.0 * cfg.alpha * yd / cfg.mass_x,
+            -cfg.omega_y**2 * y - 2.0 * cfg.alpha * xd / cfg.mass_y,
+        ]
+    )
+
+
+class Trajectory(namedtuple("Trajectory", "t states")):
+    """Sampled states: t (n,), states (n, 4) columns x, y, xdot, ydot."""
+
+    __slots__ = ()
+
+
+def integrate_eom(cfg, init, t_end, dt, drift_tol=1e-8, stride=1):
+    r"""Fixed-step fourth-order integration of the pair dynamics.
+
+    Parameters
+    ----------
+    cfg : OscPairConfig
+    init : array_like
+        Initial (x, y, xdot, ydot).
+    t_end, dt : float
+        Horizon and step; the step count is rounded to cover t_end.
+    drift_tol : float
+        Relative energy-drift bound checked at the end.
+    stride : int
+        Keep every stride-th step in the output.
+
+    Returns
+    -------
+    Trajectory
+
+    Raises
+    ------
+    RuntimeError
+        If the relative energy drift exceeds drift_tol (step too large).
+    """
+    if dt <= 0.0 or t_end <= 0.0:
+        raise ValueError("dt and t_end must be positive")
+    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    n_steps += (-n_steps) % stride
+    # eom_rhs as the matrix of the linear system s' = A s
+    a = cfg.alpha
+    A = np.asarray(
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [-cfg.omega_x**2, 0.0, 0.0, 2.0 * a / cfg.mass_x],
+            [0.0, -cfg.omega_y**2, -2.0 * a / cfg.mass_y, 0.0],
+        ]
+    )
+    init = np.asarray(init, dtype=np.float64).reshape(4, 1)
+    states = _kernels.rk4_batch(A[None], init, np.asarray([dt]), n_steps, stride)[:, :, 0]
+    t = np.arange(states.shape[0]) * (dt * stride)
+
+    e0 = _velocity_energy(cfg, states[0])
+    e1 = _velocity_energy(cfg, states[-1])
+    scale = max(abs(e0), 1e-30)
+    if abs(e1 - e0) / scale > drift_tol:
+        raise RuntimeError(
+            "energy drift %.3e exceeds %.3e; reduce dt" % (abs(e1 - e0) / scale, drift_tol)
+        )
+    return Trajectory(t, states)
+
+
+def _velocity_energy(cfg, s):
+    # same value the Hamiltonian takes; coupling terms cancel in velocity form
+    x, y, xd, yd = s
+    return 0.5 * (
+        cfg.mass_x * xd * xd
+        + cfg.mass_y * yd * yd
+        + cfg.mass_x * cfg.omega_x**2 * x * x
+        + cfg.mass_y * cfg.omega_y**2 * y * y
+    )
+
+
 def _companion_frequencies(alpha):
     # first-order system matrix for (x, y, xdot, ydot); unit pair
     A = np.zeros((4, 4))
@@ -205,7 +429,7 @@ def _companion_frequencies(alpha):
 def check_eigenfrequencies_oracle():
     worst = 0.0
     for alpha in (0.75, 0.5, 0.0, 2.0):
-        wp, wm = oscillator_pair.eigenfrequencies(alpha)
+        wp, wm = oscillator_pair.normal_modes(alpha, FloatOps)[:2]
         op, om = _companion_frequencies(alpha)
         worst = max(worst, abs(wp - op), abs(wm - om))
     return _ok(worst, 1e-12)
@@ -215,18 +439,18 @@ def check_product_unity():
     rng = np.random.Generator(np.random.Philox(key=2))
     worst = 0.0
     for alpha in rng.uniform(0.0, 5.0, size=50):
-        wp, wm = oscillator_pair.eigenfrequencies(alpha)
+        wp, wm = oscillator_pair.normal_modes(alpha, FloatOps)[:2]
         worst = max(worst, abs(wp * wm - 1.0))
     return _ok(worst, 1e-13)
 
 
 def fit_trajectory_frequencies(alpha, scale=1):
     """Integrate the unit pair and extract both mode frequencies by fit."""
-    cfg = oscillator_pair.OscPairConfig(alpha)
-    wp, _ = oscillator_pair.eigenfrequencies(alpha)
+    cfg = OscPairConfig(alpha)
+    wp = oscillator_pair.normal_modes(alpha, FloatOps)[0]
     dt = 0.0125 / wp
     n_steps, stride = 32000 * scale, 16 * scale
-    traj = oscillator_pair.integrate_eom(
+    traj = integrate_eom(
         cfg, [1.0, 0.3, 0.0, 0.0], n_steps * dt, dt, stride=stride
     )
     if alpha < 1e-8:
@@ -239,15 +463,15 @@ def fit_trajectory_frequencies(alpha, scale=1):
 def check_trajectory_spectrum():
     worst = 0.0
     for alpha in (0.75, 0.3):
-        wp, wm = oscillator_pair.eigenfrequencies(alpha)
+        wp, wm = oscillator_pair.normal_modes(alpha, FloatOps)[:2]
         fp, fm = fit_trajectory_frequencies(alpha)
         worst = max(worst, abs(fp - wp), abs(fm - wm), abs(fp * fm - 1.0))
     return _ok(worst, 1e-6)
 
 
 def check_energy_drift():
-    cfg = oscillator_pair.OscPairConfig(0.75)
-    traj = oscillator_pair.integrate_eom(cfg, [1.0, 0.0, 0.0, 0.5], 1000.0, 1e-3, stride=100)
+    cfg = OscPairConfig(0.75)
+    traj = integrate_eom(cfg, [1.0, 0.0, 0.0, 0.5], 1000.0, 1e-3, stride=100)
     e = 0.5 * np.sum(traj.states**2, axis=1)
     return _ok(np.max(np.abs(e - e[0])) / e[0], 1e-8, "drift")
 
@@ -255,22 +479,100 @@ def check_energy_drift():
 def check_ground_state_perturbative():
     worst = 0.0
     for alpha in (1e-1, 1e-2, 1e-3):
-        excess = oscillator_pair.ground_state_energy(alpha) - 1.0 - alpha**2 / 2.0
+        excess = oscillator_pair.normal_modes(alpha, FloatOps)[2] - 1.0 - alpha**2 / 2.0
         worst = max(worst, abs(excess) / alpha**4)
     # quartic remainder: |E0 - 1 - a^2/2| <= a^4/8
     return _ok(worst, 0.2, "remainder/a^4")
 
 
 def check_legendre_round_trip():
-    cfg = oscillator_pair.OscPairConfig(0.8, omega_x=1.3, omega_y=0.7, mass_x=2.0, mass_y=0.5)
+    cfg = OscPairConfig(0.8, omega_x=1.3, omega_y=0.7, mass_x=2.0, mass_y=0.5)
     x, y, xd, yd = 0.4, -0.2, 0.9, 0.3
-    px, py = oscillator_pair.generalized_momenta(cfg, xd, yd, x, y)
-    h = oscillator_pair.hamiltonian(cfg, oscillator_pair.PhaseState(x, y, px, py))
-    direct = oscillator_pair._velocity_energy(cfg, (x, y, xd, yd))
+    px, py = generalized_momenta(cfg, xd, yd, x, y)
+    h = hamiltonian(cfg, PhaseState(x, y, px, py))
+    direct = _velocity_energy(cfg, (x, y, xd, yd))
     return _ok(abs(h - direct), 1e-14)
 
 
 # ---------------------------------------------------------------- matsubara
+
+
+class TruncationError(RuntimeError):
+    """Certified tail bound exceeds the grid's tail_tol."""
+
+
+class MatsubaraGrid(namedtuple("MatsubaraGrid", "beta n_max tail_tol")):
+    """Inverse temperature, mode truncation, and tail tolerance."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta, n_max, tail_tol=1e-9):
+        if beta <= 0.0:
+            raise ValueError("beta must be positive")
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        if tail_tol <= 0.0:
+            raise ValueError("tail_tol must be positive")
+        return super().__new__(cls, beta, n_max, tail_tol)
+
+
+def matsubara_frequency(beta, n):
+    """Thermal frequency K = 2*pi*n/beta; odd in n."""
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    return 2.0 * math.pi * n / beta
+
+
+def reference_mode_average(u):
+    """Mean squared mode amplitude 1/(u^2 + 1) of the unit oscillator,
+    u the mode frequency over the oscillator frequency."""
+    return 1.0 / (u * u + 1.0)
+
+
+def mode_free_energy(alpha, u, beta):
+    """Free energy of a single mode: (2*alpha^2/beta) * u^2/(u^2+1)^2."""
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    return (2.0 * alpha * alpha / beta) * u * u / (u * u + 1.0) ** 2
+
+
+def induced_free_energy(alpha, grid):
+    r"""Total induced free energy: mode sum plus analytic tail, the oracle
+    of matsubara.free_energy.
+
+    Modes n in [-n_max, n_max] are summed exactly (even in n, n=0 gives
+    zero). Past the truncation each term is replaced by its 1/u^2
+    envelope, summed in closed form through the trigamma function; the
+    replacement error is bounded by 3/u^4 per term, summed through the
+    pentagamma function, and that certified bound must sit below the
+    grid's tail_tol.
+
+    Returns
+    -------
+    float
+
+    Raises
+    ------
+    TruncationError
+        Bound above tail_tol, or the truncation is too early for the
+        envelope bound to apply (first dropped mode below the knee u=1).
+    """
+    a2 = alpha * alpha
+    if a2 == 0.0:
+        return 0.0
+    partial = _kernels.mode_sum(alpha, grid.beta, grid.n_max)
+    scale = grid.beta / (2.0 * math.pi)
+    pref = 2.0 * (2.0 * a2 / grid.beta)
+    tail = pref * scale**2 * numerics.polygamma(1, grid.n_max + 1.0)
+    bound = pref * scale**4 * 3.0 * numerics.polygamma(3, grid.n_max + 1.0) / 6.0
+    if bound > grid.tail_tol:
+        raise TruncationError(
+            "tail bound %.3e exceeds tail_tol %.3e; raise n_max" % (bound, grid.tail_tol)
+        )
+    # envelope bound needs the first dropped mode past the knee
+    if matsubara_frequency(grid.beta, grid.n_max + 1) < 1.0:
+        raise TruncationError("n_max truncates below u = 1; bound not certified")
+    return partial + tail
 
 
 def check_mode_average_lattice():
@@ -284,11 +586,11 @@ def check_mode_average_lattice():
     col[1] = col[-1] = -1.0 / eps
     worst = 0.0
     for n in (1, 3):
-        K = matsubara.matsubara_frequency(beta, n)
+        K = matsubara_frequency(beta, n)
         f = np.exp(1j * K * eps * np.arange(N))
         v = numerics.circulant_solve(col, f)
         lattice = beta * (eps / beta) ** 2 * np.real(np.vdot(f, v))
-        target = matsubara.reference_mode_average(K)
+        target = reference_mode_average(K)
         worst = max(worst, abs(lattice - target) / target)
     return _ok(worst, 1e-3)
 
@@ -300,7 +602,7 @@ def check_mode_free_energy_moments():
     nodes, weights = np.polynomial.hermite_e.hermegauss(8)
     worst = 0.0
     for u in (0.5, 1.0, 2.0):
-        sig = np.sqrt(matsubara.reference_mode_average(u) / (2.0 * beta))
+        sig = np.sqrt(reference_mode_average(u) / (2.0 * beta))
         z = nodes * sig
         w = weights / np.sqrt(2.0 * np.pi)
         bx, cx, by, cy = np.meshgrid(z, z, z, z, indexing="ij")
@@ -312,7 +614,7 @@ def check_mode_free_energy_moments():
         )
         bil = 4.0 * alpha * beta * u * (bx * cy - cx * by)
         pair_f2 = 0.5 * np.sum(wt * bil * bil) / beta
-        target = 2.0 * matsubara.mode_free_energy(alpha, u, beta)
+        target = 2.0 * mode_free_energy(alpha, u, beta)
         worst = max(worst, abs(pair_f2 - target) / target)
     return _ok(worst, 1e-12)
 
@@ -322,16 +624,16 @@ def check_free_energy_brute_force():
     n = np.arange(1, 1_000_001)
     u = 2.0 * np.pi * n / beta
     brute = 2.0 * (2.0 * alpha**2 / beta) * np.sum(u**2 / (u**2 + 1.0) ** 2)
-    grid = matsubara.MatsubaraGrid(beta, 20_000, tail_tol=1e-10)
-    val = matsubara.induced_free_energy(alpha, grid)
+    grid = MatsubaraGrid(beta, 20_000, tail_tol=1e-10)
+    val = induced_free_energy(alpha, grid)
     # brute force still misses its own tail ~ 1/n_max
     return _ok(abs(val - brute), 2e-6, "diff")
 
 
 def check_free_energy_limits():
-    f_cold = matsubara.induced_free_energy(0.1, matsubara.MatsubaraGrid(1000.0, 60_000, 1e-9))
+    f_cold = induced_free_energy(0.1, MatsubaraGrid(1000.0, 60_000, 1e-9))
     ok1 = abs(f_cold - 0.005) / 0.005 <= 1e-4
-    f_hot = matsubara.induced_free_energy(0.3, matsubara.MatsubaraGrid(1e-6, 10, 1e-9))
+    f_hot = induced_free_energy(0.3, MatsubaraGrid(1e-6, 10, 1e-9))
     ok2 = abs(f_hot) <= 1e-6 * 0.3**2
     return ok1 and ok2, "cold rel=%.3g hot=%.3g" % (abs(f_cold - 0.005) / 0.005, f_hot)
 
@@ -341,8 +643,8 @@ def check_free_energy_closed_form():
     alpha = 0.3
     worst = 0.0
     for beta in np.logspace(-3.0, 3.0, 7):
-        grid = matsubara.MatsubaraGrid(beta, 200_000, tail_tol=1e-10)
-        summed = matsubara.induced_free_energy(alpha, grid)
+        grid = MatsubaraGrid(beta, 200_000, tail_tol=1e-10)
+        summed = induced_free_energy(alpha, grid)
         worst = max(worst, abs(matsubara.free_energy(alpha, beta, FloatOps) - summed))
     return _ok(worst, 1e-9, "diff")
 
@@ -353,6 +655,19 @@ def check_mode_integral():
 
 
 # ---------------------------------------------------------------- response
+
+
+def thermal_H(omega1, omega2, alpha1, alpha2, beta):
+    r"""Sharp-pair thermal factor.
+
+    H = w1 w2 a1 a2 / (4 sinh(b w1/2) sinh(b w2/2)); symmetric
+    under exchange, dies exponentially at low temperature.
+    """
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    x1 = beta * omega1 / 2.0
+    x2 = beta * omega2 / 2.0
+    return omega1 * omega2 * alpha1 * alpha2 / (4.0 * np.sinh(x1) * np.sinh(x2))
 
 
 def check_remainder_identity():
@@ -379,7 +694,7 @@ def check_phi_two_sinusoid():
     o2 = response_kinetics.OscState.thermal(0.6, beta, mass=1.4)
     a1 = 1.0 / (o1.mass * o1.omega**2)
     a2 = 1.0 / (o2.mass * o2.omega**2)
-    H = materials_spectral.thermal_H(o1.omega, o2.omega, a1, a2, beta)
+    H = thermal_H(o1.omega, o2.omega, a1, a2, beta)
     cm, cp, wm, wp = response_kinetics.c_plus_minus(o1, o2, beta, H)
     t = np.linspace(0.0, 20.0, 400)
     phi = response_kinetics.response_phi(o1, o2, t)
@@ -484,7 +799,7 @@ def check_c_plus_zero_T():
         o2 = response_kinetics.OscState.thermal(w2, beta, mass=0.9)
         a1 = 1.0 / (o1.mass * w1**2)
         a2 = 1.0 / (o2.mass * w2**2)
-        H = materials_spectral.thermal_H(w1, w2, a1, a2, beta)
+        H = thermal_H(w1, w2, a1, a2, beta)
         _, cp, wm, _ = response_kinetics.c_plus_minus(o1, o2, beta, H)
         cold = 0.5 * (wm / 2.0) ** 2 * w1 * w2 * a1 * a2
         worst = max(worst, abs(cp - cold) / cold)
@@ -510,11 +825,76 @@ def check_dissipation_quadrature():
 # ---------------------------------------------------------------- materials
 
 
+class ExtractionError(RuntimeError):
+    """Spectral extraction from a response function failed."""
+
+
+def h_from_spectrum(spec, K2):
+    r"""Imaginary-frequency response h(K^2) of a spectral density.
+
+    h(K^2) is the integral of alpha(m^2) m^2/(K^2 + m^2) over m^2:
+    closed form for a linear density, which needs its cutoff m_max, and
+    trapezoid on the grid for a tabulated one. A real K2 must be >= 0; a
+    complex one evaluates the continuation off the real axis, which
+    spectrum_from_h reads.
+    """
+    if K2.imag == 0.0 and K2.real < 0.0:
+        raise ValueError("K2 must be >= 0")
+    if isinstance(spec, materials_spectral.TabulatedSpectralDensity):
+        # trapezoid of 2 m s(m)/(K^2 + m^2) on the tabulated grid
+        return float(np.trapezoid(2.0 * spec.m * spec.s / (K2 + spec.m**2), spec.m))
+    if spec.m_max is None:
+        raise ValueError("response integral diverges; requires explicit m_max")
+    K = np.sqrt(K2)
+    if K == 0.0:
+        return 2.0 * spec.D * spec.m_max
+    return 2.0 * spec.D * (spec.m_max - K * np.arctan(spec.m_max / K))
+
+
+def spectrum_from_h(h, m, gamma=None):
+    r"""Recover the spectral density at m from a response callable.
+
+    Evaluates -(1/pi) Im h(-m^2 + i*gamma) on a gamma ladder
+    (1e-2, 1e-3, 1e-4)*m by default and extrapolates linearly to
+    gamma -> 0+.
+
+    Raises
+    ------
+    ExtractionError
+        If the callable fails off the real axis or returns non-finite
+        values.
+    """
+    if m <= 0.0:
+        raise ValueError("m must be positive")
+    base = 1e-2 * m if gamma is None else float(gamma)
+    rungs = np.asarray([base, base / 10.0, base / 100.0])
+    vals = []
+    for g in rungs:
+        try:
+            v = h(-m * m + 1j * g)
+        except Exception as exc:
+            raise ExtractionError("response not evaluable off the real axis: %s" % exc)
+        v = -np.imag(v) / math.pi
+        if not np.isfinite(v):
+            raise ExtractionError("non-finite response at gamma=%g" % g)
+        vals.append(float(v))
+    return numerics.linear_extrapolate_zero(rungs, np.asarray(vals))
+
+
+def drude_h_of_K2(p, K2):
+    """Drude response as a function of squared imaginary frequency,
+    continued off the axis with the principal square root."""
+    zeta = np.sqrt(complex(K2))
+    w2 = p.omega_p**2
+    val = w2 / (2.0 * complex(K2) + 2.0 * p.nu * zeta + w2) / (2.0 * math.pi * p.rho)
+    return val.real if val.imag == 0.0 else val
+
+
 def check_h_linear_closed_form():
     spec = materials_spectral.LinearSpectralDensity(0.7, m_max=5.0)
     worst = 0.0
     for K2 in (0.3, 1.0, 9.0):
-        closed = materials_spectral.h_from_spectrum(spec, K2)
+        closed = h_from_spectrum(spec, K2)
         r = numerics.quad_finite(
             lambda m: 2.0 * 0.7 * m * m / (K2 + m * m), 0.0, 5.0, tol=1e-13
         )
@@ -527,7 +907,7 @@ def check_h_sum_rule():
     total = 2.0 * 0.5 * 2.0**3 / 3.0  # integral of 2 D m^2 dm
     worst = 0.0
     for K2 in (1e4, 1e6):
-        worst = max(worst, abs(K2 * spec.h(K2) - total) / total)
+        worst = max(worst, abs(K2 * h_from_spectrum(spec, K2) - total) / total)
     return _ok(worst, 1e-2, "rel")
 
 
@@ -536,7 +916,7 @@ def check_spectrum_round_trip():
     spec = materials_spectral.LinearSpectralDensity(D, m_max=m_max)
     worst = 0.0
     for m in (0.2, 0.5, 1.0):
-        got = materials_spectral.spectrum_from_h(lambda K2: spec.h(K2), m)
+        got = spectrum_from_h(lambda K2: h_from_spectrum(spec, K2), m)
         worst = max(worst, abs(got - D * m) / (D * m))
     return _ok(worst, 1e-2, "rel")
 
@@ -546,9 +926,7 @@ def check_drude_slope():
     D = materials_spectral.drude_D(p).D
     worst = 0.0
     for m in (0.05, 0.1):
-        got = materials_spectral.spectrum_from_h(
-            lambda K2: materials_spectral.drude_h_of_K2(p, K2), m
-        )
+        got = spectrum_from_h(lambda K2: drude_h_of_K2(p, K2), m)
         worst = max(worst, abs(got - D * m) / (D * m))
     return _ok(worst, 1e-2, "rel")
 
@@ -587,7 +965,7 @@ def check_tabulated_sharp_line():
     for K2 in (0.5, 4.0):
         # point mass in m^2 alpha(m^2) d(m^2): weight*2m0 at m0
         target = weight * 2.0 * m0 / (K2 + m0**2)
-        worst = max(worst, abs(spec.h(K2) - target) / target)
+        worst = max(worst, abs(h_from_spectrum(spec, K2) - target) / target)
     return _ok(worst, 1e-6, "rel")
 
 
@@ -649,6 +1027,134 @@ def check_tabulated_H0_rule():
 # ---------------------------------------------------------------- geometry
 
 
+@functools.cache
+def _levi_civita():
+    # eps_ijk, read-only
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k] = 1.0
+        eps[i, k, j] = -1.0
+    eps.flags.writeable = False
+    return eps
+
+
+class PairGeometry(namedtuple("PairGeometry", "r")):
+    """Two point particles separated by r."""
+
+    __slots__ = ()
+
+    def __new__(cls, r):
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (3,) or math.hypot(*r) == 0.0:
+            raise ValueError("r must be a nonzero 3-vector")
+        return super().__new__(cls, r)
+
+
+class SlabGeometry(namedtuple("SlabGeometry", "d rho1 rho2")):
+    """Two half-spaces with gap d and densities rho1, rho2."""
+
+    __slots__ = ()
+
+    def __new__(cls, d, rho1, rho2):
+        if d <= 0.0 or rho1 <= 0.0 or rho2 <= 0.0:
+            raise ValueError("d, rho1, rho2 must be positive")
+        return super().__new__(cls, d, rho1, rho2)
+
+
+def coupling_psi(r):
+    """Coupling kernel psi_ij = x_k eps_kij/r^3, antisymmetric and
+    traceless; equal to -grad_p(1/r) eps_pij."""
+    r, rn = _separation(r)
+    return np.einsum("k,kij->ij", r, _levi_civita()) / rn**3
+
+
+def coupling_gradient_T(r):
+    """Gradient of the coupling kernel:
+    T_lij = (delta_lk/r^3 - 3 x_l x_k/r^5) eps_kij; scales as 1/r^3."""
+    r, rn = _separation(r)
+    m = np.eye(3) / rn**3 - 3.0 * np.outer(r, r) / rn**5
+    return np.einsum("lk,kij->lij", m, _levi_civita())
+
+
+def G_tensor(r):
+    """Contraction G_lq = T_lij T_qij = 2(delta_lq/r^6 + 3 x_l x_q/r^8),
+    symmetric positive definite; geometry_coupling.axial_coupling gives
+    its axial values in floats."""
+    r, rn = _separation(r)
+    return 2.0 * (np.eye(3) / rn**6 + 3.0 * np.outer(r, r) / rn**8)
+
+
+def psi_hat(z0, q):
+    """Transverse Fourier transform of the Coulomb kernel at height z0:
+    2 pi exp(-q|z0|)/q."""
+    if q <= 0.0:
+        raise ValueError("q must be positive")
+    return 2.0 * math.pi * np.exp(-q * abs(z0)) / q
+
+
+def G_hat_q(d, q):
+    """Fourier-space slab kernel (2 pi)^2 exp(-2 q d)/q^2: the double
+    z-integral of 4 q^2 psi_hat^2 across a gap of width d; q may be an
+    array."""
+    if d <= 0.0 or np.min(q) <= 0.0:
+        raise ValueError("d and q must be positive")
+    return (2.0 * math.pi) ** 2 * np.exp(-2.0 * q * d) / q**2
+
+
+def G_slabs_fourier(g):
+    r"""Slab pair factor assembled in Fourier space.
+
+    (rho1 rho2/(2 pi)^2) Int q^2/2 * G_hat(q) 2 pi q dq over q > 0, with
+    the q^2/2 from the in-plane average <k_x^2>. Equals the real-space
+    route, pi rho1 rho2/(4 d^2), exactly.
+    """
+    q = numerics.quad_semi_infinite(
+        lambda k: 0.5 * k**2 * G_hat_q(g.d, k) * 2.0 * math.pi * k,
+        0.0,
+        tol=1e-12,
+        panel_scale=1.0 / g.d,
+    )
+    return g.rho1 * g.rho2 / (2.0 * math.pi) ** 2 * q.value
+
+
+def angular_moment6():
+    """Sixth angular moment: integral of cos^6 over a full turn, 5 pi/8."""
+    return 5.0 * math.pi / 8.0
+
+
+def mc_halfspace_Gxx(z0, n, seed, chunk_size=1 << 20):
+    r"""Monte-Carlo volume integral of G_xx over the half-space z > z0.
+
+    Importance-sampled (z density ~ z^-4, radial density matched to the
+    r^-6 envelope); deterministic per (seed, n, chunk partition). The
+    closed-form target is pi/(2 z0^3) per unit density.
+
+    Returns
+    -------
+    McResult
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    sw = 0.0
+    sw2 = 0.0
+    done = 0
+    j = 0
+    while done < n:
+        m = min(chunk_size, n - done)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
+        u = rng.random((3, m))
+        a, b = _kernels.halfspace_chunk(z0, u, 1)
+        sw += a
+        sw2 += b
+        done += m
+        j += 1
+    mean = sw / n
+    var = max(sw2 / n - mean * mean, 0.0)
+    if n > 1:
+        var *= n / (n - 1.0)
+    return numerics.McResult(mean, float(np.sqrt(var / n)), n, seed)
+
+
 def check_psi_dual_form():
     rng = np.random.Generator(np.random.Philox(key=21))
     worst = 0.0
@@ -656,9 +1162,9 @@ def check_psi_dual_form():
         r = rng.normal(size=3)
         if np.linalg.norm(r) < 0.3:
             continue
-        psi = geometry_coupling.coupling_psi(r)
+        psi = coupling_psi(r)
         grad = numerics.gradient_central(lambda x: 1.0 / np.linalg.norm(x), r, 1e-6)
-        dual = -np.einsum("p,pij->ij", grad, geometry_coupling._levi_civita())
+        dual = -np.einsum("p,pij->ij", grad, _levi_civita())
         worst = max(worst, np.max(np.abs(psi - dual)))
         worst = max(worst, np.max(np.abs(psi + psi.T)), abs(np.trace(psi)))
     return _ok(worst, 1e-7)
@@ -672,8 +1178,8 @@ def check_T_finite_difference():
         rn = np.linalg.norm(r)
         if rn < 0.3:
             continue
-        T = geometry_coupling.coupling_gradient_T(r)
-        fd = numerics.gradient_central(geometry_coupling.coupling_psi, r, 1e-5 * rn)
+        T = coupling_gradient_T(r)
+        fd = numerics.gradient_central(coupling_psi, r, 1e-5 * rn)
         worst = max(worst, np.max(np.abs(T - fd)))
     return _ok(worst, 1e-8)
 
@@ -686,19 +1192,19 @@ def check_G_contraction():
         r = rng.normal(size=3)
         if np.linalg.norm(r) < 0.3:
             continue
-        T = geometry_coupling.coupling_gradient_T(r)
-        G = geometry_coupling.G_tensor(r)
+        T = coupling_gradient_T(r)
+        G = G_tensor(r)
         contracted = np.einsum("lij,qij->lq", T, T)
         worst = max(worst, np.max(np.abs(G - contracted)) / np.max(np.abs(G)))
         mineig = min(mineig, np.min(np.linalg.eigvalsh(G)))
-    canonical = geometry_coupling.G_tensor([0.0, 0.0, 1.0])
+    canonical = G_tensor([0.0, 0.0, 1.0])
     worst = max(worst, abs(canonical[0, 0] - 2.0), abs(canonical[2, 2] - 8.0))
     return worst <= 1e-12 and mineig > 0.0, "err=%.3g mineig=%.3g" % (worst, mineig)
 
 
 def check_halfspace_mc(n=1_000_000, seed=123):
     z0 = 1.0
-    res = geometry_coupling.mc_halfspace_Gxx(z0, n, seed)
+    res = mc_halfspace_Gxx(z0, n, seed)
     target = geometry_coupling.G_halfspace(z0, 1.0, FloatOps)
     err = abs(res.value - target)
     ok = err <= 3.0 * res.std_error and err / target <= 1e-2
@@ -748,18 +1254,18 @@ def check_slab_route_equivalence():
         for rho in (1.0, 2.5):
             g = SlabGeometry(d, rho, 0.7)
             a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, FloatOps)
-            b = geometry_coupling.G_slabs_fourier(g)
+            b = G_slabs_fourier(g)
             worst = max(worst, abs(a - b) / a)
     return _ok(worst, 1e-10, "rel")
 
 
 def check_G_hat_double_integral():
     d, q = 0.8, 1.7
-    closed = geometry_coupling.G_hat_q(d, q)
+    closed = G_hat_q(d, q)
     # two exponential layer integrals across the gap
     def inner(z1):
         return numerics.quad_semi_infinite(
-            lambda z2: 4.0 * q**2 * geometry_coupling.psi_hat(d + z1 + z2, q) ** 2,
+            lambda z2: 4.0 * q**2 * psi_hat(d + z1 + z2, q) ** 2,
             0.0, tol=1e-12, panel_scale=1.0 / q,
         ).value
 
@@ -772,7 +1278,7 @@ def check_G_hat_double_integral():
 def check_psi_hat_transform():
     # Hankel-type radial transform summed between Bessel zeros
     q, z0 = 1.0, 0.7
-    closed = geometry_coupling.psi_hat(z0, q)
+    closed = psi_hat(z0, q)
     zeros = np.concatenate([[0.0], numerics.bessel_j0_zeros(300)]) / q
 
     def f(s):
@@ -792,7 +1298,7 @@ def check_psi_hat_transform():
 
 
 def check_angular_moment():
-    closed = geometry_coupling.angular_moment6()
+    closed = angular_moment6()
     r = numerics.quad_finite(lambda p: np.cos(p) ** 6, 0.0, 2.0 * np.pi, tol=1e-13)
     wallis = 2.0 * np.pi * (5.0 * 3.0 * 1.0) / (6.0 * 4.0 * 2.0)
     return _ok(max(abs(r.value - closed), abs(wallis - closed)), 1e-12)
@@ -802,7 +1308,7 @@ def _G_P_by_quadrature(d, rho1, rho2):
     """G_P as the Fourier integral of the slab kernel weighted by the
     sixth angular moment, (5/16) q^6."""
     r = numerics.quad_semi_infinite(
-        lambda q: (5.0 / 16.0) * q**6 * geometry_coupling.G_hat_q(d, q) * 2.0 * np.pi * q,
+        lambda q: (5.0 / 16.0) * q**6 * G_hat_q(d, q) * 2.0 * np.pi * q,
         0.0, tol=1e-12, panel_scale=1.0 / d,
     )
     return rho1 * rho2 / (2.0 * np.pi) ** 2 * r.value
@@ -836,10 +1342,10 @@ def pair_force_sharp(geom, v, osc1, osc2, beta):
     delta(w1 - w2), with H the thermal pair factor at polarizabilities
     1/(m_i w_i^2).
     """
-    gv = geometry_coupling.G_tensor(geom.r) @ np.asarray(v, dtype=np.float64)
+    gv = G_tensor(geom.r) @ np.asarray(v, dtype=np.float64)
     a1 = 1.0 / (osc1.mass * osc1.omega**2)
     a2 = 1.0 / (osc2.mass * osc2.omega**2)
-    H = materials_spectral.thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
+    H = thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
     pref = math.pi * beta * osc1.omega**2 / 2.0
     return tuple(
         response_kinetics.DeltaCoefficient(float(-gv[l] * H * pref), osc1.omega) for l in range(3)
@@ -852,7 +1358,7 @@ def check_finite_T_assembly():
     closed = -(2.0 * np.pi**6 / 15.0) * v
     rel = abs(force - closed) / abs(closed)
     # G by the Fourier route and H0 by the quadrature rule, each checked too
-    Gq = geometry_coupling.G_slabs_fourier(SlabGeometry(1.0, 1.0, 1.0))
+    Gq = G_slabs_fourier(SlabGeometry(1.0, 1.0, 1.0))
     H0q = _H0_by_rule(1.0, 1.0, 1.0)
     rel_q = max(abs(-Gq * v * H0q - force) / abs(force), abs(inter["G"] - Gq) / Gq,
                 abs(inter["H0"] - H0q) / H0q)
@@ -882,7 +1388,7 @@ def check_pair_assembly():
     # G_xx from the general-r tensor and H0 by the quadrature rule
     d, v, beta = 1.7, 0.3, 2.0
     force, _ = friction_forces.pair_force(d, v, 0.7, 1.1, beta, FloatOps)
-    Gxx = geometry_coupling.G_tensor([0.0, 0.0, d])[0, 0]
+    Gxx = G_tensor([0.0, 0.0, d])[0, 0]
     route = -Gxx * v * _H0_by_rule(0.7, 1.1, beta)
     return _ok(abs(route - force) / abs(force), 1e-9, "rel")
 
@@ -927,7 +1433,7 @@ def check_pair_sharp_consistency():
     o1 = response_kinetics.OscState.thermal(1.0, beta, mass=0.9)
     o2 = response_kinetics.OscState.thermal(1.0, beta, mass=1.8)
     force = pair_force_sharp(PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta)
-    Gxx = geometry_coupling.G_tensor([0.0, 0.0, d])[0, 0]
+    Gxx = G_tensor([0.0, 0.0, d])[0, 0]
     closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, Gxx * v)
     rel = abs(force[0].amplitude - closed.amplitude) / abs(closed.amplitude)
     return _ok(rel, 1e-12, "rel")

@@ -8,14 +8,13 @@ from hypothesis import given, strategies as st
 
 from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
-from magfriction.dipole_fields import (
-    axial_fields,
+from magfriction.dipole_fields import axial_fields
+from magfriction.verification import (
     coupling_alpha,
     electric_field_quasistatic,
     interaction_energies,
     magnetic_field_full,
     magnetic_field_quasistatic,
-    vec3,
 )
 
 finite3 = st.tuples(
@@ -24,13 +23,13 @@ finite3 = st.tuples(
 
 
 def test_full_field_parallel_moment_vanishes():
-    r = vec3(0.0, 0.0, 2.0)
-    B = magnetic_field_full(vec3(0.0, 0.0, 3.0), 0.02j, r)
+    r = [0.0, 0.0, 2.0]
+    B = magnetic_field_full([0.0, 0.0, 3.0], 0.02j, r)
     assert np.allclose(B, 0.0)
 
 
 def test_full_field_zero_zeta_vanishes():
-    B = magnetic_field_full(vec3(1.0, 0.0, 0.0), 0.0, vec3(0.0, 0.0, 1.0))
+    B = magnetic_field_full([1.0, 0.0, 0.0], 0.0, [0.0, 0.0, 1.0])
     assert np.allclose(B, 0.0)
 
 
@@ -40,22 +39,22 @@ def test_full_field_against_series():
     zeta = 0.01j
     exp_term = sum((-zeta) ** k / math.factorial(k) for k in range(24))
     expected_y = -zeta * (1.0 + zeta) * exp_term  # zhat x xhat = yhat
-    B = magnetic_field_full(vec3(1.0, 0.0, 0.0), zeta, vec3(0.0, 0.0, 1.0))
+    B = magnetic_field_full([1.0, 0.0, 0.0], zeta, [0.0, 0.0, 1.0])
     assert abs(B[0]) == 0.0 and abs(B[2]) == 0.0
     assert abs(B[1] - expected_y) <= 1e-15
 
 
 def test_quasistatic_hand_cross_products():
-    B = magnetic_field_quasistatic(vec3(1.0, 0.0, 0.0), vec3(0.0, 0.0, 1.0))
+    B = magnetic_field_quasistatic([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     assert np.allclose(B, [0.0, -1.0, 0.0], atol=1e-15)
-    E = electric_field_quasistatic(vec3(0.0, 1.0, 0.0), vec3(0.0, 0.0, 1.0))
+    E = electric_field_quasistatic([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     assert np.allclose(E, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_quasistatic_parallel_rates_vanish():
-    r = vec3(0.0, 0.0, 1.5)
-    assert np.allclose(magnetic_field_quasistatic(vec3(0.0, 0.0, 4.0), r), 0.0)
-    assert np.allclose(electric_field_quasistatic(vec3(0.0, 0.0, -2.0), r), 0.0)
+    r = [0.0, 0.0, 1.5]
+    assert np.allclose(magnetic_field_quasistatic([0.0, 0.0, 4.0], r), 0.0)
+    assert np.allclose(electric_field_quasistatic([0.0, 0.0, -2.0], r), 0.0)
 
 
 def test_quasistatic_limit_decade_sweep():
@@ -65,8 +64,8 @@ def test_quasistatic_limit_decade_sweep():
 def test_field_orientation_swap_antisymmetry():
     # the two quasistatic fields are the same cross-product structure with
     # the roles of the moments exchanged
-    rate = vec3(0.3, -0.7, 0.2)
-    r = vec3(0.1, 0.4, 1.2)
+    rate = [0.3, -0.7, 0.2]
+    r = [0.1, 0.4, 1.2]
     assert np.allclose(
         magnetic_field_quasistatic(rate, r), electric_field_quasistatic(rate, r)
     )
@@ -87,20 +86,20 @@ def test_fields_orthogonal_to_rhat_and_source(rate, rv):
 
 def test_interaction_canonical_orientation():
     # x-electric, y-magnetic, z-separation: (2 a xdot y, -2 a x ydot)
-    r = vec3(0.0, 0.0, 1.7)
+    r = [0.0, 0.0, 1.7]
     a = coupling_alpha(r)
     x, xd, y, yd = 0.8, -0.3, 1.1, 0.6
     e_h, e_e = interaction_energies(
-        vec3(x, 0, 0), vec3(xd, 0, 0), vec3(0, y, 0), vec3(0, yd, 0), r
+        [x, 0, 0], [xd, 0, 0], [0, y, 0], [0, yd, 0], r
     )
     assert abs(e_h - 2.0 * a * xd * y) <= 1e-14
     assert abs(e_e - (-2.0 * a * x * yd)) <= 1e-14
 
 
 def test_interaction_static_dipoles_vanish():
-    r = vec3(0.0, 0.0, 1.0)
-    z = vec3(0.0, 0.0, 0.0)
-    e_h, e_e = interaction_energies(vec3(1, 0, 0), z, vec3(0, 1, 0), z, r)
+    r = [0.0, 0.0, 1.0]
+    z = [0.0, 0.0, 0.0]
+    e_h, e_e = interaction_energies([1, 0, 0], z, [0, 1, 0], z, r)
     assert e_h == 0.0 and e_e == 0.0
 
 
@@ -109,23 +108,23 @@ def test_interaction_total_derivative_shift():
 
 
 def test_coupling_alpha_value():
-    assert coupling_alpha(vec3(0.0, 0.0, 2.0)) == 1.0 / 8.0
+    assert coupling_alpha([0.0, 0.0, 2.0]) == 1.0 / 8.0
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda r: magnetic_field_full(vec3(1, 0, 0), 0.01j, r),
-        lambda r: magnetic_field_quasistatic(vec3(1, 0, 0), r),
-        lambda r: electric_field_quasistatic(vec3(1, 0, 0), r),
+        lambda r: magnetic_field_full([1, 0, 0], 0.01j, r),
+        lambda r: magnetic_field_quasistatic([1, 0, 0], r),
+        lambda r: electric_field_quasistatic([1, 0, 0], r),
         lambda r: interaction_energies(
-            vec3(1, 0, 0), vec3(0, 0, 0), vec3(0, 1, 0), vec3(0, 0, 0), r
+            [1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0], r
         ),
     ],
 )
 def test_zero_separation_rejected(call):
     with pytest.raises(ValueError):
-        call(vec3(0.0, 0.0, 0.0))
+        call([0.0, 0.0, 0.0])
 
 
 def test_fields_suite_green():

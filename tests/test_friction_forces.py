@@ -21,15 +21,15 @@ from magfriction.friction_forces import (
     slabs_finite_force,
     slabs_zero_force,
 )
-from magfriction.geometry_coupling import PairGeometry, PlaneGeometry, SlabGeometry
+from magfriction.geometry_coupling import PlaneGeometry
 from magfriction.materials_spectral import (
     DrudeParams,
     LinearSpectralDensity,
     TabulatedSpectralDensity,
 )
-from magfriction.matsubara import MatsubaraGrid
 from magfriction.response_kinetics import OscState
 from magfriction.units import CGS_C, CGS_HBAR, CGS_KB, UnitContext
+from magfriction.verification import MatsubaraGrid, PairGeometry, SlabGeometry
 
 OPS = FloatOps
 
@@ -57,7 +57,7 @@ def test_pair_sharp_opposes_velocity():
     assert force[0].amplitude < 0.0
     assert force[1].amplitude == 0.0
     assert force[2].amplitude == 0.0
-    assert geometry_coupling.G_tensor(geom.r)[0, 0] == 2.0
+    assert verification.G_tensor(geom.r)[0, 0] == 2.0
 
 
 def test_pair_sharp_matches_amplitude_route():

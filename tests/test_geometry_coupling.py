@@ -8,17 +8,19 @@ from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
 from magfriction._ieee import FloatOps
 from magfriction.geometry_coupling import (
-    PairGeometry,
     PlaneGeometry,
-    SlabGeometry,
     G_P_slabs,
     G_halfspace,
+    G_slabs_realspace,
+    axial_coupling,
+)
+from magfriction.verification import (
+    PairGeometry,
+    SlabGeometry,
     G_hat_q,
     G_slabs_fourier,
-    G_slabs_realspace,
     G_tensor,
     angular_moment6,
-    axial_coupling,
     coupling_gradient_T,
     coupling_psi,
     mc_halfspace_Gxx,

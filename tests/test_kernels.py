@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magfriction
-from magfriction import _kernels, geometry_coupling
+from magfriction import _kernels, verification
 
 
 def _pair_matrix(alpha):
@@ -143,7 +143,7 @@ def test_halfspace_mc_over_several_chunks_matches_the_whole_array():
         _halfspace_weights(1.5, np.random.Generator(np.random.Philox(key=seed).jumped(j))
                            .random((3, min(chunk, n - a))), 1)
         for j, a in enumerate(range(0, n, chunk))])
-    res = geometry_coupling.mc_halfspace_Gxx(1.5, n, seed, chunk_size=chunk)
+    res = verification.mc_halfspace_Gxx(1.5, n, seed, chunk_size=chunk)
     mean = np.sum(w) / n
     std_error = np.sqrt((np.sum(w * w) / n - mean * mean) * n / (n - 1.0) / n)
     assert abs(res.value - mean) <= 1e-12 * mean

@@ -11,13 +11,10 @@ from magfriction.materials_spectral import (
     SpectrumFileError,
     TabulatedSpectralDensity,
     drude_D,
-    drude_epsilon,
-    h_from_spectrum,
     smoothed_H0,
-    spectrum_from_h,
-    thermal_H,
     universal_I,
 )
+from magfriction.verification import h_from_spectrum, spectrum_from_h, thermal_H
 
 
 def test_h_sharp_line():
@@ -31,7 +28,7 @@ def test_h_linear_truncated_closed_form():
     for K2 in (0.5, 1.0, 9.0):
         K = np.sqrt(K2)
         closed = 2.0 * D * (m_max - K * np.arctan(m_max / K))
-        assert abs(spec.h(K2) - closed) <= 1e-10 * closed
+        assert abs(h_from_spectrum(spec, K2) - closed) <= 1e-10 * closed
 
 
 def test_h_linear_requires_cutoff():
@@ -49,21 +46,6 @@ def test_spectrum_round_trip():
 
 def test_spectrum_from_real_h_vanishes():
     assert spectrum_from_h(lambda z: np.real(np.asarray(z)), 1.0) == 0.0
-
-
-def test_drude_epsilon_values():
-    p = DrudeParams(omega_p=1.0, nu=1.0, rho=1.0)
-    assert drude_epsilon(p, 1.0) == 1.5
-    assert abs(drude_epsilon(p, 1e8) - 1.0) <= 1e-15
-    with pytest.raises(ValueError):
-        drude_epsilon(p, 0.0)
-
-
-def test_drude_epsilon_monotone():
-    p = DrudeParams(omega_p=3.0, nu=0.2, rho=1.0)
-    zetas = np.logspace(-2.0, 2.0, 20)
-    eps = [drude_epsilon(p, z) for z in zetas]
-    assert all(b < a for a, b in zip(eps, eps[1:]))
 
 
 def test_drude_D_values():

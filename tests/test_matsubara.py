@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from conftest import assert_check
 from magfriction import verification
 from magfriction._ieee import FloatOps
-from magfriction.matsubara import (
+from magfriction.matsubara import free_energy
+from magfriction.verification import (
     MatsubaraGrid,
     TruncationError,
-    free_energy,
     induced_free_energy,
     matsubara_frequency,
     mode_free_energy,

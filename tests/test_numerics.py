@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_check
-from magfriction import _kernels, numerics, verification
+from magfriction import _ieee, _kernels, numerics, verification
 from magfriction.numerics import (
     HalfspaceSampler,
     QuadratureError,
@@ -209,17 +209,17 @@ def test_numerics_suite_green():
 
 
 def test_ieee_pow_and_div_keep_the_float_range():
-    assert numerics.ieee_pow(2.0, 3) == 8.0
-    assert numerics.ieee_pow(1e200, 2) == math.inf
-    assert numerics.ieee_pow(-1e200, 3) == -math.inf
-    assert numerics.ieee_pow(-1e200, 4) == math.inf
-    assert numerics.ieee_pow(1e-200, 2) == 0.0
-    assert numerics.ieee_div(1.0, 4.0) == 0.25
-    assert numerics.ieee_div(3.0, 0.0) == math.inf
-    assert numerics.ieee_div(-3.0, 0.0) == -math.inf
-    assert numerics.ieee_div(3.0, -0.0) == -math.inf
-    assert math.isnan(numerics.ieee_div(0.0, 0.0))
-    assert numerics.ieee_div(1.0, math.inf) == 0.0
+    assert _ieee.ieee_pow(2.0, 3) == 8.0
+    assert _ieee.ieee_pow(1e200, 2) == math.inf
+    assert _ieee.ieee_pow(-1e200, 3) == -math.inf
+    assert _ieee.ieee_pow(-1e200, 4) == math.inf
+    assert _ieee.ieee_pow(1e-200, 2) == 0.0
+    assert _ieee.ieee_div(1.0, 4.0) == 0.25
+    assert _ieee.ieee_div(3.0, 0.0) == math.inf
+    assert _ieee.ieee_div(-3.0, 0.0) == -math.inf
+    assert _ieee.ieee_div(3.0, -0.0) == -math.inf
+    assert math.isnan(_ieee.ieee_div(0.0, 0.0))
+    assert _ieee.ieee_div(1.0, math.inf) == 0.0
 
 
 # ------------------------------------------------ numpy kernels of the oracles
@@ -388,10 +388,10 @@ _FIT_REFERENCE = {
 def test_sinusoid_fit_reproduces_the_trajectory_fits(alpha):
     from magfriction import oscillator_pair
 
-    cfg = oscillator_pair.OscPairConfig(alpha)
-    wp, _ = oscillator_pair.eigenfrequencies(alpha)
+    cfg = verification.OscPairConfig(alpha)
+    wp = oscillator_pair.normal_modes(alpha, _ieee.FloatOps)[0]
     dt = 0.0125 / wp
-    traj = oscillator_pair.integrate_eom(cfg, [1.0, 0.3, 0.0, 0.0], 32000 * dt, dt, stride=16)
+    traj = verification.integrate_eom(cfg, [1.0, 0.3, 0.0, 0.0], 32000 * dt, dt, stride=16)
     modes = sinusoid_fit(traj.t, traj.states[:, 0], 2)
     for got, want in zip(modes, _FIT_REFERENCE[alpha]):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

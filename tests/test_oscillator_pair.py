@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from conftest import assert_check
 from magfriction import verification
-from magfriction.oscillator_pair import (
+from magfriction._ieee import FloatOps
+from magfriction.oscillator_pair import normal_modes
+from magfriction.verification import (
     OscPairConfig,
     PhaseState,
-    eigenfrequencies,
     eom_rhs,
     generalized_momenta,
-    ground_state_energy,
     hamiltonian,
     integrate_eom,
 )
@@ -56,18 +56,16 @@ def test_eom_rhs_coupling_terms():
 
 
 def test_eigenfrequencies_values():
-    assert eigenfrequencies(0.0) == (1.0, 1.0)
-    assert eigenfrequencies(0.75) == (2.0, 0.5)
-    wp, wm = eigenfrequencies(0.5)
+    assert normal_modes(0.0, FloatOps)[:2] == (1.0, 1.0)
+    assert normal_modes(0.75, FloatOps)[:2] == (2.0, 0.5)
+    wp, wm = normal_modes(0.5, FloatOps)[:2]
     assert abs(wp - (0.5 + np.sqrt(1.25))) <= 1e-15
     assert abs(wm - (-0.5 + np.sqrt(1.25))) <= 1e-15
 
 
 def test_eigenfrequencies_negative_alpha_rejected():
-    with pytest.raises(ValueError):
-        eigenfrequencies(-0.1)
-    with pytest.raises(ValueError):
-        ground_state_energy(-0.1)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        normal_modes(-0.1, FloatOps)
 
 
 def test_eigenfrequencies_match_linear_system():
@@ -76,34 +74,34 @@ def test_eigenfrequencies_match_linear_system():
 
 @given(st.floats(0.0, 10.0))
 def test_product_unity_closed_form(alpha):
-    wp, wm = eigenfrequencies(alpha)
+    wp, wm = normal_modes(alpha, FloatOps)[:2]
     assert wp >= wm > 0.0
     assert abs(wp * wm - 1.0) <= 5e-13
 
 
 @given(st.floats(0.0, 5.0))
 def test_eigenfrequencies_vs_companion(alpha):
-    wp, wm = eigenfrequencies(alpha)
+    wp, wm = normal_modes(alpha, FloatOps)[:2]
     op, om = verification._companion_frequencies(alpha)
     assert abs(wp - op) <= 1e-12 * max(1.0, wp)
     assert abs(wm - om) <= 1e-12
 
 
 def test_ground_state_values():
-    assert ground_state_energy(0.0) == 1.0
-    assert ground_state_energy(0.75) == 1.25
+    assert normal_modes(0.0, FloatOps)[2] == 1.0
+    assert normal_modes(0.75, FloatOps)[2] == 1.25
 
 
 def test_ground_state_perturbative():
     # sqrt(1 + a^2) - 1 - a^2/2 is O(a^4) with coefficient -1/8
     for alpha in (1e-1, 1e-2, 1e-3):
-        dev = ground_state_energy(alpha) - 1.0 - alpha**2 / 2.0
+        dev = normal_modes(alpha, FloatOps)[2] - 1.0 - alpha**2 / 2.0
         assert abs(dev) <= 0.2 * alpha**4
 
 
 def test_ground_state_monotone():
     alphas = np.linspace(0.0, 4.0, 40)
-    e = [ground_state_energy(a) for a in alphas]
+    e = [normal_modes(a, FloatOps)[2] for a in alphas]
     assert all(b > a for a, b in zip(e, e[1:]))
 
 
