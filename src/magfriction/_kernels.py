@@ -11,6 +11,12 @@ A block size changes only the order of floating-point operations (the
 summation order of a Monte Carlo sum, the grouping of a matrix product),
 never the random draws: a Monte Carlo estimate stays deterministic per
 (seed, n, chunk partition).
+
+``halfspace_chunk`` holds the only copy of the half-space importance
+sampler (the map from uniforms to z and s, and its density). It serves
+both half-space Monte Carlo checks of the oracle battery: the G_xx volume
+integral behind G_h = pi/(2 z0^3) (mode 1) and the r^-6 integral pi/(6 z0^3)
+(mode 0), each through ``verification``'s one Philox chunk loop.
 """
 
 import math
@@ -135,11 +141,12 @@ def halfspace_chunk(z0, u, mode):
     sw2 = 0.0
     for a in range(0, m, MC_BLOCK):
         b = min(a + MC_BLOCK, m)
-        z = z0 * (1.0 - u[0, a:b]) ** (-1.0 / 3.0)
-        s2 = z * z * ((1.0 - u[1, a:b]) ** (-0.5) - 1.0)
-        r2 = s2 + z * z
-        z4 = z**4
-        r6 = r2**3
+        z = z0 / np.cbrt(1.0 - u[0, a:b])
+        z2 = z * z
+        s2 = z2 * (1.0 / np.sqrt(1.0 - u[1, a:b]) - 1.0)
+        r2 = s2 + z2
+        z4 = z2 * z2
+        r6 = r2 * r2 * r2
         # p(s|z)/(2*pi*s) with the s cancelled analytically; no 0/0 at s = 0
         pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (TWO_PI * r6))
         if mode == 0:

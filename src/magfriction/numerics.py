@@ -267,33 +267,6 @@ class BoxSampler:
         return pts, np.full(u.shape[1], self._pdf)
 
 
-class HalfspaceSampler:
-    r"""Importance sampler for integrands over the half-space z > z0.
-
-    Density p(z) = 3*z0^3/z^4, p(s|z) = 4*z^4*s/(s^2+z^2)^3 (cylindrical
-    radius), azimuth uniform; matched to the z0^-3 tails of the geometric
-    coupling integrands so weights stay bounded.
-    """
-
-    dim = 3
-
-    def __init__(self, z0):
-        if z0 <= 0.0:
-            raise ValueError("z0 must be positive")
-        self.z0 = float(z0)
-
-    def map(self, u):
-        z = self.z0 * (1.0 - u[0]) ** (-1.0 / 3.0)
-        s = z * np.sqrt((1.0 - u[1]) ** (-0.5) - 1.0)
-        phi = 2.0 * math.pi * u[2]
-        pts = np.vstack([s * np.cos(phi), s * np.sin(phi), z])
-        r2 = s * s + z * z
-        z4 = z**4
-        # p(z) * p(s|z)/(2*pi*s), the s cancelled analytically
-        pdf = (3.0 * self.z0 ** 3 / z4) * (4.0 * z4 / (2.0 * math.pi * r2 ** 3))
-        return pts, pdf
-
-
 def mc_integrate(f, sampler, n, seed, chunk_size=1 << 20):
     r"""Deterministic seeded Monte-Carlo integral of f against a sampler.
 
@@ -357,12 +330,25 @@ def mc_integrate(f, sampler, n, seed, chunk_size=1 << 20):
     return McResult(mean, float(np.sqrt(var / n)), n, seed)
 
 
+# indices per call of series_sum's term and tail bound
+SERIES_BLOCK = 4096
+
+
 def series_sum(term, tail_bound, tol, max_terms=10_000_000):
     r"""Sum term(1) + term(2) + ... with a supplied certified tail bound.
 
     ``tail_bound(n)`` must bound |sum of all terms past n| and be
-    nonincreasing. Summation stops at the first n with tail_bound(n) < tol;
-    the returned partial sum is then within tol of the full series.
+    nonincreasing. Summation stops at the first N with tail_bound(N) < tol,
+    once |term(N + 1)| <= tail_bound(N) is confirmed; the returned partial
+    sum is then within tol of the full series.
+
+    Both callables take an int64 array of consecutive indices n, up to
+    ``SERIES_BLOCK`` of them (``term`` one more, through the index after
+    the block), and return a float array of the same shape or a scalar.
+    The partial sum is the strict left fold
+    ((term(1) + term(2)) + term(3)) + ...: each block's running sum is
+    added into its first term and the block is summed by ``np.cumsum``,
+    in order, so the result has the bits of the term-by-term loop.
 
     Returns
     -------
@@ -376,16 +362,24 @@ def series_sum(term, tail_bound, tol, max_terms=10_000_000):
     """
     acc = 0.0
     prev_bound = np.inf
-    for n in range(1, max_terms + 1):
-        acc += term(n)
-        b = tail_bound(n)
-        if b < 0.0 or b > prev_bound:
-            raise SeriesError("tail bound not nonincreasing at n=%d" % n)
-        if b < tol:
-            if abs(term(n + 1)) > prev_bound:
-                raise SeriesError("term %d exceeds the certified bound" % (n + 1))
-            return acc
-        prev_bound = b
+    for first in range(1, max_terms + 1, SERIES_BLOCK):
+        n = np.arange(first, min(first + SERIES_BLOCK, max_terms + 1) + 1, dtype=np.int64)
+        t = np.array(np.broadcast_to(term(n), n.shape), dtype=np.float64)
+        b = np.broadcast_to(np.asarray(tail_bound(n[:-1]), dtype=np.float64), t[:-1].shape)
+        prev = np.concatenate(([prev_bound], b[:-1]))
+        t[0] += acc
+        partial = np.cumsum(t[:-1])
+        bad = (b < 0.0) | (b > prev)
+        stop = bad | (b < tol)
+        if stop.any():
+            i = int(np.argmax(stop))
+            if bad[i]:
+                raise SeriesError("tail bound not nonincreasing at n=%d" % n[i])
+            if abs(t[i + 1]) > b[i]:
+                raise SeriesError("term %d exceeds the certified bound" % n[i + 1])
+            return float(partial[i])
+        acc = float(partial[-1])
+        prev_bound = b[-1]
     raise SeriesError("no certified tail below tol within %d terms" % max_terms)
 
 

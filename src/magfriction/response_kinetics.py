@@ -19,27 +19,36 @@ from magfriction import lazy_import, numerics
 np = lazy_import("numpy")
 
 
+def _any(cond):
+    """A comparison's truth: a bool for scalars, any element for an array."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
 @dataclass(frozen=True)
 class OscState:
-    """One oscillator: frequency, mean thermal occupation, mass."""
+    """One oscillator: frequency, mean thermal occupation, mass.
+
+    Each field may also be an array, for a batch of oscillators that the
+    kernels below evaluate elementwise; every element is validated.
+    """
 
     omega: float
     n_mean: float
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if _any(self.omega <= 0.0):
             raise ValueError("omega must be positive")
-        if self.n_mean < 0.0:
+        if _any(self.n_mean < 0.0):
             raise ValueError("n_mean must be >= 0")
-        if self.mass <= 0.0:
+        if _any(self.mass <= 0.0):
             raise ValueError("mass must be positive")
 
     @classmethod
     def thermal(cls, omega, beta, mass=1.0):
         """Equilibrium occupation 1/(exp(beta*omega) - 1)."""
         n = 1.0 / np.expm1(beta * omega)
-        return cls(omega, float(n), mass)
+        return cls(omega, n if np.ndim(n) else float(n), mass)
 
     @property
     def occupation_factor(self):

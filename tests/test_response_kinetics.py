@@ -25,6 +25,24 @@ def osc(omega, n_mean, mass=1.0):
     return OscState(omega=omega, n_mean=n_mean, mass=mass)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(omega=np.array([1.0, -1.0]), n_mean=0.0), "omega must be positive"),
+    (dict(omega=1.0, n_mean=np.array([0.5, -0.1])), "n_mean must be >= 0"),
+    (dict(omega=1.0, n_mean=0.0, mass=np.array([1.0, 0.0])), "mass must be positive"),
+])
+def test_osc_state_validates_every_element(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        OscState(**kwargs)
+
+
+def test_thermal_batch_matches_one_at_a_time():
+    w = np.array([0.3, 1.0, 2.5])
+    batch = OscState.thermal(w, 1.7, mass=0.8)
+    single = [OscState.thermal(x, 1.7, mass=0.8).n_mean for x in w.tolist()]
+    assert batch.n_mean.tolist() == single
+    assert all(type(n) is float for n in single)
+
+
 def test_M_at_zero_time():
     assert M_full(osc(1.0, 0.3), osc(1.4, 0.2), 0.0) == 0.0
 

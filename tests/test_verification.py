@@ -5,7 +5,9 @@ import ast
 import importlib
 import inspect
 
-from magfriction import verification
+import pytest
+
+from magfriction import _kernels, response_kinetics, verification
 
 # every check of `verify --suite all`, in the order it runs
 BATTERY = [
@@ -107,3 +109,49 @@ def test_every_public_route_name_has_a_caller_on_a_cli_route():
         public = {k for k, v in vars(module).items()
                   if not k.startswith("_") and getattr(v, "__module__", None) == module.__name__}
         assert public and public <= used, (name, sorted(public - used))
+
+
+# detail lines of the array-at-a-time checks, as the term-by-term and
+# sampler-based forms of these checks printed them
+PINNED_DETAILS = {
+    "series zeta(4)": "err=2.77e-13 tol=1e-12",
+    "universal integral routes": "rel=2.56e-13 tol=1e-12",
+    "kernel remainder identity": "err=3.83e-14 tol=1e-12",
+    "sharp amplitude pipeline": "rel=3.53e-07 tol=0.0001",
+    "half-space MC": "err=9.15e-06 3se=0.00176 rel=5.83e-06",
+    "half-space r^-6 MC": "err=0 tol=1e-12",
+}
+
+
+def _check(name):
+    (check,) = [c for checks in verification.SUITES.values() for c in checks if c.name == name]
+    return check
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DETAILS))
+def test_array_checks_print_their_pinned_details(name):
+    assert _check(name).run() == (True, PINNED_DETAILS[name])
+
+
+@pytest.mark.parametrize("module,name,check", [
+    (response_kinetics, "M_full", "kernel remainder identity"),
+    (response_kinetics, "nascent_delta_g", "sharp amplitude pipeline"),
+])
+def test_array_checks_fail_on_a_scaled_library_kernel(monkeypatch, module, name, check):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: 1.01 * original(*args))
+    ok, detail = _check(check).run()
+    assert not ok, detail
+
+
+def test_r6_monte_carlo_runs_the_halfspace_kernel_in_mode_0(monkeypatch):
+    modes = []
+    original = _kernels.halfspace_chunk
+
+    def spy(z0, u, mode):
+        modes.append(mode)
+        return original(z0, u, mode)
+
+    monkeypatch.setattr(_kernels, "halfspace_chunk", spy)
+    assert _check("half-space r^-6 MC").run()[0]
+    assert modes == [0]
