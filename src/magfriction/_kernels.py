@@ -3,20 +3,20 @@
 Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
 
-The trajectory and Monte Carlo kernels work in fixed blocks, so that
-their temporaries stay in cache and their Python-level calls are few:
+The trajectory and Monte Carlo routes work in fixed blocks, so that their
+temporaries stay in cache and their Python-level calls are few:
 ``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul, and
-``halfspace_chunk`` evaluates and sums ``MC_BLOCK`` samples at a time.
-A block size changes only the order of floating-point operations (the
-summation order of a Monte Carlo sum, the grouping of a matrix product),
-never the random draws: a Monte Carlo estimate stays deterministic per
-(seed, n, chunk partition).
+``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` samples
+per call. A block size changes only the order of floating-point
+operations (the summation order of a Monte Carlo sum, the grouping of a
+matrix product), never the random draws: a Monte Carlo estimate stays
+deterministic per (seed, n, chunk partition).
 
 ``halfspace_chunk`` holds the only copy of the half-space importance
 sampler (the map from uniforms to z and s, and its density). It serves
 both half-space Monte Carlo checks of the oracle battery: the G_xx volume
 integral behind G_h = pi/(2 z0^3) (mode 1) and the r^-6 integral pi/(6 z0^3)
-(mode 0), each through ``verification``'s one Philox chunk loop.
+(mode 0), each a block function of ``numerics.mc_integrate``.
 """
 
 import math
@@ -29,8 +29,8 @@ TWO_PI = 2.0 * math.pi
 
 # records advanced from one state by one batched matmul of matrix powers
 RK4_BLOCK = 64
-# Monte Carlo samples evaluated and summed at a time: a block's few float64
-# temporaries (64 KiB each) stay in cache
+# Monte Carlo samples per block function call of numerics.mc_integrate: a
+# block's few float64 temporaries (64 KiB each) stay in cache
 MC_BLOCK = 8192
 
 
@@ -115,7 +115,7 @@ def mode_sum(alpha, beta, n_max):
 def halfspace_chunk(z0, u, mode):
     r"""Importance-sampled integrand weights over the half-space z > z0.
 
-    Maps a chunk of uniforms to sample points with density
+    Maps a block of uniforms to sample points with density
     p(z) = 3*z0^3/z^4, p(s|z) = 4*z^4*s/(s^2+z^2)^3, phi uniform, and
     evaluates f/pdf for f = 1/r^6 (``mode`` 0) or f = G_xx = 2*(1/r^6 +
     3*x^2/r^8) (``mode`` 1), c = 1.
@@ -132,29 +132,20 @@ def halfspace_chunk(z0, u, mode):
     Returns
     -------
     (float, float)
-        Sum of weights and sum of squared weights over the chunk, summed
-        in blocks of ``MC_BLOCK`` samples; the weights do not depend on the
-        block size, only the order of their summation does.
+        Sum of weights and sum of squared weights over the block.
     """
-    m = u.shape[1]
-    sw = 0.0
-    sw2 = 0.0
-    for a in range(0, m, MC_BLOCK):
-        b = min(a + MC_BLOCK, m)
-        z = z0 / np.cbrt(1.0 - u[0, a:b])
-        z2 = z * z
-        s2 = z2 * (1.0 / np.sqrt(1.0 - u[1, a:b]) - 1.0)
-        r2 = s2 + z2
-        z4 = z2 * z2
-        r6 = r2 * r2 * r2
-        # p(s|z)/(2*pi*s) with the s cancelled analytically; no 0/0 at s = 0
-        pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (TWO_PI * r6))
-        if mode == 0:
-            f = 1.0 / r6
-        else:
-            x2 = s2 * np.cos(TWO_PI * u[2, a:b]) ** 2
-            f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
-        w = f / pdf
-        sw += float(np.sum(w))
-        sw2 += float(np.sum(w * w))
-    return sw, sw2
+    z = z0 / np.cbrt(1.0 - u[0])
+    z2 = z * z
+    s2 = z2 * (1.0 / np.sqrt(1.0 - u[1]) - 1.0)
+    r2 = s2 + z2
+    z4 = z2 * z2
+    r6 = r2 * r2 * r2
+    # p(s|z)/(2*pi*s) with the s cancelled analytically; no 0/0 at s = 0
+    pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (TWO_PI * r6))
+    if mode == 0:
+        f = 1.0 / r6
+    else:
+        x2 = s2 * np.cos(TWO_PI * u[2]) ** 2
+        f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
+    w = f / pdf
+    return float(np.sum(w)), float(np.sum(w * w))

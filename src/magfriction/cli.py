@@ -19,6 +19,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -167,10 +168,17 @@ class RunConfig:
             "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
 
 
-class SweepAxis(namedtuple("SweepAxis", "name values spec")):
-    """One sweep dimension: parameter flag name and its grid."""
+class SweepAxis(namedtuple("SweepAxis", "name lo hi steps log spec")):
+    """One sweep dimension: parameter flag name and the grid it spans."""
 
     __slots__ = ()
+
+    def values(self):
+        """The grid's points; a sweep builds them only after _sweep_axes
+        has checked the grid's size."""
+        if self.steps == 1:
+            return np.array([self.lo])
+        return (np.geomspace if self.log else np.linspace)(self.lo, self.hi, self.steps)
 
 
 def _add_common(parser):
@@ -271,7 +279,7 @@ def _load_config_file(path):
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_CONFIG, "cannot read config file: %s" % exc)
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -355,17 +363,12 @@ def _parse_axis(spec):
     _finite("axis %r bounds" % spec, hi)
     if steps < 1:
         raise CliError(EXIT_CONFIG, "axis %r needs at least one step" % spec)
-    if steps == 1:
-        if lo != hi:
-            raise CliError(EXIT_CONFIG, "single-step axis %r needs min == max" % spec)
-        values = (lo,)
-    elif len(parts) == 5:
-        if lo <= 0.0 or hi <= 0.0:
-            raise CliError(EXIT_CONFIG, "log axis %r needs positive bounds" % spec)
-        values = tuple(np.geomspace(lo, hi, steps).tolist())
-    else:
-        values = tuple(np.linspace(lo, hi, steps).tolist())
-    return SweepAxis(name, values, spec)
+    if steps == 1 and lo != hi:
+        raise CliError(EXIT_CONFIG, "single-step axis %r needs min == max" % spec)
+    log = len(parts) == 5
+    if log and steps > 1 and (lo <= 0.0 or hi <= 0.0):
+        raise CliError(EXIT_CONFIG, "log axis %r needs positive bounds" % spec)
+    return SweepAxis(name, lo, hi, steps, log, spec)
 
 
 def _units_ctx(cfg):
@@ -763,7 +766,7 @@ def _sweep_axes(cfg):
                 EXIT_CONFIG,
                 "temperature axis conflicts with a fixed temperature parameter",
             )
-    shape = tuple(len(ax.values) for ax in axes)
+    shape = tuple(ax.steps for ax in axes)
     total = math.prod(shape)
     if total > cfg.max_points:
         raise CliError(
@@ -775,7 +778,7 @@ def _sweep_axes(cfg):
 
 def _run_sweep(cfg):
     shape = _sweep_axes(cfg)
-    columns = np.ix_(*(ax.values for ax in cfg.axes))
+    columns = np.ix_(*(ax.values() for ax in cfg.axes))
     grid = _Grid(cfg, shape, columns)
     cells = _TARGET_RUNNERS[cfg.target](grid)
     grid.raise_first()
@@ -878,11 +881,28 @@ def _write_rows(fh, head, rows, sep, tail):
 
 @contextlib.contextmanager
 def _output_file(path):
+    """The file at path, open for writing; CliError if it cannot be
+    opened or closed. Write to it under _writing."""
     try:
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:
         raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (path, exc))
+
+
+@contextlib.contextmanager
+def _writing(fh):
+    """Flush fh after the block; CliError if fh cannot be written. A
+    stdout that cannot be written (its reader closed the pipe) is pointed
+    at os.devnull, so that the flush at exit does not fail on it again."""
+    try:
+        yield
+        fh.flush()
+    except OSError as exc:
+        if fh is sys.stdout:
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (fh.name, exc))
 
 
 def _check_printable(x, computed, point):
@@ -949,13 +969,15 @@ def _emit(cfg, table):
         ",".join(names),
     ]
     head = "\n".join(meta) + "\n"
-    csv_rows = rows(",", str)
-    if cfg.out:
-        with _output_file(cfg.out) as fh:
-            _write_rows(fh, head, csv_rows, "\n", "\n")
-    else:
-        _write_rows(sys.stdout, head, csv_rows, "\n", "\n")
-    if cfg.json_out:
+    # every file is open before the first byte goes out, so that a file
+    # that cannot be opened leaves stdout empty
+    with contextlib.ExitStack() as files:
+        csv_fh = files.enter_context(_output_file(cfg.out)) if cfg.out else sys.stdout
+        json_fh = cfg.json_out and files.enter_context(_output_file(cfg.json_out))
+        with _writing(csv_fh):
+            _write_rows(csv_fh, head, rows(",", str), "\n", "\n")
+        if not json_fh:
+            return
         # the text of json.dump(doc, sort_keys=True, indent=2), its rows
         # streamed: JSON numbers are float.__repr__, as the CSV cells
         doc = {
@@ -967,12 +989,10 @@ def _emit(cfg, table):
             "rows": "\0",
         }
         head, tail = json.dumps(doc, sort_keys=True, indent=2).rsplit('"\\u0000"', 1)
-        sep = ",\n      "
-        json_rows = rows(sep, json.dumps)
-        with _output_file(cfg.json_out) as fh:
+        with _writing(json_fh):
             # each row is "    [\n      <cells>\n    ]", the rows joined by ",\n"
-            _write_rows(fh, head + "[\n    [\n      ", json_rows, "\n    ],\n    [\n      ",
-                        "\n    ]\n  ]" + tail + "\n")
+            _write_rows(json_fh, head + "[\n    [\n      ", rows(",\n      ", json.dumps),
+                        "\n    ],\n    [\n      ", "\n    ]\n  ]" + tail + "\n")
 
 
 def _run_verify(cfg):
@@ -982,12 +1002,15 @@ def _run_verify(cfg):
 
     def sink(line):
         lines.append(line)
-        sys.stdout.write(line + "\n")
+        with _writing(sys.stdout):
+            sys.stdout.write(line + "\n")
 
-    ok = verification.run_suite(cfg.suite, out=sink)
-    if cfg.out:
-        with _output_file(cfg.out) as fh:
-            fh.write("\n".join(lines) + "\n")
+    # --out is open before the first check runs
+    with _output_file(cfg.out) if cfg.out else contextlib.nullcontext() as fh:
+        ok = verification.run_suite(cfg.suite, out=sink)
+        if fh:
+            with _writing(fh):
+                fh.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

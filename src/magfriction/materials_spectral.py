@@ -63,6 +63,8 @@ class TabulatedSpectralDensity:
         s = np.asarray(s, dtype=np.float64)
         if m.ndim != 1 or m.size < 2 or m.shape != s.shape:
             raise ValueError("need matching 1-d grids with at least 2 points")
+        if not (np.isfinite(m).all() and np.isfinite(s).all()):
+            raise ValueError("m grid and density must be finite")
         if np.any(np.diff(m) <= 0.0):
             raise ValueError("m grid must be strictly increasing")
         if np.any(m < 0.0):
@@ -81,7 +83,7 @@ class TabulatedSpectralDensity:
 
         Raises SpectrumFileError if the file cannot be read or parsed or
         has other than two columns; bad content (grid order, negative
-        density) raises plain ValueError.
+        density, a value that is not finite) raises plain ValueError.
         """
         try:
             # a file without data rows is reported below as not two columns

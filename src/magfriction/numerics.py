@@ -23,7 +23,7 @@ np = lazy_import("numpy")
 
 
 class McSamplingError(RuntimeError):
-    """A sampler produced a zero or invalid density."""
+    """A block of Monte-Carlo weights has a sum of squares that is not finite."""
 
 
 class SeriesError(RuntimeError):
@@ -251,38 +251,25 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64):
     )
 
 
-class BoxSampler:
-    """Uniform sampler over an axis-aligned box; constant density."""
+def mc_integrate(block, dim, n, seed, chunk_size=1 << 20):
+    r"""Deterministic seeded Monte-Carlo integral over the unit cube.
 
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=np.float64)
-        self.hi = np.asarray(hi, dtype=np.float64)
-        if np.any(self.hi <= self.lo):
-            raise ValueError("empty box")
-        self.dim = self.lo.size
-        self._pdf = 1.0 / float(np.prod(self.hi - self.lo))
-
-    def map(self, u):
-        pts = self.lo[:, None] + (self.hi - self.lo)[:, None] * u
-        return pts, np.full(u.shape[1], self._pdf)
-
-
-def mc_integrate(f, sampler, n, seed, chunk_size=1 << 20):
-    r"""Deterministic seeded Monte-Carlo integral of f against a sampler.
-
-    The sample stream is split into fixed chunks; chunk j draws its uniforms
-    from Philox(key=seed) jumped j times, so the estimate is bit-reproducible
-    for a given (seed, n, chunk partition) regardless of evaluation order.
-    Each chunk's uniforms are mapped, weighted and summed in blocks of
+    The sample stream is split into fixed chunks; chunk j draws its
+    (dim, m) uniforms from Philox(key=seed) jumped j times, so the estimate
+    is bit-reproducible for a given (seed, n, chunk partition) regardless
+    of evaluation order. Each chunk is passed to ``block`` in slices of
     ``_kernels.MC_BLOCK`` samples, so the temporaries stay in cache; the
     block size changes only the order of the summation, not the draws.
 
     Parameters
     ----------
-    f : callable
-        Vectorized integrand taking the sampler's point array (dim, m).
-    sampler : object
-        Provides .dim and .map(uniforms) -> (points, density).
+    block : callable
+        Takes a (dim, b) slice of uniforms in [0, 1) and returns the sum of
+        its sample weights and the sum of their squares, (sum w, sum w^2).
+        An importance sampler maps the uniforms and divides by its density
+        inside ``block``.
+    dim : int
+        Number of uniforms per sample.
     n : int
         Total sample count.
     seed : int
@@ -297,7 +284,7 @@ def mc_integrate(f, sampler, n, seed, chunk_size=1 << 20):
     Raises
     ------
     McSamplingError
-        If any drawn point has non-positive or non-finite density.
+        If a block's sum of squared weights is not finite.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -307,20 +294,15 @@ def mc_integrate(f, sampler, n, seed, chunk_size=1 << 20):
     j = 0
     while done < n:
         m = min(chunk_size, n - done)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
-        u = rng.random((sampler.dim, m))
+        u = np.random.Generator(np.random.Philox(key=seed).jumped(j)).random((dim, m))
         for a in range(0, m, _kernels.MC_BLOCK):
-            pts, pdf = sampler.map(u[:, a : a + _kernels.MC_BLOCK])
-            bad = ~(pdf > 0.0) | ~np.isfinite(pdf)
-            if np.any(bad):
-                i = int(np.argmax(bad))
+            s, s2 = block(u[:, a : a + _kernels.MC_BLOCK])
+            if not math.isfinite(s2):
                 raise McSamplingError(
-                    "sampler density invalid at chunk %d sample %d (pdf=%r)"
-                    % (j, a + i, pdf[i])
+                    "weights not finite in the block at chunk %d sample %d" % (j, a)
                 )
-            w = np.asarray(f(pts), dtype=np.float64) / pdf
-            sw += float(np.sum(w))
-            sw2 += float(np.sum(w * w))
+            sw += s
+            sw2 += s2
         done += m
         j += 1
     mean = sw / n

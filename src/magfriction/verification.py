@@ -94,13 +94,17 @@ def check_series_zeta4():
     return _ok(abs(val - np.pi**4 / 90.0), 1e-12)
 
 
+def _x_squared(u):
+    w = u[0] ** 2
+    return float(np.sum(w)), float(np.sum(w * w))
+
+
 def check_mc_deterministic():
-    sampler = numerics.BoxSampler([0.0], [1.0])
-    a = numerics.mc_integrate(lambda p: p[0] ** 2, sampler, 200_000, seed=11)
-    b = numerics.mc_integrate(lambda p: p[0] ** 2, sampler, 200_000, seed=11)
+    a = numerics.mc_integrate(_x_squared, 1, 200_000, seed=11)
+    b = numerics.mc_integrate(_x_squared, 1, 200_000, seed=11)
     if a.value != b.value or a.std_error != b.std_error:
         return False, "same seed gave different bits"
-    c = numerics.mc_integrate(lambda p: np.full(p.shape[1], 7.0), sampler, 10_000, seed=3)
+    c = numerics.mc_integrate(lambda u: (7.0 * u.shape[1], 49.0 * u.shape[1]), 1, 10_000, seed=3)
     return _ok(abs(c.value - 7.0) + c.std_error, 1e-12, "const")
 
 
@@ -1120,33 +1124,6 @@ def angular_moment6():
     return 5.0 * math.pi / 8.0
 
 
-def _mc_halfspace(z0, n, seed, mode, chunk_size=1 << 20):
-    """Monte-Carlo volume integral over the half-space z > z0 of the
-    integrand ``_kernels.halfspace_chunk`` evaluates in ``mode``. Chunk j
-    draws its uniforms from Philox(key=seed) jumped j times, so the
-    estimate is deterministic per (seed, n, chunk partition)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    sw = 0.0
-    sw2 = 0.0
-    done = 0
-    j = 0
-    while done < n:
-        m = min(chunk_size, n - done)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
-        u = rng.random((3, m))
-        a, b = _kernels.halfspace_chunk(z0, u, mode)
-        sw += a
-        sw2 += b
-        done += m
-        j += 1
-    mean = sw / n
-    var = max(sw2 / n - mean * mean, 0.0)
-    if n > 1:
-        var *= n / (n - 1.0)
-    return numerics.McResult(mean, float(np.sqrt(var / n)), n, seed)
-
-
 def mc_halfspace_Gxx(z0, n, seed, chunk_size=1 << 20):
     r"""Monte-Carlo volume integral of G_xx over the half-space z > z0.
 
@@ -1158,7 +1135,8 @@ def mc_halfspace_Gxx(z0, n, seed, chunk_size=1 << 20):
     -------
     McResult
     """
-    return _mc_halfspace(z0, n, seed, 1, chunk_size)
+    return numerics.mc_integrate(
+        lambda u: _kernels.halfspace_chunk(z0, u, 1), 3, n, seed, chunk_size)
 
 
 def check_psi_dual_form():
@@ -1220,7 +1198,7 @@ def check_halfspace_mc(n=1_000_000, seed=123):
 def check_halfspace_r6_mc():
     # the r^-6 weight is constant under the half-space sampler, so the
     # estimate is pi/6 up to rounding
-    r = _mc_halfspace(1.0, 200_000, 7, 0)
+    r = numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(1.0, u, 0), 3, 200_000, 7)
     return _ok(abs(r.value - np.pi / 6.0), max(3.0 * r.std_error, 1e-12))
 
 

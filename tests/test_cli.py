@@ -98,6 +98,14 @@ def test_exit_codes(cli, args, code):
     assert got == code
 
 
+@pytest.mark.parametrize("steps", [20_000_000, 10_000_000_000_000_000])
+def test_sweep_size_is_checked_before_any_point_is_built(cli, capsys, steps):
+    got, out = cli("sweep", "--target", "eigen", "--axis", "alpha:0:1:%d" % steps)
+    assert (got, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: sweep of %d points exceeds --max-points 10000\n" % steps)
+
+
 def test_overflow_names_command(cli, capsys):
     code, out = cli(*SLABS_UNIT[:4], "--beta", 1e-200, *SLABS_UNIT[6:])
     assert (code, out) == (2, "")
@@ -399,6 +407,15 @@ def test_non_finite_config_value_is_validation_error(cli, tmp_path):
     assert (code, out) == (1, "")
 
 
+def test_config_file_that_is_not_utf8_is_unreadable(cli, capsys, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"alpha = 1\n\xff\n")
+    code, out = cli("eigen", "--config", path)
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(cli):
     code, out = cli("--help")
     assert code == 0
@@ -545,6 +562,10 @@ def test_spectrum_file_without_data_is_one_line(tmp_path):
 @pytest.mark.parametrize("body", [
     "# decreasing grid\n0.0 0.0\n2.0 1.0\n1.0 2.0\n",
     "# negative density\n0.0 0.0\n1.0 -0.5\n2.0 1.0\n",
+    "# NaN density\n0 1\n1 nan\n2 1\n",
+    "# NaN grid point\n0 1\nnan 1\n2 1\n",
+    "# infinite density\n0 1\n1 inf\n2 1\n",
+    "# grid ending at infinity\n0 1\n1 1\ninf 1\n",
 ])
 def test_spectrum_file_invalid_data(cli, tmp_path, body):
     path = _write(tmp_path / "s.txt", body)
@@ -745,6 +766,27 @@ def test_json_mirror_matches_csv(cli, tmp_path):
     assert [repr(v) for v in doc["rows"][0]] == row.split(",")
 
 
+@pytest.mark.parametrize("args", [
+    ["eigen", "--alpha", 1, "--json", "{dir}"],
+    ["eigen", "--alpha", 1, "--out", "{csv}", "--json", "{dir}"],
+    ["verify", "--suite", "fields", "--out", "{dir}"],
+], ids=["eigen-json", "eigen-out-json", "verify-out"])
+def test_output_that_cannot_be_opened_writes_nothing(cli, capsys, tmp_path, args):
+    csv = tmp_path / "e.csv"
+    code, out = cli(*({"{dir}": tmp_path, "{csv}": csv}.get(a, a) for a in args))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("error: cannot write %s: " % tmp_path)
+    # the CSV file opened before the JSON one failed holds no rows
+    assert not csv.exists() or csv.read_text() == ""
+
+
+def test_numerical_failure_creates_no_output_file(cli, tmp_path):
+    csv, doc = tmp_path / "f.csv", tmp_path / "f.json"
+    code, out = cli("fields", "--d", 1e-200, "--out", csv, "--json", doc)
+    assert (code, out) == (2, "")
+    assert not csv.exists() and not doc.exists()
+
+
 def test_gaussian_kelvin_run(cli):
     code, out = cli("friction", "slabs", "--temperature", "finite",
                     "--temperature-kelvin", 300, "--units", "gaussian",
@@ -822,15 +864,21 @@ def test_console_script_smoke(cli):
     assert out.stdout == in_process.encode()
 
 
-def _run_child(*args):
-    """Run the interpreter on args against the source tree this test imported."""
+def _child_env():
+    """The environment of a child interpreter that imports the source tree
+    this test imported."""
     src_root = str(Path(magfriction.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_child(*args):
+    """Run the interpreter on args against the source tree this test imported."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, env=_child_env(), timeout=120
     )
 
 
@@ -839,6 +887,31 @@ def test_python_m_package(cli):
     assert out.returncode == 0, out.stderr.decode(errors="replace")
     _, in_process = cli("eigen", "--alpha", 0.75)
     assert out.stdout == in_process.encode()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,lines_read", [
+    # a sweep far larger than a pipe's buffer, so that the writer finds
+    # the pipe closed after the reader's first line
+    (["sweep", "--target", "eigen", "--axis", "alpha:0:1:10000"], 1),
+    # closed before the first line: its flush fails with the line buffered
+    (["verify", "--suite", "fields"], 0),
+], ids=["sweep", "verify"])
+def test_closed_stdout_is_one_error_line(argv, lines_read, unbuffered):
+    env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+    child = subprocess.Popen([sys.executable, "-m", "magfriction.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        for _ in range(lines_read):
+            assert child.stdout.readline().endswith(b"\n")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 3
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert err == b"error: cannot write <stdout>: [Errno 32] Broken pipe\n"
 
 
 # runs CLI commands in a fresh interpreter; prints exit codes and the loaded

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magfriction
-from magfriction import _kernels, verification
+from magfriction import _kernels, numerics, verification
 
 
 def _pair_matrix(alpha):
@@ -148,6 +148,14 @@ def test_halfspace_mc_over_several_chunks_matches_the_whole_array():
     std_error = np.sqrt((np.sum(w * w) / n - mean * mean) * n / (n - 1.0) / n)
     assert abs(res.value - mean) <= 1e-12 * mean
     assert abs(res.std_error - std_error) <= 1e-12 * std_error
+
+
+def test_halfspace_mc_refuses_weights_that_are_not_finite():
+    # at z0 = 0 the sampler's density is 0 at every point: 0/0 weights from
+    # the first block on
+    with np.errstate(all="ignore"), pytest.raises(
+            numerics.McSamplingError, match=r"chunk 0 sample 0$"):
+        verification.mc_halfspace_Gxx(0.0, 1000, 1)
 
 
 def test_halfspace_chunk_mode0_constant_weight():

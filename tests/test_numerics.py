@@ -154,30 +154,39 @@ def test_series_errors_match_the_term_by_term_loop(K):
     assert _series_outcome(series_sum, _inverse_square, _inverse, 1e-300, K) == message
 
 
+def _sums(w):
+    return float(np.sum(w)), float(np.sum(w * w))
+
+
 def test_mc_constant_integrand_exact():
-    # unit box with unit density: weights are exactly the constant
-    sampler = numerics.BoxSampler([0.0], [1.0])
-    res = mc_integrate(lambda p: np.full(p.shape[1], 2.5), sampler, n=10_000, seed=3)
+    # unit interval with unit density: weights are exactly the constant
+    res = mc_integrate(lambda u: _sums(np.full(u.shape[1], 2.5)), 1, n=10_000, seed=3)
     assert res.value == 2.5
     assert res.std_error == 0.0
 
 
-def _r8(pts):
-    # r^-8 varies over the box, so the weights carry genuine variance
-    return 1.0 / np.sum(pts * pts, axis=0) ** 4
-
-
 # a box of volume 1.5 off the origin: its density is not 1
-BOX = ([0.5, 0.5, 0.5], [1.5, 2.0, 1.5])
+BOX_LO = np.array([0.5, 0.5, 0.5])[:, None]
+BOX_HI = np.array([1.5, 2.0, 1.5])[:, None]
+
+
+def _r8_weights(u):
+    # r^-8 varies over the box, so the weights carry genuine variance; a
+    # weight is f/pdf with pdf = 1/1.5
+    pts = BOX_LO + (BOX_HI - BOX_LO) * u
+    return 1.5 / np.sum(pts * pts, axis=0) ** 4
+
+
+def _r8(u):
+    return _sums(_r8_weights(u))
 
 
 def test_mc_deterministic_bit_identical():
-    sampler = numerics.BoxSampler(*BOX)
-    a = mc_integrate(_r8, sampler, n=200_000, seed=42)
-    b = mc_integrate(_r8, sampler, n=200_000, seed=42)
+    a = mc_integrate(_r8, 3, n=200_000, seed=42)
+    b = mc_integrate(_r8, 3, n=200_000, seed=42)
     assert a.value == b.value
     assert a.std_error == b.std_error
-    c = mc_integrate(_r8, sampler, n=200_000, seed=43)
+    c = mc_integrate(_r8, 3, n=200_000, seed=43)
     assert c.value != a.value
 
 
@@ -189,34 +198,30 @@ B = _kernels.MC_BLOCK
     (2 * (2 * B + 3) + B + 5, 2 * B + 3),  # three chunks, the last one short
 ])
 def test_mc_blocks_match_the_whole_array(n, chunk):
-    sampler = numerics.BoxSampler(*BOX)
-    w = []
-    for j, a in enumerate(range(0, n, chunk)):
-        u = np.random.Generator(np.random.Philox(key=8).jumped(j)).random((3, min(chunk, n - a)))
-        pts, pdf = sampler.map(u)
-        w.append(_r8(pts) / pdf)
-    w = np.concatenate(w)
+    w = np.concatenate([
+        _r8_weights(np.random.Generator(np.random.Philox(key=8).jumped(j))
+                    .random((3, min(chunk, n - a))))
+        for j, a in enumerate(range(0, n, chunk))])
     mean = np.sum(w) / n
     var = max(np.sum(w * w) / n - mean * mean, 0.0) * (n / (n - 1.0) if n > 1 else 1.0)
-    res = mc_integrate(_r8, sampler, n, seed=8, chunk_size=chunk)
+    res = mc_integrate(_r8, 3, n, seed=8, chunk_size=chunk)
     assert abs(res.value - mean) <= 1e-12 * mean
     assert abs(res.std_error - np.sqrt(var / n)) <= 1e-12 * np.sqrt(var / n)
 
 
 def test_mc_sampling_error_names_the_sample_within_its_chunk():
-    # the density fails at one sample of the second chunk, in its third block
+    # a weight fails at one sample of the second chunk, in its third block;
+    # the error names the chunk and the first sample of that block
     chunk, bad_at = 3 * B, 2 * B + 5
     u = np.random.Generator(np.random.Philox(key=5).jumped(1)).random((1, chunk))
     target = u[0, bad_at]
     assert np.count_nonzero(u[0] == target) == 1
 
-    class Sampler(numerics.BoxSampler):
-        def map(self, u):
-            pts, pdf = super().map(u)
-            return pts, np.where(u[0] == target, np.nan, pdf)
+    def block(u):
+        return _sums(np.where(u[0] == target, np.inf, u[0]))
 
-    with pytest.raises(numerics.McSamplingError, match=r"chunk 1 sample %d \(" % bad_at):
-        mc_integrate(lambda p: p[0], Sampler([0.0], [1.0]), 2 * chunk, seed=5, chunk_size=chunk)
+    with pytest.raises(numerics.McSamplingError, match=r"chunk 1 sample %d$" % (2 * B)):
+        mc_integrate(block, 1, 2 * chunk, seed=5, chunk_size=chunk)
 
 
 def test_mc_halfspace_r6():

@@ -154,4 +154,5 @@ def test_r6_monte_carlo_runs_the_halfspace_kernel_in_mode_0(monkeypatch):
 
     monkeypatch.setattr(_kernels, "halfspace_chunk", spy)
     assert _check("half-space r^-6 MC").run()[0]
-    assert modes == [0]
+    # one call per block of the 200 000 samples
+    assert modes == [0] * -(-200_000 // _kernels.MC_BLOCK)
