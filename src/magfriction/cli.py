@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import os
+import stat
 import sys
 from collections import namedtuple
 
@@ -879,15 +880,29 @@ def _write_rows(fh, head, rows, sep, tail):
     fh.write(tail)
 
 
+def _open_keeping(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextlib.contextmanager
 def _output_file(path):
-    """The file at path, open for writing; CliError if it cannot be
-    opened or closed. Write to it under _writing."""
+    """The file at path, open for writing but not yet emptied (_empty does
+    that once every output is open, so that an output that cannot be
+    opened leaves the bytes of the others as they were); CliError if it
+    cannot be opened or closed. Write to it under _writing."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", opener=_open_keeping) as fh:
             yield fh
     except OSError as exc:
         raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (path, exc))
+
+
+def _empty(*files):
+    """Truncate each regular file among the open outputs to 0 bytes; a
+    device or a pipe, such as /dev/null, holds none and refuses it."""
+    for fh in files:
+        if fh and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), 0)
 
 
 @contextlib.contextmanager
@@ -974,6 +989,7 @@ def _emit(cfg, table):
     with contextlib.ExitStack() as files:
         csv_fh = files.enter_context(_output_file(cfg.out)) if cfg.out else sys.stdout
         json_fh = cfg.json_out and files.enter_context(_output_file(cfg.json_out))
+        _empty(cfg.out and csv_fh, json_fh)
         with _writing(csv_fh):
             _write_rows(csv_fh, head, rows(",", str), "\n", "\n")
         if not json_fh:
@@ -1007,6 +1023,7 @@ def _run_verify(cfg):
 
     # --out is open before the first check runs
     with _output_file(cfg.out) if cfg.out else contextlib.nullcontext() as fh:
+        _empty(fh)
         ok = verification.run_suite(cfg.suite, out=sink)
         if fh:
             with _writing(fh):

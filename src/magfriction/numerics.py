@@ -40,6 +40,10 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """A quadrature's value, error estimate and integrand evaluations; for
+    a batch, arrays of the values and estimates and the int total of the
+    evaluations."""
+
     value: float
     error_estimate: float
     evaluations: int
@@ -78,6 +82,10 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _QUAD_PANELS = 200
+# QUADPACK's floor on a panel's error estimate, 50 eps resabs, applies
+# where resabs exceeds the smallest normal float over 50 eps
+_EPS50 = 50.0 * sys.float_info.epsilon
+_RESABS_FLOOR = sys.float_info.min / _EPS50
 
 
 @functools.cache
@@ -99,28 +107,117 @@ def _gauss_kronrod21():
     return out
 
 
-def _gk21_panel(f, a, b):
-    """G10K21 value and QUADPACK error estimate of f on one panel [a, b].
-    As in qk21, the rules sum f(c - h x_j) + f(c + h x_j) pair by pair."""
+def _gk21(f, lo, hi, cols):
+    """G10K21 values and QUADPACK error estimates of f on the m panels
+    [lo_i, hi_i] (lists of floats), from one call of f on the (m, 21) array
+    of their nodes and the (m, 1) parameter columns ``cols``. As in qk21,
+    the rules sum f(c - h x_j) + f(c + h x_j) pair by pair, and each
+    panel's sums are products of its own, so a panel's bits do not depend
+    on the other panels of the call. Returns two lists of floats."""
     nodes, pair_weights, wk = _gauss_kronrod21()
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = np.asarray(f(centre + half * nodes), dtype=np.float64)
-    if fx.shape != nodes.shape:
-        fx = np.broadcast_to(fx, nodes.shape)
-    pairs = fx[:11].copy()
-    pairs[:10] += fx[:10:-1]
-    resk, resg = (pair_weights @ pairs).tolist()
-    err = abs((resk - resg) * half)
-    resabs = float(wk @ np.abs(fx)) * abs(half)
-    resasc = float(wk @ np.abs(fx - 0.5 * resk)) * abs(half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > sys.float_info.min / (50.0 * sys.float_info.epsilon):
-        err = max(50.0 * sys.float_info.epsilon * resabs, err)
-    return resk * half, err
+    centre_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(lo, hi)])
+    x = centre_half[:, 1:] * nodes
+    x += centre_half[:, :1]
+    fx = np.asarray(f(x, *cols), dtype=np.float64)
+    if fx.shape != x.shape:
+        fx = np.broadcast_to(fx, x.shape)
+    pairs = fx[:, :11].copy()
+    pairs[:, :10] += fx[:, :10:-1]
+    # per panel: (K21, G10) as one 2 x 11 product, then |f| and
+    # |f - K21/2| against the Kronrod weights as two 21-term dots
+    rules = np.matmul(pair_weights, pairs[:, :, None])
+    magnitudes = np.empty((len(lo), 2, 1, 21))
+    np.abs(fx, out=magnitudes[:, 0, 0])
+    shifted = magnitudes[:, 1, 0]
+    np.subtract(fx, 0.5 * rules[:, 0], out=shifted)
+    np.abs(shifted, out=shifted)
+    spread = np.matmul(magnitudes, wk[:, None])
+    values, errs = [], []
+    for ((resk,), (resg,)), (((resabs,),), ((resasc,),)), (_, h) in zip(
+        rules.tolist(), spread.tolist(), centre_half.tolist()
+    ):
+        err = abs((resk - resg) * h)
+        resasc *= abs(h)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        resabs *= abs(h)
+        if resabs > _RESABS_FLOOR:
+            err = max(_EPS50 * resabs, err)
+        values.append(resk * h)
+        errs.append(err)
+    return values, errs
 
 
-def quad_finite(f, a, b, tol=1e-10):
+def _qag(f, a, b, tol, args):
+    """QUADPACK QAG on the k intervals [a_i, b_i] (lists of floats), the
+    integrand's parameters ``args`` being float arrays of length k. Per
+    integral, the panel with the largest estimate is bisected until the
+    summed estimate is at most tol*max(1, |value|) or 200 panels exist.
+    Each round bisects the worst panel of every integral still open, and
+    the children of all of them go through one call of f. Returns, per
+    integral, the value, the error estimate, the evaluation count and
+    whether the panel budget ran out; then value and estimate are the
+    running sums."""
+    k = len(a)
+    if k == 0:
+        return [], [], [], []
+    value, err = _gk21(f, a, b, [p[:, None] for p in args])
+    evals = [21] * k
+    failed = [False] * k
+    open_ = [i for i in range(k) if err[i] > tol * max(1.0, abs(value[i]))]
+    panels = {i: [(-err[i], a[i], b[i], value[i])] for i in open_}
+    while open_:
+        for i in open_:
+            failed[i] = len(panels[i]) == _QUAD_PANELS
+        open_ = [i for i in open_ if not failed[i]]
+        if not open_:
+            break
+        worst = [heapq.heappop(panels[i]) for i in open_]
+        mids = [0.5 * (p[1] + p[2]) for p in worst]
+        rows = np.array(open_ + open_) if args else None
+        vs, es = _gk21(
+            f, [p[1] for p in worst] + mids, mids + [p[2] for p in worst],
+            [p[rows, None] for p in args],
+        )
+        n = len(open_)
+        still = []
+        for j, i in enumerate(open_):
+            neg_err, x0, x1, part = worst[j]
+            mid = mids[j]
+            for c0, c1, v, e in ((x0, mid, vs[j], es[j]), (mid, x1, vs[n + j], es[n + j])):
+                heapq.heappush(panels[i], (-e, c0, c1, v))
+                value[i] += v
+                err[i] += e
+            value[i] -= part
+            err[i] += neg_err
+            evals[i] += 42
+            if err[i] > tol * max(1.0, abs(value[i])):
+                still.append(i)
+        open_ = still
+    for i, heap in panels.items():
+        if not failed[i] and len(heap) > 1:
+            value[i] = math.fsum(p[3] for p in heap)
+            err[i] = math.fsum(-p[0] for p in heap)
+    return value, err, evals, failed
+
+
+def _batch(*xs):
+    """The k-long float arrays that a batch's endpoints, panel scales and
+    parameters broadcast to, and whether any of them is an array."""
+    xs = [np.asarray(x, dtype=np.float64) for x in xs]
+    batched = any(x.ndim for x in xs)
+    if batched:
+        xs = np.broadcast_arrays(*xs)
+    return [x.reshape(-1) for x in xs], batched
+
+
+def _result(values, errs, evals, batched):
+    if batched:
+        return QuadratureResult(np.array(values), np.array(errs), sum(evals))
+    return QuadratureResult(values[0], errs[0], evals[0])
+
+
+def quad_finite(f, a, b, tol=1e-10, args=()):
     r"""Adaptive Gauss-Kronrod quadrature of f on [a, b] (QUADPACK QAG).
 
     Each panel takes the G10K21 rule and QUADPACK's error estimate: the
@@ -129,125 +226,148 @@ def quad_finite(f, a, b, tol=1e-10):
     bisected until the summed estimate is at most tol*max(1, |value|), or
     200 panels exist.
 
+    A batch of k integrals is one call: a, b and the parameters in ``args``
+    broadcast to 1-D arrays of length k. Each round bisects the worst panel
+    of every integral not yet converged and evaluates all their children in
+    one call of f. Every integral keeps its own panel heap, so its value,
+    error estimate and evaluation count are bit for bit those of a call on
+    it alone.
+
     Parameters
     ----------
     f : callable
-        Integrand, called once per panel with the float64 array of its 21
-        nodes; a scalar result broadcasts over them.
-    a, b : float
+        Integrand, called as f(x, *p): x is the float64 (m, 21) array of
+        the nodes of m panels, one row each, and each p is the (m, 1)
+        column of one parameter's value for the integral of that row. A
+        result that is not (m, 21) is broadcast to it.
+    a, b : float or 1-D array
         Interval endpoints, a <= b.
     tol : float
-        Absolute and relative tolerance target.
+        Absolute and relative tolerance target, shared by the batch.
+    args : tuple of float or 1-D array
+        Parameters of the integrand, one value per integral.
 
     Returns
     -------
     QuadratureResult
+        For a batch, ``value`` and ``error_estimate`` are arrays of length
+        k and ``evaluations`` is the int total over the batch.
 
     Raises
     ------
     QuadratureError
-        On non-convergence; the best estimate rides on the exception.
+        When any integral does not converge; the best estimates, the
+        running sums for the integrals that failed, ride on the exception.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    value, err = _gk21_panel(f, a, b)
-    panels = [(-err, a, b, value)]
-    evals = 21
-    while err > tol * max(1.0, abs(value)):
-        if len(panels) == _QUAD_PANELS:
-            raise QuadratureError(
-                "finite quadrature did not converge in %d panels" % _QUAD_PANELS,
-                best=QuadratureResult(value, err, evals),
-            )
-        neg_err, lo, hi, part = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        for x0, x1 in ((lo, mid), (mid, hi)):
-            v, e = _gk21_panel(f, x0, x1)
-            heapq.heappush(panels, (-e, x0, x1, v))
-            value += v
-            err += e
-        value -= part
-        err += neg_err
-        evals += 42
-    if len(panels) > 1:
-        value = math.fsum(p[3] for p in panels)
-        err = math.fsum(-p[0] for p in panels)
-    return QuadratureResult(value, err, evals)
+    (a, b, *args), batched = _batch(a, b, *args)
+    value, err, evals, failed = _qag(f, a.tolist(), b.tolist(), tol, args)
+    if any(failed):
+        raise QuadratureError(
+            "finite quadrature did not converge in %d panels" % _QUAD_PANELS,
+            best=_result(value, err, evals, batched),
+        )
+    return _result(value, err, evals, batched)
 
 
-def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64):
+def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=()):
     r"""Integrate f over [a, inf) by a dyadic panel sweep.
 
     Panels [a + s*(2^j - 1), a + s*(2^j+1 - 1)] grow geometrically (the
     discrete form of an exponential change of variables); each is handled by
-    `quad_finite`. The sweep stops once the panel contributions decay
-    geometrically and the certified remaining-tail bound |I_j| * r/(1 - r)
-    (r the observed panel ratio) drops below tol.
+    the `quad_finite` engine. The sweep stops once the panel contributions
+    decay geometrically and the certified remaining-tail bound
+    |I_j| * r/(1 - r) (r the observed panel ratio) drops below tol.
+
+    A batch of k integrals is one call, as in `quad_finite`: a, panel_scale
+    and the parameters in ``args`` broadcast to 1-D arrays of length k.
+    Sweep j integrates panel j of every integral whose sweep has not
+    stopped in one `quad_finite` batch; each integral stops on its own.
 
     Parameters
     ----------
     f : callable
         Integrand as in `quad_finite`, must decay integrably.
-    a : float
+    a : float or 1-D array
         Lower endpoint.
     tol : float
         Absolute tolerance for the certified tail bound.
-    panel_scale : float
+    panel_scale : float or 1-D array
         Width of the first panel.
     max_panels : int
         Sweep budget; exhaustion means the decay was never certified.
+    args : tuple of float or 1-D array
+        Parameters of the integrand, one value per integral.
 
     Returns
     -------
     QuadratureResult
+        For a batch, as in `quad_finite`.
 
     Raises
     ------
     QuadratureError
-        When the panel contributions do not decay (non-integrable tail) or
-        the budget is exhausted.
+        When the panel contributions of an integral do not decay
+        (non-integrable tail) or its budget is exhausted.
     """
-    total = 0.0
-    err_total = 0.0
-    evals = 0
-    prev_mag = None
-    peak = 0.0
-    tiny_run = 0
-    lo = a
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    (a, scale, *args), batched = _batch(a, panel_scale, *args)
+    a, scale = a.tolist(), scale.tolist()
+    k = len(a)
+    total = [0.0] * k
+    err_total = [0.0] * k
+    evals = [0] * k
+    prev_mag = [None] * k
+    peak = [0.0] * k
+    tiny_run = [0] * k
+    lo = list(a)
+    open_ = list(range(k))
     for j in range(max_panels):
-        hi = a + panel_scale * (2.0 ** (j + 1) - 1.0)
-        try:
-            part = quad_finite(f, lo, hi, tol=min(tol / 16.0, 1e-12))
-        except QuadratureError as exc:
-            part = exc.best
-            if part is None or abs(part.value) > tol:
+        reach = 2.0 ** (j + 1) - 1.0
+        hi = [a[i] + scale[i] * reach for i in open_]
+        rows = np.array(open_) if args else None
+        parts = _qag(
+            f, [lo[i] for i in open_], hi, min(tol / 16.0, 1e-12), [p[rows] for p in args]
+        )
+        still = []
+        for i, hi_i, v, e, n, bad in zip(open_, hi, *parts):
+            if bad and abs(v) > tol:
                 raise QuadratureError(
-                    "panel [%g, %g] did not converge" % (lo, hi),
-                    best=QuadratureResult(total, err_total, evals),
+                    "panel [%g, %g] did not converge" % (lo[i], hi_i),
+                    best=_result(total, err_total, evals, batched),
                 )
-        total += part.value
-        err_total += part.error_estimate
-        evals += part.evaluations
-        mag = abs(part.value)
-        peak = max(peak, mag)
-        # a run of panels at the floor means the mass is fully inside
-        if mag <= max(tol * 1e-3, peak * 1e-16):
-            tiny_run += 1
-            if tiny_run >= 2:
-                return QuadratureResult(total, err_total + tol * 1e-3, evals)
-        else:
-            tiny_run = 0
-        if prev_mag is not None and prev_mag > 0.0 and mag < prev_mag:
-            r = mag / prev_mag
-            if r < 0.75:
-                tail = mag * r / (1.0 - r)
-                if tail < tol:
-                    return QuadratureResult(total, err_total + tail, evals)
-        prev_mag = mag
-        lo = hi
+            total[i] += v
+            err_total[i] += e
+            evals[i] += n
+            mag = abs(v)
+            peak[i] = max(peak[i], mag)
+            lo[i] = hi_i
+            # a run of panels at the floor means the mass is fully inside
+            if mag <= max(tol * 1e-3, peak[i] * 1e-16):
+                tiny_run[i] += 1
+                if tiny_run[i] >= 2:
+                    err_total[i] += tol * 1e-3
+                    continue
+            else:
+                tiny_run[i] = 0
+            prev = prev_mag[i]
+            if prev is not None and prev > 0.0 and mag < prev:
+                r = mag / prev
+                if r < 0.75:
+                    tail = mag * r / (1.0 - r)
+                    if tail < tol:
+                        err_total[i] += tail
+                        continue
+            prev_mag[i] = mag
+            still.append(i)
+        open_ = still
+        if not open_:
+            return _result(total, err_total, evals, batched)
     raise QuadratureError(
         "tail decay not certified after %d panels" % max_panels,
-        best=QuadratureResult(total, err_total, evals),
+        best=_result(total, err_total, evals, batched),
     )
 
 

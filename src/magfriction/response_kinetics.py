@@ -118,7 +118,7 @@ def nascent_delta_g(w, eta):
     Integrating w*g over the real axis gives pi for every eta; as eta -> 0
     the weight acts as the derivative of a delta at w = 0.
     """
-    if eta <= 0.0:
+    if _any(eta <= 0.0):
         raise ValueError("eta must be positive")
     return 2.0 * eta * w / (eta * eta + w * w) ** 2
 

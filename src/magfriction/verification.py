@@ -707,14 +707,12 @@ def check_phi_two_sinusoid():
 
 
 def check_delta_normalization():
-    worst = 0.0
-    for eta in (1.0, 0.1, 0.01):
-        r = numerics.quad_semi_infinite(
-            lambda w: 2.0 * w * response_kinetics.nascent_delta_g(w, eta), 0.0,
-            tol=1e-10, panel_scale=eta,
-        )
-        worst = max(worst, abs(r.value - np.pi))
-    return _ok(worst, 1e-8)
+    eta = np.array([1.0, 0.1, 0.01])
+    r = numerics.quad_semi_infinite(
+        lambda w, eta: 2.0 * w * response_kinetics.nascent_delta_g(w, eta), 0.0,
+        tol=1e-10, panel_scale=eta, args=(eta,),
+    )
+    return _ok(float(np.max(np.abs(r.value - np.pi))), 1e-8)
 
 
 def check_cos_sin_time_domain():
@@ -750,28 +748,24 @@ def sharp_amplitude_via_pipeline(osc1, osc2, beta, G):
     and extrapolate eta -> 0; independent of the closed form."""
     w1 = osc1.omega
 
-    def amplitude_at(eta):
-        def integrand(w2):
-            # w2 is the array of one quadrature panel's nodes
-            o2 = response_kinetics.OscState.thermal(w2, beta, mass=osc2.mass)
-            d = response_kinetics.coupling_D(osc1, o2)
-            ba = o2.occupation_factor - osc1.occupation_factor
-            return (
-                -G
-                * (d / 2.0)
-                * w1
-                * w2
-                * ba
-                * response_kinetics.nascent_delta_g(w1 - w2, eta)
-            )
+    def integrand(w2, eta):
+        # w2 holds the nodes of the quadrature panels, eta their column of widths
+        o2 = response_kinetics.OscState.thermal(w2, beta, mass=osc2.mass)
+        d = response_kinetics.coupling_D(osc1, o2)
+        ba = o2.occupation_factor - osc1.occupation_factor
+        return (
+            -G
+            * (d / 2.0)
+            * w1
+            * w2
+            * ba
+            * response_kinetics.nascent_delta_g(w1 - w2, eta)
+        )
 
-        half = 0.6 * w1
-        r = numerics.quad_finite(integrand, w1 - half, w1 + half, tol=1e-12)
-        return r.value
-
+    half = 0.6 * w1
     etas = np.asarray([1e-2, 1e-3, 1e-4]) * w1
-    vals = np.asarray([amplitude_at(e) for e in etas])
-    return numerics.linear_extrapolate_zero(etas, vals)
+    r = numerics.quad_finite(integrand, w1 - half, w1 + half, tol=1e-12, args=(etas,))
+    return numerics.linear_extrapolate_zero(etas, r.value)
 
 
 def check_sharp_amplitude_pipeline():
@@ -894,14 +888,12 @@ def drude_h_of_K2(p, K2):
 
 def check_h_linear_closed_form():
     spec = materials_spectral.LinearSpectralDensity(0.7, m_max=5.0)
-    worst = 0.0
-    for K2 in (0.3, 1.0, 9.0):
-        closed = h_from_spectrum(spec, K2)
-        r = numerics.quad_finite(
-            lambda m: 2.0 * 0.7 * m * m / (K2 + m * m), 0.0, 5.0, tol=1e-13
-        )
-        worst = max(worst, abs(closed - r.value))
-    return _ok(worst, 1e-10)
+    K2 = np.array([0.3, 1.0, 9.0])
+    closed = np.array([h_from_spectrum(spec, k) for k in K2.tolist()])
+    r = numerics.quad_finite(
+        lambda m, K2: 2.0 * 0.7 * m * m / (K2 + m * m), 0.0, 5.0, tol=1e-13, args=(K2,)
+    )
+    return _ok(float(np.max(np.abs(closed - r.value))), 1e-10)
 
 
 def check_h_sum_rule():
@@ -986,23 +978,22 @@ def _H0_by_segments(spec1, spec2, beta):
     a density is linear: the line through its values at the thirds."""
     end = min(s.m_max for s in (spec1, spec2) if s.m_max is not None)
     grid = {float(x) for s in (spec1, spec2) for x in getattr(s, "m", ()) if x < end}
-    knots = sorted(grid | {0.0, end})
-    total = 0.0
-    for a, b in zip(knots, knots[1:]):
-        t1, t2 = a + (b - a) / 3.0, b - (b - a) / 3.0
-        lines = []
-        for s in (spec1, spec2):
-            y1, y2 = (float(y) for y in s.density(np.array([t1, t2])))
-            slope = (y2 - y1) / (t2 - t1)
-            lines.append((y1 - slope * t1, slope))
-        (c1, k1), (c2, k2) = lines
+    knots = np.array(sorted(grid | {0.0, end}))
+    a, b = knots[:-1], knots[1:]
+    t1, t2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+    lines = []
+    for s in (spec1, spec2):
+        y1, y2 = s.density(t1), s.density(t2)
+        slope = (y2 - y1) / (t2 - t1)
+        lines += [y1 - slope * t1, slope]
 
-        def integrand(m):
-            sh = np.sinh(beta * m / 2.0)
-            return m * m * (c1 + k1 * m) * (c2 + k2 * m) / (sh * sh)
+    def integrand(m, c1, k1, c2, k2):
+        sh = np.sinh(beta * m / 2.0)
+        return m * m * (c1 + k1 * m) * (c2 + k2 * m) / (sh * sh)
 
-        total += numerics.quad_finite(integrand, a, b, tol=1e-13).value
-    return np.pi * beta / 2.0 * total
+    parts = numerics.quad_finite(integrand, a, b, tol=1e-13, args=lines).value
+    # the segments summed in order
+    return np.pi * beta / 2.0 * float(np.cumsum(parts)[-1])
 
 
 def check_tabulated_H0_rule():
@@ -1053,12 +1044,13 @@ class PairGeometry(namedtuple("PairGeometry", "r")):
 
 
 class SlabGeometry(namedtuple("SlabGeometry", "d rho1 rho2")):
-    """Two half-spaces with gap d and densities rho1, rho2."""
+    """Two half-spaces with gap d and densities rho1, rho2; the fields may
+    be arrays, one geometry per element."""
 
     __slots__ = ()
 
     def __new__(cls, d, rho1, rho2):
-        if d <= 0.0 or rho1 <= 0.0 or rho2 <= 0.0:
+        if np.min(d) <= 0.0 or np.min(rho1) <= 0.0 or np.min(rho2) <= 0.0:
             raise ValueError("d, rho1, rho2 must be positive")
         return super().__new__(cls, d, rho1, rho2)
 
@@ -1096,9 +1088,9 @@ def psi_hat(z0, q):
 
 def G_hat_q(d, q):
     """Fourier-space slab kernel (2 pi)^2 exp(-2 q d)/q^2: the double
-    z-integral of 4 q^2 psi_hat^2 across a gap of width d; q may be an
-    array."""
-    if d <= 0.0 or np.min(q) <= 0.0:
+    z-integral of 4 q^2 psi_hat^2 across a gap of width d; d and q may
+    be arrays."""
+    if np.min(d) <= 0.0 or np.min(q) <= 0.0:
         raise ValueError("d and q must be positive")
     return (2.0 * math.pi) ** 2 * np.exp(-2.0 * q * d) / q**2
 
@@ -1108,13 +1100,15 @@ def G_slabs_fourier(g):
 
     (rho1 rho2/(2 pi)^2) Int q^2/2 * G_hat(q) 2 pi q dq over q > 0, with
     the q^2/2 from the in-plane average <k_x^2>. Equals the real-space
-    route, pi rho1 rho2/(4 d^2), exactly.
+    route, pi rho1 rho2/(4 d^2), exactly. Geometries whose fields are
+    arrays are integrated in one batch.
     """
     q = numerics.quad_semi_infinite(
-        lambda k: 0.5 * k**2 * G_hat_q(g.d, k) * 2.0 * math.pi * k,
+        lambda k, d: 0.5 * k**2 * G_hat_q(d, k) * 2.0 * math.pi * k,
         0.0,
         tol=1e-12,
         panel_scale=1.0 / g.d,
+        args=(g.d,),
     )
     return g.rho1 * g.rho2 / (2.0 * math.pi) ** 2 * q.value
 
@@ -1221,7 +1215,10 @@ def check_halfspace_quadrature():
     rel_volume = abs(_G_halfspace_by_quadrature(1.5, 0.8) - gh) / gh
     g = SlabGeometry(1.5, 1.0, 1.0)
     r = numerics.quad_semi_infinite(
-        lambda us: [geometry_coupling.G_halfspace(g.d + u, 1.0, FloatOps) for u in us.tolist()],
+        lambda us: np.reshape(
+            [geometry_coupling.G_halfspace(g.d + u, 1.0, FloatOps) for u in us.ravel().tolist()],
+            us.shape,
+        ),
         0.0, tol=1e-12,
     )
     target = geometry_coupling.G_slabs_realspace(g.d, g.rho1, g.rho2, FloatOps)
@@ -1231,29 +1228,27 @@ def check_halfspace_quadrature():
 
 
 def check_slab_route_equivalence():
-    worst = 0.0
-    for d in (0.5, 1.0, 2.0, 4.0, 8.0):
-        for rho in (1.0, 2.5):
-            g = SlabGeometry(d, rho, 0.7)
-            a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, FloatOps)
-            b = G_slabs_fourier(g)
-            worst = max(worst, abs(a - b) / a)
-    return _ok(worst, 1e-10, "rel")
+    d = np.repeat([0.5, 1.0, 2.0, 4.0, 8.0], 2)
+    rho = np.tile([1.0, 2.5], 5)
+    a = np.array([geometry_coupling.G_slabs_realspace(x, r, 0.7, FloatOps)
+                  for x, r in zip(d.tolist(), rho.tolist())])
+    # the Fourier route of all ten geometries in one batch
+    b = G_slabs_fourier(SlabGeometry(d, rho, 0.7))
+    return _ok(float(np.max(np.abs(a - b) / a)), 1e-10, "rel")
 
 
 def check_G_hat_double_integral():
     d, q = 0.8, 1.7
     closed = G_hat_q(d, q)
-    # two exponential layer integrals across the gap
-    def inner(z1):
+    # two exponential layer integrals across the gap: one inner integral
+    # per node of the outer panels, in one batch
+    def inner(z1s):
         return numerics.quad_semi_infinite(
-            lambda z2: 4.0 * q**2 * psi_hat(d + z1 + z2, q) ** 2,
-            0.0, tol=1e-12, panel_scale=1.0 / q,
-        ).value
+            lambda z2, z1: 4.0 * q**2 * psi_hat(d + z1 + z2, q) ** 2,
+            0.0, tol=1e-12, panel_scale=1.0 / q, args=(z1s.ravel(),),
+        ).value.reshape(z1s.shape)
 
-    outer = numerics.quad_semi_infinite(
-        lambda z1s: [inner(z1) for z1 in z1s.tolist()], 0.0, tol=1e-11, panel_scale=1.0 / q,
-    )
+    outer = numerics.quad_semi_infinite(inner, 0.0, tol=1e-11, panel_scale=1.0 / q)
     return _ok(abs(outer.value - closed) / closed, 1e-9, "rel")
 
 
@@ -1266,13 +1261,10 @@ def check_psi_hat_transform():
     def f(s):
         return numerics.bessel_j(0, q * s) * (s / np.hypot(s, z0) - 1.0)
 
-    partial = []
-    acc = 0.0
-    for a, b in zip(zeros[:-1], zeros[1:]):
-        acc += numerics.quad_finite(f, a, b, tol=1e-12).value
-        partial.append(acc)
-    # alternating lobe sums: average consecutive partials to accelerate
-    p = np.asarray(partial[-40:])
+    lobes = numerics.quad_finite(f, zeros[:-1], zeros[1:], tol=1e-12).value
+    # alternating lobe sums, added in order: average consecutive partials
+    # to accelerate
+    p = np.cumsum(lobes)[-40:]
     for _ in range(6):
         p = 0.5 * (p[1:] + p[:-1])
     est = 2.0 * np.pi * (p[-1] + 1.0 / q)
@@ -1288,20 +1280,20 @@ def check_angular_moment():
 
 def _G_P_by_quadrature(d, rho1, rho2):
     """G_P as the Fourier integral of the slab kernel weighted by the
-    sixth angular moment, (5/16) q^6."""
+    sixth angular moment, (5/16) q^6; d may be an array of gaps, one
+    integral each."""
     r = numerics.quad_semi_infinite(
-        lambda q: (5.0 / 16.0) * q**6 * G_hat_q(d, q) * 2.0 * np.pi * q,
-        0.0, tol=1e-12, panel_scale=1.0 / d,
+        lambda q, d: (5.0 / 16.0) * q**6 * G_hat_q(d, q) * 2.0 * np.pi * q,
+        0.0, tol=1e-12, panel_scale=1.0 / d, args=(d,),
     )
     return rho1 * rho2 / (2.0 * np.pi) ** 2 * r.value
 
 
 def check_G_P_quadrature():
-    worst = 0.0
-    for d in (0.7, 1.0, 1.9):
-        closed = geometry_coupling.G_P_slabs(d, 1.3, 0.8, FloatOps)
-        worst = max(worst, abs(_G_P_by_quadrature(d, 1.3, 0.8) - closed) / closed)
-    return _ok(worst, 1e-10, "rel")
+    d = np.array([0.7, 1.0, 1.9])
+    closed = np.array([geometry_coupling.G_P_slabs(x, 1.3, 0.8, FloatOps) for x in d.tolist()])
+    return _ok(float(np.max(np.abs(_G_P_by_quadrature(d, 1.3, 0.8) - closed) / closed)), 1e-10,
+               "rel")
 
 
 def check_geometry_scalings():

@@ -780,6 +780,28 @@ def test_output_that_cannot_be_opened_writes_nothing(cli, capsys, tmp_path, args
     assert not csv.exists() or csv.read_text() == ""
 
 
+@pytest.mark.parametrize("good,bad", [("--out", "--json"), ("--json", "--out")])
+def test_output_that_cannot_be_opened_keeps_the_other_file(cli, capsys, tmp_path, good, bad):
+    # a file already at the path that can be opened keeps its bytes
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"earlier bytes\n")
+    code, out = cli("eigen", "--alpha", 1, good, kept, bad, tmp_path)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("error: cannot write %s: " % tmp_path)
+    assert kept.read_bytes() == b"earlier bytes\n"
+
+
+def test_outputs_replace_earlier_files_and_may_be_dev_null(cli, tmp_path):
+    csv, doc = tmp_path / "e.csv", tmp_path / "e.json"
+    csv.write_text("x" * 10_000)
+    doc.write_text("x" * 10_000)
+    assert cli("eigen", "--alpha", 1, "--out", csv, "--json", doc)[0] == 0
+    assert csv.read_text().startswith("# magfriction") and csv.read_text().count("x") == 0
+    assert json.loads(doc.read_text())["rows"] == [[1.0, 1 + 2**0.5, 2**0.5 - 1, 2**0.5]]
+    assert cli("eigen", "--alpha", 1, "--out", os.devnull, "--json", os.devnull)[0] == 0
+    assert cli("verify", "--suite", "numerics", "--out", os.devnull)[0] == 0
+
+
 def test_numerical_failure_creates_no_output_file(cli, tmp_path):
     csv, doc = tmp_path / "f.csv", tmp_path / "f.json"
     code, out = cli("fields", "--d", 1e-200, "--out", csv, "--json", doc)

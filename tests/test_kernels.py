@@ -129,7 +129,7 @@ B = _kernels.MC_BLOCK
 
 
 @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 7])
-def test_halfspace_chunk_blocks_match_the_whole_array(m):
+def test_halfspace_chunk_sums_the_weights_and_their_squares(m):
     u = np.random.default_rng(m).random((3, m))
     w = _halfspace_weights(1.3, u, 1)
     s, s2 = _kernels.halfspace_chunk(1.3, u, 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_check
+from conftest import assert_check, float_bits
 from magfriction import _ieee, _kernels, numerics, verification
 from magfriction.numerics import (
     QuadratureError,
@@ -335,6 +335,8 @@ def test_quad_single_panel_on_a_degree_19_polynomial():
 
 
 def test_quad_integrand_sees_one_array_per_panel():
+    # one row of 21 nodes per panel: the first panel alone, then the two
+    # children of each bisection in one call
     calls = []
 
     def f(x):
@@ -342,7 +344,10 @@ def test_quad_integrand_sees_one_array_per_panel():
         return np.sqrt(x)
 
     res = quad_finite(f, 0.0, 1.0, tol=1e-12)
-    assert calls == [(np.ndarray, np.float64, (21,))] * (res.evaluations // 21)
+    bisections = (res.evaluations - 21) // 42
+    assert bisections > 0
+    assert calls == [(np.ndarray, np.float64, (1, 21))] + [
+        (np.ndarray, np.float64, (2, 21))] * bisections
     assert abs(res.value - 2.0 / 3.0) <= 1e-12
 
 
@@ -353,6 +358,93 @@ def test_quad_non_convergence_carries_the_best_estimate():
     best = info.value.best
     assert abs(best.value - 1.0 / 3.0) <= 1e-6
     assert best.evaluations == 21 + 42 * 199
+
+
+def _rows_per_integral(calls, k):
+    """Evaluations per integral, from the index column the integrand saw."""
+    return [21 * n for n in np.bincount(np.concatenate(calls).astype(int), minlength=k)]
+
+
+def _kinked(calls):
+    def f(x, c, i):
+        # a square-root kink at x = c makes the bisection chase it
+        calls.append(i.ravel())
+        return np.sqrt(np.abs(x - c)) + np.cos(c * x)
+    return f
+
+
+def _decaying(calls):
+    def f(x, c, i):
+        calls.append(i.ravel())
+        return x * x * np.exp(-c * x) / (1.0 + x)
+    return f
+
+
+def _same_bits(batch, scalars):
+    assert [float_bits(v) for v in batch.value] == [float_bits(r.value) for r in scalars]
+    assert [float_bits(e) for e in batch.error_estimate] == [
+        float_bits(r.error_estimate) for r in scalars]
+    assert type(batch.evaluations) is int
+    assert batch.evaluations == sum(r.evaluations for r in scalars)
+
+
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 5.0), st.floats(0.1, 3.0)),
+                min_size=1, max_size=6))
+def test_quad_finite_batch_keeps_each_integrals_bits(cases):
+    a, width, c = (np.array(col) for col in zip(*cases))
+    b = a + width
+    k = len(cases)
+    calls = []
+    batch = quad_finite(_kinked(calls), a, b, tol=1e-10, args=(c, np.arange(k)))
+    scalars = []
+    for i in range(k):
+        one = []
+        scalars.append(quad_finite(_kinked(one), a[i], b[i], tol=1e-10, args=(c[i], i)))
+        assert _rows_per_integral(calls, k)[i] == scalars[-1].evaluations
+        assert all(len(rows) <= 2 for rows in one)
+    _same_bits(batch, scalars)
+    # each round is one call: the first holds every integral's first panel
+    assert len(calls[0]) == k
+    assert len(calls) == 1 + max((r.evaluations - 21) // 42 for r in scalars)
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.2, 3.0), st.floats(0.5, 3.0)),
+                min_size=1, max_size=5))
+def test_quad_semi_infinite_batch_keeps_each_integrals_bits(cases):
+    a, scale, c = (np.array(col) for col in zip(*cases))
+    k = len(cases)
+    calls = []
+    batch = quad_semi_infinite(_decaying(calls), a, tol=1e-10, panel_scale=scale,
+                               args=(c, np.arange(k)))
+    scalars = [quad_semi_infinite(_decaying([]), a[i], tol=1e-10, panel_scale=scale[i],
+                                  args=(c[i], i))
+               for i in range(k)]
+    _same_bits(batch, scalars)
+    assert _rows_per_integral(calls, k) == [r.evaluations for r in scalars]
+
+
+def test_quad_batch_with_one_integral_over_the_panel_budget():
+    # x^-0.9 on [0, 1] keeps its error above 1e-12 through 200 panels;
+    # x^2.5 bisects a few times and converges
+    p = np.array([-0.9, 2.5])
+    with pytest.raises(QuadratureError) as failing:
+        quad_finite(lambda x: x ** p[0], 0.0, 1.0, tol=1e-12)
+    converged = quad_finite(lambda x: x ** p[1], 0.0, 1.0, tol=1e-12)
+    assert failing.value.best.evaluations == 21 + 42 * 199
+    assert converged.evaluations > 21
+    with pytest.raises(QuadratureError, match="did not converge in 200 panels") as info:
+        quad_finite(lambda x, p: x**p, 0.0, 1.0, tol=1e-12, args=(p,))
+    # the failing integral's running sums and the converged one's result
+    _same_bits(info.value.best, [failing.value.best, converged])
+
+
+def test_quad_batch_result_is_arrays_and_an_int_total():
+    res = quad_finite(lambda x, w: np.cos(w * x), 0.0, [1.0, 2.0, 3.0], args=(2.0,))
+    assert res.value.shape == res.error_estimate.shape == (3,)
+    assert type(res.evaluations) is int
+    assert np.allclose(res.value, np.sin(2.0 * np.array([1.0, 2.0, 3.0])) / 2.0, atol=1e-12)
+    one = quad_finite(lambda x, w: np.cos(w * x), 0.0, 1.0, args=(2.0,))
+    assert type(one.value) is float and type(one.evaluations) is int
 
 
 def _battery_integrands():
