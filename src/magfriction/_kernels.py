@@ -6,17 +6,19 @@ a wrapper installed on the module attribute sees every call.
 The trajectory and Monte Carlo routes work in fixed blocks, so that their
 temporaries stay in cache and their Python-level calls are few:
 ``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul, and
-``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` samples
-per call. A block size changes only the order of floating-point
-operations (the summation order of a Monte Carlo sum, the grouping of a
-matrix product), never the random draws: a Monte Carlo estimate stays
-deterministic per (seed, n, chunk partition).
+``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` points
+of one shift of its lattice rule per call. A block size changes only the
+order of floating-point operations (the summation order of a shift's
+sum, the grouping of a matrix product), never the points: an estimate
+stays deterministic per (seed, shifts).
 
 ``halfspace_chunk`` holds the only copy of the half-space importance
-sampler (the map from uniforms to z and s, and its density). It serves
-both half-space Monte Carlo checks of the oracle battery: the G_xx volume
-integral behind G_h = pi/(2 z0^3) (mode 1) and the r^-6 integral pi/(6 z0^3)
-(mode 0), each a block function of ``numerics.mc_integrate``.
+sampler (the map from the unit cube to z and s, and its density). It
+serves the three half-space checks of the oracle battery: the G_xx volume
+integral behind G_h = pi/(2 z0^3) (mode 1), the r^-6 integral
+pi/(6 z0^3) (mode 0) and the r^-8 integral pi/(15 z0^5) (mode 2), each a
+block function of ``numerics.mc_integrate``. Only the r^-8 weight
+depends on z, so only that check sees the z map.
 """
 
 import math
@@ -29,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 # records advanced from one state by one batched matmul of matrix powers
 RK4_BLOCK = 64
-# Monte Carlo samples per block function call of numerics.mc_integrate: a
-# block's few float64 temporaries (64 KiB each) stay in cache
+# points per block function call of numerics.mc_integrate: a block's few
+# float64 temporaries (64 KiB each) stay in cache
 MC_BLOCK = 8192
 
 
@@ -117,17 +119,18 @@ def halfspace_chunk(z0, u, mode):
 
     Maps a block of uniforms to sample points with density
     p(z) = 3*z0^3/z^4, p(s|z) = 4*z^4*s/(s^2+z^2)^3, phi uniform, and
-    evaluates f/pdf for f = 1/r^6 (``mode`` 0) or f = G_xx = 2*(1/r^6 +
-    3*x^2/r^8) (``mode`` 1), c = 1.
+    evaluates f/pdf for f = 1/r^6 (``mode`` 0), f = G_xx = 2*(1/r^6 +
+    3*x^2/r^8) (``mode`` 1) or f = 1/r^8 (``mode`` 2), c = 1.
 
     Parameters
     ----------
     z0 : float
         Distance from the dipole at the origin to the half-space surface.
     u : ndarray, shape (3, m)
-        Uniform variates in [0, 1).
+        Points of the unit cube, each coordinate below 1 (u[0] = 1 or
+        u[1] = 1 maps to infinity).
     mode : int
-        0 for the r^-6 battery integrand, 1 for G_xx.
+        0 for the r^-6 battery integrand, 1 for G_xx, 2 for r^-8.
 
     Returns
     -------
@@ -144,8 +147,10 @@ def halfspace_chunk(z0, u, mode):
     pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (TWO_PI * r6))
     if mode == 0:
         f = 1.0 / r6
-    else:
+    elif mode == 1:
         x2 = s2 * np.cos(TWO_PI * u[2]) ** 2
         f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
+    else:
+        f = 1.0 / (r6 * r2)
     w = f / pdf
     return float(np.sum(w)), float(np.sum(w * w))

@@ -1,12 +1,12 @@
 """Shared verified numerical engines.
 
 Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
-deterministic seeded Monte-Carlo integration, series summation with
-certified tails, central finite differences, multi-sinusoid spectral
-fitting, a circulant solve and the special functions the oracles need
-(polygamma, the Bessel functions J0 and J1 and the zeros of J0). Everything
-here is generic plumbing on numpy and the math module; the physics
-modules supply the integrands. Only the oracle battery and
+deterministic seeded Monte-Carlo integration by a randomized lattice rule,
+series summation with certified tails, central finite differences,
+multi-sinusoid spectral fitting, a circulant solve and the special
+functions the oracles need (polygamma, the Bessel functions J0 and J1 and
+the zeros of J0). Everything here is generic plumbing on numpy and the
+math module; the physics modules supply the integrands. Only the oracle battery and
 response_kinetics call these engines; the CLI routes do not.
 """
 
@@ -51,6 +51,10 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class McResult:
+    """A randomized lattice-rule estimate: the mean over the shifts, the
+    standard error from their spread, the integrand evaluations (points
+    times shifts) and the Philox key of the shifts."""
+
     value: float
     std_error: float
     samples: int
@@ -371,65 +375,97 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=())
     )
 
 
-def mc_integrate(block, dim, n, seed, chunk_size=1 << 20):
-    r"""Deterministic seeded Monte-Carlo integral over the unit cube.
+# The randomized rank-1 lattice rule of mc_integrate (Sloan & Joe, Lattice
+# Methods for Multiple Integration, OUP 1994): the points k z/N mod 1,
+# k = 0..N-1, of the Korobov generator z = (1, a, a^2 mod N). The multiplier
+# a = 15003 was picked once by a search of the P_2 criterion, the sum of
+# prod_j max(1, |h_j|)^-2 over the nonzero points h of the dual lattice
+# (h.z = 0 mod N), over a coarse grid of multipliers; nothing is searched
+# at import or at run time. Among all odd multipliers it ranks 18th, its
+# P_2 = 5.77e-5 within 5% of the least, 5.53e-5 at a = 1951.
+_LATTICE_BITS = 14
+LATTICE_N = 1 << _LATTICE_BITS
+LATTICE_Z = (1, 15003, 15003**2 % LATTICE_N)
+# random shifts per estimate; their spread gives the standard error
+LATTICE_SHIFTS = 8
+# the lattice points and shifts are held as integer multiples of 2^-52
+_GRID_BITS = 52
 
-    The sample stream is split into fixed chunks; chunk j draws its
-    (dim, m) uniforms from Philox(key=seed) jumped j times, so the estimate
-    is bit-reproducible for a given (seed, n, chunk partition) regardless
-    of evaluation order. Each chunk is passed to ``block`` in slices of
+
+def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
+    r"""Deterministic seeded integral over the unit cube by a randomized
+    rank-1 lattice rule.
+
+    Each of ``shifts`` Cranley-Patterson shifts (Cranley & Patterson, SIAM
+    J. Numer. Anal. 13, 904 (1976)) moves the ``LATTICE_N`` points of the
+    rule by one uniform vector drawn from Philox(key=seed), modulo 1, and
+    the tent (baker's) transform u = 1 - |2x - 1| maps each point into the
+    cube (Hickernell, MCQMC 2000, Springer 2002): the rule's error then
+    falls near N^-2 for a smooth integrand that is not periodic. The value
+    is the mean over the shifts of each shift's rule, and the standard
+    error comes from the spread of those means.
+
+    The points and shifts are exact multiples of 2^-52, each shifted
+    point an odd multiple of 2^-53, so a block never receives an exact 0
+    or 1. Each shift's points are passed to ``block`` in slices of
     ``_kernels.MC_BLOCK`` samples, so the temporaries stay in cache; the
-    block size changes only the order of the summation, not the draws.
+    block size changes only the order of the summation, not the points,
+    and the estimate is bit-reproducible per (seed, shifts).
 
     Parameters
     ----------
     block : callable
-        Takes a (dim, b) slice of uniforms in [0, 1) and returns the sum of
+        Takes a (dim, b) slice of points in (0, 1) and returns the sum of
         its sample weights and the sum of their squares, (sum w, sum w^2).
-        An importance sampler maps the uniforms and divides by its density
+        An importance sampler maps the points and divides by its density
         inside ``block``.
     dim : int
-        Number of uniforms per sample.
-    n : int
-        Total sample count.
+        Number of coordinates per point, at most len(LATTICE_Z).
     seed : int
-        Philox key.
-    chunk_size : int
-        Partition size; part of the reproducibility contract.
+        Philox key of the shifts.
+    shifts : int
+        Number of random shifts, at least 2.
 
     Returns
     -------
     McResult
+        Its ``samples`` is LATTICE_N * shifts.
 
     Raises
     ------
     McSamplingError
         If a block's sum of squared weights is not finite.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    sw = 0.0
-    sw2 = 0.0
-    done = 0
-    j = 0
-    while done < n:
-        m = min(chunk_size, n - done)
-        u = np.random.Generator(np.random.Philox(key=seed).jumped(j)).random((dim, m))
-        for a in range(0, m, _kernels.MC_BLOCK):
-            s, s2 = block(u[:, a : a + _kernels.MC_BLOCK])
-            if not math.isfinite(s2):
+    if not 1 <= dim <= len(LATTICE_Z):
+        raise ValueError("dim must be between 1 and %d" % len(LATTICE_Z))
+    if shifts < 2:
+        raise ValueError("shifts must be at least 2")
+    n = LATTICE_N
+    mask = np.uint64((1 << _GRID_BITS) - 1)
+    k = np.arange(n, dtype=np.uint64)
+    z = np.array(LATTICE_Z[:dim], dtype=np.uint64)[:, None]
+    # k z/N mod 1 in units of 2^-52
+    base = (k * z % np.uint64(n)) << np.uint64(_GRID_BITS - _LATTICE_BITS)
+    delta = np.random.Generator(np.random.Philox(key=seed)).integers(
+        0, 1 << _GRID_BITS, size=(shifts, dim, 1), dtype=np.uint64)
+    means = []
+    for s in range(shifts):
+        # x = (2m + 1) 2^-53 with m = base + delta mod 2^52; the tent is
+        # min(2x, 2 - 2x), exact in integers
+        t = ((base + delta[s]) & mask) * np.uint64(2) + np.uint64(1)
+        u = np.minimum(t, np.uint64(1 << (_GRID_BITS + 1)) - t) * 2.0**-_GRID_BITS
+        total = 0.0
+        for a in range(0, n, _kernels.MC_BLOCK):
+            sw, sw2 = block(u[:, a : a + _kernels.MC_BLOCK])
+            if not math.isfinite(sw2):
                 raise McSamplingError(
-                    "weights not finite in the block at chunk %d sample %d" % (j, a)
+                    "weights not finite in the block at shift %d sample %d" % (s, a)
                 )
-            sw += s
-            sw2 += s2
-        done += m
-        j += 1
-    mean = sw / n
-    var = max(sw2 / n - mean * mean, 0.0)
-    if n > 1:
-        var *= n / (n - 1.0)
-    return McResult(mean, float(np.sqrt(var / n)), n, seed)
+            total += sw
+        means.append(total / n)
+    mean = math.fsum(means) / shifts
+    var = math.fsum((q - mean) ** 2 for q in means) / (shifts - 1)
+    return McResult(mean, math.sqrt(var / shifts), n * shifts, seed)
 
 
 # indices per call of series_sum's term and tail bound

@@ -68,8 +68,8 @@ def check_quad_linear():
 
 
 def check_semi_lorentz_like():
-    r = numerics.quad_semi_infinite(lambda u: u * u / (u * u + 1.0) ** 2, 0.0, tol=1e-11)
-    return _ok(abs(r.value - np.pi / 4.0), 1e-10)
+    r = numerics.quad_semi_infinite(lambda u: 1.0 / (u * u + 1.0) ** 3, 0.0, tol=1e-11)
+    return _ok(abs(r.value - 3.0 * np.pi / 16.0), 1e-10)
 
 
 def check_semi_quartic_thermal():
@@ -100,11 +100,11 @@ def _x_squared(u):
 
 
 def check_mc_deterministic():
-    a = numerics.mc_integrate(_x_squared, 1, 200_000, seed=11)
-    b = numerics.mc_integrate(_x_squared, 1, 200_000, seed=11)
+    a = numerics.mc_integrate(_x_squared, 1, seed=11)
+    b = numerics.mc_integrate(_x_squared, 1, seed=11)
     if a.value != b.value or a.std_error != b.std_error:
         return False, "same seed gave different bits"
-    c = numerics.mc_integrate(lambda u: (7.0 * u.shape[1], 49.0 * u.shape[1]), 1, 10_000, seed=3)
+    c = numerics.mc_integrate(lambda u: (7.0 * u.shape[1], 49.0 * u.shape[1]), 1, seed=3)
     return _ok(abs(c.value - 7.0) + c.std_error, 1e-12, "const")
 
 
@@ -625,9 +625,16 @@ def check_mode_free_energy_moments():
 
 def check_free_energy_brute_force():
     alpha, beta = 0.1, 10.0
-    n = np.arange(1, 1_000_001)
-    u = 2.0 * np.pi * n / beta
-    brute = 2.0 * (2.0 * alpha**2 / beta) * np.sum(u**2 / (u**2 + 1.0) ** 2)
+    # u^2/(u^2 + 1)^2 over n = 1..10^6 in two arrays, operated on in place:
+    # these are the battery's largest temporaries
+    u2 = np.arange(1.0, 1_000_001.0)
+    u2 *= 2.0 * np.pi
+    u2 /= beta
+    np.square(u2, out=u2)
+    den = u2 + 1.0
+    np.square(den, out=den)
+    u2 /= den
+    brute = 2.0 * (2.0 * alpha**2 / beta) * np.sum(u2)
     grid = MatsubaraGrid(beta, 20_000, tail_tol=1e-10)
     val = induced_free_energy(alpha, grid)
     # brute force still misses its own tail ~ 1/n_max
@@ -667,7 +674,7 @@ def thermal_H(omega1, omega2, alpha1, alpha2, beta):
     H = w1 w2 a1 a2 / (4 sinh(b w1/2) sinh(b w2/2)); symmetric
     under exchange, dies exponentially at low temperature.
     """
-    if beta <= 0.0:
+    if np.min(beta) <= 0.0:
         raise ValueError("beta must be positive")
     x1 = beta * omega1 / 2.0
     x2 = beta * omega2 / 2.0
@@ -1118,19 +1125,19 @@ def angular_moment6():
     return 5.0 * math.pi / 8.0
 
 
-def mc_halfspace_Gxx(z0, n, seed, chunk_size=1 << 20):
-    r"""Monte-Carlo volume integral of G_xx over the half-space z > z0.
+def mc_halfspace_Gxx(z0, seed, shifts=numerics.LATTICE_SHIFTS):
+    r"""Randomized lattice-rule volume integral of G_xx over the half-space
+    z > z0.
 
     Importance-sampled (z density ~ z^-4, radial density matched to the
-    r^-6 envelope); deterministic per (seed, n, chunk partition). The
-    closed-form target is pi/(2 z0^3) per unit density.
+    r^-6 envelope); deterministic per (seed, shifts). The closed-form
+    target is pi/(2 z0^3) per unit density.
 
     Returns
     -------
     McResult
     """
-    return numerics.mc_integrate(
-        lambda u: _kernels.halfspace_chunk(z0, u, 1), 3, n, seed, chunk_size)
+    return numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(z0, u, 1), 3, seed, shifts)
 
 
 def check_psi_dual_form():
@@ -1180,20 +1187,37 @@ def check_G_contraction():
     return worst <= 1e-12 and mineig > 0.0, "err=%.3g mineig=%.3g" % (worst, mineig)
 
 
-def check_halfspace_mc(n=1_000_000, seed=123):
-    z0 = 1.0
-    res = mc_halfspace_Gxx(z0, n, seed)
-    target = geometry_coupling.G_halfspace(z0, 1.0, FloatOps)
+def _mc_against(res, target, rel_tol):
     err = abs(res.value - target)
-    ok = err <= 3.0 * res.std_error and err / target <= 1e-2
+    ok = err <= 3.0 * res.std_error and err / target <= rel_tol
     return ok, "err=%.3g 3se=%.3g rel=%.3g" % (err, 3.0 * res.std_error, err / target)
+
+
+def check_halfspace_mc(seed=123, shifts=numerics.LATTICE_SHIFTS):
+    z0 = 1.0
+    target = geometry_coupling.G_halfspace(z0, 1.0, FloatOps)
+    return _mc_against(mc_halfspace_Gxx(z0, seed, shifts), target, 1e-2)
 
 
 def check_halfspace_r6_mc():
     # the r^-6 weight is constant under the half-space sampler, so the
     # estimate is pi/6 up to rounding
-    r = numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(1.0, u, 0), 3, 200_000, 7)
+    r = numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(1.0, u, 0), 3, 7)
     return _ok(abs(r.value - np.pi / 6.0), max(3.0 * r.std_error, 1e-12))
+
+
+def _halfspace_r8(z0):
+    """Volume integral of r^-8 over the half-space z > z0: the disc at
+    height z gives pi/(3 z^6), and that integrates to pi/(15 z0^5)."""
+    return math.pi / (15.0 * z0**5)
+
+
+def check_halfspace_r8_mc():
+    # the r^-8 weight pi/(6 z0^3 r^2) varies with z, so this sees the z map
+    # of the sampler, which the G_xx and r^-6 weights do not
+    z0 = 1.5
+    r = numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(z0, u, 2), 3, 5)
+    return _mc_against(r, _halfspace_r8(z0), 1e-5)
 
 
 def _G_halfspace_by_quadrature(z0, rho):
@@ -1317,13 +1341,18 @@ def pair_force_sharp(geom, v, osc1, osc2, beta):
     1/(m_i w_i^2).
     """
     gv = G_tensor(geom.r) @ np.asarray(v, dtype=np.float64)
+    return tuple(response_kinetics.DeltaCoefficient(float(a), osc1.omega)
+                 for a in _sharp_amplitude(gv, osc1, osc2, beta))
+
+
+def _sharp_amplitude(gv, osc1, osc2, beta):
+    """-gv H (pi beta w1^2/2), the amplitude of a force component whose
+    (G v) component is gv; arrays of oscillators evaluate elementwise."""
     a1 = 1.0 / (osc1.mass * osc1.omega**2)
     a2 = 1.0 / (osc2.mass * osc2.omega**2)
     H = thermal_H(osc1.omega, osc2.omega, a1, a2, beta)
     pref = math.pi * beta * osc1.omega**2 / 2.0
-    return tuple(
-        response_kinetics.DeltaCoefficient(float(-gv[l] * H * pref), osc1.omega) for l in range(3)
-    )
+    return -gv * H * pref
 
 
 def check_finite_T_assembly():
@@ -1376,29 +1405,38 @@ def check_plane_assembly():
 
 
 def check_force_signs(draws=200):
-    rng = np.random.Generator(np.random.Philox(key=31))
-    ops = FloatOps
-    for _ in range(draws):
-        v = float(rng.uniform(1e-4, 1.0)) * float(rng.choice([-1.0, 1.0]))
-        beta = float(rng.uniform(0.2, 5.0))
-        d = float(rng.uniform(0.5, 3.0))
-        rho1, rho2 = rng.uniform(0.2, 3.0, size=2).tolist()
-        D1, D2 = rng.uniform(0.1, 2.0, size=2).tolist()
-        forces = {
-            "finite-T": friction_forces.slabs_finite_force(d, rho1, rho2, D1, D2, beta, v, ops),
-            "plane": friction_forces.plane_force(d, rho1, v, D1, D2, beta, ops),
-            "pair": friction_forces.pair_force(d, v, D1, D2, beta, ops),
-        }
-        if v > 0.0:
-            forces["zero-T"] = friction_forces.slabs_zero_force(d, rho1, rho2, D1, D2, v, ops)
-        for name, (force, _) in forces.items():
-            if np.sign(force) != -np.sign(v):
-                return False, "%s sign failed at v=%g" % (name, v)
-        o1 = response_kinetics.OscState.thermal(float(rng.uniform(0.5, 2.0)), beta)
-        o2 = response_kinetics.OscState.thermal(o1.omega, beta)
-        sharp = pair_force_sharp(PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta)
-        if np.sign(sharp[0].amplitude) != -np.sign(v):
-            return False, "sharp pair sign failed at v=%g" % v
+    from magfriction import cli  # the grid ops of the CLI's sweeps
+
+    # each row the uniforms of one draw, scaled onto their ranges
+    u = np.random.Generator(np.random.Philox(key=31)).random((draws, 9))
+    v = (1e-4 + (1.0 - 1e-4) * u[:, 0]) * np.where(u[:, 1] < 0.5, -1.0, 1.0)
+    beta = 0.2 + 4.8 * u[:, 2]
+    d, rho1, rho2 = 0.5 + 2.5 * u[:, 3], 0.2 + 2.8 * u[:, 4], 0.2 + 2.8 * u[:, 5]
+    D1, D2 = 0.1 + 1.9 * u[:, 6], 0.1 + 1.9 * u[:, 7]
+    omega = 0.5 + 1.5 * u[:, 8]
+    cfg = cli.RunConfig("sweep")
+    grid = cli._Grid(cfg, (draws,), [])
+    pair, inter = friction_forces.pair_force(d, v, D1, D2, beta, grid)
+    o1 = response_kinetics.OscState.thermal(omega, beta)
+    o2 = response_kinetics.OscState.thermal(o1.omega, beta)
+    forces = [
+        ("finite-T", v, friction_forces.slabs_finite_force(
+            d, rho1, rho2, D1, D2, beta, v, grid)[0]),
+        ("plane", v, friction_forces.plane_force(d, rho1, v, D1, D2, beta, grid)[0]),
+        ("pair", v, pair),
+        ("sharp pair", v, _sharp_amplitude(inter["G_factor"] * v, o1, o2, beta)),
+    ]
+    # the zero-temperature regime takes v > 0 only
+    pos = v > 0.0
+    zero_grid = cli._Grid(cfg, (int(np.count_nonzero(pos)),), [])
+    forces.append(("zero-T", v[pos], friction_forces.slabs_zero_force(
+        d[pos], rho1[pos], rho2[pos], D1[pos], D2[pos], v[pos], zero_grid)[0]))
+    grid.raise_first()
+    zero_grid.raise_first()
+    for name, vs, force in forces:
+        wrong = np.sign(force) != -np.sign(vs)
+        if wrong.any():
+            return False, "%s sign failed at v=%g" % (name, vs[wrong.argmax()])
     return True, "%d draws opposed v" % draws
 
 
@@ -1533,6 +1571,7 @@ SUITES = {
         Check("G contraction", check_G_contraction),
         Check("half-space MC", check_halfspace_mc),
         Check("half-space r^-6 MC", check_halfspace_r6_mc),
+        Check("half-space r^-8", check_halfspace_r8_mc),
         Check("half-space quadrature to slab", check_halfspace_quadrature),
         Check("slab route equivalence", check_slab_route_equivalence),
         Check("Fourier kernel double integral", check_G_hat_double_integral),

@@ -114,13 +114,15 @@ def test_mode_sum_against_direct_loop():
 
 
 def _halfspace_weights(z0, u, mode):
-    # every weight of a chunk at once, as one whole-array pass
+    # every weight of a set of points at once, as one whole-array pass
     z = z0 * (1.0 - u[0]) ** (-1.0 / 3.0)
     s2 = z * z * ((1.0 - u[1]) ** (-0.5) - 1.0)
     r2 = s2 + z * z
     pdf = (3.0 * z0**3 / z**4) * (4.0 * z**4 / (2.0 * np.pi * r2**3))
     if mode == 0:
         return (1.0 / r2**3) / pdf
+    if mode == 2:
+        return (1.0 / r2**4) / pdf
     x2 = s2 * np.cos(2.0 * np.pi * u[2]) ** 2
     return 2.0 * (1.0 / r2**3 + 3.0 * x2 / (r2**3 * r2)) / pdf
 
@@ -137,25 +139,47 @@ def test_halfspace_chunk_sums_the_weights_and_their_squares(m):
     assert abs(s2 - np.sum(w * w)) <= 1e-12 * np.sum(w * w)
 
 
-def test_halfspace_mc_over_several_chunks_matches_the_whole_array():
-    n, chunk, seed = 2 * (2 * B + 3) + B + 5, 2 * B + 3, 17
-    w = np.concatenate([
-        _halfspace_weights(1.5, np.random.Generator(np.random.Philox(key=seed).jumped(j))
-                           .random((3, min(chunk, n - a))), 1)
-        for j, a in enumerate(range(0, n, chunk))])
-    res = verification.mc_halfspace_Gxx(1.5, n, seed, chunk_size=chunk)
-    mean = np.sum(w) / n
-    std_error = np.sqrt((np.sum(w * w) / n - mean * mean) * n / (n - 1.0) / n)
+def test_halfspace_chunk_mode2_weights_follow_r_to_the_minus_8():
+    # the r^-8 weight pi/(6 z0^3 r^2) depends on z through r, unlike the
+    # weights of modes 0 and 1
+    u = np.random.default_rng(5).random((3, B + 1))
+    w = _halfspace_weights(1.3, u, 2)
+    s, s2 = _kernels.halfspace_chunk(1.3, u, 2)
+    assert abs(s - np.sum(w)) <= 1e-12 * np.sum(w)
+    assert abs(s2 - np.sum(w * w)) <= 1e-12 * np.sum(w * w)
+    assert np.ptp(w) > 0.1 * np.max(w)
+
+
+def test_halfspace_mc_over_several_shifts_matches_the_whole_array(monkeypatch):
+    # blocks of an odd size that does not divide the rule; each shift's
+    # points, gathered whole, give the same estimate from the weights
+    # written out
+    seen = []
+    original = _kernels.halfspace_chunk
+
+    def spy(z0, u, mode):
+        seen.append(u.copy())
+        return original(z0, u, mode)
+
+    monkeypatch.setattr(_kernels, "MC_BLOCK", 2 * B + 3)
+    monkeypatch.setattr(_kernels, "halfspace_chunk", spy)
+    shifts = 3
+    res = verification.mc_halfspace_Gxx(1.5, 17, shifts)
+    points = np.concatenate(seen, axis=1).reshape(3, shifts, numerics.LATTICE_N)
+    means = [np.mean(_halfspace_weights(1.5, points[:, s], 1)) for s in range(shifts)]
+    mean = np.mean(means)
+    std_error = np.std(means, ddof=1) / np.sqrt(shifts)
+    assert res.samples == shifts * numerics.LATTICE_N
     assert abs(res.value - mean) <= 1e-12 * mean
-    assert abs(res.std_error - std_error) <= 1e-12 * std_error
+    assert abs(res.std_error - std_error) <= 1e-12 * mean
 
 
 def test_halfspace_mc_refuses_weights_that_are_not_finite():
     # at z0 = 0 the sampler's density is 0 at every point: 0/0 weights from
     # the first block on
     with np.errstate(all="ignore"), pytest.raises(
-            numerics.McSamplingError, match=r"chunk 0 sample 0$"):
-        verification.mc_halfspace_Gxx(0.0, 1000, 1)
+            numerics.McSamplingError, match=r"shift 0 sample 0$"):
+        verification.mc_halfspace_Gxx(0.0, 1)
 
 
 def test_halfspace_chunk_mode0_constant_weight():

@@ -159,10 +159,12 @@ def _sums(w):
 
 
 def test_mc_constant_integrand_exact():
-    # unit interval with unit density: weights are exactly the constant
-    res = mc_integrate(lambda u: _sums(np.full(u.shape[1], 2.5)), 1, n=10_000, seed=3)
+    # unit interval with unit density: weights are exactly the constant, so
+    # every shift gives the same mean
+    res = mc_integrate(lambda u: _sums(np.full(u.shape[1], 2.5)), 1, seed=3)
     assert res.value == 2.5
     assert res.std_error == 0.0
+    assert res.samples == numerics.LATTICE_N * numerics.LATTICE_SHIFTS
 
 
 # a box of volume 1.5 off the origin: its density is not 1
@@ -182,46 +184,92 @@ def _r8(u):
 
 
 def test_mc_deterministic_bit_identical():
-    a = mc_integrate(_r8, 3, n=200_000, seed=42)
-    b = mc_integrate(_r8, 3, n=200_000, seed=42)
+    a = mc_integrate(_r8, 3, seed=42)
+    b = mc_integrate(_r8, 3, seed=42)
     assert a.value == b.value
     assert a.std_error == b.std_error
-    c = mc_integrate(_r8, 3, n=200_000, seed=43)
+    c = mc_integrate(_r8, 3, seed=43)
     assert c.value != a.value
 
 
 B = _kernels.MC_BLOCK
 
 
-@pytest.mark.parametrize("n,chunk", [
-    (1, 1 << 20), (B - 1, 1 << 20), (B, 1 << 20), (B + 1, 1 << 20),
-    (2 * (2 * B + 3) + B + 5, 2 * B + 3),  # three chunks, the last one short
-])
-def test_mc_blocks_match_the_whole_array(n, chunk):
-    w = np.concatenate([
-        _r8_weights(np.random.Generator(np.random.Philox(key=8).jumped(j))
-                    .random((3, min(chunk, n - a))))
-        for j, a in enumerate(range(0, n, chunk))])
-    mean = np.sum(w) / n
-    var = max(np.sum(w * w) / n - mean * mean, 0.0) * (n / (n - 1.0) if n > 1 else 1.0)
-    res = mc_integrate(_r8, 3, n, seed=8, chunk_size=chunk)
-    assert abs(res.value - mean) <= 1e-12 * mean
-    assert abs(res.std_error - np.sqrt(var / n)) <= 1e-12 * np.sqrt(var / n)
+@pytest.mark.parametrize("block", [1000, B - 1, B, B + 1, 3 * B + 7])
+def test_lattice_value_does_not_depend_on_the_block_slicing(monkeypatch, block):
+    monkeypatch.setattr(_kernels, "MC_BLOCK", numerics.LATTICE_N)
+    whole = mc_integrate(_r8, 3, seed=8)
+    monkeypatch.setattr(_kernels, "MC_BLOCK", block)
+    sliced = mc_integrate(_r8, 3, seed=8)
+    assert abs(sliced.value - whole.value) <= 1e-12 * whole.value
+    assert abs(sliced.std_error - whole.std_error) <= 1e-12 * whole.value
 
 
-def test_mc_sampling_error_names_the_sample_within_its_chunk():
-    # a weight fails at one sample of the second chunk, in its third block;
-    # the error names the chunk and the first sample of that block
-    chunk, bad_at = 3 * B, 2 * B + 5
-    u = np.random.Generator(np.random.Philox(key=5).jumped(1)).random((1, chunk))
-    target = u[0, bad_at]
-    assert np.count_nonzero(u[0] == target) == 1
+def _cos_product(h):
+    def block(u):
+        return _sums(1.0 + np.prod(np.cos(2.0 * np.pi * np.asarray(h)[:, None] * u), axis=0))
+    return block
+
+
+@pytest.mark.parametrize("h", [(1,), (3,), (1, 2), (1, 2, 3), (5, 0, 7)])
+def test_lattice_integrates_a_cosine_product_off_the_dual_lattice_exactly(h):
+    # under the tent, cos(2 pi h u) is cos(4 pi h x): the rule sums each of
+    # its waves exp(2 pi i k.x), k = (+-2 h_j), to 0 unless k.z = 0 mod N
+    N, z = numerics.LATTICE_N, numerics.LATTICE_Z[:len(h)]
+    for signs in np.ndindex(*(2,) * len(h)):
+        k = [(1 - 2 * s) * 2 * hj for s, hj in zip(signs, h)]
+        assert sum(kj * zj for kj, zj in zip(k, z)) % N != 0
+    res = mc_integrate(_cos_product(h), len(h), seed=13)
+    assert abs(res.value - 1.0) <= 1e-12
+    assert res.std_error <= 1e-12
+
+
+def test_lattice_does_not_integrate_a_wave_on_the_dual_lattice():
+    # h = N/2 gives k = +-N, on the dual lattice: each shift sees only its
+    # own phase, so the rule is off and the shifts disagree
+    res = mc_integrate(_cos_product((numerics.LATTICE_N // 2,)), 1, seed=13)
+    assert abs(res.value - 1.0) > 1e-3
+    assert res.std_error > 1e-3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_points_are_odd_multiples_of_2_to_the_minus_52(dim):
+    # so a block never receives an exact 0 or 1, for any seed: the tent
+    # reaches 1 only at x = 1/2, which is even
+    seen = []
 
     def block(u):
-        return _sums(np.where(u[0] == target, np.inf, u[0]))
+        seen.append(u.copy())
+        return _sums(u[0])
 
-    with pytest.raises(numerics.McSamplingError, match=r"chunk 1 sample %d$" % (2 * B)):
-        mc_integrate(block, 1, 2 * chunk, seed=5, chunk_size=chunk)
+    for seed in range(5):
+        mc_integrate(block, dim, seed=seed)
+    u = np.concatenate(seen, axis=1)
+    assert u.shape == (dim, 5 * numerics.LATTICE_N * numerics.LATTICE_SHIFTS)
+    scaled = u * 2.0**52
+    assert np.all(scaled == np.floor(scaled)) and np.all(scaled % 2.0 == 1.0)
+    assert 0.0 < u.min() and u.max() < 1.0
+
+
+def test_mc_sampling_error_names_the_shift_and_sample():
+    # the weights fail in the second block of the second shift; the error
+    # names the shift and the first sample of that block
+    calls = []
+
+    def block(u):
+        calls.append(u.shape[1])
+        return _sums(u[0]) if len(calls) != 4 else (math.nan, math.inf)
+
+    assert numerics.LATTICE_N == 2 * B
+    with pytest.raises(numerics.McSamplingError, match=r"shift 1 sample %d$" % B):
+        mc_integrate(block, 1, seed=5)
+    assert len(calls) == 4
+
+
+def test_mc_refuses_a_dimension_or_shift_count_it_cannot_serve():
+    for dim, shifts in [(0, 8), (len(numerics.LATTICE_Z) + 1, 8), (1, 1)]:
+        with pytest.raises(ValueError):
+            mc_integrate(_r8, dim, seed=1, shifts=shifts)
 
 
 def test_mc_halfspace_r6():
@@ -452,6 +500,7 @@ def _battery_integrands():
         ("cos^6", lambda x: np.cos(x) ** 6, 0.0, 2.0 * np.pi, 1e-13),
         ("ramp", lambda x: x, 0.0, 1.0, 1e-10),
         ("rational", lambda u: u * u / (u * u + 1.0) ** 2, 0.0, 3.0, 1e-12),
+        ("rational cube", lambda u: 1.0 / (u * u + 1.0) ** 3, 0.0, 3.0, 1e-12),
         ("quartic thermal", lambda x: x**4 * np.exp(-x) / (1.0 - np.exp(-x)) ** 2, 0.0, 1.0,
          1e-12),
         ("damped cos*sin", lambda t: t * np.exp(-0.05 * t) * np.cos(t) * np.sin(1.3 * t),

@@ -4,10 +4,11 @@ CLI executes and the battery that holds every other route."""
 import ast
 import importlib
 import inspect
+import textwrap
 
 import pytest
 
-from magfriction import _kernels, response_kinetics, verification
+from magfriction import _kernels, numerics, response_kinetics, verification
 
 # every check of `verify --suite all`, in the order it runs
 BATTERY = [
@@ -59,6 +60,7 @@ BATTERY = [
     ('geometry', 'G contraction'),
     ('geometry', 'half-space MC'),
     ('geometry', 'half-space r^-6 MC'),
+    ('geometry', 'half-space r^-8'),
     ('geometry', 'half-space quadrature to slab'),
     ('geometry', 'slab route equivalence'),
     ('geometry', 'Fourier kernel double integral'),
@@ -111,15 +113,16 @@ def test_every_public_route_name_has_a_caller_on_a_cli_route():
         assert public and public <= used, (name, sorted(public - used))
 
 
-# detail lines of the array-at-a-time checks, as the term-by-term and
-# sampler-based forms of these checks printed them
+# detail lines of the array-at-a-time checks, as the term-by-term forms of
+# these checks printed them, and of the half-space checks on the lattice rule
 PINNED_DETAILS = {
     "series zeta(4)": "err=2.77e-13 tol=1e-12",
     "universal integral routes": "rel=2.56e-13 tol=1e-12",
     "kernel remainder identity": "err=3.83e-14 tol=1e-12",
     "sharp amplitude pipeline": "rel=3.53e-07 tol=0.0001",
-    "half-space MC": "err=9.15e-06 3se=0.00176 rel=5.83e-06",
-    "half-space r^-6 MC": "err=0 tol=1e-12",
+    "half-space MC": "err=7.06e-08 3se=3.31e-07 rel=4.49e-08",
+    "half-space r^-6 MC": "err=1.11e-16 tol=1e-12",
+    "half-space r^-8": "err=9.14e-09 3se=2.26e-08 rel=3.31e-07",
 }
 
 
@@ -154,5 +157,35 @@ def test_r6_monte_carlo_runs_the_halfspace_kernel_in_mode_0(monkeypatch):
 
     monkeypatch.setattr(_kernels, "halfspace_chunk", spy)
     assert _check("half-space r^-6 MC").run()[0]
-    # one call per block of the 200 000 samples
-    assert modes == [0] * -(-200_000 // _kernels.MC_BLOCK)
+    # one call per block of each shift of the lattice rule
+    blocks = -(-numerics.LATTICE_N // _kernels.MC_BLOCK)
+    assert modes == [0] * (blocks * numerics.LATTICE_SHIFTS)
+
+
+# (map, its root, the wrong root) of the half-space sampler
+WRONG_ROOTS = {
+    "z map": ("np.cbrt(1.0 - u[0])", "np.sqrt(1.0 - u[0])"),
+    "s map": ("np.sqrt(1.0 - u[1])", "np.cbrt(1.0 - u[1])"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(WRONG_ROOTS))
+def test_verify_fails_when_a_halfspace_map_takes_the_wrong_root(monkeypatch, where):
+    # the points no longer follow the density the weights divide by
+    old, new = WRONG_ROOTS[where]
+    source = textwrap.dedent(inspect.getsource(_kernels.halfspace_chunk))
+    assert source.count(old) == 1
+    namespace = dict(vars(_kernels))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(_kernels, "halfspace_chunk", namespace["halfspace_chunk"])
+    lines = []
+    assert not verification.run_suite("all", out=lines.append)
+    failed = {ln.split(" (")[0] for ln in lines if ln.startswith("FAIL")}
+    assert "FAIL  geometry :: half-space r^-8" in failed, failed
+
+
+def test_halfspace_r8_fails_on_a_scaled_target(monkeypatch):
+    original = verification._halfspace_r8
+    monkeypatch.setattr(verification, "_halfspace_r8", lambda z0: 1.01 * original(z0))
+    ok, detail = _check("half-space r^-8").run()
+    assert not ok, detail
