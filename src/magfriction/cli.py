@@ -12,6 +12,8 @@ long flags without dashes in front (e.g. ``omega-p=9.0``). Temperatures
 enter either as --beta (reduced) or --temperature-kelvin (Gaussian runs
 only); giving both is a configuration error. Spectrum files are
 two-column text (m, density) in reduced units regardless of --units.
+Each route declares the inputs it reads (_ROUTES); a flag on the command
+line that the route does not read is a configuration error.
 """
 
 import argparse
@@ -70,18 +72,9 @@ _SETTINGS = (
     ("units", str), ("seed", int), ("workers", int), ("max-points", int),
 )
 _DEFAULTS = {"units": "reduced", "seed": 0, "workers": 1, "max_points": 10000}
-_NOT_FOR_VERIFY = {flag for flag, _ in _PARAMS} | {"units", "seed"}
-
-_SWEEP_AXES = {
-    "eigen": ("alpha",),
-    "free-energy": ("alpha", "beta", "temperature-kelvin"),
-    "friction-pair": ("d", "v", "beta", "temperature-kelvin", "D1", "D2"),
-    "friction-plane": ("z0", "rho1", "v", "beta", "temperature-kelvin", "D1", "D2"),
-    "friction-slabs-finite": (
-        "d", "rho1", "rho2", "v", "beta", "temperature-kelvin", "D1", "D2",
-    ),
-    "friction-slabs-zero": ("d", "rho1", "rho2", "v", "D1", "D2"),
-}
+# the inputs a route may refuse: the physical flags, then the two settings
+# that every route but verify reads
+_INPUTS = tuple(flag for flag, _ in _PARAMS) + ("units", "seed")
 # sorted(verification.SUITES) and "all", named here so that building the
 # parser does not load the battery
 _SUITES = ("fields", "forces", "geometry", "materials", "matsubara", "numerics",
@@ -141,14 +134,14 @@ def _attr(flag):
 class RunConfig:
     """Fully resolved invocation: the command and every parameter."""
 
-    __slots__ = ("command", "geometry", "temperature_mode", "suite", "target", "axes", "units",
-                 "seed", "workers", "max_points", "out", "json_out",
+    __slots__ = ("command", "geometry", "temperature_mode", "suite", "target", "route", "axes",
+                 "units", "seed", "workers", "max_points", "out", "json_out",
                  *(_attr(flag) for flag, _ in _PARAMS))
 
     def __init__(self, command, geometry=None, temperature_mode=None, suite=None, target=None,
-                 axes=(), units="reduced", seed=0, workers=1, max_points=10000, out=None,
-                 json_out=None, alpha=None, beta=None, temperature_kelvin=None, d=None, z0=None,
-                 rho1=None, rho2=None, omega_p=None, nu=None, D1=None, D2=None, v=None,
+                 route=None, axes=(), units="reduced", seed=0, workers=1, max_points=10000,
+                 out=None, json_out=None, alpha=None, beta=None, temperature_kelvin=None, d=None,
+                 z0=None, rho1=None, rho2=None, omega_p=None, nu=None, D1=None, D2=None, v=None,
                  spectrum_file_1=None, spectrum_file_2=None):
         values = locals()
         for name in self.__slots__:
@@ -175,74 +168,67 @@ class SweepAxis(namedtuple("SweepAxis", "name lo hi steps log spec")):
     __slots__ = ()
 
     def values(self):
-        """The grid's points; a sweep builds them only after _sweep_axes
+        """The grid's points; a sweep builds them only after _check_axes
         has checked the grid's size."""
         if self.steps == 1:
             return np.array([self.lo])
         return (np.geomspace if self.log else np.linspace)(self.lo, self.hi, self.steps)
 
 
-def _add_common(parser):
+def _fill(words, parser):
+    """Add the arguments of the command ``words`` (a tuple of command words)
+    to ``parser``. The names of the routes under the command give either
+    its subcommands or the option that picks among its routes. Every
+    command takes all the input flags, so that an abbreviation reads the
+    same on each, but its help shows only those one of its routes reads."""
+    depth = len(words)
+    names = [name.split() for name in _ROUTES if name.split()[:depth] == list(words)]
+    following = dict.fromkeys(name[depth] for name in names if len(name) > depth)
+    if following and not next(iter(following)).startswith("--"):
+        # the command word, then friction's geometry
+        sub = parser.add_subparsers(dest=("command", "geometry")[depth], required=True)
+        for word in following:
+            sub.add_parser(word, functools.partial(_fill, words + (word,)))
+        return
+    reads = set().union(*(_ROUTES[" ".join(name)].reads for name in names))
+    hide = {flag: {} if flag in reads else {"help": argparse.SUPPRESS} for flag in _INPUTS}
     for flag, typ in _PARAMS:
-        parser.add_argument("--" + flag, type=typ, default=None)
-    parser.add_argument("--units", choices=["reduced", "gaussian"], default=None)
-    parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--" + flag, type=typ, default=None, **hide[flag])
+    parser.add_argument("--units", choices=["reduced", "gaussian"], default=None, **hide["units"])
+    parser.add_argument("--seed", type=int, default=None, **hide["seed"])
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--json", dest="json_out", type=str, default=None)
     parser.add_argument("--config", type=str, default=None)
-
-
-def _add_geometries(fr):
-    geo = fr.add_subparsers(dest="geometry", required=True)
-    geo.add_parser("pair", _add_common)
-    geo.add_parser("plane", _add_common)
-    geo.add_parser("slabs", _add_slabs)
-
-
-def _add_slabs(slabs):
-    _add_common(slabs)
-    slabs.add_argument("--temperature", choices=["finite", "zero"], required=True)
-
-
-def _add_sweep(sw):
-    _add_common(sw)
-    sw.add_argument("--target", choices=sorted(_SWEEP_AXES), required=True)
-    sw.add_argument("--axis", action="append", default=[], required=True)
-    sw.add_argument("--max-points", type=int, default=None)
-
-
-def _add_verify(vf):
-    _add_common(vf)
-    vf.add_argument("--suite", choices=_SUITES, default="all")
+    for option in following:  # --temperature of the slabs, --target of a sweep
+        parser.add_argument(option, choices=[name[depth + 1] for name in names], required=True)
+    if words == ("sweep",):
+        parser.add_argument("--axis", action="append", default=[], required=True)
+        parser.add_argument("--max-points", type=int, default=None)
+    if words == ("verify",):
+        parser.add_argument("--suite", choices=_SUITES, default="all")
 
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process; _Subcommands builds a
-    subcommand's parser when a call first reaches it. Otherwise parse_args
-    leaves the parser as it was (argparse copies the --axis append default
-    before appending)."""
+    """The argument parser, built once per process from the route table;
+    _Subcommands builds a subcommand's parser when a call first reaches
+    it. Otherwise parse_args leaves the parser as it was (argparse copies
+    the --axis append default before appending)."""
     parser = _Parser(prog="magfriction")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eigen", "free-energy", "fields"):
-        sub.add_parser(name, _add_common)
-    sub.add_parser("friction", _add_geometries)
-    sub.add_parser("sweep", _add_sweep)
-    sub.add_parser("verify", _add_verify)
+    _fill((), parser)
     return parser
 
 
-# the long flags of a command: _add_common's, and those of the commands
-# that take more, keyed by command word
-_COMMON_FLAGS = tuple("--" + flag for flag, _ in _PARAMS) + (
-    "--units", "--seed", "--workers", "--out", "--json", "--config", "--help",
-)
-_EXTRA_FLAGS = {
-    "slabs": ("--temperature",),
-    "sweep": ("--target", "--axis", "--max-points"),
-    "verify": ("--suite",),
-}
+def _long_flags(words):
+    """The long flags of the parser that the leading command words reach."""
+    parser = _build_parser()
+    for word in words:
+        subs = [a for a in parser._actions if isinstance(a, _Subcommands)]
+        if not subs or word not in subs[0].choices:
+            break
+        parser = subs[0].fill(word)
+    return [f for a in parser._actions for f in a.option_strings if f.startswith("--")]
 
 
 def _attach_float_values(argv):
@@ -253,8 +239,7 @@ def _attach_float_values(argv):
     by a prefix of no other flag of the command; an ambiguous prefix is
     left for argparse to refuse.
     """
-    words = itertools.takewhile(lambda arg: not arg.startswith("-"), argv)
-    flags = _COMMON_FLAGS + tuple(itertools.chain(*(_EXTRA_FLAGS.get(w, ()) for w in words)))
+    flags = _long_flags(itertools.takewhile(lambda arg: not arg.startswith("-"), argv))
     floats = {"--" + flag for flag, typ in _PARAMS if typ is float}
 
     def is_float_flag(arg):
@@ -276,7 +261,7 @@ def _attach_float_values(argv):
 
 def _load_config_file(path):
     known = {flag: typ for flag, typ in _PARAMS + _SETTINGS}
-    out = {}
+    out, lines_of = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -291,6 +276,10 @@ def _load_config_file(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise CliError(EXIT_CONFIG, "unknown config key %r" % key)
+        if key in lines_of:
+            raise CliError(EXIT_CONFIG, "config key %r given twice (lines %d and %d)"
+                           % (key, lines_of[key], ln))
+        lines_of[key] = ln
         try:
             out[key] = known[key](value)
         except ValueError:
@@ -299,11 +288,12 @@ def _load_config_file(path):
 
 
 def _resolve(args):
-    """Merge CLI > config file > defaults into a RunConfig."""
+    """Merge CLI > config file > defaults into a RunConfig, and check it
+    against the route it selects."""
     file_values = _load_config_file(args.config) if args.config else {}
-    cfg = RunConfig(command=args.command)
-    if args.command == "verify":
-        _refuse_verify_inputs(args, file_values)
+    route = _route_of(args)
+    _refuse_unread(route, args, file_values)
+    cfg = RunConfig(command=args.command, route=route.name)
     for flag, typ in _PARAMS + _SETTINGS:
         attr = _attr(flag)
         value = getattr(args, attr, None)
@@ -324,19 +314,57 @@ def _resolve(args):
         cfg.axes = tuple(_parse_axis(spec) for spec in args.axis)
     if cfg.workers < 1:
         raise CliError(EXIT_CONFIG, "--workers must be at least 1")
+    if cfg.command == "sweep":
+        _check_axes(cfg, route)
+    # a sweep axis gives its parameter
+    given = {ax.name for ax in cfg.axes}
+    missing = [f for f in route.required if getattr(cfg, _attr(f)) is None and f not in given]
+    if missing:
+        raise CliError(EXIT_CONFIG, "missing required parameter(s): "
+                       + ", ".join("--" + flag for flag in missing))
     return cfg
 
 
-def _refuse_verify_inputs(args, file_values):
-    """CliError naming the first input, flag or config key, that verify
-    would ignore: its checks fix their own parameters and seeds."""
-    for flag, _ in _PARAMS + _SETTINGS:
-        if flag not in _NOT_FOR_VERIFY:
+def _route_of(args):
+    """The route that parsed arguments select: the command words, then the
+    option that picks among the command's routes."""
+    name = _command_name(args)
+    for option in ("temperature", "target"):
+        if getattr(args, option, None) is not None:
+            name += " --%s %s" % (option, getattr(args, option))
+    return _ROUTES[name]
+
+
+def _refuse_unread(route, args, file_values):
+    """CliError naming the first input, in _INPUTS order, that the route
+    does not read and the command line gives. Only verify refuses config
+    keys too: its checks fix their own parameters and seeds, while one
+    file may serve several of the other commands."""
+    for flag in _INPUTS:
+        if flag in route.reads:
             continue
         if getattr(args, _attr(flag)) is not None:
-            raise CliError(EXIT_CONFIG, "verify takes no --%s" % flag)
-        if flag in file_values:
+            raise CliError(EXIT_CONFIG, "%s takes no --%s" % (route.name, flag))
+        if route.name == "verify" and flag in file_values:
             raise CliError(EXIT_CONFIG, "verify takes no config key %r" % flag)
+
+
+def _check_axes(cfg, route):
+    """The sweep's axes are inputs of its route (argparse requires one), a
+    temperature axis meets no fixed temperature, and the grid's size is
+    checked before any point is built."""
+    for ax in cfg.axes:
+        if ax.name not in route.reads:
+            raise CliError(EXIT_CONFIG, "axis %r does not apply to target %s"
+                           % (ax.name, cfg.target))
+    if any(ax.name in _TEMPERATURE for ax in cfg.axes) and (
+            cfg.beta is not None or cfg.temperature_kelvin is not None):
+        raise CliError(EXIT_CONFIG,
+                       "temperature axis conflicts with a fixed temperature parameter")
+    total = math.prod(ax.steps for ax in cfg.axes)
+    if total > cfg.max_points:
+        raise CliError(EXIT_CONFIG, "sweep of %d points exceeds --max-points %d"
+                       % (total, cfg.max_points))
 
 
 def _finite(name, value):
@@ -398,16 +426,6 @@ def _temperature_input(has_beta, has_kelvin, ctx):
     )
 
 
-def _need(values, *names):
-    missing = [n for n in names if values.get(n) is None]
-    if missing:
-        raise CliError(
-            EXIT_CONFIG,
-            "missing required parameter(s): "
-            + ", ".join("--" + n.replace("_", "-") for n in missing),
-        )
-
-
 def _load_spectrum(path):
     try:
         return materials_spectral.TabulatedSpectralDensity.from_text(path)
@@ -415,25 +433,8 @@ def _load_spectrum(path):
         raise CliError(EXIT_CONFIG, str(exc))
 
 
-def _no_spectrum(side, drude):
-    return CliError(
-        EXIT_CONFIG,
-        "no spectrum for side %d: give --spectrum-file-%d, --D%d%s"
-        % (side, side, side, ", or --omega-p/--nu" if drude else ""),
-    )
-
-
-def _tabulated_slab(side):
-    return CliError(
-        EXIT_CONFIG,
-        "slab commands need linear spectral slopes on side %d "
-        "(use --D%d or Drude parameters, not a spectrum file)" % (side, side),
-    )
-
-
 def _run_fields(cfg):
     """The fields and couplings on the axis r = (0, 0, d), in Python floats."""
-    _need({"d": cfg.d}, "d")
     if _units_ctx(cfg) is not None:
         raise CliError(EXIT_CONFIG, "fields reports reduced units only")
     d = cfg.d
@@ -584,11 +585,6 @@ class _Point(_ieee.FloatOps, _Grid):
         super().__init__(cfg, (), [])
 
 
-def _grid_need(grid, *names):
-    with grid.every_point():
-        _need(grid.columns, *names)
-
-
 def _grid_beta(grid):
     """Reduced inverse temperature column: exactly one temperature input,
     kelvin only in Gaussian runs, and each temperature positive."""
@@ -614,7 +610,9 @@ def _grid_spectrum(grid, side, drude_rho=None):
         return grid.map(lambda D: materials_spectral.LinearSpectralDensity(D).D, slope)
     omega_p = grid.reduced("omega_p")
     if omega_p is None or drude_rho is None:
-        grid.fail_everywhere(_no_spectrum(side, drude_rho is not None))
+        grid.fail_everywhere(CliError(
+            EXIT_CONFIG, "no spectrum for side %d: give --spectrum-file-%d, --D%d%s"
+            % (side, side, side, "" if drude_rho is None else ", or --omega-p/--nu")))
     nu = grid.reduced("nu")
     if nu is None:
         nu = grid.constant(0.0)
@@ -640,7 +638,6 @@ def _grid_report(grid, regime, force, intermediates, inputs):
 
 
 def _grid_eigen(grid):
-    _grid_need(grid, "alpha")
     alpha = grid.columns["alpha"]
     omega_plus, omega_minus, e0 = oscillator_pair.normal_modes(alpha, grid)
     return [("alpha", alpha), ("omega_plus", omega_plus),
@@ -648,7 +645,6 @@ def _grid_eigen(grid):
 
 
 def _grid_free_energy(grid):
-    _grid_need(grid, "alpha")
     alpha = grid.columns["alpha"]
     beta = _grid_beta(grid)
     f = matsubara.free_energy(alpha, beta, grid)
@@ -661,7 +657,6 @@ def _grid_free_energy(grid):
 
 
 def _grid_friction_pair(grid):
-    _grid_need(grid, "d", "v")
     beta = _grid_beta(grid)
     d, v = grid.reduced("d"), grid.reduced("v")
     s1 = _grid_spectrum(grid, 1)
@@ -672,7 +667,6 @@ def _grid_friction_pair(grid):
 
 
 def _grid_friction_plane(grid):
-    _grid_need(grid, "z0", "rho1", "v")
     beta = _grid_beta(grid)
     z0, rho = grid.reduced("z0"), grid.reduced("rho1")
     grid.fail((z0 <= 0.0) | (rho <= 0.0), ValueError("z0 and rho must be positive"))
@@ -686,15 +680,18 @@ def _grid_friction_plane(grid):
 def _grid_slabs(grid):
     """Geometry, linear slopes and speed of both slab targets; a bad
     geometry or slope is reported before any temperature check."""
-    _grid_need(grid, "d", "rho1", "rho2", "v")
     d, rho1, rho2 = grid.reduced("d"), grid.reduced("rho1"), grid.reduced("rho2")
     grid.fail((d <= 0.0) | (rho1 <= 0.0) | (rho2 <= 0.0),
               ValueError("d, rho1, rho2 must be positive"))
     slopes = []
     for side, rho in ((1, rho1), (2, rho2)):
         spec = _grid_spectrum(grid, side, drude_rho=rho)
+        # the flag is refused; a config file, which may serve the pair and
+        # plane commands too, may still name a spectrum file
         if isinstance(spec, materials_spectral.TabulatedSpectralDensity):
-            grid.fail_everywhere(_tabulated_slab(side))
+            grid.fail_everywhere(CliError(
+                EXIT_CONFIG, "slab commands need linear spectral slopes on side %d "
+                "(use --D%d or Drude parameters, not a spectrum file)" % (side, side)))
         slopes.append(spec)
     return {"d": d, "rho1": rho1, "rho2": rho2, "D1": slopes[0], "D2": slopes[1],
             "v": grid.reduced("v")}
@@ -709,6 +706,7 @@ def _grid_slabs_finite(grid):
 
 def _grid_slabs_zero(grid):
     inputs = _grid_slabs(grid)
+    # from a config file: the flags and axes are refused
     if "beta" in grid.columns or "temperature_kelvin" in grid.columns:
         grid.fail_everywhere(
             CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
@@ -717,68 +715,14 @@ def _grid_slabs_zero(grid):
     return _grid_report(grid, "slabs-zero-T", force, inter, inputs)
 
 
-_TARGET_RUNNERS = {
-    "eigen": _grid_eigen,
-    "free-energy": _grid_free_energy,
-    "friction-pair": _grid_friction_pair,
-    "friction-plane": _grid_friction_plane,
-    "friction-slabs-finite": _grid_slabs_finite,
-    "friction-slabs-zero": _grid_slabs_zero,
-}
-
-
 def _run_point(cfg):
     """A one-shot command with a sweep target: that target on a _Point."""
-    target = cfg.command
-    if cfg.command == "friction":
-        target = "friction-" + cfg.geometry
-        if cfg.geometry == "slabs":
-            target += "-" + cfg.temperature_mode
     grid = _Point(cfg)
-    return _Table(_TARGET_RUNNERS[target](grid), (), grid.columns.values())
-
-
-_RUNNERS = {
-    "eigen": _run_point,
-    "free-energy": _run_point,
-    "fields": _run_fields,
-    ("friction", "pair"): _run_point,
-    ("friction", "plane"): _run_point,
-    ("friction", "slabs"): _run_point,
-}
-
-
-def _sweep_axes(cfg):
-    """Shape of the grid; the axes are checked before any point is built."""
-    axes = cfg.axes
-    if not axes:
-        raise CliError(EXIT_CONFIG, "sweep needs at least one --axis")
-    allowed = _SWEEP_AXES[cfg.target]
-    for ax in axes:
-        if ax.name not in allowed:
-            raise CliError(
-                EXIT_CONFIG,
-                "axis %r does not apply to target %s" % (ax.name, cfg.target),
-            )
-    temp_axes = {"beta", "temperature-kelvin"}
-    if any(ax.name in temp_axes for ax in axes):
-        if cfg.beta is not None or cfg.temperature_kelvin is not None:
-            raise CliError(
-                EXIT_CONFIG,
-                "temperature axis conflicts with a fixed temperature parameter",
-            )
-    shape = tuple(ax.steps for ax in axes)
-    total = math.prod(shape)
-    if total > cfg.max_points:
-        raise CliError(
-            EXIT_CONFIG,
-            "sweep of %d points exceeds --max-points %d" % (total, cfg.max_points),
-        )
-    return shape
+    return _Table(_TARGET_RUNNERS[_ROUTES[cfg.route].target](grid), (), grid.columns.values())
 
 
 def _run_sweep(cfg):
-    shape = _sweep_axes(cfg)
+    shape = tuple(ax.steps for ax in cfg.axes)
     columns = np.ix_(*(ax.values() for ax in cfg.axes))
     grid = _Grid(cfg, shape, columns)
     cells = _TARGET_RUNNERS[cfg.target](grid)
@@ -786,6 +730,56 @@ def _run_sweep(cfg):
     # axis echo gets its own columns; runners echo inputs under bare names
     sweep = [("sweep_" + _attr(ax.name), col) for ax, col in zip(cfg.axes, columns)]
     return _Table(sweep + cells, shape, grid.columns.values())
+
+
+# --- the route table --------------------------------------------------------
+#
+# A row is a route: its name, which is the command line that selects it;
+# the sweep target that computes it, if any; the inputs it reads; the
+# required ones among them; and its column function, which takes a grid
+# (fields, which has no target, runs on the config). The parsers and their
+# help, the sweep targets and their axes (a target's float inputs), the
+# required-input check, the refusal of a flag the route does not read,
+# _TARGET_RUNNERS and _RUNNERS all come from this table.
+
+_Route = namedtuple("_Route", "name target reads required columns")
+
+
+def _reads(*flags):
+    """The inputs of a route that prints a table: the flags, --units and --seed."""
+    return frozenset(flags + ("units", "seed"))
+
+
+_TEMPERATURE = ("beta", "temperature-kelvin")
+_SPECTRA = ("D1", "D2", "spectrum-file-1", "spectrum-file-2")
+# linear slopes only: --D or a Drude metal's, whose rho is the slab's
+_SLABS = ("d", "rho1", "rho2", "v", "omega-p", "nu", "D1", "D2")
+_SLAB_REQUIRED = ("d", "rho1", "rho2", "v")
+_ONE_SHOT = (
+    _Route("eigen", "eigen", _reads("alpha"), ("alpha",), _grid_eigen),
+    _Route("free-energy", "free-energy", _reads("alpha", *_TEMPERATURE), ("alpha",),
+           _grid_free_energy),
+    _Route("fields", None, _reads("d", "z0", "rho1"), ("d",), _run_fields),
+    _Route("friction pair", "friction-pair", _reads("d", "v", *_TEMPERATURE, *_SPECTRA),
+           ("d", "v"), _grid_friction_pair),
+    # a Drude metal stands on side 2, the half-space
+    _Route("friction plane", "friction-plane",
+           _reads("z0", "rho1", "v", *_TEMPERATURE, "omega-p", "nu", *_SPECTRA),
+           ("z0", "rho1", "v"), _grid_friction_plane),
+    _Route("friction slabs --temperature finite", "friction-slabs-finite",
+           _reads(*_SLABS, *_TEMPERATURE), _SLAB_REQUIRED, _grid_slabs_finite),
+    _Route("friction slabs --temperature zero", "friction-slabs-zero",
+           _reads(*_SLABS), _SLAB_REQUIRED, _grid_slabs_zero),
+)
+_ROUTES = {route.name: route for route in (
+    *_ONE_SHOT,
+    *(route._replace(name="sweep --target " + route.target) for route in _ONE_SHOT
+      if route.target),
+    # its checks fix their own parameters and seeds
+    _Route("verify", None, frozenset(), (), None),
+)}
+_TARGET_RUNNERS = {route.target: route.columns for route in _ONE_SHOT if route.target}
+_RUNNERS = {route.name: _run_point if route.target else route.columns for route in _ONE_SHOT}
 
 
 def _config_echo(cfg):
@@ -1049,8 +1043,7 @@ def main(argv=None):
             if cfg.command == "sweep":
                 table = _run_sweep(cfg)
             else:
-                key = (cfg.command, cfg.geometry) if cfg.command == "friction" else cfg.command
-                table = _RUNNERS[key](cfg)
+                table = _RUNNERS[cfg.route](cfg)
         _emit(cfg, table)
         return EXIT_OK
     except CliError as exc:

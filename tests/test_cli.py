@@ -274,10 +274,9 @@ ONE_SHOT_FAILURES = [
      "error: no spectrum for side 2: give --spectrum-file-2, --D2, or --omega-p/--nu"),
     (["friction", "slabs", "--temperature", "finite", "--beta", 1, "--v", 1,
       "--spectrum-file-1", "{file}", *SLAB_PARAMS], 3,
-     "error: slab commands need linear spectral slopes on side 1 "
-     "(use --D1 or Drude parameters, not a spectrum file)"),
+     "error: friction slabs --temperature finite takes no --spectrum-file-1"),
     (["friction", "slabs", "--temperature", "zero", "--v", 1, "--beta", 1, *SLAB_PARAMS], 3,
-     "error: zero-temperature slabs take no temperature input"),
+     "error: friction slabs --temperature zero takes no --beta"),
     (["friction", "pair", "--d", 1, "--beta", 1, "--temperature-kelvin", 300, "--v", 1,
       "--D1", 1, "--D2", 1], 3, "error: give either --beta or --temperature-kelvin, not both"),
     (["friction", "pair", "--d", 1, "--beta", 1, "--D1", 1, "--D2", 1, "--v", "-inf"], 1,
@@ -286,6 +285,15 @@ ONE_SHOT_FAILURES = [
     (["friction", "pair", "--d", 1, "--beta", 1e-200, "--v", 1, "--D2", 1,
       "--spectrum-file-1", "{file}"], 2,
      "numerical failure: H0 integrand is not a finite float at m=0.0198551"),
+    # a flag that the route does not read; of several, the first in _PARAMS order
+    (["friction", "slabs", "--temperature", "zero", "--v", 0.01, *SLAB_PARAMS,
+      "--alpha", 5, "--nu", 3], 3, "error: friction slabs --temperature zero takes no --alpha"),
+    (["friction", "pair", "--d", 1, "--beta", 1, "--v", 1, "--D1", 1, "--D2", 1,
+      "--omega-p", 9], 3, "error: friction pair takes no --omega-p"),
+    (["fields", "--d", 1, "--rho2", 1], 3, "error: fields takes no --rho2"),
+    # refused before any value is checked: --d -1 alone exits 1
+    (["friction", "slabs", "--temperature", "zero", "--v", 0.01, "--d", -1, *SLAB_PARAMS[2:],
+      "--beta", 1], 3, "error: friction slabs --temperature zero takes no --beta"),
 ]
 
 
@@ -380,7 +388,10 @@ def test_abbreviated_float_flag_takes_separate_value(cli, capsys, head):
 
 
 def test_flag_table_matches_parser():
-    # _attach_float_values resolves abbreviations against this table
+    # _attach_float_values resolves abbreviations against the flags of the
+    # parser that the route table builds for the command; every command
+    # takes all the input flags, so that an abbreviation reads the same
+    # everywhere
     def commands(parser, path=()):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
@@ -389,11 +400,11 @@ def test_flag_table_matches_parser():
         for name in subs[0].choices:  # each subcommand's arguments added
             yield from commands(subs[0].fill(name), path + (name,))
 
+    inputs = {"--" + flag for flag in cli_module._INPUTS}
     for path, parser in commands(cli_module._build_parser()):
         flags = {f for a in parser._actions for f in a.option_strings if f.startswith("--")}
-        table = set(cli_module._COMMON_FLAGS)
-        table.update(f for word in path for f in cli_module._EXTRA_FLAGS.get(word, ()))
-        assert flags == table, path
+        assert set(cli_module._long_flags(path)) == flags, path
+        assert inputs <= flags, path
 
 
 def test_unknown_flag_is_config_error(cli):
@@ -450,9 +461,9 @@ ONE_SHOT = [entry for _, entry in sorted(TARGETS.items())]
 ONE_SHOT.append((["fields"], ("d", "z0", "rho1"), False, ()))
 
 
-def _draw_params(draw, names, temperature, spectra, axes=()):
-    """Valid values for a command's parameters, then up to three parameters
-    of any command anywhere in the domain or left out."""
+def _draw_params(draw, reads, names, temperature, spectra, axes=()):
+    """Valid values for a command's parameters, then up to three of the
+    float inputs its route reads anywhere in the domain or left out."""
     units = draw(st.sampled_from(["reduced", "gaussian"]))
     names = list(names)
     if temperature and not TEMPERATURES & set(axes):
@@ -469,7 +480,8 @@ def _draw_params(draw, names, temperature, spectra, axes=()):
         else:
             argv += ["--spectrum-file-%d" % side, source]
     values = {name: draw(POSITIVE) for name in names}
-    for name in draw(st.lists(st.sampled_from(FLOAT_PARAMS), max_size=3)):
+    floats = [name for name in FLOAT_PARAMS if name in reads]
+    for name in draw(st.lists(st.sampled_from(floats), max_size=3)):
         values[name] = draw(st.one_of(st.none(), MAGNITUDE))
     for name, value in values.items():
         if value is not None:
@@ -480,7 +492,8 @@ def _draw_params(draw, names, temperature, spectra, axes=()):
 @st.composite
 def one_shot_argv(draw):
     head, names, temperature, spectra = draw(st.sampled_from(ONE_SHOT))
-    return head + _draw_params(draw, names, temperature, spectra)
+    reads = cli_module._ROUTES[" ".join(head)].reads
+    return head + _draw_params(draw, reads, names, temperature, spectra)
 
 
 @st.composite
@@ -489,13 +502,14 @@ def sweep_argv(draw):
     _, names, temperature, spectra = TARGETS[target]
     argv, axes = ["sweep", "--target", target], []
     bound = st.one_of(POSITIVE, SIGNED)
+    reads = cli_module._ROUTES["sweep --target " + target].reads
     for _ in range(draw(st.integers(1, 2))):
-        axes.append(draw(st.sampled_from(cli_module._SWEEP_AXES[target])))
+        axes.append(draw(st.sampled_from([f for f in FLOAT_PARAMS if f in reads])))
         lo, steps = draw(bound), draw(st.integers(1, 4))
         hi = lo if steps == 1 else draw(bound)
         log = draw(st.sampled_from(["", ":log"]))
         argv += ["--axis", "%s:%s:%s:%d%s" % (axes[-1], lo, hi, steps, log)]
-    return argv + _draw_params(draw, names, temperature, spectra, axes)
+    return argv + _draw_params(draw, reads, names, temperature, spectra, axes)
 
 
 @pytest.fixture(scope="module")
@@ -709,6 +723,64 @@ def test_config_file_precedence(cli, tmp_path):
     code, out = cli("eigen", "--config", path, "--alpha", 0.75)
     assert code == 0
     assert _column(out, "alpha") == ["0.75"]
+
+
+def test_config_keys_a_command_does_not_read_are_echoed(cli, tmp_path):
+    # one file may serve several commands: eigen reads only alpha
+    path = _write(tmp_path / "run.cfg", "alpha=1\nbeta=2\nd=3\n")
+    code, out = cli("eigen", "--config", path)
+    assert code == 0
+    assert out.splitlines()[3] == "# config: alpha=1.0 beta=2.0 d=3.0 seed=0 units=reduced"
+
+
+def test_zero_T_slabs_refuse_a_temperature_config_key(cli, capsys, tmp_path):
+    path = _write(tmp_path / "run.cfg", "beta=2\n")
+    code, out = cli(*SLABS_ZERO_UNIT, "--config", path)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: zero-temperature slabs take no temperature input\n"
+
+
+@pytest.mark.parametrize("slabs", [SLABS_UNIT, SLABS_ZERO_UNIT], ids=["finite", "zero"])
+def test_slabs_refuse_a_spectrum_file_config_key(cli, capsys, tmp_path, slabs):
+    spectrum = _write(tmp_path / "s.txt", "0 0\n1 1\n2 2\n")
+    path = _write(tmp_path / "run.cfg", "spectrum-file-1=%s\n" % spectrum)
+    code, out = cli(*slabs, "--config", path)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: slab commands need linear spectral slopes on side 1 "
+        "(use --D1 or Drude parameters, not a spectrum file)\n")
+
+
+def test_config_key_given_twice_is_refused(cli, capsys, tmp_path):
+    path = _write(tmp_path / "run.cfg", "alpha=1\n# the same key again\nalpha=2\n")
+    code, out = cli("eigen", "--config", path)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: config key 'alpha' given twice (lines 1 and 3)\n"
+
+
+def test_runners_are_dispatched_through_their_tables(cli, monkeypatch):
+    # the benchmark's tracer swaps the values of both tables for wrappers
+    # of the cli functions of the same name
+    for table in (cli_module._RUNNERS, cli_module._TARGET_RUNNERS):
+        for fn in table.values():
+            assert getattr(cli_module, fn.__name__) is fn
+    called = []
+
+    def wrap(table, key):
+        fn = table[key]
+
+        def wrapper(arg):
+            called.append(key)
+            return fn(arg)
+
+        monkeypatch.setitem(table, key, wrapper)
+
+    wrap(cli_module._RUNNERS, "eigen")
+    wrap(cli_module._TARGET_RUNNERS, "eigen")
+    assert cli("eigen", "--alpha", 1)[0] == 0
+    assert called == ["eigen", "eigen"]
+    assert cli("sweep", "--target", "eigen", "--axis", "alpha:0:1:3")[0] == 0
+    assert called == ["eigen"] * 3
 
 
 def test_single_point_sweep_matches_run(cli):

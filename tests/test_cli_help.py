@@ -39,6 +39,8 @@ ERRORS = [
     ["friction"],                                    # no geometry
     ["friction", "bogus"],
     ["eigen", "--D", "1"],                           # ambiguous abbreviation
+    ["eigen", "--alpha", "1", "--d", "3"],           # an input eigen does not read
+    ["sweep", "--target", "eigen", "--axis", "alpha:0:1:2", "--beta", "1"],
     ["friction", "pair", "--s", "1"],
     ["eigen", "--alpha", "1", "--bogus", "2"],       # unknown flag
     ["friction", "slabs", "--d", "1"],               # missing --temperature

@@ -148,8 +148,7 @@ def test_slab_forces_reject_nonlinear_densities(cli, capsys, tmp_path, spec):
     code, out = cli(*_SLAB_ARGS, "--D1", 1, "--D2", 1, flag, path)
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == (
-        "error: slab commands need linear spectral slopes on side %d "
-        "(use --D%d or Drude parameters, not a spectrum file)\n" % (side, side))
+        "error: friction slabs --temperature finite takes no %s\n" % flag)
 
 
 def test_zero_T_trivials():

@@ -36,6 +36,10 @@ SWEEPS = {
     "plane_drude": ["--target", "friction-plane", "--axis", "rho1:0.5:3:3",
                     "--axis", "z0:0.5:2:3", "--beta", "2", "--v", "1e-3",
                     "--omega-p", "9", "--nu", "0.1", "--D1", "1"],
+    # omega-p and nu are axes of every target that takes a Drude metal
+    "plane_omega_p": ["--target", "friction-plane", "--axis", "omega-p:1:100:3:log",
+                      "--axis", "rho1:0.5:3:3", "--z0", "1", "--beta", "2", "--v", "1e-3",
+                      "--nu", "0.1", "--D1", "1"],
     "slabs_finite": ["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3",
                      "--axis", "beta:0.5:50:3:log", *SLAB, "--v", "1e-3"],
     # four axes over three parameters: the later d axis replaces the earlier
