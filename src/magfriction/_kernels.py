@@ -3,13 +3,14 @@
 Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
 
-The trajectory and Monte Carlo routes work in fixed blocks, so that their
-temporaries stay in cache and their Python-level calls are few:
-``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul, and
+The trajectory, mode-sum and Monte Carlo routes work in fixed blocks, so
+that their temporaries stay in cache and their Python-level calls are
+few: ``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul,
+``mode_sum`` sums ``MODE_BLOCK`` modes per block, and
 ``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` points
 of one shift of its lattice rule per call. A block size changes only the
-order of floating-point operations (the summation order of a shift's
-sum, the grouping of a matrix product), never the points: an estimate
+order of floating-point operations (the summation order of a sum, the
+grouping of a matrix product), never the terms or points: an estimate
 stays deterministic per (seed, shifts).
 
 ``halfspace_chunk`` holds the only copy of the half-space importance
@@ -31,6 +32,9 @@ TWO_PI = 2.0 * math.pi
 
 # records advanced from one state by one batched matmul of matrix powers
 RK4_BLOCK = 64
+# modes per block of mode_sum: its three float64 arrays (128 KiB each) stay
+# in cache, whatever n_max is
+MODE_BLOCK = 16384
 # points per block function call of numerics.mc_integrate: a block's few
 # float64 temporaries (64 KiB each) stay in cache
 MC_BLOCK = 8192
@@ -100,7 +104,9 @@ def mode_sum(alpha, beta, n_max):
     r"""Brute-force symmetric sum of per-mode free energies.
 
     Sum of (2*alpha^2/beta) * u^2/(u^2+1)^2 over modes n = -n_max..n_max with
-    u = 2*pi*n/beta; the n = 0 term vanishes.
+    u = 2*pi*n/beta; the n = 0 term vanishes. Each term is computed as in a
+    whole-array pass; the terms are summed per ``MODE_BLOCK`` block and the
+    block sums added with ``math.fsum``.
 
     Returns
     -------
@@ -108,10 +114,22 @@ def mode_sum(alpha, beta, n_max):
     """
     if n_max <= 0:
         return 0.0
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    u2 = (TWO_PI * n / beta) ** 2
-    terms = u2 / (u2 + 1.0) ** 2
-    return float(2.0 * (2.0 * alpha ** 2 / beta) * np.sum(terms))
+    modes = np.arange(1.0, min(n_max, MODE_BLOCK) + 1.0)
+    u2 = np.empty_like(modes)
+    den = np.empty_like(modes)
+    block_sums = []
+    for start in range(0, n_max, MODE_BLOCK):
+        m = min(MODE_BLOCK, n_max - start)
+        u, d = u2[:m], den[:m]
+        np.add(modes[:m], start, out=u)
+        u *= TWO_PI
+        u /= beta
+        np.square(u, out=u)
+        np.add(u, 1.0, out=d)
+        np.square(d, out=d)
+        u /= d
+        block_sums.append(float(np.sum(u)))
+    return 2.0 * (2.0 * alpha**2 / beta) * math.fsum(block_sums)
 
 
 def halfspace_chunk(z0, u, mode):

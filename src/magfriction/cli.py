@@ -316,6 +316,7 @@ def _resolve(args):
         raise CliError(EXIT_CONFIG, "--workers must be at least 1")
     if cfg.command == "sweep":
         _check_axes(cfg, route)
+    _refuse_shadowed(route, args, cfg)
     # a sweep axis gives its parameter
     given = {ax.name for ax in cfg.axes}
     missing = [f for f in route.required if getattr(cfg, _attr(f)) is None and f not in given]
@@ -347,6 +348,36 @@ def _refuse_unread(route, args, file_values):
             raise CliError(EXIT_CONFIG, "%s takes no --%s" % (route.name, flag))
         if route.name == "verify" and flag in file_values:
             raise CliError(EXIT_CONFIG, "verify takes no config key %r" % flag)
+
+
+# the sides on which a route's grid puts a Drude metal (_grid_friction_plane,
+# _grid_slabs) when the side has no spectrum file and no --D
+_DRUDE_SIDES = {"friction-plane": (2,), "friction-slabs-finite": (1, 2),
+                "friction-slabs-zero": (1, 2)}
+
+
+def _refuse_shadowed(route, args, cfg):
+    """CliError naming a command-line input (flag or axis) that the route
+    would not read: fields' --rho1 without --z0 (given anywhere), and a
+    side's spectrum source below another given on the command line for that
+    side (spectrum file, then --D, then the Drude metal's --omega-p/--nu).
+    A config key keeps its precedence unrefused, since one file may serve
+    several commands."""
+    flags = {ax.name for ax in cfg.axes}
+    flags.update(f for f in _INPUTS if getattr(args, _attr(f)) is not None)
+    if route.name == "fields" and "rho1" in flags and cfg.z0 is None:
+        raise CliError(EXIT_CONFIG, "fields takes --rho1 only with --z0")
+    for side in (1, 2):
+        if {"D%d" % side, "spectrum-file-%d" % side} <= flags:
+            raise CliError(EXIT_CONFIG, "%s takes no --D%d with --spectrum-file-%d"
+                           % (route.name, side, side))
+    drude = [f for f in ("omega-p", "nu") if f in flags]
+    sides = _DRUDE_SIDES.get(route.target, ())
+    # by now each side has at most one of its two sources
+    shadows = [f for s in sides for f in ("spectrum-file-%d" % s, "D%d" % s) if f in flags]
+    if drude and len(shadows) == len(sides) > 0:
+        raise CliError(EXIT_CONFIG, "%s takes no --%s with %s"
+                       % (route.name, drude[0], " and ".join("--" + f for f in shadows)))
 
 
 def _check_axes(cfg, route):

@@ -710,9 +710,9 @@ def _projection(t, x, w):
     a = np.linalg.solve(R, Q.T @ x)
     r = M @ a - x
     J = np.empty((t.size, w.size))
-    for j, wj in enumerate(w):
-        c, s = np.cos(wj * t), np.sin(wj * t)
+    for j in range(w.size):
         # only columns 2j, 2j + 1 of M, cos(w_j t) and sin(w_j t), move with w_j
+        c, s = M[:, 2 * j], M[:, 2 * j + 1]
         dMa = t * (c * a[2 * j + 1] - s * a[2 * j])
         g = np.zeros(M.shape[1])
         g[2 * j : 2 * j + 2] = (-(t * s) @ r, (t * c) @ r)
@@ -788,7 +788,8 @@ def sinusoid_fit(t, x, k):
         raise FitError("sampling must be uniform")
 
     p = 2 * k
-    A = np.stack([x[i : i + p][::-1] for i in range(x.size - p)])
+    # Hankel prediction matrix: row i is x[i + p - 1], ..., x[i]
+    A = np.lib.stride_tricks.sliding_window_view(x, p)[: x.size - p, ::-1]
     b = x[p:]
     coef, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf

@@ -625,16 +625,7 @@ def check_mode_free_energy_moments():
 
 def check_free_energy_brute_force():
     alpha, beta = 0.1, 10.0
-    # u^2/(u^2 + 1)^2 over n = 1..10^6 in two arrays, operated on in place:
-    # these are the battery's largest temporaries
-    u2 = np.arange(1.0, 1_000_001.0)
-    u2 *= 2.0 * np.pi
-    u2 /= beta
-    np.square(u2, out=u2)
-    den = u2 + 1.0
-    np.square(den, out=den)
-    u2 /= den
-    brute = 2.0 * (2.0 * alpha**2 / beta) * np.sum(u2)
+    brute = _kernels.mode_sum(alpha, beta, 1_000_000)
     grid = MatsubaraGrid(beta, 20_000, tail_tol=1e-10)
     val = induced_free_energy(alpha, grid)
     # brute force still misses its own tail ~ 1/n_max

@@ -294,6 +294,20 @@ ONE_SHOT_FAILURES = [
     # refused before any value is checked: --d -1 alone exits 1
     (["friction", "slabs", "--temperature", "zero", "--v", 0.01, "--d", -1, *SLAB_PARAMS[2:],
       "--beta", 1], 3, "error: friction slabs --temperature zero takes no --beta"),
+    # a flag the route reads only without another
+    (["fields", "--d", 1, "--rho1", 2], 3, "error: fields takes --rho1 only with --z0"),
+    (["friction", "pair", "--d", 1, "--beta", 1, "--v", 1, "--D1", 1, "--D2", 1,
+      "--spectrum-file-1", "{file}"], 3,
+     "error: friction pair takes no --D1 with --spectrum-file-1"),
+    (["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 1, "--v", 1e-3, "--D1", 1,
+      "--D2", 1, "--omega-p", 9, "--nu", 0.1], 3,
+     "error: friction plane takes no --omega-p with --D2"),
+    (["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 1, "--v", 1e-3, "--D1", 1,
+      "--spectrum-file-2", "{file}", "--nu", 0.1], 3,
+     "error: friction plane takes no --nu with --spectrum-file-2"),
+    (["friction", "slabs", "--temperature", "zero", "--v", 0.01, *SLAB_PARAMS,
+      "--omega-p", 3], 3,
+     "error: friction slabs --temperature zero takes no --omega-p with --D1 and --D2"),
 ]
 
 
@@ -731,6 +745,36 @@ def test_config_keys_a_command_does_not_read_are_echoed(cli, tmp_path):
     code, out = cli("eigen", "--config", path)
     assert code == 0
     assert out.splitlines()[3] == "# config: alpha=1.0 beta=2.0 d=3.0 seed=0 units=reduced"
+
+
+def test_sweep_axis_below_a_spectrum_file_is_refused(cli, capsys, tmp_path):
+    path = _write(tmp_path / "s.txt", "0 0\n1 1\n2 2\n")
+    code, out = cli("sweep", "--target", "friction-plane", "--axis", "D2:1:2:2", "--z0", 1,
+                    "--rho1", 1, "--beta", 1, "--v", 1e-3, "--D1", 1,
+                    "--spectrum-file-2", path)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: sweep --target friction-plane takes no --D2 with --spectrum-file-2\n")
+
+
+def test_config_keys_keep_their_precedence(cli, tmp_path):
+    # a config key is not refused where a flag would be: one file may serve
+    # several commands
+    path = _write(tmp_path / "run.cfg", "rho1=2\n")
+    code, out = cli("fields", "--d", 1, "--config", path)
+    assert code == 0
+    assert "rho1" not in out.splitlines()[4]
+    # --rho1 is read when a config file gives --z0
+    path = _write(tmp_path / "z0.cfg", "z0=1\n")
+    code, out = cli("fields", "--d", 1, "--rho1", 2, "--config", path)
+    assert code == 0
+    assert _column(out, "rho1") == ["2.0"]
+    # --D2 stands above the Drude keys of the same file
+    path = _write(tmp_path / "plane.cfg", "D2=1\nomega-p=9\nnu=0.1\n")
+    plane = ["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 1, "--v", 1e-3, "--D1", 1]
+    code, out = cli(*plane, "--config", path)
+    assert code == 0
+    assert _column(out, "force") == _column(cli(*plane, "--D2", 1)[1], "force")
 
 
 def test_zero_T_slabs_refuse_a_temperature_config_key(cli, capsys, tmp_path):

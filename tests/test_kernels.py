@@ -1,5 +1,8 @@
 """Numpy kernels against plain loops written out here."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,14 +106,35 @@ def test_rk4_stride_must_divide():
         _kernels.rk4_batch(A, init, dt, 101, 10)
 
 
-def test_mode_sum_against_direct_loop():
-    beta, alpha, n_max = 5.0, 0.4, 200
-    direct = 0.0
+@pytest.mark.parametrize("n_max", [
+    200, _kernels.MODE_BLOCK - 1, _kernels.MODE_BLOCK, _kernels.MODE_BLOCK + 1,
+    3 * _kernels.MODE_BLOCK + 7,
+])
+def test_mode_sum_against_direct_loop(n_max):
+    beta, alpha = 5.0, 0.4
+    terms = []
     for n in range(1, n_max + 1):
         u2 = (2.0 * np.pi * n / beta) ** 2
-        direct += 2.0 * (2.0 * alpha**2 / beta) * u2 / (u2 + 1.0) ** 2
-    assert abs(_kernels.mode_sum(alpha, beta, n_max) - direct) <= 1e-14
+        terms.append(2.0 * (2.0 * alpha**2 / beta) * u2 / (u2 + 1.0) ** 2)
+    direct = math.fsum(terms)
+    assert abs(_kernels.mode_sum(alpha, beta, n_max) - direct) <= 1e-14 * direct
     assert _kernels.mode_sum(alpha, beta, 0) == 0.0
+
+
+@pytest.mark.parametrize("check", [
+    verification.check_free_energy_brute_force, verification.check_free_energy_closed_form,
+])
+def test_free_energy_checks_allocate_no_whole_mode_arrays(check):
+    # a warm call: the first may load modules. mode_sum's blocks hold a few
+    # hundred KiB; one array over all 10^6 (or 200 000) modes would not fit
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _halfspace_weights(z0, u, mode):

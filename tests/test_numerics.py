@@ -637,6 +637,24 @@ def test_sinusoid_fit_reaches_the_least_squares_minimum():
     assert np.allclose(sorted(m[0] for m in modes), sorted(ref.x), rtol=1e-10, atol=0.0)
 
 
+def test_projection_jacobian_matches_central_differences():
+    # off the fitted frequencies, with a third tone, so that r(w) is not small
+    # and both terms of the variable-projection Jacobian count
+    t = np.linspace(0.0, 60.0, 3000)
+    x = 0.8 * np.cos(2.0 * t + 0.2) + 0.5 * np.cos(0.5 * t - 0.4) + 0.05 * np.sin(3.1 * t)
+    w = np.array([2.003, 0.498])
+    r, J = numerics._projection(t, x, w)
+    h = 1e-6
+    fd = np.empty_like(J)
+    for j in range(w.size):
+        step = np.zeros_like(w)
+        step[j] = h
+        fd[:, j] = (numerics._projection(t, x, w + step)[0]
+                    - numerics._projection(t, x, w - step)[0]) / (2.0 * h)
+    assert np.max(np.abs(r)) > 0.1
+    assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+
 def test_sinusoid_fit_keeps_its_conditioning_refusal():
     # two modes asked of one sinusoid: the prediction stage is singular
     t = np.arange(400) * 0.05
