@@ -13,7 +13,9 @@ enter either as --beta (reduced) or --temperature-kelvin (Gaussian runs
 only); giving both is a configuration error. Spectrum files are
 two-column text (m, density) in reduced units regardless of --units.
 Each route declares the inputs it reads (_ROUTES); a flag on the command
-line that the route does not read is a configuration error.
+line that the route does not read is a configuration error. _resolve
+raises every configuration error before any value is checked; the
+column functions then check values only, point by point.
 """
 
 import argparse
@@ -132,17 +134,17 @@ def _attr(flag):
 
 
 class RunConfig:
-    """Fully resolved invocation: the command and every parameter."""
+    """Fully resolved invocation: its _Route, every parameter, and the
+    spectrum files that the route reads, loaded (``spectra``, by side)."""
 
-    __slots__ = ("command", "geometry", "temperature_mode", "suite", "target", "route", "axes",
-                 "units", "seed", "workers", "max_points", "out", "json_out",
-                 *(_attr(flag) for flag, _ in _PARAMS))
+    __slots__ = ("route", "suite", "axes", "units", "seed", "workers", "max_points", "out",
+                 "json_out", "spectra", *(_attr(flag) for flag, _ in _PARAMS))
 
-    def __init__(self, command, geometry=None, temperature_mode=None, suite=None, target=None,
-                 route=None, axes=(), units="reduced", seed=0, workers=1, max_points=10000,
-                 out=None, json_out=None, alpha=None, beta=None, temperature_kelvin=None, d=None,
-                 z0=None, rho1=None, rho2=None, omega_p=None, nu=None, D1=None, D2=None, v=None,
-                 spectrum_file_1=None, spectrum_file_2=None):
+    def __init__(self, route=None, suite=None, axes=(), units="reduced", seed=0, workers=1,
+                 max_points=10000, out=None, json_out=None, spectra=None, alpha=None, beta=None,
+                 temperature_kelvin=None, d=None, z0=None, rho1=None, rho2=None, omega_p=None,
+                 nu=None, D1=None, D2=None, v=None, spectrum_file_1=None, spectrum_file_2=None):
+        spectra = {} if spectra is None else spectra
         values = locals()
         for name in self.__slots__:
             setattr(self, name, values[name])
@@ -288,48 +290,68 @@ def _load_config_file(path):
 
 
 def _resolve(args):
-    """Merge CLI > config file > defaults into a RunConfig, and check it
-    against the route it selects."""
+    """Merge CLI > config file > defaults into a RunConfig, check it
+    against the route it selects, and load the route's spectrum files.
+
+    Every configuration error (exit 3) is raised here, before the first
+    value check: an input that is not finite, then bad data in a spectrum
+    file (exit 1). The column functions check values only, point by point.
+    """
     file_values = _load_config_file(args.config) if args.config else {}
     route = _route_of(args)
     _refuse_unread(route, args, file_values)
-    cfg = RunConfig(command=args.command, route=route.name)
-    for flag, typ in _PARAMS + _SETTINGS:
+    cfg = RunConfig(route=route, suite=getattr(args, "suite", None), out=args.out,
+                    json_out=args.json_out)
+    # a message names a value by its flag, or by the config key it came from
+    names = {}
+    for flag, _ in _PARAMS + _SETTINGS:
         attr = _attr(flag)
         value = getattr(args, attr, None)
-        if value is None:
-            value = file_values.get(flag)
-        if value is None:
-            value = _DEFAULTS.get(attr)
-        elif typ is float:
-            _finite("--" + flag, value)
-        setattr(cfg, attr, value)
-    cfg.out = args.out
-    cfg.json_out = args.json_out
-    cfg.geometry = getattr(args, "geometry", None)
-    cfg.temperature_mode = getattr(args, "temperature", None)
-    cfg.suite = getattr(args, "suite", None)
-    cfg.target = getattr(args, "target", None)
+        names[flag] = "--" + flag
+        if value is None and flag in file_values:
+            value, names[flag] = file_values[flag], "config key %r" % flag
+        setattr(cfg, attr, _DEFAULTS.get(attr) if value is None else value)
     if getattr(args, "axis", None):
         cfg.axes = tuple(_parse_axis(spec) for spec in args.axis)
     if cfg.workers < 1:
-        raise CliError(EXIT_CONFIG, "--workers must be at least 1")
-    if cfg.command == "sweep":
+        raise CliError(EXIT_CONFIG, "%s must be at least 1" % names["workers"])
+    if cfg.axes:
         _check_axes(cfg, route)
-    _refuse_shadowed(route, args, cfg)
-    # a sweep axis gives its parameter
-    given = {ax.name for ax in cfg.axes}
-    missing = [f for f in route.required if getattr(cfg, _attr(f)) is None and f not in given]
+    # the inputs given anywhere, and those the command line gives; a sweep
+    # axis is both
+    axes = {ax.name for ax in cfg.axes}
+    given = axes.union(f for f in _INPUTS if getattr(cfg, _attr(f)) is not None)
+    flags = axes.union(f for f in _INPUTS if getattr(args, _attr(f)) is not None)
+    if route.name == "fields" and "rho1" in flags and cfg.z0 is None:
+        raise CliError(EXIT_CONFIG, "fields takes --rho1 only with --z0")
+    missing = [f for f in route.required if f not in given]
     if missing:
         raise CliError(EXIT_CONFIG, "missing required parameter(s): "
                        + ", ".join("--" + flag for flag in missing))
+    bad = []
+    for side, path in _check_sources(route, cfg, given, flags).items():
+        try:
+            cfg.spectra[side] = materials_spectral.TabulatedSpectralDensity.from_text(path)
+        except materials_spectral.SpectrumFileError as exc:
+            raise CliError(EXIT_CONFIG, str(exc))
+        except ValueError as exc:  # bad data: a value error, raised below
+            bad.append(exc)
+    # float() takes 'nan' and 'inf'; no input, from flag, file or axis, may be either
+    for flag, typ in _PARAMS:
+        if typ is float and getattr(cfg, _attr(flag)) is not None:
+            _finite(names[flag], getattr(cfg, _attr(flag)))
+    for ax in cfg.axes:
+        _finite("axis %r bounds" % ax.spec, ax.lo)
+        _finite("axis %r bounds" % ax.spec, ax.hi)
+    if bad:
+        raise bad[0]
     return cfg
 
 
 def _route_of(args):
     """The route that parsed arguments select: the command words, then the
     option that picks among the command's routes."""
-    name = _command_name(args)
+    name = " ".join(filter(None, (args.command, getattr(args, "geometry", None))))
     for option in ("temperature", "target"):
         if getattr(args, option, None) is not None:
             name += " --%s %s" % (option, getattr(args, option))
@@ -356,28 +378,57 @@ _DRUDE_SIDES = {"friction-plane": (2,), "friction-slabs-finite": (1, 2),
                 "friction-slabs-zero": (1, 2)}
 
 
-def _refuse_shadowed(route, args, cfg):
-    """CliError naming a command-line input (flag or axis) that the route
-    would not read: fields' --rho1 without --z0 (given anywhere), and a
-    side's spectrum source below another given on the command line for that
-    side (spectrum file, then --D, then the Drude metal's --omega-p/--nu).
-    A config key keeps its precedence unrefused, since one file may serve
-    several commands."""
-    flags = {ax.name for ax in cfg.axes}
-    flags.update(f for f in _INPUTS if getattr(args, _attr(f)) is not None)
-    if route.name == "fields" and "rho1" in flags and cfg.z0 is None:
-        raise CliError(EXIT_CONFIG, "fields takes --rho1 only with --z0")
-    for side in (1, 2):
-        if {"D%d" % side, "spectrum-file-%d" % side} <= flags:
-            raise CliError(EXIT_CONFIG, "%s takes no --D%d with --spectrum-file-%d"
-                           % (route.name, side, side))
+def _check_sources(route, cfg, given, flags):
+    """CliError unless the inputs ``given`` (anywhere, with the axes) are
+    those the route computes from: one temperature where it takes one,
+    units it reports in, and a spectrum on each side it reads. Returns the
+    sides' spectrum files, by side.
+
+    A side's spectrum comes from the first of its sources given: a
+    spectrum file, --DN, then a Drude metal (--omega-p/--nu) where the
+    route puts one. The command line (``flags``, with the axes) may not
+    give a source below another one that it gives for the side. A config
+    key keeps its precedence unrefused, since one file may serve several
+    commands, except where the route cannot compute with it: a spectrum
+    file on a slab route, or a temperature on the zero-temperature one.
+    """
+    temperatures = given.intersection(_TEMPERATURE)
+    if "beta" in route.reads:
+        if len(temperatures) == 2:
+            raise CliError(EXIT_CONFIG, "give either --beta or --temperature-kelvin, not both")
+        if "temperature-kelvin" in given and cfg.units != "gaussian":
+            raise CliError(EXIT_CONFIG, "--temperature-kelvin requires --units gaussian")
+        if not temperatures:
+            raise CliError(EXIT_CONFIG,
+                           "a temperature is required: --beta or --temperature-kelvin")
+    elif temperatures and route.target == "friction-slabs-zero":
+        raise CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
+    if route.name == "fields" and cfg.units == "gaussian":
+        raise CliError(EXIT_CONFIG, "fields reports reduced units only")
+    if route.name == "verify" and cfg.json_out:
+        raise CliError(EXIT_CONFIG, "verify has no --json mirror; --out FILE writes its lines")
+    drude_sides = _DRUDE_SIDES.get(route.target, ())
+    shadows, paths = [], {}
+    for side in (1, 2) if "D1" in route.reads else ():
+        file, slope = "spectrum-file-%d" % side, "D%d" % side
+        if {file, slope} <= flags:
+            raise CliError(EXIT_CONFIG, "%s takes no --%s with --%s" % (route.name, slope, file))
+        if side in drude_sides:
+            shadows += [f for f in (file, slope) if f in flags]
+        if file in given and file not in route.reads:
+            raise CliError(EXIT_CONFIG, "slab commands need linear spectral slopes on side %d "
+                           "(use --D%d or Drude parameters, not a spectrum file)" % (side, side))
+        if file in given:
+            paths[side] = getattr(cfg, _attr(file))
+        elif slope not in given and not (side in drude_sides and "omega-p" in given):
+            raise CliError(EXIT_CONFIG, "no spectrum for side %d: give %s%s" % (
+                side, ", ".join("--" + f for f in (file, slope) if f in route.reads),
+                ", or --omega-p/--nu" if side in drude_sides else ""))
     drude = [f for f in ("omega-p", "nu") if f in flags]
-    sides = _DRUDE_SIDES.get(route.target, ())
-    # by now each side has at most one of its two sources
-    shadows = [f for s in sides for f in ("spectrum-file-%d" % s, "D%d" % s) if f in flags]
-    if drude and len(shadows) == len(sides) > 0:
+    if drude and shadows and len(shadows) == len(drude_sides):
         raise CliError(EXIT_CONFIG, "%s takes no --%s with %s"
                        % (route.name, drude[0], " and ".join("--" + f for f in shadows)))
+    return paths
 
 
 def _check_axes(cfg, route):
@@ -387,7 +438,7 @@ def _check_axes(cfg, route):
     for ax in cfg.axes:
         if ax.name not in route.reads:
             raise CliError(EXIT_CONFIG, "axis %r does not apply to target %s"
-                           % (ax.name, cfg.target))
+                           % (ax.name, route.target))
     if any(ax.name in _TEMPERATURE for ax in cfg.axes) and (
             cfg.beta is not None or cfg.temperature_kelvin is not None):
         raise CliError(EXIT_CONFIG,
@@ -399,12 +450,12 @@ def _check_axes(cfg, route):
 
 
 def _finite(name, value):
-    # float() takes 'nan' and 'inf'; no input, from flag, file or axis, may be either
     if not math.isfinite(value):
         raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def _parse_axis(spec):
+    """The SweepAxis of ``spec``; _resolve checks that its bounds are finite."""
     parts = spec.split(":")
     if len(parts) not in (4, 5) or (len(parts) == 5 and parts[4] != "log"):
         raise CliError(
@@ -419,11 +470,10 @@ def _parse_axis(spec):
         steps = int(parts[3])
     except ValueError:
         raise CliError(EXIT_CONFIG, "axis %r has non-numeric fields" % spec)
-    _finite("axis %r bounds" % spec, lo)
-    _finite("axis %r bounds" % spec, hi)
     if steps < 1:
         raise CliError(EXIT_CONFIG, "axis %r needs at least one step" % spec)
-    if steps == 1 and lo != hi:
+    # not lo != hi: a nan bound is left to the check that bounds are finite
+    if steps == 1 and (lo < hi or hi < lo):
         raise CliError(EXIT_CONFIG, "single-step axis %r needs min == max" % spec)
     log = len(parts) == 5
     if log and steps > 1 and (lo <= 0.0 or hi <= 0.0):
@@ -437,37 +487,8 @@ def _units_ctx(cfg):
     return None
 
 
-def _temperature_input(has_beta, has_kelvin, ctx):
-    """Which input sets the temperature, "beta" or "kelvin"; CliError if
-    both, neither, or kelvin without Gaussian units."""
-    if has_beta and has_kelvin:
-        raise CliError(
-            EXIT_CONFIG, "give either --beta or --temperature-kelvin, not both"
-        )
-    if has_kelvin:
-        if ctx is None:
-            raise CliError(
-                EXIT_CONFIG, "--temperature-kelvin requires --units gaussian"
-            )
-        return "kelvin"
-    if has_beta:
-        return "beta"
-    raise CliError(
-        EXIT_CONFIG, "a temperature is required: --beta or --temperature-kelvin"
-    )
-
-
-def _load_spectrum(path):
-    try:
-        return materials_spectral.TabulatedSpectralDensity.from_text(path)
-    except materials_spectral.SpectrumFileError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
-
-
 def _run_fields(cfg):
     """The fields and couplings on the axis r = (0, 0, d), in Python floats."""
-    if _units_ctx(cfg) is not None:
-        raise CliError(EXIT_CONFIG, "fields reports reduced units only")
     d = cfg.d
     alpha, b_y, e_x = dipole_fields.axial_fields(d)
     psi_xy, g_xx, g_zz = geometry_coupling.axial_coupling(d)
@@ -551,20 +572,6 @@ class _Grid:
         if self._error is not None:
             raise self._error
 
-    def fail_everywhere(self, error):
-        """A failure that does not depend on the point: the first point has it."""
-        if self._first > 0:
-            self._first, self._error = 0, error
-        self.raise_first()
-
-    @contextlib.contextmanager
-    def every_point(self):
-        """Checks in the block do not depend on the point."""
-        try:
-            yield
-        except (CliError, ValueError) as exc:
-            self.fail_everywhere(exc)
-
     def sqrt(self, x):
         return np.sqrt(x)
 
@@ -617,33 +624,26 @@ class _Point(_ieee.FloatOps, _Grid):
 
 
 def _grid_beta(grid):
-    """Reduced inverse temperature column: exactly one temperature input,
-    kelvin only in Gaussian runs, and each temperature positive."""
-    beta, kelvin = grid.columns.get("beta"), grid.columns.get("temperature_kelvin")
-    with grid.every_point():
-        source = _temperature_input(beta is not None, kelvin is not None, grid.ctx)
-    if source == "kelvin":
+    """Reduced inverse temperature column, from the one temperature input
+    (_resolve has checked that there is one), each temperature positive."""
+    kelvin = grid.columns.get("temperature_kelvin")
+    if kelvin is not None:
         return units.kelvin_to_beta(grid.ctx, kelvin, grid)
+    beta = grid.columns["beta"]
     grid.fail(beta <= 0.0, ValueError("beta must be positive"))
     return beta
 
 
 def _grid_spectrum(grid, side, drude_rho=None):
-    """One side's spectrum: a tabulated density, loaded once, or a column
-    of linear slopes D (from --D or the Drude parameters)."""
-    cfg = grid.cfg
-    path = getattr(cfg, "spectrum_file_%d" % side)
-    if path is not None:
-        with grid.every_point():
-            return _load_spectrum(path)
+    """One side's spectrum, from the source that _resolve has found: the
+    tabulated density it has loaded, or a column of linear slopes D (from
+    --D or the Drude parameters)."""
+    if side in grid.cfg.spectra:
+        return grid.cfg.spectra[side]
     slope = grid.reduced("D%d" % side)
     if slope is not None:
         return grid.map(lambda D: materials_spectral.LinearSpectralDensity(D).D, slope)
     omega_p = grid.reduced("omega_p")
-    if omega_p is None or drude_rho is None:
-        grid.fail_everywhere(CliError(
-            EXIT_CONFIG, "no spectrum for side %d: give --spectrum-file-%d, --D%d%s"
-            % (side, side, side, "" if drude_rho is None else ", or --omega-p/--nu")))
     nu = grid.reduced("nu")
     if nu is None:
         nu = grid.constant(0.0)
@@ -709,23 +709,12 @@ def _grid_friction_plane(grid):
 
 
 def _grid_slabs(grid):
-    """Geometry, linear slopes and speed of both slab targets; a bad
-    geometry or slope is reported before any temperature check."""
+    """Geometry, linear slopes and speed of both slab targets."""
     d, rho1, rho2 = grid.reduced("d"), grid.reduced("rho1"), grid.reduced("rho2")
     grid.fail((d <= 0.0) | (rho1 <= 0.0) | (rho2 <= 0.0),
               ValueError("d, rho1, rho2 must be positive"))
-    slopes = []
-    for side, rho in ((1, rho1), (2, rho2)):
-        spec = _grid_spectrum(grid, side, drude_rho=rho)
-        # the flag is refused; a config file, which may serve the pair and
-        # plane commands too, may still name a spectrum file
-        if isinstance(spec, materials_spectral.TabulatedSpectralDensity):
-            grid.fail_everywhere(CliError(
-                EXIT_CONFIG, "slab commands need linear spectral slopes on side %d "
-                "(use --D%d or Drude parameters, not a spectrum file)" % (side, side)))
-        slopes.append(spec)
-    return {"d": d, "rho1": rho1, "rho2": rho2, "D1": slopes[0], "D2": slopes[1],
-            "v": grid.reduced("v")}
+    return {"d": d, "rho1": rho1, "rho2": rho2, "D1": _grid_spectrum(grid, 1, drude_rho=rho1),
+            "D2": _grid_spectrum(grid, 2, drude_rho=rho2), "v": grid.reduced("v")}
 
 
 def _grid_slabs_finite(grid):
@@ -737,11 +726,6 @@ def _grid_slabs_finite(grid):
 
 def _grid_slabs_zero(grid):
     inputs = _grid_slabs(grid)
-    # from a config file: the flags and axes are refused
-    if "beta" in grid.columns or "temperature_kelvin" in grid.columns:
-        grid.fail_everywhere(
-            CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
-        )
     force, inter = friction_forces.slabs_zero_force(**inputs, ops=grid)
     return _grid_report(grid, "slabs-zero-T", force, inter, inputs)
 
@@ -749,14 +733,14 @@ def _grid_slabs_zero(grid):
 def _run_point(cfg):
     """A one-shot command with a sweep target: that target on a _Point."""
     grid = _Point(cfg)
-    return _Table(_TARGET_RUNNERS[_ROUTES[cfg.route].target](grid), (), grid.columns.values())
+    return _Table(_TARGET_RUNNERS[cfg.route.target](grid), (), grid.columns.values())
 
 
 def _run_sweep(cfg):
     shape = tuple(ax.steps for ax in cfg.axes)
     columns = np.ix_(*(ax.values() for ax in cfg.axes))
     grid = _Grid(cfg, shape, columns)
-    cells = _TARGET_RUNNERS[cfg.target](grid)
+    cells = _TARGET_RUNNERS[cfg.route.target](grid)
     grid.raise_first()
     # axis echo gets its own columns; runners echo inputs under bare names
     sweep = [("sweep_" + _attr(ax.name), col) for ax, col in zip(cfg.axes, columns)]
@@ -821,10 +805,8 @@ def _config_echo(cfg):
             pairs.append((flag, value))
     pairs.append(("units", cfg.units))
     pairs.append(("seed", cfg.seed))
-    if cfg.temperature_mode is not None and cfg.command == "friction":
-        pairs.append(("temperature", cfg.temperature_mode))
-    if cfg.target is not None:
-        pairs.append(("target", cfg.target))
+    # the option that picks the route: the slabs' temperature, a sweep's target
+    pairs += [tuple(option.split()) for option in cfg.route.name.split(" --")[1:]]
     echo = ["%s=%s" % (k, _fmt(v)) for k, v in sorted(pairs)]
     echo += ["axis=%s" % ax.spec for ax in cfg.axes]
     return " ".join(echo)
@@ -839,9 +821,8 @@ def _fmt(value):
 
 
 def _command_name(cfg):
-    if cfg.command == "friction":
-        return "friction %s" % cfg.geometry
-    return cfg.command
+    """The command words of the route's name."""
+    return cfg.route.name.split(" --")[0]
 
 
 class _Table:
@@ -1037,8 +1018,6 @@ def _emit(cfg, table):
 
 
 def _run_verify(cfg):
-    if cfg.json_out:
-        raise CliError(EXIT_CONFIG, "verify has no --json mirror; --out FILE writes its lines")
     lines = []
 
     def sink(line):
@@ -1064,17 +1043,14 @@ def main(argv=None):
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         cfg = _resolve(args)
-        if cfg.command == "verify":
+        if cfg.route.name == "verify":
             return _run_verify(cfg)
         # numpy warnings stay off stderr (_emit refuses a value that is not
-        # finite); a one-shot command without a spectrum file computes on
-        # Python floats and loads no numpy
-        arrays = cfg.command == "sweep" or cfg.spectrum_file_1 or cfg.spectrum_file_2
+        # finite); a one-shot command that loaded no spectrum file computes
+        # on Python floats and loads no numpy
+        arrays = cfg.axes or cfg.spectra
         with np.errstate(all="ignore") if arrays else contextlib.nullcontext():
-            if cfg.command == "sweep":
-                table = _run_sweep(cfg)
-            else:
-                table = _RUNNERS[cfg.route](cfg)
+            table = _run_sweep(cfg) if cfg.axes else _RUNNERS[cfg.route.name](cfg)
         _emit(cfg, table)
         return EXIT_OK
     except CliError as exc:
@@ -1084,13 +1060,13 @@ def main(argv=None):
         # Python-float arithmetic says only "(34, 'Numerical result out of range')"
         sys.stderr.write(
             "numerical failure: %s: a computed value overflows the float range\n"
-            % _command_name(args)
+            % _command_name(cfg)
         )
         return EXIT_NUMERIC
     except ZeroDivisionError:
         # a Python-float power underflowed to zero and then divided
         sys.stderr.write(
-            "numerical failure: %s: a divisor underflows to zero\n" % _command_name(args)
+            "numerical failure: %s: a divisor underflows to zero\n" % _command_name(cfg)
         )
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -65,7 +65,8 @@ class TabulatedSpectralDensity:
             raise ValueError("need matching 1-d grids with at least 2 points")
         if not (np.isfinite(m).all() and np.isfinite(s).all()):
             raise ValueError("m grid and density must be finite")
-        if np.any(np.diff(m) <= 0.0):
+        # compared, not subtracted: a difference of finite values may overflow
+        if np.any(m[1:] <= m[:-1]):
             raise ValueError("m grid must be strictly increasing")
         if np.any(m < 0.0):
             raise ValueError("m grid must be nonnegative")

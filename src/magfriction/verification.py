@@ -1405,7 +1405,7 @@ def check_force_signs(draws=200):
     d, rho1, rho2 = 0.5 + 2.5 * u[:, 3], 0.2 + 2.8 * u[:, 4], 0.2 + 2.8 * u[:, 5]
     D1, D2 = 0.1 + 1.9 * u[:, 6], 0.1 + 1.9 * u[:, 7]
     omega = 0.5 + 1.5 * u[:, 8]
-    cfg = cli.RunConfig("sweep")
+    cfg = cli.RunConfig()
     grid = cli._Grid(cfg, (draws,), [])
     pair, inter = friction_forces.pair_force(d, v, D1, D2, beta, grid)
     o1 = response_kinetics.OscState.thermal(omega, beta)

@@ -308,6 +308,10 @@ ONE_SHOT_FAILURES = [
     (["friction", "slabs", "--temperature", "zero", "--v", 0.01, *SLAB_PARAMS,
       "--omega-p", 3], 3,
      "error: friction slabs --temperature zero takes no --omega-p with --D1 and --D2"),
+    # the slab routes read no spectrum file, so their message names none
+    (["friction", "slabs", "--temperature", "finite", "--d", 1, "--rho1", 1, "--rho2", 1,
+      "--D1", 1, "--v", 1, "--beta", 1], 3,
+     "error: no spectrum for side 2: give --D2, or --omega-p/--nu"),
 ]
 
 
@@ -319,12 +323,88 @@ def test_one_shot_failure_message(cli, capsys, tmp_path, args, code, message):
     assert capsys.readouterr().err == message + "\n"
 
 
+# a configuration error and a value error at the first point (or a
+# non-finite input): the configuration error is reported, exit 3. Each row
+# names the config file's text, or None; {file} is a valid linear spectrum
+# file, {negative} one with a negative density and {garbage} one that
+# cannot be parsed
+PRECEDENCE = [
+    (["friction", "plane", "--z0", -1, "--rho1", 1, "--beta", 1, "--v", 1, "--D1", 1], None,
+     "error: no spectrum for side 2: give --spectrum-file-2, --D2, or --omega-p/--nu"),
+    (["friction", "plane", "--z0", -1, "--rho1", 1, "--beta", 1, "--v", 1, "--D1", 1,
+      "--spectrum-file-2", "{garbage}"], None, "error: cannot parse spectrum file {garbage}: "),
+    # bad data on side 1 is a value error, after side 2's unreadable file
+    (["friction", "pair", "--d", 1, "--beta", 1, "--v", 1, "--spectrum-file-1", "{negative}",
+      "--spectrum-file-2", "{garbage}"], None, "error: cannot parse spectrum file {garbage}: "),
+    (["friction", "slabs", "--temperature", "finite", "--d", -1, *SLAB_PARAMS[2:], "--v", 1],
+     None, "error: a temperature is required: --beta or --temperature-kelvin"),
+    (["friction", "slabs", "--temperature", "finite", "--d", -1, *SLAB_PARAMS[2:], "--v", 1,
+      "--temperature-kelvin", 300], None,
+     "error: --temperature-kelvin requires --units gaussian"),
+    (["friction", "slabs", "--temperature", "finite", "--d", -1, *SLAB_PARAMS[2:], "--v", 1,
+      "--beta", 1, "--temperature-kelvin", 300, "--units", "gaussian"], None,
+     "error: give either --beta or --temperature-kelvin, not both"),
+    (["friction", "slabs", "--temperature", "zero", "--d", -1, *SLAB_PARAMS[2:], "--v", 1],
+     "beta=1\n", "error: zero-temperature slabs take no temperature input"),
+    (["friction", "slabs", "--temperature", "finite", "--d", 1, "--rho1", 1, "--rho2", -1,
+      "--D2", 1, "--v", 1, "--beta", 1], "spectrum-file-1={file}\n",
+     "error: slab commands need linear spectral slopes on side 1 "
+     "(use --D1 or Drude parameters, not a spectrum file)"),
+    (["friction", "slabs", "--temperature", "finite", "--d", 1, "--rho1", 1, "--rho2", -1,
+      "--D1", 1, "--v", 1, "--beta", 1], None,
+     "error: no spectrum for side 2: give --D2, or --omega-p/--nu"),
+    (["sweep", "--target", "friction-plane", "--axis", "z0:-1:1:3", "--rho1", 1, "--beta", 1,
+      "--v", 1, "--D1", 1], None,
+     "error: no spectrum for side 2: give --spectrum-file-2, --D2, or --omega-p/--nu"),
+    (["fields", "--d", "nan", "--units", "gaussian"], None,
+     "error: fields reports reduced units only"),
+    (["friction", "pair", "--v", "nan", "--beta", 1, "--D1", 1, "--D2", 1], None,
+     "error: missing required parameter(s): --d"),
+    (["sweep", "--target", "eigen", "--axis", "alpha:0:inf:3:log"], None,
+     "error: log axis 'alpha:0:inf:3:log' needs positive bounds"),
+]
+
+
+@pytest.mark.parametrize("args,config,message", PRECEDENCE)
+def test_configuration_errors_come_before_value_errors(cli, capsys, tmp_path, args, config,
+                                                       message):
+    files = {"file": _write(tmp_path / "s.txt", "0 0\n1 1\n2 2\n"),
+             "negative": _write(tmp_path / "n.txt", "0 0\n1 -1\n"),
+             "garbage": _write(tmp_path / "g.txt", "not numbers at all\n")}
+    if config is not None:
+        args = [*args, "--config", _write(tmp_path / "run.cfg", config.format_map(files))]
+    got, out = cli(*(a.format_map(files) if isinstance(a, str) else a for a in args))
+    assert (got, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith(message.format_map(files)) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config,code,message", [
+    ("v=nan\n", 1, "invalid input: config key 'v' must be finite, got nan"),
+    ("workers=0\n", 3, "error: config key 'workers' must be at least 1"),
+])
+def test_a_config_value_is_named_by_its_key(cli, capsys, tmp_path, config, code, message):
+    got, out = cli("eigen", "--alpha", 1, "--config", _write(tmp_path / "run.cfg", config))
+    assert (got, out) == (code, "")
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_tiny_separation_is_one_line_without_numpy_warnings():
     # a fresh interpreter, so that no earlier warning at the same place hides one
     out = _run_child("-m", "magfriction.cli", "friction", "pair", "--d", "1e-200",
                      "--beta", "1", "--v", "1", "--D1", "1", "--D2", "1")
     assert (out.returncode, out.stdout) == (2, b"")
     assert out.stderr == b"numerical failure: a computed value is not finite\n"
+
+
+def test_spectrum_grid_spanning_the_float_range_is_one_line(tmp_path):
+    # a fresh interpreter, as above: the grid is checked in order without
+    # subtracting points, whose difference here overflows
+    path = _write(tmp_path / "s.txt", "-1e308 0\n1e308 1\n")
+    out = _run_child("-m", "magfriction.cli", "friction", "pair", "--d", "1", "--beta", "1",
+                     "--v", "1", "--D2", "1", "--spectrum-file-1", path)
+    assert (out.returncode, out.stdout) == (1, b"")
+    assert out.stderr == b"invalid input: m grid must be nonnegative\n"
 
 
 def test_negative_exponent_value_as_separate_argument(cli):
@@ -1073,8 +1153,12 @@ def _modules_after(commands):
     return json.loads(out.stdout)
 
 
-def test_closed_form_commands_load_no_scipy():
+def test_closed_form_commands_load_no_scipy(tmp_path):
     # also no numpy: the oracle battery imports numpy, so it never ran either
+    spectrum = _write(tmp_path / "s.txt", "0 0\n1 1\n2 2\n")
+    # a config file that also serves the friction commands: its spectrum
+    # file is not loaded by a route that does not read it
+    config = _write(tmp_path / "run.cfg", "spectrum-file-1=%s\n" % spectrum)
     gaussian = ["--units", "gaussian", "--temperature-kelvin", 300]
     cgs = ["--d", 1e-6, "--v", 100, "--D1", 1e-30, "--D2", 1e-30]
     commands = [
@@ -1093,6 +1177,9 @@ def test_closed_form_commands_load_no_scipy():
         ["friction", "slabs", "--temperature", "finite", *cgs, "--rho1", 1e22, "--rho2", 1e22,
          *gaussian],
         SLABS_ZERO_UNIT,
+        ["eigen", "--alpha", 0.75, "--config", config],
+        ["free-energy", "--alpha", 0.1, "--beta", 10, "--config", config],
+        ["fields", "--d", 1.0, "--config", config],
     ]
     codes, scipy, numpy = _modules_after(commands)
     assert codes == [0] * len(commands)

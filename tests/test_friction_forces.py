@@ -306,7 +306,7 @@ def _cells(result):
 @pytest.mark.parametrize("name", sorted(COLUMN_FUNCTIONS))
 def test_numpy_column_and_python_float_give_the_same_bits(name):
     fn, columns = COLUMN_FUNCTIONS[name]
-    grid = cli_module._Grid(cli_module.RunConfig("sweep"), (_N,), [])
+    grid = cli_module._Grid(cli_module.RunConfig(), (_N,), [])
     on_grid = [np.broadcast_to(c, (_N,)) for c in _cells(fn(*columns, grid))]
     grid.raise_first()
     for i in range(_N):

@@ -176,7 +176,7 @@ def test_failing_sweep_reports_its_first_failing_point(cli, capsys, axes, messag
 
 
 def test_grid_failure_is_the_first_failing_point_in_product_order():
-    grid = cli_module._Grid(cli_module.RunConfig("sweep"), (2, 3, 4), [])
+    grid = cli_module._Grid(cli_module.RunConfig(), (2, 3, 4), [])
     a, b, c = np.ix_([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
     # first at point (0, 1, 0), index 4; then (0, 0, 3), index 3, which wins
     grid.fail(b == 1.0, ValueError("b"))
