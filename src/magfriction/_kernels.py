@@ -4,11 +4,13 @@ Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
 
 The trajectory, mode-sum and Monte Carlo routes work in fixed blocks, so
-that their temporaries stay in cache and their Python-level calls are
-few: ``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul,
+that their arrays stay in cache and their Python-level calls are few:
+``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul,
 ``mode_sum`` sums ``MODE_BLOCK`` modes per block, and
 ``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` points
-of one shift of its lattice rule per call. A block size changes only the
+of one shift of its lattice rule per call. ``mode_sum`` and
+``halfspace_chunk`` compute with ``out=`` into a few preallocated
+buffers, not one temporary per operation. A block size changes only the
 order of floating-point operations (the summation order of a sum, the
 grouping of a matrix product), never the terms or points: an estimate
 stays deterministic per (seed, shifts).
@@ -35,8 +37,8 @@ RK4_BLOCK = 64
 # modes per block of mode_sum: its three float64 arrays (128 KiB each) stay
 # in cache, whatever n_max is
 MODE_BLOCK = 16384
-# points per block function call of numerics.mc_integrate: a block's few
-# float64 temporaries (64 KiB each) stay in cache
+# points per block function call of numerics.mc_integrate: the six float64
+# buffers of halfspace_chunk (64 KiB each) stay in cache
 MC_BLOCK = 8192
 
 
@@ -155,20 +157,46 @@ def halfspace_chunk(z0, u, mode):
     (float, float)
         Sum of weights and sum of squared weights over the block.
     """
-    z = z0 / np.cbrt(1.0 - u[0])
-    z2 = z * z
-    s2 = z2 * (1.0 / np.sqrt(1.0 - u[1]) - 1.0)
-    r2 = s2 + z2
-    z4 = z2 * z2
-    r6 = r2 * r2 * r2
+    # z = z0/cbrt(1 - u0), s2 = z^2 (1/sqrt(1 - u1) - 1), r2 = s2 + z^2,
+    # r6 = r2^3 and the rest, one operation per line in six block-sized
+    # buffers, in the order the expressions give, so the sums keep their bits
+    z, s2, r2, r6, pdf, t = np.empty((6, u.shape[1]))
+    np.subtract(1.0, u[0], out=z)
+    np.cbrt(z, out=z)
+    np.divide(z0, z, out=z)
+    z2 = np.multiply(z, z, out=z)
+    np.subtract(1.0, u[1], out=s2)
+    np.sqrt(s2, out=s2)
+    np.divide(1.0, s2, out=s2)
+    s2 -= 1.0
+    np.multiply(z2, s2, out=s2)
+    np.add(s2, z2, out=r2)
+    z4 = np.multiply(z2, z2, out=z2)
+    np.multiply(r2, r2, out=r6)
+    r6 *= r2
     # p(s|z)/(2*pi*s) with the s cancelled analytically; no 0/0 at s = 0
-    pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (TWO_PI * r6))
+    np.divide(3.0 * z0**3, z4, out=pdf)
+    np.multiply(4.0, z4, out=z4)
+    np.divide(z4, np.multiply(TWO_PI, r6, out=t), out=z4)
+    pdf *= z4
+    # f, then the weight f/pdf
+    w = z4
     if mode == 0:
-        f = 1.0 / r6
+        np.divide(1.0, r6, out=w)
     elif mode == 1:
-        x2 = s2 * np.cos(TWO_PI * u[2]) ** 2
-        f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
+        x2 = np.multiply(TWO_PI, u[2], out=t)
+        np.cos(x2, out=x2)
+        np.square(x2, out=x2)
+        np.multiply(s2, x2, out=x2)
+        np.multiply(3.0, x2, out=x2)
+        np.divide(x2, np.multiply(r6, r2, out=s2), out=x2)
+        np.divide(1.0, r6, out=w)
+        w += x2
+        np.multiply(2.0, w, out=w)
     else:
-        f = 1.0 / (r6 * r2)
-    w = f / pdf
-    return float(np.sum(w)), float(np.sum(w * w))
+        np.multiply(r6, r2, out=w)
+        np.divide(1.0, w, out=w)
+    w /= pdf
+    sw = float(np.sum(w))
+    np.square(w, out=w)
+    return sw, float(np.sum(w))

@@ -1082,4 +1082,8 @@ def entry():
 
 
 if __name__ == "__main__":
+    # `python -m magfriction.cli`: this module also serves `import
+    # magfriction.cli` (as the battery's braking-sign check makes), so
+    # cli.py is not compiled and run a second time
+    sys.modules["magfriction.cli"] = sys.modules["magfriction"].cli = sys.modules[__name__]
     entry()

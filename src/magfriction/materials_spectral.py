@@ -100,6 +100,20 @@ class TabulatedSpectralDensity:
     def density(self, m):
         return np.interp(m, self.m, self.s, left=0.0, right=0.0)
 
+    def lines(self, lo):
+        """The interpolant on the grid interval [m_j, m_j+1) that holds
+        each point of ``lo``, as np.interp writes it: the columns (slope,
+        m_j, s_j) of slope*(x - m_j) + s_j, with slope = (s_j+1 -
+        s_j)/(m_j+1 - m_j), and zero lines where a point lies outside
+        [m_0, m_max). At any x in the same interval as its point, the line
+        gives ``density(x)`` bit for bit."""
+        j = np.searchsorted(self.m, lo, side="right") - 1
+        inside = (j >= 0) & (j < self.m.size - 1)
+        j = np.where(inside, j, 0)
+        x0, y0 = self.m[j], self.s[j]
+        slope = (self.s[j + 1] - y0) / (self.m[j + 1] - x0)
+        return np.where(inside, slope, 0.0), x0, np.where(inside, y0, 0.0)
+
 
 class DrudeParams(namedtuple("DrudeParams", "omega_p nu rho")):
     """Drude metal: plasma frequency, damping rate, number density."""
@@ -202,8 +216,9 @@ def smoothed_H0(spec1, spec2, beta):
             knots.append(s.m)
         elif s.m_max is not None:
             knots.append([s.m_max])
-    knots = np.unique(np.concatenate(knots))
-    knots = knots[knots <= end]
+    # sorted, without duplicates; np.unique would load numpy.ma
+    knots = np.sort(np.concatenate(knots))
+    knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]]) & (knots <= end)]
     widths = np.diff(knots)
     pieces = np.maximum(np.ceil(widths * beta), 1.0).astype(np.int64)
     # segment i becomes pieces[i] segments of width step; k counts them from 0
@@ -213,10 +228,20 @@ def smoothed_H0(spec1, spec2, beta):
     half = step / 2.0
     mid = knots[segment] + (k + 0.5) * step
     (x8, w8), (x16, w16) = _gauss_legendre(8), _gauss_legendre(16)
-    m = np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x8, x16)])
+    nodes = [mid[:, None] + half[:, None] * x for x in (x8, x16)]
+    m = np.concatenate([x.ravel() for x in nodes])
+
+    def density(spec):
+        # each segment lies in one interval of a tabulated grid, where the
+        # density is that interval's line
+        if not isinstance(spec, TabulatedSpectralDensity):
+            return spec.density(m)
+        slope, x0, y0 = (c[segment, None] for c in spec.lines(knots[:-1]))
+        return np.concatenate([(slope * (x - x0) + y0).ravel() for x in nodes])
+
     with np.errstate(all="ignore"):
         sh = np.sinh(beta * m / 2.0)
-        f = m * m * spec1.density(m) * spec2.density(m) / (sh * sh)
+        f = m * m * density(spec1) * density(spec2) / (sh * sh)
     bad = ~np.isfinite(f)
     if bad.any():
         raise FloatingPointError("H0 integrand is not a finite float at m=%g" % m[bad.argmax()])

@@ -137,8 +137,9 @@ def _gk21(f, lo, hi, cols):
     np.abs(shifted, out=shifted)
     spread = np.matmul(magnitudes, wk[:, None])
     values, errs = [], []
-    for ((resk,), (resg,)), (((resabs,),), ((resasc,),)), (_, h) in zip(
-        rules.tolist(), spread.tolist(), centre_half.tolist()
+    for resk, resg, resabs, resasc, h in zip(
+        rules[:, 0, 0].tolist(), rules[:, 1, 0].tolist(), spread[:, 0, 0, 0].tolist(),
+        spread[:, 1, 0, 0].tolist(), centre_half[:, 1].tolist(),
     ):
         err = abs((resk - resg) * h)
         resasc *= abs(h)
@@ -392,6 +393,17 @@ LATTICE_SHIFTS = 8
 _GRID_BITS = 52
 
 
+@functools.cache
+def _lattice_base(dim):
+    """The rule's points k z/N mod 1, k = 0..N-1, in the first ``dim``
+    coordinates, in units of 2^-52: a read-only (dim, N) uint64 array."""
+    k = np.arange(LATTICE_N, dtype=np.uint64)
+    z = np.array(LATTICE_Z[:dim], dtype=np.uint64)[:, None]
+    base = (k * z % np.uint64(LATTICE_N)) << np.uint64(_GRID_BITS - _LATTICE_BITS)
+    base.flags.writeable = False
+    return base
+
+
 def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
     r"""Deterministic seeded integral over the unit cube by a randomized
     rank-1 lattice rule.
@@ -407,10 +419,11 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
 
     The points and shifts are exact multiples of 2^-52, each shifted
     point an odd multiple of 2^-53, so a block never receives an exact 0
-    or 1. Each shift's points are passed to ``block`` in slices of
-    ``_kernels.MC_BLOCK`` samples, so the temporaries stay in cache; the
-    block size changes only the order of the summation, not the points,
-    and the estimate is bit-reproducible per (seed, shifts).
+    or 1. The unshifted points are built once per ``dim`` and kept
+    (read-only); each shift's points are formed in place in one buffer
+    and passed to ``block`` in slices of ``_kernels.MC_BLOCK`` samples.
+    The block size changes only the order of the summation, not the
+    points, and the estimate is bit-reproducible per (seed, shifts).
 
     Parameters
     ----------
@@ -418,7 +431,9 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
         Takes a (dim, b) slice of points in (0, 1) and returns the sum of
         its sample weights and the sum of their squares, (sum w, sum w^2).
         An importance sampler maps the points and divides by its density
-        inside ``block``.
+        inside ``block``. The slice is a view of the shift's buffer, which
+        the next shift overwrites: a block may read it only during its
+        call, and must copy what it keeps.
     dim : int
         Number of coordinates per point, at most len(LATTICE_Z).
     seed : int
@@ -441,19 +456,25 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
     if shifts < 2:
         raise ValueError("shifts must be at least 2")
     n = LATTICE_N
-    mask = np.uint64((1 << _GRID_BITS) - 1)
-    k = np.arange(n, dtype=np.uint64)
-    z = np.array(LATTICE_Z[:dim], dtype=np.uint64)[:, None]
-    # k z/N mod 1 in units of 2^-52
-    base = (k * z % np.uint64(n)) << np.uint64(_GRID_BITS - _LATTICE_BITS)
+    base = _lattice_base(dim)
     delta = np.random.Generator(np.random.Philox(key=seed)).integers(
         0, 1 << _GRID_BITS, size=(shifts, dim, 1), dtype=np.uint64)
+    t = np.empty_like(base)
+    reflected = np.empty_like(base)
+    u = np.empty(base.shape)
+    mask = np.uint64((1 << _GRID_BITS) - 1)
+    top = np.uint64(1 << (_GRID_BITS + 1))
     means = []
     for s in range(shifts):
         # x = (2m + 1) 2^-53 with m = base + delta mod 2^52; the tent is
         # min(2x, 2 - 2x), exact in integers
-        t = ((base + delta[s]) & mask) * np.uint64(2) + np.uint64(1)
-        u = np.minimum(t, np.uint64(1 << (_GRID_BITS + 1)) - t) * 2.0**-_GRID_BITS
+        np.add(base, delta[s], out=t)
+        t &= mask
+        t *= np.uint64(2)
+        t += np.uint64(1)
+        np.subtract(top, t, out=reflected)
+        np.minimum(t, reflected, out=t)
+        np.multiply(t, 2.0**-_GRID_BITS, out=u)
         total = 0.0
         for a in range(0, n, _kernels.MC_BLOCK):
             sw, sw2 = block(u[:, a : a + _kernels.MC_BLOCK])

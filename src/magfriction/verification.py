@@ -125,13 +125,17 @@ def check_sinusoid_fit():
 
 
 def _separation(r):
-    """r as a float64 array and its length, refusing zero. math.hypot
+    """r as a float64 array and its length, refusing zero; for an (n, 3)
+    array of separations, the (n, 1) column of their lengths. math.hypot
     scales its arguments, so a tiny separation does not underflow to zero
     as sqrt(r.r) does; the length is a numpy float, so that a power of it
     leaves the float range as inf, not as OverflowError."""
     r = np.asarray(r, dtype=np.float64)
-    rn = np.float64(math.hypot(*r))
-    if rn == 0.0:
+    if r.ndim == 1:
+        rn = np.float64(math.hypot(*r))
+    else:
+        rn = np.array([[math.hypot(*row)] for row in r.tolist()])
+    if (rn == 0.0).any():
         raise ValueError("zero separation")
     return r, rn
 
@@ -161,7 +165,8 @@ def magnetic_field_full(P, zeta, r):
 def magnetic_field_quasistatic(P_dot, r):
     r"""Biot-Savart field of a changing electric dipole moment.
 
-    Returns (P_dot x rhat)/r^2, the zeta*r -> 0 limit of the full field.
+    Returns (P_dot x rhat)/r^2, the zeta*r -> 0 limit of the full field;
+    row by row for (n, 3) arrays of rates and separations.
     """
     r, rn = _separation(r)
     return np.cross(np.asarray(P_dot), r / rn) / rn**2
@@ -233,20 +238,15 @@ def check_field_hand_values():
 
 
 def check_field_orthogonality():
-    rng = np.random.Generator(np.random.Philox(key=5))
-    worst = 0.0
-    for _ in range(50):
-        pd = rng.normal(size=3)
-        r = rng.normal(size=3)
-        if np.linalg.norm(r) < 1e-3:
-            continue
-        h = magnetic_field_quasistatic(pd, r)
-        worst = max(
-            worst,
-            abs(np.dot(h, r)) / (np.linalg.norm(h) * np.linalg.norm(r) + 1e-30),
-            abs(np.dot(h, pd)) / (np.linalg.norm(h) * np.linalg.norm(pd) + 1e-30),
-        )
-    return _ok(worst, 1e-12, "cos")
+    # 50 draws of (P_dot, r), the rows of the field computed in one call
+    draws = np.random.Generator(np.random.Philox(key=5)).normal(size=(50, 2, 3))
+    draws = draws[np.linalg.norm(draws[:, 1], axis=1) >= 1e-3]
+    pd, r = draws[:, 0], draws[:, 1]
+    h = magnetic_field_quasistatic(pd, r)
+    hn = np.linalg.norm(h, axis=1)
+    cos = [np.abs(np.einsum("ij,ij->i", h, v)) / (hn * np.linalg.norm(v, axis=1) + 1e-30)
+           for v in (r, pd)]
+    return _ok(float(np.max(cos)), 1e-12, "cos")
 
 
 def check_interaction_canonical():
@@ -714,13 +714,23 @@ def check_delta_normalization():
 
 
 def check_cos_sin_time_domain():
+    # panels of half the sum frequency's period, out to the first edge T
+    # where the tail bound Int_T^inf t e^{-eta t} dt = e^{-eta T}(T/eta +
+    # 1/eta^2) is at most 1e-12; the bound is added to the error
     w1, w2, eta = 1.0, 1.3, 0.05
     closed = response_kinetics.nascent_delta_cos_sin(w1, w2, eta)
-    r = numerics.quad_semi_infinite(
-        lambda t: t * np.exp(-eta * t) * np.cos(w1 * t) * np.sin(w2 * t), 0.0,
-        tol=1e-11, panel_scale=1.0 / eta,
+    width = math.pi / (w1 + w2)
+    n, tail = 0, math.inf
+    while tail > 1e-12:
+        n += 1
+        T = n * width
+        tail = math.exp(-eta * T) * (T / eta + 1.0 / eta**2)
+    edges = width * np.arange(n + 1)
+    r = numerics.quad_finite(
+        lambda t: t * np.exp(-eta * t) * np.cos(w1 * t) * np.sin(w2 * t),
+        edges[:-1], edges[1:], tol=1e-13,
     )
-    return _ok(abs(r.value - closed), 1e-9)
+    return _ok(abs(math.fsum(r.value.tolist()) - closed) + tail, 1e-9)
 
 
 def check_g_time_domain():
@@ -741,14 +751,17 @@ def check_coth_limit():
     return _ok(abs(diff / limit - 1.0), 1e-4, "ratio-1")
 
 
-def sharp_amplitude_via_pipeline(osc1, osc2, beta, G):
-    """Assemble the sharp friction amplitude from the finite-eta kernels
-    and extrapolate eta -> 0; independent of the closed form."""
-    w1 = osc1.omega
+def sharp_amplitudes_via_pipeline(pairs, beta):
+    """Assemble the sharp friction amplitude of each (osc1, osc2, G) in
+    ``pairs`` from the finite-eta kernels and extrapolate eta -> 0;
+    independent of the closed form. The integrals of every pair and eta
+    are one batch of quad_finite."""
 
-    def integrand(w2, eta):
-        # w2 holds the nodes of the quadrature panels, eta their column of widths
-        o2 = response_kinetics.OscState.thermal(w2, beta, mass=osc2.mass)
+    def integrand(w2, w1, n1, m1, m2, G, eta):
+        # w2 holds the nodes of the quadrature panels, the rest their
+        # integrals' parameter columns
+        osc1 = response_kinetics.OscState(w1, n1, m1)
+        o2 = response_kinetics.OscState.thermal(w2, beta, mass=m2)
         d = response_kinetics.coupling_D(osc1, o2)
         ba = o2.occupation_factor - osc1.occupation_factor
         return (
@@ -760,20 +773,28 @@ def sharp_amplitude_via_pipeline(osc1, osc2, beta, G):
             * response_kinetics.nascent_delta_g(w1 - w2, eta)
         )
 
+    rungs = np.asarray([1e-2, 1e-3, 1e-4])
+    params = np.repeat(
+        [(o1.omega, o1.n_mean, o1.mass, o2.mass, G) for o1, o2, G in pairs], len(rungs), axis=0
+    ).T
+    w1 = params[0]
+    etas = np.tile(rungs, len(pairs)) * w1
     half = 0.6 * w1
-    etas = np.asarray([1e-2, 1e-3, 1e-4]) * w1
-    r = numerics.quad_finite(integrand, w1 - half, w1 + half, tol=1e-12, args=(etas,))
-    return numerics.linear_extrapolate_zero(etas, r.value)
+    r = numerics.quad_finite(integrand, w1 - half, w1 + half, tol=1e-12, args=(*params, etas))
+    return [numerics.linear_extrapolate_zero(e, v)
+            for e, v in zip(etas.reshape(-1, len(rungs)), r.value.reshape(-1, len(rungs)))]
 
 
 def check_sharp_amplitude_pipeline():
     beta = 1.0
+    pairs = [
+        (response_kinetics.OscState.thermal(w1, beta, mass=m1),
+         response_kinetics.OscState.thermal(w1, beta, mass=m2), G)
+        for w1, m1, m2, G in ((1.0, 1.0, 1.0, 1.0), (1.4, 0.7, 2.0, 0.3))
+    ]
     worst = 0.0
-    for w1, m1, m2, G in ((1.0, 1.0, 1.0, 1.0), (1.4, 0.7, 2.0, 0.3)):
-        o1 = response_kinetics.OscState.thermal(w1, beta, mass=m1)
-        o2 = response_kinetics.OscState.thermal(w1, beta, mass=m2)
+    for (o1, o2, G), pipe in zip(pairs, sharp_amplitudes_via_pipeline(pairs, beta)):
         closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, G).amplitude
-        pipe = sharp_amplitude_via_pipeline(o1, o2, beta, G)
         worst = max(worst, abs(pipe - closed) / abs(closed))
     return _ok(worst, 1e-4, "rel")
 

@@ -1107,6 +1107,16 @@ def test_python_m_package(cli):
     assert out.stdout == in_process.encode()
 
 
+def test_python_m_cli_runs_cli_once():
+    # "braking sign draws" imports magfriction.cli for its grid; under
+    # `python -m magfriction.cli` that import gets the running module
+    out = _run_child("-X", "importtime", "-m", "magfriction.cli", "verify", "--suite", "forces")
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert b"PASS  forces :: braking sign draws" in out.stdout
+    imported = [ln.rsplit(b"|", 1)[-1].strip() for ln in out.stderr.splitlines()]
+    assert b"magfriction" in imported and b"magfriction.cli" not in imported
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv,lines_read", [
     # a sweep far larger than a pipe's buffer, so that the writer finds

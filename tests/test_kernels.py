@@ -154,6 +154,67 @@ def _halfspace_weights(z0, u, mode):
 B = _kernels.MC_BLOCK
 
 
+def _halfspace_chunk_expressions(z0, u, mode):
+    # halfspace_chunk as whole-array expressions, one temporary per
+    # operation: the same operations in the same order as its in-place form
+    z = z0 / np.cbrt(1.0 - u[0])
+    z2 = z * z
+    s2 = z2 * (1.0 / np.sqrt(1.0 - u[1]) - 1.0)
+    r2 = s2 + z2
+    z4 = z2 * z2
+    r6 = r2 * r2 * r2
+    pdf = (3.0 * z0**3 / z4) * (4.0 * z4 / (2.0 * math.pi * r6))
+    if mode == 0:
+        f = 1.0 / r6
+    elif mode == 1:
+        x2 = s2 * np.cos(2.0 * math.pi * u[2]) ** 2
+        f = 2.0 * (1.0 / r6 + 3.0 * x2 / (r6 * r2))
+    else:
+        f = 1.0 / (r6 * r2)
+    w = f / pdf
+    return float(np.sum(w)), float(np.sum(w * w))
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+@pytest.mark.parametrize("where", ["anywhere", "near 0", "near 1"])
+def test_halfspace_chunk_is_its_expression_form_bit_for_bit(mode, where):
+    rng = np.random.default_rng([mode, len(where)])
+    for m in (1, 7, B - 1, B):
+        u = rng.random((3, m))
+        if where == "near 0":
+            u *= 1e-12
+        elif where == "near 1":
+            u = 1.0 - (1.0 + u) * 2.0**-50
+        z0 = float(rng.uniform(0.2, 3.0))
+        assert _kernels.halfspace_chunk(z0, u, mode) == _halfspace_chunk_expressions(z0, u, mode)
+
+
+# (value, std_error) of the battery's lattice-rule estimates, as float.hex
+MC_BITS = {
+    "half-space MC": (1.0, 1, 123, "0x1.921fb67379912p+0", "0x1.da583bbe0ea95p-24"),
+    "half-space r^-6 MC": (1.0, 0, 7, "0x1.0c152382d7366p-1", "0x0.0p+0"),
+    "half-space r^-8": (1.5, 2, 5, "0x1.c3e116af475f6p-6", "0x1.029dfb11cd7bcp-27"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_BITS))
+def test_halfspace_estimates_keep_their_bits(name):
+    z0, mode, seed, value, std_error = MC_BITS[name]
+    r = numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(z0, u, mode), 3, seed)
+    assert (r.value.hex(), r.std_error.hex()) == (value, std_error)
+
+
+def test_one_dimensional_estimates_keep_their_bits():
+    r = numerics.mc_integrate(verification._x_squared, 1, 11)
+    assert (r.value.hex(), r.std_error.hex()) == ("0x1.5555555ac87a6p-2", "0x1.c65d2a5b9720cp-32")
+
+
+def test_lattice_base_is_built_once_and_read_only():
+    base = numerics._lattice_base(3)
+    assert numerics._lattice_base(3) is base
+    assert base.shape == (3, numerics.LATTICE_N) and not base.flags.writeable
+
+
 @pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 7])
 def test_halfspace_chunk_sums_the_weights_and_their_squares(m):
     u = np.random.default_rng(m).random((3, m))

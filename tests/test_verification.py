@@ -6,6 +6,7 @@ import importlib
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
 from magfriction import _kernels, numerics, response_kinetics, verification
@@ -139,12 +140,28 @@ def test_array_checks_print_their_pinned_details(name):
 @pytest.mark.parametrize("module,name,check", [
     (response_kinetics, "M_full", "kernel remainder identity"),
     (response_kinetics, "nascent_delta_g", "sharp amplitude pipeline"),
+    (response_kinetics, "nascent_delta_cos_sin", "damped cos*sin time domain"),
 ])
 def test_array_checks_fail_on_a_scaled_library_kernel(monkeypatch, module, name, check):
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: 1.01 * original(*args))
     ok, detail = _check(check).run()
     assert not ok, detail
+
+
+def test_field_orthogonality_fails_on_a_field_component_along_r(monkeypatch):
+    # a scale factor leaves every angle as it is; a component along r does not
+    original = verification.magnetic_field_quasistatic
+    monkeypatch.setattr(verification, "magnetic_field_quasistatic",
+                        lambda P_dot, r: original(P_dot, r) + 1e-9 * np.asarray(r))
+    ok, detail = _check("field orthogonality").run()
+    assert not ok, detail
+
+
+def test_field_orthogonality_takes_the_draws_of_one_pair_at_a_time():
+    draws = np.random.Generator(np.random.Philox(key=5)).normal(size=(50, 2, 3))
+    rng = np.random.Generator(np.random.Philox(key=5))
+    assert np.array_equal(draws.reshape(100, 3), [rng.normal(size=3) for _ in range(100)])
 
 
 def test_r6_monte_carlo_runs_the_halfspace_kernel_in_mode_0(monkeypatch):
@@ -162,10 +179,11 @@ def test_r6_monte_carlo_runs_the_halfspace_kernel_in_mode_0(monkeypatch):
     assert modes == [0] * (blocks * numerics.LATTICE_SHIFTS)
 
 
-# (map, its root, the wrong root) of the half-space sampler
+# (map, its root, the wrong root) of the half-space sampler; each root is
+# taken in place of 1 - u[0] (z) or 1 - u[1] (s2)
 WRONG_ROOTS = {
-    "z map": ("np.cbrt(1.0 - u[0])", "np.sqrt(1.0 - u[0])"),
-    "s map": ("np.sqrt(1.0 - u[1])", "np.cbrt(1.0 - u[1])"),
+    "z map": ("np.cbrt(z, out=z)", "np.sqrt(z, out=z)"),
+    "s map": ("np.sqrt(s2, out=s2)", "np.cbrt(s2, out=s2)"),
 }
 
 
