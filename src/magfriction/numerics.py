@@ -137,9 +137,8 @@ def _gk21(f, lo, hi, cols):
     np.abs(shifted, out=shifted)
     spread = np.matmul(magnitudes, wk[:, None])
     values, errs = [], []
-    for resk, resg, resabs, resasc, h in zip(
-        rules[:, 0, 0].tolist(), rules[:, 1, 0].tolist(), spread[:, 0, 0, 0].tolist(),
-        spread[:, 1, 0, 0].tolist(), centre_half[:, 1].tolist(),
+    for (resk, resg), (resabs, resasc), (_, h) in zip(
+        rules.reshape(-1, 2).tolist(), spread.reshape(-1, 2).tolist(), centre_half.tolist()
     ):
         err = abs((resk - resg) * h)
         resasc *= abs(h)
