@@ -1,13 +1,19 @@
-"""Float arithmetic: the column operations on Python floats, powers and
-quotients with the IEEE range of numpy's float64, and the one numerical
-failure a CLI route raises besides FloatingPointError.
+"""Float arithmetic: the column operations on Python floats and on numpy
+grids, powers and quotients with the IEEE range of numpy's float64, and
+the one numerical failure a CLI route raises besides FloatingPointError.
 
 The closed forms and the CLI reach these without executing
 ``magfriction.numerics``; the failure types that only the oracle
-engines raise are defined there.
+engines raise are defined there. numpy is executed only when a grid
+computes, so a one-shot command on ``FloatOps`` loads none of it.
 """
 
+import contextlib
 import math
+
+from magfriction import lazy_import
+
+np = lazy_import("numpy")
 
 
 class QuadratureError(RuntimeError):
@@ -42,7 +48,7 @@ class FloatOps:
     """The arithmetic of the column closed forms on Python floats, one
     point: a check that fails raises its exception at once, and a power
     or quotient past the float range raises OverflowError or
-    ZeroDivisionError. The CLI's numpy grid has the same six operations.
+    ZeroDivisionError. ``ArrayOps`` has the same six operations on arrays.
     """
 
     @staticmethod
@@ -69,3 +75,75 @@ class FloatOps:
     @staticmethod
     def map(fn, *args):
         return fn(*args)
+
+
+class ArrayOps:
+    """The same six operations on the numpy columns of a grid of ``shape``:
+    the CLI's sweeps and the battery's sign draws compute on it.
+
+    A point fails at the first check it reaches, so the grid keeps the
+    earliest failing point and, at that point, the check that was
+    registered first; ``raise_first`` raises its exception.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self._first = math.prod(shape)
+        self._error = None
+
+    def constant(self, value):
+        """A column with ``value`` at every point."""
+        return np.full((1,) * len(self.shape), value)
+
+    def fail(self, where, error):
+        """The points of mask ``where`` fail with the exception ``error``."""
+        if where.any():
+            i = int(np.broadcast_to(where, self.shape).argmax())
+            if i < self._first:
+                self._first, self._error = i, error
+
+    def raise_first(self):
+        if self._error is not None:
+            raise self._error
+
+    def sqrt(self, x):
+        return np.sqrt(x)
+
+    def pow(self, x, n):
+        """x ** n through Python's float power (numpy's vector power differs
+        from it in the last bit for some x); OverflowError fails the point."""
+        values = x.ravel().tolist()
+        try:
+            return np.array([t**n for t in values]).reshape(x.shape)
+        except OverflowError as exc:
+            out = np.full(len(values), math.inf)
+            bad = np.ones(len(values), dtype=bool)
+            for i, t in enumerate(values):
+                with contextlib.suppress(OverflowError):
+                    out[i] = t**n
+                    bad[i] = False
+            self.fail(bad.reshape(x.shape), exc)
+            return out.reshape(x.shape)
+
+    def div(self, a, b):
+        """a / b; a zero divisor fails the point, as for Python floats."""
+        self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
+        return a / b
+
+    def map(self, fn, *cols):
+        """fn(*args) once per distinct argument tuple (compared bit for bit),
+        at the shape the columns broadcast to; an exception fails the points
+        it came from."""
+        cols = np.broadcast_arrays(*cols)
+        flat = [c.ravel() for c in cols]
+        keys = np.stack([c.view(np.int64) for c in flat], axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(cols[0].shape)
+        out = np.empty(len(first))
+        for k, i in enumerate(first.tolist()):
+            try:
+                out[k] = fn(*(c[i].item() for c in flat))
+            except Exception as exc:  # raised again if its points fail first
+                out[k] = math.nan
+                self.fail(inverse == k, exc)
+        return out[inverse]

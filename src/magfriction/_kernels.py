@@ -9,11 +9,11 @@ that their arrays stay in cache and their Python-level calls are few:
 ``mode_sum`` sums ``MODE_BLOCK`` modes per block, and
 ``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` points
 of one shift of its lattice rule per call. ``mode_sum`` and
-``halfspace_chunk`` compute with ``out=`` into a few preallocated
-buffers, not one temporary per operation. A block size changes only the
-order of floating-point operations (the summation order of a sum, the
-grouping of a matrix product), never the terms or points: an estimate
-stays deterministic per (seed, shifts).
+``halfspace_chunk`` compute with ``out=`` into a few buffers that each
+call allocates once, not one temporary per operation. A block size
+changes only the order of floating-point operations (the summation order
+of a sum, the grouping of a matrix product), never the terms or points:
+an estimate stays deterministic per (seed, shifts).
 
 ``halfspace_chunk`` holds the only copy of the half-space importance
 sampler (the map from the unit cube to z and s, and its density). It

@@ -527,18 +527,13 @@ def _run_fields(cfg):
 # exception on both.
 
 
-class _Grid:
-    """Parameter columns of a grid and the first failure among its points.
-
-    A point fails at the first check it reaches, so the grid keeps the
-    earliest failing point and, at that point, the check that was
-    registered first.
-    """
+class _Grid(_ieee.ArrayOps):
+    """Parameter columns of a grid and the first failure among its points."""
 
     def __init__(self, cfg, shape, axis_columns):
+        super().__init__(shape)
         self.cfg = cfg
         self.ctx = _units_ctx(cfg)
-        self.shape = shape
         self.columns = {}
         for flag, typ in _PARAMS:
             value = getattr(cfg, _attr(flag))
@@ -547,12 +542,6 @@ class _Grid:
         # an axis replaces the fixed value of its parameter; a later axis wins
         for ax, col in zip(cfg.axes, axis_columns):
             self.columns[_attr(ax.name)] = col
-        self._first = math.prod(shape)
-        self._error = None
-
-    def constant(self, value):
-        """A column with ``value`` at every point."""
-        return np.full((1,) * len(self.shape), value)
 
     def reduced(self, name):
         """A parameter column in reduced units, or None if unset."""
@@ -560,59 +549,6 @@ class _Grid:
         if col is None or self.ctx is None:
             return col
         return col / self.ctx.factor(units.INPUT_DIM[name])
-
-    def fail(self, where, error):
-        """The points of mask ``where`` fail with the exception ``error``."""
-        if where.any():
-            i = int(np.broadcast_to(where, self.shape).argmax())
-            if i < self._first:
-                self._first, self._error = i, error
-
-    def raise_first(self):
-        if self._error is not None:
-            raise self._error
-
-    def sqrt(self, x):
-        return np.sqrt(x)
-
-    def pow(self, x, n):
-        """x ** n through Python's float power (numpy's vector power differs
-        from it in the last bit for some x); OverflowError fails the point."""
-        values = x.ravel().tolist()
-        try:
-            return np.array([t**n for t in values]).reshape(x.shape)
-        except OverflowError as exc:
-            out = np.full(len(values), math.inf)
-            bad = np.ones(len(values), dtype=bool)
-            for i, t in enumerate(values):
-                with contextlib.suppress(OverflowError):
-                    out[i] = t**n
-                    bad[i] = False
-            self.fail(bad.reshape(x.shape), exc)
-            return out.reshape(x.shape)
-
-    def div(self, a, b):
-        """a / b; a zero divisor fails the point, as for Python floats."""
-        self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
-        return a / b
-
-    def map(self, fn, *cols):
-        """fn(*args) once per distinct argument tuple (compared bit for bit),
-        at the shape the columns broadcast to; an exception fails the points
-        it came from."""
-        cols = np.broadcast_arrays(*cols)
-        flat = [c.ravel() for c in cols]
-        keys = np.stack([c.view(np.int64) for c in flat], axis=1)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(cols[0].shape)
-        out = np.empty(len(first))
-        for k, i in enumerate(first.tolist()):
-            try:
-                out[k] = fn(*(c[i].item() for c in flat))
-            except Exception as exc:  # raised again if its points fail first
-                out[k] = math.nan
-                self.fail(inverse == k, exc)
-        return out[inverse]
 
 
 class _Point(_ieee.FloatOps, _Grid):
@@ -1082,8 +1018,4 @@ def entry():
 
 
 if __name__ == "__main__":
-    # `python -m magfriction.cli`: this module also serves `import
-    # magfriction.cli` (as the battery's braking-sign check makes), so
-    # cli.py is not compiled and run a second time
-    sys.modules["magfriction.cli"] = sys.modules["magfriction"].cli = sys.modules[__name__]
     entry()

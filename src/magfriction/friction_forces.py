@@ -5,7 +5,7 @@ reduced units (hbar = c = k_B = 1): numpy arrays that broadcast over a
 grid, or Python floats for one point. It takes ``ops`` too, the
 arithmetic that can fail a point: ``fail(where, error)``, ``pow(x, n)``,
 ``div(a, b)``, ``sqrt(x)``, ``map(fn, *cols)`` and ``constant(value)``.
-The CLI's grid implements them for arrays, and ``_ieee.FloatOps`` for
+``_ieee.ArrayOps`` implements them for arrays, and ``_ieee.FloatOps`` for
 floats. On the columns themselves only + - * / run, so a float and an
 array give the same bits at a point.
 

@@ -100,23 +100,6 @@ class TabulatedSpectralDensity:
     def density(self, m):
         return np.interp(m, self.m, self.s, left=0.0, right=0.0)
 
-    def lines(self, lo):
-        """The interpolant on the grid interval [m_j, m_j+1) that holds
-        each point of ``lo``, as np.interp writes it: the arrays (slope,
-        m_j, s_j) of slope*(x - m_j) + s_j, with slope = (s_j+1 -
-        s_j)/(m_j+1 - m_j), and zero lines where a point lies outside
-        [m_0, m_max). At any x in the same interval as its point, the line
-        gives ``density(x)`` bit for bit."""
-        k = np.searchsorted(self.m, lo, side="right")
-        return tuple(c[k] for c in self._pieces)
-
-    @functools.cached_property
-    def _pieces(self):
-        # (slope, m_j, s_j) of each grid interval, after a zero line for
-        # points left of the grid and before one for points right of it
-        slope = (self.s[1:] - self.s[:-1]) / (self.m[1:] - self.m[:-1])
-        return tuple(np.concatenate([[0.0], c, [0.0]]) for c in (slope, self.m[:-1], self.s[:-1]))
-
 
 class DrudeParams(namedtuple("DrudeParams", "omega_p nu rho")):
     """Drude metal: plasma frequency, damping rate, number density."""
@@ -229,32 +212,15 @@ def smoothed_H0(spec1, spec2, beta):
     k = np.arange(len(segment)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     step = (widths / pieces)[segment]
     half = step / 2.0
-    left = knots[segment]
-    mid = left + (k + 0.5) * step
+    mid = knots[segment] + (k + 0.5) * step
     (x8, w8), (x16, w16) = _gauss_legendre(8), _gauss_legendre(16)
-    # the nodes of both rules as one (24, segments) array: row j holds node
-    # j of every segment, the 8-point rule's first
-    m = np.concatenate([x8, x16])[:, None] * half + mid
-
-    def density(spec):
-        # a segment lies in one interval of a tabulated grid, where the
-        # density is that interval's line
-        if not isinstance(spec, TabulatedSpectralDensity):
-            return spec.density(m)
-        slope, x0, y0 = spec.lines(left)
-        return slope * (m - x0) + y0
-
-    def by_segment(a):
-        # each rule's values segment by segment, the 8-point rule's first
-        return np.concatenate([a[:8].T.ravel(), a[8:].T.ravel()])
-
+    m = np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x8, x16)])
     with np.errstate(all="ignore"):
         sh = np.sinh(beta * m / 2.0)
-        f = by_segment(m * m * density(spec1) * density(spec2) / (sh * sh))
+        f = m * m * spec1.density(m) * spec2.density(m) / (sh * sh)
     bad = ~np.isfinite(f)
     if bad.any():
-        raise FloatingPointError(
-            "H0 integrand is not a finite float at m=%g" % by_segment(m)[bad.argmax()])
+        raise FloatingPointError("H0 integrand is not a finite float at m=%g" % m[bad.argmax()])
     n8 = 8 * len(mid)
     q8 = half * (f[:n8].reshape(-1, 8) @ w8)
     q16 = half * (f[n8:].reshape(-1, 16) @ w16)

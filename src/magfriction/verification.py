@@ -33,7 +33,7 @@ from magfriction import (
     response_kinetics,
     units,
 )
-from magfriction._ieee import FloatOps
+from magfriction._ieee import ArrayOps, FloatOps
 
 
 class Check:
@@ -125,17 +125,13 @@ def check_sinusoid_fit():
 
 
 def _separation(r):
-    """r as a float64 array and its length, refusing zero; for an (n, 3)
-    array of separations, the (n, 1) column of their lengths. math.hypot
+    """r as a float64 array and its length, refusing zero. math.hypot
     scales its arguments, so a tiny separation does not underflow to zero
     as sqrt(r.r) does; the length is a numpy float, so that a power of it
     leaves the float range as inf, not as OverflowError."""
     r = np.asarray(r, dtype=np.float64)
-    if r.ndim == 1:
-        rn = np.float64(math.hypot(*r))
-    else:
-        rn = np.array([[math.hypot(*row)] for row in r.tolist()])
-    if (rn == 0.0).any():
+    rn = np.float64(math.hypot(*r))
+    if rn == 0.0:
         raise ValueError("zero separation")
     return r, rn
 
@@ -165,8 +161,7 @@ def magnetic_field_full(P, zeta, r):
 def magnetic_field_quasistatic(P_dot, r):
     r"""Biot-Savart field of a changing electric dipole moment.
 
-    Returns (P_dot x rhat)/r^2, the zeta*r -> 0 limit of the full field;
-    row by row for (n, 3) arrays of rates and separations.
+    Returns (P_dot x rhat)/r^2, the zeta*r -> 0 limit of the full field.
     """
     r, rn = _separation(r)
     return np.cross(np.asarray(P_dot), r / rn) / rn**2
@@ -238,15 +233,20 @@ def check_field_hand_values():
 
 
 def check_field_orthogonality():
-    # 50 draws of (P_dot, r), the rows of the field computed in one call
-    draws = np.random.Generator(np.random.Philox(key=5)).normal(size=(50, 2, 3))
-    draws = draws[np.linalg.norm(draws[:, 1], axis=1) >= 1e-3]
-    pd, r = draws[:, 0], draws[:, 1]
-    h = magnetic_field_quasistatic(pd, r)
-    hn = np.linalg.norm(h, axis=1)
-    cos = [np.abs(np.einsum("ij,ij->i", h, v)) / (hn * np.linalg.norm(v, axis=1) + 1e-30)
-           for v in (r, pd)]
-    return _ok(float(np.max(cos)), 1e-12, "cos")
+    rng = np.random.Generator(np.random.Philox(key=5))
+    worst = 0.0
+    for _ in range(50):
+        pd = rng.normal(size=3)
+        r = rng.normal(size=3)
+        if np.linalg.norm(r) < 1e-3:
+            continue
+        h = magnetic_field_quasistatic(pd, r)
+        worst = max(
+            worst,
+            abs(np.dot(h, r)) / (np.linalg.norm(h) * np.linalg.norm(r) + 1e-30),
+            abs(np.dot(h, pd)) / (np.linalg.norm(h) * np.linalg.norm(pd) + 1e-30),
+        )
+    return _ok(worst, 1e-12, "cos")
 
 
 def check_interaction_canonical():
@@ -1417,8 +1417,6 @@ def check_plane_assembly():
 
 
 def check_force_signs(draws=200):
-    from magfriction import cli  # the grid ops of the CLI's sweeps
-
     # each row the uniforms of one draw, scaled onto their ranges
     u = np.random.Generator(np.random.Philox(key=31)).random((draws, 9))
     v = (1e-4 + (1.0 - 1e-4) * u[:, 0]) * np.where(u[:, 1] < 0.5, -1.0, 1.0)
@@ -1426,8 +1424,8 @@ def check_force_signs(draws=200):
     d, rho1, rho2 = 0.5 + 2.5 * u[:, 3], 0.2 + 2.8 * u[:, 4], 0.2 + 2.8 * u[:, 5]
     D1, D2 = 0.1 + 1.9 * u[:, 6], 0.1 + 1.9 * u[:, 7]
     omega = 0.5 + 1.5 * u[:, 8]
-    cfg = cli.RunConfig()
-    grid = cli._Grid(cfg, (draws,), [])
+    # the grid ops of the CLI's sweeps
+    grid = ArrayOps((draws,))
     pair, inter = friction_forces.pair_force(d, v, D1, D2, beta, grid)
     o1 = response_kinetics.OscState.thermal(omega, beta)
     o2 = response_kinetics.OscState.thermal(o1.omega, beta)
@@ -1440,7 +1438,7 @@ def check_force_signs(draws=200):
     ]
     # the zero-temperature regime takes v > 0 only
     pos = v > 0.0
-    zero_grid = cli._Grid(cfg, (int(np.count_nonzero(pos)),), [])
+    zero_grid = ArrayOps((int(np.count_nonzero(pos)),))
     forces.append(("zero-T", v[pos], friction_forces.slabs_zero_force(
         d[pos], rho1[pos], rho2[pos], D1[pos], D2[pos], v[pos], zero_grid)[0]))
     grid.raise_first()

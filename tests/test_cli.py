@@ -1108,8 +1108,8 @@ def test_python_m_package(cli):
 
 
 def test_python_m_cli_runs_cli_once():
-    # "braking sign draws" imports magfriction.cli for its grid; under
-    # `python -m magfriction.cli` that import gets the running module
+    # "braking sign draws" computes on _ieee.ArrayOps, the grid ops the
+    # CLI's grid inherits, so the battery never imports magfriction.cli
     out = _run_child("-X", "importtime", "-m", "magfriction.cli", "verify", "--suite", "forces")
     assert out.returncode == 0, out.stderr.decode(errors="replace")
     assert b"PASS  forces :: braking sign draws" in out.stdout

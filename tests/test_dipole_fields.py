@@ -127,14 +127,6 @@ def test_zero_separation_rejected(call):
         call([0.0, 0.0, 0.0])
 
 
-def test_quasistatic_field_rows_are_the_single_vector_fields():
-    P, r = np.random.default_rng(9).normal(size=(2, 20, 3))
-    rows = magnetic_field_quasistatic(P, r)
-    assert np.array_equal(rows, [magnetic_field_quasistatic(p, x) for p, x in zip(P, r)])
-    with pytest.raises(ValueError, match="zero separation"):
-        magnetic_field_quasistatic(P[:2], [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-
-
 def test_fields_suite_green():
     failures = [c.name for c in verification.SUITES["fields"] if not c.run()[0]]
     assert failures == []

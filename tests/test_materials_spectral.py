@@ -119,22 +119,6 @@ def test_smoothed_H0_hot_tabulated_matches_split_quad(beta):
     assert abs(smoothed_H0(s1, s2, beta) - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_tabulated_lines_are_np_interp_bit_for_bit(seed):
-    rng = np.random.default_rng(seed)
-    m = np.cumsum(rng.uniform(1e-3, 1.0, 100)) - rng.uniform(0.0, 1e-3)
-    spec = TabulatedSpectralDensity(m, rng.uniform(0.0, 5.0, m.size) * rng.uniform(0.0, 1e3))
-    # each grid interval [lo, hi), the one left of the grid and the one right of it
-    lo = np.concatenate([[m[0] - 1.0], m[:-1], [np.nextafter(m[-1], np.inf)]])
-    hi = np.concatenate([[m[0]], m[1:], [m[-1] + 1.0]])
-    t = np.concatenate([np.zeros((lo.size, 1)), rng.random((lo.size, 30)),
-                        np.ones((lo.size, 1))], axis=1)
-    x = np.minimum(lo[:, None] + (hi - lo)[:, None] * t, np.nextafter(hi, -np.inf)[:, None])
-    slope, x0, y0 = (c[:, None] for c in spec.lines(lo))
-    lines = slope * (x - x0) + y0
-    assert np.array_equal(lines.view(np.int64), spec.density(x).view(np.int64))
-
-
 def test_tabulated_H0_leaves_numpy_ma_unloaded():
     # np.unique would load numpy.ma, 10-15 ms in a fresh process
     code = """

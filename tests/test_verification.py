@@ -158,12 +158,6 @@ def test_field_orthogonality_fails_on_a_field_component_along_r(monkeypatch):
     assert not ok, detail
 
 
-def test_field_orthogonality_takes_the_draws_of_one_pair_at_a_time():
-    draws = np.random.Generator(np.random.Philox(key=5)).normal(size=(50, 2, 3))
-    rng = np.random.Generator(np.random.Philox(key=5))
-    assert np.array_equal(draws.reshape(100, 3), [rng.normal(size=3) for _ in range(100)])
-
-
 def test_r6_monte_carlo_runs_the_halfspace_kernel_in_mode_0(monkeypatch):
     modes = []
     original = _kernels.halfspace_chunk
