@@ -316,7 +316,7 @@ def _resolve(args):
     if cfg.workers < 1:
         raise CliError(EXIT_CONFIG, "%s must be at least 1" % names["workers"])
     if cfg.axes:
-        _check_axes(cfg, route)
+        _check_axes(cfg, route, args)
     # the inputs given anywhere, and those the command line gives; a sweep
     # axis is both
     axes = {ax.name for ax in cfg.axes}
@@ -431,10 +431,11 @@ def _check_sources(route, cfg, given, flags):
     return paths
 
 
-def _check_axes(cfg, route):
+def _check_axes(cfg, route, args):
     """The sweep's axes are inputs of its route (argparse requires one), a
-    temperature axis meets no fixed temperature, and the grid's size is
-    checked before any point is built."""
+    temperature axis meets no fixed temperature, no parameter has two axes
+    or an axis and its flag on the command line (a config key stays below
+    an axis), and the grid's size is checked before any point is built."""
     for ax in cfg.axes:
         if ax.name not in route.reads:
             raise CliError(EXIT_CONFIG, "axis %r does not apply to target %s"
@@ -443,6 +444,13 @@ def _check_axes(cfg, route):
             cfg.beta is not None or cfg.temperature_kelvin is not None):
         raise CliError(EXIT_CONFIG,
                        "temperature axis conflicts with a fixed temperature parameter")
+    names = [ax.name for ax in cfg.axes]
+    for name in names:
+        if names.count(name) > 1:
+            raise CliError(EXIT_CONFIG, "sweep takes one axis per parameter: %s has %d"
+                           % (name, names.count(name)))
+        if getattr(args, _attr(name)) is not None:
+            raise CliError(EXIT_CONFIG, "sweep takes no --%s with an axis of %s" % (name, name))
     total = math.prod(ax.steps for ax in cfg.axes)
     if total > cfg.max_points:
         raise CliError(EXIT_CONFIG, "sweep of %d points exceeds --max-points %d"
@@ -539,7 +547,7 @@ class _Grid(_ieee.ArrayOps):
             value = getattr(cfg, _attr(flag))
             if typ is float and value is not None:
                 self.columns[_attr(flag)] = self.constant(value)
-        # an axis replaces the fixed value of its parameter; a later axis wins
+        # an axis replaces the fixed value of its parameter, from a config key
         for ax, col in zip(cfg.axes, axis_columns):
             self.columns[_attr(ax.name)] = col
 
@@ -777,9 +785,21 @@ class _Table:
         return math.prod(self.shape)
 
 
+# values per call of _kernels.float_reprs; a shorter column takes repr itself
+FLOAT_BLOCK = 2048
+
+
 def _float_text(col):
-    """repr of every value, an object array of the column's shape."""
-    return np.array(list(map(repr, col.ravel().tolist())), dtype=object).reshape(col.shape)
+    """repr of every value, an object array of the column's shape; a column
+    of at least FLOAT_BLOCK values gets it from _kernels.float_reprs, a
+    block at a time."""
+    flat = col.ravel()
+    if flat.size < FLOAT_BLOCK:
+        return np.array(list(map(repr, flat.tolist())), dtype=object).reshape(col.shape)
+    text = np.empty(flat.size, dtype=object)
+    for i in range(0, flat.size, FLOAT_BLOCK):
+        text[i : i + FLOAT_BLOCK] = _kernels.float_reprs(flat[i : i + FLOAT_BLOCK])
+    return text.reshape(col.shape)
 
 
 def _row_cells(texts, shape, sep, string_cell):
@@ -845,6 +865,18 @@ def _empty(*files):
     for fh in files:
         if fh and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             os.ftruncate(fh.fileno(), 0)
+
+
+def _same_regular_file(a, b):
+    """Whether two open files are one regular file, under any path or link
+    (each would overwrite the other's bytes; a device or pipe keeps both).
+    A stdout with no descriptor, such as a StringIO, is none."""
+    try:
+        sa = os.fstat(a.fileno())
+    except (OSError, ValueError):
+        return False
+    sb = os.fstat(b.fileno())
+    return stat.S_ISREG(sa.st_mode) and (sa.st_dev, sa.st_ino) == (sb.st_dev, sb.st_ino)
 
 
 @contextlib.contextmanager
@@ -931,6 +963,9 @@ def _emit(cfg, table):
     with contextlib.ExitStack() as files:
         csv_fh = files.enter_context(_output_file(cfg.out)) if cfg.out else sys.stdout
         json_fh = cfg.json_out and files.enter_context(_output_file(cfg.json_out))
+        if json_fh and _same_regular_file(csv_fh, json_fh):
+            raise CliError(EXIT_CONFIG, "--json names the file that takes the CSV: %s"
+                           % cfg.json_out)
         _empty(cfg.out and csv_fh, json_fh)
         with _writing(csv_fh):
             _write_rows(csv_fh, head, rows(",", str), "\n", "\n")

@@ -837,6 +837,70 @@ def test_sweep_axis_below_a_spectrum_file_is_refused(cli, capsys, tmp_path):
         "error: sweep --target friction-plane takes no --D2 with --spectrum-file-2\n")
 
 
+SLAB_SWEEP = ["--rho1", 1, "--rho2", 1.5, "--D1", 0.7, "--D2", 1.2]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--target", "eigen", "--axis", "alpha:1:2:3", "--axis", "alpha:5:6:2"],
+     "sweep takes one axis per parameter: alpha has 2"),
+    (["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3", "--axis", "beta:0.5:50:3:log",
+      "--axis", "v:-2e-3:2e-3:3", "--axis", "d:1:2:2", *SLAB_SWEEP, "--v", 5e-4],
+     "sweep takes one axis per parameter: d has 2"),
+    (["--target", "friction-pair", "--axis", "d:1:2:2", "--d", 7, "--v", 1, "--beta", 1,
+      "--D1", 1, "--D2", 1], "sweep takes no --d with an axis of d"),
+    (["--target", "friction-slabs-zero", "--axis", "v:1e-3:1e-2:3", *SLAB_SWEEP, "--d", 1,
+      "--v", 5e-4], "sweep takes no --v with an axis of v"),
+], ids=["two-axes", "two-axes-and-flag", "axis-and-flag", "axis-and-later-flag"])
+def test_sweep_parameter_given_twice_is_refused(cli, capsys, args, message):
+    # each exited 0 before, its rows reading one of the two values and its
+    # config line or a second sweep_ column showing the other
+    code, out = cli("sweep", *args)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_json_naming_the_file_of_stdout_is_refused(tmp_path):
+    # stdout redirected to the --json file lost the CSV to the JSON
+    path = tmp_path / "s.txt"
+    with open(path, "w") as stdout:
+        out = subprocess.run(
+            [sys.executable, "-m", "magfriction.cli", "sweep", "--target", "eigen", "--axis",
+             "alpha:1:2:3", "--json", str(path)],
+            stdout=stdout, stderr=subprocess.PIPE, env=_child_env(), timeout=120)
+    assert out.returncode == 3
+    assert out.stderr == b"error: --json names the file that takes the CSV: %s\n" % bytes(path)
+    assert path.read_bytes() == b""
+
+
+def test_sweep_axis_stands_above_a_config_key(cli, tmp_path):
+    path = _write(tmp_path / "run.cfg", "d=7\n")
+    pair = ["--target", "friction-pair", "--v", 1, "--beta", 1, "--D1", 1, "--D2", 1]
+    code, out = cli("sweep", *pair, "--axis", "d:1:2:2", "--config", path)
+    assert code == 0
+    assert _column(out, "d") == ["1.0", "2.0"]
+
+
+@pytest.mark.parametrize("alias", ["same", "symlink", "hardlink", "fd"])
+def test_out_and_json_naming_one_file_are_refused(cli, capsys, tmp_path, alias):
+    # each would overwrite the other's bytes: the CSV was lost to the JSON,
+    # or a shorter JSON was left followed by CSV debris
+    csv = tmp_path / "s.csv"
+    csv.write_bytes(b"earlier bytes\n")
+    other = {"same": csv, "symlink": tmp_path / "link", "hardlink": tmp_path / "hard"}.get(alias)
+    if alias == "symlink":
+        other.symlink_to(csv)
+    elif alias == "hardlink":
+        os.link(csv, other)
+    with open(csv, "rb") as held:
+        if alias == "fd":
+            other = "/dev/fd/%d" % held.fileno()
+        code, out = cli("sweep", "--target", "eigen", "--axis", "alpha:1:2:3",
+                        "--out", csv, "--json", other)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: --json names the file that takes the CSV: %s\n" % other
+    assert csv.read_bytes() == b"earlier bytes\n"
+
+
 def test_config_keys_keep_their_precedence(cli, tmp_path):
     # a config key is not refused where a flag would be: one file may serve
     # several commands
@@ -1224,7 +1288,7 @@ _EXECUTED_BY = """
 import contextlib, io, sys, types
 WATCH = ("dataclasses", "inspect", "json", "magfriction.numerics",
          "magfriction.friction_forces", "magfriction.response_kinetics",
-         "magfriction.oscillator_pair")
+         "magfriction.oscillator_pair", "magfriction._kernels")
 
 def executed():
     # a module bound by lazy_import and not yet run is not a plain module
@@ -1265,6 +1329,22 @@ def test_one_shot_commands_execute_only_their_route():
     out = _run_child("-c", _EXECUTED_BY, *commands)
     assert out.returncode == 0, out.stderr.decode(errors="replace")
     assert out.stdout.decode().splitlines() == ["0"] * 3 + ["0 magfriction.friction_forces"] * 7
+
+
+def test_only_a_column_of_a_float_block_executes_the_text_kernel():
+    # the one-shot commands above execute no _kernels; nor does a sweep of
+    # fewer than FLOAT_BLOCK points, whose columns all take repr
+    block = cli_module.FLOAT_BLOCK
+    pair = "sweep --target friction-pair --beta 2 --D1 1 --D2 1 --axis d:1:2:%d --axis v:1:2:%d"
+    small = ["sweep --target eigen --axis alpha:0.1:1:%d" % (block - 1),
+             pair % (block // 64, 63), "eigen --alpha 0.75"]
+    out = _run_child("-c", _EXECUTED_BY, *small)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    lines = [line.split() for line in out.stdout.decode().splitlines()]
+    assert [(line[0], "magfriction._kernels" in line) for line in lines] == [("0", False)] * 3
+    out = _run_child("-c", _EXECUTED_BY, "sweep --target eigen --axis alpha:0.1:1:%d" % block)
+    assert out.returncode == 0, out.stderr.decode(errors="replace")
+    assert "magfriction._kernels" in out.stdout.decode().split()
 
 
 def test_importing_the_cli_binds_every_library_module():

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import magfriction
-from magfriction import _kernels, numerics, verification
+from magfriction import _kernels, cli, numerics, verification
 
 
 def _pair_matrix(alpha):
@@ -278,3 +279,86 @@ def test_halfspace_chunk_mode0_constant_weight():
         var = s2 / m - mean * mean
         assert abs(mean - np.pi / 6.0) <= 1e-12
         assert abs(var) <= 1e-15
+
+
+# ---------------------------------------------------------------- float text
+
+def _reprs_in_blocks(x):
+    """float_reprs over x in the CLI's blocks, one list."""
+    text = []
+    for i in range(0, x.size, cli.FLOAT_BLOCK):
+        text += _kernels.float_reprs(x[i : i + cli.FLOAT_BLOCK])
+    return text
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=300))
+def test_float_reprs_is_repr(values):
+    # subnormals, zeros of both signs and every exponent included
+    assert _kernels.float_reprs(np.array(values, dtype=np.float64)) == list(map(repr, values))
+
+
+def _neighbours(x, k):
+    """Each value of x and the k floats on each side of it."""
+    steps = np.arange(-k, k + 1, dtype=np.int64)
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)[:, None] + steps
+    return bits.ravel().view(np.float64)
+
+
+def _float_classes(n):
+    rng = np.random.default_rng(2026)
+    sign = rng.choice([-1.0, 1.0], n)
+    # every finite bit pattern, so every exponent, subnormals included
+    bits = rng.integers(0, 0x7FF0 << 48, n, dtype=np.int64).view(np.float64)
+    # decimals of 17 significant digits and of one to four, through the
+    # correctly rounded float(str); dyadic ones (0.5, 2.5, 1.25e3) are exact
+    seventeen = [float("%de%d" % (m, e)) for m, e in zip(
+        rng.integers(10**16, 10**17, n).tolist(), rng.integers(-316, 292, n).tolist())]
+    short = [float("%de%d" % (m, e)) for m, e in zip(
+        rng.integers(1, 10**4, n).tolist(), rng.integers(-320, 305, n).tolist())]
+    dyadic = rng.integers(1, 10**4, n) * np.ldexp(1.0, rng.integers(-12, 12, n))
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    return {
+        "exponent-range": np.where(rng.random(n) < 0.5, -bits, bits),
+        "17-digit": np.array(seventeen) * sign,
+        "short-decimal": np.array(short) * sign,
+        "dyadic-decimal": dyadic * sign,
+        # a power of two has a gap below it half the gap above
+        "powers-of-two": _neighbours(np.concatenate([powers, -powers]), 24),
+        # the fixed/scientific switches of repr: decpt -3/-4 and 16/17
+        "layout-boundaries": np.concatenate([
+            _neighbours([9.999999999999999e-05, 1e-4, 1e-5, 1e15, 1e16, 1e17], n // 12),
+            rng.uniform(1e-5, 1e-3, n // 4), rng.uniform(1e15, 1e17, n // 4)]),
+        # 2^53 + 1 rounds to 2^53; 1e23 is a tie of two floats; 1e22 is exact
+        "integer-and-tie": np.concatenate([
+            _neighbours([9007199254740993.0, 1e22, 1e23], n // 6),
+            2.0**53 + rng.integers(-2**40, 2**40, n // 2).astype(np.float64)]),
+        "zeros-and-subnormals": np.concatenate([
+            rng.choice([0.0, -0.0], n // 2),
+            _neighbours([0.0, 2.2250738585072014e-308, -2.2250738585072014e-308], n // 12 + 1)]),
+        # the edges of the kernel's range, either side of which is repr
+        "range-edges": _neighbours([1e-200, 1e200, -1e-200, -1e200], n // 8),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float_classes(12)))
+def test_float_reprs_stress(name):
+    x = _float_classes(200_000)[name]
+    assert x.size >= 200_000
+    assert _reprs_in_blocks(x) == list(map(repr, x.tolist()))
+
+
+def test_float_reprs_takes_repr_only_where_it_cannot_certify(monkeypatch):
+    # the fast path prints nearly every value in [1e-200, 1e12) that is not
+    # a power of two: it is not repr under another name. Above, a float
+    # scaled to 17 digits keeps few fractional bits, so exact ties and
+    # interval ends on an integer, which the margin sends to repr, are common
+    called = []
+    monkeypatch.setattr(_kernels, "repr", lambda v: called.append(v) or repr(v), raising=False)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-10.0, 10.0, 100_000) * 10.0 ** rng.integers(-199, 12, 100_000)
+    assert _reprs_in_blocks(x) == list(map(repr, x.tolist()))
+    assert len(called) <= 10
+    edges = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, 0.5, 1024.0, -2.0**-60])
+    called.clear()
+    assert _kernels.float_reprs(edges) == list(map(repr, edges.tolist()))
+    assert called == edges.tolist()

@@ -42,11 +42,8 @@ SWEEPS = {
                       "--nu", "0.1", "--D1", "1"],
     "slabs_finite": ["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3",
                      "--axis", "beta:0.5:50:3:log", *SLAB, "--v", "1e-3"],
-    # four axes over three parameters: the later d axis replaces the earlier
-    # one and the v axis replaces the fixed --v
     "slabs_finite_3d": ["--target", "friction-slabs-finite", "--axis", "d:0.7:1.9:3",
-                        "--axis", "beta:0.5:50:3:log", "--axis", "v:-2e-3:2e-3:3",
-                        "--axis", "d:1:2:2", *SLAB, "--v", "5e-4"],
+                        "--axis", "beta:0.5:50:3:log", "--axis", "v:-2e-3:2e-3:3", *SLAB],
     "slabs_zero_gaussian": ["--target", "friction-slabs-zero", "--units", "gaussian",
                             "--axis", "d:1e-7:1e-5:3:log", "--axis", "v:1:1000:3:log",
                             "--rho1", "1e22", "--rho2", "1e22",
@@ -109,7 +106,6 @@ def test_sweep_rows_match_one_shot_commands(cli, tmp_path, name):
     header, *rows = _data_rows(out)
     assert len(rows) >= 9
     for row in rows:
-        # a later axis replaces an earlier one and a fixed value of its parameter
         point = {**fixed, **{"--" + axis: value for axis, value in zip(axes, row)}}
         code, one_shot = cli(*ONE_SHOT[target], *(x for pair in point.items() for x in pair))
         assert code == 0
@@ -169,8 +165,8 @@ def test_sweep_bytes_independent_of_workers(cli, tmp_path):
      "invalid input: D must be finite and >= 0\n"),
 ])
 def test_failing_sweep_reports_its_first_failing_point(cli, capsys, axes, message):
-    code, out = cli("sweep", "--target", "friction-pair", *axes,
-                    "--D2", 1, "--v", 1, "--beta", 1)
+    v = [] if "v:1:2:2" in axes else ["--v", 1]
+    code, out = cli("sweep", "--target", "friction-pair", *axes, "--D2", 1, *v, "--beta", 1)
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == message
 
@@ -213,6 +209,11 @@ FLOAT_COLUMNS = {
     "signed-zeros": np.concatenate([_SIGNED_ZEROS, _RNG.choice([1.5, -2.0], 50)]),
     "subnormals": _RNG.choice([5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e-310, 0.0], 200),
     "one-row": np.array([0.1]),
+    # past one block of _kernels.float_reprs, and ending in part of one
+    "past-one-block": np.concatenate([
+        _RNG.uniform(1e-5, 1e17, cli_module.FLOAT_BLOCK) * _RNG.choice([-1.0, 1.0]),
+        _RNG.standard_normal(cli_module.FLOAT_BLOCK) * 10.0 ** _RNG.integers(-300, 300),
+        [0.0, -0.0, 5e-324, 1e-4, 1e16, 1e23, 2.0**-60, 0.5, 2.5, 1250.0, 1e-200, 1e200] * 9]),
 }
 
 
@@ -226,3 +227,33 @@ def test_float_text_is_repr_of_every_value(name):
     shape = (3, col.size, 2)
     (cells,) = cli_module._row_cells([cli_module._float_text(col)], shape, ",", str)
     assert cells == [repr(x) for x in np.broadcast_to(col, shape).ravel().tolist()]
+
+
+# the four targets of the benchmark's closed-form workload, 100 x 100
+_CLOSED_SLAB = ["--rho1", 1.3, "--rho2", 2.1, "--D1", 0.4, "--D2", 1.7]
+CLOSED_SWEEPS = {
+    "slabs-finite": ["--target", "friction-slabs-finite", "--axis", "beta:0.7:14:100:log",
+                     "--axis", "d:0.8:3.2:100", *_CLOSED_SLAB, "--v", 3e-3],
+    "slabs-zero": ["--target", "friction-slabs-zero", "--axis", "v:1.5e-3:7.5e-2:100:log",
+                   "--axis", "d:0.8:3.2:100", *_CLOSED_SLAB],
+    "pair": ["--target", "friction-pair", "--axis", "d:0.9:3.6:100",
+             "--axis", "v:1.2e-4:6e-3:100:log", "--beta", 7.5, "--D1", 0.4, "--D2", 1.7],
+    "eigen": ["--target", "eigen", "--axis", "alpha:0.07:0.56:10000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SWEEPS))
+def test_closed_sweep_cells_are_float_reprs(cli, tmp_path, name):
+    """Every float cell of a 10k-point sweep's CSV and --json is the repr of
+    its float, and the two files hold the same text."""
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    code, _ = cli("sweep", *CLOSED_SWEEPS[name], "--out", csv_path, "--json", json_path)
+    assert code == 0
+    header, *rows = _data_rows(csv_path.read_text())
+    assert len(rows) == 10_000
+    strings = {header.index("regime"), header.index("units")} if "regime" in header else set()
+    cells = [c for row in rows for i, c in enumerate(row) if i not in strings]
+    assert all(repr(float(c)) == c for c in cells)
+    # parse_float keeps each JSON number's text
+    doc = json.loads(json_path.read_text(), parse_float=str)
+    assert [c for row in doc["rows"] for i, c in enumerate(row) if i not in strings] == cells
