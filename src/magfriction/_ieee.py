@@ -131,18 +131,26 @@ class ArrayOps:
         return a / b
 
     def map(self, fn, *cols):
-        """fn(*args) once per distinct argument tuple (compared bit for bit),
-        at the shape the columns broadcast to; an exception fails the points
-        it came from."""
+        """fn(*args) once per distinct argument tuple, at the shape the
+        columns broadcast to; an exception fails the points it came from.
+
+        Tuples are compared bit for bit (0.0 and -0.0 differ), and fn is
+        called on them in the order of their first points.
+        """
         cols = np.broadcast_arrays(*cols)
         flat = [c.ravel() for c in cols]
-        keys = np.stack([c.view(np.int64) for c in flat], axis=1)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(cols[0].shape)
-        out = np.empty(len(first))
-        for k, i in enumerate(first.tolist()):
+        keys = zip(*(c.view(np.int64).tolist() for c in flat))
+        slots, args, inverse = {}, [], []
+        for key, arg in zip(keys, zip(*(c.tolist() for c in flat))):
+            k = slots.setdefault(key, len(args))
+            if k == len(args):
+                args.append(arg)
+            inverse.append(k)
+        inverse = np.array(inverse, dtype=np.intp).reshape(cols[0].shape)
+        out = np.empty(len(args))
+        for k, arg in enumerate(args):
             try:
-                out[k] = fn(*(c[i].item() for c in flat))
+                out[k] = fn(*arg)
             except Exception as exc:  # raised again if its points fail first
                 out[k] = math.nan
                 self.fail(inverse == k, exc)

@@ -82,15 +82,18 @@ class TabulatedSpectralDensity:
     def from_text(cls, path):
         """Load from two-column whitespace-separated text; '#' comments.
 
-        Raises SpectrumFileError if the file cannot be read or parsed or
-        has other than two columns; bad content (grid order, negative
-        density, a value that is not finite) raises plain ValueError.
+        ``path`` names the file that is read, with the locale encoding
+        and universal newlines; it is never taken as a URL or replaced by
+        a compressed file of the same stem. Raises SpectrumFileError if
+        the file cannot be read or parsed or has other than two columns;
+        bad content (grid order, negative density, a value that is not
+        finite) raises plain ValueError.
         """
         try:
             # a file without data rows is reported below as not two columns
-            with warnings.catch_warnings():
+            with open(path) as fh, warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, comments="#", ndmin=2)
+                data = np.loadtxt(fh, comments="#", ndmin=2)
         except Exception as exc:
             raise SpectrumFileError("cannot parse spectrum file %s: %s" % (path, exc))
         if data.shape[1] != 2:

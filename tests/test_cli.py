@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gzip
 import importlib
 import io
 import json
@@ -698,6 +699,17 @@ def test_spectrum_file_linear_accepted(cli, tmp_path):
     assert code == 0
     (force_direct,) = _column(out, "force")
     assert abs(float(force_file) - float(force_direct)) <= 1e-12 * abs(float(force_direct))
+
+
+def test_spectrum_path_is_read_literally(cli, capsys, tmp_path):
+    # a missing file is not replaced by a compressed file of the same stem
+    path = tmp_path / "spec.txt"
+    with gzip.open(str(path) + ".gz", "wt") as fh:
+        fh.write("0 0\n1 1\n2 2\n")
+    code, out = cli("friction", "pair", "--d", 1, "--v", 0.1, "--beta", 2,
+                    "--spectrum-file-1", path, "--spectrum-file-2", path)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("error: cannot parse spectrum file %s: " % path)
 
 
 # --- golden output rows -------------------------------------------------

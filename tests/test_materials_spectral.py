@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import magfriction
 from conftest import assert_check
@@ -168,6 +171,80 @@ def test_tabulated_file_errors(tmp_path, body):
         path.write_text(body)
     with pytest.raises(SpectrumFileError, match="spectrum file"):
         TabulatedSpectralDensity.from_text(path)
+
+
+def _loadtxt_reference(path):
+    """What from_text gave when it called np.loadtxt on the path: the m and
+    s bytes, or the exception class and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, comments="#", ndmin=2)
+    except Exception as exc:
+        return SpectrumFileError, "cannot parse spectrum file %s: %s" % (path, exc)
+    if data.shape[1] != 2:
+        return SpectrumFileError, "spectrum file %s needs two columns" % path
+    try:
+        spec = TabulatedSpectralDensity(data[:, 0], data[:, 1])
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return spec.m.tobytes(), spec.s.tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 50).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1_0", "1e3", "-0.0", "+2.5", ".5", "x", "1,5",
+                     "\uff11", "0x10"]),
+)
+# a density value, often in another spelling than repr
+_DENSITY = st.one_of(st.floats(0.0, 1e6).map(repr),
+                     st.sampled_from(["0", "1_0", "2e-3", "+.5", "1E2", "inf", "nan"]))
+_SPACE = st.sampled_from([" ", "  ", "\t", "\f", "\v", " \t "])
+_COMMENT = st.text(alphabet="ab #é–\u00a0\t\f", max_size=8).map(lambda t: "#" + t)
+
+
+@st.composite
+def _spectrum_text(draw):
+    """Rows of 1 to 3 columns, most of them two columns of an increasing
+    grid and a nonnegative density, between comments and blank lines,
+    with every line end that universal newlines knows."""
+    columns = draw(st.sampled_from([2, 2, 2, 1, 3]))
+    m = draw(st.floats(0.0, 10.0))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "odd row", "comment", "blank"]))
+        if kind == "row":
+            m += draw(st.floats(1e-3, 10.0))
+            cells = [repr(m)] + [draw(_DENSITY) for _ in range(columns - 1)]
+        elif kind == "odd row":
+            cells = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
+        if kind.endswith("row"):
+            line = draw(st.sampled_from(["", " ", "\t"])) + draw(_SPACE).join(cells)
+            if draw(st.booleans()):
+                line += draw(_SPACE) + draw(_COMMENT)
+        elif kind == "comment":
+            line = draw(_COMMENT)
+        else:
+            line = draw(st.sampled_from(["", " ", "\t", "\f"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+@given(text=_spectrum_text())
+def test_from_text_matches_loadtxt_on_the_path(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "spec.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = _loadtxt_reference(path)
+        try:
+            spec = TabulatedSpectralDensity.from_text(path)
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        else:
+            got = spec.m.tobytes(), spec.s.tobytes()
+    assert got == expected
 
 
 def test_linear_density_validation():

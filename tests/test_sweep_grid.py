@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magfriction import cli as cli_module, materials_spectral
+from conftest import float_bits
+from magfriction import _ieee, cli as cli_module, materials_spectral
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,6 +181,45 @@ def test_grid_failure_is_the_first_failing_point_in_product_order():
     grid.fail(a + c == 3.0, ValueError("same point, registered later"))
     with pytest.raises(ValueError, match=r"^c$"):
         grid.raise_first()
+
+
+def test_map_calls_fn_once_per_distinct_bit_pattern():
+    calls = []
+
+    def fn(*args):
+        calls.append(args)
+        return sum(args)
+
+    a = np.array([[0.0], [-0.0], [0.0], [1.5]])
+    b = np.array([[2.0, 2.0, 3.0]])
+    c = np.array([[-1.0]])
+    out = _ieee.ArrayOps((4, 3)).map(fn, a, b, c)
+    assert out.shape == (4, 3)
+    # 0.0 and -0.0 are two patterns; b's repeated 2.0 adds none
+    assert [tuple(float_bits(x) for x in t) for t in calls] == [
+        tuple(float_bits(x) for x in t) for t in
+        [(0.0, 2.0, -1.0), (0.0, 3.0, -1.0), (-0.0, 2.0, -1.0), (-0.0, 3.0, -1.0),
+         (1.5, 2.0, -1.0), (1.5, 3.0, -1.0)]]
+    assert out.tolist() == [[1.0, 1.0, 2.0]] * 3 + [[2.5, 2.5, 3.5]]
+
+
+def test_map_fails_the_points_of_a_raising_tuple():
+    def fn(x, y):
+        if x > 1.0:
+            raise ValueError("x=%r" % x)
+        if y > 1.0:
+            raise ArithmeticError("y=%r" % y)
+        return x + y
+
+    x, y = np.ix_([0.5, 3.0, 0.5], [0.0, 5.0])
+    ops = _ieee.ArrayOps((3, 2))
+    # a check registered earlier, at the last point
+    ops.fail(np.array([[False, False], [False, False], [False, True]]), KeyError("last"))
+    out = ops.map(fn, x, y)
+    assert np.isnan(out).tolist() == [[False, True], [True, True], [False, True]]
+    # (0.5, 5.0) fails points 1 and 5, before (3.0, 0.0) at point 2
+    with pytest.raises(ArithmeticError, match=r"^y=5\.0$"):
+        ops.raise_first()
 
 
 def test_sweep_past_one_output_chunk(cli, tmp_path):
