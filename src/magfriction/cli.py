@@ -62,6 +62,16 @@ def _numeric_errors():
     return (_ieee.QuadratureError, FloatingPointError)
 
 
+_UNITS = ("reduced", "gaussian")
+
+
+def _unit_system(text):
+    """A config file's units value: one of _UNITS, else ValueError."""
+    if text not in _UNITS:
+        raise ValueError("units must be one of %s" % ", ".join(_UNITS))
+    return text
+
+
 # long-flag name and parser for everything settable from a config file
 _PARAMS = (
     ("alpha", float), ("beta", float), ("temperature-kelvin", float),
@@ -71,7 +81,7 @@ _PARAMS = (
     ("spectrum-file-1", str), ("spectrum-file-2", str),
 )
 _SETTINGS = (
-    ("units", str), ("seed", int), ("workers", int), ("max-points", int),
+    ("units", _unit_system), ("seed", int), ("workers", int), ("max-points", int),
 )
 _DEFAULTS = {"units": "reduced", "seed": 0, "workers": 1, "max_points": 10000}
 # the inputs a route may refuse: the physical flags, then the two settings
@@ -135,33 +145,17 @@ def _attr(flag):
 
 class RunConfig:
     """Fully resolved invocation: its _Route, every parameter, and the
-    spectrum files that the route reads, loaded (``spectra``, by side)."""
+    spectrum files that the route reads, loaded (``spectra``, by side).
+    A new one holds the settings of _DEFAULTS, no axes, no spectra and
+    None for everything else; _resolve fills it in."""
 
     __slots__ = ("route", "suite", "axes", "units", "seed", "workers", "max_points", "out",
                  "json_out", "spectra", *(_attr(flag) for flag, _ in _PARAMS))
 
-    def __init__(self, route=None, suite=None, axes=(), units="reduced", seed=0, workers=1,
-                 max_points=10000, out=None, json_out=None, spectra=None, alpha=None, beta=None,
-                 temperature_kelvin=None, d=None, z0=None, rho1=None, rho2=None, omega_p=None,
-                 nu=None, D1=None, D2=None, v=None, spectrum_file_1=None, spectrum_file_2=None):
-        spectra = {} if spectra is None else spectra
-        values = locals()
+    def __init__(self):
         for name in self.__slots__:
-            setattr(self, name, values[name])
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return "RunConfig(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._values()))
+            setattr(self, name, _DEFAULTS.get(name))
+        self.axes, self.spectra = (), {}
 
 
 class SweepAxis(namedtuple("SweepAxis", "name lo hi steps log spec")):
@@ -196,7 +190,7 @@ def _fill(words, parser):
     hide = {flag: {} if flag in reads else {"help": argparse.SUPPRESS} for flag in _INPUTS}
     for flag, typ in _PARAMS:
         parser.add_argument("--" + flag, type=typ, default=None, **hide[flag])
-    parser.add_argument("--units", choices=["reduced", "gaussian"], default=None, **hide["units"])
+    parser.add_argument("--units", choices=_UNITS, default=None, **hide["units"])
     parser.add_argument("--seed", type=int, default=None, **hide["seed"])
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
@@ -300,8 +294,9 @@ def _resolve(args):
     file_values = _load_config_file(args.config) if args.config else {}
     route = _route_of(args)
     _refuse_unread(route, args, file_values)
-    cfg = RunConfig(route=route, suite=getattr(args, "suite", None), out=args.out,
-                    json_out=args.json_out)
+    cfg = RunConfig()
+    cfg.route, cfg.suite = route, getattr(args, "suite", None)
+    cfg.out, cfg.json_out = args.out, args.json_out
     # a message names a value by its flag, or by the config key it came from
     names = {}
     for flag, _ in _PARAMS + _SETTINGS:
@@ -310,13 +305,14 @@ def _resolve(args):
         names[flag] = "--" + flag
         if value is None and flag in file_values:
             value, names[flag] = file_values[flag], "config key %r" % flag
-        setattr(cfg, attr, _DEFAULTS.get(attr) if value is None else value)
+        if value is not None:
+            setattr(cfg, attr, value)
     if getattr(args, "axis", None):
         cfg.axes = tuple(_parse_axis(spec) for spec in args.axis)
     if cfg.workers < 1:
         raise CliError(EXIT_CONFIG, "%s must be at least 1" % names["workers"])
     if cfg.axes:
-        _check_axes(cfg, route, args)
+        _check_axes(cfg, route, args, names["max-points"])
     # the inputs given anywhere, and those the command line gives; a sweep
     # axis is both
     axes = {ax.name for ax in cfg.axes}
@@ -431,11 +427,12 @@ def _check_sources(route, cfg, given, flags):
     return paths
 
 
-def _check_axes(cfg, route, args):
+def _check_axes(cfg, route, args, max_points_name):
     """The sweep's axes are inputs of its route (argparse requires one), a
     temperature axis meets no fixed temperature, no parameter has two axes
     or an axis and its flag on the command line (a config key stays below
-    an axis), and the grid's size is checked before any point is built."""
+    an axis), and the grid's size is checked before any point is built;
+    a message names the bound on the size by ``max_points_name``."""
     for ax in cfg.axes:
         if ax.name not in route.reads:
             raise CliError(EXIT_CONFIG, "axis %r does not apply to target %s"
@@ -453,8 +450,8 @@ def _check_axes(cfg, route, args):
             raise CliError(EXIT_CONFIG, "sweep takes no --%s with an axis of %s" % (name, name))
     total = math.prod(ax.steps for ax in cfg.axes)
     if total > cfg.max_points:
-        raise CliError(EXIT_CONFIG, "sweep of %d points exceeds --max-points %d"
-                       % (total, cfg.max_points))
+        raise CliError(EXIT_CONFIG, "sweep of %d points exceeds %s %d"
+                       % (total, max_points_name, cfg.max_points))
 
 
 def _finite(name, value):
@@ -489,12 +486,6 @@ def _parse_axis(spec):
     return SweepAxis(name, lo, hi, steps, log, spec)
 
 
-def _units_ctx(cfg):
-    if cfg.units == "gaussian":
-        return units.UnitContext(1.0)
-    return None
-
-
 def _run_fields(cfg):
     """The fields and couplings on the axis r = (0, 0, d), in Python floats."""
     d = cfg.d
@@ -503,9 +494,11 @@ def _run_fields(cfg):
     cells = [("d", d), ("coupling_alpha", alpha), ("psi_xy", psi_xy), ("g_xx", g_xx),
              ("g_zz", g_zz), ("b_y_unit_pdot", b_y), ("e_x_unit_mdot", e_x)]
     if cfg.z0 is not None:
-        g = geometry_coupling.PlaneGeometry(cfg.z0, cfg.rho1 if cfg.rho1 is not None else 1.0)
-        g_h = geometry_coupling.G_halfspace(g.z0, g.rho, _ieee.FloatOps)
-        cells += [("z0", g.z0), ("rho1", g.rho), ("g_halfspace", g_h)]
+        rho = cfg.rho1 if cfg.rho1 is not None else 1.0
+        _ieee.FloatOps.fail(cfg.z0 <= 0.0 or rho <= 0.0,
+                            ValueError("z0 and rho must be positive"))
+        g_h = geometry_coupling.G_halfspace(cfg.z0, rho, _ieee.FloatOps)
+        cells += [("z0", cfg.z0), ("rho1", rho), ("g_halfspace", g_h)]
     return _Table(cells, (), (cfg.d, cfg.z0, cfg.rho1))
 
 
@@ -541,7 +534,7 @@ class _Grid(_ieee.ArrayOps):
     def __init__(self, cfg, shape, axis_columns):
         super().__init__(shape)
         self.cfg = cfg
-        self.ctx = _units_ctx(cfg)
+        self.ctx = units.UnitContext(1.0) if cfg.units == "gaussian" else None
         self.columns = {}
         for flag, typ in _PARAMS:
             value = getattr(cfg, _attr(flag))
@@ -757,11 +750,7 @@ def _config_echo(cfg):
 
 
 def _fmt(value):
-    if isinstance(value, (bool, str)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _command_name(cfg):
@@ -776,7 +765,7 @@ class _Table:
     shape () is one row, its cells strings and Python floats. ``given``
     holds the input columns, the objects a cell echoes unchanged."""
 
-    def __init__(self, columns, shape, given=()):
+    def __init__(self, columns, shape, given):
         self.columns = columns
         self.shape = shape
         self.given = tuple(given)

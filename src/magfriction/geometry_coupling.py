@@ -12,20 +12,8 @@ integral that check them live in the oracle battery
 """
 
 import math
-from collections import namedtuple
 
 from magfriction import _ieee
-
-
-class PlaneGeometry(namedtuple("PlaneGeometry", "z0 rho")):
-    """Particle at height z0 above a half-space of density rho."""
-
-    __slots__ = ()
-
-    def __new__(cls, z0, rho):
-        if z0 <= 0.0 or rho <= 0.0:
-            raise ValueError("z0 and rho must be positive")
-        return super().__new__(cls, z0, rho)
 
 
 def axial_coupling(d):

@@ -52,13 +52,12 @@ class QuadratureResult:
 @dataclass(frozen=True)
 class McResult:
     """A randomized lattice-rule estimate: the mean over the shifts, the
-    standard error from their spread, the integrand evaluations (points
-    times shifts) and the Philox key of the shifts."""
+    standard error from their spread and the integrand evaluations (points
+    times shifts)."""
 
     value: float
     std_error: float
     samples: int
-    seed: int
 
 
 # G10K21 on [-1, 1], QUADPACK's qk21 (Piessens et al., Springer 1983):
@@ -86,6 +85,8 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _QUAD_PANELS = 200
+# dyadic panels quad_semi_infinite sweeps before it gives up on the tail
+_SWEEP_PANELS = 64
 # QUADPACK's floor on a panel's error estimate, 50 eps resabs, applies
 # where resabs exceeds the smallest normal float over 50 eps
 _EPS50 = 50.0 * sys.float_info.epsilon
@@ -275,7 +276,7 @@ def quad_finite(f, a, b, tol=1e-10, args=()):
     return _result(value, err, evals, batched)
 
 
-def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=()):
+def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
     r"""Integrate f over [a, inf) by a dyadic panel sweep.
 
     Panels [a + s*(2^j - 1), a + s*(2^j+1 - 1)] grow geometrically (the
@@ -299,8 +300,6 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=())
         Absolute tolerance for the certified tail bound.
     panel_scale : float or 1-D array
         Width of the first panel.
-    max_panels : int
-        Sweep budget; exhaustion means the decay was never certified.
     args : tuple of float or 1-D array
         Parameters of the integrand, one value per integral.
 
@@ -313,7 +312,8 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=())
     ------
     QuadratureError
         When the panel contributions of an integral do not decay
-        (non-integrable tail) or its budget is exhausted.
+        (non-integrable tail) or its sweep of _SWEEP_PANELS panels runs
+        out.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -328,7 +328,7 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=())
     tiny_run = [0] * k
     lo = list(a)
     open_ = list(range(k))
-    for j in range(max_panels):
+    for j in range(_SWEEP_PANELS):
         reach = 2.0 ** (j + 1) - 1.0
         hi = [a[i] + scale[i] * reach for i in open_]
         rows = np.array(open_) if args else None
@@ -370,7 +370,7 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, max_panels=64, args=())
         if not open_:
             return _result(total, err_total, evals, batched)
     raise QuadratureError(
-        "tail decay not certified after %d panels" % max_panels,
+        "tail decay not certified after %d panels" % _SWEEP_PANELS,
         best=_result(total, err_total, evals, batched),
     )
 
@@ -485,7 +485,7 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
         means.append(total / n)
     mean = math.fsum(means) / shifts
     var = math.fsum((q - mean) ** 2 for q in means) / (shifts - 1)
-    return McResult(mean, math.sqrt(var / shifts), n * shifts, seed)
+    return McResult(mean, math.sqrt(var / shifts), n * shifts)
 
 
 # indices per call of series_sum's term and tail bound

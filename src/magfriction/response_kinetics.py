@@ -6,9 +6,8 @@ the long-time limit into a sharp frequency-matching condition, the
 closed-form friction amplitude it produces, the two-sinusoid decomposition
 of phi, and the zero-temperature dissipation integral for pair spectra.
 
-Sharp-frequency results are never "evaluated"; they are returned as
-DeltaCoefficient records carrying the finite prefactor of the frequency-
-matching delta.
+Sharp-frequency results are never "evaluated"; they are returned as the
+finite prefactor that multiplies the frequency-matching delta.
 """
 
 import math
@@ -56,18 +55,6 @@ class OscState:
         return 2.0 * self.n_mean + 1.0
 
 
-@dataclass(frozen=True)
-class DeltaCoefficient:
-    """Finite prefactor of delta(omega1 - omega2) for sharp oscillators.
-
-    amplitude is in force units per delta-argument unit; at_frequency is
-    the frequency where the delta fires.
-    """
-
-    amplitude: float
-    at_frequency: float
-
-
 def M_full(osc1, osc2, t):
     r"""Two-oscillator commutator kernel.
 
@@ -99,15 +86,13 @@ def coupling_D(osc1, osc2):
     return 1.0 / (2.0 * osc1.mass * osc2.mass * osc1.omega * osc2.omega)
 
 
-def response_phi(osc1, osc2, t, D=None):
+def response_phi(osc1, osc2, t):
     r"""Response function phi(t) = (1/i) (D/2) M_full(t).
 
-    D defaults to 1/(2 m1 m2 w1 w2) from the oscillator records. The
+    D is coupling_D, 1/(2 m1 m2 w1 w2) from the oscillator records. The
     kernel is purely imaginary, so phi is real.
     """
-    if D is None:
-        D = coupling_D(osc1, osc2)
-    val = (D / 2.0) * np.imag(M_full(osc1, osc2, t))
+    val = (coupling_D(osc1, osc2) / 2.0) * np.imag(M_full(osc1, osc2, t))
     return float(val) if np.isscalar(t) else val
 
 
@@ -125,9 +110,7 @@ def nascent_delta_g(w, eta):
 
 def nascent_delta_cos_sin(omega1, omega2, eta):
     """Damped time integral of t e^{-eta t} cos(w1 t) sin(w2 t):
-    (1/2)[g(w1+w2, eta) - g(w1-w2, eta)]."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    (1/2)[g(w1+w2, eta) - g(w1-w2, eta)]; g refuses eta <= 0."""
     return 0.5 * (nascent_delta_g(omega1 + omega2, eta) - nascent_delta_g(omega1 - omega2, eta))
 
 
@@ -147,22 +130,23 @@ def coth_difference_limit(beta, omega1, omega2):
 def sharp_friction_amplitude(osc1, osc2, beta, G):
     r"""Friction amplitude for two sharp oscillators at matched frequency.
 
-    The frequency-matching delta carries the finite prefactor
+    The finite prefactor that multiplies delta(w1 - w2),
 
         -pi * beta * G / (8 m1 m2 sinh^2(beta w1 / 2))
 
-    with G the geometric gradient-squared factor contracted with velocity.
-    Negative for G > 0: a braking force.
+    with G the geometric gradient-squared factor contracted with velocity,
+    in force units per unit of the delta's argument. Negative for G > 0:
+    a braking force.
 
     Returns
     -------
-    DeltaCoefficient
+    float
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     x1 = beta * osc1.omega / 2.0
     amp = -math.pi * beta * G / (8.0 * osc1.mass * osc2.mass * np.sinh(x1) ** 2)
-    return DeltaCoefficient(float(amp), osc1.omega)
+    return float(amp)
 
 
 def c_plus_minus(osc1, osc2, beta, H):

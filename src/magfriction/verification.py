@@ -347,13 +347,30 @@ def eom_rhs(cfg, state):
     )
 
 
+def _eom_matrix(cfg):
+    """eom_rhs as the matrix of the linear system s' = A s."""
+    a = cfg.alpha
+    return np.asarray(
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [-cfg.omega_x**2, 0.0, 0.0, 2.0 * a / cfg.mass_x],
+            [0.0, -cfg.omega_y**2, -2.0 * a / cfg.mass_y, 0.0],
+        ]
+    )
+
+
 class Trajectory(namedtuple("Trajectory", "t states")):
     """Sampled states: t (n,), states (n, 4) columns x, y, xdot, ydot."""
 
     __slots__ = ()
 
 
-def integrate_eom(cfg, init, t_end, dt, drift_tol=1e-8, stride=1):
+# relative energy drift integrate_eom allows over its horizon
+_DRIFT_TOL = 1e-8
+
+
+def integrate_eom(cfg, init, t_end, dt, stride=1):
     r"""Fixed-step fourth-order integration of the pair dynamics.
 
     Parameters
@@ -363,8 +380,6 @@ def integrate_eom(cfg, init, t_end, dt, drift_tol=1e-8, stride=1):
         Initial (x, y, xdot, ydot).
     t_end, dt : float
         Horizon and step; the step count is rounded to cover t_end.
-    drift_tol : float
-        Relative energy-drift bound checked at the end.
     stride : int
         Keep every stride-th step in the output.
 
@@ -375,32 +390,24 @@ def integrate_eom(cfg, init, t_end, dt, drift_tol=1e-8, stride=1):
     Raises
     ------
     RuntimeError
-        If the relative energy drift exceeds drift_tol (step too large).
+        If the relative energy drift at the end exceeds _DRIFT_TOL (step
+        too large).
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be positive")
     n_steps = int(np.ceil(t_end / dt - 1e-12))
     n_steps += (-n_steps) % stride
-    # eom_rhs as the matrix of the linear system s' = A s
-    a = cfg.alpha
-    A = np.asarray(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-cfg.omega_x**2, 0.0, 0.0, 2.0 * a / cfg.mass_x],
-            [0.0, -cfg.omega_y**2, -2.0 * a / cfg.mass_y, 0.0],
-        ]
-    )
     init = np.asarray(init, dtype=np.float64).reshape(4, 1)
-    states = _kernels.rk4_batch(A[None], init, np.asarray([dt]), n_steps, stride)[:, :, 0]
+    states = _kernels.rk4_batch(
+        _eom_matrix(cfg)[None], init, np.asarray([dt]), n_steps, stride)[:, :, 0]
     t = np.arange(states.shape[0]) * (dt * stride)
 
     e0 = _velocity_energy(cfg, states[0])
     e1 = _velocity_energy(cfg, states[-1])
     scale = max(abs(e0), 1e-30)
-    if abs(e1 - e0) / scale > drift_tol:
+    if abs(e1 - e0) / scale > _DRIFT_TOL:
         raise RuntimeError(
-            "energy drift %.3e exceeds %.3e; reduce dt" % (abs(e1 - e0) / scale, drift_tol)
+            "energy drift %.3e exceeds %.3e; reduce dt" % (abs(e1 - e0) / scale, _DRIFT_TOL)
         )
     return Trajectory(t, states)
 
@@ -417,15 +424,8 @@ def _velocity_energy(cfg, s):
 
 
 def _companion_frequencies(alpha):
-    # first-order system matrix for (x, y, xdot, ydot); unit pair
-    A = np.zeros((4, 4))
-    A[0, 2] = 1.0
-    A[1, 3] = 1.0
-    A[2, 0] = -1.0
-    A[2, 3] = 2.0 * alpha
-    A[3, 1] = -1.0
-    A[3, 2] = -2.0 * alpha
-    ev = np.linalg.eigvals(A)
+    # eigenvalues of the unit pair's first-order system
+    ev = np.linalg.eigvals(_eom_matrix(OscPairConfig(alpha)))
     freqs = np.sort(np.abs(np.imag(ev)))
     return freqs[-1], freqs[0]
 
@@ -448,12 +448,12 @@ def check_product_unity():
     return _ok(worst, 1e-13)
 
 
-def fit_trajectory_frequencies(alpha, scale=1):
+def fit_trajectory_frequencies(alpha):
     """Integrate the unit pair and extract both mode frequencies by fit."""
     cfg = OscPairConfig(alpha)
     wp = oscillator_pair.normal_modes(alpha, FloatOps)[0]
     dt = 0.0125 / wp
-    n_steps, stride = 32000 * scale, 16 * scale
+    n_steps, stride = 32000, 16
     traj = integrate_eom(
         cfg, [1.0, 0.3, 0.0, 0.0], n_steps * dt, dt, stride=stride
     )
@@ -794,14 +794,14 @@ def check_sharp_amplitude_pipeline():
     ]
     worst = 0.0
     for (o1, o2, G), pipe in zip(pairs, sharp_amplitudes_via_pipeline(pairs, beta)):
-        closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, G).amplitude
+        closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, G)
         worst = max(worst, abs(pipe - closed) / abs(closed))
     return _ok(worst, 1e-4, "rel")
 
 
 def check_sharp_amplitude_value():
     o = response_kinetics.OscState.thermal(1.0, 1.0)
-    amp = response_kinetics.sharp_friction_amplitude(o, o, 1.0, 1.0).amplitude
+    amp = response_kinetics.sharp_friction_amplitude(o, o, 1.0, 1.0)
     target = -np.pi / (8.0 * np.sinh(0.5) ** 2)
     return _ok(abs(amp - target), 1e-14)
 
@@ -866,12 +866,11 @@ def h_from_spectrum(spec, K2):
     return 2.0 * spec.D * (spec.m_max - K * np.arctan(spec.m_max / K))
 
 
-def spectrum_from_h(h, m, gamma=None):
+def spectrum_from_h(h, m):
     r"""Recover the spectral density at m from a response callable.
 
-    Evaluates -(1/pi) Im h(-m^2 + i*gamma) on a gamma ladder
-    (1e-2, 1e-3, 1e-4)*m by default and extrapolates linearly to
-    gamma -> 0+.
+    Evaluates -(1/pi) Im h(-m^2 + i*gamma) on the gamma ladder
+    (1e-2, 1e-3, 1e-4)*m and extrapolates linearly to gamma -> 0+.
 
     Raises
     ------
@@ -881,7 +880,7 @@ def spectrum_from_h(h, m, gamma=None):
     """
     if m <= 0.0:
         raise ValueError("m must be positive")
-    base = 1e-2 * m if gamma is None else float(gamma)
+    base = 1e-2 * m
     rungs = np.asarray([base, base / 10.0, base / 100.0])
     vals = []
     for g in rungs:
@@ -1114,22 +1113,25 @@ def G_hat_q(d, q):
     return (2.0 * math.pi) ** 2 * np.exp(-2.0 * q * d) / q**2
 
 
+def _slab_fourier(d, rho1, rho2, weight, power):
+    r"""(rho1 rho2/(2 pi)^2) Int weight q^power G_hat(q) 2 pi q dq over
+    q > 0: the slab kernel's Fourier integral under the angular weight
+    weight q^power. d may be an array of gaps, one integral each."""
+    r = numerics.quad_semi_infinite(
+        lambda q, d: weight * q**power * G_hat_q(d, q) * 2.0 * math.pi * q,
+        0.0, tol=1e-12, panel_scale=1.0 / d, args=(d,),
+    )
+    return rho1 * rho2 / (2.0 * math.pi) ** 2 * r.value
+
+
 def G_slabs_fourier(g):
     r"""Slab pair factor assembled in Fourier space.
 
-    (rho1 rho2/(2 pi)^2) Int q^2/2 * G_hat(q) 2 pi q dq over q > 0, with
-    the q^2/2 from the in-plane average <k_x^2>. Equals the real-space
-    route, pi rho1 rho2/(4 d^2), exactly. Geometries whose fields are
-    arrays are integrated in one batch.
+    The slab Fourier integral under the weight q^2/2, the in-plane average
+    <k_x^2>. Equals the real-space route, pi rho1 rho2/(4 d^2), exactly.
+    Geometries whose fields are arrays are integrated in one batch.
     """
-    q = numerics.quad_semi_infinite(
-        lambda k, d: 0.5 * k**2 * G_hat_q(d, k) * 2.0 * math.pi * k,
-        0.0,
-        tol=1e-12,
-        panel_scale=1.0 / g.d,
-        args=(g.d,),
-    )
-    return g.rho1 * g.rho2 / (2.0 * math.pi) ** 2 * q.value
+    return _slab_fourier(g.d, g.rho1, g.rho2, 0.5, 2)
 
 
 def angular_moment6():
@@ -1251,11 +1253,8 @@ def check_halfspace_quadrature():
     rel_volume = abs(_G_halfspace_by_quadrature(1.5, 0.8) - gh) / gh
     g = SlabGeometry(1.5, 1.0, 1.0)
     r = numerics.quad_semi_infinite(
-        lambda us: np.reshape(
-            [geometry_coupling.G_halfspace(g.d + u, 1.0, FloatOps) for u in us.ravel().tolist()],
-            us.shape,
-        ),
-        0.0, tol=1e-12,
+        lambda us: geometry_coupling.G_halfspace(g.d + us, 1.0, ArrayOps(us.shape)), 0.0,
+        tol=1e-12,
     )
     target = geometry_coupling.G_slabs_realspace(g.d, g.rho1, g.rho2, FloatOps)
     err_slab = abs(g.rho2 * r.value - target)
@@ -1266,8 +1265,7 @@ def check_halfspace_quadrature():
 def check_slab_route_equivalence():
     d = np.repeat([0.5, 1.0, 2.0, 4.0, 8.0], 2)
     rho = np.tile([1.0, 2.5], 5)
-    a = np.array([geometry_coupling.G_slabs_realspace(x, r, 0.7, FloatOps)
-                  for x, r in zip(d.tolist(), rho.tolist())])
+    a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, ArrayOps(d.shape))
     # the Fourier route of all ten geometries in one batch
     b = G_slabs_fourier(SlabGeometry(d, rho, 0.7))
     return _ok(float(np.max(np.abs(a - b) / a)), 1e-10, "rel")
@@ -1315,19 +1313,14 @@ def check_angular_moment():
 
 
 def _G_P_by_quadrature(d, rho1, rho2):
-    """G_P as the Fourier integral of the slab kernel weighted by the
-    sixth angular moment, (5/16) q^6; d may be an array of gaps, one
-    integral each."""
-    r = numerics.quad_semi_infinite(
-        lambda q, d: (5.0 / 16.0) * q**6 * G_hat_q(d, q) * 2.0 * np.pi * q,
-        0.0, tol=1e-12, panel_scale=1.0 / d, args=(d,),
-    )
-    return rho1 * rho2 / (2.0 * np.pi) ** 2 * r.value
+    """G_P as the slab Fourier integral weighted by the sixth angular
+    moment, (5/16) q^6; d may be an array of gaps, one integral each."""
+    return _slab_fourier(d, rho1, rho2, 5.0 / 16.0, 6)
 
 
 def check_G_P_quadrature():
     d = np.array([0.7, 1.0, 1.9])
-    closed = np.array([geometry_coupling.G_P_slabs(x, 1.3, 0.8, FloatOps) for x in d.tolist()])
+    closed = geometry_coupling.G_P_slabs(d, 1.3, 0.8, ArrayOps(d.shape))
     return _ok(float(np.max(np.abs(_G_P_by_quadrature(d, 1.3, 0.8) - closed) / closed)), 1e-10,
                "rel")
 
@@ -1345,16 +1338,14 @@ def check_geometry_scalings():
 
 
 def pair_force_sharp(geom, v, osc1, osc2, beta):
-    r"""Sharp-oscillator pair force as three DeltaCoefficient records, one
-    per component.
+    r"""Sharp-oscillator pair force: per component, the finite prefactor
+    that multiplies delta(w1 - w2), three floats.
 
-    Component l carries amplitude -G_lq v_q H (pi beta w1^2/2) against
-    delta(w1 - w2), with H the thermal pair factor at polarizabilities
-    1/(m_i w_i^2).
+    Component l has prefactor -G_lq v_q H (pi beta w1^2/2), with H the
+    thermal pair factor at polarizabilities 1/(m_i w_i^2).
     """
     gv = G_tensor(geom.r) @ np.asarray(v, dtype=np.float64)
-    return tuple(response_kinetics.DeltaCoefficient(float(a), osc1.omega)
-                 for a in _sharp_amplitude(gv, osc1, osc2, beta))
+    return tuple(float(a) for a in _sharp_amplitude(gv, osc1, osc2, beta))
 
 
 def _sharp_amplitude(gv, osc1, osc2, beta):
@@ -1457,7 +1448,7 @@ def check_pair_sharp_consistency():
     force = pair_force_sharp(PairGeometry([0.0, 0.0, d]), [v, 0.0, 0.0], o1, o2, beta)
     Gxx = G_tensor([0.0, 0.0, d])[0, 0]
     closed = response_kinetics.sharp_friction_amplitude(o1, o2, beta, Gxx * v)
-    rel = abs(force[0].amplitude - closed.amplitude) / abs(closed.amplitude)
+    rel = abs(force[0] - closed) / abs(closed)
     return _ok(rel, 1e-12, "rel")
 
 

@@ -383,11 +383,33 @@ def test_configuration_errors_come_before_value_errors(cli, capsys, tmp_path, ar
 @pytest.mark.parametrize("config,code,message", [
     ("v=nan\n", 1, "invalid input: config key 'v' must be finite, got nan"),
     ("workers=0\n", 3, "error: config key 'workers' must be at least 1"),
+    ("units=Gaussian\n", 3, "error: bad value for config key 'units'"),
+    ("units=banana\n", 3, "error: bad value for config key 'units'"),
 ])
 def test_a_config_value_is_named_by_its_key(cli, capsys, tmp_path, config, code, message):
     got, out = cli("eigen", "--alpha", 1, "--config", _write(tmp_path / "run.cfg", config))
     assert (got, out) == (code, "")
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_sweep_size_bound_from_a_config_file_is_named_by_its_key(cli, capsys, tmp_path):
+    config = _write(tmp_path / "run.cfg", "max-points=2\n")
+    got, out = cli("sweep", "--target", "eigen", "--axis", "alpha:0:1:3", "--config", config)
+    assert (got, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: sweep of 3 points exceeds config key 'max-points' 2\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--d", 1, "--z0", -1], "z0 and rho must be positive"),
+    (["--d", 1, "--z0", 2, "--rho1", 0], "z0 and rho must be positive"),
+    # the axial separation is checked first
+    (["--d", 0, "--z0", -1], "zero separation"),
+])
+def test_fields_refuses_a_half_space_off_its_domain(cli, capsys, args, message):
+    got, out = cli("fields", *args)
+    assert (got, out) == (1, "")
+    assert capsys.readouterr().err == "invalid input: %s\n" % message
 
 
 def test_tiny_separation_is_one_line_without_numpy_warnings():

@@ -21,7 +21,6 @@ from magfriction.friction_forces import (
     slabs_finite_force,
     slabs_zero_force,
 )
-from magfriction.geometry_coupling import PlaneGeometry
 from magfriction.materials_spectral import (
     DrudeParams,
     LinearSpectralDensity,
@@ -46,7 +45,7 @@ def test_pair_sharp_zero_velocity():
     geom = PairGeometry(np.array([0.0, 0.0, 1.0]))
     o = OscState.thermal(1.0, 2.0)
     force = verification.pair_force_sharp(geom, [0.0, 0.0, 0.0], o, o, 2.0)
-    assert all(c.amplitude == 0.0 for c in force)
+    assert force == (0.0, 0.0, 0.0)
 
 
 def test_pair_sharp_opposes_velocity():
@@ -54,9 +53,8 @@ def test_pair_sharp_opposes_velocity():
     geom = PairGeometry(np.array([0.0, 0.0, 1.0]))
     o = OscState.thermal(1.3, 1.5)
     force = verification.pair_force_sharp(geom, [0.7, 0.0, 0.0], o, o, 1.5)
-    assert force[0].amplitude < 0.0
-    assert force[1].amplitude == 0.0
-    assert force[2].amplitude == 0.0
+    assert force[0] < 0.0
+    assert force[1:] == (0.0, 0.0)
     assert verification.G_tensor(geom.r)[0, 0] == 2.0
 
 
@@ -223,7 +221,6 @@ def test_beta_kelvin_round_trip():
 
 @pytest.mark.parametrize("make,field", [
     (lambda: UnitContext(2.5e-7), "length_scale"),
-    (lambda: PlaneGeometry(1.0, 2.0), "z0"),
     (lambda: SlabGeometry(1.0, 2.0, 3.0), "rho2"),
     (lambda: LinearSpectralDensity(0.5, m_max=3.0), "m_max"),
     (lambda: DrudeParams(9.0, 0.1, 1.0), "nu"),

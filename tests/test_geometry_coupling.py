@@ -8,7 +8,6 @@ from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
 from magfriction._ieee import FloatOps
 from magfriction.geometry_coupling import (
-    PlaneGeometry,
     G_P_slabs,
     G_halfspace,
     G_slabs_realspace,
@@ -171,8 +170,6 @@ def test_power_law_scalings():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         PairGeometry(np.zeros(3))
-    with pytest.raises(ValueError):
-        PlaneGeometry(z0=-1.0, rho=1.0)
     with pytest.raises(ValueError):
         SlabGeometry(d=1.0, rho1=0.0, rho2=1.0)
 

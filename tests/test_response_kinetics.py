@@ -141,20 +141,18 @@ def test_coth_limit_ratio():
 
 def test_sharp_amplitude_trivials():
     o1, o2 = OscState.thermal(1.0, 1.0), OscState.thermal(1.0, 1.0)
-    assert sharp_friction_amplitude(o1, o2, 1.0, 0.0).amplitude == 0.0
-    rec = sharp_friction_amplitude(o1, o2, 1.0, 2.3)
-    assert rec.amplitude < 0.0
-    assert rec.at_frequency == 1.0
-    flipped = sharp_friction_amplitude(o1, o2, 1.0, -2.3)
-    assert flipped.amplitude == -rec.amplitude
+    assert sharp_friction_amplitude(o1, o2, 1.0, 0.0) == 0.0
+    amp = sharp_friction_amplitude(o1, o2, 1.0, 2.3)
+    assert amp < 0.0
+    assert sharp_friction_amplitude(o1, o2, 1.0, -2.3) == -amp
 
 
 def test_sharp_amplitude_closed_form():
     o1, o2 = OscState.thermal(1.0, 1.0), OscState.thermal(1.0, 1.0)
-    rec = sharp_friction_amplitude(o1, o2, 1.0, 1.0)
+    amp = sharp_friction_amplitude(o1, o2, 1.0, 1.0)
     expected = -np.pi / (8.0 * np.sinh(0.5) ** 2)
-    assert abs(rec.amplitude - expected) <= 1e-12
-    assert rec.amplitude == pytest.approx(-1.4461, abs=1e-4)
+    assert abs(amp - expected) <= 1e-12
+    assert amp == pytest.approx(-1.4461, abs=1e-4)
 
 
 def test_sharp_amplitude_pipeline_oracle():
