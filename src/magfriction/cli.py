@@ -571,6 +571,13 @@ def _grid_beta(grid):
     return beta
 
 
+def _grid_kelvin(grid, derived):
+    """A Gaussian report's temperature_kelvin column: the input column
+    itself when the temperature came in kelvin, so that it echoes as
+    given, else ``derived``, the one computed from beta."""
+    return grid.columns.get("temperature_kelvin", derived)
+
+
 def _grid_spectrum(grid, side, drude_rho=None):
     """One side's spectrum, from the source that _resolve has found: the
     tabulated density it has loaded, or a column of linear slopes D (from
@@ -597,6 +604,8 @@ def _grid_report(grid, regime, force, intermediates, inputs):
     if grid.ctx is not None:
         force, intermediates, inputs = units.gaussian_report(
             grid.ctx, regime, force, intermediates, inputs, grid)
+        if "temperature_kelvin" in inputs:
+            inputs["temperature_kelvin"] = _grid_kelvin(grid, inputs["temperature_kelvin"])
     system = "reduced" if grid.ctx is None else "gaussian"
     return (
         [("regime", regime), ("units", system), ("force", force)]
@@ -620,7 +629,7 @@ def _grid_free_energy(grid):
     ctx = grid.ctx
     if ctx is not None:
         erg, kelvin = units.gaussian_free_energy(ctx, f, beta, grid)
-        cols += [("free_energy_erg", erg), ("temperature_kelvin", kelvin)]
+        cols += [("free_energy_erg", erg), ("temperature_kelvin", _grid_kelvin(grid, kelvin))]
     return cols
 
 

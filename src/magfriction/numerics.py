@@ -3,10 +3,9 @@
 Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
 deterministic seeded Monte-Carlo integration by a randomized lattice rule,
 series summation with certified tails, central finite differences,
-multi-sinusoid spectral fitting, a circulant solve and the special
-functions the oracles need (polygamma, the Bessel functions J0 and J1 and
-the zeros of J0). Everything here is generic plumbing on numpy and the
-math module; the physics modules supply the integrands. Only the oracle battery and
+a linear extrapolation to zero, a circulant solve and the polygamma
+function. Everything here is generic plumbing on numpy and the math
+module; the physics modules supply the integrands. Only the oracle battery and
 response_kinetics call these engines; the CLI routes do not.
 """
 
@@ -28,14 +27,6 @@ class McSamplingError(RuntimeError):
 
 class SeriesError(RuntimeError):
     """A supplied tail bound was violated or the term budget ran out."""
-
-
-class FitError(RuntimeError):
-    """Spectral fit is ill-conditioned; .condition holds the diagnostic."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
 
 
 @dataclass(frozen=True)
@@ -606,233 +597,3 @@ def polygamma(n, x):
         for k, b in enumerate(_BERNOULLI, start=1)
     ]
     return (-1.0) ** (n + 1) * math.fsum(terms)
-
-
-# J_nu(x) takes the trapezoid rule below _BESSEL_SWITCH and the Hankel
-# series above it; at the switch each truncates below 1e-18
-_BESSEL_SWITCH = 25.0
-_BESSEL_NODES = 32
-_HANKEL_TERMS = 24
-
-
-@functools.cache
-def _bessel_tables(nu):
-    """sin t at the trapezoid nodes t_j = j pi/32, and the coefficients of
-    P and Q in powers of 1/x: (-1)^(k/2) a_k(nu) at the even powers k and
-    (-1)^((k-1)/2) a_k(nu) at the odd ones, a_k(nu) = prod_{i<=k}
-    (4 nu^2 - (2i - 1)^2)/(8i)."""
-    mu = 4.0 * nu * nu
-    a = [1.0]
-    for k in range(1, _HANKEL_TERMS):
-        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
-    signed = [ak if k % 4 in (0, 1) else -ak for k, ak in enumerate(a)]
-    p = [c if k % 2 == 0 else 0.0 for k, c in enumerate(signed)]
-    q = [c if k % 2 == 1 else 0.0 for k, c in enumerate(signed)]
-    out = (
-        np.sin(np.arange(_BESSEL_NODES) * (math.pi / _BESSEL_NODES)),
-        np.array(p),
-        np.array(q),
-        np.arange(_HANKEL_TERMS, dtype=np.float64),
-    )
-    for t in out:
-        t.flags.writeable = False
-    return out
-
-
-def _bessel_trapezoid(nu, x):
-    sin_t = _bessel_tables(nu)[0]
-    arg = np.multiply.outer(x, sin_t)
-    f = np.cos(arg) if nu == 0 else np.sin(arg) * sin_t
-    return f @ np.full(_BESSEL_NODES, 1.0 / _BESSEL_NODES)
-
-
-def _bessel_hankel(nu, x):
-    _, cp, cq, powers = _bessel_tables(nu)
-    z = np.power.outer(1.0 / x, powers)
-    p, q = z @ cp, z @ cq
-    c, s = np.cos(x), np.sin(x)
-    if nu == 0:
-        # cos(x - pi/4) = (c + s)/sqrt 2, sin(x - pi/4) = (s - c)/sqrt 2
-        return (p * (c + s) - q * (s - c)) / np.sqrt(math.pi * x)
-    # cos(x - 3 pi/4) = (s - c)/sqrt 2, sin(x - 3 pi/4) = -(s + c)/sqrt 2
-    return (p * (s - c) + q * (s + c)) / np.sqrt(math.pi * x)
-
-
-def bessel_j(nu, x):
-    r"""Bessel function J_nu(x) of order 0 or 1, elementwise over x.
-
-    Below |x| = 25 by the trapezoid rule on the period-pi integrands of
-    J0(x) = (1/pi) Int_0^pi cos(x sin t) dt and
-    J1(x) = (1/pi) Int_0^pi sin(x sin t) sin t dt, which converges
-    geometrically (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); 32
-    nodes leave an aliasing error of order J_64(25) ~ 1e-20. Above, by the
-    Hankel asymptotic series P and Q (Abramowitz & Stegun 9.2.5), cut
-    after 24 terms, whose first omitted term is ~1e-19 at x = 25. The
-    phase x - (2 nu + 1) pi/4 is expanded into cos x and sin x, so no
-    rounding of it grows with x.
-    """
-    if nu not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    small = ax < _BESSEL_SWITCH
-    if small.all():
-        out = _bessel_trapezoid(nu, ax)
-    elif not small.any():
-        out = _bessel_hankel(nu, ax)
-    else:
-        out = np.empty_like(ax)
-        out[small] = _bessel_trapezoid(nu, ax[small])
-        out[~small] = _bessel_hankel(nu, ax[~small])
-    return np.where(x < 0.0, -out, out) if nu == 1 else out
-
-
-def bessel_j0_zeros(count):
-    r"""The first ``count`` positive zeros of J0, ascending.
-
-    McMahon's expansion in b = (m - 1/4) pi (Abramowitz & Stegun 9.5.12)
-    starts each zero within 2e-3; four Newton steps x += J0(x)/J1(x) take it
-    to round-off.
-    """
-    b = (np.arange(1, count + 1) - 0.25) * math.pi
-    e = 1.0 / (8.0 * b)
-    x = b + e - (124.0 / 3.0) * e**3 + (120928.0 / 15.0) * e**5
-    for _ in range(4):
-        x = x + bessel_j(0, x) / bessel_j(1, x)
-    return x
-
-
-class SinusoidModes(list):
-    """Fit result: list of (frequency, amplitude, phase), frequency
-    descending, with .residual and .condition diagnostics attached."""
-
-    def __init__(self, modes, residual, condition):
-        super().__init__(modes)
-        self.residual = residual
-        self.condition = condition
-
-
-def _design(t, freqs):
-    cols = []
-    for w in freqs:
-        cols.append(np.cos(w * t))
-        cols.append(np.sin(w * t))
-    return np.stack(cols, axis=1)
-
-
-def _projection(t, x, w):
-    """Variable-projection residual r(w) = M a - x, a = M^+ x, at the
-    frequencies w, and its Jacobian in w (Golub & Pereyra, SIAM J. Numer.
-    Anal. 10, 413 (1973)): column j is P_perp dM_j a - (M^+)^T dM_j^T r,
-    with M = QR and P_perp = 1 - Q Q^T."""
-    M = _design(t, w)
-    Q, R = np.linalg.qr(M)
-    a = np.linalg.solve(R, Q.T @ x)
-    r = M @ a - x
-    J = np.empty((t.size, w.size))
-    for j in range(w.size):
-        # only columns 2j, 2j + 1 of M, cos(w_j t) and sin(w_j t), move with w_j
-        c, s = M[:, 2 * j], M[:, 2 * j + 1]
-        dMa = t * (c * a[2 * j + 1] - s * a[2 * j])
-        g = np.zeros(M.shape[1])
-        g[2 * j : 2 * j + 2] = (-(t * s) @ r, (t * c) @ r)
-        J[:, j] = dMa - Q @ (Q.T @ dMa) - Q @ np.linalg.solve(R.T, g)
-    return r, J
-
-
-def _refine_frequencies(t, x, w):
-    """Gauss-Newton on the variable-projection residual from the seed w; a
-    step that does not lower |r|^2 is halved, down to 2^-30. Stops when a
-    step or the relative fall of |r|^2 is at most 1e-15, when no halving
-    lowers |r|^2, or after 100 steps."""
-    try:
-        r, J = _projection(t, x, w)
-        cost = float(r @ r)
-        for _ in range(100):
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
-            lam = 1.0
-            while lam >= 2.0**-30:
-                w_new = w + lam * step
-                r_new, J_new = _projection(t, x, w_new)
-                cost_new = float(r_new @ r_new)
-                if cost_new <= cost:
-                    break
-                lam /= 2.0
-            else:
-                return w
-            small_step = np.max(np.abs(w_new - w)) <= 1e-15 * np.max(np.abs(w))
-            small_fall = cost - cost_new <= 1e-15 * cost
-            w, r, J, cost = w_new, r_new, J_new, cost_new
-            if small_step or small_fall:
-                break
-    except np.linalg.LinAlgError as exc:
-        raise FitError("mode design matrix singular: %s" % exc)
-    return w
-
-
-def sinusoid_fit(t, x, k):
-    r"""Least-squares fit of k undamped sinusoids to a uniformly sampled signal.
-
-    Frequencies are seeded by linear prediction (model order 2k, root
-    angles), then refined by variable projection: the nonlinear solve runs
-    over frequencies only, with amplitudes eliminated linearly.
-
-    Parameters
-    ----------
-    t : array_like
-        Sample times, uniform spacing.
-    x : array_like
-        Signal samples.
-    k : int
-        Number of modes, >= 1.
-
-    Returns
-    -------
-    SinusoidModes
-        (frequency, amplitude, phase) per mode for amplitude*cos(w*t+phase),
-        sorted by frequency descending; .residual is the rms misfit.
-
-    Raises
-    ------
-    FitError
-        Ill-conditioned prediction or design stage.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if t.size < 8 * k:
-        raise FitError("too few samples for %d modes" % k)
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
-        raise FitError("sampling must be uniform")
-
-    p = 2 * k
-    # Hankel prediction matrix: row i is x[i + p - 1], ..., x[i]
-    A = np.lib.stride_tricks.sliding_window_view(x, p)[: x.size - p, ::-1]
-    b = x[p:]
-    coef, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-    if rank < p or cond > 1e14:
-        raise FitError("linear prediction ill-conditioned", condition=cond)
-    roots = np.roots(np.concatenate([[1.0], -coef]))
-    cand = [r for r in roots if r.imag >= 0.0 and abs(abs(r) - 1.0) < 0.2]
-    freqs = sorted({round(float(np.angle(r)) / dt, 12) for r in cand if np.angle(r) > 0.0})
-    if len(freqs) < k:
-        raise FitError("found %d distinct modes, need %d" % (len(freqs), k), condition=cond)
-    freqs = np.asarray(freqs[-k:] if len(freqs) > k else freqs)
-
-    freqs = np.abs(_refine_frequencies(t, x, freqs))
-    M = _design(t, freqs)
-    sv = np.linalg.svd(M, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-    if cond > 1e12:
-        raise FitError("mode design matrix ill-conditioned", condition=cond)
-    amp, *_ = np.linalg.lstsq(M, x, rcond=None)
-    residual = float(np.sqrt(np.mean((M @ amp - x) ** 2)))
-    modes = []
-    for i, w in enumerate(freqs):
-        ac, as_ = amp[2 * i], amp[2 * i + 1]
-        modes.append((float(w), float(np.hypot(ac, as_)), float(np.arctan2(-as_, ac))))
-    modes.sort(key=lambda m: -m[0])
-    return SinusoidModes(modes, residual, cond)

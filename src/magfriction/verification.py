@@ -1,11 +1,12 @@
 """Oracle batteries cross-checking every closed form in the library.
 
 Each check recomputes a result by an independent route (quadrature,
-lattice discretization, Monte-Carlo, spectral fitting, series summation,
-finite differences) and compares against the production closed form at a
-stated tolerance; a closed form the CLI prints is checked through the
-very function the CLI calls, on Python floats (``_ieee.FloatOps``). The
-CLI `verify` subcommand and the test suite both run these.
+lattice discretization, Monte-Carlo, a least-squares fit of the
+trajectory's propagator, series summation, finite differences) and
+compares against the production closed form at a stated tolerance; a
+closed form the CLI prints is checked through the very function the CLI
+calls, on Python floats (``_ieee.FloatOps``). The CLI `verify`
+subcommand and the test suite both run these.
 
 The independent routes live here too, beside the checks that run them,
 so that the route modules hold only what a CLI command executes: the
@@ -106,19 +107,6 @@ def check_mc_deterministic():
         return False, "same seed gave different bits"
     c = numerics.mc_integrate(lambda u: (7.0 * u.shape[1], 49.0 * u.shape[1]), 1, seed=3)
     return _ok(abs(c.value - 7.0) + c.std_error, 1e-12, "const")
-
-
-def check_sinusoid_fit():
-    t = np.arange(2000) * 0.05
-    modes = numerics.sinusoid_fit(t, np.cos(t), 1)
-    if abs(modes[0][0] - 1.0) > 1e-8:
-        return False, "single-mode frequency off by %.3g" % abs(modes[0][0] - 1.0)
-    wp, wm = oscillator_pair.normal_modes(0.75, FloatOps)[:2]
-    x = 0.8 * np.cos(wp * t + 0.3) + 0.5 * np.cos(wm * t - 1.1)
-    modes = numerics.sinusoid_fit(t, x, 2)
-    err = max(abs(modes[0][0] - wp), abs(modes[1][0] - wm))
-    ok, detail = _ok(err, 1e-6, "freq")
-    return ok and modes.residual <= 1e-10, detail + " resid=%.3g" % modes.residual
 
 
 # ---------------------------------------------------------------- fields
@@ -449,7 +437,11 @@ def check_product_unity():
 
 
 def fit_trajectory_frequencies(alpha):
-    """Integrate the unit pair and extract both mode frequencies by fit."""
+    """Integrate the unit pair and extract both mode frequencies from the
+    trajectory: the least-squares propagator P of the samples, s[k+1] =
+    P s[k], has eigenvalues exp(+-i omega dt stride) per mode. Eigenvalues
+    near 0 belong to directions the samples do not span (at alpha = 0 both
+    modes have frequency 1 and the samples span a plane) and are dropped."""
     cfg = OscPairConfig(alpha)
     wp = oscillator_pair.normal_modes(alpha, FloatOps)[0]
     dt = 0.0125 / wp
@@ -457,11 +449,10 @@ def fit_trajectory_frequencies(alpha):
     traj = integrate_eom(
         cfg, [1.0, 0.3, 0.0, 0.0], n_steps * dt, dt, stride=stride
     )
-    if alpha < 1e-8:
-        modes = numerics.sinusoid_fit(traj.t, traj.states[:, 0], 1)
-        return modes[0][0], modes[0][0]
-    modes = numerics.sinusoid_fit(traj.t, traj.states[:, 0], 2)
-    return modes[0][0], modes[1][0]
+    s = traj.states
+    lam = np.linalg.eigvals(np.linalg.lstsq(s[:-1], s[1:], rcond=None)[0])
+    freqs = np.abs(np.angle(lam[np.abs(lam) > 0.5])) / (dt * stride)
+    return freqs.max(), freqs.min()
 
 
 def check_trajectory_spectrum():
@@ -1286,23 +1277,21 @@ def check_G_hat_double_integral():
     return _ok(abs(outer.value - closed) / closed, 1e-9, "rel")
 
 
+def _psi_hat_integrand(t, q, z0):
+    return np.exp(-(q * q) / (4.0 * t * t) - (z0 * z0) * (t * t)) / (t * t)
+
+
 def check_psi_hat_transform():
-    # Hankel-type radial transform summed between Bessel zeros
-    q, z0 = 1.0, 0.7
-    closed = psi_hat(z0, q)
-    zeros = np.concatenate([[0.0], numerics.bessel_j0_zeros(300)]) / q
-
-    def f(s):
-        return numerics.bessel_j(0, q * s) * (s / np.hypot(s, z0) - 1.0)
-
-    lobes = numerics.quad_finite(f, zeros[:-1], zeros[1:], tol=1e-12).value
-    # alternating lobe sums, added in order: average consecutive partials
-    # to accelerate
-    p = np.cumsum(lobes)[-40:]
-    for _ in range(6):
-        p = 0.5 * (p[1:] + p[:-1])
-    est = 2.0 * np.pi * (p[-1] + 1.0 / q)
-    return _ok(abs(est - closed) / closed, 1e-4, "rel")
+    # the plane transform of the Gaussian representation 1/r = (2/sqrt pi)
+    # Int_0^inf exp(-r^2 t^2) dt: psi_hat(z0, q) = 2 sqrt(pi) Int_0^inf
+    # t^-2 exp(-q^2/(4 t^2) - z0^2 t^2) dt, one batch over (q, z0) pairs
+    q = np.array([1.0, 0.3, 5.0, 1.0, 2.0])
+    z0 = np.array([0.7, 2.0, 0.1, 5.0, -0.4])
+    res = numerics.quad_semi_infinite(
+        _psi_hat_integrand, 0.0, tol=1e-11, panel_scale=1.0 / np.abs(z0), args=(q, z0))
+    closed = np.array([psi_hat(z, k) for k, z in zip(q.tolist(), z0.tolist())])
+    est = 2.0 * math.sqrt(math.pi) * res.value
+    return _ok(float(np.max(np.abs(est - closed) / closed)), 1e-10, "rel")
 
 
 def check_angular_moment():
@@ -1519,7 +1508,6 @@ SUITES = {
         Check("semi-infinite factorial", check_semi_factorial),
         Check("series zeta(4)", check_series_zeta4),
         Check("mc determinism and constants", check_mc_deterministic),
-        Check("sinusoid fits", check_sinusoid_fit),
     ],
     "fields": [
         Check("quasistatic limit sweep", check_field_limit_sweep),

@@ -218,7 +218,7 @@ RANGE_EDGES = [
     (["free-energy", "--alpha", 1e150, "--units", "gaussian", "--temperature-kelvin", 1e-300], 0,
      ["alpha,beta,free_energy,free_energy_erg,temperature_kelvin",
       "1e+150,2.2898844710390102e+299,4.9999999999999995e+299,1.5807633602974219e+283,"
-      "1.0000000049151272e-300"], ""),
+      "1e-300"], ""),
     (_CGS_SLABS + ["--v", 1, "--temperature-kelvin", 1e-300], 2, [],
      "numerical failure: friction slabs: a computed value overflows the float range\n"),
     (_CGS_SLABS + ["--v", 1, "--temperature-kelvin", 1e300], 2, [],
@@ -799,6 +799,22 @@ def test_pair_gaussian_golden(cli):
     assert row == ("pair-smoothed,gaussian,-4.751382105592664e-65,3.4770314251675582e+19,"
                    "1.3665053675388325e-84,0.0007632948274313611,24143235053466.4,"
                    "2e-07,2e-07,300.0,3.33564095198152e-11,1.0")
+
+
+@pytest.mark.parametrize("argv,kelvin", [
+    (["friction", "pair", "--temperature-kelvin", 77.3, "--d", 1, "--v", 1e-3, "--D1", 1,
+      "--D2", 1], "77.3"),
+    (["free-energy", "--temperature-kelvin", 77.3, "--alpha", 0.5], "77.3"),
+    (["friction", "plane", "--temperature-kelvin", 0.1, "--z0", 1, "--rho1", 1, "--v", 1e-3,
+      "--D1", 1, "--D2", 1], "0.1"),
+    # a temperature given as beta is printed in kelvin as computed from it
+    (["friction", "pair", "--beta", 0.5, "--d", 1, "--v", 1e-3, "--D1", 1, "--D2", 1],
+     "0.45797689645881673"),
+])
+def test_a_temperature_in_kelvin_is_echoed_as_given(cli, argv, kelvin):
+    code, out = cli(*argv, "--units", "gaussian")
+    assert code == 0
+    assert _column(out, "temperature_kelvin") == [kelvin]
 
 
 def test_plane_drude_golden(cli):

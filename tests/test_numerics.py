@@ -1,4 +1,5 @@
-"""Quadrature, Monte-Carlo, series, and fitting engine battery."""
+"""The numerical engines: quadrature, Monte-Carlo, series, finite
+differences, the circulant solve and polygamma."""
 
 import math
 import struct
@@ -16,7 +17,6 @@ from magfriction.numerics import (
     quad_finite,
     quad_semi_infinite,
     series_sum,
-    sinusoid_fit,
 )
 
 
@@ -276,30 +276,6 @@ def test_mc_halfspace_r6():
     assert_check(verification.check_halfspace_r6_mc)
 
 
-def test_sinusoid_fit_pure_cosine():
-    t = np.linspace(0.0, 40.0, 2000)
-    modes = sinusoid_fit(t, np.cos(t), 1)
-    assert abs(modes[0][0] - 1.0) <= 1e-8
-
-
-def test_sinusoid_fit_two_modes():
-    # synthetic signal at the alpha = 0.75 pair of frequencies
-    t = np.linspace(0.0, 120.0, 6000)
-    x = 0.8 * np.cos(2.0 * t + 0.2) + 0.5 * np.cos(0.5 * t - 0.4)
-    modes = sinusoid_fit(t, x, 2)
-    freqs = sorted(m[0] for m in modes)
-    assert abs(freqs[1] - 2.0) <= 1e-6
-    assert abs(freqs[0] - 0.5) <= 1e-6
-    assert modes.residual <= 1e-10
-
-
-def test_sinusoid_fit_sorted_descending():
-    t = np.linspace(0.0, 80.0, 4000)
-    x = np.cos(1.3 * t) + np.cos(0.7 * t)
-    modes = sinusoid_fit(t, x, 2)
-    assert modes[0][0] >= modes[1][0]
-
-
 def test_gradient_central():
     g = numerics.gradient_central(lambda p: p[0] ** 2 + 3.0 * p[1], np.array([2.0, 1.0]),
                                   step=1e-6)
@@ -509,21 +485,16 @@ def _battery_integrands():
         ("dissipation", lambda w: ((2.0 * w - 1.3) / 2.0) ** 2 * 0.8 * w * 1.7 * (1.3 - w),
          0.0, 1.3, 1e-13),
         ("H0 segment", lambda m: m * m * 0.5 * m * m / np.sinh(m / 2.0) ** 2, 0.2, 0.4, 1e-13),
-        ("J0 lobe", lambda r: numerics.bessel_j(0, r) * (r / np.hypot(r, 0.7) - 1.0),
-         2.404825557695773, 5.520078110286311, 1e-12),
+        ("psi_hat transform", lambda t: verification._psi_hat_integrand(t, 1.0, 0.7),
+         0.0, 1.0 / 0.7, 1e-12),
     ]
 
 
 @pytest.mark.parametrize("case", _battery_integrands(), ids=lambda c: c[0])
 def test_quad_agrees_with_scipy_on_the_battery_integrands(case):
     integrate = pytest.importorskip("scipy.integrate")
-    special = pytest.importorskip("scipy.special")
     name, f, a, b, tol = case
-    ref_f = f
-    if name == "J0 lobe":
-        def ref_f(r):
-            return special.j0(r) * (r / np.hypot(r, 0.7) - 1.0)
-    value, _, info = integrate.quad(ref_f, a, b, epsabs=tol, epsrel=tol, limit=200,
+    value, _, info = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200,
                                     full_output=True)[:3]
     res = quad_finite(f, a, b, tol=tol)
     assert abs(res.value - value) <= 2.0 * tol * max(1.0, abs(value))
@@ -560,104 +531,3 @@ def test_polygamma_matches_scipy():
         for x in xs.tolist():
             ref = float(special.polygamma(n, x))
             assert abs(numerics.polygamma(n, x) - ref) <= 1e-15 * ref
-
-
-def test_bessel_exact_properties():
-    assert numerics.bessel_j(0, 0.0) == 1.0
-    assert numerics.bessel_j(1, 0.0) == 0.0
-    x = np.linspace(0.1, 60.0, 301)
-    assert np.array_equal(numerics.bessel_j(0, -x), numerics.bessel_j(0, x))
-    assert np.array_equal(numerics.bessel_j(1, -x), -numerics.bessel_j(1, x))
-    # Wronskian-type identity J0' = -J1, by central differences
-    h = 1e-5
-    fd = (numerics.bessel_j(0, x + h) - numerics.bessel_j(0, x - h)) / (2.0 * h)
-    assert np.max(np.abs(fd + numerics.bessel_j(1, x))) <= 1e-9
-    zeros = numerics.bessel_j0_zeros(300)
-    # a zero rounded to a float leaves |J0| up to |J1| ulp/2 ~ 1.5e-15 near 940
-    assert np.max(np.abs(numerics.bessel_j(0, zeros))) <= 3e-15
-    gaps = np.diff(zeros)
-    assert np.all(gaps > 0.0) and abs(gaps[-1] - np.pi) <= 1e-5
-
-
-def test_bessel_matches_scipy():
-    special = pytest.importorskip("scipy.special")
-    x = np.concatenate([np.linspace(0.0, 60.0, 6001), np.linspace(60.0, 1000.0, 9401)])
-    assert np.max(np.abs(numerics.bessel_j(0, x) - special.j0(x))) <= 1e-14
-    assert np.max(np.abs(numerics.bessel_j(1, x) - special.j1(x))) <= 1e-14
-    ref = special.jn_zeros(0, 300)
-    # 1e-14 absolute is below the float spacing near the 300th zero (~1.1e-13):
-    # two ulps is the closest two float routes can be asked to agree
-    assert np.all(np.abs(numerics.bessel_j0_zeros(300) - ref) <= 2.0 * np.spacing(ref))
-
-
-def test_bessel_zeros_within_an_ulp_of_the_exact_zeros():
-    mpmath = pytest.importorskip("mpmath")
-    zeros = numerics.bessel_j0_zeros(300)
-    for m in (1, 2, 50, 168, 300):
-        exact = float(mpmath.besseljzero(0, m))
-        assert abs(zeros[m - 1] - exact) <= np.spacing(exact)
-
-
-# frequencies, amplitudes and phases of the fits the battery makes, from
-# the scipy least-squares refinement this module used before
-_FIT_REFERENCE = {
-    0.75: [(1.9999999995931348, 0.2088061300896471, -0.29145679447950185),
-           (0.49999999999960043, 0.8352245207129454, 0.2914567944781525)],
-    0.3: [(1.3440306506176436, 0.3720153252880172, -0.2914567944806691),
-          (0.744030650876803, 0.672015325437724, 0.2914567944827568)],
-}
-
-
-@pytest.mark.parametrize("alpha", sorted(_FIT_REFERENCE))
-def test_sinusoid_fit_reproduces_the_trajectory_fits(alpha):
-    from magfriction import oscillator_pair
-
-    cfg = verification.OscPairConfig(alpha)
-    wp = oscillator_pair.normal_modes(alpha, _ieee.FloatOps)[0]
-    dt = 0.0125 / wp
-    traj = verification.integrate_eom(cfg, [1.0, 0.3, 0.0, 0.0], 32000 * dt, dt, stride=16)
-    modes = sinusoid_fit(traj.t, traj.states[:, 0], 2)
-    for got, want in zip(modes, _FIT_REFERENCE[alpha]):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_sinusoid_fit_reaches_the_least_squares_minimum():
-    optimize = pytest.importorskip("scipy.optimize")
-    t = np.linspace(0.0, 120.0, 6000)
-    x = 0.8 * np.cos(2.0 * t + 0.2) + 0.5 * np.cos(0.5 * t - 0.4) + 1e-3 * np.sin(3.1 * t)
-
-    def resid(w):
-        M = numerics._design(t, w)
-        amp, *_ = np.linalg.lstsq(M, x, rcond=None)
-        return M @ amp - x
-
-    modes = sinusoid_fit(t, x, 2)
-    seed = np.array([m[0] for m in modes]) * (1.0 + 1e-6)
-    ref = optimize.least_squares(resid, seed, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    assert np.allclose(sorted(m[0] for m in modes), sorted(ref.x), rtol=1e-10, atol=0.0)
-
-
-def test_projection_jacobian_matches_central_differences():
-    # off the fitted frequencies, with a third tone, so that r(w) is not small
-    # and both terms of the variable-projection Jacobian count
-    t = np.linspace(0.0, 60.0, 3000)
-    x = 0.8 * np.cos(2.0 * t + 0.2) + 0.5 * np.cos(0.5 * t - 0.4) + 0.05 * np.sin(3.1 * t)
-    w = np.array([2.003, 0.498])
-    r, J = numerics._projection(t, x, w)
-    h = 1e-6
-    fd = np.empty_like(J)
-    for j in range(w.size):
-        step = np.zeros_like(w)
-        step[j] = h
-        fd[:, j] = (numerics._projection(t, x, w + step)[0]
-                    - numerics._projection(t, x, w - step)[0]) / (2.0 * h)
-    assert np.max(np.abs(r)) > 0.1
-    assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
-
-
-def test_sinusoid_fit_keeps_its_conditioning_refusal():
-    # two modes asked of one sinusoid: the prediction stage is singular
-    t = np.arange(400) * 0.05
-    with pytest.raises(numerics.FitError, match="ill-conditioned") as info:
-        sinusoid_fit(t, np.cos(t), 2)
-    assert info.value.condition > 1e14

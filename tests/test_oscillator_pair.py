@@ -149,6 +149,14 @@ def test_trajectory_two_line_spectrum():
     assert abs(wp * wm - 1.0) <= 1e-6
 
 
+def test_trajectory_fit_of_the_uncoupled_pair():
+    # both modes at frequency 1: the samples span a plane, and the two
+    # eigenvalues of the propagator off it are dropped
+    wp, wm = verification.fit_trajectory_frequencies(0.0)
+    assert abs(wp - 1.0) <= 1e-9
+    assert abs(wm - 1.0) <= 1e-9
+
+
 def test_oscillator_suite_green():
     failures = [c.name for c in verification.SUITES["oscillator"] if not c.run()[0]]
     assert failures == []

@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ BATTERY = [
     ('numerics', 'semi-infinite factorial'),
     ('numerics', 'series zeta(4)'),
     ('numerics', 'mc determinism and constants'),
-    ('numerics', 'sinusoid fits'),
     ('fields', 'quasistatic limit sweep'),
     ('fields', 'hand cross products'),
     ('fields', 'field orthogonality'),
@@ -98,15 +98,21 @@ def test_route_modules_bind_no_oracle_engine():
         assert not bound & unwanted, name
 
 
-def test_every_public_route_name_has_a_caller_on_a_cli_route():
+def _names_used(sources):
+    """Every name and attribute the Python sources refer to."""
     used = set()
-    for name in CALLERS:
-        tree = ast.parse(inspect.getsource(importlib.import_module("magfriction." + name)))
-        for node in ast.walk(tree):
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_public_route_name_has_a_caller_on_a_cli_route():
+    used = _names_used(inspect.getsource(importlib.import_module("magfriction." + name))
+                       for name in CALLERS)
     for name in ROUTE_MODULES:
         module = importlib.import_module("magfriction." + name)
         public = {k for k, v in vars(module).items()
@@ -114,8 +120,18 @@ def test_every_public_route_name_has_a_caller_on_a_cli_route():
         assert public and public <= used, (name, sorted(public - used))
 
 
+def test_every_public_numerics_function_has_a_caller_in_the_package():
+    used = _names_used(path.read_text() for path in Path(numerics.__file__).parent.glob("*.py")
+                       if path.name != "numerics.py")
+    public = {k for k, v in vars(numerics).items()
+              if not k.startswith("_") and inspect.isfunction(v)
+              and v.__module__ == numerics.__name__}
+    assert public and public <= used, sorted(public - used)
+
+
 # detail lines of the array-at-a-time checks, as the term-by-term forms of
-# these checks printed them, and of the half-space checks on the lattice rule
+# these checks printed them, of the half-space checks on the lattice rule,
+# and of the transform and trajectory checks on quadrature and least squares
 PINNED_DETAILS = {
     "series zeta(4)": "err=2.77e-13 tol=1e-12",
     "universal integral routes": "rel=2.56e-13 tol=1e-12",
@@ -124,6 +140,8 @@ PINNED_DETAILS = {
     "half-space MC": "err=7.06e-08 3se=3.31e-07 rel=4.49e-08",
     "half-space r^-6 MC": "err=1.11e-16 tol=1e-12",
     "half-space r^-8": "err=9.14e-09 3se=2.26e-08 rel=3.31e-07",
+    "transverse transform": "rel=3.09e-16 tol=1e-10",
+    "trajectory spectral fit": "err=4.07e-10 tol=1e-06",
 }
 
 
@@ -141,11 +159,20 @@ def test_array_checks_print_their_pinned_details(name):
     (response_kinetics, "M_full", "kernel remainder identity"),
     (response_kinetics, "nascent_delta_g", "sharp amplitude pipeline"),
     (response_kinetics, "nascent_delta_cos_sin", "damped cos*sin time domain"),
+    (verification, "psi_hat", "transverse transform"),
 ])
 def test_array_checks_fail_on_a_scaled_library_kernel(monkeypatch, module, name, check):
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: 1.01 * original(*args))
     ok, detail = _check(check).run()
+    assert not ok, detail
+
+
+def test_trajectory_fit_fails_on_a_scaled_coupling(monkeypatch):
+    original = verification._eom_matrix
+    monkeypatch.setattr(verification, "_eom_matrix",
+                        lambda cfg: original(cfg._replace(alpha=1.01 * cfg.alpha)))
+    ok, detail = _check("trajectory spectral fit").run()
     assert not ok, detail
 
 
