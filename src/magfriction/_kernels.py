@@ -1,19 +1,22 @@
-"""Numpy kernels behind the trajectory, mode-sum and Monte Carlo routes.
+"""Numpy kernels behind the trajectory, mode-sum, Monte Carlo and float text.
 
 Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
 
-The trajectory, mode-sum and Monte Carlo routes work in fixed blocks, so
-that their arrays stay in cache and their Python-level calls are few:
-``rk4_batch`` advances ``RK4_BLOCK`` records per batched matmul,
-``mode_sum`` sums ``MODE_BLOCK`` modes per block, and
+The trajectory, mode-sum and Monte Carlo routes and the float text work
+in fixed blocks, so that their arrays stay in cache and their
+Python-level calls are few: ``rk4_batch`` advances ``RK4_BLOCK`` records
+per batched matmul, ``mode_sum`` sums ``MODE_BLOCK`` modes per block,
 ``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` points
-of one shift of its lattice rule per call. ``mode_sum`` and
+of one shift of its lattice rule per call, and ``float_reprs`` makes the
+text of ``TEXT_BLOCK`` values per pass. ``mode_sum`` and
 ``halfspace_chunk`` compute with ``out=`` into a few buffers that each
-call allocates once, not one temporary per operation. A block size
+call allocates once, not one temporary per operation; ``float_reprs``
+writes into a buffer it no longer needs where it can. A block size
 changes only the order of floating-point operations (the summation order
 of a sum, the grouping of a matrix product), never the terms or points:
-an estimate stays deterministic per (seed, shifts).
+an estimate stays deterministic per (seed, shifts), and a text is the
+same in any block.
 
 ``halfspace_chunk`` holds the only copy of the half-space importance
 sampler (the map from the unit cube to z and s, and its density). It
@@ -33,6 +36,7 @@ error bound behind that.
 
 import functools
 import math
+import sys
 
 from magfriction import lazy_import
 
@@ -48,6 +52,10 @@ MODE_BLOCK = 16384
 # points per block function call of numerics.mc_integrate: the six float64
 # buffers of halfspace_chunk (64 KiB each) stay in cache
 MC_BLOCK = 8192
+# values per numpy pass of float_reprs, whatever the column's length: its
+# temporaries (32 KiB per float64 array) stay in cache, and small enough
+# that the heap reuses them from pass to pass and column to column
+TEXT_BLOCK = 4096
 
 
 def rk4_batch(A, init, dt, n_steps, stride):
@@ -215,14 +223,14 @@ def halfspace_chunk(z0, u, mode):
 # scales s = 16 - floor(log10|x|) of the values float_reprs computes, with
 # one to spare at each end for a log10 that rounds across a power of ten
 _SCALE_MIN, _SCALE_MAX = -185, 218
+# decimal point positions decpt = 17 - s (18 - s after a carry) of those
+_DECPT_MIN, _DECPT_MAX = 17 - _SCALE_MAX, 18 - _SCALE_MIN
 # a decision of float_reprs this close to its threshold goes to repr: the
 # quantities it compares are within 1e-14 of their true values
 FLOAT_MARGIN = 1e-12
-# columns of the exponent suffixes: exponent k at k + _EXP_OFFSET, then none
-_EXP_OFFSET = 300
-_NO_EXPONENT = 2 * _EXP_OFFSET + 1
 # the exponent bits of a float64
 _EXPONENT = 0x7FF << 52
+_WORD = (1 << 64) - 1
 
 
 @functools.cache
@@ -243,27 +251,62 @@ def _scale_table():
     return hi, hh, hi - hh, np.array(lo)
 
 
+def _words(text, at, n):
+    """text from byte ``at`` of n little-endian 8-byte words, as their ints."""
+    v = int.from_bytes(bytes(at) + text, "little")
+    return [v >> 64 * k & _WORD for k in range(n)]
+
+
 @functools.cache
-def _text_table():
-    """The byte columns of a text's prefix (sign, "0." and up to three
-    zeros) and suffix (exponent and separator), and the row numbers 0..18
-    as a uint8 column: (prefix, suffix, rows)."""
-    # prefix k = 5*sign + z: z = 1 - decpt for 0.ddd (decpt in -3..0), else 0
-    prefix = np.zeros((10, 6), np.uint8)
-    for z in range(1, 5):
-        prefix[[z, 5 + z], 1:2 + z] = list(b"0." + b"0" * (z - 1))
-    prefix[5:, 0] = ord("-")
-    suffix = np.zeros((_NO_EXPONENT + 1, 6), np.uint8)
-    for k in range(-_EXP_OFFSET, _EXP_OFFSET + 1):
-        text = b"e%+03d" % k
-        suffix[k + _EXP_OFFSET, 5 - len(text):5] = list(text)
-    suffix[:, 5] = ord(" ")
-    return prefix.T.copy(), suffix.T.copy(), np.arange(19, dtype=np.uint8)[:, None]
+def _text_tables():
+    """The tables of _layout, built once, each a numpy array:
+
+    - ``digits``: the ASCII of 0000..9999, a uint32 word each;
+    - ``zeros``: the trailing zeros of each, 4 for 0000;
+    - ``head``: at 10 k + d, the word of the sign and "0." prefix k
+      (5 sign + z, z = 1 - decpt for 0.ddd, else 0) and the first digit d;
+    - ``lead``: 10 z, over decpt in [_DECPT_MIN, _DECPT_MAX];
+    - ``by_decpt``, uint64 rows over decpt: the two tail words' masks of
+      the bytes at and after the point's position p (16: no point), the
+      point's byte in each, and the suffix word, the exponent and the
+      separator from byte 1 on;
+    - ``keep``, uint64 rows over 18 (decpt - _DECPT_MIN) + nd, nd the
+      significant digits: the masks of the tail bytes that the text keeps
+      in each of the three tail words.
+    """
+    g = np.arange(10**4)
+    digits = sum((g // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4)).astype(np.uint32)
+    zeros = sum(g % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
+    head = [_words(b"-" * (k >= 5) + (b"0." + b"0" * (k % 5 - 1) if k % 5 else b"")
+                   + b"%d" % d, 0, 1)[0] for k in range(10) for d in range(10)]
+    lead, point, suffix, keep = [], [], [], []
+    for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
+        fixed = -4 < decpt <= 16
+        lead.append(10 * (1 - decpt) if fixed and decpt < 1 else 0)
+        suffix.append((b"\0" + (b"" if fixed else b"e%+03d" % (decpt - 1)) + b" ").ljust(8, b"\0"))
+        # the point's place in the tail and the tail bytes kept, the point
+        # among them: fixed d.dd keeps a digit after the point, fixed
+        # 0.0dd has no point in the tail, scientific d has none at all
+        if fixed and decpt >= 1:
+            point.append(decpt - 1)
+            keep += [max(nd, decpt + 1) for nd in range(18)]
+        elif fixed:
+            point.append(16)
+            keep += [max(nd - 1, 0) for nd in range(18)]
+        else:
+            point.append(0)
+            keep += [nd if nd > 1 else 0 for nd in range(18)]
+    by_point = np.array([_words(b"\xff" * (16 - p), p, 2) + _words(b"." * (p < 16), p, 2)
+                         for p in range(17)], np.uint64)
+    masks = np.array([_words(b"\xff" * L, 0, 3) for L in range(18)], np.uint64)
+    by_decpt = np.vstack([by_point[point].T, np.frombuffer(b"".join(suffix), "<u8")])
+    return (digits, zeros, np.array(head, np.uint64), np.array(lead, np.intp), by_decpt,
+            masks[keep].T.copy())
 
 
-def float_reprs(block):
-    """``[repr(v) for v in block.tolist()]`` for a 1-D float64 array, made
-    for the whole block by numpy.
+def float_reprs(values):
+    """``[repr(v) for v in values.tolist()]`` for a 1-D float64 array, made
+    by numpy ``TEXT_BLOCK`` values at a time.
 
     A value a = |x| in [1e-200, 1e200] that is not a power of two is
     scaled by 10^s, s = 16 - floor(log10 a), to X = a 10^s in [1e16, 1e17]
@@ -280,7 +323,9 @@ def float_reprs(block):
     nearest integer, since H > 0.55. A result of 10^17 is 10^16 with the
     decimal point one place on. The digits are laid out as repr lays them
     out: fixed for a decimal point position decpt in (-4, 16], else
-    d.ddde+XX.
+    d.ddde+XX. Each lane's text is built as four little-endian 8-byte
+    words from tables (``_layout``), and the NUL bytes between its parts
+    are dropped from the whole block's bytes at once.
 
     Error bound. With X < 1e17 + 1, |a lo| <= 2^-53 X < 11.2 and
     |err| <= 8, so rounding a*lo and the sum costs at most 2^-50 + 2^-49;
@@ -295,8 +340,21 @@ def float_reprs(block):
     nan. From ~1e12 up a value keeps few fractional bits once scaled, so
     more of them land exactly on a tie or an interval end and go to repr.
     """
+    # the tables hold little-endian words
+    if sys.byteorder != "little":
+        return list(map(repr, values.tolist()))
+    text = []
+    for k in range(0, values.size, TEXT_BLOCK):
+        text += _block_reprs(values[k : k + TEXT_BLOCK])
+    return text
+
+
+def _block_reprs(block):
+    """float_reprs of one block."""
     ok, C, decpt = _shortest(block)
-    text = _layout(block, C, decpt).T.tobytes().translate(None, b"\0").decode("ascii").split()
+    text = _layout(block, C, decpt).T.tobytes().translate(None, b"\0").decode("ascii").split(" ")
+    # the separator after the last text
+    del text[-1]
     if not ok.all():
         for k in np.flatnonzero(~ok).tolist():
             text[k] = repr(float(block[k]))
@@ -306,21 +364,39 @@ def float_reprs(block):
 def _scaled(a, pow2):
     """(e, N, f, H) for the lanes a = |x| and their powers of two
     pow2 = 2^E <= a: s = 16 - e scales a to X = a 10^s, N + f is X to within
-    4e-15 (N an int64, f in [0, 1]), and H is the half-gap of a, scaled."""
+    4e-15 (N an int64, f in [0, 1]), and H is the half-gap of a, scaled.
+    H is computed in pow2's buffer, and a is overwritten by a lo (below)."""
     hi_t, hh_t, hl_t, lo_t = _scale_table()
     e = np.floor(np.log10(a)).astype(np.intp)
-    i = 16 - _SCALE_MIN - e
-    hi = hi_t[i]
-    # X = p + r: p + err = a hi exactly, r = err + a lo
-    p = a * hi
-    c = 134217729.0 * a
-    ah = c - (c - a)
-    al = a - ah
-    hh, hl = hh_t[i], hl_t[i]
-    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo_t[i]
-    whole = np.floor(r)
-    H = pow2 * 2.0**-53 * hi
-    return e, p.astype(np.int64) + whole.astype(np.int64), r - whole, H
+    i = np.subtract(16 - _SCALE_MIN, e)
+    hi = np.take(hi_t, i)
+    H = np.multiply(pow2, 2.0**-53, out=pow2)
+    H *= hi
+    # X = p + r: p + err = a hi exactly, r = err + a lo, with a = ah + al
+    # (Veltkamp: ah = c - (c - a), c = 134217729 a). One operation per
+    # line, in the order of ((ah hh - p) + ah hl + al hh) + al hl + a lo,
+    # so that r keeps its bits
+    p = np.multiply(a, hi, out=hi)
+    ah = np.multiply(134217729.0, a)
+    al = np.subtract(ah, a)
+    ah -= al
+    np.subtract(a, ah, out=al)
+    alo = np.multiply(a, np.take(lo_t, i), out=a)
+    hh = np.take(hh_t, i)
+    r = np.multiply(ah, hh)
+    r -= p
+    hl = np.take(hl_t, i)
+    del i
+    r += np.multiply(ah, hl, out=ah)
+    r += np.multiply(al, hh, out=hh)
+    r += np.multiply(al, hl, out=hl)
+    r += alo
+    # N = p + floor(r), f = r - floor(r)
+    whole = np.floor(r, out=al)
+    r -= whole
+    N = p.astype(np.int64)
+    N += whole.astype(np.int64)
+    return e, N, r, H
 
 
 def _shortest(x):
@@ -328,81 +404,117 @@ def _shortest(x):
     int64 C without its trailing zeros, the decimal point decpt places
     from their start; elsewhere C is 10^16 and x goes to repr."""
     a = np.abs(x)
+    ok = a >= 1e-200
+    ok &= a <= 1e200
     # a lane that goes to repr computes on 1.5
-    ok = (a >= 1e-200) & (a <= 1e200)
-    a = np.where(ok, a, 1.5)
+    np.copyto(a, 1.5, where=~ok)
     pow2 = (a.view(np.uint64) & _EXPONENT).view(np.float64)
     # a power of two has a gap below it half the gap above
     ok &= a != pow2
     e, N, f, H = _scaled(a, pow2)
+    del a
     # the floors of X - H and X + H, each certain only away from an integer
     ends = np.empty((2, x.size))
     np.subtract(f, H, out=ends[0])
     np.add(f, H, out=ends[1])
+    del H, pow2
     floors = np.floor(ends)
     ends -= floors
     ends -= 0.5
-    sure = np.abs(ends) <= 0.5 - FLOAT_MARGIN
-    ok &= sure[0] & sure[1] & (N >= 10**16) & (N < 10**17)
-    low, high = N + floors.astype(np.int64)
-    m100 = high // 100 * 100
-    m10 = high // 10 * 10
-    N10 = N // 10 * 10
-    r10 = (N - N10) + f
+    sure = np.abs(ends, out=ends) <= 0.5 - FLOAT_MARGIN
+    ok &= sure[0]
+    ok &= sure[1]
+    ok &= N >= 10**16
+    ok &= N < 10**17
+    del ends, sure
+    low, high = floors = floors.astype(np.int64)
+    floors += N
+    m100 = high // 100
+    m100 *= 100
     has100 = m100 > low
+    m10 = np.floor_divide(high, 10, out=high)
+    m10 *= 10
     has10 = m10 > low
-    C = np.where(has100, m100, np.where(has10, N10 + 10 * (r10 >= 5.0), N + (f >= 0.5)))
-    ok &= has100 | (np.abs(np.where(has10, r10 - 5.0, f - 0.5)) >= FLOAT_MARGIN)
-    C = np.where(ok, C, 10**16)
+    N10 = np.floor_divide(N, 10, out=m10)
+    N10 *= 10
+    r10 = np.subtract(N, N10, out=low) + f
+    del floors, low
+    # the candidate: the multiple of 100, else the nearest multiple of 10,
+    # else the nearest integer; certain only away from a tie
+    N10 += 10 * (r10 >= 5.0)
+    # N is not needed past here
+    C = N
+    C += f >= 0.5
+    np.copyto(C, N10, where=has10)
+    np.copyto(C, m100, where=has100)
+    r10 -= 5.0
+    np.subtract(f, 0.5, out=r10, where=~has10)
+    ok &= has100 | (np.abs(r10, out=r10) >= FLOAT_MARGIN)
+    np.copyto(C, 10**16, where=~ok)
     carry = C == 10**17
     C -= carry * (9 * 10**16)
     return ok, C, e + 1 + carry
 
 
 def _layout(x, C, decpt):
-    """The texts as byte columns, (30, n): each lane's sign and "0." prefix,
-    its digits with the point, and its exponent suffix and separator, NUL
-    where a column holds nothing."""
-    prefix_t, suffix_t, columns = _text_table()
+    """The texts as little-endian words, (4, n) uint64, lane by lane: word
+    0 the sign, "0." prefix and first digit; words 1, 2 and the low byte
+    of word 3 the other 16 digits, the point put in at its place and the
+    digits past the last one kept cut off; the rest of word 3 the exponent
+    suffix and the separator " ". A byte that holds nothing is NUL."""
+    digits_t, zeros_t, head_t, lead_t, by_decpt, keep_t = _text_tables()
     n = x.size
-    # the 17 digits of C as ASCII in rows 1..17, NUL in rows 0 and 18
-    top = C // 10**8
-    bottom = (C - top * 10**8).astype(np.uint32)
-    top = top.astype(np.uint32)
-    quads = np.empty((4, n), np.uint32)
-    np.floor_divide(top, 10**4, out=quads[0])
-    quads[0] %= 10**4
-    np.remainder(top, 10**4, out=quads[1])
-    np.floor_divide(bottom, 10**4, out=quads[2])
-    np.remainder(bottom, 10**4, out=quads[3])
-    digits = np.zeros((19, n), np.uint8)
-    digits[1] = top // 10**8
-    digits[2:18:4] = quads // 1000
-    digits[3:18:4] = quads // 100 % 10
-    digits[4:18:4] = quads // 10 % 10
-    digits[5:18:4] = quads % 10
-    digits[1:18] += 48
-    nd = ((digits[1:18] != 48) * columns[1:18]).max(axis=0)
-    # body: the digits with the point in column q (18: none) and the columns
-    # from lim on deleted
-    fixed = (decpt > -4) & (decpt <= 16)
-    inner = fixed & (decpt >= 1)
-    q = np.where(inner, decpt, np.where(fixed | (nd == 1), 18, 1))
-    keep = np.where(inner & (nd <= decpt), decpt + 1, nd)
-    lim = (keep + (q < 18)).astype(np.uint8)
-    rows = np.empty((30, n), np.uint8)
-    np.take(prefix_t, np.signbit(x) * 5 + np.where(fixed & (decpt <= 0), 1 - decpt, 0),
-            axis=1, out=rows[:6])
-    # column j holds digit j before the point and digit j - 1 after it:
-    # d ^ ((d ^ shifted) * (j >= q))
-    body = rows[6:24]
-    unshifted = digits[1:]
-    np.bitwise_xor(unshifted, digits[:-1], out=body)
-    body *= columns[:18] >= q.astype(np.uint8)
-    body ^= unshifted
-    point = np.flatnonzero(q < 18)
-    body.reshape(-1)[q[point] * n + point] = ord(".")
-    body *= columns[:18] < lim
-    np.take(suffix_t, np.where(fixed, _NO_EXPONENT, decpt - 1 + _EXP_OFFSET), axis=1,
-            out=rows[24:])
-    return rows
+    # C = d 10^16 + h 10^8 + l; each half h, l is a high and a low group of
+    # four digits, interleaved so that a half's two ASCII words are a uint64
+    half = np.empty((2, n), np.intp)
+    np.floor_divide(C, 10**8, out=half[0])
+    np.multiply(half[0], -10**8, out=half[1])
+    half[1] += C
+    lead = half[0] // 10**8
+    half[0] -= lead * 10**8
+    high = half // 10**4
+    half -= high * 10**4
+    tail = np.empty((2, n, 2), np.uint32)
+    tail[..., 0] = np.take(digits_t, high)
+    tail[..., 1] = np.take(digits_t, half)
+    t0, t1 = tail.view(np.uint64)[..., 0]
+    # the trailing zeros of each half: its low group's, and its high
+    # group's too where the low one is 0000; then nd = 17 - the zeros of
+    # l, and of h too where l is 0
+    tz = np.take(zeros_t, half)
+    zh = np.take(zeros_t, high)
+    del half, high
+    zh *= tz == 4
+    tz += zh
+    tz[0] *= tz[1] == 8
+    i = decpt - _DECPT_MIN
+    kept = 18 * i + 17
+    kept -= tz[0]
+    kept -= tz[1]
+    words = np.empty((4, n), np.uint64)
+    w0, w1, w2, w3 = words
+    lead += np.take(lead_t, i)
+    lead += np.signbit(x) * 50
+    np.take(head_t, lead, out=w0)
+    del lead
+    # the tail words: the bytes at and after the point's position move up
+    # a byte, and the point goes in the byte they leave. The bytes that
+    # move are held in w3, then in t0 once it is read, until word 3 is made
+    after = np.take(by_decpt[0], i, out=w3)
+    after &= t0
+    np.bitwise_xor(t0, after, out=w1)
+    w1 |= np.take(by_decpt[2], i)
+    w1 |= np.left_shift(after, 8, out=t0)
+    carried = np.right_shift(after, 56, out=w3)
+    after = np.take(by_decpt[1], i, out=t0)
+    after &= t1
+    np.bitwise_xor(t1, after, out=w2)
+    w2 |= np.take(by_decpt[3], i)
+    w2 |= np.left_shift(after, 8, out=t1)
+    w2 |= carried
+    np.right_shift(after, 56, out=w3)
+    w1 &= np.take(keep_t[0], kept)
+    w2 &= np.take(keep_t[1], kept)
+    w3 &= np.take(keep_t[2], kept)
+    w3 |= np.take(by_decpt[4], i)
+    return words

@@ -783,44 +783,47 @@ class _Table:
         return math.prod(self.shape)
 
 
-# values per call of _kernels.float_reprs; a shorter column takes repr itself
+# a column of fewer values takes repr itself, and loads no _kernels
 FLOAT_BLOCK = 2048
 
 
 def _float_text(col):
-    """repr of every value, an object array of the column's shape; a column
-    of at least FLOAT_BLOCK values gets it from _kernels.float_reprs, a
-    block at a time."""
+    """repr of every value, a list over the column in C order; a column of
+    at least FLOAT_BLOCK values gets it from one _kernels.float_reprs call."""
     flat = col.ravel()
     if flat.size < FLOAT_BLOCK:
-        return np.array(list(map(repr, flat.tolist())), dtype=object).reshape(col.shape)
-    text = np.empty(flat.size, dtype=object)
-    for i in range(0, flat.size, FLOAT_BLOCK):
-        text[i : i + FLOAT_BLOCK] = _kernels.float_reprs(flat[i : i + FLOAT_BLOCK])
-    return text.reshape(col.shape)
+        return list(map(repr, flat.tolist()))
+    return _kernels.float_reprs(flat)
 
 
 def _row_cells(texts, shape, sep, string_cell):
     """The cells of the rows of a grid of ``shape``, in column order, each a
     list over the rows. ``texts`` holds a column's string, put through
-    ``string_cell``, or its float texts (``_float_text``).
+    ``string_cell``, or its float texts as (column shape, ``_float_text``).
 
     Adjacent cells that together vary over fewer than all the points (a
     string varies over none) are joined by ``sep`` at their own shape,
-    before the texts are broadcast to the grid.
+    before the texts are broadcast to the grid. A column over every point
+    is its rows' cells as it is.
     """
     n = math.prod(shape)
     cells = []
     for text in texts:
         if isinstance(text, str):
             text = np.full((1,) * len(shape), string_cell(text), dtype=object)
+        elif len(text[1]) == n:
+            cells.append(text[1])
+            continue
+        else:
+            text = np.array(text[1], dtype=object).reshape(text[0])
         # on an open grid each axis of a shape is 1 or the grid's
-        if cells and math.prod(map(max, cells[-1].shape, text.shape)) < n:
+        if cells and not isinstance(cells[-1], list) and (
+                math.prod(map(max, cells[-1].shape, text.shape)) < n):
             cells[-1] = cells[-1] + sep + text
         else:
             cells.append(text)
     return [
-        (text if text.size == n else np.broadcast_to(text, shape)).ravel().tolist()
+        text if isinstance(text, list) else np.broadcast_to(text, shape).ravel().tolist()
         for text in cells
     ]
 
@@ -938,7 +941,7 @@ def _text_rows(table):
     for cells in values:
         if not isinstance(cells, str):
             if id(cells) not in by_id:
-                by_id[id(cells)] = _float_text(cells)
+                by_id[id(cells)] = (cells.shape, _float_text(cells))
             cells = by_id[id(cells)]
         texts.append(cells)
     return lambda sep, string_cell: map(

@@ -6,6 +6,7 @@ byte. The d axis of the finite-temperature slab golden holds 0.7, where
 numpy's vector d**4 and Python's float ** differ by one ulp.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import float_bits
-from magfriction import _ieee, cli as cli_module, materials_spectral
+from magfriction import _ieee, _kernels, cli as cli_module, materials_spectral
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -251,8 +252,8 @@ FLOAT_COLUMNS = {
     "one-row": np.array([0.1]),
     # past one block of _kernels.float_reprs, and ending in part of one
     "past-one-block": np.concatenate([
-        _RNG.uniform(1e-5, 1e17, cli_module.FLOAT_BLOCK) * _RNG.choice([-1.0, 1.0]),
-        _RNG.standard_normal(cli_module.FLOAT_BLOCK) * 10.0 ** _RNG.integers(-300, 300),
+        _RNG.uniform(1e-5, 1e17, _kernels.TEXT_BLOCK) * _RNG.choice([-1.0, 1.0]),
+        _RNG.standard_normal(_kernels.TEXT_BLOCK) * 10.0 ** _RNG.integers(-300, 300),
         [0.0, -0.0, 5e-324, 1e-4, 1e16, 1e23, 2.0**-60, 0.5, 2.5, 1250.0, 1e-200, 1e200] * 9]),
 }
 
@@ -260,13 +261,49 @@ FLOAT_COLUMNS = {
 @pytest.mark.parametrize("name", sorted(FLOAT_COLUMNS))
 def test_float_text_is_repr_of_every_value(name):
     col = FLOAT_COLUMNS[name]
-    assert cli_module._float_text(col).tolist() == [repr(x) for x in col.tolist()]
+    assert cli_module._float_text(col) == [repr(x) for x in col.tolist()]
     # the same column on the middle axis of a 3-axis grid: every row gets
     # the text of its own point
     col = col.reshape(1, -1, 1)
     shape = (3, col.size, 2)
-    (cells,) = cli_module._row_cells([cli_module._float_text(col)], shape, ",", str)
+    (cells,) = cli_module._row_cells([(col.shape, cli_module._float_text(col))], shape, ",", str)
     assert cells == [repr(x) for x in np.broadcast_to(col, shape).ravel().tolist()]
+
+
+def test_float_text_is_repr_across_small_blocks(monkeypatch):
+    # a block of 37 values: every column of the kernel crosses block
+    # boundaries and ends partway through a block
+    monkeypatch.setattr(_kernels, "TEXT_BLOCK", 37)
+    for col in FLOAT_COLUMNS.values():
+        assert cli_module._float_text(col) == [repr(x) for x in col.tolist()]
+
+
+def _float_reprs_calls(monkeypatch, n):
+    """The sizes of the float_reprs calls that the text of an n-value
+    column makes, in order."""
+    calls = []
+    kernel = _kernels.float_reprs
+    monkeypatch.setattr(_kernels, "float_reprs",
+                        lambda block: calls.append(block.size) or kernel(block))
+    col = np.linspace(0.07, 0.56, n)
+    assert cli_module._float_text(col) == [repr(x) for x in col.tolist()]
+    return calls
+
+
+def test_a_sweep_column_is_one_kernel_call(monkeypatch):
+    assert _float_reprs_calls(monkeypatch, 10_000) == [10_000]
+
+
+def test_a_longer_column_goes_a_block_at_a_time(monkeypatch):
+    # one call still, worked in passes of TEXT_BLOCK values, so that its
+    # temporaries stay bounded
+    block = _kernels.TEXT_BLOCK
+    passes = []
+    one_block = _kernels._block_reprs
+    monkeypatch.setattr(_kernels, "_block_reprs",
+                        lambda values: passes.append(values.size) or one_block(values))
+    assert _float_reprs_calls(monkeypatch, 2 * block + 17) == [2 * block + 17]
+    assert passes == [block, block, 17]
 
 
 # the four targets of the benchmark's closed-form workload, 100 x 100
@@ -297,3 +334,20 @@ def test_closed_sweep_cells_are_float_reprs(cli, tmp_path, name):
     # parse_float keeps each JSON number's text
     doc = json.loads(json_path.read_text(), parse_float=str)
     assert [c for row in doc["rows"] for i, c in enumerate(row) if i not in strings] == cells
+
+
+def test_closed_sweep_bytes_match_their_recorded_sha256(cli, tmp_path):
+    """The CSV and --json bytes of each closed-form sweep hash to the
+    SHA-256 recorded in tests/golden/closed_sweeps.sha256."""
+    recorded = {}
+    for line in (GOLDEN / "closed_sweeps.sha256").read_text().splitlines():
+        digest, name = line.split()
+        recorded[name] = digest
+    got = {}
+    for name in sorted(CLOSED_SWEEPS):
+        csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+        code, _ = cli("sweep", *CLOSED_SWEEPS[name], "--out", csv_path, "--json", json_path)
+        assert code == 0
+        got[name + ".csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        got[name + ".json"] = hashlib.sha256(json_path.read_bytes()).hexdigest()
+    assert got == recorded
