@@ -271,8 +271,8 @@ def test_float_text_is_repr_of_every_value(name):
 
 
 def test_float_text_is_repr_across_small_blocks(monkeypatch):
-    # a block of 37 values: every column of the kernel crosses block
-    # boundaries and ends partway through a block
+    # passes of 37 values: every column that the kernel takes crosses
+    # pass boundaries and ends partway through a pass
     monkeypatch.setattr(_kernels, "TEXT_BLOCK", 37)
     for col in FLOAT_COLUMNS.values():
         assert cli_module._float_text(col) == [repr(x) for x in col.tolist()]
