@@ -52,10 +52,12 @@ MODE_BLOCK = 16384
 # points per block function call of numerics.mc_integrate: the six float64
 # buffers of halfspace_chunk (64 KiB each) stay in cache
 MC_BLOCK = 8192
-# values per numpy pass of float_reprs, whatever the column's length: its
-# temporaries (32 KiB per float64 array) stay in cache, and small enough
-# that the heap reuses them from pass to pass and column to column
-TEXT_BLOCK = 4096
+# values per numpy pass of float_reprs: a column of a default-size sweep
+# (--max-points 10000) is one pass, since each pass pays numpy's per-call
+# cost once per array operation (one pass measured ~6% off a closed-form
+# sweep operation against 4096-value passes), and a longer column's
+# temporaries stay bounded (128 KiB per float64 array, 512 KiB of text words)
+TEXT_BLOCK = 16384
 
 
 def rk4_batch(A, init, dt, n_steps, stride):

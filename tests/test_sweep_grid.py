@@ -294,14 +294,29 @@ def test_a_sweep_column_is_one_kernel_call(monkeypatch):
     assert _float_reprs_calls(monkeypatch, 10_000) == [10_000]
 
 
-def test_a_longer_column_goes_a_block_at_a_time(monkeypatch):
-    # one call still, worked in passes of TEXT_BLOCK values, so that its
-    # temporaries stay bounded
-    block = _kernels.TEXT_BLOCK
+def _block_passes(monkeypatch):
+    """The sizes of the _block_reprs passes made from here on, in order."""
     passes = []
     one_block = _kernels._block_reprs
     monkeypatch.setattr(_kernels, "_block_reprs",
                         lambda values: passes.append(values.size) or one_block(values))
+    return passes
+
+
+def test_a_default_size_sweep_column_is_one_pass(monkeypatch):
+    # TEXT_BLOCK is sized so that a column of a sweep at the default
+    # --max-points takes one numpy pass
+    assert _kernels.TEXT_BLOCK >= cli_module._DEFAULTS["max_points"]
+    passes = _block_passes(monkeypatch)
+    assert _float_reprs_calls(monkeypatch, 10_000) == [10_000]
+    assert passes == [10_000]
+
+
+def test_a_longer_column_goes_a_block_at_a_time(monkeypatch):
+    # one call still, worked in passes of TEXT_BLOCK values, so that its
+    # temporaries stay bounded
+    block = _kernels.TEXT_BLOCK
+    passes = _block_passes(monkeypatch)
     assert _float_reprs_calls(monkeypatch, 2 * block + 17) == [2 * block + 17]
     assert passes == [block, block, 17]
 
