@@ -25,6 +25,7 @@ import numpy as np
 
 from magfriction import (
     _kernels,
+    dipole_fields,
     friction_forces,
     geometry_coupling,
     materials_spectral,
@@ -235,6 +236,23 @@ def check_field_orthogonality():
             abs(np.dot(h, pd)) / (np.linalg.norm(h) * np.linalg.norm(pd) + 1e-30),
         )
     return _ok(worst, 1e-12, "cos")
+
+
+def check_axial_outputs():
+    # the six floats the fields command prints on the axis r = (0, 0, d),
+    # against the vector forms there, over d of both signs
+    rng = np.random.Generator(np.random.Philox(key=6))
+    ds = 10.0 ** rng.uniform(-3.0, 3.0, 12)
+    ds[::2] *= -1.0
+    worst = 0.0
+    for d in ds.tolist():
+        r = [0.0, 0.0, d]
+        psi, G = coupling_psi(r), G_tensor(r)
+        route = (coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[1],
+                 electric_field_quasistatic([0.0, 1.0, 0.0], r)[0], psi[0, 1], G[0, 0], G[2, 2])
+        got = dipole_fields.axial_fields(d) + geometry_coupling.axial_coupling(d)
+        worst = max(worst, max(abs(x - y) / abs(y) for x, y in zip(got, route)))
+    return _ok(float(worst), 1e-15, "rel")
 
 
 def check_interaction_canonical():
@@ -1513,6 +1531,7 @@ SUITES = {
         Check("quasistatic limit sweep", check_field_limit_sweep),
         Check("hand cross products", check_field_hand_values),
         Check("field orthogonality", check_field_orthogonality),
+        Check("axial outputs vs vector forms", check_axial_outputs),
         Check("canonical interaction energies", check_interaction_canonical),
         Check("total-derivative shift", check_interaction_total_derivative),
     ],

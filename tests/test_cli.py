@@ -1174,7 +1174,7 @@ def test_verify_keeps_its_own_settings(cli, tmp_path):
     code, out = cli("verify", "--suite", "fields", "--config", config, "--workers", 1,
                     "--out", path)
     assert code == 0
-    assert path.read_text() == out and out.count("PASS") == 5
+    assert path.read_text() == out and out.count("PASS") == 6
 
 
 def test_console_script_smoke(cli):

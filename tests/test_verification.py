@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magfriction import _kernels, numerics, response_kinetics, verification
+from magfriction import (
+    _kernels,
+    dipole_fields,
+    geometry_coupling,
+    numerics,
+    response_kinetics,
+    verification,
+)
 
 # every check of `verify --suite all`, in the order it runs
 BATTERY = [
@@ -24,6 +31,7 @@ BATTERY = [
     ('fields', 'quasistatic limit sweep'),
     ('fields', 'hand cross products'),
     ('fields', 'field orthogonality'),
+    ('fields', 'axial outputs vs vector forms'),
     ('fields', 'canonical interaction energies'),
     ('fields', 'total-derivative shift'),
     ('oscillator', 'eigenfrequencies vs linear system'),
@@ -228,3 +236,25 @@ def test_halfspace_r8_fails_on_a_scaled_target(monkeypatch):
     monkeypatch.setattr(verification, "_halfspace_r8", lambda z0: 1.01 * original(z0))
     ok, detail = _check("half-space r^-8").run()
     assert not ok, detail
+
+
+# the axial outputs the fields command prints: (module, function, index)
+AXIAL_CELLS = [(dipole_fields, "axial_fields", k) for k in range(3)] + [
+    (geometry_coupling, "axial_coupling", k) for k in range(3)]
+
+
+@pytest.mark.parametrize("module,name,index", AXIAL_CELLS,
+                         ids=["%s[%d]" % (name, k) for _, name, k in AXIAL_CELLS])
+def test_verify_fails_when_an_axial_output_is_one_percent_off(monkeypatch, module, name, index):
+    original = getattr(module, name)
+
+    def one_percent_off(d):
+        cells = list(original(d))
+        cells[index] *= 1.01
+        return tuple(cells)
+
+    monkeypatch.setattr(module, name, one_percent_off)
+    lines = []
+    assert not verification.run_suite("all", out=lines.append)
+    failed = {ln.split(" (")[0] for ln in lines if ln.startswith("FAIL")}
+    assert "FAIL  fields :: axial outputs vs vector forms" in failed, failed
