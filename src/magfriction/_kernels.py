@@ -4,19 +4,19 @@ Callers reach these through the module (``_kernels.rk4_batch(...)``), so
 a wrapper installed on the module attribute sees every call.
 
 The trajectory, mode-sum and Monte Carlo routes and the float text work
-in fixed blocks, so that their arrays stay in cache and their
-Python-level calls are few: ``rk4_batch`` advances ``RK4_BLOCK`` records
-per batched matmul, ``mode_sum`` sums ``MODE_BLOCK`` modes per block,
-``numerics.mc_integrate`` hands ``halfspace_chunk`` ``MC_BLOCK`` points
-of one shift of its lattice rule per call, and ``float_reprs`` makes the
-text of ``TEXT_BLOCK`` values per pass. ``mode_sum`` and
-``halfspace_chunk`` compute with ``out=`` into a few buffers that each
-call allocates once, not one temporary per operation; ``float_reprs``
-writes into a buffer it no longer needs where it can. A block size
-changes only the order of floating-point operations (the summation order
-of a sum, the grouping of a matrix product), never the terms or points:
-an estimate stays deterministic per (seed, shifts), and a text is the
-same in any block.
+in fixed blocks, so that their arrays stay bounded (in cache, for all
+but the float text) and their Python-level calls are few: ``rk4_batch``
+advances ``RK4_BLOCK`` records per batched matmul, ``mode_sum`` sums
+``MODE_BLOCK`` modes per block, ``numerics.mc_integrate`` hands
+``halfspace_chunk`` ``MC_BLOCK`` points of one shift of its lattice rule
+per call, and ``float_reprs`` makes the text of ``TEXT_BLOCK`` values
+per pass. ``mode_sum`` and ``halfspace_chunk`` compute with ``out=``
+into a few buffers that each call allocates once, not one temporary per
+operation; ``float_reprs`` writes into a buffer it no longer needs where
+it can. A block size changes only the order of floating-point operations
+(the summation order of a sum, the grouping of a matrix product), never
+the terms or points: an estimate stays deterministic per (seed, shifts),
+and a text is the same in any block.
 
 ``halfspace_chunk`` holds the only copy of the half-space importance
 sampler (the map from the unit cube to z and s, and its density). It
@@ -54,9 +54,10 @@ MODE_BLOCK = 16384
 MC_BLOCK = 8192
 # values per numpy pass of float_reprs: a column of a default-size sweep
 # (--max-points 10000) is one pass, since each pass pays numpy's per-call
-# cost once per array operation (one pass measured ~6% off a closed-form
-# sweep operation against 4096-value passes), and a longer column's
-# temporaries stay bounded (128 KiB per float64 array, 512 KiB of text words)
+# cost once per array operation (one pass read ~3% off a closed-form sweep
+# operation against 4096-value passes, 4 of 4 benchmark pairs), and a
+# longer column's temporaries stay bounded (128 KiB per float64 array,
+# 512 KiB of text words)
 TEXT_BLOCK = 16384
 
 

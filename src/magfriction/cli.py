@@ -829,8 +829,10 @@ def _row_cells(texts, shape, sep, string_cell):
 
 
 # rows per write of _write_rows: each chunk string stays under ~200 KiB (a
-# row of a 10k-point table takes ~95-375 bytes of CSV or JSON text), which
-# measured ~2% off a closed-form sweep operation against 4096-row chunks
+# row of a 10k-point table takes ~95-375 bytes of CSV or JSON text), not
+# the ~1.5 MB of 4096 rows; a closed-form sweep operation read ~3% faster
+# than with 4096-row chunks in the median of 4 benchmark pairs, though
+# only 2 of the 4 pairs read faster
 _CHUNK_ROWS = 512
 
 

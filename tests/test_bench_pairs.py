@@ -60,4 +60,3 @@ def test_metrics_are_the_benchmark_end_to_end_set():
     assert metrics == {"op_s.p50": "lower", "rows_per_s": "higher", "setup_s": "lower",
                        "peak_rss_mb": "lower"}
     assert seconds > 0
-

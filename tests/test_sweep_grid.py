@@ -223,34 +223,10 @@ def test_map_fails_the_points_of_a_raising_tuple():
         ops.raise_first()
 
 
-def test_sweep_past_one_output_chunk(cli, tmp_path):
-    # rows are written _CHUNK_ROWS at a time; 5000 rows take several chunks
-    # and end partway through one
-    args = ["sweep", "--target", "eigen", "--axis", "alpha:0:3:5000"]
-    assert 5000 > cli_module._CHUNK_ROWS and 5000 % cli_module._CHUNK_ROWS
-    code, out = cli(*args)
-    assert code == 0
-    csv_path, json_path = tmp_path / "e.csv", tmp_path / "e.json"
-    code, _ = cli(*args, "--out", csv_path, "--json", json_path)
-    assert code == 0
-    assert csv_path.read_bytes() == out.encode()
-    text = json_path.read_text()
-    doc = json.loads(text)
-    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    header, *rows = _data_rows(out)
-    assert len(rows) == len(doc["rows"]) == 5000
-    axis, alpha = header.index("sweep_alpha"), header.index("alpha")
-    assert [row[axis] for row in rows] == [row[alpha] for row in rows]
-
-
-# (chunks, extra rows): a table of chunks * _CHUNK_ROWS + extra rows
-CHUNK_EDGES = {"one chunk": (1, 0), "one chunk and a row": (1, 1), "two chunks": (2, 0)}
-
-
-@pytest.mark.parametrize("edge", sorted(CHUNK_EDGES))
-def test_sweep_bytes_at_output_chunk_boundaries(cli, tmp_path, edge):
-    chunks, extra = CHUNK_EDGES[edge]
-    n = chunks * cli_module._CHUNK_ROWS + extra
+def _eigen_sweep_rows(cli, tmp_path, n):
+    """The header and rows of an n-point eigen sweep, after checking that
+    its --out bytes are its stdout and its --json text holds the same rows
+    as json.dump writes them."""
     args = ["sweep", "--target", "eigen", "--axis", "alpha:0:3:%d" % n]
     code, out = cli(*args)
     assert code == 0
@@ -265,6 +241,26 @@ def test_sweep_bytes_at_output_chunk_boundaries(cli, tmp_path, edge):
     assert len(rows) == n and header == doc["columns"]
     # parse_float keeps each JSON number's text
     assert json.loads(text, parse_float=str)["rows"] == rows
+    return header, rows
+
+
+def test_sweep_past_one_output_chunk(cli, tmp_path):
+    # rows are written _CHUNK_ROWS at a time; 5000 rows take several chunks
+    # and end partway through one
+    assert 5000 > cli_module._CHUNK_ROWS and 5000 % cli_module._CHUNK_ROWS
+    header, rows = _eigen_sweep_rows(cli, tmp_path, 5000)
+    axis, alpha = header.index("sweep_alpha"), header.index("alpha")
+    assert [row[axis] for row in rows] == [row[alpha] for row in rows]
+
+
+# (chunks, extra rows): a table of chunks * _CHUNK_ROWS + extra rows
+CHUNK_EDGES = {"one chunk": (1, 0), "one chunk and a row": (1, 1), "two chunks": (2, 0)}
+
+
+@pytest.mark.parametrize("edge", sorted(CHUNK_EDGES))
+def test_sweep_bytes_at_output_chunk_boundaries(cli, tmp_path, edge):
+    chunks, extra = CHUNK_EDGES[edge]
+    _eigen_sweep_rows(cli, tmp_path, chunks * cli_module._CHUNK_ROWS + extra)
 
 
 _RNG = np.random.default_rng(7)
@@ -315,10 +311,6 @@ def _float_reprs_calls(monkeypatch, n):
     return calls
 
 
-def test_a_sweep_column_is_one_kernel_call(monkeypatch):
-    assert _float_reprs_calls(monkeypatch, 10_000) == [10_000]
-
-
 def _block_passes(monkeypatch):
     """The sizes of the _block_reprs passes made from here on, in order."""
     passes = []
@@ -328,9 +320,9 @@ def _block_passes(monkeypatch):
     return passes
 
 
-def test_a_default_size_sweep_column_is_one_pass(monkeypatch):
-    # TEXT_BLOCK is sized so that a column of a sweep at the default
-    # --max-points takes one numpy pass
+def test_a_sweep_column_is_one_kernel_call(monkeypatch):
+    # and one numpy pass: TEXT_BLOCK is sized so that a column of a sweep
+    # at the default --max-points takes one
     assert _kernels.TEXT_BLOCK >= cli_module._DEFAULTS["max_points"]
     passes = _block_passes(monkeypatch)
     assert _float_reprs_calls(monkeypatch, 10_000) == [10_000]
