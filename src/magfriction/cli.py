@@ -512,9 +512,10 @@ def _run_fields(cfg):
 # matsubara, units), each called once per grid with the grid as their
 # ``ops``; broadcasting keeps each quantity at the shape of the axes it
 # depends on, never tiled to the whole grid. Array arithmetic keeps to the
-# correctly rounded operations (+ - * / sqrt); every power goes through
-# Python's float **, and every other scalar function through the function
-# itself, once per distinct argument. Checks are masks that broadcast
+# correctly rounded operations (+ - * / sqrt), and every power goes
+# through Python's float **. Only the free-energy bracket, a tabulated H0
+# and the pair's axial G_xx go through their scalar functions, once per
+# distinct argument (ops.map). Checks are masks that broadcast
 # over the grid, and a failing grid reports the failure of its first
 # failing point.
 #
@@ -586,15 +587,11 @@ def _grid_spectrum(grid, side, drude_rho=None):
         return grid.cfg.spectra[side]
     slope = grid.reduced("D%d" % side)
     if slope is not None:
-        return grid.map(lambda D: materials_spectral.LinearSpectralDensity(D).D, slope)
-    omega_p = grid.reduced("omega_p")
+        return materials_spectral.linear_slope(slope, grid)
     nu = grid.reduced("nu")
     if nu is None:
         nu = grid.constant(0.0)
-    return grid.map(
-        lambda w, n, rho: materials_spectral.drude_D(materials_spectral.DrudeParams(w, n, rho)).D,
-        omega_p, nu, drude_rho,
-    )
+    return materials_spectral.drude_D(grid.reduced("omega_p"), nu, drude_rho, grid)
 
 
 def _grid_report(grid, regime, force, intermediates, inputs):

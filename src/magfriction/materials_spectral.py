@@ -36,8 +36,7 @@ class LinearSpectralDensity(namedtuple("LinearSpectralDensity", "D m_max")):
     __slots__ = ()
 
     def __new__(cls, D, m_max=None):
-        if not 0.0 <= D < math.inf:
-            raise ValueError("D must be finite and >= 0")
+        linear_slope(D, _ieee.FloatOps)
         if m_max is not None and m_max <= 0.0:
             raise ValueError("m_max must be positive")
         return super().__new__(cls, D, m_max)
@@ -104,21 +103,20 @@ class TabulatedSpectralDensity:
         return np.interp(m, self.m, self.s, left=0.0, right=0.0)
 
 
-class DrudeParams(namedtuple("DrudeParams", "omega_p nu rho")):
-    """Drude metal: plasma frequency, damping rate, number density."""
-
-    __slots__ = ()
-
-    def __new__(cls, omega_p, nu, rho):
-        if omega_p <= 0.0 or nu < 0.0 or rho <= 0.0:
-            raise ValueError("omega_p, rho must be positive and nu >= 0")
-        return super().__new__(cls, omega_p, nu, rho)
+def linear_slope(D, ops):
+    """A column of linear slopes D, each finite and >= 0; ``ops`` as in
+    friction_forces."""
+    ops.fail((D < 0.0) | (D == math.inf) | (D != D), ValueError("D must be finite and >= 0"))
+    return D
 
 
-def drude_D(p):
-    """Low-frequency spectral slope of a Drude half-space:
-    D = nu/(rho*(pi*omega_p)^2)."""
-    return LinearSpectralDensity(p.nu / (p.rho * (math.pi * p.omega_p) ** 2))
+def drude_D(omega_p, nu, rho, ops):
+    """Low-frequency spectral slope of a Drude half-space over columns of
+    plasma frequency, damping rate and number density:
+    D = nu/(rho*(pi*omega_p)^2); ``ops`` as in friction_forces."""
+    ops.fail((omega_p <= 0.0) | (nu < 0.0) | (rho <= 0.0),
+             ValueError("omega_p, rho must be positive and nu >= 0"))
+    return linear_slope(ops.div(nu, rho * ops.pow(math.pi * omega_p, 2)), ops)
 
 
 def universal_I():

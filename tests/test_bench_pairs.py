@@ -4,6 +4,8 @@ import argparse
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -53,6 +55,19 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
     entry = bench_pairs.run_pairs(args, METRICS, "work")
     assert order == ["parent-4", "change-4", "change-5", "parent-5", "parent-6", "change-6"]
     assert entry["seeds"] == [4, 5, 6]
+
+
+def test_one_pair_is_refused_before_any_run(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("ran %r" % (args,))
+
+    monkeypatch.setattr(bench_pairs, "archive", never)
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "verify", "--pairs", "1",
+                          "--name", "one_pair"])
+    assert exc.value.code == 2
+    assert "--pairs must be >= 2" in capsys.readouterr().err
 
 
 def test_metrics_are_the_benchmark_end_to_end_set():

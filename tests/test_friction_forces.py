@@ -22,7 +22,6 @@ from magfriction.friction_forces import (
     slabs_zero_force,
 )
 from magfriction.materials_spectral import (
-    DrudeParams,
     LinearSpectralDensity,
     TabulatedSpectralDensity,
 )
@@ -129,7 +128,7 @@ def _force_column(out):
 
 def test_slab_forces_take_linear_densities(cli):
     # a Drude metal stands on a slab as its linear slope: the same force to the bit
-    slope = materials_spectral.drude_D(DrudeParams(9.0, 0.1, 2.0)).D
+    slope = materials_spectral.drude_D(9.0, 0.1, 2.0, OPS)
     code, by_slope = cli(*_SLAB_ARGS, "--D2", 0.4, "--D1", repr(slope))
     assert code == 0
     code, by_drude = cli(*_SLAB_ARGS, "--D2", 0.4, "--omega-p", 9, "--nu", 0.1)
@@ -223,7 +222,6 @@ def test_beta_kelvin_round_trip():
     (lambda: UnitContext(2.5e-7), "length_scale"),
     (lambda: SlabGeometry(1.0, 2.0, 3.0), "rho2"),
     (lambda: LinearSpectralDensity(0.5, m_max=3.0), "m_max"),
-    (lambda: DrudeParams(9.0, 0.1, 1.0), "nu"),
     (lambda: MatsubaraGrid(2.0, 10), "tail_tol"),
 ])
 def test_inputs_are_immutable_values(make, field):

@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st
 import magfriction
 from conftest import assert_check
 from magfriction import verification
+from magfriction._ieee import FloatOps
 from magfriction.materials_spectral import (
-    DrudeParams,
     LinearSpectralDensity,
     SpectrumFileError,
     TabulatedSpectralDensity,
@@ -58,10 +58,13 @@ def test_spectrum_from_real_h_vanishes():
 
 
 def test_drude_D_values():
-    assert drude_D(DrudeParams(omega_p=9.0, nu=0.0, rho=1.0)).D == 0.0
-    d = drude_D(DrudeParams(omega_p=9.0, nu=0.1, rho=1.0)).D
+    assert drude_D(9.0, 0.0, 1.0, FloatOps) == 0.0
+    d = drude_D(9.0, 0.1, 1.0, FloatOps)
     assert abs(d - 0.1 / (81.0 * np.pi**2)) <= 1e-18
     assert d == pytest.approx(1.2508e-4, rel=1e-4)
+    for omega_p, nu, rho in ((0.0, 0.1, 1.0), (9.0, -0.1, 1.0), (9.0, 0.1, 0.0)):
+        with pytest.raises(ValueError, match="omega_p, rho must be positive and nu >= 0"):
+            drude_D(omega_p, nu, rho, FloatOps)
 
 
 def test_drude_slope_extraction():

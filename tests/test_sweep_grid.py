@@ -158,19 +158,60 @@ def test_sweep_bytes_independent_of_workers(cli, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("axes,message", [
+_PAIR = ["--D2", 1, "--beta", 1]
+# both slabs Drude metals, their slopes from --omega-p and --nu
+_DRUDE_SLABS = ["--d", 1, "--rho1", 1, "--rho2", 1, "--v", 1e-3, "--beta", 2, "--nu", 0.1]
+# target, arguments, exit code, stderr
+FAILING_SWEEPS = [
     # d fails at the first point, where the earlier slope check still passes
-    (["--axis", "d:-1:1:3", "--axis", "D1:1:-1:2"], "invalid input: d must be positive\n"),
-    (["--axis", "D1:-1:1:3", "--axis", "d:-1:1:3"], "invalid input: D must be finite and >= 0\n"),
+    ("friction-pair", ["--axis", "d:-1:1:3", "--axis", "D1:1:-1:2", "--v", 1, *_PAIR],
+     1, "invalid input: d must be positive\n"),
+    ("friction-pair", ["--axis", "D1:-1:1:3", "--axis", "d:-1:1:3", "--v", 1, *_PAIR],
+     1, "invalid input: D must be finite and >= 0\n"),
     # only the innermost of three axes fails, first at the third point
-    (["--axis", "d:1:2:2", "--axis", "v:1:2:2", "--axis", "D1:1:-1:3"],
-     "invalid input: D must be finite and >= 0\n"),
-])
-def test_failing_sweep_reports_its_first_failing_point(cli, capsys, axes, message):
-    v = [] if "v:1:2:2" in axes else ["--v", 1]
-    code, out = cli("sweep", "--target", "friction-pair", *axes, "--D2", 1, *v, "--beta", 1)
-    assert (code, out) == (1, "")
+    ("friction-pair", ["--axis", "d:1:2:2", "--axis", "v:1:2:2", "--axis", "D1:1:-1:3", *_PAIR],
+     1, "invalid input: D must be finite and >= 0\n"),
+    # the second point is outside the Drude domain, and its (pi omega_p)^2
+    # overflows too: the domain check comes first
+    ("friction-slabs-finite", ["--axis", "omega-p:1:-1e200:2", *_DRUDE_SLABS],
+     1, "invalid input: omega_p, rho must be positive and nu >= 0\n"),
+    # an overflow at the first point, before the domain error at the second
+    ("friction-slabs-finite", ["--axis", "omega-p:1e200:-1:2", *_DRUDE_SLABS],
+     2, "numerical failure: sweep: a computed value overflows the float range\n"),
+    # rho*(pi omega_p)^2 underflows to zero at the second point
+    ("friction-slabs-finite", ["--axis", "omega-p:1:1e-170:2", *_DRUDE_SLABS],
+     2, "numerical failure: sweep: a divisor underflows to zero\n"),
+    # a subnormal divisor: nu/(rho*(pi omega_p)^2) is inf at the second point
+    ("friction-slabs-finite", ["--axis", "omega-p:1:1e-160:2", *_DRUDE_SLABS],
+     1, "invalid input: D must be finite and >= 0\n"),
+    # a Gaussian slope axis that turns negative at its third point
+    ("friction-slabs-finite", ["--units", "gaussian", "--axis", "D1:1e-30:-1e-30:3",
+                               "--temperature-kelvin", 300, "--d", 1e-6, "--rho1", 1e22,
+                               "--rho2", 1e22, "--D2", 1e-30, "--v", 1],
+     1, "invalid input: D must be finite and >= 0\n"),
+]
+
+
+# the ids the first three cases had when the target was fixed
+@pytest.mark.parametrize("target,args,code,message", FAILING_SWEEPS,
+                         ids=["axes%d-%s" % (i, case[3]) for i, case in enumerate(FAILING_SWEEPS)])
+def test_failing_sweep_reports_its_first_failing_point(cli, capsys, target, args, code, message):
+    assert cli("sweep", "--target", target, *args) == (code, "")
     assert capsys.readouterr().err == message
+
+
+def test_a_subnormal_slope_is_echoed_as_given(cli):
+    # the slope column is the input itself, so a sweep prints the row that
+    # the one-shot command prints at that point
+    args = ["--d", 1, "--rho1", 1, "--rho2", 1, "--v", 1e-3, "--D2", 1e300, "--beta", 1]
+    code, out = cli("sweep", "--target", "friction-slabs-finite", *args,
+                    "--axis", "D1:1e-310:1e-300:2:log")
+    assert code == 0
+    header, *rows = _data_rows(out)
+    assert rows[0][header.index("D1")] == "1e-310"
+    code, one_shot = cli(*ONE_SHOT["friction-slabs-finite"], *args, "--D1", 1e-310)
+    assert code == 0
+    assert _data_rows(one_shot) == [header[1:], rows[0][1:]]
 
 
 def test_grid_failure_is_the_first_failing_point_in_product_order():
@@ -338,8 +379,10 @@ def test_a_longer_column_goes_a_block_at_a_time(monkeypatch):
     assert passes == [block, block, 17]
 
 
-# the four targets of the benchmark's closed-form workload, 100 x 100
+# the four targets of the benchmark's closed-form workload, 100 x 100, and
+# three sweeps whose slopes come from an axis of their inputs
 _CLOSED_SLAB = ["--rho1", 1.3, "--rho2", 2.1, "--D1", 0.4, "--D2", 1.7]
+_GAUSSIAN = ["--units", "gaussian", "--temperature-kelvin", 300, "--v", 1, "--rho1", 1e22]
 CLOSED_SWEEPS = {
     "slabs-finite": ["--target", "friction-slabs-finite", "--axis", "beta:0.7:14:100:log",
                      "--axis", "d:0.8:3.2:100", *_CLOSED_SLAB, "--v", 3e-3],
@@ -348,6 +391,15 @@ CLOSED_SWEEPS = {
     "pair": ["--target", "friction-pair", "--axis", "d:0.9:3.6:100",
              "--axis", "v:1.2e-4:6e-3:100:log", "--beta", 7.5, "--D1", 0.4, "--D2", 1.7],
     "eigen": ["--target", "eigen", "--axis", "alpha:0.07:0.56:10000"],
+    "slabs-finite-drude": ["--target", "friction-slabs-finite", "--axis", "omega-p:1:100:100:log",
+                           "--axis", "rho1:0.5:3:100", "--rho2", 2.1, "--d", 1.5, "--v", 3e-3,
+                           "--beta", 2, "--nu", 0.1],
+    "slabs-finite-D1-gaussian": ["--target", "friction-slabs-finite",
+                                 "--axis", "D1:1e-32:1e-28:10000:log", *_GAUSSIAN,
+                                 "--d", 1e-6, "--rho2", 1e22, "--D2", 1e-30],
+    "plane-omega-p-gaussian": ["--target", "friction-plane",
+                               "--axis", "omega-p:1e14:1e17:10000:log", *_GAUSSIAN,
+                               "--z0", 1e-6, "--nu", 1e13, "--D1", 1e-30],
 }
 
 
@@ -383,3 +435,19 @@ def test_closed_sweep_bytes_match_their_recorded_sha256(cli, tmp_path):
         got[name + ".csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
         got[name + ".json"] = hashlib.sha256(json_path.read_bytes()).hexdigest()
     assert got == recorded
+
+
+def test_slope_sweeps_make_no_map_call(cli, tmp_path, monkeypatch):
+    """A 10k-point slab sweep over a Drude omega_p axis and one over a --D1
+    axis take their slopes as column closed forms: no ArrayOps.map call."""
+    calls = []
+    one_call_per_tuple = _ieee.ArrayOps.map
+
+    def counting(self, fn, *cols):
+        calls.append(fn)
+        return one_call_per_tuple(self, fn, *cols)
+
+    monkeypatch.setattr(_ieee.ArrayOps, "map", counting)
+    for name in ("slabs-finite-drude", "slabs-finite-D1-gaussian"):
+        assert cli("sweep", *CLOSED_SWEEPS[name], "--out", tmp_path / "s.csv") == (0, "")
+    assert calls == []

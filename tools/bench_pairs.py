@@ -9,6 +9,7 @@ Pair k runs ``python3 perfbench/run.py --workload W --seed S+k --seconds T
 --trace 0`` once on each commit, each run in a fresh ``git archive`` of its
 commit, so that no run reuses the bytecode or files another left. The
 side that runs first alternates from pair to pair: the parent on even k.
+N is at least 2, the fewest runs that have quartiles.
 ``--seconds`` defaults to ``run_seconds`` of ``BENCHMARK.json``.
 
 The pairs go into ``BENCH_NAME.json`` at the repository root, under
@@ -121,8 +122,8 @@ def main(argv=None):
     metrics, run_seconds = end_to_end()
     if args.seconds is None:
         args.seconds = run_seconds
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 2 or args.seconds <= 0:
+        parser.error("--pairs must be >= 2 and --seconds > 0")
     revs = {}
     for side in ("parent", "change"):
         revs[side] = subprocess.run(["git", "rev-parse", "--short", getattr(args, side)], cwd=ROOT,
