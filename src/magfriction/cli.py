@@ -55,13 +55,6 @@ EXIT_NUMERIC = 2
 EXIT_CONFIG = 3
 
 
-def _numeric_errors():
-    # the failures that exit 2: smoothed_H0's rule that did not converge
-    # and a value that is not finite; main looks them up only when an
-    # exception reaches them, so that no command loads a module for them
-    return (_ieee.QuadratureError, FloatingPointError)
-
-
 _UNITS = ("reduced", "gaussian")
 
 
@@ -101,10 +94,24 @@ class CliError(Exception):
         self.code = code
 
 
+class _FloatText:
+    """argparse's test for a negative number, widened to every text that
+    float() reads, so that -1e-05, -inf or -1_0 is a value, not a flag."""
+
+    @staticmethod
+    def match(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.register("action", "parsers", _Subcommands)
+        self._negative_number_matcher = _FloatText
 
     # argparse wants to exit(2) on bad flags; route that to exit code 3
     def error(self, message):
@@ -214,45 +221,6 @@ def _build_parser():
     parser = _Parser(prog="magfriction")
     _fill((), parser)
     return parser
-
-
-def _long_flags(words):
-    """The long flags of the parser that the leading command words reach."""
-    parser = _build_parser()
-    for word in words:
-        subs = [a for a in parser._actions if isinstance(a, _Subcommands)]
-        if not subs or word not in subs[0].choices:
-            break
-        parser = subs[0].fill(word)
-    return [f for a in parser._actions for f in a.option_strings if f.startswith("--")]
-
-
-def _attach_float_values(argv):
-    """argv with each float flag joined to its value as --flag=value; argparse
-    reads a separate value such as -1e-05 or -inf as a flag of its own.
-
-    A flag counts by its full name or, as argparse's allow_abbrev reads it,
-    by a prefix of no other flag of the command; an ambiguous prefix is
-    left for argparse to refuse.
-    """
-    flags = _long_flags(itertools.takewhile(lambda arg: not arg.startswith("-"), argv))
-    floats = {"--" + flag for flag, typ in _PARAMS if typ is float}
-
-    def is_float_flag(arg):
-        if not arg.startswith("--") or arg in flags:
-            return arg in floats
-        named = [flag for flag in flags if flag.startswith(arg)]
-        return len(named) == 1 and named[0] in floats
-
-    out = []
-    for arg in argv:
-        if out and is_float_flag(out[-1]):
-            with contextlib.suppress(ValueError):
-                float(arg)
-                out[-1] += "=" + arg
-                continue
-        out.append(arg)
-    return out
 
 
 def _load_config_file(path):
@@ -572,13 +540,6 @@ def _grid_beta(grid):
     return beta
 
 
-def _grid_kelvin(grid, derived):
-    """A Gaussian report's temperature_kelvin column: the input column
-    itself when the temperature came in kelvin, so that it echoes as
-    given, else ``derived``, the one computed from beta."""
-    return grid.columns.get("temperature_kelvin", derived)
-
-
 def _grid_spectrum(grid, side, drude_rho=None):
     """One side's spectrum, from the source that _resolve has found: the
     tabulated density it has loaded, or a column of linear slopes D (from
@@ -600,9 +561,8 @@ def _grid_report(grid, regime, force, intermediates, inputs):
     units.gaussian_report."""
     if grid.ctx is not None:
         force, intermediates, inputs = units.gaussian_report(
-            grid.ctx, regime, force, intermediates, inputs, grid)
-        if "temperature_kelvin" in inputs:
-            inputs["temperature_kelvin"] = _grid_kelvin(grid, inputs["temperature_kelvin"])
+            grid.ctx, regime, force, intermediates, inputs, grid,
+            kelvin=grid.columns.get("temperature_kelvin"))
     system = "reduced" if grid.ctx is None else "gaussian"
     return (
         [("regime", regime), ("units", system), ("force", force)]
@@ -625,8 +585,9 @@ def _grid_free_energy(grid):
     cols = [("alpha", alpha), ("beta", beta), ("free_energy", f)]
     ctx = grid.ctx
     if ctx is not None:
-        erg, kelvin = units.gaussian_free_energy(ctx, f, beta, grid)
-        cols += [("free_energy_erg", erg), ("temperature_kelvin", _grid_kelvin(grid, kelvin))]
+        erg, kelvin = units.gaussian_free_energy(
+            ctx, f, beta, grid, kelvin=grid.columns.get("temperature_kelvin"))
+        cols += [("free_energy_erg", erg), ("temperature_kelvin", kelvin)]
     return cols
 
 
@@ -1013,7 +974,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
+            args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         cfg = _resolve(args)
@@ -1046,7 +1007,7 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return EXIT_VALIDATION
-    except _numeric_errors() as exc:  # none of them a ValueError
+    except (_ieee.QuadratureError, FloatingPointError) as exc:  # none of them a ValueError
         sys.stderr.write("numerical failure: %s\n" % exc)
         return EXIT_NUMERIC
 

@@ -76,29 +76,34 @@ class UnitContext(namedtuple("UnitContext", "length_scale")):
         return self.energy_scale**e * self.length_scale**l * self.time_scale**t
 
 
-def gaussian_report(ctx, regime, force, intermediates, inputs, ops):
+def gaussian_report(ctx, regime, force, intermediates, inputs, ops, kelvin=None):
     """A reduced force report in Gaussian CGS: (force, intermediates,
     inputs), over columns; ``ops`` as in friction_forces. The inputs keep
     their reduced values and gain ``<name>_cgs`` for every input in
-    INPUT_DIM, and ``temperature_kelvin`` when they hold a beta."""
+    INPUT_DIM, and ``temperature_kelvin`` when they hold a beta: ``kelvin``,
+    the temperature that beta came from, else one computed from beta."""
     inputs = dict(inputs)
     for name, col in list(inputs.items()):
         dim = INPUT_DIM.get(name)
         if dim is not None:
             inputs[name + "_cgs"] = col * ctx.factor(dim)
     if "beta" in inputs:
-        inputs["temperature_kelvin"] = _reciprocal_temperature(ctx, inputs["beta"], ops)
+        if kelvin is None:
+            kelvin = _reciprocal_temperature(ctx, inputs["beta"], ops)
+        inputs["temperature_kelvin"] = kelvin
     force = force * ctx.factor(FORCE_DIM[regime])
     intermediates = {name: col * ctx.factor(INTERMEDIATE_DIM[name])
                      for name, col in intermediates.items()}
     return force, intermediates, inputs
 
 
-def gaussian_free_energy(ctx, f, beta, ops):
+def gaussian_free_energy(ctx, f, beta, ops, kelvin=None):
     """A reduced free energy f at inverse temperature beta in Gaussian CGS,
     over columns; ``ops`` as in friction_forces: (free_energy_erg,
-    temperature_kelvin)."""
-    return f * ctx.energy_scale, _reciprocal_temperature(ctx, beta, ops)
+    temperature_kelvin), the latter ``kelvin`` as in gaussian_report."""
+    if kelvin is None:
+        kelvin = _reciprocal_temperature(ctx, beta, ops)
+    return f * ctx.energy_scale, kelvin
 
 
 def kelvin_to_beta(ctx, kelvin, ops):

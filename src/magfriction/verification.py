@@ -337,24 +337,9 @@ def hamiltonian(cfg, s):
     return kx + ky + vx + vy
 
 
-def eom_rhs(cfg, state):
-    """Right side of the first-order system on (x, y, xdot, ydot).
-
-    xddot = -w_x^2 x + 2 alpha ydot/m_x, yddot = -w_y^2 y - 2 alpha xdot/m_y.
-    """
-    x, y, xd, yd = state
-    return np.asarray(
-        [
-            xd,
-            yd,
-            -cfg.omega_x**2 * x + 2.0 * cfg.alpha * yd / cfg.mass_x,
-            -cfg.omega_y**2 * y - 2.0 * cfg.alpha * xd / cfg.mass_y,
-        ]
-    )
-
-
 def _eom_matrix(cfg):
-    """eom_rhs as the matrix of the linear system s' = A s."""
+    """The pair dynamics as the linear system s' = A s on (x, y, xdot, ydot):
+    xddot = -w_x^2 x + 2 alpha ydot/m_x, yddot = -w_y^2 y - 2 alpha xdot/m_y."""
     a = cfg.alpha
     return np.asarray(
         [

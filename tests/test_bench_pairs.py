@@ -75,3 +75,22 @@ def test_metrics_are_the_benchmark_end_to_end_set():
     assert metrics == {"op_s.p50": "lower", "rows_per_s": "higher", "setup_s": "lower",
                        "peak_rss_mb": "lower"}
     assert seconds > 0
+
+
+def test_byte_diff_reports_a_one_byte_difference(monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "archive", lambda rev, dest: None)
+
+    def run_side(tree, work, dest):
+        Path(dest).mkdir()
+        last = b"1.5\n" if Path(tree).name == "change" else b"1.0\n"
+        for i, body in enumerate([b"a,b\n1.0\n", b"a,b\n" + last]):
+            (Path(dest) / ("%d.stdout" % i)).write_bytes(body)
+            (Path(dest) / ("%d.stderr" % i)).write_bytes(b"")
+        return [{"op": "sweep-closed seed 0 cycle 0 op %d (pair)" % i, "exit": 0} for i in (0, 1)]
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main(["--bytes", "--parent", "p", "--change", "c"]) == 1
+    assert capsys.readouterr().out == (
+        "sweep-closed seed 0 cycle 0 op 1 (pair): stdout differs from byte 6: "
+        "b'0\\n' at the parent, b'5\\n' at the change\n"
+        "1 differences, 2 operations at the parent\n")

@@ -19,6 +19,17 @@ metric of ``BENCHMARK.json``, its per-pair values, median and quartiles
 which the change reads better, ties counting for neither, and the seeds.
 The entries of other workloads already in the file are kept, so one file
 gathers the runs of several invocations.
+
+    python3 tools/bench_pairs.py --bytes --parent REV [--change REV]
+
+compares output bytes instead of timing. In a fresh ``git archive`` of
+each commit, one process runs every operation of ``perfbench/workloads.py``
+(``cycle``) for the workloads of BYTES_WORKLOADS, seeds BYTES_SEEDS and
+cycles BYTES_CYCLES through ``magfriction.cli.main``. Both sides share one
+directory for the spectrum files and the ``--out``/``--json`` files, so
+that the paths the output echoes are the same. For each operation whose
+exit code, stdout, stderr, ``--out`` or ``--json`` bytes differ, the first
+difference is printed; the exit status is 1 if any operation differs.
 """
 
 import argparse
@@ -33,6 +44,44 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+BYTES_WORKLOADS = ("oneshot", "sweep-closed", "sweep-numeric")
+BYTES_SEEDS = (0, 1, 2)
+BYTES_CYCLES = (0, 1)
+OUTPUTS = ("stdout", "stderr", "out", "json")
+
+# Run in a tree with its src and perfbench on the path, as
+# ``python -c BYTES_PROGRAM WORK DEST PLAN``, PLAN the JSON list of the
+# workloads, seeds and cycles to run: operation i leaves its exit code in
+# DEST/index.json and its outputs in DEST/i.<output>, one file for each of
+# OUTPUTS that it writes.
+BYTES_PROGRAM = """\
+import contextlib, io, json, os, shutil, sys
+import workloads
+from magfriction import cli
+work, dest, plan = sys.argv[1:]
+names, seeds, cycles = json.loads(plan)
+index = []
+for workload in names:
+    for seed in seeds:
+        spectra = workloads.write_spectra(seed, work)
+        for k in cycles:
+            for j, op in enumerate(workloads.cycle(workload, seed, k, work, spectra)):
+                base = os.path.join(dest, str(len(index)))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(list(op.argv))
+                for name, text in (("stdout", out), ("stderr", err)):
+                    with open(base + "." + name, "wb") as fh:
+                        fh.write(text.getvalue().encode())
+                for name, path in (("out", op.out), ("json", op.json_out)):
+                    if path and os.path.exists(path):
+                        shutil.move(path, base + "." + name)
+                index.append({"op": "%s seed %d cycle %d op %d (%s)" % (
+                    workload, seed, k, j, op.kind), "exit": rc})
+with open(os.path.join(dest, "index.json"), "w") as fh:
+    json.dump(index, fh)
+"""
 
 
 def end_to_end():
@@ -109,16 +158,95 @@ def run_pairs(args, metrics, work):
     return summarize(runs["parent"], runs["change"], metrics, seeds)
 
 
+def run_side(tree, work, dest):
+    """Every operation of BYTES_PROGRAM run in tree, outputs in the new
+    directory dest; returns its index."""
+    os.makedirs(dest)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.join(tree, d) for d in ("src", "perfbench")))
+    plan = json.dumps([BYTES_WORKLOADS, BYTES_SEEDS, BYTES_CYCLES])
+    proc = subprocess.run([sys.executable, "-c", BYTES_PROGRAM, work, dest, plan], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError("byte run in %s exited %d:\n%s" % (tree, proc.returncode, proc.stderr))
+    with open(os.path.join(dest, "index.json")) as fh:
+        return json.load(fh)
+
+
+def _output(dest, i, name):
+    try:
+        with open(os.path.join(dest, "%d.%s" % (i, name)), "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def differences(parent, change):
+    """One line for each operation whose exit code or outputs differ between
+    the (index, dest) of each side, naming its first difference."""
+    (p_index, p_dest), (c_index, c_dest) = parent, change
+    lines = []
+    if len(p_index) != len(c_index):
+        lines.append("the parent runs %d operations, the change %d"
+                     % (len(p_index), len(c_index)))
+    for i, (p, c) in enumerate(zip(p_index, c_index)):
+        if p["op"] != c["op"]:
+            lines.append("operation %d: %s at the parent, %s at the change"
+                         % (i, p["op"], c["op"]))
+            continue
+        if p["exit"] != c["exit"]:
+            lines.append("%s: exit %s at the parent, %s at the change"
+                         % (p["op"], p["exit"], c["exit"]))
+            continue
+        for name in OUTPUTS:
+            a, b = _output(p_dest, i, name), _output(c_dest, i, name)
+            if a == b:
+                continue
+            if a is None or b is None:
+                lines.append("%s: only the %s writes %s"
+                             % (p["op"], "change" if a is None else "parent", name))
+            else:
+                k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+                lines.append("%s: %s differs from byte %d: %r at the parent, %r at the change"
+                             % (p["op"], name, k, a[k:k + 60], b[k:k + 60]))
+            break
+    return lines
+
+
+def byte_diff(parent, change):
+    """Print the operations whose output bytes differ; 1 if any, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "work")
+        os.makedirs(work)
+        sides = []
+        for side, rev in (("parent", parent), ("change", change)):
+            tree = os.path.join(tmp, side)
+            archive(rev, tree)
+            dest = os.path.join(tmp, side + "-outputs")
+            sides.append((run_side(tree, work, dest), dest))
+        lines = differences(*sides)
+    for line in lines:
+        print(line)
+    print("%d differences, %d operations at the parent" % (len(lines), len(sides[0][0])))
+    return 1 if lines else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit of the parent side")
     parser.add_argument("--change", default="HEAD", help="commit of the change side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--bytes", action="store_true",
+                        help="compare the output bytes of every workload operation")
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, help="run length of each run")
-    parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
+    parser.add_argument("--name", help="writes BENCH_<name>.json")
     args = parser.parse_args(argv)
+    if args.bytes:
+        return byte_diff(args.parent, args.change)
+    if args.workload is None or args.name is None:
+        parser.error("--workload and --name are required without --bytes")
     metrics, run_seconds = end_to_end()
     if args.seconds is None:
         args.seconds = run_seconds
