@@ -379,8 +379,9 @@ def test_a_longer_column_goes_a_block_at_a_time(monkeypatch):
     assert passes == [block, block, 17]
 
 
-# the four targets of the benchmark's closed-form workload, 100 x 100, and
-# three sweeps whose slopes come from an axis of their inputs
+# the four targets of the benchmark's closed-form workload, 100 x 100,
+# three sweeps whose slopes come from an axis of their inputs, and a pair
+# sweep whose 10k distinct d each take an ops.map call for G_xx
 _CLOSED_SLAB = ["--rho1", 1.3, "--rho2", 2.1, "--D1", 0.4, "--D2", 1.7]
 _GAUSSIAN = ["--units", "gaussian", "--temperature-kelvin", 300, "--v", 1, "--rho1", 1e22]
 CLOSED_SWEEPS = {
@@ -390,6 +391,8 @@ CLOSED_SWEEPS = {
                    "--axis", "d:0.8:3.2:100", *_CLOSED_SLAB],
     "pair": ["--target", "friction-pair", "--axis", "d:0.9:3.6:100",
              "--axis", "v:1.2e-4:6e-3:100:log", "--beta", 7.5, "--D1", 0.4, "--D2", 1.7],
+    "pair-d-10k": ["--target", "friction-pair", "--axis", "d:0.9:3.6:10000", "--beta", 7.5,
+                   "--v", 1e-3, "--D1", 0.4, "--D2", 1.7],
     "eigen": ["--target", "eigen", "--axis", "alpha:0.07:0.56:10000"],
     "slabs-finite-drude": ["--target", "friction-slabs-finite", "--axis", "omega-p:1:100:100:log",
                            "--axis", "rho1:0.5:3:100", "--rho2", 2.1, "--d", 1.5, "--v", 3e-3,
