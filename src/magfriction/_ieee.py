@@ -8,7 +8,6 @@ engines raise are defined there. numpy is executed only when a grid
 computes, so a one-shot command on ``FloatOps`` loads none of it.
 """
 
-import contextlib
 import math
 
 from magfriction import lazy_import
@@ -112,18 +111,10 @@ class ArrayOps:
     def pow(self, x, n):
         """x ** n through Python's float power (numpy's vector power differs
         from it in the last bit for some x); OverflowError fails the point."""
-        values = x.ravel().tolist()
         try:
-            return np.array([t**n for t in values]).reshape(x.shape)
-        except OverflowError as exc:
-            out = np.full(len(values), math.inf)
-            bad = np.ones(len(values), dtype=bool)
-            for i, t in enumerate(values):
-                with contextlib.suppress(OverflowError):
-                    out[i] = t**n
-                    bad[i] = False
-            self.fail(bad.reshape(x.shape), exc)
-            return out.reshape(x.shape)
+            return np.array([t**n for t in x.ravel().tolist()]).reshape(x.shape)
+        except OverflowError:
+            return self.map(lambda t: t**n, x)
 
     def div(self, a, b):
         """a / b; a zero divisor fails the point, as for Python floats."""
@@ -131,27 +122,17 @@ class ArrayOps:
         return a / b
 
     def map(self, fn, *cols):
-        """fn(*args) once per distinct argument tuple, at the shape the
-        columns broadcast to; an exception fails the points it came from.
-
-        Tuples are compared bit for bit (0.0 and -0.0 differ), and fn is
-        called on them in the order of their first points.
-        """
+        """fn(*args) at each point of the shape the columns broadcast to, in
+        C order. The first point whose call raises fails with its exception,
+        and it and every later point are nan."""
         cols = np.broadcast_arrays(*cols)
-        flat = [c.ravel() for c in cols]
-        keys = zip(*(c.view(np.int64).tolist() for c in flat))
-        slots, args, inverse = {}, [], []
-        for key, arg in zip(keys, zip(*(c.tolist() for c in flat))):
-            k = slots.setdefault(key, len(args))
-            if k == len(args):
-                args.append(arg)
-            inverse.append(k)
-        inverse = np.array(inverse, dtype=np.intp).reshape(cols[0].shape)
-        out = np.empty(len(args))
-        for k, arg in enumerate(args):
+        out = np.full(cols[0].size, math.nan)
+        for k, args in enumerate(zip(*(c.ravel().tolist() for c in cols))):
             try:
-                out[k] = fn(*arg)
-            except Exception as exc:  # raised again if its points fail first
-                out[k] = math.nan
-                self.fail(inverse == k, exc)
-        return out[inverse]
+                out[k] = fn(*args)
+            except Exception as exc:
+                where = np.zeros(out.shape, dtype=bool)
+                where[k] = True
+                self.fail(where.reshape(cols[0].shape), exc)
+                break
+        return out.reshape(cols[0].shape)

@@ -483,9 +483,9 @@ def _run_fields(cfg):
 # correctly rounded operations (+ - * / sqrt), and every power goes
 # through Python's float **. Only the free-energy bracket, a tabulated H0
 # and the pair's axial G_xx go through their scalar functions, once per
-# distinct argument (ops.map). Checks are masks that broadcast
-# over the grid, and a failing grid reports the failure of its first
-# failing point.
+# point of their columns (ops.map). Checks are masks that broadcast over
+# the grid, and a failing grid reports the failure of its first failing
+# point.
 #
 # A one-shot command runs the same evaluators on a _Point, whose ops are
 # _ieee.FloatOps: its columns are Python floats, on which the same
@@ -498,27 +498,27 @@ def _run_fields(cfg):
 
 
 class _Grid(_ieee.ArrayOps):
-    """Parameter columns of a grid and the first failure among its points."""
+    """Parameter columns of a grid and the first failure among its points:
+    ``given``, the float inputs as given, and ``columns``, the same in
+    reduced units."""
 
     def __init__(self, cfg, shape, axis_columns):
         super().__init__(shape)
         self.cfg = cfg
         self.ctx = units.UnitContext(1.0) if cfg.units == "gaussian" else None
-        self.columns = {}
+        self.given = {}
         for flag, typ in _PARAMS:
             value = getattr(cfg, _attr(flag))
             if typ is float and value is not None:
-                self.columns[_attr(flag)] = self.constant(value)
+                self.given[_attr(flag)] = self.constant(value)
         # an axis replaces the fixed value of its parameter, from a config key
         for ax, col in zip(cfg.axes, axis_columns):
-            self.columns[_attr(ax.name)] = col
-
-    def reduced(self, name):
-        """A parameter column in reduced units, or None if unset."""
-        col = self.columns.get(name)
-        if col is None or self.ctx is None:
-            return col
-        return col / self.ctx.factor(units.INPUT_DIM[name])
+            self.given[_attr(ax.name)] = col
+        # a Gaussian run converts each input it takes in Gaussian units, once
+        self.columns = dict(self.given)
+        if self.ctx is not None:
+            for name in self.given.keys() & units.INPUT_DIM.keys():
+                self.columns[name] = self.given[name] / self.ctx.factor(units.INPUT_DIM[name])
 
 
 class _Point(_ieee.FloatOps, _Grid):
@@ -546,23 +546,22 @@ def _grid_spectrum(grid, side, drude_rho=None):
     --D or the Drude parameters)."""
     if side in grid.cfg.spectra:
         return grid.cfg.spectra[side]
-    slope = grid.reduced("D%d" % side)
+    slope = grid.columns.get("D%d" % side)
     if slope is not None:
         return materials_spectral.linear_slope(slope, grid)
-    nu = grid.reduced("nu")
+    nu = grid.columns.get("nu")
     if nu is None:
         nu = grid.constant(0.0)
-    return materials_spectral.drude_D(grid.reduced("omega_p"), nu, drude_rho, grid)
+    return materials_spectral.drude_D(grid.columns["omega_p"], nu, drude_rho, grid)
 
 
 def _grid_report(grid, regime, force, intermediates, inputs):
     """Report columns: regime, units and force, then the intermediates and
     the inputs, each sorted by name; Gaussian runs convert through
-    units.gaussian_report."""
+    units.gaussian_report, which echoes the inputs as given."""
     if grid.ctx is not None:
         force, intermediates, inputs = units.gaussian_report(
-            grid.ctx, regime, force, intermediates, inputs, grid,
-            kelvin=grid.columns.get("temperature_kelvin"))
+            grid.ctx, regime, force, intermediates, inputs, grid.given, grid)
     system = "reduced" if grid.ctx is None else "gaussian"
     return (
         [("regime", regime), ("units", system), ("force", force)]
@@ -585,15 +584,14 @@ def _grid_free_energy(grid):
     cols = [("alpha", alpha), ("beta", beta), ("free_energy", f)]
     ctx = grid.ctx
     if ctx is not None:
-        erg, kelvin = units.gaussian_free_energy(
-            ctx, f, beta, grid, kelvin=grid.columns.get("temperature_kelvin"))
+        erg, kelvin = units.gaussian_free_energy(ctx, f, beta, grid.given, grid)
         cols += [("free_energy_erg", erg), ("temperature_kelvin", kelvin)]
     return cols
 
 
 def _grid_friction_pair(grid):
     beta = _grid_beta(grid)
-    d, v = grid.reduced("d"), grid.reduced("v")
+    d, v = grid.columns["d"], grid.columns["v"]
     s1 = _grid_spectrum(grid, 1)
     s2 = _grid_spectrum(grid, 2)
     grid.fail(d <= 0.0, ValueError("d must be positive"))
@@ -603,22 +601,22 @@ def _grid_friction_pair(grid):
 
 def _grid_friction_plane(grid):
     beta = _grid_beta(grid)
-    z0, rho = grid.reduced("z0"), grid.reduced("rho1")
+    z0, rho = grid.columns["z0"], grid.columns["rho1"]
     grid.fail((z0 <= 0.0) | (rho <= 0.0), ValueError("z0 and rho must be positive"))
     s1 = _grid_spectrum(grid, 1)
     s2 = _grid_spectrum(grid, 2, drude_rho=rho)
-    v = grid.reduced("v")
+    v = grid.columns["v"]
     force, inter = friction_forces.plane_force(z0, rho, v, s1, s2, beta, grid)
     return _grid_report(grid, "plane", force, inter, {"z0": z0, "rho": rho, "v": v, "beta": beta})
 
 
 def _grid_slabs(grid):
     """Geometry, linear slopes and speed of both slab targets."""
-    d, rho1, rho2 = grid.reduced("d"), grid.reduced("rho1"), grid.reduced("rho2")
+    d, rho1, rho2 = grid.columns["d"], grid.columns["rho1"], grid.columns["rho2"]
     grid.fail((d <= 0.0) | (rho1 <= 0.0) | (rho2 <= 0.0),
               ValueError("d, rho1, rho2 must be positive"))
     return {"d": d, "rho1": rho1, "rho2": rho2, "D1": _grid_spectrum(grid, 1, drude_rho=rho1),
-            "D2": _grid_spectrum(grid, 2, drude_rho=rho2), "v": grid.reduced("v")}
+            "D2": _grid_spectrum(grid, 2, drude_rho=rho2), "v": grid.columns["v"]}
 
 
 def _grid_slabs_finite(grid):
@@ -637,7 +635,7 @@ def _grid_slabs_zero(grid):
 def _run_point(cfg):
     """A one-shot command with a sweep target: that target on a _Point."""
     grid = _Point(cfg)
-    return _Table(_TARGET_RUNNERS[cfg.route.target](grid), (), grid.columns.values())
+    return _Table(_TARGET_RUNNERS[cfg.route.target](grid), (), grid.given.values())
 
 
 def _run_sweep(cfg):
@@ -648,7 +646,7 @@ def _run_sweep(cfg):
     grid.raise_first()
     # axis echo gets its own columns; runners echo inputs under bare names
     sweep = [("sweep_" + _attr(ax.name), col) for ax, col in zip(cfg.axes, columns)]
-    return _Table(sweep + cells, shape, grid.columns.values())
+    return _Table(sweep + cells, shape, grid.given.values())
 
 
 # --- the route table --------------------------------------------------------

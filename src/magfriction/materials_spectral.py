@@ -139,7 +139,7 @@ def H0_linear(D1, D2, beta, ops):
 def H0_columns(side1, side2, beta, ops):
     """H0 over columns, each side a TabulatedSpectralDensity or a column
     of linear slopes D: H0_linear for two slope columns, else
-    ``smoothed_H0`` once per distinct (beta, slopes)."""
+    ``smoothed_H0`` once per point of the (beta, slopes) columns."""
     slopes = [s for s in (side1, side2) if not isinstance(s, TabulatedSpectralDensity)]
     if len(slopes) == 2:
         return H0_linear(side1, side2, beta, ops)

@@ -30,15 +30,17 @@ INTERMEDIATE_DIM = {
     "reference_force": (1, -3, 0),
 }
 
-# (energy, length, time) exponents of each input, shared with the CLI
+# (energy, length, time) exponents of each input that a Gaussian run takes
+# in Gaussian units, shared with the CLI
 INPUT_DIM = {
     "d": (0, 1, 0), "z0": (0, 1, 0),
     "rho": (0, -3, 0), "rho1": (0, -3, 0), "rho2": (0, -3, 0),
     "D1": (-1, 3, 0), "D2": (-1, 3, 0),
-    "beta": (-1, 0, 0),
     "v": (0, 1, -1),
     "omega_p": (0, 0, -1), "nu": (0, 0, -1),
 }
+# and of beta, which every run takes in reduced units
+BETA_DIM = (-1, 0, 0)
 
 CGS_HBAR = 1.0545718e-27  # erg s
 CGS_C = 2.99792458e10  # cm/s
@@ -76,34 +78,33 @@ class UnitContext(namedtuple("UnitContext", "length_scale")):
         return self.energy_scale**e * self.length_scale**l * self.time_scale**t
 
 
-def gaussian_report(ctx, regime, force, intermediates, inputs, ops, kelvin=None):
+def gaussian_report(ctx, regime, force, intermediates, inputs, given, ops):
     """A reduced force report in Gaussian CGS: (force, intermediates,
     inputs), over columns; ``ops`` as in friction_forces. The inputs keep
     their reduced values and gain ``<name>_cgs`` for every input in
-    INPUT_DIM, and ``temperature_kelvin`` when they hold a beta: ``kelvin``,
-    the temperature that beta came from, else one computed from beta."""
+    INPUT_DIM and beta, and ``temperature_kelvin`` when they hold a beta.
+    ``given`` holds the input columns as the run was given them, by name:
+    an input of INPUT_DIM and a temperature found there are echoed as
+    given, and only the others are converted."""
     inputs = dict(inputs)
     for name, col in list(inputs.items()):
         dim = INPUT_DIM.get(name)
         if dim is not None:
-            inputs[name + "_cgs"] = col * ctx.factor(dim)
+            inputs[name + "_cgs"] = given[name] if name in given else col * ctx.factor(dim)
     if "beta" in inputs:
-        if kelvin is None:
-            kelvin = _reciprocal_temperature(ctx, inputs["beta"], ops)
-        inputs["temperature_kelvin"] = kelvin
+        inputs["beta_cgs"] = inputs["beta"] * ctx.factor(BETA_DIM)
+        inputs["temperature_kelvin"] = _kelvin(ctx, inputs["beta"], given, ops)
     force = force * ctx.factor(FORCE_DIM[regime])
     intermediates = {name: col * ctx.factor(INTERMEDIATE_DIM[name])
                      for name, col in intermediates.items()}
     return force, intermediates, inputs
 
 
-def gaussian_free_energy(ctx, f, beta, ops, kelvin=None):
+def gaussian_free_energy(ctx, f, beta, given, ops):
     """A reduced free energy f at inverse temperature beta in Gaussian CGS,
     over columns; ``ops`` as in friction_forces: (free_energy_erg,
-    temperature_kelvin), the latter ``kelvin`` as in gaussian_report."""
-    if kelvin is None:
-        kelvin = _reciprocal_temperature(ctx, beta, ops)
-    return f * ctx.energy_scale, kelvin
+    temperature_kelvin), the latter from ``given`` as in gaussian_report."""
+    return f * ctx.energy_scale, _kelvin(ctx, beta, given, ops)
 
 
 def kelvin_to_beta(ctx, kelvin, ops):
@@ -116,3 +117,10 @@ def kelvin_to_beta(ctx, kelvin, ops):
 def _reciprocal_temperature(ctx, x, ops):
     # hbar c/(L k_B x): kelvin from a reduced beta, and a reduced beta from kelvin
     return ops.div(ctx.energy_scale, ctx.k_B * x)
+
+
+def _kelvin(ctx, beta, given, ops):
+    # the temperature as given, else the one beta stands for
+    if "temperature_kelvin" in given:
+        return given["temperature_kelvin"]
+    return _reciprocal_temperature(ctx, beta, ops)

@@ -1246,10 +1246,14 @@ def check_halfspace_quadrature():
     gh = geometry_coupling.G_halfspace(1.5, 0.8, FloatOps)
     rel_volume = abs(_G_halfspace_by_quadrature(1.5, 0.8) - gh) / gh
     g = SlabGeometry(1.5, 1.0, 1.0)
-    r = numerics.quad_semi_infinite(
-        lambda us: geometry_coupling.G_halfspace(g.d + us, 1.0, ArrayOps(us.shape)), 0.0,
-        tol=1e-12,
-    )
+
+    def g_h(us):
+        ops = ArrayOps(us.shape)
+        out = geometry_coupling.G_halfspace(g.d + us, 1.0, ops)
+        ops.raise_first()
+        return out
+
+    r = numerics.quad_semi_infinite(g_h, 0.0, tol=1e-12)
     target = geometry_coupling.G_slabs_realspace(g.d, g.rho1, g.rho2, FloatOps)
     err_slab = abs(g.rho2 * r.value - target)
     return rel_volume <= 1e-10 and err_slab <= 1e-10, "volume rel=%.3g slab err=%.3g" % (
@@ -1259,7 +1263,9 @@ def check_halfspace_quadrature():
 def check_slab_route_equivalence():
     d = np.repeat([0.5, 1.0, 2.0, 4.0, 8.0], 2)
     rho = np.tile([1.0, 2.5], 5)
-    a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, ArrayOps(d.shape))
+    ops = ArrayOps(d.shape)
+    a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, ops)
+    ops.raise_first()
     # the Fourier route of all ten geometries in one batch
     b = G_slabs_fourier(SlabGeometry(d, rho, 0.7))
     return _ok(float(np.max(np.abs(a - b) / a)), 1e-10, "rel")
@@ -1312,7 +1318,9 @@ def _G_P_by_quadrature(d, rho1, rho2):
 
 def check_G_P_quadrature():
     d = np.array([0.7, 1.0, 1.9])
-    closed = geometry_coupling.G_P_slabs(d, 1.3, 0.8, ArrayOps(d.shape))
+    ops = ArrayOps(d.shape)
+    closed = geometry_coupling.G_P_slabs(d, 1.3, 0.8, ops)
+    ops.raise_first()
     return _ok(float(np.max(np.abs(_G_P_by_quadrature(d, 1.3, 0.8) - closed) / closed)), 1e-10,
                "rel")
 
@@ -1356,10 +1364,12 @@ def check_finite_T_assembly():
     closed = -(2.0 * np.pi**6 / 15.0) * v
     rel = abs(force - closed) / abs(closed)
     # G by the Fourier route and H0 by the quadrature rule, each checked too
+    # and I from H0 = (2 pi/beta^4) D1 D2 I
     Gq = G_slabs_fourier(SlabGeometry(1.0, 1.0, 1.0))
     H0q = _H0_by_rule(1.0, 1.0, 1.0)
+    Iq = H0q / (2.0 * np.pi)
     rel_q = max(abs(-Gq * v * H0q - force) / abs(force), abs(inter["G"] - Gq) / Gq,
-                abs(inter["H0"] - H0q) / H0q)
+                abs(inter["H0"] - H0q) / H0q, abs(inter["I"] - Iq) / Iq)
     return rel <= 1e-12 and rel_q <= 1e-9, "closed rel=%.3g quad rel=%.3g" % (rel, rel_q)
 
 
@@ -1383,20 +1393,27 @@ def check_zero_T_assembly():
 
 
 def check_pair_assembly():
-    # G_xx from the general-r tensor and H0 by the quadrature rule
+    # G_xx from the general-r tensor and H0 by the quadrature rule, against
+    # the force and the G_factor and H0 it reports
     d, v, beta = 1.7, 0.3, 2.0
-    force, _ = friction_forces.pair_force(d, v, 0.7, 1.1, beta, FloatOps)
+    force, inter = friction_forces.pair_force(d, v, 0.7, 1.1, beta, FloatOps)
     Gxx = G_tensor([0.0, 0.0, d])[0, 0]
-    route = -Gxx * v * _H0_by_rule(0.7, 1.1, beta)
-    return _ok(abs(route - force) / abs(force), 1e-9, "rel")
+    H0q = _H0_by_rule(0.7, 1.1, beta)
+    rel = max(abs(-Gxx * v * H0q - force) / abs(force), abs(inter["G_factor"] - Gxx) / Gxx,
+              abs(inter["H0"] - H0q) / H0q)
+    return _ok(rel, 1e-9, "rel")
 
 
 def check_plane_assembly():
-    # G_h by its volume integral and H0 by the quadrature rule
+    # G_h by its volume integral and H0 by the quadrature rule, against the
+    # force and the G_h and H0 it reports
     z0, rho, v, beta = 1.2, 0.8, 0.3, 2.0
-    force, _ = friction_forces.plane_force(z0, rho, v, 0.7, 1.1, beta, FloatOps)
-    route = -_G_halfspace_by_quadrature(z0, rho) * v * _H0_by_rule(0.7, 1.1, beta)
-    return _ok(abs(route - force) / abs(force), 1e-9, "rel")
+    force, inter = friction_forces.plane_force(z0, rho, v, 0.7, 1.1, beta, FloatOps)
+    Ghq = _G_halfspace_by_quadrature(z0, rho)
+    H0q = _H0_by_rule(0.7, 1.1, beta)
+    rel = max(abs(-Ghq * v * H0q - force) / abs(force), abs(inter["G_h"] - Ghq) / Ghq,
+              abs(inter["H0"] - H0q) / H0q)
+    return _ok(rel, 1e-9, "rel")
 
 
 def check_force_signs(draws=200):
@@ -1485,7 +1502,7 @@ def check_gaussian_units():
     worst = 0.0
     for regime, (force, inter), force_per, inputs in reports:
         cgs_force, cgs_inter, cgs_inputs = units.gaussian_report(
-            ctx, regime, force, inter, inputs, FloatOps)
+            ctx, regime, force, inter, inputs, {}, FloatOps)
         pairs = [(cgs_force, force * force_per)]
         pairs += [(cgs_inter[k], x * per[k]) for k, x in inter.items()]
         pairs += [(cgs_inputs[k + "_cgs"], x * per[k]) for k, x in inputs.items()]
@@ -1494,7 +1511,7 @@ def check_gaussian_units():
         for got, want in pairs:
             worst = max(worst, abs(got - want) / abs(want))
     f = matsubara.free_energy(0.3, beta, FloatOps)
-    erg, kelvin = units.gaussian_free_energy(ctx, f, beta, FloatOps)
+    erg, kelvin = units.gaussian_free_energy(ctx, f, beta, {}, FloatOps)
     pairs = [(erg, f * energy), (kelvin, energy / (units.CGS_KB * beta)),
              (units.kelvin_to_beta(ctx, 300.0, FloatOps), energy / (units.CGS_KB * 300.0))]
     for got, want in pairs:

@@ -6,10 +6,17 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs", _ROOT / "tools" / "bench_pairs.py")
 
 METRICS = {"op_s.p50": "lower", "rows_per_s": "higher"}
 
@@ -94,3 +101,9 @@ def test_byte_diff_reports_a_one_byte_difference(monkeypatch, capsys):
         "sweep-closed seed 0 cycle 0 op 1 (pair): stdout differs from byte 6: "
         "b'0\\n' at the parent, b'5\\n' at the change\n"
         "1 differences, 2 operations at the parent\n")
+
+
+def test_byte_runs_cover_every_benchmark_workload():
+    # verify's battery lines are compared as well as the commands' output
+    workloads = _load("workloads", _ROOT / "perfbench" / "workloads.py")
+    assert bench_pairs.BYTES_WORKLOADS == workloads.WORKLOADS

@@ -185,7 +185,7 @@ def test_slab_force_density_scaling():
     # a force per unit area carries (energy, length^-3): halving the length
     # anchor scales the conversion by 2^4 (energy anchor hbar*c/L rises too)
     force, inter = finite_T(1e-3, 1.0)
-    a, b = (units.gaussian_report(UnitContext(L), "slabs-finite-T", force, inter, {}, OPS)[0]
+    a, b = (units.gaussian_report(UnitContext(L), "slabs-finite-T", force, inter, {}, {}, OPS)[0]
             for L in (1.0e-6, 0.5e-6))
     assert abs(a / b - 2.0**-4) <= 1e-12
 
@@ -215,7 +215,7 @@ def test_unit_context_needs_positive_length():
 def test_beta_kelvin_round_trip():
     ctx = UnitContext(1.0)
     beta = units.kelvin_to_beta(ctx, 300.0, OPS)
-    assert abs(units.gaussian_free_energy(ctx, 0.0, beta, OPS)[1] - 300.0) <= 1e-10
+    assert abs(units.gaussian_free_energy(ctx, 0.0, beta, {}, OPS)[1] - 300.0) <= 1e-10
 
 
 @pytest.mark.parametrize("make,field", [
@@ -278,11 +278,11 @@ COLUMN_FUNCTIONS = {
     "normal_modes": (oscillator_pair.normal_modes, [_positive(-2, 1)]),
     "gaussian_report": (
         lambda F, G, H0, beta, v, ops: units.gaussian_report(
-            _CTX, "plane", F, {"G_h": G, "H0": H0}, {"beta": beta, "v": v}, ops),
+            _CTX, "plane", F, {"G_h": G, "H0": H0}, {"beta": beta, "v": v}, {}, ops),
         [_RNG.uniform(-1, 1, _N), _positive(-2, 2), _positive(-2, 2), _positive(-1, 1),
          _RNG.uniform(-1, 1, _N)]),
     "gaussian_free_energy": (
-        lambda f, beta, ops: units.gaussian_free_energy(_CTX, f, beta, ops),
+        lambda f, beta, ops: units.gaussian_free_energy(_CTX, f, beta, {}, ops),
         [_RNG.uniform(-1, 1, _N), _positive(-1, 1)]),
     "kelvin_to_beta": (lambda T, ops: units.kelvin_to_beta(_CTX, T, ops), [_positive(0, 4)]),
 }

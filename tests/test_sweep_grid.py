@@ -214,6 +214,54 @@ def test_a_subnormal_slope_is_echoed_as_given(cli):
     assert _data_rows(one_shot) == [header[1:], rows[0][1:]]
 
 
+# Gaussian inputs of each target; in reduced units and back, v = 1000 comes
+# back as 999.9999999999999, and each slope as a neighbouring float
+_CGS = {"alpha": 0.3, "d": 1e-6, "z0": 2e-6, "rho1": 1e22, "rho2": 3e22, "v": 1000.0,
+        "D1": 1.0824390223160173e-32, "D2": 1.0834365445564264e-32,
+        "temperature-kelvin": 300.0}
+_CGS_INPUTS = {
+    "free-energy": ("alpha", "temperature-kelvin"),
+    "friction-pair": ("d", "v", "D1", "D2", "temperature-kelvin"),
+    "friction-plane": ("z0", "rho1", "v", "D1", "D2", "temperature-kelvin"),
+    "friction-slabs-finite": ("d", "rho1", "rho2", "v", "D1", "D2", "temperature-kelvin"),
+    "friction-slabs-zero": ("d", "rho1", "rho2", "v", "D1", "D2"),
+}
+
+
+def _echo_flags(header):
+    """(column index, input flag) of each cell that echoes a Gaussian input:
+    <name>_cgs but beta_cgs, the plane's rho_cgs echoing --rho1, and
+    temperature_kelvin."""
+    flags = {"rho": "rho1", "temperature_kelvin": "temperature-kelvin"}
+    return [(i, flags.get(name[:-4], name[:-4]) if name.endswith("_cgs") else flags[name])
+            for i, name in enumerate(header)
+            if name == "temperature_kelvin" or name.endswith("_cgs") and name != "beta_cgs"]
+
+
+@pytest.mark.parametrize("target", sorted(_CGS_INPUTS))
+def test_gaussian_inputs_are_echoed_as_given(cli, target):
+    inputs = _CGS_INPUTS[target]
+    given = ["--units", "gaussian", *(x for flag in inputs for x in ("--" + flag, _CGS[flag]))]
+    code, out = cli(*ONE_SHOT[target], *given)
+    assert code == 0
+    header, row = _data_rows(out)
+    echoes = _echo_flags(header)
+    assert echoes and {flag for _, flag in echoes} <= set(inputs)
+    assert [row[i] for i, _ in echoes] == [repr(_CGS[flag]) for _, flag in echoes]
+    # an axis replaces one input: its echoes are the axis column's text
+    axis = "v" if "v" in inputs else "temperature-kelvin"
+    at = given.index("--" + axis)
+    code, out = cli("sweep", "--target", target, *given[:at], *given[at + 2:],
+                    "--axis", axis + ":1:1000:7:log")
+    assert code == 0
+    header, *rows = _data_rows(out)
+    sweep = header.index("sweep_" + axis.replace("-", "_"))
+    assert _echo_flags(header) == [(i + 1, flag) for i, flag in echoes]
+    for row in rows:
+        assert [row[i + 1] for i, _ in echoes] == [
+            row[sweep] if flag == axis else repr(_CGS[flag]) for _, flag in echoes]
+
+
 def test_grid_failure_is_the_first_failing_point_in_product_order():
     grid = cli_module._Grid(cli_module.RunConfig(), (2, 3, 4), [])
     a, b, c = np.ix_([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
@@ -225,7 +273,7 @@ def test_grid_failure_is_the_first_failing_point_in_product_order():
         grid.raise_first()
 
 
-def test_map_calls_fn_once_per_distinct_bit_pattern():
+def test_map_calls_fn_at_every_point_in_c_order():
     calls = []
 
     def fn(*args):
@@ -237,30 +285,49 @@ def test_map_calls_fn_once_per_distinct_bit_pattern():
     c = np.array([[-1.0]])
     out = _ieee.ArrayOps((4, 3)).map(fn, a, b, c)
     assert out.shape == (4, 3)
-    # 0.0 and -0.0 are two patterns; b's repeated 2.0 adds none
+    # one call per point, repeated tuples, 0.0 and -0.0 included
     assert [tuple(float_bits(x) for x in t) for t in calls] == [
-        tuple(float_bits(x) for x in t) for t in
-        [(0.0, 2.0, -1.0), (0.0, 3.0, -1.0), (-0.0, 2.0, -1.0), (-0.0, 3.0, -1.0),
-         (1.5, 2.0, -1.0), (1.5, 3.0, -1.0)]]
+        tuple(float_bits(x) for x in (ai, bj, -1.0))
+        for ai in (0.0, -0.0, 0.0, 1.5) for bj in (2.0, 2.0, 3.0)]
     assert out.tolist() == [[1.0, 1.0, 2.0]] * 3 + [[2.5, 2.5, 3.5]]
 
 
-def test_map_fails_the_points_of_a_raising_tuple():
+def test_map_stops_at_the_first_raising_point():
+    calls = []
+
     def fn(x, y):
+        calls.append((x, y))
         if x > 1.0:
             raise ValueError("x=%r" % x)
         if y > 1.0:
             raise ArithmeticError("y=%r" % y)
-        return x + y
+        return x / 3.0 + y
 
     x, y = np.ix_([0.5, 3.0, 0.5], [0.0, 5.0])
     ops = _ieee.ArrayOps((3, 2))
     # a check registered earlier, at the last point
     ops.fail(np.array([[False, False], [False, False], [False, True]]), KeyError("last"))
     out = ops.map(fn, x, y)
-    assert np.isnan(out).tolist() == [[False, True], [True, True], [False, True]]
-    # (0.5, 5.0) fails points 1 and 5, before (3.0, 0.0) at point 2
+    # (0.5, 5.0) at point 1 raises: no later point is called, and each is nan
+    assert calls == [(0.5, 0.0), (0.5, 5.0)]
+    assert float_bits(out[0, 0]) == float_bits(0.5 / 3.0)
+    assert np.isnan(out).tolist() == [[False, True], [True, True], [True, True]]
     with pytest.raises(ArithmeticError, match=r"^y=5\.0$"):
+        ops.raise_first()
+
+
+def test_pow_overflow_in_mid_column_fails_that_point():
+    x = np.array([[2.0, 1e200, 3.0, 1e300]])
+    ops = _ieee.ArrayOps((2, 4))
+    out = ops.pow(x, 2)
+    # the points before the overflow keep Python's float power
+    assert out.shape == (1, 4)
+    assert out[0, :1].tolist() == [4.0] and np.isnan(out[0, 1:]).all()
+    with pytest.raises(OverflowError):
+        ops.raise_first()
+    # the point is (0, 1): a later check at (0, 0) still wins
+    ops.fail(np.array([[True], [False]]), KeyError("earlier point"))
+    with pytest.raises(KeyError):
         ops.raise_first()
 
 
@@ -444,11 +511,11 @@ def test_slope_sweeps_make_no_map_call(cli, tmp_path, monkeypatch):
     """A 10k-point slab sweep over a Drude omega_p axis and one over a --D1
     axis take their slopes as column closed forms: no ArrayOps.map call."""
     calls = []
-    one_call_per_tuple = _ieee.ArrayOps.map
+    original_map = _ieee.ArrayOps.map
 
     def counting(self, fn, *cols):
         calls.append(fn)
-        return one_call_per_tuple(self, fn, *cols)
+        return original_map(self, fn, *cols)
 
     monkeypatch.setattr(_ieee.ArrayOps, "map", counting)
     for name in ("slabs-finite-drude", "slabs-finite-D1-gaussian"):

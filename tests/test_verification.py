@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from magfriction import (
+    _ieee,
     _kernels,
     dipole_fields,
+    friction_forces,
     geometry_coupling,
     numerics,
     response_kinetics,
@@ -258,3 +260,46 @@ def test_verify_fails_when_an_axial_output_is_one_percent_off(monkeypatch, modul
     assert not verification.run_suite("all", out=lines.append)
     failed = {ln.split(" (")[0] for ln in lines if ln.startswith("FAIL")}
     assert "FAIL  fields :: axial outputs vs vector forms" in failed, failed
+
+
+# the intermediates a force reports beside it: (function, intermediate, the
+# assembly check that compares it with its own route)
+ASSEMBLY_CELLS = [
+    ("pair_force", "G_factor", "pair assembly"),
+    ("pair_force", "H0", "pair assembly"),
+    ("plane_force", "G_h", "plane assembly"),
+    ("plane_force", "H0", "plane assembly"),
+    ("slabs_finite_force", "I", "finite-T slab assembly"),
+]
+
+
+@pytest.mark.parametrize("name,key,check", ASSEMBLY_CELLS,
+                         ids=["%s[%s]" % (name, key) for name, key, _ in ASSEMBLY_CELLS])
+def test_assembly_fails_when_a_reported_intermediate_is_one_percent_off(
+        monkeypatch, name, key, check):
+    # the force stays right: only the printed intermediate is off
+    original = getattr(friction_forces, name)
+
+    def one_percent_off(*args):
+        force, inter = original(*args)
+        return force, dict(inter, **{key: 1.01 * inter[key]})
+
+    monkeypatch.setattr(friction_forces, name, one_percent_off)
+    ok, detail = _check(check).run()
+    assert not ok, detail
+
+
+# the checks that compute a closed form on ArrayOps columns
+ARRAY_CHECKS = ["half-space quadrature to slab", "slab route equivalence",
+                "zero-T factor quadrature", "braking sign draws"]
+
+
+@pytest.mark.parametrize("name", ARRAY_CHECKS)
+def test_a_check_fails_when_a_point_of_its_columns_fails(monkeypatch, name):
+    # every quotient fails its first point, as a zero divisor would
+    def div(self, a, b):
+        self.fail(np.ones(np.shape(b), dtype=bool), ZeroDivisionError("float division by zero"))
+        return a / b
+
+    monkeypatch.setattr(_ieee.ArrayOps, "div", div)
+    assert _check(name).run() == (False, "raised ZeroDivisionError: float division by zero")

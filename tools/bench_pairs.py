@@ -25,7 +25,8 @@ gathers the runs of several invocations.
 compares output bytes instead of timing. In a fresh ``git archive`` of
 each commit, one process runs every operation of ``perfbench/workloads.py``
 (``cycle``) for the workloads of BYTES_WORKLOADS, seeds BYTES_SEEDS and
-cycles BYTES_CYCLES through ``magfriction.cli.main``. Both sides share one
+cycles BYTES_CYCLES through ``magfriction.cli.main``: every workload of
+the benchmark, so the lines of ``verify --suite all`` are compared too. Both sides share one
 directory for the spectrum files and the ``--out``/``--json`` files, so
 that the paths the output echoes are the same. For each operation whose
 exit code, stdout, stderr, ``--out`` or ``--json`` bytes differ, the first
@@ -45,7 +46,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-BYTES_WORKLOADS = ("oneshot", "sweep-closed", "sweep-numeric")
+BYTES_WORKLOADS = ("oneshot", "sweep-closed", "sweep-numeric", "verify")
 BYTES_SEEDS = (0, 1, 2)
 BYTES_CYCLES = (0, 1)
 OUTPUTS = ("stdout", "stderr", "out", "json")
