@@ -83,9 +83,8 @@ def gaussian_report(ctx, regime, force, intermediates, inputs, given, ops):
     inputs), over columns; ``ops`` as in friction_forces. The inputs keep
     their reduced values and gain ``<name>_cgs`` for every input in
     INPUT_DIM and beta, and ``temperature_kelvin`` when they hold a beta.
-    ``given`` holds the input columns as the run was given them, by name:
-    an input of INPUT_DIM and a temperature found there are echoed as
-    given, and only the others are converted."""
+    An input of INPUT_DIM or a temperature in ``given``, the inputs as the
+    run took them, by name, is echoed as given; the rest are converted."""
     inputs = dict(inputs)
     for name, col in list(inputs.items()):
         dim = INPUT_DIM.get(name)
@@ -121,6 +120,5 @@ def _reciprocal_temperature(ctx, x, ops):
 
 def _kelvin(ctx, beta, given, ops):
     # the temperature as given, else the one beta stands for
-    if "temperature_kelvin" in given:
-        return given["temperature_kelvin"]
-    return _reciprocal_temperature(ctx, beta, ops)
+    kelvin = given.get("temperature_kelvin")
+    return _reciprocal_temperature(ctx, beta, ops) if kelvin is None else kelvin

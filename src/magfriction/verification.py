@@ -56,6 +56,15 @@ def _ok(err, tol, label="err"):
     return err <= tol, "%s=%.3g tol=%.3g" % (label, err, tol)
 
 
+def _on_grid(fn, *cols):
+    """fn(*cols, ops) on the grid ops of the CLI's sweeps, at the shape the
+    columns broadcast to; the first failing point raises."""
+    ops = ArrayOps(np.broadcast_shapes(*map(np.shape, cols)))
+    out = fn(*cols, ops)
+    ops.raise_first()
+    return out
+
+
 # ---------------------------------------------------------------- numerics
 
 
@@ -1246,14 +1255,8 @@ def check_halfspace_quadrature():
     gh = geometry_coupling.G_halfspace(1.5, 0.8, FloatOps)
     rel_volume = abs(_G_halfspace_by_quadrature(1.5, 0.8) - gh) / gh
     g = SlabGeometry(1.5, 1.0, 1.0)
-
-    def g_h(us):
-        ops = ArrayOps(us.shape)
-        out = geometry_coupling.G_halfspace(g.d + us, 1.0, ops)
-        ops.raise_first()
-        return out
-
-    r = numerics.quad_semi_infinite(g_h, 0.0, tol=1e-12)
+    r = numerics.quad_semi_infinite(
+        lambda us: _on_grid(geometry_coupling.G_halfspace, g.d + us, 1.0), 0.0, tol=1e-12)
     target = geometry_coupling.G_slabs_realspace(g.d, g.rho1, g.rho2, FloatOps)
     err_slab = abs(g.rho2 * r.value - target)
     return rel_volume <= 1e-10 and err_slab <= 1e-10, "volume rel=%.3g slab err=%.3g" % (
@@ -1263,9 +1266,7 @@ def check_halfspace_quadrature():
 def check_slab_route_equivalence():
     d = np.repeat([0.5, 1.0, 2.0, 4.0, 8.0], 2)
     rho = np.tile([1.0, 2.5], 5)
-    ops = ArrayOps(d.shape)
-    a = geometry_coupling.G_slabs_realspace(d, rho, 0.7, ops)
-    ops.raise_first()
+    a = _on_grid(geometry_coupling.G_slabs_realspace, d, rho, 0.7)
     # the Fourier route of all ten geometries in one batch
     b = G_slabs_fourier(SlabGeometry(d, rho, 0.7))
     return _ok(float(np.max(np.abs(a - b) / a)), 1e-10, "rel")
@@ -1318,9 +1319,7 @@ def _G_P_by_quadrature(d, rho1, rho2):
 
 def check_G_P_quadrature():
     d = np.array([0.7, 1.0, 1.9])
-    ops = ArrayOps(d.shape)
-    closed = geometry_coupling.G_P_slabs(d, 1.3, 0.8, ops)
-    ops.raise_first()
+    closed = _on_grid(geometry_coupling.G_P_slabs, d, 1.3, 0.8)
     return _ok(float(np.max(np.abs(_G_P_by_quadrature(d, 1.3, 0.8) - closed) / closed)), 1e-10,
                "rel")
 
@@ -1424,25 +1423,20 @@ def check_force_signs(draws=200):
     d, rho1, rho2 = 0.5 + 2.5 * u[:, 3], 0.2 + 2.8 * u[:, 4], 0.2 + 2.8 * u[:, 5]
     D1, D2 = 0.1 + 1.9 * u[:, 6], 0.1 + 1.9 * u[:, 7]
     omega = 0.5 + 1.5 * u[:, 8]
-    # the grid ops of the CLI's sweeps
-    grid = ArrayOps((draws,))
-    pair, inter = friction_forces.pair_force(d, v, D1, D2, beta, grid)
+    pair, inter = _on_grid(friction_forces.pair_force, d, v, D1, D2, beta)
     o1 = response_kinetics.OscState.thermal(omega, beta)
     o2 = response_kinetics.OscState.thermal(o1.omega, beta)
     forces = [
-        ("finite-T", v, friction_forces.slabs_finite_force(
-            d, rho1, rho2, D1, D2, beta, v, grid)[0]),
-        ("plane", v, friction_forces.plane_force(d, rho1, v, D1, D2, beta, grid)[0]),
+        ("finite-T", v, _on_grid(
+            friction_forces.slabs_finite_force, d, rho1, rho2, D1, D2, beta, v)[0]),
+        ("plane", v, _on_grid(friction_forces.plane_force, d, rho1, v, D1, D2, beta)[0]),
         ("pair", v, pair),
         ("sharp pair", v, _sharp_amplitude(inter["G_factor"] * v, o1, o2, beta)),
     ]
     # the zero-temperature regime takes v > 0 only
     pos = v > 0.0
-    zero_grid = ArrayOps((int(np.count_nonzero(pos)),))
-    forces.append(("zero-T", v[pos], friction_forces.slabs_zero_force(
-        d[pos], rho1[pos], rho2[pos], D1[pos], D2[pos], v[pos], zero_grid)[0]))
-    grid.raise_first()
-    zero_grid.raise_first()
+    forces.append(("zero-T", v[pos], _on_grid(
+        friction_forces.slabs_zero_force, *(x[pos] for x in (d, rho1, rho2, D1, D2, v)))[0]))
     for name, vs, force in forces:
         wrong = np.sign(force) != -np.sign(vs)
         if wrong.any():
