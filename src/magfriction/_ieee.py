@@ -131,8 +131,6 @@ class ArrayOps:
             try:
                 out[k] = fn(*args)
             except Exception as exc:
-                where = np.zeros(out.shape, dtype=bool)
-                where[k] = True
-                self.fail(where.reshape(cols[0].shape), exc)
+                self.fail(np.arange(out.size).reshape(cols[0].shape) == k, exc)
                 break
         return out.reshape(cols[0].shape)
