@@ -242,6 +242,23 @@ RANGE_EDGES = [
     # an input echoed as given may be subnormal
     (["eigen", "--alpha", 1e-310], 0,
      ["alpha,omega_plus,omega_minus,e0", "1e-310,1.0,1.0,1.0"], ""),
+    # more edges of d, alone and with a half-space: r^2 underflows to zero,
+    # or r^2 overflows (and 3 d^2/r^8 is inf/inf)
+    *((["fields", "--d", d, *half], 2, [], _NOT_FINITE)
+      for d in (5e-324, -5e-324, -1e-200, 1e200, -1e200, 1.7976931348623157e308,
+                -1.7976931348623157e308)
+      for half in ([], ["--z0", 1.5, "--rho1", 2])),
+    *((["fields", "--d", d, *half], 0,
+       ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot" + head,
+        "%s,0.2222222222222222,%s0.4444444444444444,0.1755829903978052,0.7023319615912209,"
+        "%s0.4444444444444444,%s0.4444444444444444%s" % (d, *signs, tail)], "")
+      for d, signs in ((1.5, ("", "-", "")), (-1.5, ("-", "", "-")))
+      for half, head, tail in (([], "", ""), (["--z0", 1.5, "--rho1", 2], ",z0,rho1,g_halfspace",
+                                              ",1.5,2.0,0.9308422677303091"))),
+    (["friction", "pair", "--d", 5e-324] + _PAIR_UNIT, 2, [], _NOT_FINITE),
+    (["friction", "pair", "--d", 1e200] + _PAIR_UNIT, 0,
+     ["regime,units,force,G_factor,H0,beta,d,v",
+      "pair-smoothed,reduced,-0.0,0.0,163.21049855215009,1.0,1e+200,1.0"], ""),
 ]
 
 
