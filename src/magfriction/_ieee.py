@@ -23,31 +23,11 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def ieee_pow(x, n):
-    """x ** n for a float x and a positive integer n, with the IEEE range
-    of numpy's float64: a result past the float range is a signed inf,
-    not OverflowError."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.copysign(math.inf, x) if n % 2 else math.inf
-
-
-def ieee_div(a, b):
-    """a / b for floats, with the IEEE range of numpy's float64: a zero
-    divisor gives a signed inf, or nan for 0/0, not ZeroDivisionError."""
-    if b != 0.0:
-        return a / b
-    if a == 0.0 or a != a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 class FloatOps:
     """The arithmetic of the column closed forms on Python floats, one
-    point: a check that fails raises its exception at once, and a power
-    or quotient past the float range raises OverflowError or
-    ZeroDivisionError. ``ArrayOps`` has the same six operations on arrays.
+    point: a failing check raises at once, pow and div past the float
+    range raise, and ieee_pow and ieee_div give numpy's inf or nan there.
+    ``ArrayOps`` has the same eight operations on arrays.
     """
 
     @staticmethod
@@ -72,12 +52,29 @@ class FloatOps:
         return a / b
 
     @staticmethod
+    def ieee_pow(x, n):
+        """x ** n, n a positive int; a signed inf past the float range."""
+        try:
+            return x**n
+        except OverflowError:
+            return math.copysign(math.inf, x) if n % 2 else math.inf
+
+    @staticmethod
+    def ieee_div(a, b):
+        """a / b; a zero divisor gives a signed inf, or nan for 0/0."""
+        if b != 0.0:
+            return a / b
+        if a == 0.0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+    @staticmethod
     def map(fn, *args):
         return fn(*args)
 
 
 class ArrayOps:
-    """The same six operations on the numpy columns of a grid of ``shape``:
+    """The same eight operations on the numpy columns of a grid of ``shape``:
     the CLI's sweeps and the battery's sign draws compute on it.
 
     A point fails at the first check it reaches, so the grid keeps the
@@ -109,17 +106,32 @@ class ArrayOps:
         return np.sqrt(x)
 
     def pow(self, x, n):
-        """x ** n through Python's float power (numpy's vector power differs
-        from it in the last bit for some x); OverflowError fails the point."""
-        try:
-            return np.array([t**n for t in x.ravel().tolist()]).reshape(x.shape)
-        except OverflowError:
-            return self.map(lambda t: t**n, x)
+        """ieee_pow, whose overflow fails the point, as for Python floats."""
+        out = self.ieee_pow(x, n)
+        overflow = np.isinf(out) & np.isfinite(x)
+        self.fail(overflow, OverflowError(34, "Numerical result out of range"))
+        return out
 
     def div(self, a, b):
         """a / b; a zero divisor fails the point, as for Python floats."""
         self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
         return a / b
+
+    @staticmethod
+    def ieee_pow(x, n):
+        """Python's x ** n (numpy's power differs in the last bit for some
+        x), and FloatOps.ieee_pow's past the float range."""
+        values = x.ravel().tolist()
+        try:
+            out = [t**n for t in values]
+        except OverflowError:
+            out = [FloatOps.ieee_pow(t, n) for t in values]
+        return np.array(out).reshape(x.shape)
+
+    @staticmethod
+    def ieee_div(a, b):
+        with np.errstate(all="ignore"):
+            return np.divide(a, b)
 
     def map(self, fn, *cols):
         """fn(*args) at each point of the shape the columns broadcast to, in

@@ -286,7 +286,7 @@ def _resolve(args):
     axes = {ax.name for ax in cfg.axes}
     given = axes.union(f for f in _INPUTS if getattr(cfg, _attr(f)) is not None)
     flags = axes.union(f for f in _INPUTS if getattr(args, _attr(f)) is not None)
-    if route.name == "fields" and "rho1" in flags and cfg.z0 is None:
+    if route.target == "fields" and "rho1" in flags and "z0" not in given:
         raise CliError(EXIT_CONFIG, "fields takes --rho1 only with --z0")
     missing = [f for f in route.required if f not in given]
     if missing:
@@ -367,7 +367,7 @@ def _check_sources(route, cfg, given, flags):
                            "a temperature is required: --beta or --temperature-kelvin")
     elif temperatures and route.target == "friction-slabs-zero":
         raise CliError(EXIT_CONFIG, "zero-temperature slabs take no temperature input")
-    if route.name == "fields" and cfg.units == "gaussian":
+    if route.target == "fields" and cfg.units == "gaussian":
         raise CliError(EXIT_CONFIG, "fields reports reduced units only")
     if route.name == "verify" and cfg.json_out:
         raise CliError(EXIT_CONFIG, "verify has no --json mirror; --out FILE writes its lines")
@@ -454,22 +454,6 @@ def _parse_axis(spec):
     return SweepAxis(name, lo, hi, steps, log, spec)
 
 
-def _run_fields(cfg):
-    """The fields and couplings on the axis r = (0, 0, d), in Python floats."""
-    d = cfg.d
-    alpha, b_y, e_x = dipole_fields.axial_fields(d)
-    psi_xy, g_xx, g_zz = geometry_coupling.axial_coupling(d)
-    cells = [("d", d), ("coupling_alpha", alpha), ("psi_xy", psi_xy), ("g_xx", g_xx),
-             ("g_zz", g_zz), ("b_y_unit_pdot", b_y), ("e_x_unit_mdot", e_x)]
-    if cfg.z0 is not None:
-        rho = cfg.rho1 if cfg.rho1 is not None else 1.0
-        _ieee.FloatOps.fail(cfg.z0 <= 0.0 or rho <= 0.0,
-                            ValueError("z0 and rho must be positive"))
-        g_h = geometry_coupling.G_halfspace(cfg.z0, rho, _ieee.FloatOps)
-        cells += [("z0", cfg.z0), ("rho1", rho), ("g_halfspace", g_h)]
-    return _Table(cells, (), (cfg.d, cfg.z0, cfg.rho1))
-
-
 # --- whole-grid evaluation ------------------------------------------------
 #
 # A sweep target is evaluated once over an open grid, the np.ix_ layout:
@@ -481,11 +465,10 @@ def _run_fields(cfg):
 # ``ops``; broadcasting keeps each quantity at the shape of the axes it
 # depends on, never tiled to the whole grid. Array arithmetic keeps to the
 # correctly rounded operations (+ - * / sqrt), and every power goes
-# through Python's float **. Only the free-energy bracket, a tabulated H0
-# and the pair's axial G_xx go through their scalar functions, once per
-# point of their columns (ops.map). Checks are masks that broadcast over
-# the grid, and a failing grid reports the failure of its first failing
-# point.
+# through Python's float **. Only the free-energy bracket and a tabulated
+# H0 go through their scalar functions, once per point of their columns
+# (ops.map). Checks are masks that broadcast over the grid, and a failing
+# grid reports the failure of its first failing point.
 #
 # A one-shot command runs the same evaluators on a _Point, whose ops are
 # _ieee.FloatOps: its columns are Python floats, on which the same
@@ -589,6 +572,22 @@ def _grid_free_energy(grid):
     return cols
 
 
+def _grid_fields(grid):
+    """The fields and couplings on the axis r = (0, 0, d), and with z0 the
+    half-space factor, of density rho1 or 1."""
+    d = grid.columns["d"]
+    alpha, b_y, e_x = dipole_fields.axial_fields(d, grid)
+    psi_xy, g_xx, g_zz = geometry_coupling.axial_coupling(d, grid)
+    cols = [("d", d), ("coupling_alpha", alpha), ("psi_xy", psi_xy), ("g_xx", g_xx),
+            ("g_zz", g_zz), ("b_y_unit_pdot", b_y), ("e_x_unit_mdot", e_x)]
+    z0, rho = grid.columns.get("z0"), grid.columns.get("rho1", grid.constant(1.0))
+    if z0 is not None:
+        grid.fail((z0 <= 0.0) | (rho <= 0.0), ValueError("z0 and rho must be positive"))
+        g_h = geometry_coupling.G_halfspace(z0, rho, grid)
+        cols += [("z0", z0), ("rho1", rho), ("g_halfspace", g_h)]
+    return cols
+
+
 def _grid_friction_pair(grid):
     beta = _grid_beta(grid)
     d, v = grid.columns["d"], grid.columns["v"]
@@ -633,7 +632,7 @@ def _grid_slabs_zero(grid):
 
 
 def _run_point(cfg):
-    """A one-shot command with a sweep target: that target on a _Point."""
+    """A one-shot command: its target's column function on a _Point."""
     grid = _Point(cfg)
     return _Table(_TARGET_RUNNERS[cfg.route.target](grid), (), grid.given.values())
 
@@ -652,12 +651,12 @@ def _run_sweep(cfg):
 # --- the route table --------------------------------------------------------
 #
 # A row is a route: its name, which is the command line that selects it;
-# the sweep target that computes it, if any; the inputs it reads; the
-# required ones among them; and its column function, which takes a grid
-# (fields, which has no target, runs on the config). The parsers and their
-# help, the sweep targets and their axes (a target's float inputs), the
-# required-input check, the refusal of a flag the route does not read,
-# _TARGET_RUNNERS and _RUNNERS all come from this table.
+# the sweep target that computes it (verify has none); the inputs it
+# reads; the required ones among them; and its column function, which
+# takes a grid. The parsers and their help, the sweep targets and their
+# axes (a target's float inputs), the required-input check, the refusal of
+# a flag the route does not read, _TARGET_RUNNERS and _RUNNERS all come
+# from this table.
 
 _Route = namedtuple("_Route", "name target reads required columns")
 
@@ -676,7 +675,7 @@ _ONE_SHOT = (
     _Route("eigen", "eigen", _reads("alpha"), ("alpha",), _grid_eigen),
     _Route("free-energy", "free-energy", _reads("alpha", *_TEMPERATURE), ("alpha",),
            _grid_free_energy),
-    _Route("fields", None, _reads("d", "z0", "rho1"), ("d",), _run_fields),
+    _Route("fields", "fields", _reads("d", "z0", "rho1"), ("d",), _grid_fields),
     _Route("friction pair", "friction-pair", _reads("d", "v", *_TEMPERATURE, *_SPECTRA),
            ("d", "v"), _grid_friction_pair),
     # a Drude metal stands on side 2, the half-space
@@ -690,13 +689,12 @@ _ONE_SHOT = (
 )
 _ROUTES = {route.name: route for route in (
     *_ONE_SHOT,
-    *(route._replace(name="sweep --target " + route.target) for route in _ONE_SHOT
-      if route.target),
+    *(route._replace(name="sweep --target " + route.target) for route in _ONE_SHOT),
     # its checks fix their own parameters and seeds
     _Route("verify", None, frozenset(), (), None),
 )}
-_TARGET_RUNNERS = {route.target: route.columns for route in _ONE_SHOT if route.target}
-_RUNNERS = {route.name: _run_point if route.target else route.columns for route in _ONE_SHOT}
+_TARGET_RUNNERS = {route.target: route.columns for route in _ONE_SHOT}
+_RUNNERS = {route.name: _run_point for route in _ONE_SHOT}
 
 
 def _config_echo(cfg):

@@ -3,11 +3,11 @@
 Every closed form that the CLI prints takes its parameters as columns in
 reduced units (hbar = c = k_B = 1): numpy arrays that broadcast over a
 grid, or Python floats for one point. It takes ``ops`` too, the
-arithmetic that can fail a point: ``fail(where, error)``, ``pow(x, n)``,
-``div(a, b)``, ``sqrt(x)``, ``map(fn, *cols)`` and ``constant(value)``.
-``_ieee.ArrayOps`` implements them for arrays, and ``_ieee.FloatOps`` for
-floats. On the columns themselves only + - * / run, so a float and an
-array give the same bits at a point.
+arithmetic that can fail a point, ``fail``, ``pow``, ``div``, ``sqrt``,
+``map`` and ``constant``, and ``ieee_pow``/``ieee_div``, which give inf
+or nan past the float range. ``_ieee.ArrayOps`` implements them for
+arrays, and ``_ieee.FloatOps`` for floats. On the columns themselves
+only + - * / run, so a float and an array give the same bits at a point.
 
 Each force returns (force, intermediates): the intermediates are the
 named columns the report prints beside it. units.gaussian_report turns
@@ -23,7 +23,7 @@ def pair_force(d, v, side1, side2, beta, ops):
     """Smoothed force on a particle pair at r = (0, 0, d), moving along x:
     -G_xx v H0. Each side is a spectrum as materials_spectral.H0_columns
     takes it."""
-    g_xx = ops.map(lambda x: geometry_coupling.axial_coupling(x)[1], d)
+    g_xx = geometry_coupling.axial_coupling(d, ops)[1]
     h0 = materials_spectral.H0_columns(side1, side2, beta, ops)
     return -g_xx * v * h0, {"G_factor": g_xx, "H0": h0}
 

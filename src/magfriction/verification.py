@@ -5,8 +5,8 @@ lattice discretization, Monte-Carlo, a least-squares fit of the
 trajectory's propagator, series summation, finite differences) and
 compares against the production closed form at a stated tolerance; a
 closed form the CLI prints is checked through the very function the CLI
-calls, on Python floats (``_ieee.FloatOps``). The CLI `verify`
-subcommand and the test suite both run these.
+calls, on Python floats (``_ieee.FloatOps``) or on a grid (``_on_grid``).
+The CLI `verify` subcommand and the test suite both run these.
 
 The independent routes live here too, beside the checks that run them,
 so that the route modules hold only what a CLI command executes: the
@@ -248,18 +248,19 @@ def check_field_orthogonality():
 
 
 def check_axial_outputs():
-    # the six floats the fields command prints on the axis r = (0, 0, d),
-    # against the vector forms there, over d of both signs
+    # the six columns the fields command prints on the axis r = (0, 0, d),
+    # on the grid ops, against the vector forms there, over d of both signs
     rng = np.random.Generator(np.random.Philox(key=6))
     ds = 10.0 ** rng.uniform(-3.0, 3.0, 12)
     ds[::2] *= -1.0
+    fields = _on_grid(dipole_fields.axial_fields, ds)
+    cells = fields + _on_grid(geometry_coupling.axial_coupling, ds)
     worst = 0.0
-    for d in ds.tolist():
+    for d, got in zip(ds.tolist(), np.transpose(cells).tolist()):
         r = [0.0, 0.0, d]
         psi, G = coupling_psi(r), G_tensor(r)
         route = (coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[1],
                  electric_field_quasistatic([0.0, 1.0, 0.0], r)[0], psi[0, 1], G[0, 0], G[2, 2])
-        got = dipole_fields.axial_fields(d) + geometry_coupling.axial_coupling(d)
         worst = max(worst, max(abs(x - y) / abs(y) for x, y in zip(got, route)))
     return _ok(float(worst), 1e-15, "rel")
 
@@ -1094,7 +1095,7 @@ def coupling_gradient_T(r):
 def G_tensor(r):
     """Contraction G_lq = T_lij T_qij = 2(delta_lq/r^6 + 3 x_l x_q/r^8),
     symmetric positive definite; geometry_coupling.axial_coupling gives
-    its axial values in floats."""
+    its axial values over a column of d."""
     r, rn = _separation(r)
     return 2.0 * (np.eye(3) / rn**6 + 3.0 * np.outer(r, r) / rn**8)
 

@@ -594,11 +594,13 @@ POSITIVE = st.builds(lambda exponent: repr(10.0**exponent),
 FLOAT_PARAMS = [flag for flag, typ in cli_module._PARAMS if typ is float]
 TEMPERATURES = {"beta", "temperature-kelvin"}
 
-# target: one-shot command, required parameters, takes a temperature, and
-# for each side that takes a spectrum whether a Drude metal can stand there
+# target: one-shot command, parameters drawn valid (the required ones, and
+# the half-space of fields), takes a temperature, and for each side that
+# takes a spectrum whether a Drude metal can stand there
 TARGETS = {
     "eigen": (["eigen"], ("alpha",), False, ()),
     "free-energy": (["free-energy"], ("alpha",), True, ()),
+    "fields": (["fields"], ("d", "z0", "rho1"), False, ()),
     "friction-pair": (["friction", "pair"], ("d", "v"), True, (False, False)),
     "friction-plane": (["friction", "plane"], ("z0", "rho1", "v"), True, (False, True)),
     "friction-slabs-finite": (["friction", "slabs", "--temperature", "finite"],
@@ -607,7 +609,6 @@ TARGETS = {
                             ("d", "rho1", "rho2", "v"), False, (True, True)),
 }
 ONE_SHOT = [entry for _, entry in sorted(TARGETS.items())]
-ONE_SHOT.append((["fields"], ("d", "z0", "rho1"), False, ()))
 
 
 def _draw_params(draw, reads, names, temperature, spectra, axes=()):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
+from magfriction._ieee import ArrayOps, FloatOps
 from magfriction.dipole_fields import axial_fields
 from magfriction.verification import (
     coupling_alpha,
@@ -133,13 +134,22 @@ def test_fields_suite_green():
 
 
 def test_axial_fields_are_the_vector_forms_on_the_axis():
+    # bit for bit: per point on floats, and as one column on arrays
     with np.errstate(all="ignore"):
-        for d in AXIAL_D:
-            r = [0.0, 0.0, d]
-            want = [coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[1],
-                    electric_field_quasistatic([0.0, 1.0, 0.0], r)[0]]
-            got = axial_fields(d)
-            assert all(type(x) is float for x in got)
-            assert list(map(float_bits, got)) == list(map(float_bits, map(float, want))), d
+        want = [[float_bits(float(x)) for x in (
+            coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[1],
+            electric_field_quasistatic([0.0, 1.0, 0.0], r)[0])]
+            for r in ([0.0, 0.0, d] for d in AXIAL_D)]
+        cols = axial_fields(np.array(AXIAL_D), ArrayOps((len(AXIAL_D),)))
+    for d, w in zip(AXIAL_D, want):
+        got = axial_fields(d, FloatOps)
+        assert all(type(x) is float for x in got)
+        assert list(map(float_bits, got)) == w, d
+    assert [list(map(float_bits, t)) for t in zip(*(c.tolist() for c in cols))] == want
     with pytest.raises(ValueError, match="zero separation"):
-        axial_fields(-0.0)
+        axial_fields(-0.0, FloatOps)
+    ops = ArrayOps((3,))
+    with np.errstate(all="ignore"):
+        axial_fields(np.array([1.0, -0.0, 0.0]), ops)
+    with pytest.raises(ValueError, match="zero separation"):
+        ops.raise_first()

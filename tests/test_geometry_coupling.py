@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import AXIAL_D, assert_check, float_bits
 from magfriction import verification
-from magfriction._ieee import FloatOps
+from magfriction._ieee import ArrayOps, FloatOps
 from magfriction.geometry_coupling import (
     G_P_slabs,
     G_halfspace,
@@ -185,17 +185,26 @@ def test_tiny_separation_is_not_zero():
 
 
 def test_axial_coupling_is_the_tensors_on_the_axis():
-    # bit for bit, signed zeros, inf and nan included
+    # bit for bit, signed zeros, inf and nan included: per point on floats,
+    # and as one column on arrays
+    want = []
     with np.errstate(all="ignore"):
         for d in AXIAL_D:
-            r = [0.0, 0.0, d]
-            psi, G = coupling_psi(r), G_tensor(r)
-            want = [psi[0, 1], G[0, 0], G[2, 2]]
-            got = axial_coupling(d)
-            assert all(type(x) is float for x in got)
-            assert list(map(float_bits, got)) == list(map(float_bits, map(float, want))), d
+            psi, G = coupling_psi([0.0, 0.0, d]), G_tensor([0.0, 0.0, d])
+            want.append([float_bits(float(x)) for x in (psi[0, 1], G[0, 0], G[2, 2])])
+        cols = axial_coupling(np.array(AXIAL_D), ArrayOps((len(AXIAL_D),)))
+    for d, w in zip(AXIAL_D, want):
+        got = axial_coupling(d, FloatOps)
+        assert all(type(x) is float for x in got)
+        assert list(map(float_bits, got)) == w, d
+    assert [list(map(float_bits, t)) for t in zip(*(c.tolist() for c in cols))] == want
     with pytest.raises(ValueError, match="zero separation"):
-        axial_coupling(0.0)
+        axial_coupling(0.0, FloatOps)
+    ops = ArrayOps((3,))
+    with np.errstate(all="ignore"):
+        axial_coupling(np.array([1.0, 0.0, -0.0]), ops)
+    with pytest.raises(ValueError, match="zero separation"):
+        ops.raise_first()
 
 
 def test_geometry_suite_green():

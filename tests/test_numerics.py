@@ -316,17 +316,16 @@ def test_numerics_suite_green():
 
 
 def test_ieee_pow_and_div_keep_the_float_range():
-    assert _ieee.ieee_pow(2.0, 3) == 8.0
-    assert _ieee.ieee_pow(1e200, 2) == math.inf
-    assert _ieee.ieee_pow(-1e200, 3) == -math.inf
-    assert _ieee.ieee_pow(-1e200, 4) == math.inf
-    assert _ieee.ieee_pow(1e-200, 2) == 0.0
-    assert _ieee.ieee_div(1.0, 4.0) == 0.25
-    assert _ieee.ieee_div(3.0, 0.0) == math.inf
-    assert _ieee.ieee_div(-3.0, 0.0) == -math.inf
-    assert _ieee.ieee_div(3.0, -0.0) == -math.inf
-    assert math.isnan(_ieee.ieee_div(0.0, 0.0))
-    assert _ieee.ieee_div(1.0, math.inf) == 0.0
+    # on both ops classes; on arrays each operand is a one-point column
+    for ops, col in ((_ieee.FloatOps, float), (_ieee.ArrayOps, lambda x: np.array([x]))):
+        pows = [np.asarray(ops.ieee_pow(col(x), n)).item()
+                for x, n in ((2.0, 3), (1e200, 2), (-1e200, 3), (-1e200, 4), (1e-200, 2))]
+        assert list(map(float_bits, pows)) == list(map(float_bits, [
+            8.0, math.inf, -math.inf, math.inf, 0.0])), ops
+        divs = [np.asarray(ops.ieee_div(col(a), col(b))).item() for a, b in (
+            (1.0, 4.0), (3.0, 0.0), (-3.0, 0.0), (3.0, -0.0), (0.0, 0.0), (1.0, math.inf))]
+        assert list(map(float_bits, divs)) == list(map(float_bits, [
+            0.25, math.inf, -math.inf, -math.inf, math.nan, 0.0])), ops
 
 
 # ------------------------------------------------ numpy kernels of the oracles

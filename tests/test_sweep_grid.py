@@ -8,10 +8,12 @@ numpy's vector d**4 and Python's float ** differ by one ulp.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import float_bits
 from magfriction import _ieee, _kernels, cli as cli_module, materials_spectral
@@ -50,6 +52,9 @@ SWEEPS = {
                             "--axis", "d:1e-7:1e-5:3:log", "--axis", "v:1:1000:3:log",
                             "--rho1", "1e22", "--rho2", "1e22",
                             "--D1", "1e-30", "--D2", "1e-30"],
+    # d of both signs, not through 0
+    "fields": ["--target", "fields", "--axis", "d:-2.5:2.5:4", "--axis", "z0:0.5:2:3",
+               "--rho1", "1.5"],
 }
 
 def _sweep_args(name, directory):
@@ -80,6 +85,7 @@ def test_sweep_golden(cli, tmp_path, name):
 ONE_SHOT = {
     "eigen": ["eigen"],
     "free-energy": ["free-energy"],
+    "fields": ["fields"],
     "friction-pair": ["friction", "pair"],
     "friction-plane": ["friction", "plane"],
     "friction-slabs-finite": ["friction", "slabs", "--temperature", "finite"],
@@ -189,6 +195,17 @@ FAILING_SWEEPS = [
                                "--temperature-kelvin", 300, "--d", 1e-6, "--rho1", 1e22,
                                "--rho2", 1e22, "--D2", 1e-30, "--v", 1],
      1, "invalid input: D must be finite and >= 0\n"),
+    # the rules of the fields command; an axis of z0 stands for --z0 (sweep_fields.csv)
+    ("fields", ["--units", "gaussian", "--axis", "d:1:2:3"],
+     3, "error: fields reports reduced units only\n"),
+    ("fields", ["--axis", "d:1:2:3", "--rho1", 2],
+     3, "error: fields takes --rho1 only with --z0\n"),
+    ("fields", ["--axis", "rho1:1:2:3", "--d", 1],
+     3, "error: fields takes --rho1 only with --z0\n"),
+    ("fields", ["--axis", "d:-1:1:3", "--z0", 1], 1, "invalid input: zero separation\n"),
+    # z0 fails at the second point, d at the third
+    ("fields", ["--axis", "d:-1:1:3", "--axis", "z0:1:-1:2", "--rho1", 2],
+     1, "invalid input: z0 and rho must be positive\n"),
 ]
 
 
@@ -320,15 +337,82 @@ def test_pow_overflow_in_mid_column_fails_that_point():
     x = np.array([[2.0, 1e200, 3.0, 1e300]])
     ops = _ieee.ArrayOps((2, 4))
     out = ops.pow(x, 2)
-    # the points before the overflow keep Python's float power
+    # every point holds ieee_pow's value: Python's float power, inf past
+    # the float range; raise_first stops the sweep before any of it prints
     assert out.shape == (1, 4)
-    assert out[0, :1].tolist() == [4.0] and np.isnan(out[0, 1:]).all()
+    assert out.tolist() == [[4.0, math.inf, 9.0, math.inf]]
     with pytest.raises(OverflowError):
         ops.raise_first()
     # the point is (0, 1): a later check at (0, 0) still wins
     ops.fail(np.array([[True], [False]]), KeyError("earlier point"))
     with pytest.raises(KeyError):
         ops.raise_first()
+
+
+# any float (nan, signed infinities and zeros, subnormals), the float
+# range's edges, moderate values, where numpy's power differs from Python's
+# in the last bit for some x, and magnitudes of both signs from the
+# subnormals to past where x**2 overflows, so that each power in IEEE_N
+# crosses its edge
+_IEEE_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-100.0, 100.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-323.0, 160.0)),
+)
+IEEE_N = [2, 3, 6, 8]
+
+
+@given(xs=st.lists(_IEEE_FLOATS, min_size=1, max_size=12), n=st.sampled_from(IEEE_N))
+def test_array_ieee_pow_is_the_float_ieee_pow_at_every_point(xs, n):
+    out = _ieee.ArrayOps.ieee_pow(np.array(xs), n)
+    assert list(map(float_bits, out.tolist())) == [
+        float_bits(_ieee.FloatOps.ieee_pow(x, n)) for x in xs]
+
+
+# zero divisors of both signs drawn often, against nan and inf numerators
+_DIVISORS = st.one_of(_IEEE_FLOATS, st.sampled_from([0.0, -0.0]))
+
+
+@given(pairs=st.lists(st.tuples(_IEEE_FLOATS, _DIVISORS), min_size=1, max_size=12))
+def test_array_ieee_div_is_the_float_ieee_div_at_every_point(pairs):
+    a, b = map(np.array, zip(*pairs))
+    out = _ieee.ArrayOps.ieee_div(a, b)
+    assert list(map(float_bits, out.tolist())) == [
+        float_bits(_ieee.FloatOps.ieee_div(x, y)) for x, y in pairs]
+
+
+def _float_pow_or_error(x, n):
+    try:
+        return _ieee.FloatOps.pow(x, n)
+    except OverflowError as exc:
+        return exc
+
+
+@given(xs=st.lists(_IEEE_FLOATS, min_size=1, max_size=12), n=st.sampled_from(IEEE_N))
+def test_array_pow_fails_the_first_point_where_float_pow_raises(xs, n):
+    # a column of x along the grid's first axis: its element k is first at
+    # grid point 2k, so the first raising element is the first failing point
+    want = [_float_pow_or_error(x, n) for x in xs]
+    raising = [k for k, w in enumerate(want) if isinstance(w, OverflowError)]
+    column = np.array(xs).reshape(-1, 1)
+    ops = _ieee.ArrayOps((len(xs), 2))
+    ops.pow(column, n)
+    if not raising:
+        ops.raise_first()
+        return
+    # a check registered later at that point loses, one a point earlier wins
+    at = np.zeros((len(xs), 2), dtype=bool)
+    at.flat[2 * raising[0]] = True
+    ops.fail(at, KeyError("same point"))
+    with pytest.raises(OverflowError):
+        ops.raise_first()
+    if raising[0] > 0:
+        ops.fail(np.roll(at, -1), KeyError("a point earlier"))
+        with pytest.raises(KeyError, match="a point earlier"):
+            ops.raise_first()
 
 
 def _eigen_sweep_rows(cli, tmp_path, n):
@@ -447,8 +531,8 @@ def test_a_longer_column_goes_a_block_at_a_time(monkeypatch):
 
 
 # the four targets of the benchmark's closed-form workload, 100 x 100,
-# three sweeps whose slopes come from an axis of their inputs, and a pair
-# sweep whose 10k distinct d each take an ops.map call for G_xx
+# three sweeps whose slopes come from an axis of their inputs, a pair sweep
+# over 10k distinct d, and a fields sweep over 10k d of both signs
 _CLOSED_SLAB = ["--rho1", 1.3, "--rho2", 2.1, "--D1", 0.4, "--D2", 1.7]
 _GAUSSIAN = ["--units", "gaussian", "--temperature-kelvin", 300, "--v", 1, "--rho1", 1e22]
 CLOSED_SWEEPS = {
@@ -460,6 +544,8 @@ CLOSED_SWEEPS = {
              "--axis", "v:1.2e-4:6e-3:100:log", "--beta", 7.5, "--D1", 0.4, "--D2", 1.7],
     "pair-d-10k": ["--target", "friction-pair", "--axis", "d:0.9:3.6:10000", "--beta", 7.5,
                    "--v", 1e-3, "--D1", 0.4, "--D2", 1.7],
+    "fields-d-10k": ["--target", "fields", "--axis", "d:-3.6:3.6:10000", "--z0", 1.5,
+                     "--rho1", 2],
     "eigen": ["--target", "eigen", "--axis", "alpha:0.07:0.56:10000"],
     "slabs-finite-drude": ["--target", "friction-slabs-finite", "--axis", "omega-p:1:100:100:log",
                            "--axis", "rho1:0.5:3:100", "--rho2", 2.1, "--d", 1.5, "--v", 3e-3,
