@@ -395,8 +395,8 @@ def _float_pow_or_error(x, n):
 def test_array_pow_fails_the_first_point_where_float_pow_raises(xs, n):
     # a column of x along the grid's first axis: its element k is first at
     # grid point 2k, so the first raising element is the first failing point
-    want = [_float_pow_or_error(x, n) for x in xs]
-    raising = [k for k, w in enumerate(want) if isinstance(w, OverflowError)]
+    raising = [k for k, x in enumerate(xs)
+               if isinstance(_float_pow_or_error(x, n), OverflowError)]
     column = np.array(xs).reshape(-1, 1)
     ops = _ieee.ArrayOps((len(xs), 2))
     ops.pow(column, n)
