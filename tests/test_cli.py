@@ -262,7 +262,10 @@ RANGE_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("args,code,rows,err", RANGE_EDGES)
+# each case is named by its command line, so that its name holds when a case
+# is inserted before it or its outcome changes
+@pytest.mark.parametrize("args,code,rows,err", RANGE_EDGES,
+                         ids=[" ".join(map(str, case[0])) for case in RANGE_EDGES])
 def test_range_edge_outcomes(cli, capsys, args, code, rows, err):
     got, out = cli(*args)
     assert (got, _data_rows(out), capsys.readouterr().err) == (code, rows, err)
