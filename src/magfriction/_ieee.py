@@ -1,6 +1,6 @@
 """Float arithmetic: the column operations on Python floats and on numpy
-grids, powers and quotients with the IEEE range of numpy's float64, and
-the one numerical failure a CLI route raises besides FloatingPointError.
+grids, and the one numerical failure a CLI route raises besides
+FloatingPointError.
 
 The closed forms and the CLI reach these without executing
 ``magfriction.numerics``; the failure types that only the oracle
@@ -25,9 +25,8 @@ class QuadratureError(RuntimeError):
 
 class FloatOps:
     """The arithmetic of the column closed forms on Python floats, one
-    point: a failing check raises at once, pow and div past the float
-    range raise, and ieee_pow and ieee_div give numpy's inf or nan there.
-    ``ArrayOps`` has the same eight operations on arrays.
+    point: a failing check raises at once, and pow and div past the float
+    range raise. ``ArrayOps`` has the same six operations on arrays.
     """
 
     @staticmethod
@@ -52,29 +51,12 @@ class FloatOps:
         return a / b
 
     @staticmethod
-    def ieee_pow(x, n):
-        """x ** n, n a positive int; a signed inf past the float range."""
-        try:
-            return x**n
-        except OverflowError:
-            return math.copysign(math.inf, x) if n % 2 else math.inf
-
-    @staticmethod
-    def ieee_div(a, b):
-        """a / b; a zero divisor gives a signed inf, or nan for 0/0."""
-        if b != 0.0:
-            return a / b
-        if a == 0.0 or a != a:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-    @staticmethod
     def map(fn, *args):
         return fn(*args)
 
 
 class ArrayOps:
-    """The same eight operations on the numpy columns of a grid of ``shape``:
+    """The same six operations on the numpy columns of a grid of ``shape``:
     the CLI's sweeps and the battery's sign draws compute on it.
 
     A point fails at the first check it reaches, so the grid keeps the
@@ -106,32 +88,22 @@ class ArrayOps:
         return np.sqrt(x)
 
     def pow(self, x, n):
-        """ieee_pow, whose overflow fails the point, as for Python floats."""
-        out = self.ieee_pow(x, n)
-        overflow = np.isinf(out) & np.isfinite(x)
-        self.fail(overflow, OverflowError(34, "Numerical result out of range"))
+        """Python's x ** n at each point (numpy's power differs in the last
+        bit for some x); a point where it overflows fails, as for Python
+        floats, and holds a signed inf."""
+        values = x.ravel().tolist()
+        try:
+            out = np.array([t**n for t in values]).reshape(x.shape)
+        except OverflowError:
+            out = np.array([_pow_or_inf(t, n) for t in values]).reshape(x.shape)
+            overflow = np.isinf(out) & np.isfinite(x)
+            self.fail(overflow, OverflowError(34, "Numerical result out of range"))
         return out
 
     def div(self, a, b):
         """a / b; a zero divisor fails the point, as for Python floats."""
         self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
         return a / b
-
-    @staticmethod
-    def ieee_pow(x, n):
-        """Python's x ** n (numpy's power differs in the last bit for some
-        x), and FloatOps.ieee_pow's past the float range."""
-        values = x.ravel().tolist()
-        try:
-            out = [t**n for t in values]
-        except OverflowError:
-            out = [FloatOps.ieee_pow(t, n) for t in values]
-        return np.array(out).reshape(x.shape)
-
-    @staticmethod
-    def ieee_div(a, b):
-        with np.errstate(all="ignore"):
-            return np.divide(a, b)
 
     def map(self, fn, *cols):
         """fn(*args) at each point of the shape the columns broadcast to, in
@@ -146,3 +118,11 @@ class ArrayOps:
                 self.fail(np.arange(out.size).reshape(cols[0].shape) == k, exc)
                 break
         return out.reshape(cols[0].shape)
+
+
+def _pow_or_inf(x, n):
+    """x ** n, n a positive int; a signed inf past the float range."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf

@@ -460,14 +460,14 @@ def _parse_axis(spec):
 # sweep axis j has the shape (1, ..., n_j, ..., 1), the first axis
 # outermost, so the grid's C order is itertools.product order, and a fixed
 # parameter has the shape (1, ..., 1). The closed forms are the library's
-# column functions (friction_forces, geometry_coupling, materials_spectral,
-# matsubara, units), each called once per grid with the grid as their
-# ``ops``; broadcasting keeps each quantity at the shape of the axes it
-# depends on, never tiled to the whole grid. Array arithmetic keeps to the
-# correctly rounded operations (+ - * / sqrt), and every power goes
-# through Python's float **. Only the free-energy bracket and a tabulated
-# H0 go through their scalar functions, once per point of their columns
-# (ops.map). Checks are masks that broadcast over the grid, and a failing
+# column functions (dipole_fields, friction_forces, geometry_coupling,
+# materials_spectral, matsubara, units), each called once per grid with
+# the grid as their ``ops``; broadcasting keeps each quantity at the shape
+# of the axes it depends on, never tiled to the whole grid. Array
+# arithmetic keeps to the correctly rounded operations (+ - * / sqrt),
+# and every power goes through Python's float **. Only the free-energy
+# bracket and a tabulated H0 go through their scalar functions, once per
+# point of their columns (ops.map). Checks are masks that broadcast over the grid, and a failing
 # grid reports the failure of its first failing point.
 #
 # A one-shot command runs the same evaluators on a _Point, whose ops are
@@ -476,8 +476,9 @@ def _parse_axis(spec):
 # no numpy is loaded. Python floats part from numpy only at the edges of
 # the float range, where Python raises and numpy gives inf or nan; so
 # every power goes through pow, and every divisor that earlier checks do
-# not keep nonzero through div, which fail the point with the same
-# exception on both.
+# not keep nonzero through div. On both, a power past the float range
+# fails its point with OverflowError and a zero divisor with
+# ZeroDivisionError, in every closed form alike.
 
 
 class _Grid(_ieee.ArrayOps):

@@ -17,12 +17,8 @@ def axial_fields(d, ops):
     unit P_dot along x, and the x-component of the field of a unit M_dot
     along y; that is 1/(2 r^2), -s/r^2 and s/r^2 with r = |d| and s the
     sign of d.
-
-    Each is the value the vector functions give there, at the edges of
-    the float range too: a power past it is inf and a zero divisor gives
-    inf.
     """
     ops.fail(d == 0.0, ValueError("zero separation"))
-    r2 = ops.ieee_pow(abs(d), 2)
-    s = ops.ieee_div(d, abs(d))
-    return ops.ieee_div(1.0, 2.0 * r2), ops.ieee_div(-s, r2), ops.ieee_div(s, r2)
+    r2 = ops.pow(d, 2)
+    e_x = ops.div(d / abs(d), r2)
+    return ops.div(1.0, 2.0 * r2), -e_x, e_x

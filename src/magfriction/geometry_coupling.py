@@ -16,21 +16,13 @@ import math
 
 def axial_coupling(d, ops):
     """(psi_xy, G_xx, G_zz) at r = (0, 0, d), over a column of d (``ops``
-    as in friction_forces): d/r^3, 2/r^6 and 2(1/r^6 + 3 d^2/r^8) with
-    r = |d|.
-
-    Each is the value the battery's general-r tensors,
-    verification.coupling_psi and verification.G_tensor, give there, at
-    the edges of the float range too: a power past it is inf and a zero
-    divisor gives inf, or nan for 0/0 (G_xx once r^8 underflows).
+    as in friction_forces): d/|d|^3, 2/d^6 and 8/d^6, the values of the
+    battery's general-r tensors, verification.coupling_psi and
+    verification.G_tensor, there (G_zz = 2(1/r^6 + 3 d^2/r^8) with r = |d|).
     """
     ops.fail(d == 0.0, ValueError("zero separation"))
-    rn = abs(d)
-    inv6 = ops.ieee_div(1.0, ops.ieee_pow(rn, 6))
-    r8 = ops.ieee_pow(rn, 8)
-    psi_xy = ops.ieee_div(d, ops.ieee_pow(rn, 3))
-    return (psi_xy, 2.0 * (inv6 + ops.ieee_div(0.0, r8)),
-            2.0 * (inv6 + ops.ieee_div(3.0 * (d * d), r8)))
+    r6 = ops.pow(d, 6)
+    return ops.div(d, ops.pow(abs(d), 3)), ops.div(2.0, r6), ops.div(8.0, r6)
 
 
 def G_halfspace(z0, rho, ops):

@@ -103,6 +103,34 @@ def test_byte_diff_reports_a_one_byte_difference(monkeypatch, capsys):
         "1 differences, 2 operations at the parent\n")
 
 
+def test_byte_diff_names_the_differing_columns_of_a_table(monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "archive", lambda rev, dest: None)
+    parent = b"# units: reduced\nd,g_xx,g_zz\n1.0,2.0,8.0\n1.5,0.1,0.7023319615912209\n"
+    tables = {
+        "parent": [parent, parent, b"a,b\n1,2\n"],
+        # one cell differs; two columns differ; the header differs
+        "change": [parent.replace(b"0.7023319615912209", b"0.7023319615912208"),
+                   parent.replace(b"2.0,8.0", b"2.5,8.5").replace(b"0.1,0.7", b"0.2,0.7"),
+                   b"a,c\n1,2\n"],
+    }
+
+    def run_side(tree, work, dest):
+        Path(dest).mkdir()
+        for i, body in enumerate(tables[Path(tree).name]):
+            (Path(dest) / ("%d.stdout" % i)).write_bytes(b"")
+            (Path(dest) / ("%d.out" % i)).write_bytes(body)
+        return [{"op": "oneshot seed 0 cycle 0 op %d (fields)" % i, "exit": 0} for i in range(3)]
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main(["--bytes", "--parent", "p", "--change", "c"]) == 1
+    assert capsys.readouterr().out == (
+        "oneshot seed 0 cycle 0 op 0 (fields): out differs in g_zz (1 cells)\n"
+        "oneshot seed 0 cycle 0 op 1 (fields): out differs in g_xx (2 cells), g_zz (1 cells)\n"
+        "oneshot seed 0 cycle 0 op 2 (fields): out differs from byte 2: "
+        "b'b\\n1,2\\n' at the parent, b'c\\n1,2\\n' at the change\n"
+        "3 differences, 3 operations at the parent\n")
+
+
 def test_byte_runs_cover_every_benchmark_workload():
     # verify's battery lines are compared as well as the commands' output
     workloads = _load("workloads", _ROOT / "perfbench" / "workloads.py")

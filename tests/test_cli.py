@@ -187,28 +187,40 @@ _TINY_SLABS = ["--d", 1, "--rho1", 1e-160, "--rho2", 1e-160, "--D1", 1, "--D2", 
 _CGS_SLABS = ["friction", "slabs", "--temperature", "finite", "--units", "gaussian",
               "--d", 1e-7, "--rho1", 1e22, "--rho2", 1e22, "--D1", 1e-30, "--D2", 1e-30]
 
+_FIELDS_HEAD = "d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot"
+_PAIR_HEAD = "regime,units,force,G_factor,H0,beta,d,v"
+
+
+def _overflows(command):
+    return "numerical failure: %s: a computed value overflows the float range\n" % command
+
+
+def _underflows(command):
+    return "numerical failure: %s: a divisor underflows to zero\n" % command
+
+
 # commands at the edges of the float range: exit code, data lines of stdout, stderr
 RANGE_EDGES = [
-    (["fields", "--d", 1e-60], 2, [], _NOT_FINITE),
-    (["fields", "--d", 1e-200], 2, [], _NOT_FINITE),
-    (["fields", "--d", -1e-45], 2, [], _NOT_FINITE),
-    (["fields", "--d", 1e80], 0,
-     ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot",
-      "1e+80,5e-161,1e-160,0.0,0.0,-1e-160,1e-160"], ""),
-    # r^8 overflows, r^6 does not
+    # d^6 underflows to zero, or d^6 overflows
+    (["fields", "--d", 1e-60], 2, [], _underflows("fields")),
+    (["fields", "--d", 1e-200], 2, [], _underflows("fields")),
+    (["fields", "--d", -1e-45], 0,
+     [_FIELDS_HEAD, "-1e-45,5e+89,-1.0000000000000001e+90,2.0000000000000003e+270,"
+      "8.000000000000001e+270,1e+90,-1e+90"], ""),
+    (["fields", "--d", 1e80], 2, [], _overflows("fields")),
+    # G_zz = 8e-240, 4 G_xx
     (["fields", "--d", 1e40], 0,
-     ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot",
-      "1e+40,5e-81,1e-80,1.9999999999999997e-240,1.9999999999999997e-240,-1e-80,1e-80"], ""),
+     [_FIELDS_HEAD, "1e+40,5e-81,1e-80,1.9999999999999997e-240,7.999999999999999e-240,-1e-80,1e-80"],
+     ""),
     (["fields", "--d", -2.5, "--z0", 3, "--rho1", 2], 0,
      ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot,z0,rho1,g_halfspace",
       "-2.5,0.08,-0.16,0.008192,0.032768,0.16,-0.16,3.0,2.0,0.11635528346628864"], ""),
-    (["friction", "pair", "--d", 1e60] + _PAIR_UNIT, 0,
-     ["regime,units,force,G_factor,H0,beta,d,v",
-      "pair-smoothed,reduced,-0.0,0.0,163.21049855215009,1.0,1e+60,1.0"], ""),
-    # r^8 underflows to zero: G_xx = 2 (1/r^6 + 0/r^8) is nan
-    (["friction", "pair", "--d", 1e-41] + _PAIR_UNIT, 2, [], _NOT_FINITE),
+    (["friction", "pair", "--d", 1e60] + _PAIR_UNIT, 2, [], _overflows("friction pair")),
+    (["friction", "pair", "--d", 1e-41] + _PAIR_UNIT, 0,
+     [_PAIR_HEAD, "pair-smoothed,reduced,-3.2642099710430015e+248,1.9999999999999997e+246,"
+      "163.21049855215009,1.0,1e-41,1.0"], ""),
     (["friction", "pair", "--d", 1e-40] + _PAIR_UNIT, 0,
-     ["regime,units,force,G_factor,H0,beta,d,v",
+     [_PAIR_HEAD,
       "pair-smoothed,reduced,-3.264209971043003e+242,2.0000000000000008e+240,"
       "163.21049855215009,1.0,1e-40,1.0"], ""),
     (["eigen", "--alpha", 1e200], 2, [], _NOT_FINITE),
@@ -242,23 +254,37 @@ RANGE_EDGES = [
     # an input echoed as given may be subnormal
     (["eigen", "--alpha", 1e-310], 0,
      ["alpha,omega_plus,omega_minus,e0", "1e-310,1.0,1.0,1.0"], ""),
-    # more edges of d, alone and with a half-space: r^2 underflows to zero,
-    # or r^2 overflows (and 3 d^2/r^8 is inf/inf)
-    *((["fields", "--d", d, *half], 2, [], _NOT_FINITE)
-      for d in (5e-324, -5e-324, -1e-200, 1e200, -1e200, 1.7976931348623157e308,
-                -1.7976931348623157e308)
+    # more edges of d, alone and with a half-space: d^2 underflows to zero,
+    # or d^2 overflows
+    *((["fields", "--d", d, *half], 2, [], fails("fields"))
+      for d, fails in ((5e-324, _underflows), (-5e-324, _underflows), (-1e-200, _underflows),
+                       (1e200, _overflows), (-1e200, _overflows),
+                       (1.7976931348623157e308, _overflows), (-1.7976931348623157e308, _overflows))
       for half in ([], ["--z0", 1.5, "--rho1", 2])),
     *((["fields", "--d", d, *half], 0,
-       ["d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot" + head,
-        "%s,0.2222222222222222,%s0.4444444444444444,0.1755829903978052,0.7023319615912209,"
+       [_FIELDS_HEAD + head,
+        "%s,0.2222222222222222,%s0.4444444444444444,0.1755829903978052,0.7023319615912208,"
         "%s0.4444444444444444,%s0.4444444444444444%s" % (d, *signs, tail)], "")
       for d, signs in ((1.5, ("", "-", "")), (-1.5, ("-", "", "-")))
       for half, head, tail in (([], "", ""), (["--z0", 1.5, "--rho1", 2], ",z0,rho1,g_halfspace",
                                               ",1.5,2.0,0.9308422677303091"))),
-    (["friction", "pair", "--d", 5e-324] + _PAIR_UNIT, 2, [], _NOT_FINITE),
-    (["friction", "pair", "--d", 1e200] + _PAIR_UNIT, 0,
-     ["regime,units,force,G_factor,H0,beta,d,v",
-      "pair-smoothed,reduced,-0.0,0.0,163.21049855215009,1.0,1e+200,1.0"], ""),
+    (["friction", "pair", "--d", 5e-324] + _PAIR_UNIT, 2, [], _underflows("friction pair")),
+    (["friction", "pair", "--d", 1e200] + _PAIR_UNIT, 2, [], _overflows("friction pair")),
+    # where d^6 is a normal float: every cell is its float, and G_zz is 4 G_xx
+    (["fields", "--d", 1e-45], 0,
+     [_FIELDS_HEAD, "1e-45,5e+89,1.0000000000000001e+90,2.0000000000000003e+270,"
+      "8.000000000000001e+270,-1e+90,1e+90"], ""),
+    (["fields", "--d", 1e-41], 0,
+     [_FIELDS_HEAD, "1e-41,5e+81,1e+82,1.9999999999999997e+246,7.999999999999999e+246,-1e+82,"
+      "1e+82"], ""),
+    (["friction", "pair", "--d", 1e-45] + _PAIR_UNIT, 0,
+     [_PAIR_HEAD, "pair-smoothed,reduced,-3.2642099710430024e+272,2.0000000000000003e+270,"
+      "163.21049855215009,1.0,1e-45,1.0"], ""),
+    # the sign of d is refused before the coupling is computed
+    (["friction", "pair", "--d", -1e-45] + _PAIR_UNIT, 1, [],
+     "invalid input: d must be positive\n"),
+    # d^6 overflows
+    (["fields", "--d", 2.5e51], 2, [], _overflows("fields")),
 ]
 
 
@@ -437,7 +463,7 @@ def test_tiny_separation_is_one_line_without_numpy_warnings():
     out = _run_child("-m", "magfriction.cli", "friction", "pair", "--d", "1e-200",
                      "--beta", "1", "--v", "1", "--D1", "1", "--D2", "1")
     assert (out.returncode, out.stdout) == (2, b"")
-    assert out.stderr == b"numerical failure: a computed value is not finite\n"
+    assert out.stderr == b"numerical failure: friction pair: a divisor underflows to zero\n"
 
 
 def test_spectrum_grid_spanning_the_float_range_is_one_line(tmp_path):

@@ -1,12 +1,17 @@
 """Coupling tensors and the geometric reduction factors."""
 
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import AXIAL_D, assert_check, float_bits
+from conftest import assert_check, axial_outcomes, float_bits
 from magfriction import verification
 from magfriction._ieee import ArrayOps, FloatOps
+from magfriction.dipole_fields import axial_fields
 from magfriction.geometry_coupling import (
     G_P_slabs,
     G_halfspace,
@@ -185,19 +190,18 @@ def test_tiny_separation_is_not_zero():
 
 
 def test_axial_coupling_is_the_tensors_on_the_axis():
-    # bit for bit, signed zeros, inf and nan included: per point on floats,
-    # and as one column on arrays
-    want = []
-    with np.errstate(all="ignore"):
-        for d in AXIAL_D:
-            psi, G = coupling_psi([0.0, 0.0, d]), G_tensor([0.0, 0.0, d])
-            want.append([float_bits(float(x)) for x in (psi[0, 1], G[0, 0], G[2, 2])])
-        cols = axial_coupling(np.array(AXIAL_D), ArrayOps((len(AXIAL_D),)))
-    for d, w in zip(AXIAL_D, want):
-        got = axial_coupling(d, FloatOps)
-        assert all(type(x) is float for x in got)
-        assert list(map(float_bits, got)) == w, d
-    assert [list(map(float_bits, t)) for t in zip(*(c.tolist() for c in cols))] == want
+    # on floats and on a grid alike (axial_outcomes): the couplings return
+    # on 1.4e-54 <= |d| <= 2.3e51, and past it, where d^6 leaves the float
+    # range, the point fails. psi_xy is the tensor's bit for bit, and so is
+    # G_xx where the tensor's r^8 does not underflow and its 1/r^6 is normal
+    for d, got in axial_outcomes(axial_coupling).items():
+        assert isinstance(got, tuple) == (1.4e-54 <= abs(d) <= 2.3e51), d
+        if isinstance(got, tuple):
+            with np.errstate(all="ignore"):
+                psi, G = coupling_psi([0.0, 0.0, d]), G_tensor([0.0, 0.0, d])
+            want = [psi[0, 1]] + [G[0, 0]] * (3.9e-41 <= abs(d) <= 1.85e51)
+            assert list(map(float_bits, got[:len(want)])) == [
+                float_bits(float(x)) for x in want], d
     with pytest.raises(ValueError, match="zero separation"):
         axial_coupling(0.0, FloatOps)
     ops = ArrayOps((3,))
@@ -205,6 +209,32 @@ def test_axial_coupling_is_the_tensors_on_the_axis():
         axial_coupling(np.array([1.0, 0.0, -0.0]), ops)
     with pytest.raises(ValueError, match="zero separation"):
         ops.raise_first()
+
+
+def test_axial_cells_are_within_1_5_ulp_of_their_exact_values():
+    # the six cells of fields at log-uniform d of both signs, against exact
+    # rational arithmetic on the float d. A cell past the float range is a
+    # signed inf; G_xx, where d^6 is subnormal (|d| < 5.3e-52, G_xx near the
+    # top of the float range), has lost a bit more, so 2.5 ulp there.
+    # G_zz is 4 G_xx to the bit wherever G_xx is not subnormal
+    rng = np.random.Generator(np.random.Philox(key=37))
+    ds = np.exp(rng.uniform(math.log(1.4e-54), math.log(2.3e51), 4000))
+    ds[::2] *= -1.0
+    for d in ds.tolist():
+        cells = axial_fields(d, FloatOps) + axial_coupling(d, FloatOps)
+        x, s = Fraction(d), (1 if d > 0.0 else -1)
+        exact = [1 / (2 * x**2), Fraction(-s) / x**2, Fraction(s) / x**2, Fraction(s) / x**2,
+                 2 / x**6, 8 / x**6]
+        powers = [2, 2, 2, 3, 6, 6]
+        for got, want, n in zip(cells, exact, powers):
+            if abs(want) > Fraction(sys.float_info.max):
+                assert got == math.inf * (1 if want > 0 else -1), d
+                continue
+            ulps = abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+            assert ulps <= (1.5 if abs(x**n) >= Fraction(sys.float_info.min) else 2.5), d
+        g_xx, g_zz = cells[4:]
+        if abs(g_xx) >= sys.float_info.min:
+            assert float_bits(g_zz) == float_bits(4.0 * g_xx), d
 
 
 def test_geometry_suite_green():

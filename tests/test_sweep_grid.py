@@ -55,6 +55,10 @@ SWEEPS = {
     # d of both signs, not through 0
     "fields": ["--target", "fields", "--axis", "d:-2.5:2.5:4", "--axis", "z0:0.5:2:3",
                "--rho1", "1.5"],
+    # across the bands where the battery tensors' r^8 underflows (|d| < 3.9e-41)
+    # or overflows (|d| > 3.4e38), while d^6 is a normal float
+    "fields_tiny_d": ["--target", "fields", "--axis", "d:1e-45:1e-40:11:log"],
+    "fields_huge_d": ["--target", "fields", "--axis", "d:1e38:1e41:10:log"],
 }
 
 def _sweep_args(name, directory):
@@ -337,8 +341,8 @@ def test_pow_overflow_in_mid_column_fails_that_point():
     x = np.array([[2.0, 1e200, 3.0, 1e300]])
     ops = _ieee.ArrayOps((2, 4))
     out = ops.pow(x, 2)
-    # every point holds ieee_pow's value: Python's float power, inf past
-    # the float range; raise_first stops the sweep before any of it prints
+    # every point holds Python's float power, inf past the float range;
+    # raise_first stops the sweep before any of it prints
     assert out.shape == (1, 4)
     assert out.tolist() == [[4.0, math.inf, 9.0, math.inf]]
     with pytest.raises(OverflowError):
@@ -365,23 +369,41 @@ _IEEE_FLOATS = st.one_of(
 IEEE_N = [2, 3, 6, 8]
 
 
-@given(xs=st.lists(_IEEE_FLOATS, min_size=1, max_size=12), n=st.sampled_from(IEEE_N))
-def test_array_ieee_pow_is_the_float_ieee_pow_at_every_point(xs, n):
-    out = _ieee.ArrayOps.ieee_pow(np.array(xs), n)
-    assert list(map(float_bits, out.tolist())) == [
-        float_bits(_ieee.FloatOps.ieee_pow(x, n)) for x in xs]
-
-
 # zero divisors of both signs drawn often, against nan and inf numerators
 _DIVISORS = st.one_of(_IEEE_FLOATS, st.sampled_from([0.0, -0.0]))
 
 
-@given(pairs=st.lists(st.tuples(_IEEE_FLOATS, _DIVISORS), min_size=1, max_size=12))
-def test_array_ieee_div_is_the_float_ieee_div_at_every_point(pairs):
+@given(pairs=st.lists(st.tuples(_IEEE_FLOATS, _DIVISORS), min_size=1, max_size=12),
+       n=st.sampled_from(IEEE_N), op=st.sampled_from(["pow", "div"]))
+def test_array_pow_and_div_are_the_float_ops_at_every_point(pairs, n, op):
+    # on a column, each point the float op returns at holds its bits; the
+    # grid fails at the first point where it raises, with its exception
     a, b = map(np.array, zip(*pairs))
-    out = _ieee.ArrayOps.ieee_div(a, b)
-    assert list(map(float_bits, out.tolist())) == [
-        float_bits(_ieee.FloatOps.ieee_div(x, y)) for x, y in pairs]
+    points = [(x, n) for x, _ in pairs] if op == "pow" else pairs
+    want = []
+    for args in points:
+        try:
+            want.append(float_bits(getattr(_ieee.FloatOps, op)(*args)))
+        except ArithmeticError as exc:
+            want.append(type(exc))
+    ops = _ieee.ArrayOps((len(pairs),))
+    with np.errstate(all="ignore"):
+        out = ops.pow(a, n) if op == "pow" else ops.div(a, b)
+    assert [float_bits(x) for x, w in zip(out.tolist(), want) if not isinstance(w, type)] == [
+        w for w in want if not isinstance(w, type)]
+    raising = [k for k, w in enumerate(want) if isinstance(w, type)]
+    if not raising:
+        ops.raise_first()
+        return
+    # a check registered later at that point loses, one a point earlier wins
+    at = np.arange(len(pairs)) == raising[0]
+    ops.fail(at, KeyError("same point"))
+    with pytest.raises(want[raising[0]]):
+        ops.raise_first()
+    if raising[0] > 0:
+        ops.fail(np.roll(at, -1), KeyError("a point earlier"))
+        with pytest.raises(KeyError, match="a point earlier"):
+            ops.raise_first()
 
 
 def _float_pow_or_error(x, n):

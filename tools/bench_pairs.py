@@ -30,10 +30,14 @@ the benchmark, so the lines of ``verify --suite all`` are compared too. Both sid
 directory for the spectrum files and the ``--out``/``--json`` files, so
 that the paths the output echoes are the same. For each operation whose
 exit code, stdout, stderr, ``--out`` or ``--json`` bytes differ, the first
-difference is printed; the exit status is 1 if any operation differs.
+difference is printed; for a CSV table whose comment lines, header and
+row count are equal on both sides, the columns that differ instead, each
+with its count of differing cells. The exit status is 1 if any operation
+differs.
 """
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -182,6 +186,36 @@ def _output(dest, i, name):
         return None
 
 
+def _table(text):
+    """(comment lines, rows) of CSV bytes whose every row has the header's
+    two or more cells; None for any other output."""
+    try:
+        lines = text.decode().splitlines()
+    except UnicodeDecodeError:
+        return None
+    rows = list(csv.reader(ln for ln in lines if ln and not ln.startswith("#")))
+    if not rows or len(rows[0]) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return [ln for ln in lines if ln.startswith("#")], rows
+
+
+def cell_differences(a, b):
+    """{column: differing cells} between two CSV tables with equal comment
+    lines, header and row count, in header order; None if a or b is not
+    such a table."""
+    ta, tb = _table(a), _table(b)
+    if ta is None or tb is None:
+        return None
+    (ca, (header, *ra)), (cb, (header_b, *rb)) = ta, tb
+    if ca != cb or header != header_b or len(ra) != len(rb):
+        return None
+    counts = dict.fromkeys(header, 0)
+    for x, y in zip(ra, rb):
+        for name, p, c in zip(header, x, y):
+            counts[name] += p != c
+    return {name: n for name, n in counts.items() if n}
+
+
 def differences(parent, change):
     """One line for each operation whose exit code or outputs differ between
     the (index, dest) of each side, naming its first difference."""
@@ -206,6 +240,11 @@ def differences(parent, change):
             if a is None or b is None:
                 lines.append("%s: only the %s writes %s"
                              % (p["op"], "change" if a is None else "parent", name))
+                break
+            cells = cell_differences(a, b)
+            if cells:
+                lines.append("%s: %s differs in %s" % (p["op"], name, ", ".join(
+                    "%s (%d cells)" % item for item in cells.items())))
             else:
                 k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
                 lines.append("%s: %s differs from byte %d: %r at the parent, %r at the change"
