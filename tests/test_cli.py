@@ -201,14 +201,15 @@ def _underflows(command):
 
 # commands at the edges of the float range: exit code, data lines of stdout, stderr
 RANGE_EDGES = [
-    # d^6 underflows to zero, or d^6 overflows
+    # d^6 underflows to zero (1e-60, 1e-200) or overflows (1e80); at -1e-45
+    # every cell is a normal float
     (["fields", "--d", 1e-60], 2, [], _underflows("fields")),
     (["fields", "--d", 1e-200], 2, [], _underflows("fields")),
     (["fields", "--d", -1e-45], 0,
      [_FIELDS_HEAD, "-1e-45,5e+89,-1.0000000000000001e+90,2.0000000000000003e+270,"
       "8.000000000000001e+270,1e+90,-1e+90"], ""),
     (["fields", "--d", 1e80], 2, [], _overflows("fields")),
-    # G_zz = 8e-240, 4 G_xx
+    # d^8 overflows, d^6 does not: G_zz is 4 G_xx
     (["fields", "--d", 1e40], 0,
      [_FIELDS_HEAD, "1e+40,5e-81,1e-80,1.9999999999999997e-240,7.999999999999999e-240,-1e-80,1e-80"],
      ""),

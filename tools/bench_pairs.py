@@ -218,7 +218,8 @@ def cell_differences(a, b):
 
 def differences(parent, change):
     """One line for each operation whose exit code or outputs differ between
-    the (index, dest) of each side, naming its first difference."""
+    the (index, dest) of each side, naming its first difference, or the
+    differing columns of a CSV table (cell_differences)."""
     (p_index, p_dest), (c_index, c_dest) = parent, change
     lines = []
     if len(p_index) != len(c_index):
