@@ -184,7 +184,9 @@ def test_finite_slab_force_is_not_refused_by_an_assembly_route(cli, capsys, args
 
 _PAIR_UNIT = ["--beta", 1, "--v", 1, "--D1", 1, "--D2", 1]
 _TINY_SLABS = ["--d", 1, "--rho1", 1e-160, "--rho2", 1e-160, "--D1", 1, "--D2", 1, "--v", 1]
-_CGS_SLABS = ["friction", "slabs", "--temperature", "finite", "--units", "gaussian",
+# a Gaussian finite-T slab case, after its temperature and v, which lead its
+# command line so that the cases' names differ within their first 60 characters
+_CGS_SLABS = ["--temperature", "finite", "--units", "gaussian",
               "--d", 1e-7, "--rho1", 1e22, "--rho2", 1e22, "--D1", 1e-30, "--D2", 1e-30]
 
 _FIELDS_HEAD = "d,coupling_alpha,psi_xy,g_xx,g_zz,b_y_unit_pdot,e_x_unit_mdot"
@@ -232,11 +234,11 @@ RANGE_EDGES = [
      ["alpha,beta,free_energy,free_energy_erg,temperature_kelvin",
       "1e+150,2.2898844710390102e+299,4.9999999999999995e+299,1.5807633602974219e+283,"
       "1e-300"], ""),
-    (_CGS_SLABS + ["--v", 1, "--temperature-kelvin", 1e-300], 2, [],
+    (["friction", "slabs", "--temperature-kelvin", 1e-300, "--v", 1, *_CGS_SLABS], 2, [],
      "numerical failure: friction slabs: a computed value overflows the float range\n"),
-    (_CGS_SLABS + ["--v", 1, "--temperature-kelvin", 1e300], 2, [],
+    (["friction", "slabs", "--temperature-kelvin", 1e300, "--v", 1, *_CGS_SLABS], 2, [],
      "numerical failure: friction slabs: a computed value overflows the float range\n"),
-    (_CGS_SLABS + ["--v", 1e4, "--temperature-kelvin", 1e-3], 0,
+    (["friction", "slabs", "--temperature-kelvin", 1e-3, "--v", 1e4, *_CGS_SLABS], 0,
      ["regime,units,force,G,H0,I,reference_force,suppression,D1,D1_cgs,D2,D2_cgs,beta,"
       "beta_cgs,d,d_cgs,rho1,rho1_cgs,rho2,rho2_cgs,temperature_kelvin,v,v_cgs",
       "slabs-finite-T,gaussian,-4.914208104470094e-66,8.738733105285797e+36,"
