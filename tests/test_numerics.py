@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_check, float_bits
-from magfriction import _kernels, numerics, verification
+from magfriction import _ieee, _kernels, numerics, verification
 from magfriction.numerics import (
     QuadratureError,
     SeriesError,
@@ -313,6 +313,37 @@ def test_quad_matches_cubic_antiderivative(coeffs, a, width):
 def test_numerics_suite_green():
     failures = [c.name for c in verification.SUITES["numerics"] if not c.run()[0]]
     assert failures == []
+
+
+def test_pow_and_div_raise_past_the_float_range():
+    # on both ops classes; on arrays each operand is a one-point column whose
+    # failure raise_first raises. A value is a returned float, a type a raise
+    def outcomes(ops, op, points):
+        got = []
+        for args in points:
+            try:
+                grid = ops((1,)) if ops is _ieee.ArrayOps else ops
+                with np.errstate(all="ignore"):
+                    out = getattr(grid, op)(*args)
+                if grid is not ops:
+                    grid.raise_first()
+                got.append(float_bits(np.asarray(out).item()))
+            except ArithmeticError as exc:
+                got.append(type(exc))
+        return got
+
+    def want(values):
+        return [v if isinstance(v, type) else float_bits(v) for v in values]
+
+    for ops, col in ((_ieee.FloatOps, float), (_ieee.ArrayOps, lambda x: np.array([x]))):
+        pows = [(col(x), n) for x, n in ((2.0, 3), (1e200, 2), (-1e200, 3), (-1e200, 4), (1e-200, 2))]
+        assert outcomes(ops, "pow", pows) == want(
+            [8.0, OverflowError, OverflowError, OverflowError, 0.0]), ops
+        divs = [(col(a), col(b)) for a, b in (
+            (1.0, 4.0), (3.0, 0.0), (-3.0, 0.0), (3.0, -0.0), (0.0, 0.0), (1.0, math.inf))]
+        assert outcomes(ops, "div", divs) == want(
+            [0.25, ZeroDivisionError, ZeroDivisionError, ZeroDivisionError, ZeroDivisionError,
+             0.0]), ops
 
 
 # ------------------------------------------------ numpy kernels of the oracles

@@ -373,22 +373,19 @@ IEEE_N = [2, 3, 6, 8]
 _DIVISORS = st.one_of(_IEEE_FLOATS, st.sampled_from([0.0, -0.0]))
 
 
-@given(pairs=st.lists(st.tuples(_IEEE_FLOATS, _DIVISORS), min_size=1, max_size=12),
-       n=st.sampled_from(IEEE_N), op=st.sampled_from(["pow", "div"]))
-def test_array_pow_and_div_are_the_float_ops_at_every_point(pairs, n, op):
+def _assert_array_op_is_the_float_op(op, points):
     # on a column, each point the float op returns at holds its bits; the
     # grid fails at the first point where it raises, with its exception
-    a, b = map(np.array, zip(*pairs))
-    points = [(x, n) for x, _ in pairs] if op == "pow" else pairs
     want = []
     for args in points:
         try:
             want.append(float_bits(getattr(_ieee.FloatOps, op)(*args)))
         except ArithmeticError as exc:
             want.append(type(exc))
-    ops = _ieee.ArrayOps((len(pairs),))
+    ops = _ieee.ArrayOps((len(points),))
+    a, b = map(np.array, zip(*points))
     with np.errstate(all="ignore"):
-        out = ops.pow(a, n) if op == "pow" else ops.div(a, b)
+        out = ops.pow(a, points[0][1]) if op == "pow" else ops.div(a, b)
     assert [float_bits(x) for x, w in zip(out.tolist(), want) if not isinstance(w, type)] == [
         w for w in want if not isinstance(w, type)]
     raising = [k for k, w in enumerate(want) if isinstance(w, type)]
@@ -396,7 +393,7 @@ def test_array_pow_and_div_are_the_float_ops_at_every_point(pairs, n, op):
         ops.raise_first()
         return
     # a check registered later at that point loses, one a point earlier wins
-    at = np.arange(len(pairs)) == raising[0]
+    at = np.arange(len(points)) == raising[0]
     ops.fail(at, KeyError("same point"))
     with pytest.raises(want[raising[0]]):
         ops.raise_first()
@@ -404,6 +401,16 @@ def test_array_pow_and_div_are_the_float_ops_at_every_point(pairs, n, op):
         ops.fail(np.roll(at, -1), KeyError("a point earlier"))
         with pytest.raises(KeyError, match="a point earlier"):
             ops.raise_first()
+
+
+@given(xs=st.lists(_IEEE_FLOATS, min_size=1, max_size=12), n=st.sampled_from(IEEE_N))
+def test_array_pow_is_the_float_pow_at_every_point(xs, n):
+    _assert_array_op_is_the_float_op("pow", [(x, n) for x in xs])
+
+
+@given(pairs=st.lists(st.tuples(_IEEE_FLOATS, _DIVISORS), min_size=1, max_size=12))
+def test_array_div_is_the_float_div_at_every_point(pairs):
+    _assert_array_op_is_the_float_op("div", pairs)
 
 
 def _float_pow_or_error(x, n):
