@@ -938,13 +938,12 @@ def check_spectrum_round_trip():
 
 
 def check_drude_slope():
+    # s(m)/m = D + O(m^2): Richardson's step from m = 0.1 and 0.05 to m -> 0
     omega_p, nu, rho = 9.0, 0.1, 1.0
     D = materials_spectral.drude_D(omega_p, nu, rho, FloatOps)
-    worst = 0.0
-    for m in (0.05, 0.1):
-        got = spectrum_from_h(lambda K2: drude_h_of_K2(omega_p, nu, rho, K2), m)
-        worst = max(worst, abs(got - D * m) / (D * m))
-    return _ok(worst, 1e-2, "rel")
+    coarse, fine = (spectrum_from_h(lambda K2: drude_h_of_K2(omega_p, nu, rho, K2), m) / m
+                    for m in (0.1, 0.05))
+    return _ok(abs((4.0 * fine - coarse) / 3.0 - D) / D, 1e-4, "rel")
 
 
 def check_universal_I_routes():

@@ -95,7 +95,7 @@ def test_criterion_08_response_identities():
 
 def test_criterion_09_drude_slope():
     assert_check(verification.check_drude_slope)
-    _report(9, "extracted metal spectrum slope within 1%")
+    _report(9, "extracted metal spectrum slope, extrapolated to m -> 0, within 1e-4")
 
 
 def test_criterion_10_force_signs():
