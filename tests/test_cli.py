@@ -292,9 +292,13 @@ RANGE_EDGES = [
 
 
 # each case is named by its command line, so that its name holds when a case
-# is inserted before it or its outcome changes
-@pytest.mark.parametrize("args,code,rows,err", RANGE_EDGES,
-                         ids=[" ".join(map(str, case[0])) for case in RANGE_EDGES])
+# is inserted before it or its outcome changes; pytest would add a suffix to
+# a repeated name without a word
+RANGE_EDGE_IDS = [" ".join(map(str, case[0])) for case in RANGE_EDGES]
+assert len(set(RANGE_EDGE_IDS)) == len(RANGE_EDGE_IDS)
+
+
+@pytest.mark.parametrize("args,code,rows,err", RANGE_EDGES, ids=RANGE_EDGE_IDS)
 def test_range_edge_outcomes(cli, capsys, args, code, rows, err):
     got, out = cli(*args)
     assert (got, _data_rows(out), capsys.readouterr().err) == (code, rows, err)

@@ -1,11 +1,19 @@
 """The friction forces over parameter columns, and the unit boundary."""
 
+import contextlib
+import functools
+import inspect
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from conftest import assert_check, float_bits
 from magfriction import (
     cli as cli_module,
+    dipole_fields,
     friction_forces,
     geometry_coupling,
     materials_spectral,
@@ -285,16 +293,27 @@ COLUMN_FUNCTIONS = {
         lambda f, beta, ops: units.gaussian_free_energy(_CTX, f, beta, {}, ops),
         [_RNG.uniform(-1, 1, _N), _positive(-1, 1)]),
     "kelvin_to_beta": (lambda T, ops: units.kelvin_to_beta(_CTX, T, ops), [_positive(0, 4)]),
+    "axial_fields": (dipole_fields.axial_fields, [_positive(-2, 2) * _RNG.choice([-1.0, 1.0], _N)]),
+    "axial_coupling": (geometry_coupling.axial_coupling,
+                       [_positive(-2, 2) * _RNG.choice([-1.0, 1.0], _N)]),
+    "linear_slope": (materials_spectral.linear_slope, [_positive(-2, 2)]),
+    "drude_D": (materials_spectral.drude_D,
+                [_positive(-1, 2), _positive(-3, 0), _positive(-1, 1)]),
 }
 
 
 def _cells(result):
-    """The output columns of a column function, in a fixed order."""
+    """(path, value) of each value a function returns, in a fixed order: a
+    bare value has the path (), a tuple element its index, a dict entry
+    its key, nested as the result is."""
+    if isinstance(result, dict):
+        return [((k,), result[k]) for k in sorted(result)]
     if not isinstance(result, tuple):
-        return [result]
+        return [((), result)]
     cells = []
-    for part in result:
-        cells += [part[k] for k in sorted(part)] if isinstance(part, dict) else [part]
+    for i, part in enumerate(result):
+        inner = _cells(part) if isinstance(part, (tuple, dict)) else [((), part)]
+        cells += [((i,) + path, value) for path, value in inner]
     return cells
 
 
@@ -302,17 +321,160 @@ def _cells(result):
 def test_numpy_column_and_python_float_give_the_same_bits(name):
     fn, columns = COLUMN_FUNCTIONS[name]
     grid = cli_module._Grid(cli_module.RunConfig(), (_N,), [])
-    on_grid = [np.broadcast_to(c, (_N,)) for c in _cells(fn(*columns, grid))]
+    on_grid = [np.broadcast_to(c, (_N,)) for _, c in _cells(fn(*columns, grid))]
     grid.raise_first()
     for i in range(_N):
-        point = _cells(fn(*(float(c[i]) for c in columns), FloatOps))
+        point = [x for _, x in _cells(fn(*(float(c[i]) for c in columns), FloatOps))]
         assert all(isinstance(x, float) for x in point)
         assert [float_bits(x) for x in point] == [float_bits(float(c[i])) for c in on_grid]
 
 
-# --- the oracle battery reaches the closed forms the CLI prints ------------
+# --- every cell the CLI prints reaches the oracle battery -----------------
 
-# (module, function) -> the checks that fail when it is 1% off
+ROUTE_MODULES = {module.__name__.rpartition(".")[2]: module for module in (
+    dipole_fields, friction_forces, geometry_coupling, materials_spectral, matsubara,
+    oscillator_pair, units)}
+
+_SLOPES = ["--D1", 0.7, "--D2", 0.4]
+_CGS_SLOPES = ["--D1", 1e-30, "--D2", 3e-30]
+_DRUDE = ["--omega-p", 9, "--nu", 0.1]
+_CGS_DRUDE = ["--omega-p", 1e15, "--nu", 1e13]
+_SLABS = ["--d", 1.3, "--rho1", 0.8, "--rho2", 1.1, "--v", 0.01]
+_CGS_SLABS = ["--units", "gaussian", "--d", 2e-7, "--rho1", 1e22, "--rho2", 1e22, "--v", 1]
+_PLANE = ["--z0", 1.3, "--rho1", 0.8, "--v", 0.01, "--beta", 2]
+# one-shot command lines: every route, in reduced and (but fields) Gaussian
+# units, with a temperature as beta and in kelvin, and each spectrum source:
+# slopes, a Drude metal and a spectrum file ({file})
+ROUTE_RUNS = [
+    ["eigen", "--alpha", 0.5],
+    ["eigen", "--alpha", 0.5, "--units", "gaussian"],
+    ["free-energy", "--alpha", 0.3, "--beta", 2],
+    ["free-energy", "--alpha", 0.3, "--units", "gaussian", "--beta", 2],
+    ["free-energy", "--alpha", 0.3, "--units", "gaussian", "--temperature-kelvin", 300],
+    ["fields", "--d", 1.5, "--z0", 2, "--rho1", 0.8],
+    ["friction", "pair", "--d", 1.3, "--v", 0.01, "--beta", 2, *_SLOPES],
+    ["friction", "pair", "--d", 1.3, "--v", 0.01, "--beta", 2, "--D2", 0.4,
+     "--spectrum-file-1", "{file}"],
+    ["friction", "pair", "--units", "gaussian", "--d", 2e-7, "--v", 1,
+     "--temperature-kelvin", 300, *_CGS_SLOPES],
+    ["friction", "plane", *_PLANE, *_SLOPES],
+    ["friction", "plane", *_PLANE, "--D1", 0.7, *_DRUDE],
+    ["friction", "plane", *_PLANE, "--D1", 0.7, "--spectrum-file-2", "{file}"],
+    ["friction", "plane", "--units", "gaussian", "--z0", 2e-7, "--rho1", 1e22, "--v", 1,
+     "--beta", 2, "--D1", 1e-30, *_CGS_DRUDE],
+    ["friction", "slabs", "--temperature", "finite", *_SLABS, "--beta", 2, *_SLOPES],
+    ["friction", "slabs", "--temperature", "finite", *_SLABS, "--beta", 2, *_DRUDE],
+    ["friction", "slabs", "--temperature", "finite", *_CGS_SLABS, "--temperature-kelvin", 300,
+     *_CGS_SLOPES],
+    ["friction", "slabs", "--temperature", "zero", *_SLABS, *_SLOPES],
+    ["friction", "slabs", "--temperature", "zero", *_SLABS, *_DRUDE],
+    ["friction", "slabs", "--temperature", "zero", *_CGS_SLABS, *_CGS_DRUDE],
+]
+
+
+def _public_functions(module):
+    return sorted(name for name, fn in vars(module).items()
+                  if not name.startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == module.__name__)
+
+
+def _leaves(values):
+    """The values, and those inside each tuple, list or dict among them."""
+    for value in values:
+        if isinstance(value, dict):
+            yield from _leaves(value.values())
+        elif isinstance(value, (tuple, list)):
+            yield from _leaves(value)
+        else:
+            yield value
+
+
+def _route_cells():
+    """{(module, function): the paths of its cells} of every public function
+    of ROUTE_MODULES that ROUTE_RUNS call: each wrapped on its module
+    attribute, its results recorded, except a value that the call was
+    handed as an argument or inside one."""
+    found, undo = {}, []
+
+    def recording(key, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            handed = {id(x) for x in _leaves(args + tuple(kwargs.values()))}
+            found.setdefault(key, set()).update(
+                path for path, value in _cells(result) if id(value) not in handed)
+            return result
+        return wrapper
+
+    try:
+        for module_name, module in ROUTE_MODULES.items():
+            for name in _public_functions(module):
+                undo.append((module, name, getattr(module, name)))
+                setattr(module, name, recording((module_name, name), undo[-1][2]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.txt")
+            with open(path, "w") as fh:
+                fh.write("".join("%r %r\n" % (0.1 * k, 0.05 * k) for k in range(81)))
+            for argv in ROUTE_RUNS:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli_module.main([path if a == "{file}" else str(a) for a in argv])
+                assert code == 0, (argv, err.getvalue())
+    finally:
+        for module, name, fn in undo:
+            setattr(module, name, fn)
+    return {key: sorted(paths) for key, paths in found.items()}
+
+
+ROUTE_CELLS = _route_cells()
+CELLS = [(module, name, path) for (module, name), paths in sorted(ROUTE_CELLS.items())
+         for path in paths]
+
+
+def test_route_runs_cover_every_one_shot_route():
+    lines = [" ".join(map(str, argv)) for argv in ROUTE_RUNS]
+    for route in cli_module._ONE_SHOT:
+        runs = [ln for ln in lines if ln.startswith(route.name + " ")]
+        assert any("--units gaussian" not in ln for ln in runs), route.name
+        # fields reports reduced units only
+        assert any("--units gaussian" in ln for ln in runs) == (route.name != "fields")
+
+
+def test_column_functions_are_the_route_functions_that_take_ops():
+    takes_ops = {name for module, name in ROUTE_CELLS
+                 if "ops" in inspect.signature(getattr(ROUTE_MODULES[module], name)).parameters}
+    assert set(COLUMN_FUNCTIONS) == takes_ops
+    # two scalar functions that a column form calls, and a constant
+    assert {name for _, name in ROUTE_CELLS} - takes_ops == {
+        "smoothed_H0", "free_energy_bracket", "universal_I"}
+
+
+def _scaled(result, path):
+    """result with its cell at path 1% larger."""
+    if not path:
+        return 1.01 * result
+    key, rest = path[0], path[1:]
+    if isinstance(result, dict):
+        return {k: _scaled(v, rest) if k == key else v for k, v in result.items()}
+    return tuple(_scaled(v, rest) if i == key else v for i, v in enumerate(result))
+
+
+@functools.cache
+def _failures(module, name, path):
+    """{check: detail} of the battery's failing checks when the cell at path
+    of module.name is 1% off at every call."""
+    owner = ROUTE_MODULES[module]
+    original = getattr(owner, name)
+    setattr(owner, name, lambda *args, **kwargs: _scaled(original(*args, **kwargs), path))
+    lines = []
+    try:
+        verification.run_suite("all", out=lines.append)
+    finally:
+        setattr(owner, name, original)
+    failed = [ln[len("FAIL  "):].partition(" (") for ln in lines if ln.startswith("FAIL")]
+    return {check: detail[:-1] for check, _, detail in failed}
+
+
+# optional pins: (module, function) -> the checks that its cells fail
 MUTATIONS = {
     ("friction_forces", "pair_force"): ["forces :: pair assembly"],
     ("friction_forces", "plane_force"): ["forces :: plane assembly"],
@@ -335,29 +497,19 @@ MUTATIONS = {
     ("matsubara", "free_energy"): ["matsubara :: free energy closed form vs mode sum"],
     ("oscillator_pair", "normal_modes"): [
         "oscillator :: eigenfrequencies vs linear system", "oscillator :: frequency product unity",
-        "oscillator :: trajectory spectral fit"],
+        "oscillator :: trajectory spectral fit", "oscillator :: perturbative ground state"],
     ("units", "gaussian_free_energy"): ["forces :: Gaussian units written out"],
     ("units", "kelvin_to_beta"): ["forces :: Gaussian units written out"],
 }
 
 
-@pytest.mark.parametrize("module,name", sorted(MUTATIONS))
-def test_battery_fails_when_a_printed_closed_form_is_one_percent_off(monkeypatch, module, name):
-    # the first value a function returns is the force, the converted force
-    # or the factor; the CLI prints it through this very function
-    module = {"friction_forces": friction_forces, "units": units,
-              "geometry_coupling": geometry_coupling, "materials_spectral": materials_spectral,
-              "matsubara": matsubara, "oscillator_pair": oscillator_pair}[module]
-    original = getattr(module, name)
-
-    def one_percent_off(*args, **kwargs):
-        result = original(*args, **kwargs)
-        if isinstance(result, tuple):
-            return (result[0] * 1.01,) + result[1:]
-        return result * 1.01
-
-    monkeypatch.setattr(module, name, one_percent_off)
-    lines = []
-    assert not verification.run_suite("all", out=lines.append)
-    failed = [ln.split(" (")[0][len("FAIL  "):] for ln in lines if ln.startswith("FAIL")]
-    assert failed == MUTATIONS[module.__name__.rpartition(".")[2], name]
+@pytest.mark.parametrize("module,name,path", CELLS, ids=[
+    "%s-%s%s" % (module, name, "".join("[%s]" % k for k in path)) for module, name, path in CELLS])
+def test_battery_fails_when_a_printed_closed_form_is_one_percent_off(module, name, path):
+    # failed by the scale, not by a call the mutation cannot take
+    failed = _failures(module, name, path)
+    assert any(not detail.startswith("raised") for detail in failed.values()), failed
+    pin = MUTATIONS.get((module, name))
+    if pin is not None:
+        reached = set().union(*(_failures(module, name, p) for p in ROUTE_CELLS[module, name]))
+        assert reached == set(pin)
