@@ -304,17 +304,15 @@ COLUMN_FUNCTIONS = {
 
 def _cells(result):
     """(path, value) of each value a function returns, in a fixed order: a
-    bare value has the path (), a tuple element its index, a dict entry
+    bare value has the path (), a tuple element its index and a dict entry
     its key, nested as the result is."""
     if isinstance(result, dict):
-        return [((k,), result[k]) for k in sorted(result)]
-    if not isinstance(result, tuple):
+        parts = [(k, result[k]) for k in sorted(result)]
+    elif isinstance(result, tuple):
+        parts = enumerate(result)
+    else:
         return [((), result)]
-    cells = []
-    for i, part in enumerate(result):
-        inner = _cells(part) if isinstance(part, (tuple, dict)) else [((), part)]
-        cells += [((i,) + path, value) for path, value in inner]
-    return cells
+    return [((k,) + path, value) for k, part in parts for path, value in _cells(part)]
 
 
 @pytest.mark.parametrize("name", sorted(COLUMN_FUNCTIONS))
@@ -408,8 +406,9 @@ def _route_cells():
     try:
         for module_name, module in ROUTE_MODULES.items():
             for name in _public_functions(module):
-                undo.append((module, name, getattr(module, name)))
-                setattr(module, name, recording((module_name, name), undo[-1][2]))
+                fn = getattr(module, name)
+                undo.append((module, name, fn))
+                setattr(module, name, recording((module_name, name), fn))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s.txt")
             with open(path, "w") as fh:
