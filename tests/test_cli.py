@@ -186,6 +186,8 @@ def test_finite_slab_force_is_not_refused_by_an_assembly_route(cli, capsys, args
 
 
 _PAIR_UNIT = ["--beta", 1, "--v", 1, "--D1", 1, "--D2", 1]
+# a speed that keeps the pair force finite where G_xx nears the float limit
+_TINY_V = ["--beta", 1, "--v", 1e-300, "--D1", 1, "--D2", 1]
 _TINY_SLABS = ["--d", 1, "--rho1", 1e-160, "--rho2", 1e-160, "--D1", 1, "--D2", 1, "--v", 1]
 # a Gaussian finite-T slab case, after its temperature and v, which lead its
 # command line so that the cases' names differ within their first 60 characters
@@ -291,6 +293,17 @@ RANGE_EDGES = [
      "invalid input: d must be positive\n"),
     # d^6 overflows
     (["fields", "--d", 2.5e51], 2, [], _overflows("fields")),
+    # d^6 is subnormal for |d| below ~5.3e-52: G_xx = 2/d^6 is 2 ulp off its
+    # exact value at 5e-52, and G_zz = 8/d^6 overflows to inf
+    (["friction", "pair", "--d", 5e-52, *_TINY_V], 0,
+     [_PAIR_HEAD, "pair-smoothed,reduced,-20890943814.67521,1.2799999999999998e+308,"
+      "163.21049855215009,1.0,5e-52,1e-300"], ""),
+    (["fields", "--d", 5e-52], 2, [], _NOT_FINITE),
+    (["fields", "--d", 1e-53], 2, [], _NOT_FINITE),
+    # d^6 is a normal float: every printed cell is its float
+    (["friction", "pair", "--d", 5.5e-52, *_TINY_V], 0,
+     [_PAIR_HEAD, "pair-smoothed,reduced,-11792393157.60237,7.225266304688351e+307,"
+      "163.21049855215009,1.0,5.5e-52,1e-300"], ""),
 ]
 
 
