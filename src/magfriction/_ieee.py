@@ -9,10 +9,15 @@ computes, so a one-shot command on ``FloatOps`` loads none of it.
 """
 
 import math
+import sys
 
 from magfriction import lazy_import
 
 np = lazy_import("numpy")
+
+# a nonzero float below the smallest normal one has lost precision
+SUBNORMAL = ("a computed value is subnormal (0 < |x| < %r) and has lost precision"
+             % sys.float_info.min)
 
 
 class QuadratureError(RuntimeError):
@@ -25,8 +30,9 @@ class QuadratureError(RuntimeError):
 
 class FloatOps:
     """The arithmetic of the column closed forms on Python floats, one
-    point: a failing check raises at once, and pow and div past the float
-    range raise. ``ArrayOps`` has the same six operations on arrays.
+    point: a failing check raises at once, pow and div past the float
+    range raise, and so does a power that comes out subnormal. ``ArrayOps``
+    has the same six operations on arrays.
     """
 
     @staticmethod
@@ -44,7 +50,10 @@ class FloatOps:
 
     @staticmethod
     def pow(x, n):
-        return x**n
+        y = x**n
+        if 0.0 < abs(y) < sys.float_info.min:
+            raise FloatingPointError(SUBNORMAL)
+        return y
 
     @staticmethod
     def div(a, b):
@@ -89,8 +98,9 @@ class ArrayOps:
 
     def pow(self, x, n):
         """Python's x ** n at each point (numpy's power differs in the last
-        bit for some x); a point where it overflows fails, as for Python
-        floats, and holds a signed inf."""
+        bit for some x); as for Python floats, a point where it overflows
+        fails and holds a signed inf, and a point where it is subnormal
+        fails."""
         values = x.ravel().tolist()
         try:
             out = np.array([t**n for t in values]).reshape(x.shape)
@@ -98,6 +108,8 @@ class ArrayOps:
             out = np.array([_pow_or_inf(t, n) for t in values]).reshape(x.shape)
             overflow = np.isinf(out) & np.isfinite(x)
             self.fail(overflow, OverflowError(34, "Numerical result out of range"))
+        self.fail((out != 0.0) & (np.abs(out) < sys.float_info.min),
+                  FloatingPointError(SUBNORMAL))
         return out
 
     def div(self, a, b):

@@ -477,8 +477,9 @@ def _parse_axis(spec):
 # the float range, where Python raises and numpy gives inf or nan; so
 # every power goes through pow, and every divisor that earlier checks do
 # not keep nonzero through div. On both, a power past the float range
-# fails its point with OverflowError and a zero divisor with
-# ZeroDivisionError, in every closed form alike.
+# fails its point with OverflowError, a subnormal power with
+# FloatingPointError and a zero divisor with ZeroDivisionError, in every
+# closed form alike.
 
 
 class _Grid(_ieee.ArrayOps):
@@ -863,10 +864,7 @@ def _check_printable(x, computed, point):
         raise FloatingPointError("a computed value is not finite")
     if computed and (0.0 < abs(x) < sys.float_info.min if point
                      else ((x != 0.0) & (np.abs(x) < sys.float_info.min)).any()):
-        raise FloatingPointError(
-            "a computed value is subnormal (0 < |x| < %r) and has lost precision"
-            % sys.float_info.min
-        )
+        raise FloatingPointError(_ieee.SUBNORMAL)
 
 
 def _text_rows(table):
