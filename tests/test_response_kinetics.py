@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_check
-from magfriction import numerics, verification
+from magfriction import numerics
 from magfriction.response_kinetics import (
     OscState,
     M_full,
@@ -60,10 +59,6 @@ def test_M_reduced_trivials():
     assert M_reduced(*same_freq, 2.2) == 0.0
 
 
-def test_remainder_identity():
-    assert_check(verification.check_remainder_identity)
-
-
 @given(
     st.floats(0.2, 4.0), st.floats(0.2, 4.0),
     st.floats(0.0, 10.0),
@@ -87,24 +82,12 @@ def test_response_phi_real():
         assert float(np.imag(val)) == 0.0
 
 
-def test_phi_two_sinusoid_decomposition():
-    assert_check(verification.check_phi_two_sinusoid)
-
-
 def test_nascent_g_values():
     assert nascent_delta_g(0.0, 0.5) == 0.0
     w, eta = 0.7, 0.2
     assert nascent_delta_g(w, eta) == 2.0 * eta * w / (eta * eta + w * w) ** 2
     with pytest.raises(ValueError):
         nascent_delta_g(1.0, 0.0)
-
-
-def test_nascent_g_normalization():
-    assert_check(verification.check_delta_normalization)
-
-
-def test_nascent_g_time_domain():
-    assert_check(verification.check_g_time_domain)
 
 
 def test_cos_sin_trivial_and_identity():
@@ -114,10 +97,6 @@ def test_cos_sin_trivial_and_identity():
     assert val == ref
     with pytest.raises(ValueError):
         nascent_delta_cos_sin(1.0, 1.0, -0.1)
-
-
-def test_cos_sin_time_domain():
-    assert_check(verification.check_cos_sin_time_domain)
 
 
 def test_cos_sin_delta_reading():
@@ -133,10 +112,6 @@ def test_cos_sin_delta_reading():
 def test_coth_difference_values():
     assert coth_difference_limit(1.0, 1.3, 1.3) == 0.0
     assert coth_difference_limit(1.0, 1.0, 0.5) < 0.0
-
-
-def test_coth_limit_ratio():
-    assert_check(verification.check_coth_limit)
 
 
 def test_sharp_amplitude_trivials():
@@ -155,19 +130,11 @@ def test_sharp_amplitude_closed_form():
     assert amp == pytest.approx(-1.4461, abs=1e-4)
 
 
-def test_sharp_amplitude_pipeline_oracle():
-    assert_check(verification.check_sharp_amplitude_pipeline)
-
-
 def test_c_plus_minus_degenerate():
     o = OscState.thermal(1.2, 2.0)
     c_minus, c_plus, w_minus, w_plus = c_plus_minus(o, o, 2.0, 0.7)
     assert w_minus == 0.0 and w_plus == 2.4
     assert c_plus == 0.0
-
-
-def test_c_plus_zero_temperature_limit():
-    assert_check(verification.check_c_plus_zero_T)
 
 
 def test_dissipation_J_values():
@@ -181,12 +148,3 @@ def test_dissipation_J_values():
     assert abs(ratio - 64.0) <= 1e-12
     with pytest.raises(ValueError):
         dissipation_J(1.0, 0.0, s1, s2)
-
-
-def test_dissipation_J_quadrature_route():
-    assert_check(verification.check_dissipation_quadrature)
-
-
-def test_response_suite_green():
-    failures = [c.name for c in verification.SUITES["response"] if not c.run()[0]]
-    assert failures == []

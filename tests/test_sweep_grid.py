@@ -86,15 +86,7 @@ def test_sweep_golden(cli, tmp_path, name):
 
 
 # sweep target -> the one-shot command words that compute it
-ONE_SHOT = {
-    "eigen": ["eigen"],
-    "free-energy": ["free-energy"],
-    "fields": ["fields"],
-    "friction-pair": ["friction", "pair"],
-    "friction-plane": ["friction", "plane"],
-    "friction-slabs-finite": ["friction", "slabs", "--temperature", "finite"],
-    "friction-slabs-zero": ["friction", "slabs", "--temperature", "zero"],
-}
+ONE_SHOT = {route.target: route.name.split() for route in cli_module._ONE_SHOT}
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))

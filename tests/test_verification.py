@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_check
 from magfriction import (
     _ieee,
     _kernels,
@@ -92,10 +93,21 @@ ROUTE_MODULES = ("dipole_fields", "geometry_coupling", "materials_spectral", "ma
 CALLERS = ROUTE_MODULES + ("cli", "friction_forces", "units")
 
 
+# every check of SUITES, once, named "suite::check name": a check added to
+# SUITES is a case of test_oracle_check_passes without another line
+CHECKS = [(suite, check) for suite, checks in verification.SUITES.items() for check in checks]
+CHECK_IDS = ["%s::%s" % (suite, check.name) for suite, check in CHECKS]
+assert len(set(CHECK_IDS)) == len(CHECK_IDS)
+
+
 def test_battery_runs_every_check_in_order():
-    ran = [(suite, check.name) for suite, checks in verification.SUITES.items()
-           for check in checks]
-    assert ran == BATTERY
+    assert [(suite, check.name) for suite, check in CHECKS] == BATTERY
+
+
+@pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=CHECK_IDS)
+def test_oracle_check_passes(check):
+    # the check's own function, not Check.run: a raising check shows its traceback
+    assert_check(check.fn)
 
 
 def test_route_modules_bind_no_oracle_engine():
