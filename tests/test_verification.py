@@ -110,6 +110,39 @@ def test_oracle_check_passes(check):
     assert_check(check.fn)
 
 
+# the function of each check, by name
+SUITE_FUNCTIONS = {check.fn.__name__: check.fn for _, check in CHECKS}
+
+
+def _runs_a_check_with_its_defaults(call):
+    """Whether the ast.Call runs a SUITES function, named bare or as an
+    attribute, with no arguments or only its defaults, directly or through
+    assert_check: the call the battery makes."""
+    func, args = call.func, call.args
+    if getattr(func, "id", None) == "assert_check" and args:
+        func, args = args[0], args[1:]
+    fn = SUITE_FUNCTIONS.get(getattr(func, "attr", getattr(func, "id", None)))
+    if fn is None:
+        return False
+    signature = inspect.signature(fn)
+    try:
+        bound = signature.bind(*map(ast.literal_eval, args),
+                               **{k.arg: ast.literal_eval(k.value) for k in call.keywords})
+    except (TypeError, ValueError):  # a starred or computed argument
+        return False
+    return all(signature.parameters[k].default == v for k, v in bound.arguments.items())
+
+
+def test_no_test_repeats_a_suite_check_with_its_defaults():
+    # test_oracle_check_passes runs each; the acceptance checklist may repeat them
+    repeats = [(path.name, node.lineno)
+               for path in sorted(Path(__file__).parent.glob("test_*.py"))
+               if path.name != "test_acceptance.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and _runs_a_check_with_its_defaults(node)]
+    assert repeats == []
+
+
 def test_route_modules_bind_no_oracle_engine():
     for name in ROUTE_MODULES:
         bound = set(vars(importlib.import_module("magfriction." + name)))
