@@ -19,7 +19,8 @@ def free_energy(alpha, beta, ops):
     to F = (alpha^2/2) * (coth x - x/sinh^2 x) with x = beta/2.
     Below x = 1e-2 the bracket is its series 2x/3 - 4x^3/45 + 4x^5/315
     (the direct form cancels there); above, it is written through
-    e^{-2x} so that no term overflows as x grows.
+    e^{-2x} so that no term overflows as x grows: x e^{-2x} is formed
+    before the factor 4, as 4x overflows for x past 4.5e307.
     """
     ops.fail(beta <= 0.0, ValueError("beta must be positive"))
     return 0.5 * alpha * alpha * ops.map(free_energy_bracket, 0.5 * beta)
@@ -32,4 +33,4 @@ def free_energy_bracket(x):
         return 2.0 * x / 3.0 - 4.0 * x**3 / 45.0 + 4.0 * x**5 / 315.0
     e = math.exp(-2.0 * x)
     em1 = math.expm1(-2.0 * x)
-    return (1.0 + e) / -em1 - 4.0 * x * e / (em1 * em1)
+    return (1.0 + e) / -em1 - 4.0 * (x * e) / (em1 * em1)

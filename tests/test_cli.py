@@ -235,11 +235,12 @@ RANGE_EDGES = [
     (["eigen", "--alpha", 1e154], 0,
      ["alpha,omega_plus,omega_minus,e0", "1e+154,2e+154,0.0,1e+154"], ""),
     (["free-energy", "--alpha", 1e200, "--beta", 1], 2, [], _NOT_FINITE),
-    # x = beta/2 on either side of 4.5e307, past which 4x overflows in the
-    # temperature bracket
+    # x = beta/2 on either side of 4.5e307, past which 4x would overflow in
+    # the temperature bracket: F = alpha^2/2 on both
     (["free-energy", "--alpha", 1, "--beta", 8e307], 0,
      ["alpha,beta,free_energy", "1.0,8e+307,0.5"], ""),
-    (["free-energy", "--alpha", 1, "--beta", 1e308], 2, [], _NOT_FINITE),
+    (["free-energy", "--alpha", 1, "--beta", 1e308], 0,
+     ["alpha,beta,free_energy", "1.0,1e+308,0.5"], ""),
     (["free-energy", "--alpha", 1e150, "--units", "gaussian", "--temperature-kelvin", 1e-300], 0,
      ["alpha,beta,free_energy,free_energy_erg,temperature_kelvin",
       "1e+150,2.2898844710390102e+299,4.9999999999999995e+299,1.5807633602974219e+283,"
