@@ -206,9 +206,14 @@ FAILING_SWEEPS = [
 ]
 
 
-# the ids the first three cases had when the target was fixed
-@pytest.mark.parametrize("target,args,code,message", FAILING_SWEEPS,
-                         ids=["axes%d-%s" % (i, case[3]) for i, case in enumerate(FAILING_SWEEPS)])
+# each case is named by its sweep arguments, as RANGE_EDGES in test_cli.py
+# are by their command lines
+FAILING_SWEEP_IDS = [" ".join(map(str, ["--target", target, *args]))
+                     for target, args, _, _ in FAILING_SWEEPS]
+assert len(set(FAILING_SWEEP_IDS)) == len(FAILING_SWEEP_IDS)
+
+
+@pytest.mark.parametrize("target,args,code,message", FAILING_SWEEPS, ids=FAILING_SWEEP_IDS)
 def test_failing_sweep_reports_its_first_failing_point(cli, capsys, target, args, code, message):
     assert cli("sweep", "--target", target, *args) == (code, "")
     assert capsys.readouterr().err == message
