@@ -149,7 +149,7 @@ def mode_sum(alpha, beta, n_max):
         np.add(u, 1.0, out=d)
         np.square(d, out=d)
         u /= d
-        block_sums.append(float(np.sum(u)))
+        block_sums.append(float(u.sum()))
     return 2.0 * (2.0 * alpha**2 / beta) * math.fsum(block_sums)
 
 
@@ -216,9 +216,9 @@ def halfspace_chunk(z0, u, mode):
         np.multiply(r6, r2, out=w)
         np.divide(1.0, w, out=w)
     w /= pdf
-    sw = float(np.sum(w))
+    sw = float(w.sum())
     np.square(w, out=w)
-    return sw, float(np.sum(w))
+    return sw, float(w.sum())
 
 
 # ---------------------------------------------------------------- float text

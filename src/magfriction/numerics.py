@@ -379,17 +379,20 @@ LATTICE_N = 1 << _LATTICE_BITS
 LATTICE_Z = (1, 15003, 15003**2 % LATTICE_N)
 # random shifts per estimate; their spread gives the standard error
 LATTICE_SHIFTS = 8
-# the lattice points and shifts are held as integer multiples of 2^-52
+# the lattice points and shifts lie on the grid of multiples of 2^-52
 _GRID_BITS = 52
 
 
 @functools.cache
 def _lattice_base(dim):
     """The rule's points k z/N mod 1, k = 0..N-1, in the first ``dim``
-    coordinates, in units of 2^-52: a read-only (dim, N) uint64 array."""
+    coordinates, each moved by half a grid step: the odd numerators
+    2 (k z mod N) 2^(52 - 14) + 1, in units of 2^-53, as a read-only
+    (dim, N) uint64 array."""
     k = np.arange(LATTICE_N, dtype=np.uint64)
     z = np.array(LATTICE_Z[:dim], dtype=np.uint64)[:, None]
-    base = (k * z % np.uint64(LATTICE_N)) << np.uint64(_GRID_BITS - _LATTICE_BITS)
+    base = (k * z % np.uint64(LATTICE_N)) << np.uint64(_GRID_BITS + 1 - _LATTICE_BITS)
+    base |= np.uint64(1)
     base.flags.writeable = False
     return base
 
@@ -410,8 +413,11 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
     The points and shifts are exact multiples of 2^-52, each shifted
     point an odd multiple of 2^-53, so a block never receives an exact 0
     or 1. The unshifted points are built once per ``dim`` and kept
-    (read-only); each shift's points are formed in place in one buffer
-    and passed to ``block`` in slices of ``_kernels.MC_BLOCK`` samples.
+    (read-only) as odd numerators in units of 2^-53, the shifts are
+    doubled to the same units once per call, and each shift's points are
+    formed in place in one buffer in five passes (add, mask, scale to
+    float, reflect, minimum) and passed to ``block`` in slices of
+    ``_kernels.MC_BLOCK`` samples.
     The block size changes only the order of the summation, not the
     points, and the estimate is bit-reproducible per (seed, shifts).
 
@@ -449,22 +455,20 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
     base = _lattice_base(dim)
     delta = np.random.Generator(np.random.Philox(key=seed)).integers(
         0, 1 << _GRID_BITS, size=(shifts, dim, 1), dtype=np.uint64)
+    delta <<= np.uint64(1)
     t = np.empty_like(base)
-    reflected = np.empty_like(base)
     u = np.empty(base.shape)
-    mask = np.uint64((1 << _GRID_BITS) - 1)
-    top = np.uint64(1 << (_GRID_BITS + 1))
+    reflected = np.empty(base.shape)
+    mask = np.uint64((1 << (_GRID_BITS + 1)) - 1)
     means = []
     for s in range(shifts):
-        # x = (2m + 1) 2^-53 with m = base + delta mod 2^52; the tent is
-        # min(2x, 2 - 2x), exact in integers
+        # x = t 2^-53 with t = 2 (base + delta mod 2^52) + 1, odd; the tent
+        # min(2x, 2 - 2x) is exact in floats, as t < 2^53
         np.add(base, delta[s], out=t)
         t &= mask
-        t *= np.uint64(2)
-        t += np.uint64(1)
-        np.subtract(top, t, out=reflected)
-        np.minimum(t, reflected, out=t)
         np.multiply(t, 2.0**-_GRID_BITS, out=u)
+        np.subtract(2.0, u, out=reflected)
+        np.minimum(u, reflected, out=u)
         total = 0.0
         for a in range(0, n, _kernels.MC_BLOCK):
             sw, sw2 = block(u[:, a : a + _kernels.MC_BLOCK])
@@ -535,19 +539,24 @@ def series_sum(term, tail_bound, tol, max_terms=10_000_000):
 def gradient_central(f, x, step):
     r"""Central finite-difference gradient of an array-valued f at x.
 
-    Returns an array of shape (len(x),) + shape(f(x)); component l holds
-    the partial derivative along x[l], error O(step^2).
+    x is one point, shape (d,), or a stack of n points, shape (n, d),
+    which f takes as one call and maps to a stack of values, shape
+    (n,) + S; ``step`` is a scalar or one step per point, shape (n,).
+    Returns an array of shape x.shape + S (S the shape of f's value at one
+    point); component l holds the partial derivative along x[..., l],
+    error O(step^2).
     """
     x = np.asarray(x, dtype=np.float64)
-    f0 = np.asarray(f(x))
-    out = np.empty((x.size,) + f0.shape)
-    for l in range(x.size):
+    h = 2.0 * np.asarray(step)
+    diffs = []
+    for l in range(x.shape[-1]):
         xp = x.copy()
         xm = x.copy()
-        xp[l] += step
-        xm[l] -= step
-        out[l] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * step)
-    return out
+        xp[..., l] += step
+        xm[..., l] -= step
+        diff = np.asarray(f(xp)) - np.asarray(f(xm))
+        diffs.append(diff / h.reshape(h.shape + (1,) * (diff.ndim - h.ndim)))
+    return np.stack(diffs, axis=x.ndim - 1)
 
 
 def linear_extrapolate_zero(xs, ys):

@@ -123,13 +123,19 @@ def check_mc_deterministic():
 
 
 def _separation(r):
-    """r as a float64 array and its length, refusing zero. math.hypot
-    scales its arguments, so a tiny separation does not underflow to zero
-    as sqrt(r.r) does; the length is a numpy float, so that a power of it
-    leaves the float range as inf, not as OverflowError."""
+    """r as a float64 array and its length, refusing zero; r is one
+    3-vector, shape (3,), or a stack of them, shape (n, 3), and the length
+    has shape () or (n,). math.hypot scales its arguments, so a tiny
+    separation does not underflow to zero as sqrt(r.r) does. One vector's
+    length is a numpy float, so that a power of it leaves the float range
+    as inf, not as OverflowError, and a stack's is an array; a form takes
+    each power at that shape and adds axes to it only afterwards, so one
+    vector keeps the numpy-scalar powers (an array power may differ from
+    them in the last bit)."""
     r = np.asarray(r, dtype=np.float64)
-    rn = np.float64(math.hypot(*r))
-    if rn == 0.0:
+    rn = np.array([math.hypot(*v) for v in r.reshape(-1, r.shape[-1]).tolist()])
+    rn = rn.reshape(r.shape[:-1])[()]
+    if np.any(rn == 0.0):
         raise ValueError("zero separation")
     return r, rn
 
@@ -160,23 +166,27 @@ def magnetic_field_quasistatic(P_dot, r):
     r"""Biot-Savart field of a changing electric dipole moment.
 
     Returns (P_dot x rhat)/r^2, the zeta*r -> 0 limit of the full field.
+    r is one separation, shape (3,), or a stack of n, shape (n, 3), and
+    P_dot broadcasts against it; a stack gives one field per row.
     """
     r, rn = _separation(r)
-    return np.cross(np.asarray(P_dot), r / rn) / rn**2
+    return np.cross(np.asarray(P_dot), r / rn[..., None]) / (rn**2)[..., None]
 
 
 def electric_field_quasistatic(M_dot, r):
     r"""Electric field of a changing magnetic dipole moment.
 
     Mirror image of the Biot-Savart form: (M_dot x rhat)/r^2, with rhat
-    directed from the electric toward the magnetic dipole.
+    directed from the electric toward the magnetic dipole. r and M_dot as
+    in magnetic_field_quasistatic.
     """
     r, rn = _separation(r)
-    return np.cross(np.asarray(M_dot), r / rn) / rn**2
+    return np.cross(np.asarray(M_dot), r / rn[..., None]) / (rn**2)[..., None]
 
 
 def coupling_alpha(r):
-    """The interaction coefficient 1/(2 r^2) for separation vector r."""
+    """The interaction coefficient 1/(2 r^2) for separation vector r, or
+    one per row of a stack r of shape (n, 3)."""
     _, rn = _separation(r)
     return 1.0 / (2.0 * rn**2)
 
@@ -231,19 +241,17 @@ def check_field_hand_values():
 
 
 def check_field_orthogonality():
+    # each draw is a rate and then a separation, as 50 pairs of 3-vectors
     rng = np.random.Generator(np.random.Philox(key=5))
-    worst = 0.0
-    for _ in range(50):
-        pd = rng.normal(size=3)
-        r = rng.normal(size=3)
-        if np.linalg.norm(r) < 1e-3:
-            continue
-        h = magnetic_field_quasistatic(pd, r)
-        worst = max(
-            worst,
-            abs(np.dot(h, r)) / (np.linalg.norm(h) * np.linalg.norm(r) + 1e-30),
-            abs(np.dot(h, pd)) / (np.linalg.norm(h) * np.linalg.norm(pd) + 1e-30),
-        )
+    pd, r = rng.normal(size=(50, 2, 3)).transpose(1, 0, 2)
+    keep = np.linalg.norm(r, axis=1) >= 1e-3
+    pd, r = pd[keep], r[keep]
+    h = magnetic_field_quasistatic(pd, r)
+    hn = np.linalg.norm(h, axis=1)
+    worst = max(
+        np.max(np.abs(np.sum(h * r, axis=1)) / (hn * np.linalg.norm(r, axis=1) + 1e-30)),
+        np.max(np.abs(np.sum(h * pd, axis=1)) / (hn * np.linalg.norm(pd, axis=1) + 1e-30)),
+    )
     return _ok(worst, 1e-12, "cos")
 
 
@@ -254,15 +262,14 @@ def check_axial_outputs():
     ds = 10.0 ** rng.uniform(-3.0, 3.0, 12)
     ds[::2] *= -1.0
     fields = _on_grid(dipole_fields.axial_fields, ds)
-    cells = fields + _on_grid(geometry_coupling.axial_coupling, ds)
-    worst = 0.0
-    for d, got in zip(ds.tolist(), np.transpose(cells).tolist()):
-        r = [0.0, 0.0, d]
-        psi, G = coupling_psi(r), G_tensor(r)
-        route = (coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[1],
-                 electric_field_quasistatic([0.0, 1.0, 0.0], r)[0], psi[0, 1], G[0, 0], G[2, 2])
-        worst = max(worst, max(abs(x - y) / abs(y) for x, y in zip(got, route)))
-    return _ok(float(worst), 1e-15, "rel")
+    cells = np.array(fields + _on_grid(geometry_coupling.axial_coupling, ds))
+    r = np.zeros((ds.size, 3))
+    r[:, 2] = ds
+    psi, G = coupling_psi(r), G_tensor(r)
+    route = np.array([coupling_alpha(r), magnetic_field_quasistatic([1.0, 0.0, 0.0], r)[:, 1],
+                      electric_field_quasistatic([0.0, 1.0, 0.0], r)[:, 0], psi[:, 0, 1],
+                      G[:, 0, 0], G[:, 2, 2]])
+    return _ok(float(np.max(np.abs(cells - route) / np.abs(route))), 1e-15, "rel")
 
 
 def check_interaction_canonical():
@@ -1078,25 +1085,30 @@ class SlabGeometry(namedtuple("SlabGeometry", "d rho1 rho2")):
 
 def coupling_psi(r):
     """Coupling kernel psi_ij = x_k eps_kij/r^3, antisymmetric and
-    traceless; equal to -grad_p(1/r) eps_pij."""
+    traceless; equal to -grad_p(1/r) eps_pij. r is one separation, shape
+    (3,), giving shape (3, 3), or a stack, shape (n, 3), giving (n, 3, 3)."""
     r, rn = _separation(r)
-    return np.einsum("k,kij->ij", r, _levi_civita()) / rn**3
+    return np.einsum("...k,kij->...ij", r, _levi_civita()) / (rn**3)[..., None, None]
 
 
 def coupling_gradient_T(r):
     """Gradient of the coupling kernel:
-    T_lij = (delta_lk/r^3 - 3 x_l x_k/r^5) eps_kij; scales as 1/r^3."""
+    T_lij = (delta_lk/r^3 - 3 x_l x_k/r^5) eps_kij; scales as 1/r^3.
+    r of shape (3,) gives shape (3, 3, 3), a stack (n, 3) gives (n, 3, 3, 3)."""
     r, rn = _separation(r)
-    m = np.eye(3) / rn**3 - 3.0 * np.outer(r, r) / rn**5
-    return np.einsum("lk,kij->lij", m, _levi_civita())
+    rr = r[..., :, None] * r[..., None, :]
+    m = np.eye(3) / (rn**3)[..., None, None] - 3.0 * rr / (rn**5)[..., None, None]
+    return np.einsum("...lk,kij->...lij", m, _levi_civita())
 
 
 def G_tensor(r):
     """Contraction G_lq = T_lij T_qij = 2(delta_lq/r^6 + 3 x_l x_q/r^8),
-    symmetric positive definite; geometry_coupling.axial_coupling gives
+    symmetric positive definite; r of shape (3,) gives shape (3, 3), a
+    stack (n, 3) gives (n, 3, 3). geometry_coupling.axial_coupling gives
     its axial values over a column of d."""
     r, rn = _separation(r)
-    return 2.0 * (np.eye(3) / rn**6 + 3.0 * np.outer(r, r) / rn**8)
+    rr = r[..., :, None] * r[..., None, :]
+    return 2.0 * (np.eye(3) / (rn**6)[..., None, None] + 3.0 * rr / (rn**8)[..., None, None])
 
 
 def psi_hat(z0, q):
@@ -1157,48 +1169,39 @@ def mc_halfspace_Gxx(z0, seed, shifts=numerics.LATTICE_SHIFTS):
     return numerics.mc_integrate(lambda u: _kernels.halfspace_chunk(z0, u, 1), 3, seed, shifts)
 
 
+def _stack_draws(key, n, min_norm):
+    """n separation vectors from Philox(key=key), drawn as one (n, 3)
+    stack, less those shorter than min_norm; and their lengths."""
+    r = np.random.Generator(np.random.Philox(key=key)).normal(size=(n, 3))
+    rn = np.linalg.norm(r, axis=1)
+    keep = rn >= min_norm
+    return r[keep], rn[keep]
+
+
 def check_psi_dual_form():
-    rng = np.random.Generator(np.random.Philox(key=21))
-    worst = 0.0
-    for _ in range(20):
-        r = rng.normal(size=3)
-        if np.linalg.norm(r) < 0.3:
-            continue
-        psi = coupling_psi(r)
-        grad = numerics.gradient_central(lambda x: 1.0 / np.linalg.norm(x), r, 1e-6)
-        dual = -np.einsum("p,pij->ij", grad, _levi_civita())
-        worst = max(worst, np.max(np.abs(psi - dual)))
-        worst = max(worst, np.max(np.abs(psi + psi.T)), abs(np.trace(psi)))
+    r, _ = _stack_draws(21, 20, 0.3)
+    psi = coupling_psi(r)
+    grad = numerics.gradient_central(lambda x: 1.0 / np.linalg.norm(x, axis=-1), r, 1e-6)
+    dual = -np.einsum("np,pij->nij", grad, _levi_civita())
+    worst = max(np.max(np.abs(psi - dual)), np.max(np.abs(psi + psi.transpose(0, 2, 1))),
+                np.max(np.abs(np.trace(psi, axis1=1, axis2=2))))
     return _ok(worst, 1e-7)
 
 
 def check_T_finite_difference():
-    rng = np.random.Generator(np.random.Philox(key=22))
-    worst = 0.0
-    for _ in range(10):
-        r = rng.normal(size=3)
-        rn = np.linalg.norm(r)
-        if rn < 0.3:
-            continue
-        T = coupling_gradient_T(r)
-        fd = numerics.gradient_central(coupling_psi, r, 1e-5 * rn)
-        worst = max(worst, np.max(np.abs(T - fd)))
-    return _ok(worst, 1e-8)
+    r, rn = _stack_draws(22, 10, 0.3)
+    T = coupling_gradient_T(r)
+    fd = numerics.gradient_central(coupling_psi, r, 1e-5 * rn)
+    return _ok(np.max(np.abs(T - fd)), 1e-8)
 
 
 def check_G_contraction():
-    rng = np.random.Generator(np.random.Philox(key=23))
-    worst = 0.0
-    mineig = np.inf
-    for _ in range(20):
-        r = rng.normal(size=3)
-        if np.linalg.norm(r) < 0.3:
-            continue
-        T = coupling_gradient_T(r)
-        G = G_tensor(r)
-        contracted = np.einsum("lij,qij->lq", T, T)
-        worst = max(worst, np.max(np.abs(G - contracted)) / np.max(np.abs(G)))
-        mineig = min(mineig, np.min(np.linalg.eigvalsh(G)))
+    r, _ = _stack_draws(23, 20, 0.3)
+    T = coupling_gradient_T(r)
+    G = G_tensor(r)
+    contracted = np.einsum("nlij,nqij->nlq", T, T)
+    worst = np.max(np.max(np.abs(G - contracted), axis=(1, 2)) / np.max(np.abs(G), axis=(1, 2)))
+    mineig = np.min(np.linalg.eigvalsh(G))
     canonical = G_tensor([0.0, 0.0, 1.0])
     worst = max(worst, abs(canonical[0, 0] - 2.0), abs(canonical[2, 2] - 8.0))
     return worst <= 1e-12 and mineig > 0.0, "err=%.3g mineig=%.3g" % (worst, mineig)

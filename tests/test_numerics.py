@@ -278,6 +278,42 @@ def test_gradient_central():
     assert np.allclose(g, [4.0, 3.0], atol=1e-8)
 
 
+def _gradient_by_loop(f, x, step):
+    # the one-point difference, one component per call pair, as a reference
+    out = np.empty((x.size,) + np.shape(f(x)))
+    for l in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[l] += step
+        xm[l] -= step
+        out[l] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * step)
+    return out
+
+
+def _two_values(p):
+    # the same bits at a point alone and in a stack: no power, no libm call
+    return np.stack([p[..., 0] * p[..., 1], p[..., 2] / p[..., 0]], axis=-1)
+
+
+def test_gradient_central_takes_a_stack_and_one_point_alike():
+    # one point: the reference loop's shape and bits; a stack (n, 3) with a
+    # step per point: row i is the one-point gradient at x[i], 0 ulp apart
+    rng = np.random.Generator(np.random.Philox(key=44))
+    x = rng.uniform(0.5, 2.0, (8, 3))
+    step = 1e-6 * rng.uniform(0.5, 2.0, 8)
+    for f in (_two_values, verification.coupling_psi, lambda p: 1.0 / np.linalg.norm(p)):
+        got = numerics.gradient_central(f, x[0], step[0])
+        want = _gradient_by_loop(f, x[0], step[0])
+        assert got.shape == want.shape
+        assert list(map(float_bits, got.ravel().tolist())) == list(
+            map(float_bits, want.ravel().tolist()))
+    stack = numerics.gradient_central(_two_values, x, step)
+    assert stack.shape == (8, 3, 2)
+    for row, xi, hi in zip(stack, x, step):
+        assert list(map(float_bits, row.ravel().tolist())) == list(
+            map(float_bits, _gradient_by_loop(_two_values, xi, hi).ravel().tolist()))
+
+
 def test_linear_extrapolate_zero():
     xs = np.array([0.1, 0.01])
     ys = 5.0 + 2.0 * xs

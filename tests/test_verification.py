@@ -183,8 +183,14 @@ def test_every_public_numerics_function_has_a_caller_in_the_package():
 
 # detail lines of the array-at-a-time checks, as the term-by-term forms of
 # these checks printed them, of the half-space checks on the lattice rule,
-# and of the transform and trajectory checks on quadrature and least squares
+# of the transform and trajectory checks on quadrature and least squares,
+# and of the vector-form checks, each on its stack of draws
 PINNED_DETAILS = {
+    "field orthogonality": "cos=1.26e-16 tol=1e-12",
+    "axial outputs vs vector forms": "rel=2.1e-16 tol=1e-15",
+    "psi dual form": "err=1.05e-10 tol=1e-07",
+    "T finite differences": "err=2.41e-09 tol=1e-08",
+    "G contraction": "err=3.8e-16 mineig=0.0035",
     "series zeta(4)": "err=2.77e-13 tol=1e-12",
     "universal integral routes": "rel=2.56e-13 tol=1e-12",
     "kernel remainder identity": "err=3.83e-14 tol=1e-12",
@@ -212,12 +218,51 @@ def test_array_checks_print_their_pinned_details(name):
     (response_kinetics, "nascent_delta_g", "sharp amplitude pipeline"),
     (response_kinetics, "nascent_delta_cos_sin", "damped cos*sin time domain"),
     (verification, "psi_hat", "transverse transform"),
+    (verification, "G_tensor", "G contraction"),
+    (verification, "coupling_gradient_T", "T finite differences"),
+    (verification, "coupling_psi", "psi dual form"),
 ])
 def test_array_checks_fail_on_a_scaled_library_kernel(monkeypatch, module, name, check):
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: 1.01 * original(*args))
     ok, detail = _check(check).run()
     assert not ok, detail
+
+
+# the vector forms that take a stack of separations, shape (n, 3)
+STACK_FORMS = {
+    "coupling_alpha": verification.coupling_alpha,
+    "magnetic_field_quasistatic":
+        lambda r: verification.magnetic_field_quasistatic([0.3, -1.2, 0.7], r),
+    "electric_field_quasistatic":
+        lambda r: verification.electric_field_quasistatic([0.3, -1.2, 0.7], r),
+    "coupling_psi": verification.coupling_psi,
+    "coupling_gradient_T": verification.coupling_gradient_T,
+    "G_tensor": verification.G_tensor,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_a_vector_form_on_a_stack_is_the_form_at_each_row(name):
+    # a stack takes its powers as arrays and one vector as numpy scalars,
+    # which may differ in the last bit: each row is within 4 ulp of the
+    # largest entry of the one-vector result (these 2000 draws measure at
+    # most 2; T reached 4 where its two terms cancel, over 20 000 draws)
+    form = STACK_FORMS[name]
+    rng = np.random.Generator(np.random.Philox(key=43))
+    r = rng.normal(size=(2000, 3)) * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2000, 1)))
+    stack = form(r)
+    assert stack.shape == (2000,) + np.shape(form(r[0]))
+    for got, row in zip(stack, r):
+        want = form(row)
+        assert np.max(np.abs(got - want)) <= 4.0 * np.spacing(np.max(np.abs(want))), row
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_a_stack_with_a_zero_row_is_refused(name):
+    r = np.array([[0.3, -1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="zero separation"):
+        STACK_FORMS[name](r)
 
 
 def test_trajectory_fit_fails_on_a_scaled_coupling(monkeypatch):
