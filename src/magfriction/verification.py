@@ -150,16 +150,19 @@ def magnetic_field_full(P, zeta, r):
     zeta : complex
         Imaginary wavenumber i*omega/c of the oscillation.
     r : array_like
-        Separation vector from the dipole to the field point, |r| > 0.
+        Separation vector from the dipole to the field point, |r| > 0,
+        shape (3,), or a stack of them, shape (n, 3).
 
     Returns
     -------
     ndarray
-        Complex field -zeta*(1 + zeta*r)*exp(-zeta*r)*(rhat x P)/r^2.
+        Complex field -zeta*(1 + zeta*r)*exp(-zeta*r)*(rhat x P)/r^2,
+        one per row of a stack.
     """
     r, rn = _separation(r)
     zr = zeta * rn
-    return -zeta * (1.0 + zr) * np.exp(-zr) * np.cross(r / rn, np.asarray(P)) / rn**2
+    k = -zeta * (1.0 + zr) * np.exp(-zr)
+    return k[..., None] * np.cross(r / rn[..., None], np.asarray(P)) / (rn**2)[..., None]
 
 
 def magnetic_field_quasistatic(P_dot, r):

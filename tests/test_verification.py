@@ -232,6 +232,9 @@ def test_array_checks_fail_on_a_scaled_library_kernel(monkeypatch, module, name,
 # the vector forms that take a stack of separations, shape (n, 3)
 STACK_FORMS = {
     "coupling_alpha": verification.coupling_alpha,
+    # its real and imaginary parts
+    "magnetic_field_full":
+        lambda r: verification.magnetic_field_full([0.3, -1.2, 0.7], 0.01j, r).view(np.float64),
     "magnetic_field_quasistatic":
         lambda r: verification.magnetic_field_quasistatic([0.3, -1.2, 0.7], r),
     "electric_field_quasistatic":
@@ -247,7 +250,8 @@ def test_a_vector_form_on_a_stack_is_the_form_at_each_row(name):
     # a stack takes its powers as arrays and one vector as numpy scalars,
     # which may differ in the last bit: each row is within 4 ulp of the
     # largest entry of the one-vector result (these 2000 draws measure at
-    # most 2; T reached 4 where its two terms cancel, over 20 000 draws)
+    # most 3, the full field; T reached 4 where its two terms cancel, over
+    # 20 000 draws)
     form = STACK_FORMS[name]
     rng = np.random.Generator(np.random.Philox(key=43))
     r = rng.normal(size=(2000, 3)) * np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2000, 1)))
