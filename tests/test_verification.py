@@ -19,74 +19,6 @@ from magfriction import (
     verification,
 )
 
-# every check of `verify --suite all`, in the order it runs
-BATTERY = [
-    ('numerics', 'quad cos^6 over a turn'),
-    ('numerics', 'quad linear ramp'),
-    ('numerics', 'semi-infinite rational tail'),
-    ('numerics', 'semi-infinite quartic thermal'),
-    ('numerics', 'semi-infinite factorial'),
-    ('numerics', 'series zeta(4)'),
-    ('numerics', 'mc determinism and constants'),
-    ('fields', 'quasistatic limit sweep'),
-    ('fields', 'hand cross products'),
-    ('fields', 'field orthogonality'),
-    ('fields', 'axial outputs vs vector forms'),
-    ('fields', 'canonical interaction energies'),
-    ('fields', 'total-derivative shift'),
-    ('oscillator', 'eigenfrequencies vs linear system'),
-    ('oscillator', 'frequency product unity'),
-    ('oscillator', 'trajectory spectral fit'),
-    ('oscillator', 'energy drift bound'),
-    ('oscillator', 'perturbative ground state'),
-    ('oscillator', 'Legendre round trip'),
-    ('matsubara', 'mode average vs lattice'),
-    ('matsubara', 'mode free energy vs Gaussian moments'),
-    ('matsubara', 'free energy vs brute force'),
-    ('matsubara', 'free energy limits'),
-    ('matsubara', 'free energy closed form vs mode sum'),
-    ('matsubara', 'mode integral pi/2'),
-    ('response', 'kernel remainder identity'),
-    ('response', 'phi two-sinusoid identity'),
-    ('response', 'delta normalization'),
-    ('response', 'damped cos*sin time domain'),
-    ('response', 'damped sin time domain'),
-    ('response', 'coth difference limit'),
-    ('response', 'sharp amplitude pipeline'),
-    ('response', 'sharp amplitude value'),
-    ('response', 'cold-limit C_plus'),
-    ('response', 'dissipation quadrature'),
-    ('materials', 'linear response closed form'),
-    ('materials', 'response sum rule'),
-    ('materials', 'spectrum round trip'),
-    ('materials', 'Drude spectral slope'),
-    ('materials', 'universal integral routes'),
-    ('materials', 'smoothed H0 quadrature'),
-    ('materials', 'tabulated sharp line'),
-    ('materials', 'tabulated H0 fixed rule'),
-    ('geometry', 'psi dual form'),
-    ('geometry', 'T finite differences'),
-    ('geometry', 'G contraction'),
-    ('geometry', 'half-space MC'),
-    ('geometry', 'half-space r^-6 MC'),
-    ('geometry', 'half-space r^-8'),
-    ('geometry', 'half-space quadrature to slab'),
-    ('geometry', 'slab route equivalence'),
-    ('geometry', 'Fourier kernel double integral'),
-    ('geometry', 'transverse transform'),
-    ('geometry', 'angular sixth moment'),
-    ('geometry', 'zero-T factor quadrature'),
-    ('geometry', 'power-law scalings'),
-    ('forces', 'finite-T slab assembly'),
-    ('forces', 'zero-T slab assembly'),
-    ('forces', 'pair assembly'),
-    ('forces', 'plane assembly'),
-    ('forces', 'braking sign draws'),
-    ('forces', 'pair sharp consistency'),
-    ('forces', 'suppression factors'),
-    ('forces', 'Gaussian units written out'),
-]
-
 ROUTE_MODULES = ("dipole_fields", "geometry_coupling", "materials_spectral", "matsubara",
                  "oscillator_pair")
 # the modules a CLI route computes with
@@ -100,8 +32,12 @@ CHECK_IDS = ["%s::%s" % (suite, check.name) for suite, check in CHECKS]
 assert len(set(CHECK_IDS)) == len(CHECK_IDS)
 
 
-def test_battery_runs_every_check_in_order():
-    assert [(suite, check.name) for suite, check in CHECKS] == BATTERY
+# the text of `verify --suite all`: one line per check, in the order they run
+VERIFY_ALL = Path(__file__).parent / "golden" / "verify_all.txt"
+
+
+def test_verify_all_prints_its_golden(cli):
+    assert cli("verify", "--suite", "all") == (0, VERIFY_ALL.read_text())
 
 
 @pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=CHECK_IDS)
