@@ -1,10 +1,12 @@
 """Shared verified numerical engines.
 
-Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
-deterministic seeded Monte-Carlo integration by a randomized lattice rule,
-series summation with certified tails, central finite differences,
-a linear extrapolation to zero, a circulant solve and the polygamma
-function. Everything here is generic plumbing on numpy and the math
+Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals
+(the semi-infinite sweep integrates as many dyadic panels ahead per engine
+call as the decay it has seen allows, with the bits of a sweep of one
+panel at a time), deterministic seeded Monte-Carlo integration by a
+randomized lattice rule, series summation with certified tails, central
+finite differences, a linear extrapolation to zero, a circulant solve and
+the polygamma function. Everything here is generic plumbing on numpy and the math
 module; the physics modules supply the integrands. Only the oracle battery and
 response_kinetics call these engines; the CLI routes do not.
 """
@@ -76,8 +78,10 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _QUAD_PANELS = 200
-# dyadic panels quad_semi_infinite sweeps before it gives up on the tail
+# dyadic panels quad_semi_infinite sweeps before it gives up on the tail,
+# and the right edge of panel j - 1 over the first panel's width, 2^j - 1
 _SWEEP_PANELS = 64
+_REACH = tuple(2.0**j - 1.0 for j in range(_SWEEP_PANELS + 1))
 # QUADPACK's floor on a panel's error estimate, 50 eps resabs, applies
 # where resabs exceeds the smallest normal float over 50 eps
 _EPS50 = 50.0 * sys.float_info.epsilon
@@ -274,12 +278,28 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
     discrete form of an exponential change of variables); each is handled by
     the `quad_finite` engine. The sweep stops once the panel contributions
     decay geometrically and the certified remaining-tail bound
-    |I_j| * r/(1 - r) (r the observed panel ratio) drops below tol.
+    |I_j| * r/(1 - r) (r the observed panel ratio) drops below tol, or after
+    a run of two panels at the floor max(tol/1000, 1e-16 times the largest
+    panel).
+
+    The sweep looks ahead by the decay it has seen. Each round integrates
+    the next n panels of an integral in one `quad_finite` batch: n is 1
+    until a panel ratio r < 0.75 has been seen, then the number of panels
+    after which |I_j| r^n r/(1 - r), with I_j the last panel and r the last
+    such ratio, falls below tol, clamped to at most 8, to the panels
+    consumed so far and to those left of the _SWEEP_PANELS. The panels are
+    then consumed in order through the stop rules, and those past the stop
+    are discarded: the value, the error estimate and a QuadratureError's
+    message and running sums are those of a sweep of one panel at a time.
+    So f may be evaluated on any panel of the _SWEEP_PANELS-panel sweep,
+    past the one where it stops.
 
     A batch of k integrals is one call, as in `quad_finite`: a, panel_scale
     and the parameters in ``args`` broadcast to 1-D arrays of length k.
-    Sweep j integrates panel j of every integral whose sweep has not
-    stopped in one `quad_finite` batch; each integral stops on its own.
+    Each integral keeps its own sweep position and look-ahead, and each
+    round integrates the next panels of every integral whose sweep has not
+    stopped in one `quad_finite` batch, so each integral's value, error
+    estimate and evaluation count are those of a call on it alone.
 
     Parameters
     ----------
@@ -297,20 +317,24 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
     Returns
     -------
     QuadratureResult
-        For a batch, as in `quad_finite`.
+        For a batch, as in `quad_finite`. ``evaluations`` counts every
+        node evaluated, on the discarded look-ahead panels too.
 
     Raises
     ------
     QuadratureError
-        When the panel contributions of an integral do not decay
-        (non-integrable tail) or its sweep of _SWEEP_PANELS panels runs
-        out.
+        When a panel does not converge, or the panel contributions of an
+        integral do not decay (non-integrable tail) and its sweep of
+        _SWEEP_PANELS panels runs out. In a batch, a panel that does not
+        converge raises when its round is consumed, and the running sums
+        of the other integrals are those of their own sweeps so far.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     (a, scale, *args), batched = _batch(a, panel_scale, *args)
     a, scale = a.tolist(), scale.tolist()
     k = len(a)
+    floor = tol * 1e-3
     total = [0.0] * k
     err_total = [0.0] * k
     evals = [0] * k
@@ -318,32 +342,49 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
     peak = [0.0] * k
     tiny_run = [0] * k
     lo = list(a)
+    # panels consumed, the last panel ratio below 0.75, and the panels the
+    # next round integrates
+    done = [0] * k
+    ratio = [None] * k
+    ahead = [1] * k
     open_ = list(range(k))
-    for j in range(_SWEEP_PANELS):
-        reach = 2.0 ** (j + 1) - 1.0
-        hi = [a[i] + scale[i] * reach for i in open_]
-        rows = np.array(open_) if args else None
-        parts = _qag(
-            f, [lo[i] for i in open_], hi, min(tol / 16.0, 1e-12), [p[rows] for p in args]
-        )
-        still = []
-        for i, hi_i, v, e, n, bad in zip(open_, hi, *parts):
-            if bad and abs(v) > tol:
+    exhausted = False
+    while open_:
+        owner, los, his = [], [], []
+        for i in open_:
+            left = lo[i]
+            for j in range(done[i] + 1, done[i] + ahead[i] + 1):
+                right = a[i] + scale[i] * _REACH[j]
+                owner.append(i)
+                los.append(left)
+                his.append(right)
+                left = right
+        rows = np.array(owner) if args else None
+        values, errs, counts, bad = _qag(f, los, his, min(tol / 16.0, 1e-12), [p[rows] for p in args])
+        for i, n in zip(owner, counts):
+            evals[i] += n
+        stopped = set()
+        for i, x0, x1, v, e, failed in zip(owner, los, his, values, errs, bad):
+            if i in stopped:
+                continue  # past the stop
+            if failed and abs(v) > tol:
                 raise QuadratureError(
-                    "panel [%g, %g] did not converge" % (lo[i], hi_i),
+                    "panel [%g, %g] did not converge" % (x0, x1),
                     best=_result(total, err_total, evals, batched),
                 )
             total[i] += v
             err_total[i] += e
-            evals[i] += n
+            done[i] += 1
+            lo[i] = x1
             mag = abs(v)
-            peak[i] = max(peak[i], mag)
-            lo[i] = hi_i
+            if mag > peak[i]:
+                peak[i] = mag
             # a run of panels at the floor means the mass is fully inside
-            if mag <= max(tol * 1e-3, peak[i] * 1e-16):
+            if mag <= floor or mag <= peak[i] * 1e-16:
                 tiny_run[i] += 1
                 if tiny_run[i] >= 2:
-                    err_total[i] += tol * 1e-3
+                    err_total[i] += floor
+                    stopped.add(i)
                     continue
             else:
                 tiny_run[i] = 0
@@ -351,19 +392,35 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
             if prev is not None and prev > 0.0 and mag < prev:
                 r = mag / prev
                 if r < 0.75:
+                    ratio[i] = r
                     tail = mag * r / (1.0 - r)
                     if tail < tol:
                         err_total[i] += tail
+                        stopped.add(i)
                         continue
             prev_mag[i] = mag
+        still = []
+        for i in open_:
+            if i in stopped:
+                continue
+            # look ahead by the decay seen so far
+            cap = min(8, done[i], _SWEEP_PANELS - done[i])
+            if cap == 0:
+                exhausted = True
+                continue
+            n, r = 1, ratio[i]
+            if r is not None:
+                while n < cap and prev_mag[i] * r**n * r / (1.0 - r) >= tol:
+                    n += 1
+            ahead[i] = n
             still.append(i)
         open_ = still
-        if not open_:
-            return _result(total, err_total, evals, batched)
-    raise QuadratureError(
-        "tail decay not certified after %d panels" % _SWEEP_PANELS,
-        best=_result(total, err_total, evals, batched),
-    )
+    if exhausted:
+        raise QuadratureError(
+            "tail decay not certified after %d panels" % _SWEEP_PANELS,
+            best=_result(total, err_total, evals, batched),
+        )
+    return _result(total, err_total, evals, batched)
 
 
 # The randomized rank-1 lattice rule of mc_integrate (Sloan & Joe, Lattice
