@@ -46,7 +46,7 @@ TWO_PI = 2.0 * math.pi
 
 # records advanced from one state by one batched matmul of matrix powers
 RK4_BLOCK = 64
-# modes per block of mode_sum: its three float64 arrays (128 KiB each) stay
+# modes per block of mode_sum: its four float64 arrays (128 KiB each) stay
 # in cache, whatever n_max is
 MODE_BLOCK = 16384
 # points per block function call of numerics.mc_integrate: the six float64
@@ -129,28 +129,38 @@ def mode_sum(alpha, beta, n_max):
     whole-array pass; the terms are summed per ``MODE_BLOCK`` block and the
     block sums added with ``math.fsum``.
 
+    ``beta`` may be a 1-D column. Each block forms 2*pi*n once and then
+    takes, for each beta in turn, the divide, square, +1, square, divide
+    and sum of the scalar call: each element has the terms, block sums and
+    bits of the scalar call on its beta.
+
     Returns
     -------
-    float
+    float, or an array shaped like a column ``beta``
     """
+    betas = np.ravel(beta).tolist()
     if n_max <= 0:
-        return 0.0
+        return np.zeros(len(betas)) if np.ndim(beta) else 0.0
+    block_sums = [[] for _ in betas]
     modes = np.arange(1.0, min(n_max, MODE_BLOCK) + 1.0)
+    w2pi = np.empty_like(modes)
     u2 = np.empty_like(modes)
     den = np.empty_like(modes)
-    block_sums = []
     for start in range(0, n_max, MODE_BLOCK):
         m = min(MODE_BLOCK, n_max - start)
-        u, d = u2[:m], den[:m]
-        np.add(modes[:m], start, out=u)
-        u *= TWO_PI
-        u /= beta
-        np.square(u, out=u)
-        np.add(u, 1.0, out=d)
-        np.square(d, out=d)
-        u /= d
-        block_sums.append(float(u.sum()))
-    return 2.0 * (2.0 * alpha**2 / beta) * math.fsum(block_sums)
+        w, u, d = w2pi[:m], u2[:m], den[:m]
+        np.add(modes[:m], start, out=w)
+        w *= TWO_PI
+        for sums, b in zip(block_sums, betas):
+            np.divide(w, b, out=u)
+            np.square(u, out=u)
+            np.add(u, 1.0, out=d)
+            np.square(d, out=d)
+            u /= d
+            sums.append(float(u.sum()))
+    a2 = alpha**2
+    totals = [2.0 * (2.0 * a2 / b) * math.fsum(sums) for b, sums in zip(betas, block_sums)]
+    return np.array(totals) if np.ndim(beta) else totals[0]
 
 
 def halfspace_chunk(z0, u, mode):

@@ -520,12 +520,13 @@ class TruncationError(RuntimeError):
 
 
 class MatsubaraGrid(namedtuple("MatsubaraGrid", "beta n_max tail_tol")):
-    """Inverse temperature, mode truncation, and tail tolerance."""
+    """Inverse temperature (a float or a 1-D column), mode truncation, and
+    tail tolerance."""
 
     __slots__ = ()
 
     def __new__(cls, beta, n_max, tail_tol=1e-9):
-        if beta <= 0.0:
+        if np.min(beta) <= 0.0:
             raise ValueError("beta must be positive")
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
@@ -565,32 +566,43 @@ def induced_free_energy(alpha, grid):
     pentagamma function, and that certified bound must sit below the
     grid's tail_tol.
 
+    The grid's beta may be a 1-D column: one `_kernels.mode_sum` call sums
+    the modes of every beta, and each element is the scalar grid's value,
+    bit for bit, its checks holding for each beta in turn.
+
     Returns
     -------
-    float
+    float, or an array shaped like a column beta
 
     Raises
     ------
     TruncationError
         Bound above tail_tol, or the truncation is too early for the
-        envelope bound to apply (first dropped mode below the knee u=1).
+        envelope bound to apply (first dropped mode below the knee u=1),
+        for the first beta of the column where either happens.
     """
+    column = np.ndim(grid.beta) > 0
     a2 = alpha * alpha
     if a2 == 0.0:
-        return 0.0
+        return np.zeros(np.shape(grid.beta)) if column else 0.0
     partial = _kernels.mode_sum(alpha, grid.beta, grid.n_max)
-    scale = grid.beta / (2.0 * math.pi)
-    pref = 2.0 * (2.0 * a2 / grid.beta)
-    tail = pref * scale**2 * numerics.polygamma(1, grid.n_max + 1.0)
-    bound = pref * scale**4 * 3.0 * numerics.polygamma(3, grid.n_max + 1.0) / 6.0
-    if bound > grid.tail_tol:
-        raise TruncationError(
-            "tail bound %.3e exceeds tail_tol %.3e; raise n_max" % (bound, grid.tail_tol)
-        )
-    # envelope bound needs the first dropped mode past the knee
-    if matsubara_frequency(grid.beta, grid.n_max + 1) < 1.0:
-        raise TruncationError("n_max truncates below u = 1; bound not certified")
-    return partial + tail
+    trigamma = numerics.polygamma(1, grid.n_max + 1.0)
+    pentagamma = numerics.polygamma(3, grid.n_max + 1.0)
+    totals = []
+    for beta, part in zip(np.ravel(grid.beta).tolist(), np.ravel(partial).tolist()):
+        scale = beta / (2.0 * math.pi)
+        pref = 2.0 * (2.0 * a2 / beta)
+        tail = pref * scale**2 * trigamma
+        bound = pref * scale**4 * 3.0 * pentagamma / 6.0
+        if bound > grid.tail_tol:
+            raise TruncationError(
+                "tail bound %.3e exceeds tail_tol %.3e; raise n_max" % (bound, grid.tail_tol)
+            )
+        # envelope bound needs the first dropped mode past the knee
+        if matsubara_frequency(beta, grid.n_max + 1) < 1.0:
+            raise TruncationError("n_max truncates below u = 1; bound not certified")
+        totals.append(part + tail)
+    return np.array(totals) if column else totals[0]
 
 
 def check_mode_average_lattice():
@@ -657,11 +669,12 @@ def check_free_energy_limits():
 def check_free_energy_closed_form():
     # production closed form against the certified mode sum plus tail
     alpha = 0.3
+    betas = np.logspace(-3.0, 3.0, 7)
+    # one mode sum over the column of beta
+    summed = induced_free_energy(alpha, MatsubaraGrid(betas, 200_000, tail_tol=1e-10))
     worst = 0.0
-    for beta in np.logspace(-3.0, 3.0, 7):
-        grid = MatsubaraGrid(beta, 200_000, tail_tol=1e-10)
-        summed = induced_free_energy(alpha, grid)
-        worst = max(worst, abs(matsubara.free_energy(alpha, beta, FloatOps) - summed))
+    for beta, value in zip(betas, summed.tolist()):
+        worst = max(worst, abs(matsubara.free_energy(alpha, beta, FloatOps) - value))
     return _ok(worst, 1e-9, "diff")
 
 
