@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magfriction
+from conftest import float_bits
 from magfriction import _kernels, numerics, verification
 
 
@@ -120,6 +121,19 @@ def test_mode_sum_against_direct_loop(n_max):
     direct = math.fsum(terms)
     assert abs(_kernels.mode_sum(alpha, beta, n_max) - direct) <= 1e-14 * direct
     assert _kernels.mode_sum(alpha, beta, 0) == 0.0
+
+
+@pytest.mark.parametrize("n_max", [
+    0, 1, 200, _kernels.MODE_BLOCK - 1, 2 * _kernels.MODE_BLOCK + 7,
+])
+def test_mode_sum_over_a_column_is_each_betas_sum(n_max):
+    betas = np.logspace(-3.0, 3.0, 7)
+    column = _kernels.mode_sum(0.3, betas, n_max)
+    assert column.shape == betas.shape
+    assert [float_bits(x) for x in column.tolist()] == [
+        float_bits(_kernels.mode_sum(0.3, beta, n_max)) for beta in betas]
+    assert type(_kernels.mode_sum(0.3, 0.37, n_max)) is float
+    assert type(_kernels.mode_sum(0.3, betas[2], n_max)) is float
 
 
 @pytest.mark.parametrize("check", [

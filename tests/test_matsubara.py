@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import float_bits
 from magfriction._ieee import FloatOps
 from magfriction.matsubara import free_energy
 from magfriction.verification import (
@@ -112,9 +113,31 @@ def test_truncation_error_certified():
         induced_free_energy(0.1, grid)
 
 
+def test_induced_free_energy_over_a_column_is_each_betas_value():
+    betas = np.logspace(-3.0, 3.0, 7)
+    column = induced_free_energy(0.3, MatsubaraGrid(betas, 20_000, tail_tol=1e-6))
+    assert [float_bits(x) for x in column.tolist()] == [
+        float_bits(induced_free_energy(0.3, MatsubaraGrid(beta, 20_000, tail_tol=1e-6)))
+        for beta in betas]
+    assert induced_free_energy(0.0, MatsubaraGrid(betas, 10)).tolist() == [0.0] * 7
+
+
+@pytest.mark.parametrize("betas", [[1.0, 100.0, 2.0], [100.0, 1.0], [2.0, 100.0]])
+def test_a_column_fails_as_its_first_failing_beta(betas):
+    # with 5 modes, only beta = 100 leaves a tail bound above 1e-5
+    grid = MatsubaraGrid(np.array(betas), n_max=5, tail_tol=1e-5)
+    with pytest.raises(TruncationError) as column:
+        induced_free_energy(0.1, grid)
+    with pytest.raises(TruncationError) as one:
+        induced_free_energy(0.1, MatsubaraGrid(100.0, n_max=5, tail_tol=1e-5))
+    assert str(column.value) == str(one.value)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         MatsubaraGrid(beta=-1.0, n_max=10, tail_tol=1e-9)
+    with pytest.raises(ValueError):
+        MatsubaraGrid(beta=np.array([1.0, 0.0]), n_max=10, tail_tol=1e-9)
     with pytest.raises(ValueError):
         MatsubaraGrid(beta=1.0, n_max=-1, tail_tol=1e-9)
     with pytest.raises(ValueError):

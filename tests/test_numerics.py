@@ -491,6 +491,140 @@ def test_quad_semi_infinite_batch_keeps_each_integrals_bits(cases):
     assert _rows_per_integral(calls, k) == [r.evaluations for r in scalars]
 
 
+def _sequential_sweep(f, a, tol=1e-10, panel_scale=1.0, args=()):
+    """quad_semi_infinite as a sweep of one dyadic panel per engine call, kept
+    as the reference of the look-ahead sweep's values, error estimates and
+    errors; its evaluation count leaves out the look-ahead panels."""
+    (a, scale, *args), batched = numerics._batch(a, panel_scale, *args)
+    a, scale = a.tolist(), scale.tolist()
+    k = len(a)
+    total, err_total, evals = [0.0] * k, [0.0] * k, [0] * k
+    prev_mag, peak, tiny_run = [None] * k, [0.0] * k, [0] * k
+    lo = list(a)
+    open_ = list(range(k))
+    for j in range(numerics._SWEEP_PANELS):
+        reach = 2.0 ** (j + 1) - 1.0
+        hi = [a[i] + scale[i] * reach for i in open_]
+        rows = np.array(open_) if args else None
+        parts = numerics._qag(
+            f, [lo[i] for i in open_], hi, min(tol / 16.0, 1e-12), [p[rows] for p in args])
+        still = []
+        for i, hi_i, v, e, n, bad in zip(open_, hi, *parts):
+            if bad and abs(v) > tol:
+                raise QuadratureError(
+                    "panel [%g, %g] did not converge" % (lo[i], hi_i),
+                    best=numerics._result(total, err_total, evals, batched))
+            total[i] += v
+            err_total[i] += e
+            evals[i] += n
+            mag = abs(v)
+            peak[i] = max(peak[i], mag)
+            lo[i] = hi_i
+            if mag <= max(tol * 1e-3, peak[i] * 1e-16):
+                tiny_run[i] += 1
+                if tiny_run[i] >= 2:
+                    err_total[i] += tol * 1e-3
+                    continue
+            else:
+                tiny_run[i] = 0
+            prev = prev_mag[i]
+            if prev is not None and prev > 0.0 and mag < prev:
+                r = mag / prev
+                if r < 0.75:
+                    tail = mag * r / (1.0 - r)
+                    if tail < tol:
+                        err_total[i] += tail
+                        continue
+            prev_mag[i] = mag
+            still.append(i)
+        open_ = still
+        if not open_:
+            return numerics._result(total, err_total, evals, batched)
+    raise QuadratureError(
+        "tail decay not certified after %d panels" % numerics._SWEEP_PANELS,
+        best=numerics._result(total, err_total, evals, batched))
+
+
+def _same_sums(got, want):
+    """The values and error estimates of two results (batch or one) in bits."""
+    assert [float_bits(v) for v in np.ravel(got.value).tolist()] == [
+        float_bits(v) for v in np.ravel(want.value).tolist()]
+    assert [float_bits(e) for e in np.ravel(got.error_estimate).tolist()] == [
+        float_bits(e) for e in np.ravel(want.error_estimate).tolist()]
+
+
+def _tails(x, c, p):
+    # e^{-c x} for c > 0, a power tail x^{-p} for c = 0
+    return x * np.exp(-c * x) / (1.0 + x) ** (p + 1.0)
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.05, 4.0),
+                          st.just(0.0) | st.floats(1.0, 4.0), st.floats(3.0, 6.0)),
+                min_size=1, max_size=6))
+def test_look_ahead_sweep_keeps_the_sequential_bits(cases):
+    a, scale, c, p = (np.array(col) for col in zip(*cases))
+    batch = quad_semi_infinite(_tails, a, tol=1e-10, panel_scale=scale, args=(c, p))
+    _same_sums(batch, _sequential_sweep(_tails, a, tol=1e-10, panel_scale=scale, args=(c, p)))
+    for i in range(len(cases)):
+        one = quad_semi_infinite(_tails, a[i], tol=1e-10, panel_scale=scale[i],
+                                 args=(c[i], p[i]))
+        _same_sums(one, _sequential_sweep(_tails, a[i], tol=1e-10, panel_scale=scale[i],
+                                          args=(c[i], p[i])))
+
+
+def _same_failure(f, a, match):
+    with pytest.raises(QuadratureError, match=match) as got:
+        quad_semi_infinite(f, a)
+    with pytest.raises(QuadratureError) as want:
+        _sequential_sweep(f, a)
+    assert str(got.value) == str(want.value)
+    _same_sums(got.value.best, want.value.best)
+    return str(got.value)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0,
+    # decays at first, so the sweep looks ahead, then grows
+    lambda x: np.exp(-x) + 1e-9,
+], ids=["constant", "decay-then-floor"])
+def test_look_ahead_sweep_keeps_the_exhausted_sweeps_error(f):
+    _same_failure(f, 0.0, "^tail decay not certified after 64 panels$")
+
+
+@pytest.mark.parametrize("x0,rate", [(0.3, 1.0), (5.3, 1.0), (40.7, 0.2), (700.1, 0.01)])
+def test_look_ahead_sweep_names_the_panel_that_did_not_converge(x0, rate):
+    # sin(1/(x - x0)) keeps its panel's estimate above 1e-12 through 200 panels
+    seen = []
+
+    def f(x):
+        seen.append(x.max())
+        return np.exp(-rate * x) * np.sin(1.0 / (x - x0))
+
+    message = _same_failure(f, 0.0, r"^panel \[\S+, \S+\] did not converge$")
+    lo, hi = map(float, message[len("panel ["):-len("] did not converge")].split(", "))
+    assert lo < x0 < hi
+    # past the first panel, the sweep has looked ahead beyond the failing one
+    assert (max(seen) > hi) == (lo > 0.0)
+
+
+def test_look_ahead_panels_past_the_stop_are_discarded():
+    # the sweep of e^{-x} stops before [127, 255], which its look-ahead
+    # integrates, and where sin(1/(x - 200.3)) does not converge
+    def f(x):
+        return np.exp(-x) + np.where(x > 127.0, np.sin(1.0 / (x - 200.3)), 0.0)
+
+    with pytest.raises(QuadratureError):
+        quad_finite(f, 127.0, 255.0, tol=1e-12)
+    seen = []
+
+    def traced(x):
+        seen.append(x.max())
+        return f(x)
+
+    _same_sums(quad_semi_infinite(traced, 0.0), _sequential_sweep(f, 0.0))
+    assert max(seen) > 127.0
+
+
 def test_quad_batch_with_one_integral_over_the_panel_budget():
     # x^-0.9 on [0, 1] keeps its error above 1e-12 through 200 panels;
     # x^2.5 bisects a few times and converges
