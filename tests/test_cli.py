@@ -234,6 +234,11 @@ RANGE_EDGES = [
     (["eigen", "--alpha", 1e200], 2, [], _NOT_FINITE),
     (["eigen", "--alpha", 1e154], 0,
      ["alpha,omega_plus,omega_minus,e0", "1e+154,2e+154,0.0,1e+154"], ""),
+    (["eigen", "--alpha", 1e7], 0,
+     ["alpha,omega_plus,omega_minus,e0",
+      "10000000.0,20000000.000000052,5.029141902923584e-08,10000000.00000005"], ""),
+    (["eigen", "--alpha", 1e8], 0,
+     ["alpha,omega_plus,omega_minus,e0", "100000000.0,200000000.0,0.0,100000000.0"], ""),
     (["free-energy", "--alpha", 1e200, "--beta", 1], 2, [], _NOT_FINITE),
     # x = beta/2 on either side of 4.5e307, past which 4x would overflow in
     # the temperature bracket: F = alpha^2/2 on both
