@@ -13,7 +13,9 @@ def normal_modes(alpha, ops):
     friction_forces: (omega_plus, omega_minus, e0) with omega_pm =
     +-alpha + sqrt(1+alpha^2) and the zero-point energy e0 =
     (omega_plus + omega_minus)/2 = sqrt(1+alpha^2). The product of the
-    two frequencies is 1 for every coupling."""
+    two frequencies is 1 for every coupling, so omega_minus is formed as
+    1/omega_plus: -alpha + sqrt(1+alpha^2) would cancel for large alpha."""
     ops.fail(alpha < 0.0, ValueError("alpha must be >= 0"))
     root = ops.sqrt(1.0 + alpha * alpha)
-    return alpha + root, -alpha + root, root
+    omega_plus = alpha + root
+    return omega_plus, 1.0 / omega_plus, root

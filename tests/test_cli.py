@@ -233,12 +233,12 @@ RANGE_EDGES = [
       "163.21049855215009,1.0,1e-40,1.0"], ""),
     (["eigen", "--alpha", 1e200], 2, [], _NOT_FINITE),
     (["eigen", "--alpha", 1e154], 0,
-     ["alpha,omega_plus,omega_minus,e0", "1e+154,2e+154,0.0,1e+154"], ""),
+     ["alpha,omega_plus,omega_minus,e0", "1e+154,2e+154,5e-155,1e+154"], ""),
     (["eigen", "--alpha", 1e7], 0,
      ["alpha,omega_plus,omega_minus,e0",
-      "10000000.0,20000000.000000052,5.029141902923584e-08,10000000.00000005"], ""),
+      "10000000.0,20000000.000000052,4.999999999999987e-08,10000000.00000005"], ""),
     (["eigen", "--alpha", 1e8], 0,
-     ["alpha,omega_plus,omega_minus,e0", "100000000.0,200000000.0,0.0,100000000.0"], ""),
+     ["alpha,omega_plus,omega_minus,e0", "100000000.0,200000000.0,5e-09,100000000.0"], ""),
     (["free-energy", "--alpha", 1e200, "--beta", 1], 2, [], _NOT_FINITE),
     # x = beta/2 on either side of 4.5e307, past which 4x would overflow in
     # the temperature bracket: F = alpha^2/2 on both
@@ -1216,7 +1216,7 @@ def test_outputs_replace_earlier_files_and_may_be_dev_null(cli, tmp_path):
     doc.write_text("x" * 10_000)
     assert cli("eigen", "--alpha", 1, "--out", csv, "--json", doc)[0] == 0
     assert csv.read_text().startswith("# magfriction") and csv.read_text().count("x") == 0
-    assert json.loads(doc.read_text())["rows"] == [[1.0, 1 + 2**0.5, 2**0.5 - 1, 2**0.5]]
+    assert json.loads(doc.read_text())["rows"] == [[1.0, 1 + 2**0.5, 1 / (1 + 2**0.5), 2**0.5]]
     assert cli("eigen", "--alpha", 1, "--out", os.devnull, "--json", os.devnull)[0] == 0
     assert cli("verify", "--suite", "numerics", "--out", os.devnull)[0] == 0
 

@@ -1,5 +1,8 @@
 """Coupled oscillator pair: momenta, Hamiltonian, spectrum, dynamics."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,3 +160,21 @@ def test_trajectory_fit_of_the_uncoupled_pair():
     wp, wm = verification.fit_trajectory_frequencies(0.0)
     assert abs(wp - 1.0) <= 1e-9
     assert abs(wm - 1.0) <= 1e-9
+
+
+def test_normal_modes_are_within_a_few_ulp_of_their_exact_values():
+    # log-uniform alpha over the range eigen accepts, where alpha^2 is
+    # finite, against 60-digit decimal arithmetic on the float alpha. Over
+    # 200 000 such draws omega_plus measured at most 1.21 ulp, omega_minus
+    # 2.72 ulp and e0 0.84 ulp
+    rng = np.random.Generator(np.random.Philox(key=41))
+    alphas = np.exp(rng.uniform(math.log(1e-300), math.log(1.34e154), 4000)).tolist()
+    bounds = (1.5, 3.0, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for alpha in alphas + [0.0, 1e-310, 1e7, 1e8, 1e154, 1.34e154]:
+            x = Decimal(alpha)
+            root = (1 + x * x).sqrt()
+            exact = (x + root, 1 / (x + root), root)
+            for got, want, bound in zip(normal_modes(alpha, FloatOps), exact, bounds):
+                assert abs(Decimal(got) - want) <= Decimal(bound) * Decimal(math.ulp(float(want))), alpha
