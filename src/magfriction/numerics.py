@@ -6,9 +6,9 @@ call as the decay it has seen allows, with the bits of a sweep of one
 panel at a time), deterministic seeded Monte-Carlo integration by a
 randomized lattice rule, series summation with certified tails, central
 finite differences, a linear extrapolation to zero, a circulant solve and
-the polygamma function. Everything here is generic plumbing on numpy and the math
-module; the physics modules supply the integrands. Only the oracle battery and
-response_kinetics call these engines; the CLI routes do not.
+the polygamma function. Everything here is generic plumbing on numpy and
+the math module; the physics modules supply the integrands. Only the oracle
+battery and response_kinetics call these engines; the CLI routes do not.
 """
 
 import functools
@@ -290,9 +290,9 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
     consumed so far and to those left of the _SWEEP_PANELS. The panels are
     then consumed in order through the stop rules, and those past the stop
     are discarded: the value, the error estimate and a QuadratureError's
-    message and running sums are those of a sweep of one panel at a time.
-    So f may be evaluated on any panel of the _SWEEP_PANELS-panel sweep,
-    past the one where it stops.
+    message and running sums are those of a sweep of one panel at a time
+    (for a batch, see Raises). So f may be evaluated on any panel of the
+    _SWEEP_PANELS-panel sweep, past the one where it stops.
 
     A batch of k integrals is one call, as in `quad_finite`: a, panel_scale
     and the parameters in ``args`` broadcast to 1-D arrays of length k.
@@ -360,7 +360,9 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
                 his.append(right)
                 left = right
         rows = np.array(owner) if args else None
-        values, errs, counts, bad = _qag(f, los, his, min(tol / 16.0, 1e-12), [p[rows] for p in args])
+        values, errs, counts, bad = _qag(
+            f, los, his, min(tol / 16.0, 1e-12), [p[rows] for p in args]
+        )
         for i, n in zip(owner, counts):
             evals[i] += n
         stopped = set()

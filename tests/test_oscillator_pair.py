@@ -177,4 +177,5 @@ def test_normal_modes_are_within_a_few_ulp_of_their_exact_values():
             root = (1 + x * x).sqrt()
             exact = (x + root, 1 / (x + root), root)
             for got, want, bound in zip(normal_modes(alpha, FloatOps), exact, bounds):
-                assert abs(Decimal(got) - want) <= Decimal(bound) * Decimal(math.ulp(float(want))), alpha
+                ulp = Decimal(math.ulp(float(want)))
+                assert abs(Decimal(got) - want) <= Decimal(bound) * ulp, alpha
