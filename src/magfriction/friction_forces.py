@@ -23,7 +23,7 @@ def pair_force(d, v, side1, side2, beta, ops):
     """Smoothed force on a particle pair at r = (0, 0, d), moving along x:
     -G_xx v H0. Each side is a spectrum as materials_spectral.H0_columns
     takes it."""
-    g_xx = geometry_coupling.axial_coupling(d, ops)[1]
+    g_xx = geometry_coupling.pair_coupling(d, ops)
     h0 = materials_spectral.H0_columns(side1, side2, beta, ops)
     return -g_xx * v * h0, {"G_factor": g_xx, "H0": h0}
 

@@ -14,15 +14,23 @@ integral that check them live in the oracle battery
 import math
 
 
+def pair_coupling(d, ops):
+    """G_xx = 2/d^6 at r = (0, 0, d), over a column of d (``ops`` as in
+    friction_forces): the one coupling of the particle pair's force."""
+    ops.fail(d == 0.0, ValueError("zero separation"))
+    return ops.div(2.0, ops.pow(d, 6))
+
+
 def axial_coupling(d, ops):
-    """(psi_xy, G_xx, G_zz) at r = (0, 0, d), over a column of d (``ops``
-    as in friction_forces): d/|d|^3, 2/d^6 and 8/d^6, the values of the
-    battery's general-r tensors, verification.coupling_psi and
-    verification.G_tensor, there (G_zz = 2(1/r^6 + 3 d^2/r^8) with r = |d|).
+    """(psi_xy, G_xx, G_zz) at r = (0, 0, d), over a column of d: d/|d|^3,
+    pair_coupling's 2/d^6 and 8/d^6, the values of the battery's general-r
+    tensors, verification.coupling_psi and verification.G_tensor, there
+    (G_zz = 2(1/r^6 + 3 d^2/r^8) with r = |d|). psi_xy comes first, so
+    that where |d|^3 is subnormal and d^6 underflows to zero the point
+    fails as subnormal.
     """
     ops.fail(d == 0.0, ValueError("zero separation"))
-    r6 = ops.pow(d, 6)
-    return ops.div(d, ops.pow(abs(d), 3)), ops.div(2.0, r6), ops.div(8.0, r6)
+    return ops.div(d, ops.pow(abs(d), 3)), pair_coupling(d, ops), ops.div(8.0, ops.pow(d, 6))
 
 
 def G_halfspace(z0, rho, ops):

@@ -318,9 +318,10 @@ RANGE_EDGES = [
     (["friction", "plane", "--z0", 1e-102, "--rho1", 1e10, *_TINY_V], 2, [], _NOT_FINITE),
     (["friction", "plane", "--z0", 1, "--rho1", 1, "--beta", 1, "--v", 0.001, "--D1", 1,
       "--omega-p", 1e-154, "--nu", 1000], 1, [], "invalid input: D must be finite and >= 0\n"),
-    # d^6 underflows to zero and |d|^3 is subnormal: psi_xy = d/|d|^3 fails first
+    # d^6 underflows to zero and |d|^3 is subnormal: in fields psi_xy = d/|d|^3
+    # fails first; the pair computes no psi_xy, and 2/d^6 divides by zero
     (["fields", "--d", 1e-105], 2, [], _SUBNORMAL),
-    (["friction", "pair", "--d", 1e-105, *_PAIR_UNIT], 2, [], _SUBNORMAL),
+    (["friction", "pair", "--d", 1e-105, *_PAIR_UNIT], 2, [], _underflows("friction pair")),
 ]
 
 

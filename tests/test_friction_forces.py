@@ -266,6 +266,7 @@ COLUMN_FUNCTIONS = {
     "axial_fields": (dipole_fields.axial_fields, [_positive(-2, 2) * _RNG.choice([-1.0, 1.0], _N)]),
     "axial_coupling": (geometry_coupling.axial_coupling,
                        [_positive(-2, 2) * _RNG.choice([-1.0, 1.0], _N)]),
+    "pair_coupling": (geometry_coupling.pair_coupling, [_positive(-2, 2)]),
     "linear_slope": (materials_spectral.linear_slope, [_positive(-2, 2)]),
     "drude_D": (materials_spectral.drude_D,
                 [_positive(-1, 2), _positive(-3, 0), _positive(-1, 1)]),
