@@ -18,6 +18,8 @@ np = lazy_import("numpy")
 # a nonzero float below the smallest normal one has lost precision
 SUBNORMAL = ("a computed value is subnormal (0 < |x| < %r) and has lost precision"
              % sys.float_info.min)
+# the arguments of the OverflowError that Python raises for x ** n
+OUT_OF_RANGE = (34, "Numerical result out of range")
 
 
 class QuadratureError(RuntimeError):
@@ -57,7 +59,10 @@ class FloatOps:
 
     @staticmethod
     def div(a, b):
-        return a / b
+        q = a / b
+        if math.isinf(q) and math.isfinite(a):
+            raise OverflowError(*OUT_OF_RANGE)
+        return q
 
     @staticmethod
     def map(fn, *args):
@@ -107,15 +112,18 @@ class ArrayOps:
         except OverflowError:
             out = np.array([_pow_or_inf(t, n) for t in values]).reshape(x.shape)
             overflow = np.isinf(out) & np.isfinite(x)
-            self.fail(overflow, OverflowError(34, "Numerical result out of range"))
+            self.fail(overflow, OverflowError(*OUT_OF_RANGE))
         self.fail((out != 0.0) & (np.abs(out) < sys.float_info.min),
                   FloatingPointError(SUBNORMAL))
         return out
 
     def div(self, a, b):
-        """a / b; a zero divisor fails the point, as for Python floats."""
+        """a / b; as for Python floats, a zero divisor fails the point, and so
+        does a finite numerator whose quotient leaves the float range."""
         self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
-        return a / b
+        q = a / b
+        self.fail(np.isinf(q) & np.isfinite(a), OverflowError(*OUT_OF_RANGE))
+        return q
 
     def map(self, fn, *cols):
         """fn(*args) at each point of the shape the columns broadcast to, in

@@ -476,8 +476,8 @@ def _parse_axis(spec):
 # no numpy is loaded. Python floats part from numpy only at the edges of
 # the float range, where Python raises and numpy gives inf or nan; so
 # every power goes through pow, and every divisor that earlier checks do
-# not keep nonzero through div. On both, a power past the float range
-# fails its point with OverflowError, a subnormal power with
+# not keep nonzero through div. On both, a power or a quotient past the
+# float range fails its point with OverflowError, a subnormal power with
 # FloatingPointError and a zero divisor with ZeroDivisionError, in every
 # closed form alike.
 

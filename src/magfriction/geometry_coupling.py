@@ -4,8 +4,10 @@ reductions.
 The magnetodielectric coupling between volume elements is carried by an
 antisymmetric kernel psi_ij ~ x_k eps_kij/r^3; its gradient T and the
 contraction G = T.T control the friction. Here are the closed forms the
-CLI prints: the particle pair on the axis, the particle/half-space and
-parallel-slab factors, and the zero-temperature slab factor. The
+CLI prints: the couplings on the axis, of which the particle pair's force
+takes G_xx alone, the particle/half-space and parallel-slab factors, and
+the zero-temperature slab factor. Each quotient and power goes through
+``ops``, so a coupling past the float range fails its point. The
 general-r tensors, the Fourier-route kernels and the Monte-Carlo volume
 integral that check them live in the oracle battery
 (magfriction.verification). Internal c = 1.

@@ -116,7 +116,7 @@ def drude_D(omega_p, nu, rho, ops):
     D = nu/(rho*(pi*omega_p)^2); ``ops`` as in friction_forces."""
     ops.fail((omega_p <= 0.0) | (nu < 0.0) | (rho <= 0.0),
              ValueError("omega_p, rho must be positive and nu >= 0"))
-    return linear_slope(ops.div(nu, rho * ops.pow(math.pi * omega_p, 2)), ops)
+    return ops.div(nu, rho * ops.pow(math.pi * omega_p, 2))
 
 
 def universal_I():

@@ -17,6 +17,7 @@ from magfriction.geometry_coupling import (
     G_halfspace,
     G_slabs_realspace,
     axial_coupling,
+    pair_coupling,
 )
 from magfriction.verification import (
     PairGeometry,
@@ -154,12 +155,12 @@ def test_tiny_separation_is_not_zero():
 
 def test_axial_coupling_is_the_tensors_on_the_axis():
     # on floats and on a grid alike (axial_outcomes): the couplings return
-    # on 5.3e-52 <= |d| <= 2.3e51, where d^6 is a normal float, and past it,
-    # where d^6 is subnormal or leaves the float range, the point fails.
+    # on 5.96e-52 <= |d| <= 2.3e51, where d^6 is a normal float and 8/d^6
+    # is finite, and past it the point fails.
     # psi_xy is the tensor's bit for bit, and so is G_xx where the tensor's
     # r^8 does not underflow and its 1/r^6 is normal
     for d, got in axial_outcomes(axial_coupling).items():
-        assert isinstance(got, tuple) == (5.3e-52 <= abs(d) <= 2.3e51), d
+        assert isinstance(got, tuple) == (5.96e-52 <= abs(d) <= 2.3e51), d
         if isinstance(got, tuple):
             with np.errstate(all="ignore"):
                 psi, G = coupling_psi([0.0, 0.0, d]), G_tensor([0.0, 0.0, d])
@@ -175,29 +176,45 @@ def test_axial_coupling_is_the_tensors_on_the_axis():
         ops.raise_first()
 
 
+def test_pair_coupling_is_the_axial_G_xx_and_returns_where_d6_is_normal():
+    # also on 5.3e-52 <= d < 5.96e-52, where the axial G_zz = 8/d^6 overflows
+    axial = axial_outcomes(axial_coupling)
+    for d, got in axial_outcomes(lambda d, ops: (pair_coupling(d, ops),)).items():
+        assert isinstance(got, tuple) == (5.3e-52 <= abs(d) <= 2.3e51), d
+        if isinstance(axial[d], tuple):
+            assert float_bits(got[0]) == float_bits(axial[d][1]), d
+    for d in (5.31e-52, 5.5e-52, 5.95e-52):
+        assert pair_coupling(d, FloatOps) == 2.0 / d**6
+        with pytest.raises(OverflowError):
+            axial_coupling(d, FloatOps)
+    with pytest.raises(ValueError, match="zero separation"):
+        pair_coupling(0.0, FloatOps)
+
+
 def test_axial_cells_are_within_1_5_ulp_of_their_exact_values():
     # the six cells of fields at log-uniform d of both signs, against exact
-    # rational arithmetic on the float d. A cell past the float range is a
-    # signed inf. Where d^6 is subnormal (|d| < 5.3e-52) the couplings fail
-    # their point, and the fields' four cells are checked alone.
+    # rational arithmetic on the float d. Where d^6 is subnormal
+    # (|d| < 5.3e-52) the couplings fail their point, and where G_zz leaves
+    # the float range (|d| < 5.96e-52) they fail it with OverflowError; there
+    # the fields' four cells are checked alone.
     # G_zz is 4 G_xx to the bit wherever G_xx is not subnormal
     rng = np.random.Generator(np.random.Philox(key=37))
     ds = np.exp(rng.uniform(math.log(1.4e-54), math.log(2.3e51), 4000))
     ds[::2] *= -1.0
     for d in ds.tolist():
         cells = axial_fields(d, FloatOps)
-        if abs(d) ** 6 < sys.float_info.min:
-            with pytest.raises(FloatingPointError, match="subnormal"):
-                axial_coupling(d, FloatOps)
-        else:
-            cells += axial_coupling(d, FloatOps)
         x, s = Fraction(d), (1 if d > 0.0 else -1)
         exact = [1 / (2 * x**2), Fraction(-s) / x**2, Fraction(s) / x**2, Fraction(s) / x**2,
                  2 / x**6, 8 / x**6]
+        if abs(d) ** 6 < sys.float_info.min:
+            with pytest.raises(FloatingPointError, match="subnormal"):
+                axial_coupling(d, FloatOps)
+        elif exact[5] > Fraction(sys.float_info.max):
+            with pytest.raises(OverflowError):
+                axial_coupling(d, FloatOps)
+        else:
+            cells += axial_coupling(d, FloatOps)
         for got, want in zip(cells, exact):
-            if abs(want) > Fraction(sys.float_info.max):
-                assert got == math.inf * (1 if want > 0 else -1), d
-                continue
             ulps = abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
             assert ulps <= 1.5, d
         if len(cells) == 6 and abs(cells[4]) >= sys.float_info.min:

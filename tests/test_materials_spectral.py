@@ -50,6 +50,9 @@ def test_drude_D_values():
     for omega_p, nu, rho in ((0.0, 0.1, 1.0), (9.0, -0.1, 1.0), (9.0, 0.1, 0.0)):
         with pytest.raises(ValueError, match="omega_p, rho must be positive and nu >= 0"):
             drude_D(omega_p, nu, rho, FloatOps)
+    # a slope past the float range fails as a quotient past it does
+    with pytest.raises(OverflowError):
+        drude_D(1e-154, 1000.0, 1.0, FloatOps)
 
 
 def test_thermal_H_values():

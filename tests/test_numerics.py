@@ -366,11 +366,13 @@ def test_pow_and_div_raise_past_the_float_range():
         pows = [(col(x), n) for x, n in ((2.0, 3), (1e200, 2), (-1e200, 3), (-1e200, 4), (1e-200, 2))]
         assert outcomes(ops, "pow", pows) == want(
             [8.0, OverflowError, OverflowError, OverflowError, 0.0]), ops
+        # a quotient past the float range raises unless its numerator is not finite
         divs = [(col(a), col(b)) for a, b in (
-            (1.0, 4.0), (3.0, 0.0), (-3.0, 0.0), (3.0, -0.0), (0.0, 0.0), (1.0, math.inf))]
+            (1.0, 4.0), (3.0, 0.0), (-3.0, 0.0), (3.0, -0.0), (0.0, 0.0), (1.0, math.inf),
+            (1e300, 1e-10), (-1e300, 1e-10), (math.inf, 1.0))]
         assert outcomes(ops, "div", divs) == want(
             [0.25, ZeroDivisionError, ZeroDivisionError, ZeroDivisionError, ZeroDivisionError,
-             0.0]), ops
+             0.0, OverflowError, OverflowError, math.inf]), ops
 
 
 # ------------------------------------------------ numpy kernels of the oracles
