@@ -151,8 +151,8 @@ def _gk21(f, lo, hi, cols):
 def _qag(f, a, b, tol, args):
     """QUADPACK QAG on the k intervals [a_i, b_i] (lists of floats), the
     integrand's parameters ``args`` being float arrays of length k. Per
-    integral, the panel with the largest estimate is bisected until the
-    summed estimate is at most tol*max(1, |value|) or 200 panels exist.
+    integral, the worst panel is bisected until the value is finite and the
+    summed estimate is at most tol*max(1, |value|), or 200 panels exist.
     Each round bisects the worst panel of every integral still open, and
     the children of all of them go through one call of f. Returns, per
     integral, the value, the error estimate, the evaluation count and
@@ -164,7 +164,7 @@ def _qag(f, a, b, tol, args):
     value, err = _gk21(f, a, b, [p[:, None] for p in args])
     evals = [21] * k
     failed = [False] * k
-    open_ = [i for i in range(k) if err[i] > tol * max(1.0, abs(value[i]))]
+    open_ = [i for i in range(k) if not _converged(value[i], err[i], tol)]
     panels = {i: [(-err[i], a[i], b[i], value[i])] for i in open_}
     while open_:
         for i in open_:
@@ -191,7 +191,7 @@ def _qag(f, a, b, tol, args):
             value[i] -= part
             err[i] += neg_err
             evals[i] += 42
-            if err[i] > tol * max(1.0, abs(value[i])):
+            if not _converged(value[i], err[i], tol):
                 still.append(i)
         open_ = still
     for i, heap in panels.items():
@@ -199,6 +199,11 @@ def _qag(f, a, b, tol, args):
             value[i] = math.fsum(p[3] for p in heap)
             err[i] = math.fsum(-p[0] for p in heap)
     return value, err, evals, failed
+
+
+def _converged(value, err, tol):
+    """A finite value, its error estimate at most tol*max(1, |value|)."""
+    return math.isfinite(value) and err <= tol * max(1.0, abs(value))
 
 
 def _batch(*xs):
@@ -223,8 +228,8 @@ def quad_finite(f, a, b, tol=1e-10, args=()):
     Each panel takes the G10K21 rule and QUADPACK's error estimate: the
     |K21 - G10| difference, scaled as resasc*min(1, (200|K - G|/resasc)^1.5)
     and floored at 50 eps resabs. The panel with the largest estimate is
-    bisected until the summed estimate is at most tol*max(1, |value|), or
-    200 panels exist.
+    bisected until the value is finite and the summed estimate is at most
+    tol*max(1, |value|), or 200 panels exist.
 
     A batch of k integrals is one call: a, b and the parameters in ``args``
     broadcast to 1-D arrays of length k. Each round bisects the worst panel
@@ -369,7 +374,7 @@ def quad_semi_infinite(f, a, tol=1e-10, panel_scale=1.0, args=()):
         for i, x0, x1, v, e, failed in zip(owner, los, his, values, errs, bad):
             if i in stopped:
                 continue  # past the stop
-            if failed and abs(v) > tol:
+            if failed and not abs(v) <= tol:  # a nan value fails too
                 raise QuadratureError(
                     "panel [%g, %g] did not converge" % (x0, x1),
                     best=_result(total, err_total, evals, batched),

@@ -65,6 +65,20 @@ def test_semi_infinite_rejects_non_decay():
         quad_semi_infinite(lambda x: 1.0, 0.0)
 
 
+def test_quadrature_refuses_a_value_that_is_not_finite():
+    # a node lands on the pole of |x - x0|^-0.9, so a panel's value is inf:
+    # its integral stays open until the panels run out, and raises
+    def f(x, x0):
+        return np.exp(-x / 100.0) * np.abs(x - x0) ** -0.9
+
+    with np.errstate(all="ignore"):
+        for x0 in (5.3, 0.3, 40.7, 700.1):
+            with pytest.raises(QuadratureError, match="did not converge"):
+                quad_semi_infinite(f, 0.0, args=(x0,))
+        with pytest.raises(QuadratureError, match="did not converge in 200 panels"):
+            quad_finite(lambda x: np.abs(x - 5.3) ** -0.9, 3.0, 7.0)
+
+
 def test_series_zeta4():
     val = series_sum(lambda n: 1.0 / n**4, lambda n: 1.0 / (3.0 * n**3), tol=1e-13)
     assert abs(val - np.pi**4 / 90.0) <= 1e-12
