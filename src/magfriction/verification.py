@@ -181,10 +181,9 @@ def electric_field_quasistatic(M_dot, r):
 
     Mirror image of the Biot-Savart form: (M_dot x rhat)/r^2, with rhat
     directed from the electric toward the magnetic dipole. r and M_dot as
-    in magnetic_field_quasistatic.
+    in magnetic_field_quasistatic, whose formula it is.
     """
-    r, rn = _separation(r)
-    return np.cross(np.asarray(M_dot), r / rn[..., None]) / (rn**2)[..., None]
+    return magnetic_field_quasistatic(M_dot, r)
 
 
 def coupling_alpha(r):
@@ -453,7 +452,7 @@ def check_eigenfrequencies_oracle():
 def check_product_unity():
     rng = np.random.Generator(np.random.Philox(key=2))
     worst = 0.0
-    for alpha in rng.uniform(0.0, 5.0, size=50):
+    for alpha in np.append(rng.uniform(0.0, 5.0, size=50), 10.0 ** rng.uniform(-150, 150, 50)):
         wp, wm = oscillator_pair.normal_modes(alpha, FloatOps)[:2]
         worst = max(worst, abs(wp * wm - 1.0))
     return _ok(worst, 1e-13)
