@@ -18,7 +18,6 @@ np = lazy_import("numpy")
 # a nonzero float below the smallest normal one has lost precision
 SUBNORMAL = ("a computed value is subnormal (0 < |x| < %r) and has lost precision"
              % sys.float_info.min)
-# the arguments of the OverflowError that Python raises for x ** n
 OUT_OF_RANGE = (34, "Numerical result out of range")
 
 
@@ -118,8 +117,7 @@ class ArrayOps:
         return out
 
     def div(self, a, b):
-        """a / b; as for Python floats, a zero divisor fails the point, and so
-        does a finite numerator whose quotient leaves the float range."""
+        """a / b; as for floats, a zero divisor or an overflowing quotient fails the point."""
         self.fail(b == 0.0, ZeroDivisionError("float division by zero"))
         q = a / b
         self.fail(np.isinf(q) & np.isfinite(a), OverflowError(*OUT_OF_RANGE))

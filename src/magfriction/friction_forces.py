@@ -4,10 +4,10 @@ Every closed form that the CLI prints takes its parameters as columns in
 reduced units (hbar = c = k_B = 1): numpy arrays that broadcast over a
 grid, or Python floats for one point. It takes ``ops`` too, the
 arithmetic that can fail a point: ``fail``, ``pow``, ``div``, ``sqrt``,
-``map`` and ``constant``. A power or a quotient past the float range, a
-subnormal power and a zero divisor fail their point. ``_ieee.ArrayOps`` implements them for arrays, and
-``_ieee.FloatOps`` for floats. On the columns themselves only + - * /
-run, so a float and an array give the same bits at a point.
+``map`` and ``constant``. A power or a quotient past the float range, or
+a zero divisor, fails its point. ``_ieee.ArrayOps`` implements them for
+arrays, and ``_ieee.FloatOps`` for floats. On the columns themselves
+only + - * / run, so a float and an array give the same bits at a point.
 
 Each force returns (force, intermediates): the intermediates are the
 named columns the report prints beside it. units.gaussian_report turns
