@@ -25,9 +25,10 @@ except ImportError:
 
 
 # separations on the axis r = (0, 0, d): every third of a decade the float
-# range holds, of both signs, and those where r^6 or r^8 leaves it
+# range holds, of both signs, and those where r^6 or r^8 leaves it, or
+# 8/r^6 does and 2/r^6 does not (5.5e-52)
 AXIAL_D = [s * 10.0 ** (k / 3.0) for k in range(-969, 925) for s in (1.0, -1.0)] + [
-    5e-324, 1e-40, 1e-41, 1e40, 1e52, 1.7e308]
+    5e-324, 1e-40, 1e-41, 1e40, 1e52, 1.7e308, 5.5e-52]
 
 
 def axial_outcomes(fn):

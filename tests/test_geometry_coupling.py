@@ -156,10 +156,12 @@ def test_tiny_separation_is_not_zero():
 def test_axial_coupling_is_the_tensors_on_the_axis():
     # on floats and on a grid alike (axial_outcomes): the couplings return
     # on 5.96e-52 <= |d| <= 2.3e51, where d^6 is a normal float and 8/d^6
-    # is finite, and past it the point fails.
+    # is finite, and past it the point fails; the pair's G_xx returns from
+    # 5.3e-52, where d^6 turns normal, and is the axial G_xx to the bit.
     # psi_xy is the tensor's bit for bit, and so is G_xx where the tensor's
     # r^8 does not underflow and its 1/r^6 is normal
-    for d, got in axial_outcomes(axial_coupling).items():
+    axial = axial_outcomes(axial_coupling)
+    for d, got in axial.items():
         assert isinstance(got, tuple) == (5.96e-52 <= abs(d) <= 2.3e51), d
         if isinstance(got, tuple):
             with np.errstate(all="ignore"):
@@ -167,28 +169,18 @@ def test_axial_coupling_is_the_tensors_on_the_axis():
             want = [psi[0, 1]] + [G[0, 0]] * (3.9e-41 <= abs(d) <= 1.85e51)
             assert list(map(float_bits, got[:len(want)])) == [
                 float_bits(float(x)) for x in want], d
-    with pytest.raises(ValueError, match="zero separation"):
-        axial_coupling(0.0, FloatOps)
+    for d, got in axial_outcomes(lambda d, ops: (pair_coupling(d, ops),)).items():
+        assert isinstance(got, tuple) == (5.3e-52 <= abs(d) <= 2.3e51), d
+        if isinstance(axial[d], tuple):
+            assert float_bits(got[0]) == float_bits(axial[d][1]), d
+    for fn in (axial_coupling, pair_coupling):
+        with pytest.raises(ValueError, match="zero separation"):
+            fn(0.0, FloatOps)
     ops = ArrayOps((3,))
     with np.errstate(all="ignore"):
         axial_coupling(np.array([1.0, 0.0, -0.0]), ops)
     with pytest.raises(ValueError, match="zero separation"):
         ops.raise_first()
-
-
-def test_pair_coupling_is_the_axial_G_xx_and_returns_where_d6_is_normal():
-    # also on 5.3e-52 <= d < 5.96e-52, where the axial G_zz = 8/d^6 overflows
-    axial = axial_outcomes(axial_coupling)
-    for d, got in axial_outcomes(lambda d, ops: (pair_coupling(d, ops),)).items():
-        assert isinstance(got, tuple) == (5.3e-52 <= abs(d) <= 2.3e51), d
-        if isinstance(axial[d], tuple):
-            assert float_bits(got[0]) == float_bits(axial[d][1]), d
-    for d in (5.31e-52, 5.5e-52, 5.95e-52):
-        assert pair_coupling(d, FloatOps) == 2.0 / d**6
-        with pytest.raises(OverflowError):
-            axial_coupling(d, FloatOps)
-    with pytest.raises(ValueError, match="zero separation"):
-        pair_coupling(0.0, FloatOps)
 
 
 def test_axial_cells_are_within_1_5_ulp_of_their_exact_values():
