@@ -202,7 +202,6 @@ def _qag(f, a, b, tol, args):
 
 
 def _converged(value, err, tol):
-    """A finite value, its error estimate at most tol*max(1, |value|)."""
     return math.isfinite(value) and err <= tol * max(1.0, abs(value))
 
 
