@@ -5,7 +5,9 @@ s(m) = m^2 alpha(m^2); metals described by the Drude model have a linear
 small-m density s(m) = D*m with D fixed by the plasma frequency, damping,
 and number density. This module holds the densities the CLI reads and
 builds from them the thermal factor H0 (thermally smoothed pair) and the
-universal quartic integral I. The imaginary-frequency response h(K^2),
+universal quartic integral I. H0 has one route for each kind of pair:
+the closed form H0_linear for two linear densities, the quadrature rule
+smoothed_H0 when a side is tabulated. The imaginary-frequency response h(K^2),
 its inversion back to a density and the sharp-pair factor H live in the
 oracle battery (magfriction.verification).
 """
@@ -24,33 +26,17 @@ class SpectrumFileError(ValueError):
     """A spectrum file is unreadable, unparseable or not two columns."""
 
 
-class LinearSpectralDensity(namedtuple("LinearSpectralDensity", "D m_max")):
-    """Linear density s(m) = D*m with D finite and >= 0, optionally
-    truncated at m_max.
-
-    Only the untruncated density is linear (``is_linear``) and takes the
-    closed forms for H0, J and the slab forces; a truncated one takes the
-    general H0 rule.
-    """
+class LinearSpectralDensity(namedtuple("LinearSpectralDensity", "D")):
+    """Linear density s(m) = D*m with D finite and >= 0."""
 
     __slots__ = ()
 
-    def __new__(cls, D, m_max=None):
+    def __new__(cls, D):
         linear_slope(D, _ieee.FloatOps)
-        if m_max is not None and m_max <= 0.0:
-            raise ValueError("m_max must be positive")
-        return super().__new__(cls, D, m_max)
-
-    @property
-    def is_linear(self):
-        return self.m_max is None
+        return super().__new__(cls, D)
 
     def density(self, m):
-        m = np.asarray(m, dtype=np.float64)
-        s = self.D * m
-        if self.m_max is not None:
-            s = np.where(m > self.m_max, 0.0, s)
-        return s
+        return self.D * np.asarray(m, dtype=np.float64)
 
 
 class TabulatedSpectralDensity:
@@ -74,8 +60,6 @@ class TabulatedSpectralDensity:
         self.m = m
         self.s = s
         self.m_max = float(m[-1])
-
-    is_linear = False
 
     @classmethod
     def from_text(cls, path):
@@ -124,14 +108,15 @@ def universal_I():
 
     Equals 24*zeta(4) = 4 pi^4/15 ~ 25.9757576. The oracle battery checks
     this value against quadrature ("semi-infinite quartic thermal") and
-    against the zeta(4) series ("universal integral routes").
+    against zeta(4) = psi^(3)(1)/6 from numerics.polygamma ("universal
+    integral routes").
     """
     return 4.0 * math.pi**4 / 15.0
 
 
 def H0_linear(D1, D2, beta, ops):
-    """H0 = (2 pi/beta^4) D1 D2 (4 pi^4/15) for linear densities without
-    cutoff, over columns of slopes and inverse temperatures; ``ops`` as
+    """H0 = (2 pi/beta^4) D1 D2 (4 pi^4/15) for linear densities
+    s = D*m, over columns of slopes and inverse temperatures; ``ops`` as
     in friction_forces."""
     return ops.div(2.0 * math.pi, ops.pow(beta, 4)) * D1 * D2 * universal_I()
 
@@ -172,16 +157,15 @@ def _gauss_legendre(n):
 
 
 def smoothed_H0(spec1, spec2, beta):
-    r"""Thermally smoothed pair factor for two spectral densities.
+    r"""Thermally smoothed pair factor for two spectral densities, each
+    linear or tabulated: the integral of
+    (pi beta/2) m^2 s1(m) s2(m)/sinh^2(beta m/2) over m > 0.
 
-    For linear densities without cutoff (slopes D1, D2):
-
-        H0 = (2 pi/beta^4) D1 D2 (4 pi^4/15)
-
-    General densities integrate (pi beta/2) m^2 s1(m) s2(m)/sinh^2(beta m/2)
-    over m > 0, which the linear case reduces to exactly. The product's
-    support ends at the smaller m_max and is cut at beta*m = 700. It is
-    split at 0, both tabulated grids and the support end, where the
+    For two linear densities (slopes D1, D2) it equals H0_linear,
+    (2 pi/beta^4) D1 D2 (4 pi^4/15), which the CLI prints for them; this
+    rule is the route for a tabulated side. The product's support ends
+    at the smaller tabulated m_max and is cut at beta*m = 700. It is
+    split at 0, the tabulated grids and the support end, where the
     interpolated densities have kinks, and every segment longer than
     1/beta is split evenly, so the poles of 1/sinh^2, 2 pi/beta off the
     real axis, lie at least 2 pi segment lengths away. Each segment takes
@@ -193,18 +177,10 @@ def smoothed_H0(spec1, spec2, beta):
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if spec1.is_linear and spec2.is_linear:
-        return H0_linear(spec1.D, spec2.D, beta, _ieee.FloatOps)
-    specs = (spec1, spec2)
-    end = min([_H0_CUTOFF / beta] + [s.m_max for s in specs if s.m_max is not None])
-    knots = [[0.0, end]]
-    for s in specs:
-        if isinstance(s, TabulatedSpectralDensity):
-            knots.append(s.m)
-        elif s.m_max is not None:
-            knots.append([s.m_max])
+    tabulated = [s for s in (spec1, spec2) if isinstance(s, TabulatedSpectralDensity)]
+    end = min([_H0_CUTOFF / beta] + [s.m_max for s in tabulated])
     # sorted, without duplicates; np.unique would load numpy.ma
-    knots = np.sort(np.concatenate(knots))
+    knots = np.sort(np.concatenate([[0.0, end]] + [s.m for s in tabulated]))
     knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]]) & (knots <= end)]
     widths = np.diff(knots)
     pieces = np.maximum(np.ceil(widths * beta), 1.0).astype(np.int64)

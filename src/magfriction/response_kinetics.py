@@ -4,7 +4,8 @@ Thermal commutator kernels for two oscillators, the response function
 phi(t) built from them, the damped-time-integral regularization that turns
 the long-time limit into a sharp frequency-matching condition, the
 closed-form friction amplitude it produces, the two-sinusoid decomposition
-of phi, and the zero-temperature dissipation integral for pair spectra.
+of phi, and the zero-temperature dissipation integral for pair spectra,
+by quadrature for any pair of densities.
 
 Sharp-frequency results are never "evaluated"; they are returned as the
 finite prefactor that multiplies the frequency-matching delta.
@@ -171,26 +172,22 @@ def c_plus_minus(osc1, osc2, beta, H):
 
 
 def dissipation_J(omega_v, tau, spec1, spec2):
-    r"""Zero-temperature dissipation integral for a driven pair of spectra.
-
-    For linear spectral densities without cutoff (slopes D1, D2) the
-    closed form is
-    J = 2 tau omega_v^6 (pi/120) D1 D2. General spectra are handled
+    r"""Zero-temperature dissipation integral for a driven pair of spectra,
     by quadrature of
 
         2 pi tau |w_v| * Int_0^W ((2w - W)/2)^2 s1(w) s2(W-w) dw
 
-    over w in [0, W], W = |omega_v|, which the linear case reduces to
-    exactly. tau is half the dissipation time and cancels in any exported
-    force.
+    over w in [0, W], W = |omega_v|. For two linear densities (slopes D1,
+    D2) it equals 2 tau W^6 H_P, with H_P = (pi/120) D1 D2 the closed
+    form that friction_forces.slabs_zero_force reports; the integrand is
+    then a quartic, which one Gauss-Kronrod panel integrates. tau is half
+    the dissipation time and cancels in any exported force.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     W = abs(omega_v)
     if W == 0.0:
         return 0.0
-    if spec1.is_linear and spec2.is_linear:
-        return 2.0 * tau * W**6 * (math.pi / 120.0) * spec1.D * spec2.D
 
     def integrand(w):
         return ((2.0 * w - W) / 2.0) ** 2 * spec1.density(w) * spec2.density(W - w)

@@ -851,15 +851,10 @@ def check_dissipation_quadrature():
     s1 = materials_spectral.LinearSpectralDensity(0.8)
     s2 = materials_spectral.LinearSpectralDensity(1.7)
     wv, tau = 1.3, 0.5
-    closed = response_kinetics.dissipation_J(wv, tau, s1, s2)
-
-    def integrand(w):
-        return ((2.0 * w - wv) / 2.0) ** 2 * (s1.D * w) * (s2.D * (wv - w))
-
-    r = numerics.quad_finite(integrand, 0.0, wv, tol=1e-13)
-    quad_route = 2.0 * np.pi * tau * wv * r.value
+    quad_route = response_kinetics.dissipation_J(wv, tau, s1, s2)
+    closed = 2.0 * tau * wv**6 * (np.pi / 120.0) * s1.D * s2.D
     rel = abs(quad_route - closed) / abs(closed)
-    scale = response_kinetics.dissipation_J(2.0 * wv, tau, s1, s2) / closed
+    scale = response_kinetics.dissipation_J(2.0 * wv, tau, s1, s2) / quad_route
     return rel <= 1e-10 and abs(scale - 64.0) <= 1e-10, "rel=%.3g scale=%.6f" % (rel, scale)
 
 
@@ -870,26 +865,32 @@ class ExtractionError(RuntimeError):
     """Spectral extraction from a response function failed."""
 
 
-def h_from_spectrum(spec, K2):
-    r"""Imaginary-frequency response h(K^2) of a spectral density.
-
-    h(K^2) is the integral of alpha(m^2) m^2/(K^2 + m^2) over m^2:
-    closed form for a linear density, which needs its cutoff m_max, and
-    trapezoid on the grid for a tabulated one. A real K2 must be >= 0; a
-    complex one evaluates the continuation off the real axis, which
-    spectrum_from_h reads.
-    """
+def _check_K2(K2):
     if K2.imag == 0.0 and K2.real < 0.0:
         raise ValueError("K2 must be >= 0")
-    if isinstance(spec, materials_spectral.TabulatedSpectralDensity):
-        # trapezoid of 2 m s(m)/(K^2 + m^2) on the tabulated grid
-        return float(np.trapezoid(2.0 * spec.m * spec.s / (K2 + spec.m**2), spec.m))
-    if spec.m_max is None:
-        raise ValueError("response integral diverges; requires explicit m_max")
+
+
+def h_from_spectrum(spec, K2):
+    r"""Imaginary-frequency response h(K^2) of a tabulated density.
+
+    h(K^2) is the integral of alpha(m^2) m^2/(K^2 + m^2) over m^2, here
+    the trapezoid of 2 m s(m)/(K^2 + m^2) on the tabulated grid. A real K2
+    must be >= 0; a complex one evaluates the continuation off the real
+    axis, which spectrum_from_h reads.
+    """
+    _check_K2(K2)
+    return float(np.trapezoid(2.0 * spec.m * spec.s / (K2 + spec.m**2), spec.m))
+
+
+def h_linear(D, m_max, K2):
+    r"""h(K^2) of the linear density D*m cut off at m_max, in closed form:
+    2 D (m_max - K arctan(m_max/K)) with K = sqrt(K2); K2 as in
+    h_from_spectrum. Without the cutoff the integral diverges."""
+    _check_K2(K2)
     K = np.sqrt(K2)
     if K == 0.0:
-        return 2.0 * spec.D * spec.m_max
-    return 2.0 * spec.D * (spec.m_max - K * np.arctan(spec.m_max / K))
+        return 2.0 * D * m_max
+    return 2.0 * D * (m_max - K * np.arctan(m_max / K))
 
 
 def spectrum_from_h(h, m):
@@ -931,9 +932,8 @@ def drude_h_of_K2(omega_p, nu, rho, K2):
 
 
 def check_h_linear_closed_form():
-    spec = materials_spectral.LinearSpectralDensity(0.7, m_max=5.0)
     K2 = np.array([0.3, 1.0, 9.0])
-    closed = np.array([h_from_spectrum(spec, k) for k in K2.tolist()])
+    closed = np.array([h_linear(0.7, 5.0, k) for k in K2.tolist()])
     r = numerics.quad_finite(
         lambda m, K2: 2.0 * 0.7 * m * m / (K2 + m * m), 0.0, 5.0, tol=1e-13, args=(K2,)
     )
@@ -941,20 +941,18 @@ def check_h_linear_closed_form():
 
 
 def check_h_sum_rule():
-    spec = materials_spectral.LinearSpectralDensity(0.5, m_max=2.0)
     total = 2.0 * 0.5 * 2.0**3 / 3.0  # integral of 2 D m^2 dm
     worst = 0.0
     for K2 in (1e4, 1e6):
-        worst = max(worst, abs(K2 * h_from_spectrum(spec, K2) - total) / total)
+        worst = max(worst, abs(K2 * h_linear(0.5, 2.0, K2) - total) / total)
     return _ok(worst, 1e-2, "rel")
 
 
 def check_spectrum_round_trip():
     D, m_max = 0.9, 10.0
-    spec = materials_spectral.LinearSpectralDensity(D, m_max=m_max)
     worst = 0.0
     for m in (0.2, 0.5, 1.0):
-        got = spectrum_from_h(lambda K2: h_from_spectrum(spec, K2), m)
+        got = spectrum_from_h(lambda K2: h_linear(D, m_max, K2), m)
         worst = max(worst, abs(got - D * m) / (D * m))
     return _ok(worst, 1e-2, "rel")
 
@@ -979,13 +977,11 @@ def check_universal_I_routes():
 
 
 def check_H0_quadrature():
-    s1 = materials_spectral.LinearSpectralDensity(1.0)
-    s2 = materials_spectral.LinearSpectralDensity(1.0)
     beta = 1.0
     closed = materials_spectral.H0_linear(1.0, 1.0, beta, FloatOps)
     general = _H0_by_rule(1.0, 1.0, beta)
     rel = abs(general - closed) / closed
-    ratio = materials_spectral.smoothed_H0(s1, s2, 2.0 * beta) / closed
+    ratio = materials_spectral.H0_linear(1.0, 1.0, 2.0 * beta, FloatOps) / closed
     return rel <= 1e-9 and abs(ratio - 1.0 / 16.0) <= 1e-12, "rel=%.3g ratio=%.6g" % (
         rel, ratio,
     )
@@ -1007,20 +1003,22 @@ def check_tabulated_sharp_line():
 
 
 def _H0_by_rule(D1, D2, beta):
-    """H0 of two linear densities by smoothed_H0's fixed quadrature rule:
-    a cutoff far past the thermal window takes the general route."""
+    """H0 of two linear densities by smoothed_H0's fixed quadrature rule."""
     return materials_spectral.smoothed_H0(
-        materials_spectral.LinearSpectralDensity(D1, m_max=800.0 / beta),
+        materials_spectral.LinearSpectralDensity(D1),
         materials_spectral.LinearSpectralDensity(D2), beta,
     )
 
 
 def _H0_by_segments(spec1, spec2, beta):
     """H0 by adaptive quadrature between consecutive grid points of both
-    densities, up to the end of their product's support. On each segment
-    a density is linear: the line through its values at the thirds."""
-    end = min(s.m_max for s in (spec1, spec2) if s.m_max is not None)
-    grid = {float(x) for s in (spec1, spec2) for x in getattr(s, "m", ()) if x < end}
+    densities, up to the end of their product's support, where a
+    tabulated grid ends. On each segment a density is linear: the line
+    through its values at the thirds."""
+    tabulated = [s for s in (spec1, spec2)
+                 if isinstance(s, materials_spectral.TabulatedSpectralDensity)]
+    end = min(s.m_max for s in tabulated)
+    grid = {float(x) for s in tabulated for x in s.m if x < end}
     knots = np.array(sorted(grid | {0.0, end}))
     a, b = knots[:-1], knots[1:]
     t1, t2 = a + (b - a) / 3.0, b - (b - a) / 3.0
@@ -1396,10 +1394,10 @@ def check_zero_T_assembly():
     closed = -(5.0 * np.pi**2 / 512.0) * v**5
     rel = abs(force - closed) / abs(closed)
     # the dissipated-energy route -Delta E_P/(2 tau v), Delta E_P = 2 tau H_P v^6 G_P,
-    # with H_P from the dissipation integral by quadrature (a density cut at
-    # the total frequency takes the general route) and G_P by the Fourier route
+    # with H_P from the dissipation integral, which is quadrature, and G_P by
+    # the Fourier route
     wv, tau = 0.37, 1.0
-    s = materials_spectral.LinearSpectralDensity(1.0, m_max=wv)
+    s = materials_spectral.LinearSpectralDensity(1.0)
     HPq = response_kinetics.dissipation_J(wv, tau, s, s) / (2.0 * tau * wv**6)
     GPq = _G_P_by_quadrature(1.0, 1.0, 1.0)
     route = -(2.0 * tau * HPq * v**6 * GPq) / (2.0 * tau * v)

@@ -204,9 +204,9 @@ def test_beta_kelvin_round_trip():
 @pytest.mark.parametrize("make,field", [
     (lambda: UnitContext(2.5e-7), "length_scale"),
     (lambda: SlabGeometry(1.0, 2.0, 3.0), "rho2"),
-    (lambda: LinearSpectralDensity(0.5, m_max=3.0), "m_max"),
+    (lambda: LinearSpectralDensity(0.5), "D"),
     (lambda: MatsubaraGrid(2.0, 10), "tail_tol"),
-])
+], ids=["UnitContext", "SlabGeometry", "LinearSpectralDensity", "MatsubaraGrid"])
 def test_inputs_are_immutable_values(make, field):
     a, b = make(), make()
     assert a == b and hash(a) == hash(b)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import magfriction
+from magfriction import materials_spectral, numerics
 from magfriction._ieee import FloatOps
 from magfriction.materials_spectral import (
+    H0_linear,
     LinearSpectralDensity,
     SpectrumFileError,
     TabulatedSpectralDensity,
@@ -21,21 +23,19 @@ from magfriction.materials_spectral import (
     smoothed_H0,
     universal_I,
 )
-from magfriction.verification import h_from_spectrum, spectrum_from_h, thermal_H
+from magfriction.response_kinetics import dissipation_J
+from magfriction.verification import h_linear, spectrum_from_h, thermal_H
+
+# the unit roundoff of a double
+U = 2.0**-53
 
 
 def test_h_linear_truncated_closed_form():
     D, m_max = 0.7, 30.0
-    spec = LinearSpectralDensity(D, m_max=m_max)
     for K2 in (0.5, 1.0, 9.0):
         K = np.sqrt(K2)
         closed = 2.0 * D * (m_max - K * np.arctan(m_max / K))
-        assert abs(h_from_spectrum(spec, K2) - closed) <= 1e-10 * closed
-
-
-def test_h_linear_requires_cutoff():
-    with pytest.raises(ValueError):
-        h_from_spectrum(LinearSpectralDensity(1.0), 1.0)
+        assert abs(h_linear(D, m_max, K2) - closed) <= 1e-10 * closed
 
 
 def test_spectrum_from_real_h_vanishes():
@@ -81,6 +81,32 @@ def test_smoothed_H0_closed_form():
     # quartic beta scaling
     half = smoothed_H0(LinearSpectralDensity(1.0), LinearSpectralDensity(1.0), 2.0)
     assert half == val / 16.0
+    # the rule against the closed form over log-uniform beta, D1 and D2 in
+    # [1e-3, 1e3]: these 1000 draws measured at most 5.52u
+    rng = np.random.default_rng(44)
+    for beta, D1, D2 in (10.0 ** rng.uniform(-3.0, 3.0, (1000, 3))).tolist():
+        closed = H0_linear(D1, D2, beta, FloatOps)
+        rule = smoothed_H0(LinearSpectralDensity(D1), LinearSpectralDensity(D2), beta)
+        assert abs(rule - closed) <= 8.0 * U * closed, (beta, D1, D2)
+
+
+def test_linear_pairs_take_the_rule_and_the_quadrature(monkeypatch):
+    # the closed forms are routes of their own, not branches of these two
+    def refuse(*args):
+        raise AssertionError("H0_linear called")
+
+    monkeypatch.setattr(materials_spectral, "H0_linear", refuse)
+    assert smoothed_H0(LinearSpectralDensity(1.0), LinearSpectralDensity(2.0), 1.0) > 0.0
+    calls = []
+    quad_finite = numerics.quad_finite
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad_finite(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "quad_finite", counted)
+    assert dissipation_J(1.3, 0.5, LinearSpectralDensity(0.8), LinearSpectralDensity(1.7)) > 0.0
+    assert calls == [(0.0, 1.3)]
 
 
 @pytest.mark.parametrize("beta", [1e-2, 1e-4, 1e-6])
@@ -227,11 +253,6 @@ def test_from_text_matches_loadtxt_on_the_path(text):
 
 
 def test_linear_density_validation():
-    assert LinearSpectralDensity(0.5).is_linear
-    assert not LinearSpectralDensity(0.5, m_max=2.0).is_linear
-    assert not TabulatedSpectralDensity([0.0, 1.0], [0.0, 1.0]).is_linear
     for D in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             LinearSpectralDensity(D)
-    with pytest.raises(ValueError):
-        LinearSpectralDensity(1.0, m_max=0.0)

@@ -148,3 +148,12 @@ def test_dissipation_J_values():
     assert abs(ratio - 64.0) <= 1e-12
     with pytest.raises(ValueError):
         dissipation_J(1.0, 0.0, s1, s2)
+    # the quadrature against the closed form over log-uniform W, D1 and D2 in
+    # [1e-3, 1e3] and tau in [1e-2, 1e2]: these 2000 draws measured at most 5.99u
+    rng = np.random.default_rng(45)
+    draws = np.column_stack([10.0 ** rng.uniform(-3.0, 3.0, (2000, 3)),
+                             10.0 ** rng.uniform(-2.0, 2.0, 2000)])
+    for W, D1, D2, tau in draws.tolist():
+        closed = 2.0 * tau * W**6 * (np.pi / 120.0) * D1 * D2
+        got = dissipation_J(W, tau, LinearSpectralDensity(D1), LinearSpectralDensity(D2))
+        assert abs(got - closed) <= 8.0 * 2.0**-53 * closed, (W, tau, D1, D2)
