@@ -4,9 +4,9 @@ Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals
 (the semi-infinite sweep integrates as many dyadic panels ahead per engine
 call as the decay it has seen allows, with the bits of a sweep of one
 panel at a time), deterministic seeded Monte-Carlo integration by a
-randomized lattice rule, series summation with certified tails, central
-finite differences, a linear extrapolation to zero, a circulant solve and
-the polygamma function. Everything here is generic plumbing on numpy and
+randomized lattice rule, central finite differences, a linear
+extrapolation to zero, a circulant solve and the polygamma function, the
+one engine for zeta values. Everything here is generic plumbing on numpy and
 the math module; the physics modules supply the integrands. Only the oracle
 battery and response_kinetics call these engines; the CLI routes do not.
 """
@@ -25,10 +25,6 @@ np = lazy_import("numpy")
 
 class McSamplingError(RuntimeError):
     """A block of Monte-Carlo weights has a sum of squares that is not finite."""
-
-
-class SeriesError(RuntimeError):
-    """A supplied tail bound was violated or the term budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -544,59 +540,6 @@ def mc_integrate(block, dim, seed, shifts=LATTICE_SHIFTS):
     mean = math.fsum(means) / shifts
     var = math.fsum((q - mean) ** 2 for q in means) / (shifts - 1)
     return McResult(mean, math.sqrt(var / shifts), n * shifts)
-
-
-# indices per call of series_sum's term and tail bound
-SERIES_BLOCK = 4096
-
-
-def series_sum(term, tail_bound, tol, max_terms=10_000_000):
-    r"""Sum term(1) + term(2) + ... with a supplied certified tail bound.
-
-    ``tail_bound(n)`` must bound |sum of all terms past n| and be
-    nonincreasing. Summation stops at the first N with tail_bound(N) < tol,
-    once |term(N + 1)| <= tail_bound(N) is confirmed; the returned partial
-    sum is then within tol of the full series.
-
-    Both callables take an int64 array of consecutive indices n, up to
-    ``SERIES_BLOCK`` of them (``term`` one more, through the index after
-    the block), and return a float array of the same shape or a scalar.
-    The partial sum is the strict left fold
-    ((term(1) + term(2)) + term(3)) + ...: each block's running sum is
-    added into its first term and the block is summed by ``np.cumsum``,
-    in order, so the result has the bits of the term-by-term loop.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    SeriesError
-        If the bound is violated (|term(n+1)| exceeds tail_bound(n), or the
-        bound increases) or max_terms is reached first.
-    """
-    acc = 0.0
-    prev_bound = np.inf
-    for first in range(1, max_terms + 1, SERIES_BLOCK):
-        n = np.arange(first, min(first + SERIES_BLOCK, max_terms + 1) + 1, dtype=np.int64)
-        t = np.array(np.broadcast_to(term(n), n.shape), dtype=np.float64)
-        b = np.broadcast_to(np.asarray(tail_bound(n[:-1]), dtype=np.float64), t[:-1].shape)
-        prev = np.concatenate(([prev_bound], b[:-1]))
-        t[0] += acc
-        partial = np.cumsum(t[:-1])
-        bad = (b < 0.0) | (b > prev)
-        stop = bad | (b < tol)
-        if stop.any():
-            i = int(np.argmax(stop))
-            if bad[i]:
-                raise SeriesError("tail bound not nonincreasing at n=%d" % n[i])
-            if abs(t[i + 1]) > b[i]:
-                raise SeriesError("term %d exceeds the certified bound" % n[i + 1])
-            return float(partial[i])
-        acc = float(partial[-1])
-        prev_bound = b[-1]
-    raise SeriesError("no certified tail below tol within %d terms" % max_terms)
 
 
 def gradient_central(f, x, step):

@@ -2,7 +2,7 @@
 
 Each check recomputes a result by an independent route (quadrature,
 lattice discretization, Monte-Carlo, a least-squares fit of the
-trajectory's propagator, series summation, finite differences) and
+trajectory's propagator, the polygamma series, finite differences) and
 compares against the production closed form at a stated tolerance; a
 closed form the CLI prints is checked through the very function the CLI
 calls, on Python floats (``_ieee.FloatOps``) or on a grid (``_on_grid``).
@@ -99,10 +99,9 @@ def check_semi_factorial():
 
 
 def check_series_zeta4():
-    val = numerics.series_sum(
-        lambda n: 1.0 / n**4, lambda n: 1.0 / (3.0 * n**3), tol=1e-13
-    )
-    return _ok(abs(val - np.pi**4 / 90.0), 1e-12)
+    # zeta(4) = psi^(3)(1)/6: the polygamma series the Matsubara tail uses
+    val = numerics.polygamma(3, 1.0) / 6.0
+    return _ok(abs(val - np.pi**4 / 90.0), 1e-14)
 
 
 def _x_squared(u):
@@ -968,12 +967,9 @@ def check_drude_slope():
 
 def check_universal_I_routes():
     closed = materials_spectral.universal_I()
-    # naive accumulation over ~3e4 terms leaves ~7e-12 absolute roundoff,
-    # 3e-13 relative on a value near 26; relative is the meaningful scale
-    series = 24.0 * numerics.series_sum(
-        lambda n: 1.0 / n**4, lambda n: 1.0 / (3.0 * n**3), tol=1e-14
-    )
-    return _ok(abs(series - closed) / closed, 1e-12, "rel")
+    # I = 24 zeta(4), with zeta(4) = psi^(3)(1)/6
+    series = 24.0 * (numerics.polygamma(3, 1.0) / 6.0)
+    return _ok(abs(series - closed) / closed, 1e-14, "rel")
 
 
 def check_H0_quadrature():

@@ -1,8 +1,7 @@
-"""The numerical engines: quadrature, Monte-Carlo, series, finite
-differences, the circulant solve and polygamma."""
+"""The numerical engines: quadrature, Monte-Carlo, finite differences,
+the circulant solve and polygamma."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -12,11 +11,9 @@ from conftest import float_bits
 from magfriction import _ieee, _kernels, numerics, verification
 from magfriction.numerics import (
     QuadratureError,
-    SeriesError,
     mc_integrate,
     quad_finite,
     quad_semi_infinite,
-    series_sum,
 )
 
 
@@ -77,95 +74,6 @@ def test_quadrature_refuses_a_value_that_is_not_finite():
                 quad_semi_infinite(f, 0.0, args=(x0,))
         with pytest.raises(QuadratureError, match="did not converge in 200 panels"):
             quad_finite(lambda x: np.abs(x - 5.3) ** -0.9, 3.0, 7.0)
-
-
-def test_series_zeta4():
-    val = series_sum(lambda n: 1.0 / n**4, lambda n: 1.0 / (3.0 * n**3), tol=1e-13)
-    assert abs(val - np.pi**4 / 90.0) <= 1e-12
-
-
-def test_series_zero_terms():
-    assert series_sum(lambda n: 0.0, lambda n: 0.0, tol=1e-12) == 0.0
-
-
-def test_series_detects_bound_violation():
-    # harmonic terms cannot satisfy a 1/n^2 tail bound
-    with pytest.raises(SeriesError):
-        series_sum(lambda n: 1.0 / n, lambda n: 1.0 / n**2, tol=1e-10)
-
-
-def test_series_checks_the_next_term_against_the_stopping_bound():
-    # the bound 0 stops at N = 1, but term 2 = 1 exceeds tail_bound(1) = 0
-    with pytest.raises(SeriesError, match="term 2 exceeds the certified bound"):
-        series_sum(lambda n: np.where(n == 2, 1.0, 0.0), lambda n: 0.0, tol=1e-12)
-
-
-def _series_by_loop(term, tail_bound, tol, max_terms=10_000_000):
-    """series_sum written term by term: its sum and every SeriesError."""
-    acc = 0.0
-    prev = math.inf
-    for n in range(1, max_terms + 1):
-        acc += float(term(n))
-        b = float(tail_bound(n))
-        if b < 0.0 or b > prev:
-            raise SeriesError("tail bound not nonincreasing at n=%d" % n)
-        if b < tol:
-            if abs(float(term(n + 1))) > b:
-                raise SeriesError("term %d exceeds the certified bound" % (n + 1))
-            return acc
-        prev = b
-    raise SeriesError("no certified tail below tol within %d terms" % max_terms)
-
-
-def _series_outcome(fn, *args, **kwargs):
-    try:
-        return struct.pack("<d", fn(*args, **kwargs))
-    except SeriesError as exc:
-        return str(exc)
-
-
-SB = numerics.SERIES_BLOCK
-# indices at, just before and just after the first two block edges
-EDGES = [1, 2, SB - 1, SB, SB + 1, 2 * SB - 1, 2 * SB, 2 * SB + 1]
-
-
-def _inverse_square(n):
-    return 1.0 / n**2
-
-
-def _inverse(n):
-    # bounds the tail of the inverse squares: sum_{k>n} 1/k^2 < 1/n
-    return 1.0 / n
-
-
-@pytest.mark.parametrize("N", EDGES)
-def test_series_blocks_match_the_term_by_term_loop(N):
-    # 1/n < tol first at n = N
-    tol = 1.0 / (N - 0.5)
-    got = series_sum(_inverse_square, _inverse, tol)
-    assert struct.pack("<d", got) == _series_outcome(_series_by_loop, _inverse_square,
-                                                     _inverse, tol)
-
-
-@pytest.mark.parametrize("K", EDGES[1:])
-def test_series_errors_match_the_term_by_term_loop(K):
-    cases = [
-        # the bound rises at n = K, or turns negative there
-        (_inverse_square, lambda n: np.where(n == K, 2.0, 1.0 / n), 1e-300,
-         "tail bound not nonincreasing at n=%d" % K),
-        (_inverse_square, lambda n: np.where(n == K, -1.0, 1.0 / n), 1e-300,
-         "tail bound not nonincreasing at n=%d" % K),
-        # the bound stops at N = K, and term K + 1 exceeds it
-        (lambda n: np.where(n == K + 1, 1.0, 1.0 / n**2), _inverse, 1.0 / (K - 0.5),
-         "term %d exceeds the certified bound" % (K + 1)),
-    ]
-    for term, bound, tol, message in cases:
-        assert _series_outcome(_series_by_loop, term, bound, tol, 3 * SB) == message
-        assert _series_outcome(series_sum, term, bound, tol, 3 * SB) == message
-    # the budget ends at K terms
-    message = "no certified tail below tol within %d terms" % K
-    assert _series_outcome(_series_by_loop, _inverse_square, _inverse, 1e-300, K) == message
-    assert _series_outcome(series_sum, _inverse_square, _inverse, 1e-300, K) == message
 
 
 def _sums(w):
