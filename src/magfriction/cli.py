@@ -986,25 +986,20 @@ def main(argv=None):
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
-    except OverflowError:
-        # Python-float arithmetic says only "(34, 'Numerical result out of range')"
-        sys.stderr.write(
-            "numerical failure: %s: a computed value overflows the float range\n"
-            % _command_name(cfg)
-        )
-        return EXIT_NUMERIC
-    except ZeroDivisionError:
-        # a Python-float power underflowed to zero and then divided
-        sys.stderr.write(
-            "numerical failure: %s: a divisor underflows to zero\n" % _command_name(cfg)
-        )
+    except (ArithmeticError, _ieee.QuadratureError) as exc:  # none of them a ValueError
+        if isinstance(exc, OverflowError):
+            # Python-float arithmetic says only "(34, 'Numerical result out of range')"
+            reason = "a computed value overflows the float range"
+        elif isinstance(exc, ZeroDivisionError):
+            # a Python-float power underflowed to zero and then divided
+            reason = "a divisor underflows to zero"
+        else:
+            reason = exc
+        sys.stderr.write("numerical failure: %s: %s\n" % (_command_name(cfg), reason))
         return EXIT_NUMERIC
     except ValueError as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return EXIT_VALIDATION
-    except (_ieee.QuadratureError, FloatingPointError) as exc:  # none of them a ValueError
-        sys.stderr.write("numerical failure: %s\n" % exc)
-        return EXIT_NUMERIC
 
 
 def entry():

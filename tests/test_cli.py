@@ -126,11 +126,13 @@ def test_underflow_into_divisor_names_command(cli, capsys):
     )
 
 
-_NOT_FINITE = "numerical failure: a computed value is not finite\n"
-_SUBNORMAL = (
-    "numerical failure: a computed value is subnormal (0 < |x| < 2.2250738585072014e-308)"
-    " and has lost precision\n"
-)
+def _not_finite(command):
+    return "numerical failure: %s: a computed value is not finite\n" % command
+
+
+def _subnormal(command):
+    return ("numerical failure: %s: a computed value is subnormal"
+            " (0 < |x| < 2.2250738585072014e-308) and has lost precision\n" % command)
 
 
 def test_zero_T_force_near_the_float_limit(cli, capsys):
@@ -146,7 +148,7 @@ def test_zero_T_force_near_the_float_limit(cli, capsys):
     assert _column(out, "force") == ["-9.638285547938828e+260"]
     code, out = cli(*args, 1e62)
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == _NOT_FINITE
+    assert capsys.readouterr().err == _not_finite("friction slabs")
     code, out = cli(*args, 1e103)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
@@ -164,7 +166,7 @@ def test_sweep_refuses_a_computed_subnormal_point(cli, capsys):
     # rho1 = 1e-160, 1e-80, 1: the first point's G is 7.9e-321
     capsys.readouterr()
     assert cli(*args, "--axis", "rho1:1e-160:1:3:log") == (2, "")
-    assert capsys.readouterr().err == _SUBNORMAL
+    assert capsys.readouterr().err == _subnormal("sweep")
     # a subnormal axis value is an input, echoed as given
     code, out = cli("sweep", "--target", "eigen", "--axis", "alpha:1e-310:1:3:log")
     assert code == 0
@@ -231,7 +233,7 @@ RANGE_EDGES = [
      [_PAIR_HEAD,
       "pair-smoothed,reduced,-3.264209971043003e+242,2.0000000000000008e+240,"
       "163.21049855215009,1.0,1e-40,1.0"], ""),
-    (["eigen", "--alpha", 1e200], 2, [], _NOT_FINITE),
+    (["eigen", "--alpha", 1e200], 2, [], _not_finite("eigen")),
     (["eigen", "--alpha", 1e154], 0,
      ["alpha,omega_plus,omega_minus,e0", "1e+154,2e+154,5e-155,1e+154"], ""),
     (["eigen", "--alpha", 1e7], 0,
@@ -239,7 +241,7 @@ RANGE_EDGES = [
       "10000000.0,20000000.000000052,4.999999999999987e-08,10000000.00000005"], ""),
     (["eigen", "--alpha", 1e8], 0,
      ["alpha,omega_plus,omega_minus,e0", "100000000.0,200000000.0,5e-09,100000000.0"], ""),
-    (["free-energy", "--alpha", 1e200, "--beta", 1], 2, [], _NOT_FINITE),
+    (["free-energy", "--alpha", 1e200, "--beta", 1], 2, [], _not_finite("free-energy")),
     # x = beta/2 on either side of 4.5e307, past which 4x would overflow in
     # the temperature bracket: F = alpha^2/2 on both
     (["free-energy", "--alpha", 1, "--beta", 8e307], 0,
@@ -268,8 +270,9 @@ RANGE_EDGES = [
     # G and the force pass through the subnormal range: G 7.9e-321, force
     # -1.3e-318 at finite T; G_P 3.7e-320, force -9.6e-322 at zero T
     (["friction", "slabs", "--temperature", "finite", "--beta", 1, *_TINY_SLABS], 2, [],
-     _SUBNORMAL),
-    (["friction", "slabs", "--temperature", "zero", *_TINY_SLABS], 2, [], _SUBNORMAL),
+     _subnormal("friction slabs")),
+    (["friction", "slabs", "--temperature", "zero", *_TINY_SLABS], 2, [],
+     _subnormal("friction slabs")),
     # an input echoed as given may be subnormal
     (["eigen", "--alpha", 1e-310], 0,
      ["alpha,omega_plus,omega_minus,e0", "1e-310,1.0,1.0,1.0"], ""),
@@ -305,9 +308,9 @@ RANGE_EDGES = [
     # d^6 overflows
     (["fields", "--d", 2.5e51], 2, [], _overflows("fields")),
     # d^6 is subnormal for |d| below ~5.3e-52, and the power fails its point
-    (["friction", "pair", "--d", 5e-52, *_TINY_V], 2, [], _SUBNORMAL),
-    (["fields", "--d", 5e-52], 2, [], _SUBNORMAL),
-    (["fields", "--d", 1e-53], 2, [], _SUBNORMAL),
+    (["friction", "pair", "--d", 5e-52, *_TINY_V], 2, [], _subnormal("friction pair")),
+    (["fields", "--d", 5e-52], 2, [], _subnormal("fields")),
+    (["fields", "--d", 1e-53], 2, [], _subnormal("fields")),
     # d^6 is a normal float: every printed cell is its float
     (["friction", "pair", "--d", 5.5e-52, *_TINY_V], 0,
      [_PAIR_HEAD, "pair-smoothed,reduced,-11792393157.60237,7.225266304688351e+307,"
@@ -322,7 +325,7 @@ RANGE_EDGES = [
       "--omega-p", 1e-154, "--nu", 1000], 2, [], _overflows("friction plane")),
     # d^6 underflows to zero and |d|^3 is subnormal: in fields psi_xy = d/|d|^3
     # fails first; the pair computes no psi_xy, and 2/d^6 divides by zero
-    (["fields", "--d", 1e-105], 2, [], _SUBNORMAL),
+    (["fields", "--d", 1e-105], 2, [], _subnormal("fields")),
     (["friction", "pair", "--d", 1e-105, *_PAIR_UNIT], 2, [], _underflows("friction pair")),
 ]
 
@@ -374,7 +377,7 @@ ONE_SHOT_FAILURES = [
     # the squared sinh underflows at this temperature: a float failure, not bad input
     (["friction", "pair", "--d", 1, "--beta", 1e-200, "--v", 1, "--D2", 1,
       "--spectrum-file-1", "{file}"], 2,
-     "numerical failure: H0 integrand is not a finite float at m=0.0198551"),
+     "numerical failure: friction pair: H0 integrand is not a finite float at m=0.0198551"),
     # a flag that the route does not read; of several, the first in _PARAMS order
     (["friction", "slabs", "--temperature", "zero", "--v", 0.01, *SLAB_PARAMS,
       "--alpha", 5, "--nu", 3], 3, "error: friction slabs --temperature zero takes no --alpha"),
@@ -935,7 +938,7 @@ def test_a_hot_kelvin_free_energy_fails_on_its_subnormal_beta(cli, capsys, argv)
     # so the run fails on beta itself, not on that division
     code, out = cli(*argv, "--alpha", 0.5, "--units", "gaussian")
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == _SUBNORMAL
+    assert capsys.readouterr().err == _subnormal(argv[0])
 
 
 def test_plane_drude_golden(cli):
