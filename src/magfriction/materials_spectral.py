@@ -7,9 +7,9 @@ and number density. This module holds the densities the CLI reads and
 builds from them the thermal factor H0 (thermally smoothed pair) and the
 universal quartic integral I. H0 has one route for each kind of pair:
 the closed form H0_linear for two linear densities, the quadrature rule
-smoothed_H0 when a side is tabulated. The imaginary-frequency response h(K^2),
-its inversion back to a density and the sharp-pair factor H live in the
-oracle battery (magfriction.verification).
+smoothed_H0 when a side is tabulated. The imaginary-frequency response
+h(K^2), its inversion back to a density and the sharp-pair factor H live
+in the oracle battery (magfriction.verification).
 """
 
 import functools

@@ -6,9 +6,10 @@ call as the decay it has seen allows, with the bits of a sweep of one
 panel at a time), deterministic seeded Monte-Carlo integration by a
 randomized lattice rule, central finite differences, a linear
 extrapolation to zero, a circulant solve and the polygamma function, the
-one engine for zeta values. Everything here is generic plumbing on numpy and
-the math module; the physics modules supply the integrands. Only the oracle
-battery and response_kinetics call these engines; the CLI routes do not.
+one engine for zeta values. Everything here is generic plumbing on numpy
+and the math module; the physics modules supply the integrands. Only the
+oracle battery and response_kinetics call these engines; the CLI routes do
+not.
 """
 
 import functools

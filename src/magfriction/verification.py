@@ -1390,8 +1390,8 @@ def check_zero_T_assembly():
     closed = -(5.0 * np.pi**2 / 512.0) * v**5
     rel = abs(force - closed) / abs(closed)
     # the dissipated-energy route -Delta E_P/(2 tau v), Delta E_P = 2 tau H_P v^6 G_P,
-    # with H_P from the dissipation integral, which is quadrature, and G_P by
-    # the Fourier route
+    # with H_P from the dissipation integral by quadrature and G_P by the
+    # Fourier route
     wv, tau = 0.37, 1.0
     s = materials_spectral.LinearSpectralDensity(1.0)
     HPq = response_kinetics.dissipation_J(wv, tau, s, s) / (2.0 * tau * wv**6)
