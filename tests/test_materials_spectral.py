@@ -26,9 +26,6 @@ from magfriction.materials_spectral import (
 from magfriction.response_kinetics import dissipation_J
 from magfriction.verification import h_linear, spectrum_from_h, thermal_H
 
-# the unit roundoff of a double
-U = 2.0**-53
-
 
 def test_h_linear_truncated_closed_form():
     D, m_max = 0.7, 30.0
@@ -87,7 +84,7 @@ def test_smoothed_H0_closed_form():
     for beta, D1, D2 in (10.0 ** rng.uniform(-3.0, 3.0, (1000, 3))).tolist():
         closed = H0_linear(D1, D2, beta, FloatOps)
         rule = smoothed_H0(LinearSpectralDensity(D1), LinearSpectralDensity(D2), beta)
-        assert abs(rule - closed) <= 8.0 * U * closed, (beta, D1, D2)
+        assert abs(rule - closed) <= 8.0 * 2.0**-53 * closed, (beta, D1, D2)
 
 
 def test_linear_pairs_take_the_rule_and_the_quadrature(monkeypatch):
