@@ -633,3 +633,21 @@ def test_polygamma_matches_scipy():
         for x in xs.tolist():
             ref = float(special.polygamma(n, x))
             assert abs(numerics.polygamma(n, x) - ref) <= 1e-15 * ref
+
+
+# x = 1 gives zeta(2) and zeta(4); about x = 10 the recurrence hands over
+# to the asymptotic series; x = n_max + 1 is the Matsubara tail past the
+# grids the tests and the benchmark use
+POLYGAMMA_X = [1.0, 2.0, 3.0, math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 11.0),
+               10.5, 6.0, 1001.0, 5001.0, 20_001.0, 40_001.0, 60_001.0, 200_001.0]
+
+
+@pytest.mark.parametrize("x", POLYGAMMA_X)
+@pytest.mark.parametrize("n", [1, 3])
+def test_polygamma_matches_mpmath(n, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.psi(n, mpmath.mpf(x))
+        err = abs(mpmath.mpf(numerics.polygamma(n, x)) - ref) / abs(ref)
+    # these 28 points measured at most 2.35u, at n = 3 and x = 10
+    assert err <= 4.0 * 2.0**-53
