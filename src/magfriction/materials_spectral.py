@@ -7,7 +7,9 @@ and number density. This module holds the densities the CLI reads and
 builds from them the thermal factor H0 (thermally smoothed pair) and the
 universal quartic integral I. H0 has one route for each kind of pair:
 the closed form H0_linear for two linear densities, the quadrature rule
-smoothed_H0 when a side is tabulated. The imaginary-frequency response
+smoothed_H0 when a side is tabulated; its 8- and 16-point Gauss-Legendre
+rules are literal tables of numpy's doubles (_GAUSS_LEGENDRE), so no
+route loads numpy.polynomial. The imaginary-frequency response
 h(K^2), its inversion back to a density and the sharp-pair factor H live
 in the oracle battery (magfriction.verification).
 """
@@ -145,13 +147,34 @@ _H0_CUTOFF = 700.0
 _H0_RTOL = 1e-10
 
 
+# Gauss-Legendre rules on [-1, 1] (Golub & Welsch, Math. Comp. 23, 221
+# (1969)) as the doubles that numpy.polynomial.legendre.leggauss returns
+# for n = 8 and 16 (numpy 2.4.6): the positive nodes from the outside in,
+# then their weights. Both rules are symmetric about 0. These keep
+# numpy's bits, not the exact rules: its weights are up to 63 ulp from
+# their exact values, its nodes within 0.9 ulp
+_GAUSS_LEGENDRE = {
+    8: (
+        (0.9602898564975362, 0.7966664774136267, 0.525532409916329, 0.18343464249564978),
+        (0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166),
+    ),
+    16: (
+        (0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+         0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744),
+        (0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+         0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864),
+    ),
+}
+
+
 @functools.cache
 def _gauss_legendre(n):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only;
-    numpy.polynomial loads on first use, not with this module."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(n)
+    """n-point Gauss-Legendre nodes, ascending, and weights on [-1, 1] for
+    n = 8 or 16, as read-only arrays built from _GAUSS_LEGENDRE on first
+    use."""
+    x, w = (np.array(half) for half in _GAUSS_LEGENDRE[n])
+    nodes = np.concatenate([-x, x[::-1]])
+    weights = np.concatenate([w, w[::-1]])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -1455,6 +1455,24 @@ def test_verify_loads_no_scipy():
     assert scipy == []
 
 
+@pytest.mark.parametrize("route", ["pair", "plane-sweep", "verify"])
+def test_no_route_loads_numpy_polynomial(tmp_path, route):
+    # the Gauss rules of a tabulated H0 and of the battery are literal tables
+    grid = np.linspace(0.0, 40.0, 400)
+    path = _write(tmp_path / "s.txt", "".join("%.17g %.17g\n" % (w, 0.25 * w) for w in grid))
+    command = {
+        "pair": ["friction", "pair", "--d", 2, "--beta", 1, "--v", 1e-3, "--D2", 1,
+                 "--spectrum-file-1", path],
+        "plane-sweep": ["sweep", "--target", "friction-plane", "--rho1", 1, "--beta", 2,
+                        "--v", 1e-3, "--spectrum-file-1", path, "--spectrum-file-2", path,
+                        "--axis", "z0:1:2:5"],
+        "verify": ["verify", "--suite", "all"],
+    }[route]
+    codes, _, numpy = _modules_after([command])
+    assert codes == [0]
+    assert [m for m in numpy if m.startswith("numpy.polynomial")] == []
+
+
 # runs each command line given (one argument each) through the CLI in a
 # fresh interpreter, and prints its exit code and which of the watched
 # modules had executed by then; imports nothing that it watches

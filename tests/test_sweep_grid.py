@@ -412,9 +412,11 @@ def test_array_div_is_the_float_div_at_every_point(pairs):
 
 
 def _float_pow_or_error(x, n):
+    """x ** n on FloatOps, or the exception it raises: OverflowError past
+    the float range, FloatingPointError where the power is subnormal."""
     try:
         return _ieee.FloatOps.pow(x, n)
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         return exc
 
 
@@ -422,8 +424,8 @@ def _float_pow_or_error(x, n):
 def test_array_pow_fails_the_first_point_where_float_pow_raises(xs, n):
     # a column of x along the grid's first axis: its element k is first at
     # grid point 2k, so the first raising element is the first failing point
-    raising = [k for k, x in enumerate(xs)
-               if isinstance(_float_pow_or_error(x, n), OverflowError)]
+    raising = [(k, y) for k, y in enumerate(_float_pow_or_error(x, n) for x in xs)
+               if isinstance(y, Exception)]
     column = np.array(xs).reshape(-1, 1)
     ops = _ieee.ArrayOps((len(xs), 2))
     ops.pow(column, n)
@@ -431,12 +433,14 @@ def test_array_pow_fails_the_first_point_where_float_pow_raises(xs, n):
         ops.raise_first()
         return
     # a check registered later at that point loses, one a point earlier wins
+    first, error = raising[0]
     at = np.zeros((len(xs), 2), dtype=bool)
-    at.flat[2 * raising[0]] = True
+    at.flat[2 * first] = True
     ops.fail(at, KeyError("same point"))
-    with pytest.raises(OverflowError):
+    with pytest.raises(ArithmeticError) as raised:
         ops.raise_first()
-    if raising[0] > 0:
+    assert type(raised.value) is type(error)
+    if first > 0:
         ops.fail(np.roll(at, -1), KeyError("a point earlier"))
         with pytest.raises(KeyError, match="a point earlier"):
             ops.raise_first()
