@@ -578,6 +578,9 @@ CLOSED_SWEEPS = {
     "fields-d-10k": ["--target", "fields", "--axis", "d:-3.6:3.6:10000", "--z0", 1.5,
                      "--rho1", 2],
     "eigen": ["--target", "eigen", "--axis", "alpha:0.07:0.56:10000"],
+    # x = beta/2 from 0.01 to 10: across the switch of the bracket's two forms
+    "free-energy-beta-10k": ["--target", "free-energy", "--axis", "beta:0.02:20:10000:log",
+                             "--alpha", 0.3],
     "slabs-finite-drude": ["--target", "friction-slabs-finite", "--axis", "omega-p:1:100:100:log",
                            "--axis", "rho1:0.5:3:100", "--rho2", 2.1, "--d", 1.5, "--v", 3e-3,
                            "--beta", 2, "--nu", 0.1],
