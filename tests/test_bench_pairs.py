@@ -2,6 +2,8 @@
 
 import argparse
 import importlib.util
+import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -78,10 +80,79 @@ def test_one_pair_is_refused_before_any_run(monkeypatch, capsys):
 
 
 def test_metrics_are_the_benchmark_end_to_end_set():
-    metrics, seconds = bench_pairs.end_to_end()
+    metrics, bounds, seconds = bench_pairs.end_to_end()
     assert metrics == {"op_s.p50": "lower", "rows_per_s": "higher", "setup_s": "lower",
                        "peak_rss_mb": "lower"}
+    assert bounds == {"op_s.p50": 0.25, "rows_per_s": 0.25, "setup_s": 0.25,
+                      "peak_rss_mb": 0.1}
     assert seconds > 0
+
+
+# ten parent values with median 10.0 and exclusive quartiles 9.8 and 10.2
+PARENT = [9.8, 10.2, 9.7, 10.3, 10.0, 10.0, 9.9, 10.1, 9.8, 10.2]
+
+
+def _side(values):
+    return bench_pairs.side_summary(
+        [{"failed": 0, "attempted": 1, "correct": True, "metrics": {"m": {"value": v}}}
+         for v in values], ["m"])["m"]
+
+
+def _verdict(change, better="lower", bound=0.1):
+    return bench_pairs.verdict(_side(PARENT), _side(change), better, bound)
+
+
+@pytest.mark.parametrize("change,better,want", [
+    # better in all ten pairs by more than the quartile distance, 0.4
+    ([v - 0.5 for v in PARENT], "lower", "gain"),
+    ([v + 0.5 for v in PARENT], "higher", "gain"),
+    # nine pairs of ten are enough; eight are not
+    ([v - 0.5 for v in PARENT[:9]] + [PARENT[9] + 0.5], "lower", "gain"),
+    ([v - 0.5 for v in PARENT[:8]] + [v + 0.5 for v in PARENT[8:]], "lower", "no change"),
+    # ten wins, but the medians differ by less than the quartile distance
+    ([v - 0.3 for v in PARENT], "lower", "no change"),
+    # worse by 20% of the parent's median against a bound of 10%
+    ([v + 2.0 for v in PARENT], "lower", "regression"),
+    ([v - 2.0 for v in PARENT], "higher", "regression"),
+    # worse by 5%: inside the bound
+    ([v + 0.5 for v in PARENT], "lower", "no change"),
+])
+def test_verdict_on_made_up_pairs(change, better, want):
+    assert _verdict(change, better) == want
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved():
+    # quartile distance 0.4 on a median of 10: 4%, past a bound of 3%,
+    # however far the change moves
+    for change in ([v - 5.0 for v in PARENT], [v + 5.0 for v in PARENT], PARENT):
+        assert _verdict(change, bound=0.03) == "unresolved"
+    assert _verdict([v - 5.0 for v in PARENT], bound=0.05) == "gain"
+
+
+def test_a_workload_run_prints_one_verdict_line_per_metric(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(bench_pairs, "archive", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [
+        {"name": "op_s.p50", "better": "lower", "bound": 0.25},
+        {"name": "rows_per_s", "better": "higher", "bound": 0.25}]}))
+
+    def run_once(tree, workload, seed, seconds):
+        # op_s.p50 falls by 0.5 at the change in every pair; rows_per_s stays
+        side = Path(tree).name.split("-")[0]
+        return _run(PARENT[seed] - (0.5 if side == "change" else 0.0), 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: argparse.Namespace(stdout="abc1234\n"))
+    assert bench_pairs.main(["--parent", "p", "--workload", "verify", "--pairs", "10",
+                             "--name", "made_up"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "op_s.p50     gain       parent 10  change 9.5  change better 10/10",
+        "rows_per_s   no change  parent 1  change 1  change better 0/10"]
+    doc = json.loads((tmp_path / "BENCH_made_up.json").read_text())
+    assert doc["workloads"]["verify"]["verdicts"] == {"op_s.p50": "gain",
+                                                      "rows_per_s": "no change"}
 
 
 def test_byte_diff_reports_a_one_byte_difference(monkeypatch, capsys):

@@ -20,6 +20,15 @@ which the change reads better, ties counting for neither, and the seeds.
 The entries of other workloads already in the file are kept, so one file
 gathers the runs of several invocations.
 
+After the runs it prints one line per end-to-end metric with its verdict
+(``verdict``), which the entry keeps under ``verdicts``: ``unresolved``
+when the parent's quartile distance exceeds the metric's ``bound`` in
+``BENCHMARK.json`` (both relative to the parent's median), else
+``regression`` when the change's median is worse than the parent's by
+more than that bound, else ``gain`` when the change reads better in at
+least 9 of every 10 pairs and its median is better by more than the
+parent's quartile distance, else ``no change``.
+
     python3 tools/bench_pairs.py --bytes --parent REV [--change REV]
 
 compares output bytes instead of timing. In a fresh ``git archive`` of
@@ -90,11 +99,13 @@ with open(os.path.join(dest, "index.json"), "w") as fh:
 
 
 def end_to_end():
-    """BENCHMARK.json's end-to-end metrics as {name: better}, and its run
-    length in seconds."""
+    """BENCHMARK.json's end-to-end metrics as {name: better} and as
+    {name: bound}, and its run length in seconds."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}, spec["run_seconds"]
+    metrics = spec["end_to_end"]
+    return ({m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics},
+            spec["run_seconds"])
 
 
 def archive(rev, dest):
@@ -129,14 +140,42 @@ def side_summary(runs, metrics):
     return out
 
 
+def _wins(parent, change, better):
+    """The pairs of one metric's values in which the change reads better."""
+    pairs = zip(parent["values"], change["values"])
+    return sum(c < p if better == "lower" else c > p for p, c in pairs)
+
+
 def better_pairs(parent, change, metrics):
     """Per metric, "k/N": the pairs in which the change reads better."""
-    counts = {}
-    for name, better in metrics.items():
-        pairs = list(zip(parent[name]["values"], change[name]["values"]))
-        wins = sum(c < p if better == "lower" else c > p for p, c in pairs)
-        counts[name] = "%d/%d" % (wins, len(pairs))
-    return counts
+    return {name: "%d/%d" % (_wins(parent[name], change[name], better),
+                             len(parent[name]["values"]))
+            for name, better in metrics.items()}
+
+
+def verdict(parent, change, better, bound):
+    """The verdict on one metric from each side's summary (side_summary),
+    whether lower or higher is ``better``, and its relative ``bound``: see
+    the module docstring."""
+    median = parent["median"]
+    worse_by = change["median"] - median if better == "lower" else median - change["median"]
+    spread = parent["q3"] - parent["q1"]
+    if spread > bound * abs(median):
+        return "unresolved"
+    if worse_by > bound * abs(median):
+        return "regression"
+    if 10 * _wins(parent, change, better) >= 9 * len(parent["values"]) and -worse_by > spread:
+        return "gain"
+    return "no change"
+
+
+def verdict_lines(entry, metrics):
+    """One line per metric of a workloads entry: its verdict, each side's
+    median and the pairs the change wins."""
+    return ["%-12s %-10s parent %.6g  change %.6g  change better %s" % (
+        name, entry["verdicts"][name], entry["parent"][name]["median"],
+        entry["change"][name]["median"], entry["change_better_pairs"][name])
+        for name in metrics]
 
 
 def summarize(parent_runs, change_runs, metrics, seeds):
@@ -288,7 +327,7 @@ def main(argv=None):
         return byte_diff(args.parent, args.change)
     if args.workload is None or args.name is None:
         parser.error("--workload and --name are required without --bytes")
-    metrics, run_seconds = end_to_end()
+    metrics, bounds, run_seconds = end_to_end()
     if args.seconds is None:
         args.seconds = run_seconds
     if args.pairs < 2 or args.seconds <= 0:
@@ -299,6 +338,8 @@ def main(argv=None):
                                     capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as work:
         entry = run_pairs(args, metrics, work)
+    entry["verdicts"] = {name: verdict(entry["parent"][name], entry["change"][name], better,
+                                       bounds[name]) for name, better in metrics.items()}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.name)
     doc = {"workloads": {}}
     if os.path.exists(path):
@@ -316,9 +357,8 @@ def main(argv=None):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    for name, count in entry["change_better_pairs"].items():
-        print("%-12s parent %.6g  change %.6g  change better %s" % (
-            name, entry["parent"][name]["median"], entry["change"][name]["median"], count))
+    for line in verdict_lines(entry, metrics):
+        print(line)
     return 0
 
 
