@@ -169,15 +169,6 @@ def verdict(parent, change, better, bound):
     return "no change"
 
 
-def verdict_lines(entry, metrics):
-    """One line per metric of a workloads entry: its verdict, each side's
-    median and the pairs the change wins."""
-    return ["%-12s %-10s parent %.6g  change %.6g  change better %s" % (
-        name, entry["verdicts"][name], entry["parent"][name]["median"],
-        entry["change"][name]["median"], entry["change_better_pairs"][name])
-        for name in metrics]
-
-
 def summarize(parent_runs, change_runs, metrics, seeds):
     """The workloads entry of one workload's pairs."""
     parent = side_summary(parent_runs, metrics)
@@ -357,8 +348,10 @@ def main(argv=None):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    for line in verdict_lines(entry, metrics):
-        print(line)
+    for name in metrics:
+        print("%-12s %-10s parent %.6g  change %.6g  change better %s" % (
+            name, entry["verdicts"][name], entry["parent"][name]["median"],
+            entry["change"][name]["median"], entry["change_better_pairs"][name]))
     return 0
 
 
